@@ -52,15 +52,15 @@ from .modelselect import (
     FoldPlan,
     ICResult,
     RhoFit,
-    backward_scan,
     cv_loss,
+    cv_scan,
     fit_rho,
-    forward_scan,
     ic_scan,
     information_criterion,
     loglik_equicorr,
     loglik_iid,
     make_folds,
+    model_sequence,
 )
 from .bootstrap import (
     BootstrapSample,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .bootstrap import (
     percentile_interval,
     project_scenarios,
 )
-from .modelselect import backward_scan, forward_scan, ic_scan
+from .modelselect import cv_scan, ic_scan
 from .panel import (
     ClusterScheme,
     CsvSchema,
@@ -212,28 +213,29 @@ def cmd_corr(config: dict, out: Path, seed: int, threads: int) -> None:
     print(f"corr: {len(summaries)} groups over {fit.n} residuals")
 
 
+def _scan_setup(section: dict, spec: ModelSpec) -> tuple[str, ModelSpec, list[TermSpec]]:
+    """Direction, base model and candidates of a cv or ic scan: forward scans
+    grow the trivial model (fixed effects and intercept kept), backward scans
+    shrink the configured model."""
+    direction = section.get("direction", "forward")
+    base = replace(spec, terms=()) if direction == "forward" else spec
+    return direction, base, [_term(d) for d in section.get("candidates", [])]
+
+
 def cmd_cv(config: dict, out: Path, seed: int, threads: int) -> None:
     dataset = _load_dataset(config)
     spec, alignment, _ = _model(config)
     cv_cfg = _require(config, "cv")
     schemes = [_scheme(s) for s in cv_cfg.get("schemes", [cv_cfg.get("scheme", "region")])]
     K = int(cv_cfg.get("k", 5))
-    direction = cv_cfg.get("direction", "forward")
+    direction, base, candidates = _scan_setup(cv_cfg, spec)
     rows = []
     summary = {"direction": direction, "k": K, "seed": seed, "schemes": {}}
-    # forward scans grow the trivial model (fixed effects and intercept kept);
-    # backward scans shrink the configured model
-    trivial = ModelSpec(terms=(), fixed_effects=spec.fixed_effects, intercept=spec.intercept)
     for scheme in schemes:
-        if direction == "forward":
-            candidates = [_term(d) for d in _require(cv_cfg, "candidates")]
-            scan = forward_scan(
-                dataset, trivial, candidates, scheme, K, seed, moderator_alignment=alignment
-            )
-        elif direction == "backward":
-            scan = backward_scan(dataset, spec, scheme, K, seed, moderator_alignment=alignment)
-        else:
-            raise ValueError(f"unknown cv direction {direction!r}")
+        scan = cv_scan(
+            dataset, base, candidates, scheme, K, seed,
+            direction=direction, moderator_alignment=alignment,
+        )
         summary["schemes"][scheme.label] = {
             "reference_loss": scan.reference_loss,
             "rows_used": scan.rows_used,
@@ -253,25 +255,15 @@ def cmd_ic(config: dict, out: Path, seed: int, threads: int) -> None:
     spec, alignment, _ = _model(config)
     ic_cfg = config.get("ic", {})
     block = _scheme(ic_cfg.get("block_scheme", "country_year"))
-    direction = ic_cfg.get("direction", "forward")
-    criteria = tuple(ic_cfg.get("criteria", ["AIC", "BIC"]))
-    adjusted_flags = tuple(bool(a) for a in ic_cfg.get("adjusted", [False, True]))
-    candidates = [_term(d) for d in ic_cfg.get("candidates", [])]
-    if direction == "forward" and not candidates:
-        raise ValueError("forward ic scan needs candidates")
-    base = (
-        ModelSpec(terms=(), fixed_effects=spec.fixed_effects, intercept=spec.intercept)
-        if direction == "forward"
-        else spec
-    )
+    direction, base, candidates = _scan_setup(ic_cfg, spec)
     scan = ic_scan(
         dataset,
         base,
         candidates,
         block,
         direction=direction,
-        criteria=criteria,
-        adjusted_flags=adjusted_flags,
+        criteria=tuple(ic_cfg.get("criteria", ["AIC", "BIC"])),
+        adjusted_flags=tuple(bool(a) for a in ic_cfg.get("adjusted", [False, True])),
         moderator_alignment=alignment,
         count_variance_params=bool(ic_cfg.get("count_variance_params", True)),
     )

@@ -1,11 +1,13 @@
 """Cluster-respecting cross-validation and correlation-adjusted information criteria.
 
-Folds keep whole clusters together.  The adjusted AIC/BIC replace the iid
-Gaussian log-likelihood with an equicorrelated block covariance (variance
-sigma^2 on the diagonal, covariance rho within a block, blocks independent)
-whose log-determinant and quadratic form have closed per-block forms, and
-estimate rho by one-dimensional golden-section search with the coefficients
-and sigma^2 held at their least squares values.
+Folds keep whole clusters together.  The CV and IC scans score the models
+of one ``model_sequence``, each a column subset of one union design.  The
+adjusted AIC/BIC replace the iid Gaussian log-likelihood with an
+equicorrelated block covariance (variance sigma^2 on the diagonal, covariance
+rho within a block, blocks independent) whose log-determinant and quadratic
+form have closed per-block forms, and estimate rho by one-dimensional
+golden-section search with the coefficients and sigma^2 held at their least
+squares values.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .panel import (
     ClusterAssignment,
     ClusterScheme,
+    DesignMatrix,
     ModelSpec,
     PanelDataset,
     TermSpec,
@@ -81,6 +84,74 @@ def _lstsq_fit(X: np.ndarray, y: np.ndarray):
     return beta, int(rank)
 
 
+def _cv_results(
+    core: DesignMatrix,
+    fixed_effects: Sequence[str],
+    scheme: ClusterScheme,
+    K: int,
+    seed: int,
+    models: Sequence[Sequence[int]],
+    allow_rank_deficient: bool,
+) -> list[CvResult]:
+    """Cluster-respecting K-fold CV of every model, each a list of column
+    indices of the dummy-free ``core`` design, on shared folds.
+
+    Fixed-effect dummies are built once per fold, on the training rows, and
+    appended to every model's columns; they never enter ``core``.
+    """
+    clusters = assign_clusters(core, scheme)
+    plan = make_folds(clusters, K, seed)
+    fold_by_cluster = np.array([plan.assignment[k] for k in clusters.keys])
+    row_folds = fold_by_cluster[clusters.row_cluster]
+
+    regions = np.array([r for r, _ in core.row_index])
+    years = np.array([t for _, t in core.row_index])
+
+    sse = [0.0] * len(models)
+    rank_flags = [False] * len(models)
+    fold_losses: list[list[float]] = [[] for _ in models]
+    n_val_total = 0
+    unseen = 0
+    for k in range(K):
+        va = row_folds == k
+        tr = ~va
+        if not va.any():
+            raise ValueError(f"empty validation fold {k}")
+        D_tr, _, levels, _, _ = fixed_effect_dummies(
+            list(regions[tr]), list(years[tr]), fixed_effects
+        )
+        D_va, _, _, fold_unseen, _ = fixed_effect_dummies(
+            list(regions[va]), list(years[va]), fixed_effects, levels=levels
+        )
+        unseen += fold_unseen
+        X_tr, y_tr = np.hstack([core.X[tr], D_tr]), core.y[tr]
+        X_va, y_va = np.hstack([core.X[va], D_va]), core.y[va]
+        dummies = list(range(core.p, X_tr.shape[1]))
+        n_val = int(va.sum())
+        n_val_total += n_val
+        for m, cols in enumerate(models):
+            # np.take copies in C order; lstsq and the matvec round by layout
+            keep = list(cols) + dummies
+            beta, rank = _lstsq_fit(np.take(X_tr, keep, axis=1), y_tr)
+            if rank < len(keep):
+                if not allow_rank_deficient:
+                    raise ValueError(f"rank-deficient training design in fold {k}")
+                rank_flags[m] = True
+            err = y_va - np.take(X_va, keep, axis=1) @ beta
+            sse[m] += float(err @ err)
+            fold_losses[m].append(float(err @ err) / n_val)
+    return [
+        CvResult(
+            loss=sse[m] / n_val_total,
+            n_validation=n_val_total,
+            unseen_levels=unseen,
+            rank_deficient=rank_flags[m],
+            fold_losses=tuple(fold_losses[m]),
+        )
+        for m in range(len(models))
+    ]
+
+
 def cv_loss(
     dataset: PanelDataset,
     spec: ModelSpec,
@@ -100,65 +171,92 @@ def cv_loss(
     (naming the fold) unless ``allow_rank_deficient``, in which case the
     minimum-norm solution is used and the result is flagged.
     """
-    core_spec = ModelSpec(terms=spec.terms, fixed_effects=(), intercept=spec.intercept)
     core = build_design(
-        dataset, core_spec, moderator_alignment=moderator_alignment, keep_rows=keep_rows
+        dataset, replace(spec, fixed_effects=()),
+        moderator_alignment=moderator_alignment, keep_rows=keep_rows,
     )
-    clusters = assign_clusters(core, scheme)
-    plan = make_folds(clusters, K, seed)
-    fold_by_cluster = np.array([plan.assignment[k] for k in clusters.keys])
-    row_folds = fold_by_cluster[clusters.row_cluster]
-
-    regions = np.array([r for r, _ in core.row_index])
-    years = np.array([t for _, t in core.row_index])
-
-    sse = 0.0
-    n_val_total = 0
-    unseen = 0
-    rank_flag = False
-    fold_losses = []
-    for k in range(K):
-        va = row_folds == k
-        tr = ~va
-        if not va.any():
-            raise ValueError(f"empty validation fold {k}")
-        D_tr, _, levels, _, _ = fixed_effect_dummies(
-            list(regions[tr]), list(years[tr]), spec.fixed_effects
-        )
-        X_tr = np.hstack([core.X[tr], D_tr]) if D_tr.shape[1] else core.X[tr]
-        beta, rank = _lstsq_fit(X_tr, core.y[tr])
-        if rank < X_tr.shape[1]:
-            if not allow_rank_deficient:
-                raise ValueError(f"rank-deficient training design in fold {k}")
-            rank_flag = True
-        D_va, _, _, fold_unseen, _ = fixed_effect_dummies(
-            list(regions[va]), list(years[va]), spec.fixed_effects, levels=levels
-        )
-        X_va = np.hstack([core.X[va], D_va]) if D_va.shape[1] else core.X[va]
-        unseen += fold_unseen
-        pred = X_va @ beta
-        err = core.y[va] - pred
-        sse += float(err @ err)
-        n_val = int(va.sum())
-        n_val_total += n_val
-        fold_losses.append(float(err @ err) / n_val)
-    return CvResult(
-        loss=sse / n_val_total,
-        n_validation=n_val_total,
-        unseen_levels=unseen,
-        rank_deficient=rank_flag,
-        fold_losses=tuple(fold_losses),
+    (result,) = _cv_results(
+        core, spec.fixed_effects, scheme, K, seed, [range(core.p)], allow_rank_deficient
     )
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward scans
+# Model sequences and CV scans
 # ---------------------------------------------------------------------------
 
 
 def term_display(term: TermSpec) -> str:
     lbl = term_label(term)
     return f"{lbl}*{term.moderator}" if term.moderator else lbl
+
+
+Depths = tuple[int | None, ...]
+
+
+@dataclass(frozen=True)
+class ModelSequence:
+    """The models one scan scores, all nested in ``union``.
+
+    A model is a tuple of lag depths, one per union term: the term enters at
+    lags 0..depth, or not at all when the depth is None.  Each variant is
+    (displayed term, lag depth or None for a removal, depths).
+    """
+
+    union: ModelSpec
+    reference: Depths
+    variants: tuple[tuple[str, int | None, Depths], ...]
+
+
+def model_sequence(
+    base: ModelSpec, candidates: Sequence[TermSpec], direction: str
+) -> ModelSequence:
+    """The model sequence shared by the CV and IC scans.
+
+    Forward: ``base`` plus each candidate at lag depths 0..max_lag, against
+    ``base``.  Backward: each term of ``base`` truncated stepwise toward
+    removal, then the trivial model (no terms), against ``base`` itself;
+    ``candidates`` are ignored.
+    """
+    kept = tuple(t.max_lag for t in base.terms)
+    if direction == "forward":
+        if not candidates:
+            raise ValueError("forward scan needs candidates")
+        union = replace(base, terms=base.terms + tuple(candidates))
+        absent = (None,) * len(candidates)
+        variants = [
+            (term_display(c), depth, kept + absent[:j] + (depth,) + absent[j + 1 :])
+            for j, c in enumerate(candidates)
+            for depth in range(c.max_lag + 1)
+        ]
+        return ModelSequence(union, kept + absent, tuple(variants))
+    if direction != "backward":
+        raise ValueError(f"unknown scan direction {direction!r}; use 'forward' or 'backward'")
+    if not base.terms:
+        raise ValueError("backward scan needs a model with at least one term")
+    variants = [
+        (term_display(term), depth, kept[:i] + (depth,) + kept[i + 1 :])
+        for i, term in enumerate(base.terms)
+        for depth in (*range(term.max_lag - 1, -1, -1), None)
+    ]
+    variants.append(("(trivial)", None, (None,) * len(kept)))
+    return ModelSequence(base, kept, tuple(variants))
+
+
+def _columns(union: ModelSpec, depths: Depths) -> list[int]:
+    """Core columns of ``union``'s design that the model ``depths`` keeps, in
+    ``build_design``'s layout: intercept, then per term the base lags 0..L
+    and the interaction lags 0..L."""
+    cols = [0] if union.intercept else []
+    start = len(cols)
+    for term, depth in zip(union.terms, depths):
+        width = term.max_lag + 1
+        if depth is not None:
+            cols += range(start, start + depth + 1)
+            if term.moderator is not None:
+                cols += range(start + width, start + width + depth + 1)
+        start += 2 * width if term.moderator is not None else width
+    return cols
 
 
 @dataclass(frozen=True)
@@ -177,12 +275,7 @@ class ScanResult:
     rows_used: int
 
 
-def _common_rows(dataset, spec, moderator_alignment):
-    design = build_design(dataset, spec, moderator_alignment=moderator_alignment)
-    return design.row_index
-
-
-def forward_scan(
+def cv_scan(
     dataset: PanelDataset,
     base: ModelSpec,
     candidates: Sequence[TermSpec],
@@ -190,123 +283,36 @@ def forward_scan(
     K: int,
     seed: int,
     *,
+    direction: str = "forward",
     moderator_alignment: str = "contemporaneous",
 ) -> ScanResult:
-    """Delta CV loss of adding each candidate term to the base model, at every
-    lag depth 0..max_lag.
+    """Delta CV loss over ``model_sequence(base, candidates, direction)``.
 
-    All models (base included) are evaluated on the common row set usable
-    under the deepest candidate, so deltas are not confounded by lag
-    trimming; folds are shared across models for the same reason.
+    All models are evaluated on the rows usable under the union model, so
+    deltas are not confounded by lag trimming, and on shared folds.
+    Rank-deficient training designs use the minimum-norm solution and flag
+    the entry collinear.
     """
-    union = ModelSpec(
-        terms=base.terms + tuple(candidates),
-        fixed_effects=base.fixed_effects,
-        intercept=base.intercept,
+    seq = model_sequence(base, candidates, direction)
+    core = build_design(
+        dataset, replace(seq.union, fixed_effects=()), moderator_alignment=moderator_alignment
     )
-    keep = _common_rows(dataset, union, moderator_alignment)
-    base_cv = cv_loss(
-        dataset, base, scheme, K, seed,
-        keep_rows=keep, moderator_alignment=moderator_alignment, allow_rank_deficient=True,
+    models = [seq.reference] + [depths for _, _, depths in seq.variants]
+    ref, *results = _cv_results(
+        core, base.fixed_effects, scheme, K, seed,
+        [_columns(seq.union, depths) for depths in models], allow_rank_deficient=True,
     )
-    entries = []
-    for cand in candidates:
-        for depth in range(cand.max_lag + 1):
-            spec = ModelSpec(
-                terms=base.terms + (replace(cand, max_lag=depth),),
-                fixed_effects=base.fixed_effects,
-                intercept=base.intercept,
-            )
-            cv = cv_loss(
-                dataset, spec, scheme, K, seed,
-                keep_rows=keep, moderator_alignment=moderator_alignment,
-                allow_rank_deficient=True,
-            )
-            entries.append(
-                ScanEntry(
-                    term=term_display(cand),
-                    lag_depth=depth,
-                    loss=cv.loss,
-                    delta_loss=cv.loss - base_cv.loss,
-                    collinear=cv.rank_deficient,
-                )
-            )
-    return ScanResult(reference_loss=base_cv.loss, entries=tuple(entries), rows_used=len(keep))
-
-
-def backward_scan(
-    dataset: PanelDataset,
-    full: ModelSpec,
-    scheme: ClusterScheme,
-    K: int,
-    seed: int,
-    *,
-    moderator_alignment: str = "contemporaneous",
-) -> ScanResult:
-    """Delta CV loss of truncating each term of the full model stepwise toward
-    removal, plus a final all-terms-removed (trivial) entry.
-
-    Evaluated on the full model's usable rows with shared folds.
-    """
-    if not full.terms:
-        raise ValueError("backward scan needs a model with at least one term")
-    keep = _common_rows(dataset, full, moderator_alignment)
-    full_cv = cv_loss(
-        dataset, full, scheme, K, seed,
-        keep_rows=keep, moderator_alignment=moderator_alignment, allow_rank_deficient=True,
-    )
-    entries = []
-    for i, term in enumerate(full.terms):
-        others = full.terms[:i] + full.terms[i + 1 :]
-        for depth in range(term.max_lag - 1, -1, -1):
-            spec = ModelSpec(
-                terms=full.terms[:i] + (replace(term, max_lag=depth),) + full.terms[i + 1 :],
-                fixed_effects=full.fixed_effects,
-                intercept=full.intercept,
-            )
-            cv = cv_loss(
-                dataset, spec, scheme, K, seed,
-                keep_rows=keep, moderator_alignment=moderator_alignment,
-                allow_rank_deficient=True,
-            )
-            entries.append(
-                ScanEntry(
-                    term=term_display(term),
-                    lag_depth=depth,
-                    loss=cv.loss,
-                    delta_loss=cv.loss - full_cv.loss,
-                    collinear=cv.rank_deficient,
-                )
-            )
-        spec = ModelSpec(terms=others, fixed_effects=full.fixed_effects, intercept=full.intercept)
-        cv = cv_loss(
-            dataset, spec, scheme, K, seed,
-            keep_rows=keep, moderator_alignment=moderator_alignment, allow_rank_deficient=True,
-        )
-        entries.append(
-            ScanEntry(
-                term=term_display(term),
-                lag_depth=None,
-                loss=cv.loss,
-                delta_loss=cv.loss - full_cv.loss,
-                collinear=cv.rank_deficient,
-            )
-        )
-    trivial = ModelSpec(terms=(), fixed_effects=full.fixed_effects, intercept=full.intercept)
-    cv = cv_loss(
-        dataset, trivial, scheme, K, seed,
-        keep_rows=keep, moderator_alignment=moderator_alignment, allow_rank_deficient=True,
-    )
-    entries.append(
+    entries = tuple(
         ScanEntry(
-            term="(trivial)",
-            lag_depth=None,
+            term=name,
+            lag_depth=depth,
             loss=cv.loss,
-            delta_loss=cv.loss - full_cv.loss,
+            delta_loss=cv.loss - ref.loss,
             collinear=cv.rank_deficient,
         )
+        for (name, depth, _), cv in zip(seq.variants, results)
     )
-    return ScanResult(reference_loss=full_cv.loss, entries=tuple(entries), rows_used=len(keep))
+    return ScanResult(reference_loss=ref.loss, entries=entries, rows_used=core.n)
 
 
 # ---------------------------------------------------------------------------
@@ -560,24 +566,6 @@ class ICScanResult:
     rows_used: int
 
 
-def _spec_ic(dataset, spec, block_scheme, criteria, adjusted_flags, keep, moderator_alignment,
-             count_variance_params):
-    design = build_design(dataset, spec, moderator_alignment=moderator_alignment, keep_rows=keep)
-    try:
-        fit = ols_fit(design)
-    except RankDeficientError:
-        return None, None
-    clusters = assign_clusters(design, block_scheme)
-    out = {}
-    for adj in adjusted_flags:
-        for crit in criteria:
-            out[(crit, adj)] = information_criterion(
-                fit, clusters, criterion=crit, adjusted=adj,
-                count_variance_params=count_variance_params,
-            )
-    return fit, out
-
-
 def ic_scan(
     dataset: PanelDataset,
     base: ModelSpec,
@@ -590,63 +578,45 @@ def ic_scan(
     moderator_alignment: str = "contemporaneous",
     count_variance_params: bool = True,
 ) -> ICScanResult:
-    """Information criteria over the same model sequence as the CV scans.
+    """Information criteria over ``model_sequence(base, candidates, direction)``,
+    the same models the CV scan scores.
 
-    Forward: base plus each candidate at lag depths 0..max_lag.  Backward:
-    ``base`` is the full model; each term is truncated stepwise toward
-    removal and a trivial entry is appended.  All models are fitted on the
-    common row set; rank-deficient fits are flagged collinear with NaN
-    values.  Deltas are against the base (forward) or full (backward) model.
+    All models are fitted on the rows usable under the union model, with
+    the blocks assigned once; rank-deficient fits are flagged collinear with
+    NaN values.  Deltas are against the reference model.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown scan direction {direction!r}")
-    if direction == "forward":
-        union = ModelSpec(
-            terms=base.terms + tuple(candidates),
-            fixed_effects=base.fixed_effects,
-            intercept=base.intercept,
+    seq = model_sequence(base, candidates, direction)
+    design = build_design(dataset, seq.union, moderator_alignment=moderator_alignment)
+    clusters = assign_clusters(design, block_scheme)
+    dummies = [j for j, lab in enumerate(design.column_labels) if lab.kind == "dummy"]
+
+    def scores(depths):
+        cols = _columns(seq.union, depths) + dummies
+        # np.take copies in C order; pivoted QR rounds by layout
+        sub = replace(
+            design,
+            X=np.take(design.X, cols, axis=1),
+            column_labels=tuple(design.column_labels[j] for j in cols),
         )
-        variants = [
-            (term_display(c), depth,
-             ModelSpec(terms=base.terms + (replace(c, max_lag=depth),),
-                       fixed_effects=base.fixed_effects, intercept=base.intercept))
-            for c in candidates
-            for depth in range(c.max_lag + 1)
-        ]
-    else:
-        if not base.terms:
-            raise ValueError("backward scan needs a model with at least one term")
-        union = base
-        variants = []
-        for i, term in enumerate(base.terms):
-            for depth in range(term.max_lag - 1, -1, -1):
-                variants.append(
-                    (term_display(term), depth,
-                     ModelSpec(terms=base.terms[:i] + (replace(term, max_lag=depth),) + base.terms[i + 1 :],
-                               fixed_effects=base.fixed_effects, intercept=base.intercept))
-                )
-            variants.append(
-                (term_display(term), None,
-                 ModelSpec(terms=base.terms[:i] + base.terms[i + 1 :],
-                           fixed_effects=base.fixed_effects, intercept=base.intercept))
+        try:
+            fit = ols_fit(sub)
+        except RankDeficientError:
+            return None
+        return {
+            (crit, adj): information_criterion(
+                fit, clusters, criterion=crit, adjusted=adj,
+                count_variance_params=count_variance_params,
             )
-        variants.append(
-            ("(trivial)", None,
-             ModelSpec(terms=(), fixed_effects=base.fixed_effects, intercept=base.intercept))
-        )
-    keep = _common_rows(dataset, union, moderator_alignment)
-    _, ref = _spec_ic(
-        dataset, base, block_scheme, criteria, adjusted_flags, keep,
-        moderator_alignment, count_variance_params,
-    )
+            for adj in adjusted_flags
+            for crit in criteria
+        }
+
+    ref = scores(seq.reference)
     if ref is None:
         raise RankDeficientError(["<reference model>"])
     entries = []
-    for name, depth, spec in variants:
-        _, res = _spec_ic(
-            dataset, spec, block_scheme, criteria, adjusted_flags, keep,
-            moderator_alignment, count_variance_params,
-        )
+    for name, depth, depths in seq.variants:
+        res = scores(depths)
         for adj in adjusted_flags:
             for crit in criteria:
                 if res is None:
@@ -664,4 +634,4 @@ def ic_scan(
                         )
                     )
     reference = {(crit, adj): ref[(crit, adj)].value for adj in adjusted_flags for crit in criteria}
-    return ICScanResult(reference=reference, entries=tuple(entries), rows_used=len(keep))
+    return ICScanResult(reference=reference, entries=tuple(entries), rows_used=design.n)

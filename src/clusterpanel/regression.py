@@ -8,6 +8,7 @@ uncorrected.  Interval quantiles use Student t with G-1 degrees of freedom.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -147,6 +148,7 @@ def clustered_cov(
     return CovarianceEstimate(cov=cov, scheme=clusters.scheme, correction=correction, G=G)
 
 
+@functools.lru_cache(maxsize=None)
 def _t_quantile(level: float, G: int) -> float:
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")

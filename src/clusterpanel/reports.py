@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import yaml
 
 from .bootstrap import BootstrapSample, PercentileInterval, Projection
-from .modelselect import ICScanResult, ScanResult
+from .modelselect import ICScanResult
 from .regression import CovarianceEstimate, FitResult, ResponseCurve, confidence_intervals
 from .residcorr import CorrelationSummary
 from .simstudy import BiasReport, CoverageReport
@@ -116,14 +116,6 @@ def write_correlation_table(path, summaries: Sequence[CorrelationSummary]) -> No
 # ---------------------------------------------------------------------------
 # Scan tables
 # ---------------------------------------------------------------------------
-
-
-def write_cv_scan(path, scan: ScanResult, scheme_label: str) -> None:
-    rows = [
-        [e.term, "removed" if e.lag_depth is None else e.lag_depth, scheme_label, e.delta_loss]
-        for e in scan.entries
-    ]
-    write_csv(path, ["term", "lag_depth", "scheme", "delta_loss"], rows)
 
 
 def write_ic_scan(path, scan: ICScanResult, scheme_label: str) -> None:

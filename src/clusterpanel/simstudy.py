@@ -11,6 +11,7 @@ correlation).
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -187,6 +188,21 @@ class CoverageReport:
     correction: str
 
 
+def _run_reps(run, reps: int, threads: int) -> list:
+    """``run(rep)`` for every rep, in order, with warnings silenced.
+
+    The warning filters are process-global before Python 3.14, so they are
+    set once here, in the calling thread, around the whole pool; setting
+    them per worker races and can leave them changed after the study.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(run, range(reps)))
+        return [run(rep) for rep in range(reps)]
+
+
 def _coverage_rep(config, seed, rep, schemes, level, correction):
     dataset = generate_panel(config, (seed, rep))
     design = build_design(dataset, SLOPE_SPEC)
@@ -219,21 +235,14 @@ def coverage_study(
     """
     if reps < 100:
         raise ValueError(f"coverage study needs at least 100 replications, got {reps}")
-    import warnings as _warnings
 
     def run(rep):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            try:
-                return _coverage_rep(config, seed, rep, schemes, level, correction)
-            except (ValueError, np.linalg.LinAlgError):
-                return None
+        try:
+            return _coverage_rep(config, seed, rep, schemes, level, correction)
+        except (ValueError, np.linalg.LinAlgError):
+            return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(reps)))
-    else:
-        results = [run(rep) for rep in range(reps)]
+    results = _run_reps(run, reps, threads)
 
     rows = []
     for scheme in schemes:
@@ -291,24 +300,17 @@ def bias_study(
         raise ValueError("bias study requires iid errors (noise_shared_weight = 0)")
     if reps < 500:
         raise ValueError(f"bias study needs at least 500 replications, got {reps}")
-    import warnings as _warnings
 
     def run(rep):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            dataset = generate_panel(config, (seed, rep))
-            design = build_design(dataset, SLOPE_SPEC)
-            fit = ols_fit(design)
-            slope = design.column_names.index("x.l0")
-            clusters = assign_clusters(design, scheme)
-            cov = clustered_cov(fit, design, clusters, correction=correction)
-            return float(fit.beta[slope]), float(cov.cov[slope, slope])
+        dataset = generate_panel(config, (seed, rep))
+        design = build_design(dataset, SLOPE_SPEC)
+        fit = ols_fit(design)
+        slope = design.column_names.index("x.l0")
+        clusters = assign_clusters(design, scheme)
+        cov = clustered_cov(fit, design, clusters, correction=correction)
+        return float(fit.beta[slope]), float(cov.cov[slope, slope])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(reps)))
-    else:
-        results = [run(rep) for rep in range(reps)]
+    results = _run_reps(run, reps, threads)
 
     betas = np.array([b for b, _ in results])
     variances = np.array([v for _, v in results])

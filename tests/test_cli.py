@@ -144,3 +144,27 @@ def test_fit_estimates_identical_across_schemes():
         # point estimates are scheme-independent by construction; the golden
         # table carries one estimate with per-scheme uncertainty around it
         assert coef["se"]["region"] > 0 and coef["se"]["country_year"] > 0
+
+
+@pytest.mark.parametrize("command", ["cv", "ic"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"direction": "forward", "candidates": None}, "forward scan needs candidates"),
+        ({"direction": "sideways"}, "unknown scan direction 'sideways'"),
+    ],
+    ids=["no_candidates", "unknown_direction"],
+)
+def test_scan_config_errors_named_alike(command, change, message, capsys, tmp_path):
+    # cv and ic share one model sequence, so they reject a bad scan alike
+    config = yaml.safe_load((ROOT / SAMPLE_CONFIG).read_text())
+    section = config[command]
+    for key, value in change.items():
+        if value is None:
+            section.pop(key, None)
+        else:
+            section[key] = value
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert run(command, "--config", str(cfg_path), "--out", str(tmp_path / command)) == 1
+    assert f"error: {message}" in capsys.readouterr().err

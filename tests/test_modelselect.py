@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ from scipy import stats
 
 from clusterpanel.modelselect import (
     EquicorrParams,
-    backward_scan,
     cv_loss,
+    cv_scan,
     fit_rho,
-    forward_scan,
     ic_scan,
     information_criterion,
     loglik_equicorr,
     loglik_iid,
     make_folds,
+    model_sequence,
+    term_display,
 )
 from clusterpanel.panel import (
     COUNTRY,
@@ -25,9 +27,12 @@ from clusterpanel.panel import (
     ClusterScheme,
     ColumnLabel,
     ModelSpec,
+    PanelDataset,
     TermSpec,
+    assign_clusters,
+    build_design,
 )
-from clusterpanel.regression import FitResult, ols_fit
+from clusterpanel.regression import FitResult, RankDeficientError, ols_fit
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
 from conftest import grid_dataset, obs
@@ -148,7 +153,7 @@ def test_cv_keep_rows_restricts(rng):
 def test_forward_scan_duplicate_candidate_collinear(rng):
     ds = _xy_dataset(rng, slope=1.0)
     base = ModelSpec(terms=(TermSpec("x", differenced=False),))
-    scan = forward_scan(ds, base, [TermSpec("x", differenced=False)], REGION, K=3, seed=2)
+    scan = cv_scan(ds, base, [TermSpec("x", differenced=False)], REGION, K=3, seed=2)
     entry = scan.entries[0]
     assert entry.collinear
     assert abs(entry.delta_loss) < 1e-10
@@ -159,7 +164,7 @@ def test_forward_scan_pure_noise_candidate_nonnegative_in_expectation():
     for seed in range(50):
         gen = np.random.default_rng((900, seed))
         ds = _xy_dataset(gen, R=8, T=10, slope=0.0, noise=1.0)
-        scan = forward_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], YEAR, K=5, seed=seed)
+        scan = cv_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], YEAR, K=5, seed=seed)
         deltas.append(scan.entries[0].delta_loss)
     assert float(np.mean(deltas)) > 0.0
 
@@ -167,13 +172,13 @@ def test_forward_scan_pure_noise_candidate_nonnegative_in_expectation():
 def test_forward_scan_predictive_candidate_reduces_loss(rng):
     ds = _xy_dataset(rng, R=10, T=12, slope=2.0, noise=0.5)
     for scheme in (REGION, YEAR, COUNTRY):
-        scan = forward_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], scheme, K=3, seed=3)
+        scan = cv_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], scheme, K=3, seed=3)
         assert scan.entries[0].delta_loss < 0
 
 
 def test_forward_scan_covers_lag_depths(rng):
     ds = _xy_dataset(rng, R=6, T=12)
-    scan = forward_scan(
+    scan = cv_scan(
         ds, ModelSpec(), [TermSpec("x", differenced=False, max_lag=2)], REGION, K=3, seed=0
     )
     assert [e.lag_depth for e in scan.entries] == [0, 1, 2]
@@ -184,7 +189,7 @@ def test_forward_scan_covers_lag_depths(rng):
 def test_backward_scan_shape_and_trivial_entry(rng):
     ds = _xy_dataset(rng, R=8, T=12, slope=1.5, noise=0.5)
     full = ModelSpec(terms=(TermSpec("x", differenced=False, max_lag=2),))
-    scan = backward_scan(ds, full, YEAR, K=4, seed=1)
+    scan = cv_scan(ds, full, [], YEAR, K=4, seed=1, direction="backward")
     depths = [e.lag_depth for e in scan.entries]
     assert depths == [1, 0, None, None]
     assert scan.entries[-1].term == "(trivial)"
@@ -205,10 +210,190 @@ def test_backward_scan_zero_coefficient_term_negligible(rng):
 
     ds = PanelDataset(observations, predictor_names=("x", "z"))
     full = ModelSpec(terms=(TermSpec("x", differenced=False), TermSpec("z", differenced=False)))
-    scan = backward_scan(ds, full, REGION, K=4, seed=5)
+    scan = cv_scan(ds, full, [], REGION, K=4, seed=5, direction="backward")
     removed_z = [e for e in scan.entries if e.term == "z" and e.lag_depth is None][0]
     removed_x = [e for e in scan.entries if e.term == "x" and e.lag_depth is None][0]
     assert abs(removed_z.delta_loss) < 0.1 * removed_x.delta_loss
+
+
+# ---------------------------------------------------------------------------
+# Scan engine against per-model builds
+# ---------------------------------------------------------------------------
+
+X_MOD = TermSpec("x", differenced=True, moderator="m", max_lag=2)
+X1 = TermSpec("x", differenced=False, max_lag=1)
+M0 = TermSpec("m", differenced=False)
+M1 = TermSpec("m", differenced=False, max_lag=1)
+
+# (gappy panel, moderator alignment, base, candidates, direction)
+SCAN_CASES = {
+    "two_way_fe_forward": (
+        False, "contemporaneous", ModelSpec(fixed_effects=("region", "year")), [X_MOD, X1],
+        "forward",
+    ),
+    "two_way_fe_backward": (
+        False, "contemporaneous", ModelSpec(terms=(X_MOD, M1), fixed_effects=("region", "year")),
+        [], "backward",
+    ),
+    # non-empty base; the second candidate duplicates the base term
+    "gappy_lag_aligned_forward": (
+        True, "lag_aligned", ModelSpec(terms=(M0,), fixed_effects=("region",)), [X_MOD, M0],
+        "forward",
+    ),
+    "gappy_lag_aligned_backward": (
+        True, "lag_aligned", ModelSpec(terms=(X_MOD, M0), fixed_effects=("year",)), [],
+        "backward",
+    ),
+}
+
+
+def _scan_panel(gappy):
+    """12 regions in 3 countries over 12 years; the gappy panel adds late
+    entry, a two-year gap in three regions and NaN outcomes."""
+    gen = np.random.default_rng(77)
+    observations = []
+    for i in range(12):
+        for t in range(12):
+            if gappy and ((i < 3 and t < 2 + i) or (i % 4 == 1 and t in (5, 6))):
+                continue
+            x = float(gen.standard_normal())
+            m = float(gen.uniform(0.5, 2.0))
+            y = 0.8 * x + 0.3 * x * m + float(gen.standard_normal())
+            if gappy and (i * 12 + t) % 17 == 0:
+                y = math.nan
+            observations.append(obs(f"R{i:02d}", f"C{i % 3}", 2000 + t, y, {"x": x, "m": m}))
+    return PanelDataset(observations, predictor_names=("x", "m"))
+
+
+def _oracle_sequence(base, candidates, direction):
+    """The scanned models spelled out one spec at a time, as the scans were
+    first written: (union, reference, [(term, lag depth, spec)])."""
+
+    def with_terms(terms):
+        return ModelSpec(terms=tuple(terms), fixed_effects=base.fixed_effects,
+                         intercept=base.intercept)
+
+    if direction == "forward":
+        variants = [
+            (term_display(c), depth, with_terms(base.terms + (replace(c, max_lag=depth),)))
+            for c in candidates
+            for depth in range(c.max_lag + 1)
+        ]
+        return with_terms(base.terms + tuple(candidates)), base, variants
+    variants = []
+    for i, term in enumerate(base.terms):
+        head, tail = base.terms[:i], base.terms[i + 1 :]
+        for depth in range(term.max_lag - 1, -1, -1):
+            variants.append(
+                (term_display(term), depth, with_terms(head + (replace(term, max_lag=depth),) + tail))
+            )
+        variants.append((term_display(term), None, with_terms(head + tail)))
+    variants.append(("(trivial)", None, with_terms(())))
+    return base, base, variants
+
+
+def _scan_case(case):
+    gappy, alignment, base, candidates, direction = SCAN_CASES[case]
+    ds = _scan_panel(gappy)
+    union, reference, variants = _oracle_sequence(base, candidates, direction)
+    rows = build_design(ds, union, moderator_alignment=alignment).row_index
+    return ds, alignment, base, candidates, direction, reference, variants, rows
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_cv_scan_matches_per_model_builds(case):
+    ds, alignment, base, candidates, direction, reference, variants, rows = _scan_case(case)
+    for scheme, K in ((COUNTRY, 3), (YEAR, 4)):
+        scan = cv_scan(ds, base, candidates, scheme, K, seed=7, direction=direction,
+                       moderator_alignment=alignment)
+
+        def cv(spec):
+            return cv_loss(ds, spec, scheme, K, seed=7, keep_rows=rows,
+                           moderator_alignment=alignment, allow_rank_deficient=True)
+
+        ref = cv(reference)
+        assert scan.rows_used == len(rows)
+        assert scan.reference_loss == ref.loss
+        assert [(e.term, e.lag_depth) for e in scan.entries] == [(n, d) for n, d, _ in variants]
+        for entry, (_, _, spec) in zip(scan.entries, variants):
+            res = cv(spec)
+            assert (entry.loss, entry.delta_loss, entry.collinear) == (
+                res.loss, res.loss - ref.loss, res.rank_deficient
+            )
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_ic_scan_matches_per_model_builds(case):
+    ds, alignment, base, candidates, direction, reference, variants, rows = _scan_case(case)
+    flags = [(crit, adj) for adj in (False, True) for crit in ("AIC", "BIC")]
+    scan = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction,
+                   moderator_alignment=alignment)
+
+    def scores(spec):
+        design = build_design(ds, spec, moderator_alignment=alignment, keep_rows=rows)
+        try:
+            fit = ols_fit(design)
+        except RankDeficientError:
+            return None
+        clusters = assign_clusters(design, COUNTRY_YEAR)
+        return {(crit, adj): information_criterion(fit, clusters, criterion=crit, adjusted=adj)
+                for crit, adj in flags}
+
+    ref = scores(reference)
+    assert scan.rows_used == len(rows)
+    assert scan.reference == {key: ic.value for key, ic in ref.items()}
+    expected = []
+    for name, depth, spec in variants:
+        res = scores(spec)
+        for crit, adj in flags:
+            if res is None:
+                expected.append((name, depth, crit, adj, None, None, None, True))
+            else:
+                ic = res[(crit, adj)]
+                expected.append((name, depth, crit, adj, ic.value,
+                                 ic.value - ref[(crit, adj)].value, ic.rho_hat, False))
+    got = [
+        (e.term, e.lag_depth, e.criterion, e.adjusted, None if e.collinear else e.value,
+         None if e.collinear else e.delta, e.rho_hat, e.collinear)
+        for e in scan.entries
+    ]
+    assert got == expected
+
+
+def test_duplicate_candidate_collinear_in_both_scans():
+    ds, alignment, base, candidates, direction, *_ = _scan_case("gappy_lag_aligned_forward")
+    cv = cv_scan(ds, base, candidates, COUNTRY, 3, seed=7, direction=direction,
+                 moderator_alignment=alignment)
+    ic = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction,
+                 moderator_alignment=alignment)
+    assert [e.collinear for e in cv.entries] == [False, False, False, True]
+    assert [e.collinear for e in ic.entries] == [False] * 12 + [True] * 4
+    assert all(math.isnan(e.value) for e in ic.entries[-4:])
+
+
+def test_model_sequence_depths():
+    forward = model_sequence(ModelSpec(terms=(M0,)), [X1], "forward")
+    assert forward.union.terms == (M0, X1)
+    assert forward.reference == (0, None)
+    assert forward.variants == (("x", 0, (0, 0)), ("x", 1, (0, 1)))
+    backward = model_sequence(ModelSpec(terms=(X1, M0), fixed_effects=("year",)), [], "backward")
+    assert backward.union.terms == (X1, M0)
+    assert backward.reference == (1, 0)
+    assert backward.variants == (
+        ("x", 0, (0, 0)),
+        ("x", None, (None, 0)),
+        ("m", None, (1, None)),
+        ("(trivial)", None, (None, None)),
+    )
+
+
+def test_model_sequence_named_errors():
+    with pytest.raises(ValueError, match="forward scan needs candidates"):
+        model_sequence(ModelSpec(), [], "forward")
+    with pytest.raises(ValueError, match="backward scan needs a model with at least one term"):
+        model_sequence(ModelSpec(), [X1], "backward")
+    with pytest.raises(ValueError, match="unknown scan direction 'up'"):
+        model_sequence(ModelSpec(terms=(X1,)), [X1], "up")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +634,7 @@ def test_backward_scan_spurious_benchmark_prefers_trivial():
     for seed in range(10):
         ds = generate_panel(bench, (2000, seed))
         for scheme in (COUNTRY, YEAR):
-            scan = backward_scan(ds, full, scheme, K=5, seed=seed)
+            scan = cv_scan(ds, full, [], scheme, K=5, seed=seed, direction="backward")
             trivial_loss = [e.loss for e in scan.entries if e.term == "(trivial)"][0]
             below_full += trivial_loss < scan.reference_loss
             minimal += trivial_loss <= min(e.loss for e in scan.entries)

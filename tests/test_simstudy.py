@@ -127,6 +127,21 @@ def test_coverage_threading_matches_serial():
     assert a.rows == b.rows
 
 
+def test_threaded_studies_leave_warning_filters_alone(recwarn):
+    # "only G=10 clusters" fires on every rep; the studies silence it without
+    # leaking an ignore filter into, or warnings out of, the caller
+    import warnings
+
+    before = list(warnings.filters)
+    cfg = DgpConfig(n_regions=10, n_years=10)
+    for seed in range(4):
+        coverage_study(cfg, [YEAR, REGION], reps=100, seed=seed, threads=2)
+    iid = DgpConfig(n_regions=10, n_years=10, noise_shared_weight=0.0)
+    bias_study(iid, YEAR, reps=500, seed=0, threads=2)
+    assert warnings.filters == before
+    assert len(recwarn) == 0
+
+
 def test_coverage_requires_reps():
     with pytest.raises(ValueError, match="100"):
         coverage_study(DgpConfig(n_regions=5, n_years=5), [YEAR], reps=50)
