@@ -9,7 +9,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,44 +37,40 @@ def build_panel() -> PanelDataset:
         noise_scale=0.8,
     )
     ds = generate_panel(cfg, SEED)
-    xbar = {r: float(np.mean([ds.predictor_value(r, y, "x") for y in ds.years])) for r in ds.regions}
-    bloc = {"C00", "C01"}
-    observations = []
-    for o in ds.observations:
-        observations.append(
-            replace(
-                o,
-                predictors={"x": o.predictors["x"], "xbar": xbar[o.region_id]},
-                groups=frozenset({"bloc_a"}) if o.country_id in bloc else frozenset(),
-                custom={"year_str": str(o.year)},
-            )
-        )
-    return PanelDataset(observations, predictor_names=("x", "xbar"))
+    x = ds.predictors["x"]
+    xbar = np.array([np.mean(row) for row in x])
+    return _sample_panel(ds, ds.first_year, ds.outcome, x, xbar)
+
+
+def _sample_panel(ds: PanelDataset, first_year: int, outcome, x, xbar) -> PanelDataset:
+    """Panel over the regions of ``ds`` from (region, year) grids of the
+    outcome and x starting at ``first_year``, with the per-region xbar, a
+    bloc_a tag on countries C00 and C01, and a year_str column."""
+    R, T = x.shape
+    years = np.tile(np.arange(first_year, first_year + T), R)
+    countries = np.repeat(ds.countries, T)
+    centroids = np.repeat([ds.centroid_of(r) for r in ds.regions], T, axis=0)
+    return PanelDataset(
+        np.repeat(ds.regions, T),
+        countries,
+        years,
+        np.ravel(outcome),
+        {"x": np.ravel(x), "xbar": np.repeat(xbar, T)},
+        lat=centroids[:, 0],
+        lon=centroids[:, 1],
+        tags=[{"bloc_a"} if c in ("C00", "C01") else set() for c in countries],
+        custom={"year_str": years.astype(str)},
+    )
 
 
 def build_scenarios(ds: PanelDataset):
     """Two future predictor paths sharing 2018-2020 history for lag spin-up."""
-    xbar = {r: ds.predictor_value(r, ds.years[0], "xbar") for r in ds.regions}
+    xbar = ds.predictors["xbar"][:, 0]
+    shape = (len(ds.regions), 2031 - 2018)
 
     def scenario(ramp_per_year: float) -> PanelDataset:
-        observations = []
-        for r in ds.regions:
-            for year in range(2018, 2031):
-                x = ramp_per_year * max(0, year - 2022)
-                observations.append(
-                    replace(
-                        ds.observations[0],
-                        region_id=r,
-                        country_id=ds.country_of(r),
-                        year=year,
-                        outcome=math.nan,
-                        predictors={"x": x, "xbar": xbar[r]},
-                        centroid=ds.centroid_of(r),
-                        groups=ds.groups_of(r),
-                        custom={"year_str": str(year)},
-                    )
-                )
-        return PanelDataset(observations, predictor_names=("x", "xbar"))
+        x = np.broadcast_to(ramp_per_year * np.maximum(0, np.arange(2018, 2031) - 2022), shape)
+        return _sample_panel(ds, 2018, np.full(shape, math.nan), x, xbar)
 
     return scenario(0.0), scenario(0.4)
 

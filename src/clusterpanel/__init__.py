@@ -19,7 +19,6 @@ from .panel import (
     DesignMatrix,
     ModelSpec,
     PanelDataset,
-    PanelObservation,
     TermSpec,
     assign_clusters,
     build_design,

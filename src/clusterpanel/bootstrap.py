@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,18 +165,27 @@ def _contrast_values(draws: np.ndarray, contrast: np.ndarray) -> np.ndarray:
     return draws[:, nz] @ contrast[nz]
 
 
+def min_draws(level: float) -> int:
+    """Fewest finite draws that resolve a two-sided ``level`` interval:
+    max(20, ceil(2/(1-level))), with ``level`` taken as the decimal it prints
+    as, so that level 0.9 needs 20 draws, not the 21 that the binary
+    rounding of 1 - 0.9 would give."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    return max(20, math.ceil(2 / (1 - Fraction(repr(float(level))))))
+
+
 def percentile_interval(
     sample: BootstrapSample, contrast: np.ndarray, level: float
 ) -> PercentileInterval:
     """Empirical two-sided percentile interval and median of c'beta* over draws.
 
     Quantiles use linear interpolation between order statistics.  Requires
-    at least max(20, ceil(2/(1-level))) finite draws so the requested tails
-    are resolvable; draws where the contrast touches a NaN column are
-    dropped and counted.
+    at least ``min_draws(level)`` finite draws so the requested tails are
+    resolvable; draws where the contrast touches a NaN column are dropped
+    and counted.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    needed = min_draws(level)
     contrast = np.asarray(contrast, dtype=float)
     if contrast.shape != (sample.draws.shape[1],):
         raise ValueError(
@@ -185,7 +195,6 @@ def percentile_interval(
     finite = np.isfinite(values)
     dropped = int((~finite).sum())
     values = values[finite]
-    needed = max(20, math.ceil(2.0 / (1.0 - level)))
     if values.size < needed:
         raise ValueError(
             f"B={values.size} usable draws too small for level {level}; need at least {needed}"
@@ -316,14 +325,15 @@ def project_scenarios(
     years = path.years
     values = np.empty((sample.draws.shape[0], len(years)))
     row_years = np.array([t for _, t in path.row_index])
-    row_regions = [r for r, _ in path.row_index]
+    if aggregation == "weighted":
+        row_weights = np.array([weights.get(r, 0.0) for r, _ in path.row_index])
     for j, year in enumerate(years):
         mask = row_years == year
         block = per_row[mask]
         if aggregation == "mean":
             values[:, j] = block.mean(axis=0)
         else:
-            w = np.array([weights.get(r, 0.0) for r, m in zip(row_regions, mask) if m])
+            w = row_weights[mask]
             total = w.sum()
             if total <= 0:
                 raise ValueError(f"no positive weights for year {year}")

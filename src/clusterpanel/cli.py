@@ -17,9 +17,11 @@ import numpy as np
 
 from . import reports
 from .bootstrap import (
+    PercentileInterval,
     block_bootstrap,
     build_scenario_path,
     first_discernible_year,
+    min_draws,
     percentile_interval,
     project_scenarios,
 )
@@ -291,10 +293,18 @@ def cmd_bootstrap(config: dict, out: Path, seed: int, threads: int) -> None:
         dataset, spec, scheme, B, seed, threads=threads, moderator_alignment=alignment
     )
     intervals = {}
-    for j, name in enumerate(sample.column_names):
+    for j, (name, label) in enumerate(zip(sample.column_names, sample.base_fit.column_labels)):
         contrast = np.zeros(len(sample.column_names))
         contrast[j] = 1.0
-        intervals[name] = {level: percentile_interval(sample, contrast, level) for level in levels}
+        used = int(np.isfinite(sample.draws[:, j]).sum())
+        # a dummy or the intercept whose level (or reference level) too few
+        # resamples hold is reported unresolved rather than failing the run
+        intervals[name] = {
+            level: PercentileInterval(np.nan, np.nan, np.nan, level, used, len(sample.draws) - used)
+            if label.kind in ("intercept", "dummy") and used < min_draws(level)
+            else percentile_interval(sample, contrast, level)
+            for level in levels
+        }
     reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", sample, intervals)
     reports.write_json(
         out / "bootstrap_summary.json",

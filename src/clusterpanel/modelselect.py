@@ -216,7 +216,7 @@ def model_sequence(
     Forward: ``base`` plus each candidate at lag depths 0..max_lag, against
     ``base``.  Backward: each term of ``base`` truncated stepwise toward
     removal, then the trivial model (no terms), against ``base`` itself;
-    ``candidates`` are ignored.
+    it takes no candidates.
     """
     kept = tuple(t.max_lag for t in base.terms)
     if direction == "forward":
@@ -234,6 +234,8 @@ def model_sequence(
         raise ValueError(f"unknown scan direction {direction!r}; use 'forward' or 'backward'")
     if not base.terms:
         raise ValueError("backward scan needs a model with at least one term")
+    if candidates:
+        raise ValueError("backward scan takes no candidates; it shrinks the model's own terms")
     variants = [
         (term_display(term), depth, kept[:i] + (depth,) + kept[i + 1 :])
         for i, term in enumerate(base.terms)
@@ -590,18 +592,16 @@ def ic_scan(
     clusters = assign_clusters(design, block_scheme)
     dummies = [j for j, lab in enumerate(design.column_labels) if lab.kind == "dummy"]
 
-    def scores(depths):
+    def fit(depths):
         cols = _columns(seq.union, depths) + dummies
         # np.take copies in C order; pivoted QR rounds by layout
-        sub = replace(
+        return ols_fit(replace(
             design,
             X=np.take(design.X, cols, axis=1),
             column_labels=tuple(design.column_labels[j] for j in cols),
-        )
-        try:
-            fit = ols_fit(sub)
-        except RankDeficientError:
-            return None
+        ))
+
+    def scores(fit):
         return {
             (crit, adj): information_criterion(
                 fit, clusters, criterion=crit, adjusted=adj,
@@ -611,12 +611,14 @@ def ic_scan(
             for crit in criteria
         }
 
-    ref = scores(seq.reference)
-    if ref is None:
-        raise RankDeficientError(["<reference model>"])
+    # a rank-deficient reference model fails the scan, naming its columns
+    ref = scores(fit(seq.reference))
     entries = []
     for name, depth, depths in seq.variants:
-        res = scores(depths)
+        try:
+            res = scores(fit(depths))
+        except RankDeficientError:
+            res = None
         for adj in adjusted_flags:
             for crit in criteria:
                 if res is None:

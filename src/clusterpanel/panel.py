@@ -1,9 +1,10 @@
 """Region-country-year panel data model, design matrices, and cluster assignment.
 
-Datasets are rectangular region x year panels with country membership,
-optional centroids, and free-form group tags.  Design matrices are built from
-term specifications (first differences, distributed lags, moderator
-interactions) plus fixed-effect dummies; every row keeps its (region, year)
+Datasets are stored as columns: one region x calendar-year grid per
+variable, plus per-region country membership, optional centroids and
+free-form group tags.  Design matrices are built from term specifications
+(first differences, distributed lags, moderator interactions) as shifts along
+the year axis, plus fixed-effect dummies; every row keeps its (region, year)
 provenance so residuals can be traced back to observations.
 """
 
@@ -27,140 +28,176 @@ _MISSING_TOKENS = ("", "NA")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PanelObservation:
-    """One region-year observation.
-
-    ``outcome`` and predictor values use NaN for explicitly missing cells.
-    ``custom`` holds free string columns usable as custom cluster keys.
-    """
-
-    region_id: str
-    country_id: str
-    year: int
-    outcome: float
-    predictors: Mapping[str, float]
-    centroid: tuple[float, float] | None = None
-    groups: frozenset[str] = frozenset()
-    custom: Mapping[str, str] = field(default_factory=dict)
+def _shift(grid: np.ndarray, lag: int) -> np.ndarray:
+    """``grid`` moved ``lag`` years later along the year axis, NaN-filled."""
+    out = np.full(grid.shape, math.nan)
+    if lag < grid.shape[1]:
+        out[:, lag:] = grid[:, : grid.shape[1] - lag]
+    return out
 
 
 class PanelDataset:
-    """Validated, canonically ordered collection of panel observations.
+    """Validated region x year panel stored as columns.
 
-    Observations are sorted by (region_id, year).  Construction enforces:
-    unique (region, year) keys, a single country per region, consistent
-    centroids per region, and a uniform predictor-name set (missing values
-    are stored as NaN, never absent).
+    Sorted regions index the rows of every grid and the calendar years
+    ``first_year`` .. ``first_year + T - 1`` its columns, so a lag is a shift
+    along the year axis and a missing year is a NaN cell.  ``present`` marks
+    the observed cells; ``outcome`` and each ``predictors[name]`` are (R, T)
+    float grids with NaN for absent or missing cells; ``custom[name]`` holds
+    a free string column per cell ("" where absent).  ``countries`` and the
+    centroids and group tags are per region.
+
+    The constructor takes long-format columns, one entry per observation:
+    region, country and year, the outcome, predictor values by name, and
+    optionally lat/lon (NaN for no centroid), tag sets and custom strings.
+    It enforces at least one observation, equal column lengths, unique
+    (region, year) keys, a single country per region, and consistent
+    centroids and group tags per region.
     """
 
     __slots__ = (
-        "observations",
+        "regions",
+        "countries",
+        "first_year",
+        "present",
+        "outcome",
+        "predictors",
         "predictor_names",
+        "custom",
         "custom_names",
-        "_by_region",
-        "_region_country",
-        "_region_centroid",
-        "_region_groups",
+        "_index",
+        "_centroids",
+        "_groups",
     )
 
     def __init__(
         self,
-        observations: Iterable[PanelObservation],
-        predictor_names: Sequence[str] | None = None,
+        region: Sequence[str],
+        country: Sequence[str],
+        year: Sequence[int],
+        outcome: Sequence[float],
+        predictors: Mapping[str, Sequence[float]],
+        *,
+        lat: Sequence[float] | None = None,
+        lon: Sequence[float] | None = None,
+        tags: Sequence[Iterable[str]] | None = None,
+        custom: Mapping[str, Sequence[str]] | None = None,
     ):
-        obs = sorted(observations, key=lambda o: (o.region_id, o.year))
-        if not obs:
+        n = len(region)
+        if n == 0:
             raise ValueError("dataset needs at least one observation")
-        if predictor_names is None:
-            names: set[str] = set()
-            for o in obs:
-                names.update(o.predictors)
-            predictor_names = sorted(names)
-        self.predictor_names = tuple(predictor_names)
-        custom_names: set[str] = set()
-        for o in obs:
-            custom_names.update(o.custom)
-        self.custom_names = tuple(sorted(custom_names))
+        if (lat is None) != (lon is None):
+            raise ValueError("lat and lon must be given together")
+        custom = {name: custom[name] for name in sorted(custom or {})}
+        columns = [("country", country), ("year", year), ("outcome", outcome), ("lat", lat),
+                   ("lon", lon), ("tags", tags), *predictors.items(), *custom.items()]
+        for name, values in columns:
+            if values is not None and len(values) != n:
+                raise ValueError(f"column {name!r} has {len(values)} values, expected {n}")
 
-        normalized = []
-        seen: set[tuple[str, int]] = set()
-        region_country: dict[str, str] = {}
-        region_centroid: dict[str, tuple[float, float] | None] = {}
-        region_groups: dict[str, frozenset[str]] = {}
-        for o in obs:
-            key = (o.region_id, o.year)
-            if key in seen:
-                raise ValueError(f"duplicate (region, year) observation: {key}")
-            seen.add(key)
-            prev_country = region_country.get(o.region_id)
-            if prev_country is not None and prev_country != o.country_id:
-                raise ValueError(
-                    f"region {o.region_id!r} maps to multiple countries: "
-                    f"{prev_country!r} and {o.country_id!r}"
-                )
-            region_country[o.region_id] = o.country_id
-            if o.region_id in region_centroid:
-                if region_centroid[o.region_id] != o.centroid:
+        names, rcode = np.unique(np.asarray(region, dtype=str), return_inverse=True)
+        year = np.asarray(year, dtype=np.int64)
+        first = int(year.min())
+        R, T = len(names), int(year.max()) - first + 1
+        key = rcode * T + (year - first)
+        order = np.argsort(key, kind="stable")
+        dup = np.flatnonzero(key[order][1:] == key[order][:-1])
+        if dup.size:
+            r, t = divmod(int(key[order][dup[0]]), T)
+            raise ValueError(f"duplicate (region, year) observation: {(str(names[r]), first + t)}")
+
+        # per-region values come from the region's first row in (region, year)
+        # order; ``head`` maps each sorted row to that row
+        rs = rcode[order]
+        starts = np.flatnonzero(np.r_[True, rs[1:] != rs[:-1]])
+        head = starts[rs]
+        cs = np.asarray(country, dtype=str)[order]
+        ll = np.full((n, 2), math.nan) if lat is None else np.column_stack([lat, lon]).astype(float)
+        ll = ll[order]
+        groups = np.fromiter(
+            (frozenset(t) for t in tags) if tags is not None else (frozenset(),) * n,
+            dtype=object, count=n,
+        )[order]
+        differs = (
+            ("country", cs != cs[head]),
+            ("centroids", ((ll != ll[head]) & ~(np.isnan(ll) & np.isnan(ll[head]))).any(axis=1)),
+            ("group tags", groups != groups[head]),
+        )
+        for what, bad in differs:
+            if bad.any():
+                i = int(np.argmax(bad))
+                region_id = str(names[rs[i]])
+                if what == "country":
                     raise ValueError(
-                        f"region {o.region_id!r} carries inconsistent centroids"
+                        f"region {region_id!r} maps to multiple countries: "
+                        f"{str(cs[head[i]])!r} and {str(cs[i])!r}"
                     )
-            else:
-                region_centroid[o.region_id] = o.centroid
-            region_groups.setdefault(o.region_id, o.groups)
-            if region_groups[o.region_id] != o.groups:
-                raise ValueError(f"region {o.region_id!r} carries inconsistent group tags")
-            preds = {name: float(o.predictors.get(name, math.nan)) for name in self.predictor_names}
-            extra = set(o.predictors) - set(self.predictor_names)
-            if extra:
-                raise ValueError(f"unknown predictor names {sorted(extra)} on region {o.region_id!r}")
-            custom = {name: o.custom.get(name, "") for name in self.custom_names}
-            normalized.append(replace(o, predictors=preds, custom=custom))
+                raise ValueError(f"region {region_id!r} carries inconsistent {what}")
 
-        self.observations: tuple[PanelObservation, ...] = tuple(normalized)
-        self._region_country = region_country
-        self._region_centroid = region_centroid
-        self._region_groups = region_groups
-        by_region: dict[str, dict[int, PanelObservation]] = {}
-        for o in self.observations:
-            by_region.setdefault(o.region_id, {})[o.year] = o
-        self._by_region = by_region
+        cells = (rcode, year - first)
+
+        def grid(values, fill, dtype):
+            g = np.full((R, T), fill, dtype=dtype)
+            g[cells] = np.asarray(values, dtype=dtype)
+            g.setflags(write=False)
+            return g
+
+        self.regions: tuple[str, ...] = tuple(names.tolist())
+        self.countries: tuple[str, ...] = tuple(cs[starts].tolist())
+        self.first_year = first
+        self.present = grid(np.ones(n, dtype=bool), False, bool)
+        self.outcome = grid(outcome, math.nan, float)
+        self.predictors = {name: grid(v, math.nan, float) for name, v in predictors.items()}
+        self.predictor_names = tuple(predictors)
+        self.custom = {name: grid(v, "", object) for name, v in custom.items()}
+        self.custom_names = tuple(custom)
+        self._index = {r: i for i, r in enumerate(self.regions)}
+        self._centroids = ll[starts]
+        self._groups = tuple(groups[starts])
 
     @property
     def n_observations(self) -> int:
-        return len(self.observations)
-
-    @property
-    def regions(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_region))
+        return int(self.present.sum())
 
     @property
     def years(self) -> tuple[int, ...]:
-        return tuple(sorted({o.year for o in self.observations}))
+        """Calendar years with at least one observation."""
+        return tuple((self.first_year + np.flatnonzero(self.present.any(axis=0))).tolist())
 
     def country_of(self, region_id: str) -> str:
-        return self._region_country[region_id]
+        return self.countries[self._index[region_id]]
 
     def centroid_of(self, region_id: str) -> tuple[float, float] | None:
-        return self._region_centroid[region_id]
+        lat, lon = self._centroids[self._index[region_id]].tolist()
+        return None if math.isnan(lat) else (lat, lon)
 
     def groups_of(self, region_id: str) -> frozenset[str]:
-        return self._region_groups[region_id]
+        return self._groups[self._index[region_id]]
 
-    def observation(self, region_id: str, year: int) -> PanelObservation | None:
-        return self._by_region.get(region_id, {}).get(year)
+    def cell_keys(self, mask: np.ndarray) -> list[tuple[str, int]]:
+        """(region, year) keys of the cells of a grid mask, in (region, year) order."""
+        ri, ti = np.nonzero(mask)
+        regions = np.array(self.regions, dtype=object)[ri].tolist()
+        return list(zip(regions, (ti + self.first_year).tolist()))
 
-    def predictor_value(self, region_id: str, year: int, name: str) -> float:
-        """Value of a predictor at (region, year); NaN when absent."""
-        o = self.observation(region_id, year)
-        if o is None:
-            return math.nan
-        return o.predictors[name]
+    def cell_mask(self, keys: Iterable[tuple[str, int]]) -> np.ndarray:
+        """Grid mask of the observed cells among (region, year) keys."""
+        mask = np.zeros_like(self.present)
+        keys = list(keys)
+        if keys:
+            names = np.array(self.regions)
+            region, year = (np.asarray(column) for column in zip(*keys))
+            i = np.minimum(np.searchsorted(names, region), len(names) - 1)
+            t = year - self.first_year
+            ok = (names[i] == region) & (t >= 0) & (t < mask.shape[1])
+            mask[i[ok], t[ok]] = True
+        return mask & self.present
 
     def predictor_median(self, name: str) -> float:
         """Median of a predictor over all non-missing cells."""
-        vals = [o.predictors[name] for o in self.observations if math.isfinite(o.predictors[name])]
-        if not vals:
+        grid = self.predictors[name]
+        vals = grid[np.isfinite(grid)]
+        if not vals.size:
             raise ValueError(f"predictor {name!r} has no finite values")
         return float(np.median(vals))
 
@@ -171,13 +208,11 @@ class PanelDataset:
         whose absence makes neighboring derived values missing.
         """
         gaps: dict[str, tuple[int, ...]] = {}
-        for region, series in self._by_region.items():
-            years = sorted(series)
-            missing = tuple(
-                y for y in range(years[0], years[-1] + 1) if y not in series
-            )
-            if missing:
-                gaps[region] = missing
+        for region, row in zip(self.regions, self.present):
+            seen = np.flatnonzero(row)
+            missing = np.setdiff1d(np.arange(seen[0], seen[-1] + 1), seen)
+            if missing.size:
+                gaps[region] = tuple((missing + self.first_year).tolist())
         return gaps
 
 
@@ -427,50 +462,49 @@ def load_csv(path, schema: CsvSchema) -> PanelDataset:
         if missing:
             raise ValueError(f"columns missing from {path}: {missing}")
 
-        observations = []
+        region, country, year, outcome, tags = [], [], [], [], []
+        predictors: dict[str, list[float]] = {name: [] for name in schema.predictors}
+        lat: list[float] = []
+        lon: list[float] = []
+        custom: dict[str, list[str]] = {name: [] for name in schema.custom}
         for row_no, row in enumerate(reader, start=2):
             year_text = (row[schema.year] or "").strip()
             try:
-                year = int(year_text)
+                year.append(int(year_text))
             except ValueError:
                 raise ValueError(
                     f"unparseable year {year_text!r} in row {row_no}"
                 ) from None
-            outcome = (
+            outcome.append(
                 _parse_float(row[schema.outcome], row_no, schema.outcome)
                 if schema.outcome is not None
                 else math.nan
             )
-            predictors = {
-                name: _parse_float(row[col], row_no, col)
-                for name, col in schema.predictors.items()
-            }
-            centroid = None
+            for name, col in schema.predictors.items():
+                predictors[name].append(_parse_float(row[col], row_no, col))
             if schema.lat is not None:
-                lat = _parse_float(row[schema.lat], row_no, schema.lat)
-                lon = _parse_float(row[schema.lon], row_no, schema.lon)
-                if math.isfinite(lat) != math.isfinite(lon):
+                la = _parse_float(row[schema.lat], row_no, schema.lat)
+                lo = _parse_float(row[schema.lon], row_no, schema.lon)
+                if math.isfinite(la) != math.isfinite(lo):
                     raise ValueError(f"half-missing centroid in row {row_no}")
-                if math.isfinite(lat):
-                    _check_coordinates(lat, lon)
-                    centroid = (lat, lon)
-            tags: set[str] = set()
+                if math.isfinite(la):
+                    _check_coordinates(la, lo)
+                lat.append(la)
+                lon.append(lo)
+            row_tags: set[str] = set()
             for col in schema.groups:
-                tags.update(t.strip() for t in (row[col] or "").split(";") if t.strip())
-            custom = {name: (row[col] or "").strip() for name, col in schema.custom.items()}
-            observations.append(
-                PanelObservation(
-                    region_id=(row[schema.region] or "").strip(),
-                    country_id=(row[schema.country] or "").strip(),
-                    year=year,
-                    outcome=outcome,
-                    predictors=predictors,
-                    centroid=centroid,
-                    groups=frozenset(tags),
-                    custom=custom,
-                )
-            )
-    return PanelDataset(observations, predictor_names=tuple(schema.predictors))
+                row_tags.update(t.strip() for t in (row[col] or "").split(";") if t.strip())
+            tags.append(row_tags)
+            for name, col in schema.custom.items():
+                custom[name].append((row[col] or "").strip())
+            region.append((row[schema.region] or "").strip())
+            country.append((row[schema.country] or "").strip())
+    with_centroids = schema.lat is not None
+    return PanelDataset(
+        region, country, year, outcome, predictors,
+        lat=lat if with_centroids else None, lon=lon if with_centroids else None,
+        tags=tags, custom=custom,
+    )
 
 
 def _fmt(x: float) -> str:
@@ -503,17 +537,16 @@ def save_csv(dataset: PanelDataset, path, delimiter: str = ",") -> CsvSchema:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        for o in dataset.observations:
-            row = [o.region_id, o.country_id, str(o.year), _fmt(o.outcome)]
-            row += [_fmt(o.predictors[name]) for name in dataset.predictor_names]
+        present = dataset.present
+        for (region, year), i, t in zip(dataset.cell_keys(present), *np.nonzero(present)):
+            row = [region, dataset.countries[i], str(year), _fmt(dataset.outcome[i, t])]
+            row += [_fmt(dataset.predictors[name][i, t]) for name in dataset.predictor_names]
             if with_centroids:
-                if o.centroid is None:
-                    row += ["NA", "NA"]
-                else:
-                    row += [_fmt(o.centroid[0]), _fmt(o.centroid[1])]
+                centroid = dataset.centroid_of(region)
+                row += ["NA", "NA"] if centroid is None else [_fmt(centroid[0]), _fmt(centroid[1])]
             if with_groups:
-                row += [";".join(sorted(o.groups))]
-            row += [o.custom[name] for name in dataset.custom_names]
+                row += [";".join(sorted(dataset.groups_of(region)))]
+            row += [dataset.custom[name][i, t] for name in dataset.custom_names]
             writer.writerow(row)
     return schema
 
@@ -534,16 +567,6 @@ def _validate_spec(dataset: PanelDataset, spec: ModelSpec, max_lag_ceiling: int)
             raise ValueError(
                 f"max_lag {term.max_lag} outside 0..{max_lag_ceiling} for {term.variable!r}"
             )
-
-
-def _base_value(dataset: PanelDataset, term: TermSpec, region: str, year: int) -> float:
-    """Term base value at (region, year): the raw variable, or its first
-    difference against calendar year-1 (gaps make the value missing)."""
-    v = dataset.predictor_value(region, year, term.variable)
-    if not term.differenced:
-        return v
-    prev = dataset.predictor_value(region, year - 1, term.variable)
-    return v - prev
 
 
 def fixed_effect_dummies(
@@ -618,95 +641,60 @@ def build_design(
     if moderator_alignment not in ("contemporaneous", "lag_aligned"):
         raise ValueError(f"unknown moderator_alignment {moderator_alignment!r}")
     _validate_spec(dataset, spec, max_lag_ceiling)
-    keep = None if keep_rows is None else set(keep_rows)
+    rows = dataset.present if keep_rows is None else dataset.cell_mask(keep_rows)
+    ok = np.isfinite(dataset.outcome) if require_outcome else np.ones_like(rows)
 
     labels: list[ColumnLabel] = []
+    grids: list[np.ndarray] = []
     if spec.intercept:
         labels.append(ColumnLabel(kind="intercept"))
+        grids.append(np.ones(rows.shape))
     for term in spec.terms:
         lbl = term_label(term)
-        for lag in range(term.max_lag + 1):
+        lags = range(term.max_lag + 1)
+        v = dataset.predictors[term.variable]
+        # base value: the variable, or its difference against calendar year-1
+        base = v - _shift(v, 1) if term.differenced else v
+        lagged = [_shift(base, lag) for lag in lags]
+        for lag, b in zip(lags, lagged):
+            ok = ok & np.isfinite(b)
             labels.append(ColumnLabel(kind="base", term=lbl, lag=lag, moderator=term.moderator))
+        grids += lagged
         if term.moderator is not None:
-            for lag in range(term.max_lag + 1):
+            m = dataset.predictors[term.moderator]
+            for lag, b in zip(lags, lagged):
+                # the moderator enters undifferenced, at the row's year or the lagged one
+                mod = m if moderator_alignment == "contemporaneous" else _shift(m, lag)
+                ok = ok & np.isfinite(mod)
                 labels.append(
                     ColumnLabel(kind="interaction", term=lbl, lag=lag, moderator=term.moderator)
                 )
+                grids.append(b * mod)
 
-    rows: list[list[float]] = []
-    y_vals: list[float] = []
-    row_index: list[tuple[str, int]] = []
-    countries: list[str] = []
-    custom_rows: list[Mapping[str, str]] = []
-    dropped: list[tuple[str, int]] = []
-
-    for o in dataset.observations:
-        key = (o.region_id, o.year)
-        if keep is not None and key not in keep:
-            continue
-        ok = not (require_outcome and not math.isfinite(o.outcome))
-        vec: list[float] = [1.0] if spec.intercept else []
-        if ok:
-            for term in spec.terms:
-                base_vals = []
-                for lag in range(term.max_lag + 1):
-                    b = _base_value(dataset, term, o.region_id, o.year - lag)
-                    if not math.isfinite(b):
-                        ok = False
-                        break
-                    base_vals.append(b)
-                if not ok:
-                    break
-                vec.extend(base_vals)
-                if term.moderator is not None:
-                    for lag in range(term.max_lag + 1):
-                        if moderator_alignment == "contemporaneous":
-                            m = o.predictors[term.moderator]
-                        else:
-                            m = dataset.predictor_value(o.region_id, o.year - lag, term.moderator)
-                        if not math.isfinite(m):
-                            ok = False
-                            break
-                        vec.append(base_vals[lag] * m)
-                    if not ok:
-                        break
-        if not ok:
-            dropped.append(key)
-            continue
-        rows.append(vec)
-        y_vals.append(o.outcome)
-        row_index.append(key)
-        countries.append(o.country_id)
-        custom_rows.append(o.custom)
-
-    if not rows:
+    used = rows & ok
+    ri, ti = np.nonzero(used)
+    if not ri.size:
         raise ValueError("empty design after lag trimming")
-
-    X_core = np.asarray(rows, dtype=float)
-    if X_core.ndim == 1:
-        X_core = X_core.reshape(len(rows), 0)
-    y = np.asarray(y_vals, dtype=float)
+    X_core = np.stack(grids, axis=-1)[ri, ti] if grids else np.empty((ri.size, 0))
+    y = dataset.outcome[ri, ti]
+    regions = np.array(dataset.regions, dtype=object)[ri].tolist()
+    years = (ti + dataset.first_year).tolist()
 
     fe = spec.fixed_effects
-    D, fe_labels, fe_levels, _, _ = fixed_effect_dummies(
-        [r for r, _ in row_index], [t for _, t in row_index], fe
-    )
+    D, fe_labels, fe_levels, _, _ = fixed_effect_dummies(regions, years, fe)
     X = np.hstack([X_core, D]) if D.shape[1] else X_core
     labels.extend(fe_labels)
 
-    custom = {
-        name: tuple(c[name] for c in custom_rows) for name in dataset.custom_names
-    }
     return DesignMatrix(
         X=X,
         y=y,
-        row_index=tuple(row_index),
+        row_index=tuple(zip(regions, years)),
         column_labels=tuple(labels),
-        countries=tuple(countries),
-        custom=custom,
+        countries=tuple(np.array(dataset.countries, dtype=object)[ri].tolist()),
+        custom={name: tuple(grid[ri, ti].tolist()) for name, grid in dataset.custom.items()},
         fixed_effects=fe,
         fe_levels=fe_levels,
-        dropped_rows=tuple(dropped),
+        dropped_rows=tuple(dataset.cell_keys(rows & ~ok)),
     )
 
 

@@ -21,7 +21,6 @@ from .panel import (
     ClusterScheme,
     ModelSpec,
     PanelDataset,
-    PanelObservation,
     TermSpec,
     assign_clusters,
     build_design,
@@ -89,9 +88,6 @@ class DgpConfig:
     def n_countries(self) -> int:
         return self.countries if self.countries is not None else 1
 
-    def country_index(self, region_index: int) -> int:
-        return region_index * self.n_countries // self.n_regions
-
 
 def _shared_field(rng, sharing, n_regions, n_years, country_of):
     """Draw the shared component as an (n_regions, n_years) field."""
@@ -116,7 +112,7 @@ def generate_panel(config: DgpConfig, seed) -> PanelDataset:
     """
     rng = np.random.default_rng(seed)
     R, T = config.n_regions, config.n_years
-    country_of = np.array([config.country_index(i) for i in range(R)])
+    country_of = np.arange(R) * config.n_countries // R  # contiguous country blocks
     wx = config.predictor_shared_weight
     wxs = config.predictor_spatial_weight
     we = config.noise_shared_weight
@@ -135,34 +131,24 @@ def generate_panel(config: DgpConfig, seed) -> PanelDataset:
     e = config.noise_scale * (math.sqrt(we) * shared_e + math.sqrt(1.0 - we) * idio_e)
 
     y = config.beta_true * x + e
-    years = [2000 + t for t in range(T)]
     country_width = max(2, len(str(config.n_countries - 1)))
     region_width = max(3, len(str(R - 1)))
-    observations = []
-    for i in range(R):
-        c = country_of[i]
-        if config.with_centroids:
-            # deterministic synthetic geography: countries along the equator,
-            # regions spread around their country's center
-            within = i - int(np.searchsorted(country_of, c, side="left"))
-            centroid = (
-                round(-10.0 + 2.0 * (within % 11), 6),
-                round(-170.0 + 24.0 * (c % 15) + 2.0 * (within // 11), 6),
-            )
-        else:
-            centroid = None
-        for t in range(T):
-            observations.append(
-                PanelObservation(
-                    region_id=f"R{i:0{region_width}d}",
-                    country_id=f"C{c:0{country_width}d}",
-                    year=years[t],
-                    outcome=float(y[i, t]),
-                    predictors={"x": float(x[i, t])},
-                    centroid=centroid,
-                )
-            )
-    return PanelDataset(observations, predictor_names=("x",))
+    lat = lon = None
+    if config.with_centroids:
+        # deterministic synthetic geography: countries along the equator,
+        # regions spread around their country's center
+        within = np.arange(R) - np.searchsorted(country_of, country_of, side="left")
+        lat = np.repeat(-10.0 + 2.0 * (within % 11), T)
+        lon = np.repeat(-170.0 + 24.0 * (country_of % 15) + 2.0 * (within // 11), T)
+    return PanelDataset(
+        np.repeat([f"R{i:0{region_width}d}" for i in range(R)], T),
+        np.repeat([f"C{c:0{country_width}d}" for c in country_of], T),
+        np.tile(np.arange(2000, 2000 + T), R),
+        y.ravel(),
+        {"x": x.ravel()},
+        lat=lat,
+        lon=lon,
+    )
 
 
 # ---------------------------------------------------------------------------

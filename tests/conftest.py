@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,20 +9,44 @@ from clusterpanel.panel import (
     ColumnLabel,
     DesignMatrix,
     PanelDataset,
-    PanelObservation,
 )
 
 
 def obs(region, country, year, outcome, predictors=None, centroid=None, groups=(), custom=None):
-    return PanelObservation(
-        region_id=region,
-        country_id=country,
-        year=year,
-        outcome=outcome,
-        predictors=predictors or {},
-        centroid=centroid,
-        groups=frozenset(groups),
-        custom=custom or {},
+    """One observation as a plain record; ``panel_from`` turns records into a dataset."""
+    return {
+        "region": region,
+        "country": country,
+        "year": year,
+        "outcome": outcome,
+        "predictors": predictors or {},
+        "centroid": centroid,
+        "groups": frozenset(groups),
+        "custom": custom or {},
+    }
+
+
+def panel_from(records, predictor_names=None):
+    """PanelDataset from obs() records through its long-format constructor.
+
+    Predictor names default to the sorted union over the records; a record
+    without a predictor or custom value gets NaN or "".
+    """
+    if predictor_names is None:
+        predictor_names = sorted({name for r in records for name in r["predictors"]})
+    custom_names = {name for r in records for name in r["custom"]}
+    centroids = [r["centroid"] or (math.nan, math.nan) for r in records]
+    with_centroids = any(r["centroid"] is not None for r in records)
+    return PanelDataset(
+        [r["region"] for r in records],
+        [r["country"] for r in records],
+        [r["year"] for r in records],
+        [r["outcome"] for r in records],
+        {name: [r["predictors"].get(name, math.nan) for r in records] for name in predictor_names},
+        lat=[c[0] for c in centroids] if with_centroids else None,
+        lon=[c[1] for c in centroids] if with_centroids else None,
+        tags=[r["groups"] for r in records],
+        custom={name: [r["custom"].get(name, "") for r in records] for name in custom_names},
     )
 
 
@@ -35,7 +61,13 @@ def grid_dataset(values, outcome=None, countries=None, centroids=None, predictor
             observations.append(
                 obs(region, country, year, y, {predictor: v}, centroid=centroid)
             )
-    return PanelDataset(observations, predictor_names=(predictor,))
+    return panel_from(observations, predictor_names=(predictor,))
+
+
+def cell(dataset, name, region, year):
+    """Grid value of a predictor (or "outcome") at (region, year)."""
+    grid = dataset.outcome if name == "outcome" else dataset.predictors[name]
+    return grid[dataset.regions.index(region), year - dataset.first_year]
 
 
 def design_from_arrays(X, y, cluster_keys=None, labels=None):

@@ -23,7 +23,6 @@ from clusterpanel.panel import (
     REGION,
     YEAR,
     ModelSpec,
-    PanelDataset,
     TermSpec,
     assign_clusters,
     build_design,
@@ -31,7 +30,7 @@ from clusterpanel.panel import (
 from clusterpanel.regression import clustered_cov, ols_fit
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import design_from_arrays, obs
+from conftest import design_from_arrays, obs, panel_from
 from test_modelselect import make_clusters
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -270,7 +269,7 @@ def _future_path(ds, years, xpath):
             observations.append(
                 obs(r, ds.country_of(r), year, math.nan, {"x": float(xpath(year))})
             )
-    return PanelDataset(observations, predictor_names=("x",))
+    return panel_from(observations, predictor_names=("x",))
 
 
 def test_criterion_7_bootstrap_calibration():

@@ -8,6 +8,7 @@ from clusterpanel.bootstrap import (
     block_bootstrap,
     build_scenario_path,
     first_discernible_year,
+    min_draws,
     percentile_interval,
     project_scenarios,
     Projection,
@@ -17,7 +18,6 @@ from clusterpanel.panel import (
     COUNTRY_YEAR,
     REGION,
     ModelSpec,
-    PanelDataset,
     TermSpec,
     assign_clusters,
     build_design,
@@ -25,7 +25,7 @@ from clusterpanel.panel import (
 from clusterpanel.regression import clustered_cov, ols_fit, term_response_curve
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import obs
+from conftest import obs, panel_from
 
 
 def _xy_dataset(rng, R=6, T=8, slope=1.0, noise=1.0, countries=3):
@@ -35,7 +35,7 @@ def _xy_dataset(rng, R=6, T=8, slope=1.0, noise=1.0, countries=3):
             x = float(rng.standard_normal())
             y = slope * x + noise * float(rng.standard_normal())
             observations.append(obs(f"R{i}", f"C{i % countries}", 2000 + t, y, {"x": x}))
-    return PanelDataset(observations, predictor_names=("x",))
+    return panel_from(observations, predictor_names=("x",))
 
 
 def _two_block_dataset():
@@ -45,7 +45,7 @@ def _two_block_dataset():
             observations.append(
                 obs(region, region, 2000 + t, float(i), {"x": 1.0})
             )
-    return PanelDataset(observations, predictor_names=("x",))
+    return panel_from(observations, predictor_names=("x",))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_each_replicate_draws_exactly_g_blocks():
 
 def test_bootstrap_needs_two_clusters():
     observations = [obs("A", "A", 2000 + t, float(t), {"x": float(t)}) for t in range(5)]
-    ds = PanelDataset(observations, predictor_names=("x",))
+    ds = panel_from(observations, predictor_names=("x",))
     with pytest.raises(ValueError, match="at least 2 clusters"):
         block_bootstrap(ds, SLOPE_SPEC, REGION, B=4, seed=0)
 
@@ -101,7 +101,7 @@ def test_persistent_rank_deficiency_aborts(rng):
             observations.append(
                 obs(region, region, 2000 + t, float(rng.standard_normal()), {"x": xval})
             )
-    ds = PanelDataset(observations, predictor_names=("x",))
+    ds = panel_from(observations, predictor_names=("x",))
     # seed chosen so most replicates draw a single region twice
     with pytest.raises(RuntimeError, match="rank deficient"):
         block_bootstrap(ds, SLOPE_SPEC, REGION, B=6, seed=15)
@@ -175,6 +175,15 @@ def test_too_few_draws_rejected(rng):
         percentile_interval(sample, np.array([1.0]), level=0.99)  # needs 200
 
 
+def test_min_draws_at_level_0_9(rng):
+    # max(20, ceil(2 / (1 - 0.9))) is 20; binary rounding of 1 - 0.9 gave 21
+    assert min_draws(0.9) == 20 and min_draws(0.95) == 40 and min_draws(0.99) == 200
+    iv = percentile_interval(_sample_from(rng.standard_normal((20, 1))), np.array([1.0]), level=0.9)
+    assert iv.used_draws == 20
+    with pytest.raises(ValueError, match="B=19 usable draws too small for level 0.9; need at least 20"):
+        percentile_interval(_sample_from(rng.standard_normal((19, 1))), np.array([1.0]), level=0.9)
+
+
 def test_nan_draws_dropped_and_counted(rng):
     draws = rng.standard_normal((40, 2))
     draws[:5, 0] = np.nan
@@ -205,7 +214,7 @@ def _future(ds, years, xpath):
             observations.append(
                 obs(r, ds.country_of(r), year, math.nan, {"x": float(xpath(year))})
             )
-    return PanelDataset(observations, predictor_names=("x",))
+    return panel_from(observations, predictor_names=("x",))
 
 
 def test_zero_draws_project_to_zero(rng):
@@ -220,12 +229,12 @@ def test_zero_draws_project_to_zero(rng):
 def test_single_region_reads_out_coefficient(rng):
     observations = [obs("A", "A", 2000 + t, float(t), {"x": 1.0}) for t in range(6)]
     observations += [obs("B", "B", 2000 + t, float(t), {"x": 0.0}) for t in range(6)]
-    ds = PanelDataset(observations, predictor_names=("x",))
+    ds = panel_from(observations, predictor_names=("x",))
     spec = ModelSpec(terms=(TermSpec("x", differenced=False),), intercept=False)
     design = build_design(ds, spec)
     draws = rng.standard_normal((30, 1))
     sample = _sample_from(draws, names=design.column_names)
-    future = PanelDataset(
+    future = panel_from(
         [obs("A", "A", 2030, math.nan, {"x": 1.0})], predictor_names=("x",)
     )
     path = build_scenario_path(future, spec, design, "unit")
@@ -265,10 +274,12 @@ def test_weighted_aggregation(rng):
         obs("R0", "C0", 2030, math.nan, {"x": 1.0}),
         obs("R1", "C1", 2030, math.nan, {"x": 3.0}),
     ]
-    future = PanelDataset(observations, predictor_names=("x",))
-    path = build_scenario_path(future, SLOPE_SPEC, design, "w")
-    proj = project_scenarios(sample, path, aggregation="weighted", weights={"R0": 3.0, "R1": 1.0})
-    np.testing.assert_allclose(proj.values[:, 0], (3.0 * 1.0 + 1.0 * 3.0) / 4.0)
+    # the second case adds a region missing from the weights: its weight is 0
+    for extra in ([], [obs("R2", "C1", 2030, math.nan, {"x": 50.0})]):
+        future = panel_from(observations + extra, predictor_names=("x",))
+        path = build_scenario_path(future, SLOPE_SPEC, design, "w")
+        proj = project_scenarios(sample, path, aggregation="weighted", weights={"R0": 3.0, "R1": 1.0})
+        np.testing.assert_allclose(proj.values[:, 0], (3.0 * 1.0 + 1.0 * 3.0) / 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import csv
+import math
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from clusterpanel.cli import COMMANDS, main
+from clusterpanel.panel import PanelDataset, save_csv
+from clusterpanel.simstudy import DgpConfig, generate_panel
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = "sample/config.yaml"
@@ -152,8 +157,9 @@ def test_fit_estimates_identical_across_schemes():
     [
         ({"direction": "forward", "candidates": None}, "forward scan needs candidates"),
         ({"direction": "sideways"}, "unknown scan direction 'sideways'"),
+        ({"direction": "backward"}, "backward scan takes no candidates"),
     ],
-    ids=["no_candidates", "unknown_direction"],
+    ids=["no_candidates", "unknown_direction", "backward_candidates"],
 )
 def test_scan_config_errors_named_alike(command, change, message, capsys, tmp_path):
     # cv and ic share one model sequence, so they reject a bad scan alike
@@ -168,3 +174,55 @@ def test_scan_config_errors_named_alike(command, change, message, capsys, tmp_pa
     cfg_path.write_text(yaml.safe_dump(config))
     assert run(command, "--config", str(cfg_path), "--out", str(tmp_path / command)) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_ic_rank_deficient_reference_names_columns(capsys, tmp_path):
+    # xbar is constant within each region, so its lags 0 and 1 coincide
+    config = yaml.safe_load((ROOT / SAMPLE_CONFIG).read_text())
+    config["model"]["terms"].append({"variable": "xbar", "differenced": False, "max_lag": 1})
+    config["ic"]["direction"] = "backward"
+    del config["ic"]["candidates"]
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert run("ic", "--config", str(cfg_path), "--out", str(tmp_path / "ic")) == 1
+    err = capsys.readouterr().err
+    assert "offending columns: " in err and "xbar.l" in err.split("offending columns: ")[1]
+    assert "<reference model>" not in err
+
+
+def test_bootstrap_reports_unresolved_year_dummies_as_na(tmp_path):
+    # a gappy panel clustered by year: resamples that miss a year leave its
+    # dummy (or, missing the reference year, the intercept and every year
+    # dummy) NaN in too many draws to resolve at level 0.9
+    ds = generate_panel(DgpConfig(n_regions=8, n_years=12, countries=4), seed=4)
+    ri, ti = np.nonzero(ds.present & (np.arange(12) >= np.arange(8)[:, None] % 3))
+    ri, ti = ri[(ri + ti) % 7 != 0], ti[(ri + ti) % 7 != 0]
+    outcome = ds.outcome[ri, ti].copy()
+    outcome[::13] = np.nan
+    gappy = PanelDataset(np.array(ds.regions)[ri], np.array(ds.countries)[ri], ti + 2000,
+                         outcome, {"x": ds.predictors["x"][ri, ti]})
+    save_csv(gappy, tmp_path / "panel.csv")
+    config = {
+        "data": {"path": str(tmp_path / "panel.csv"),
+                 "columns": {"region": "region", "country": "country", "year": "year",
+                             "outcome": "outcome"},
+                 "predictors": {"x": "x"}},
+        "model": {"fixed_effects": ["region", "year"],
+                  "terms": [{"variable": "x", "differenced": True, "max_lag": 1}]},
+        "bootstrap": {"scheme": "year", "b": 30, "levels": [0.9]},
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "bootstrap"
+    assert run("bootstrap", "--config", str(cfg_path), "--out", str(out)) == 0
+    with open(out / "bootstrap_coefficients.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    unresolved = [r for r in rows if r["lower"] == "NA"]
+    assert unresolved
+    for r in unresolved:
+        assert r["label"] == "intercept" or r["label"].startswith("year="), r
+        assert r["upper"] == "NA" and r["median"] == "NA" and 0 < int(r["used_draws"]) < 20
+    for r in rows:
+        if r["label"].startswith("d.x"):
+            assert math.isfinite(float(r["lower"])) and math.isfinite(float(r["upper"]))
+            assert int(r["used_draws"]) >= 20

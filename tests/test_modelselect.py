@@ -27,7 +27,6 @@ from clusterpanel.panel import (
     ClusterScheme,
     ColumnLabel,
     ModelSpec,
-    PanelDataset,
     TermSpec,
     assign_clusters,
     build_design,
@@ -35,7 +34,7 @@ from clusterpanel.panel import (
 from clusterpanel.regression import FitResult, RankDeficientError, ols_fit
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import grid_dataset, obs
+from conftest import grid_dataset, obs, panel_from
 
 
 def make_clusters(sizes):
@@ -98,9 +97,7 @@ def _xy_dataset(rng, R=6, T=8, slope=0.0, noise=1.0):
             x = float(rng.standard_normal())
             y = slope * x + noise * float(rng.standard_normal())
             observations.append(obs(f"R{i}", f"C{i % 3}", 2000 + t, y, {"x": x}))
-    from clusterpanel.panel import PanelDataset
-
-    return PanelDataset(observations, predictor_names=("x",))
+    return panel_from(observations, predictor_names=("x",))
 
 
 def test_cv_constant_outcome_zero_loss():
@@ -206,9 +203,7 @@ def test_backward_scan_zero_coefficient_term_negligible(rng):
             z = float(rng.standard_normal())
             y = 2.0 * x + 0.3 * float(rng.standard_normal())
             observations.append(obs(f"R{i}", "C0", 2000 + t, y, {"x": x, "z": z}))
-    from clusterpanel.panel import PanelDataset
-
-    ds = PanelDataset(observations, predictor_names=("x", "z"))
+    ds = panel_from(observations, predictor_names=("x", "z"))
     full = ModelSpec(terms=(TermSpec("x", differenced=False), TermSpec("z", differenced=False)))
     scan = cv_scan(ds, full, [], REGION, K=4, seed=5, direction="backward")
     removed_z = [e for e in scan.entries if e.term == "z" and e.lag_depth is None][0]
@@ -262,7 +257,7 @@ def _scan_panel(gappy):
             if gappy and (i * 12 + t) % 17 == 0:
                 y = math.nan
             observations.append(obs(f"R{i:02d}", f"C{i % 3}", 2000 + t, y, {"x": x, "m": m}))
-    return PanelDataset(observations, predictor_names=("x", "m"))
+    return panel_from(observations, predictor_names=("x", "m"))
 
 
 def _oracle_sequence(base, candidates, direction):
@@ -394,6 +389,8 @@ def test_model_sequence_named_errors():
         model_sequence(ModelSpec(), [X1], "backward")
     with pytest.raises(ValueError, match="unknown scan direction 'up'"):
         model_sequence(ModelSpec(terms=(X1,)), [X1], "up")
+    with pytest.raises(ValueError, match="backward scan takes no candidates"):
+        model_sequence(ModelSpec(terms=(X1,)), [M0], "backward")
 
 
 # ---------------------------------------------------------------------------

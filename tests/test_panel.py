@@ -1,4 +1,8 @@
+import csv
+import importlib.util
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +20,14 @@ from clusterpanel.panel import (
     TermSpec,
     assign_clusters,
     build_design,
+    fixed_effect_dummies,
     haversine_km,
     load_csv,
     save_csv,
 )
 from clusterpanel.simstudy import DgpConfig, generate_panel
 
-from conftest import grid_dataset, obs
+from conftest import cell, grid_dataset, obs, panel_from
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +58,7 @@ def test_load_csv_minimal(tmp_path):
     ds = load_csv(p, BASIC_SCHEMA)
     assert ds.n_observations == 4
     assert ds.regions == ("R1", "R2")
-    assert ds.predictor_value("R2", 2001, "temp") == 13.0
+    assert cell(ds, "temp", "R2", 2001) == 13.0
 
 
 def test_load_csv_region_in_two_countries(tmp_path):
@@ -101,8 +106,8 @@ def test_load_csv_missing_cells_and_tags(tmp_path):
         "R1,A,2001,0.2,11.0,52.0,13.0,EU28;EU95\n",
     )
     ds = load_csv(p, schema)
-    o = ds.observations[0]
-    assert math.isnan(o.outcome) and math.isnan(o.predictors["temp"])
+    assert math.isnan(cell(ds, "outcome", "R1", 2000))
+    assert math.isnan(cell(ds, "temp", "R1", 2000))
     assert ds.groups_of("R1") == frozenset({"EU28", "EU95"})
     assert ds.centroid_of("R1") == (52.0, 13.0)
 
@@ -116,14 +121,15 @@ def test_save_load_round_trip(tmp_path):
     back = load_csv(path, schema)
     assert back.n_observations == ds.n_observations
     assert back.predictor_names == ds.predictor_names
-    for a, b in zip(ds.observations, back.observations):
-        assert a.region_id == b.region_id
-        assert a.country_id == b.country_id
-        assert a.year == b.year
-        assert a.outcome == b.outcome  # bit-identical float round trip
-        assert a.predictors == b.predictors
-        assert a.centroid == b.centroid
-        assert a.groups == b.groups
+    assert back.regions == ds.regions and back.countries == ds.countries
+    assert back.first_year == ds.first_year
+    np.testing.assert_array_equal(back.present, ds.present)
+    # bit-identical float round trip
+    assert back.outcome.tobytes() == ds.outcome.tobytes()
+    assert back.predictors["x"].tobytes() == ds.predictors["x"].tobytes()
+    for r in ds.regions:
+        assert back.centroid_of(r) == ds.centroid_of(r)
+        assert back.groups_of(r) == ds.groups_of(r)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +143,45 @@ def test_inconsistent_centroid_rejected():
         obs("R1", "A", 2001, 0.0, {"v": 1.0}, centroid=(1.0, 2.5)),
     ]
     with pytest.raises(ValueError, match="centroid"):
-        PanelDataset(rows)
+        panel_from(rows)
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"region": []}, "at least one observation"),
+        ({"outcome": [0.0]}, "column 'outcome' has 1 values, expected 2"),
+        ({"predictors": {"v": [1.0, 2.0, 3.0]}}, "column 'v' has 3 values, expected 2"),
+        ({"year": [2001, 2001]}, r"duplicate \(region, year\) observation: \('R1', 2001\)"),
+        ({"country": ["A", "B"]}, "region 'R1' maps to multiple countries: 'B' and 'A'"),
+        ({"tags": [{"EU"}, set()]}, "region 'R1' carries inconsistent group tags"),
+        ({"lat": [1.0, 1.0]}, "lat and lon must be given together"),
+        ({"lat": [1.0, np.nan], "lon": [2.0, np.nan]}, "region 'R1' carries inconsistent centroids"),
+    ],
+)
+def test_constructor_validation(columns, message):
+    args = {"region": ["R1", "R1"], "country": ["A", "A"], "year": [2001, 2000],
+            "outcome": [0.0, 0.0], "predictors": {"v": [1.0, 2.0]}, **columns}
+    with pytest.raises(ValueError, match=message):
+        PanelDataset(**args)
+
+
+def test_constructor_lays_out_region_year_grids():
+    # rows arrive unsorted; regions sort, years span the calendar range, and
+    # the interior gap (R2, 2001) is an absent NaN cell
+    ds = PanelDataset(
+        ["R2", "R1", "R2", "R1"], ["B", "A", "B", "A"], [2002, 2001, 2000, 2000],
+        [4.0, 2.0, 3.0, 1.0], {"v": [40.0, 20.0, 30.0, 10.0]},
+        custom={"k": ["d", "b", "c", "a"]},
+    )
+    assert ds.regions == ("R1", "R2") and ds.countries == ("A", "B")
+    assert ds.first_year == 2000 and ds.years == (2000, 2001, 2002)
+    np.testing.assert_array_equal(ds.present, [[True, True, False], [True, False, True]])
+    np.testing.assert_array_equal(ds.outcome, [[1.0, 2.0, np.nan], [3.0, np.nan, 4.0]])
+    np.testing.assert_array_equal(ds.predictors["v"], 10.0 * ds.outcome)
+    assert ds.custom["k"].tolist() == [["a", "b", ""], ["c", "", "d"]]
+    assert ds.n_observations == 4 and ds.year_gaps() == {"R2": (2001,)}
+    assert ds.cell_keys(ds.present) == [("R1", 2000), ("R1", 2001), ("R2", 2000), ("R2", 2002)]
 
 
 def test_predictor_median():
@@ -187,7 +231,7 @@ def test_build_design_cell_recompute_oracle(rng):
         obs(r, f"C{int(r[1:]) % 4}", y, float(rng.standard_normal()), vals)
         for (r, y), vals in data.items()
     ]
-    ds = PanelDataset(observations, predictor_names=tuple(names))
+    ds = panel_from(observations, predictor_names=tuple(names))
     terms = (
         TermSpec("a", differenced=True, max_lag=3),
         TermSpec("b", differenced=True, moderator="m", max_lag=2),
@@ -251,7 +295,7 @@ def test_moderator_alignment_switch():
     observations = [
         obs("R1", "A", y, 0.0, {"v": v, "m": 10.0 + y - 2000}) for y, v in series.items()
     ]
-    ds = PanelDataset(observations, predictor_names=("v", "m"))
+    ds = panel_from(observations, predictor_names=("v", "m"))
     spec = ModelSpec(terms=(TermSpec("v", differenced=True, moderator="m", max_lag=1),))
     contemporaneous = build_design(ds, spec)
     lag_aligned = build_design(ds, spec, moderator_alignment="lag_aligned")
@@ -337,7 +381,7 @@ def test_custom_column_matches_year_partition(rng):
                 obs(f"R{i}", f"C{i % 2}", year, float(rng.standard_normal()),
                     {"v": float(rng.standard_normal())}, custom={"year_str": str(year)})
             )
-    ds = PanelDataset(observations, predictor_names=("v",))
+    ds = panel_from(observations, predictor_names=("v",))
     d = build_design(ds, ModelSpec())
     by_year = assign_clusters(d, YEAR)
     by_custom = assign_clusters(d, ClusterScheme.parse("custom:year_str"))
@@ -416,7 +460,7 @@ def test_load_csv_custom_delimiter(tmp_path):
     )
     ds = load_csv(p, schema)
     assert ds.n_observations == 2
-    assert ds.predictor_value("R1", 2001, "temp") == 11.0
+    assert cell(ds, "temp", "R1", 2001) == 11.0
 
 
 def test_year_gaps_recorded():
@@ -431,3 +475,168 @@ def test_save_csv_delimiter_round_trip(tmp_path):
     assert schema.delimiter == ";"
     back = load_csv(path, schema)
     assert back.n_observations == 2
+
+
+# ---------------------------------------------------------------------------
+# Columnar build_design against the per-row oracle
+# ---------------------------------------------------------------------------
+
+
+def _rows_design(records, spec, moderator_alignment="contemporaneous", keep_rows=None,
+                 require_outcome=True):
+    """The per-row design build, kept as the oracle of ``build_design``: it walks
+    the records in (region, year) order and reads every value from its own
+    {(region, year): record} dict, never from a dataset's grids."""
+    by_key = {(r["region"], r["year"]): r for r in records}
+    keep = None if keep_rows is None else set(keep_rows)
+
+    def value(region, year, name):
+        rec = by_key.get((region, year))
+        return math.nan if rec is None else float(rec["predictors"].get(name, math.nan))
+
+    def base(term, region, year):
+        v = value(region, year, term.variable)
+        return v - value(region, year - 1, term.variable) if term.differenced else v
+
+    rows, y, row_index, countries, dropped = [], [], [], [], []
+    for key in sorted(by_key):
+        rec = by_key[key]
+        region, year = key
+        if keep is not None and key not in keep:
+            continue
+        ok = not (require_outcome and not math.isfinite(rec["outcome"]))
+        vec = [1.0] if spec.intercept else []
+        for term in spec.terms if ok else ():
+            base_vals = [base(term, region, year - lag) for lag in range(term.max_lag + 1)]
+            ok = all(math.isfinite(b) for b in base_vals)
+            if not ok:
+                break
+            vec.extend(base_vals)
+            if term.moderator is not None:
+                for lag, b in enumerate(base_vals):
+                    m = value(region, year - (lag if moderator_alignment == "lag_aligned" else 0),
+                              term.moderator)
+                    ok = ok and math.isfinite(m)
+                    vec.append(b * m)
+            if not ok:
+                break
+        if not ok:
+            dropped.append(key)
+            continue
+        rows.append(vec)
+        y.append(rec["outcome"])
+        row_index.append(key)
+        countries.append(rec["country"])
+    X_core = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    D, fe_labels, _, _, _ = fixed_effect_dummies(
+        [r for r, _ in row_index], [t for _, t in row_index], spec.fixed_effects
+    )
+    X = np.hstack([X_core, D]) if D.shape[1] else X_core
+    return X, np.asarray(y, dtype=float), tuple(row_index), tuple(countries), tuple(dropped), fe_labels
+
+
+def _assert_matches_oracle(records, dataset, spec, **kwargs):
+    got = build_design(dataset, spec, **kwargs)
+    X, y, row_index, countries, dropped, fe_labels = _rows_design(records, spec, **kwargs)
+    assert got.X.shape == X.shape and got.X.flags.c_contiguous
+    assert (got.X == X).all() and got.X.tobytes() == X.tobytes()
+    assert got.y.tobytes() == y.tobytes()  # bitwise, so NaN outcomes compare too
+    assert got.row_index == row_index
+    assert got.dropped_rows == dropped
+    assert got.countries == countries
+    assert tuple(lab for lab in got.column_labels if lab.kind == "dummy") == tuple(fe_labels)
+    return got
+
+
+def _csv_records(path):
+    """obs() records read from a sample CSV with the csv module alone."""
+    def num(text):
+        return math.nan if text == "NA" else float(text)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [
+            obs(row["region"], row["country"], int(row["year"]), num(row["outcome"]),
+                {"x": num(row["x"]), "xbar": num(row["xbar"])})
+            for row in csv.DictReader(fh)
+        ]
+
+
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample"
+SAMPLE_SCHEMA = CsvSchema.canonical(("x", "xbar"), with_centroids=True, with_groups=True,
+                                    custom_names=("year_str",))
+SAMPLE_SPEC = ModelSpec(
+    terms=(
+        TermSpec("x", differenced=True, moderator="xbar", max_lag=2),
+        TermSpec("xbar", differenced=False, moderator="x", max_lag=1),
+    ),
+    fixed_effects=("region", "year"),
+)
+
+
+@pytest.mark.parametrize("alignment", ["contemporaneous", "lag_aligned"])
+def test_columnar_design_matches_rows_on_sample(alignment):
+    records = _csv_records(SAMPLE_DIR / "panel.csv")
+    ds = load_csv(SAMPLE_DIR / "panel.csv", SAMPLE_SCHEMA)
+    d = _assert_matches_oracle(records, ds, SAMPLE_SPEC, moderator_alignment=alignment)
+    assert d.n == 30 * 15 and len(d.dropped_rows) == 30 * 3
+
+
+def _gappy_records(rng):
+    """Late entry, interior year gaps and NaN outcomes and predictors."""
+    records = []
+    for i in range(9):
+        for t in range(i % 3, 14):
+            if (i, t) in {(0, 5), (1, 6), (1, 7), (4, 9), (8, 12)}:
+                continue
+            outcome = math.nan if (i + t) % 11 == 0 else float(rng.standard_normal())
+            m = math.nan if (i, t) == (6, 10) else float(rng.standard_normal())
+            records.append(obs(f"R{i}", f"C{i % 3}", 1990 + t, outcome,
+                               {"v": float(rng.standard_normal()), "m": m}))
+    rng.shuffle(records)
+    return records
+
+
+GAPPY_SPEC = ModelSpec(
+    terms=(
+        TermSpec("v", differenced=True, moderator="m", max_lag=2),
+        TermSpec("m", differenced=False, max_lag=1),
+    ),
+    fixed_effects=("region", "year"),
+)
+
+
+@pytest.mark.parametrize("alignment", ["contemporaneous", "lag_aligned"])
+def test_columnar_design_matches_rows_on_gappy_panel(rng, alignment):
+    records = _gappy_records(rng)
+    d = _assert_matches_oracle(records, panel_from(records), GAPPY_SPEC,
+                               moderator_alignment=alignment)
+    assert d.dropped_rows and d.n > 50
+
+
+def test_columnar_design_matches_rows_on_keep_rows_subset(rng):
+    records = _gappy_records(rng)
+    ds = panel_from(records)
+    keep = [(r["region"], r["year"]) for r in records[::3]] + [("R99", 2000), ("R0", 1900)]
+    d = _assert_matches_oracle(records, ds, GAPPY_SPEC, keep_rows=keep,
+                               moderator_alignment="lag_aligned")
+    assert set(d.row_index + d.dropped_rows) < set(keep)
+
+
+def test_columnar_design_matches_rows_on_scenario_rows():
+    records = _csv_records(SAMPLE_DIR / "scenario_low.csv")
+    ds = load_csv(SAMPLE_DIR / "scenario_low.csv", SAMPLE_SCHEMA)
+    spec = replace(SAMPLE_SPEC, fixed_effects=())
+    d = _assert_matches_oracle(records, ds, spec, require_outcome=False)
+    assert np.isnan(d.y).all() and d.n == 30 * 10
+
+
+def test_sample_data_regenerates_byte_for_byte(tmp_path):
+    script = SAMPLE_DIR.parent / "scripts" / "make_sample.py"
+    module_spec = importlib.util.spec_from_file_location("make_sample", script)
+    make_sample = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(make_sample)
+    ds = make_sample.build_panel()
+    low, high = make_sample.build_scenarios(ds)
+    for name, dataset in (("panel.csv", ds), ("scenario_low.csv", low), ("scenario_high.csv", high)):
+        save_csv(dataset, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (SAMPLE_DIR / name).read_bytes(), name

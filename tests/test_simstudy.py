@@ -13,12 +13,10 @@ from clusterpanel.simstudy import (
 
 
 def _matrices(ds, beta_true):
-    """(x, e) matrices (region x year) recovered from a generated panel."""
-    regions = ds.regions
-    years = ds.years
-    x = np.array([[ds.predictor_value(r, y, "x") for y in years] for r in regions])
-    out = np.array([[ds.observation(r, y).outcome for y in years] for r in regions])
-    return x, out - beta_true * x
+    """(x, e) matrices (region x year) of a generated, fully observed panel."""
+    assert ds.present.all()
+    x = ds.predictors["x"]
+    return x, ds.outcome - beta_true * x
 
 
 def _mean_within_year_corr(e):
@@ -50,8 +48,7 @@ def test_config_validation():
 def test_fully_shared_predictor_is_region_constant():
     cfg = DgpConfig(n_regions=6, n_years=8, predictor_shared_weight=1.0)
     ds = generate_panel(cfg, 0)
-    for r in ds.regions:
-        vals = [ds.predictor_value(r, y, "x") for y in ds.years]
+    for vals in ds.predictors["x"]:
         assert max(vals) == pytest.approx(min(vals))
 
 
@@ -102,10 +99,8 @@ def test_generator_deterministic():
     cfg = DgpConfig(n_regions=10, n_years=10)
     a = generate_panel(cfg, (9, 1))
     b = generate_panel(cfg, (9, 1))
-    assert all(
-        oa.outcome == ob.outcome and oa.predictors == ob.predictors
-        for oa, ob in zip(a.observations, b.observations)
-    )
+    assert a.outcome.tobytes() == b.outcome.tobytes()
+    assert a.predictors["x"].tobytes() == b.predictors["x"].tobytes()
 
 
 # ---------------------------------------------------------------------------
