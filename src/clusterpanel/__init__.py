@@ -42,9 +42,8 @@ from .residcorr import (
     GroupSpec,
     ResidualPanel,
     correlation_table,
-    spatial_pair_correlations,
+    pair_correlations,
     summarize,
-    temporal_pair_correlations,
 )
 from .modelselect import (
     EquicorrParams,

@@ -37,17 +37,11 @@ from .panel import (
 )
 from .regression import clustered_cov, ols_fit, term_response_curve
 from .residcorr import (
+    SPATIAL_KEYS,
+    TEMPORAL_KEYS,
     GroupSpec,
     ResidualPanel,
-    all_of,
-    consecutive_years,
     correlation_table,
-    different_country,
-    distance_above,
-    distance_below,
-    named_country,
-    same_country,
-    same_group,
 )
 from .simstudy import DgpConfig, bias_study, coverage_study
 
@@ -153,47 +147,34 @@ def cmd_fit(config: dict, out: Path, seed: int, threads: int) -> None:
 
 def _group_from_dict(d: dict) -> GroupSpec:
     kind = d.get("kind", "spatial")
+    every = SPATIAL_KEYS + TEMPORAL_KEYS
+    # an unknown kind is named by GroupSpec
+    own = {"spatial": SPATIAL_KEYS, "temporal": TEMPORAL_KEYS}.get(kind, every)
+    for key in d:
+        if key in every and key not in own:
+            raise ValueError(f"corr group key {key!r} does not apply to a {kind} group")
+        if key not in ("label", "kind", *own):
+            raise ValueError(f"unknown corr group key {key!r}")
     label = d.get("label") or kind
-    if kind == "temporal":
-        return GroupSpec(
-            label=label,
-            kind="temporal",
-            temporal_filter=consecutive_years() if d.get("consecutive") else None,
-        )
-    filters = []
-    if d.get("same_country"):
-        filters.append(same_country())
-    if d.get("different_country"):
-        filters.append(different_country())
-    if d.get("country"):
-        filters.append(named_country(str(d["country"])))
-    if d.get("group"):
-        filters.append(same_group(str(d["group"])))
-    if d.get("below_km") is not None:
-        filters.append(distance_below(float(d["below_km"])))
-    if d.get("above_km") is not None:
-        filters.append(distance_above(float(d["above_km"])))
-    return GroupSpec(label=label, kind="spatial", spatial_filter=all_of(*filters) if filters else None)
+    return GroupSpec(label=label, **{k: v for k, v in d.items() if k != "label"})
 
 
 def _default_groups(dataset) -> list[GroupSpec]:
     groups = [
         GroupSpec("all", "temporal"),
-        GroupSpec("consecutive", "temporal", temporal_filter=consecutive_years()),
+        GroupSpec("consecutive", "temporal", consecutive=True),
         GroupSpec("all", "spatial"),
-        GroupSpec("same country", "spatial", spatial_filter=same_country()),
-        GroupSpec("different country", "spatial", spatial_filter=different_country()),
+        GroupSpec("same country", "spatial", same_country=True),
+        GroupSpec("different country", "spatial", different_country=True),
     ]
     if any(dataset.centroid_of(r) is not None for r in dataset.regions):
         groups += [
-            GroupSpec("<1000km, same country", "spatial",
-                      spatial_filter=all_of(same_country(), distance_below(1000.0))),
-            GroupSpec("<1000km, different country", "spatial",
-                      spatial_filter=all_of(different_country(), distance_below(1000.0))),
-            GroupSpec(">1000km, same country", "spatial",
-                      spatial_filter=all_of(same_country(), distance_above(1000.0))),
-            GroupSpec(">1000km, different country", "spatial",
-                      spatial_filter=all_of(different_country(), distance_above(1000.0))),
+            GroupSpec("<1000km, same country", "spatial", same_country=True, below_km=1000.0),
+            GroupSpec("<1000km, different country", "spatial", different_country=True,
+                      below_km=1000.0),
+            GroupSpec(">1000km, same country", "spatial", same_country=True, above_km=1000.0),
+            GroupSpec(">1000km, different country", "spatial", different_country=True,
+                      above_km=1000.0),
         ]
     return groups
 

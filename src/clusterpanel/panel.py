@@ -44,8 +44,9 @@ class PanelDataset:
     along the year axis and a missing year is a NaN cell.  ``present`` marks
     the observed cells; ``outcome`` and each ``predictors[name]`` are (R, T)
     float grids with NaN for absent or missing cells; ``custom[name]`` holds
-    a free string column per cell ("" where absent).  ``countries`` and the
-    centroids and group tags are per region.
+    a free string column per cell ("" where absent).  ``countries``,
+    ``centroids`` ((R, 2) lat/lon, NaN for none) and ``groups`` (tag sets)
+    are per region.
 
     The constructor takes long-format columns, one entry per observation:
     region, country and year, the outcome, predictor values by name, and
@@ -65,9 +66,9 @@ class PanelDataset:
         "predictor_names",
         "custom",
         "custom_names",
+        "centroids",
+        "groups",
         "_index",
-        "_centroids",
-        "_groups",
     )
 
     def __init__(
@@ -152,8 +153,9 @@ class PanelDataset:
         self.custom = {name: grid(v, "", object) for name, v in custom.items()}
         self.custom_names = tuple(custom)
         self._index = {r: i for i, r in enumerate(self.regions)}
-        self._centroids = ll[starts]
-        self._groups = tuple(groups[starts])
+        self.centroids = ll[starts]
+        self.centroids.setflags(write=False)
+        self.groups = tuple(groups[starts])
 
     @property
     def n_observations(self) -> int:
@@ -168,11 +170,11 @@ class PanelDataset:
         return self.countries[self._index[region_id]]
 
     def centroid_of(self, region_id: str) -> tuple[float, float] | None:
-        lat, lon = self._centroids[self._index[region_id]].tolist()
+        lat, lon = self.centroids[self._index[region_id]].tolist()
         return None if math.isnan(lat) else (lat, lon)
 
     def groups_of(self, region_id: str) -> frozenset[str]:
-        return self._groups[self._index[region_id]]
+        return self.groups[self._index[region_id]]
 
     def cell_keys(self, mask: np.ndarray) -> list[tuple[str, int]]:
         """(region, year) keys of the cells of a grid mask, in (region, year) order."""
@@ -468,6 +470,11 @@ def load_csv(path, schema: CsvSchema) -> PanelDataset:
         lon: list[float] = []
         custom: dict[str, list[str]] = {name: [] for name in schema.custom}
         for row_no, row in enumerate(reader, start=2):
+            # DictReader pads a short row with None and files a long row's
+            # extra cells under the key None
+            if None in row or None in row.values():
+                cells = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
+                raise ValueError(f"row {row_no} has {cells} cells, expected {len(header)}")
             year_text = (row[schema.year] or "").strip()
             try:
                 year.append(int(year_text))
@@ -740,14 +747,21 @@ def _check_coordinates(lat: float, lon: float) -> None:
         raise ValueError(f"longitude {lon} outside [-180, 180]")
 
 
-def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in km between (lat, lon) points, R = 6371 km."""
-    lat1, lon1 = a
-    lat2, lon2 = b
-    _check_coordinates(lat1, lon1)
-    _check_coordinates(lat2, lon2)
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+def haversine_km(a, b):
+    """Great-circle distance in km between (lat, lon) points, R = 6371 km.
+
+    ``a`` and ``b`` are (lat, lon) pairs, or arrays whose last axis is
+    (lat, lon); they broadcast, and a pair of points gives a float.
+    """
+    (lat1, lon1), (lat2, lon2) = (np.moveaxis(np.asarray(p, dtype=float), -1, 0) for p in (a, b))
+    for lat, lon in ((lat1, lon1), (lat2, lon2)):
+        bad = ~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            _check_coordinates(float(np.ravel(lat)[i]), float(np.ravel(lon)[i]))
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
-    dlam = math.radians(lon2 - lon1)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    dlam = np.radians(lon2 - lon1)
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    return float(d) if d.ndim == 0 else d

@@ -1,18 +1,32 @@
 """Pairwise residual correlation diagnostics.
 
-Spatial kind: one residual sequence per region, indexed by year; a Pearson
+Spatial kind: one residual series per region, indexed by year; a Pearson
 correlation per unordered region pair over their common years.  Temporal
-kind: one sequence per year, indexed by region.  Pair filters select groups
-(same country, distance bands, tag membership, ...) and group summaries
-aggregate to mean and quartiles.
+kind: one series per year, indexed by region, over their common regions.
+
+Both kinds run one kernel, :func:`pair_statistics`, over a NaN-masked grid
+(the residual grid for the spatial kind, its transpose for the temporal
+one).  It centres each series on its own mean, zero-fills the missing cells
+into X and marks the present ones in M, and forms N = MMᵀ (common cells),
+Sx = XMᵀ, Sxx = X²Mᵀ and Sxy = XXᵀ.  Every pair's centred sums over its
+common cells follow in one pass, e.g. Cxy = Sxy - Sx ∘ Sxᵀ / N.
+
+A series is constant over a pair's common cells, and the pair is skipped as
+``zero_variance``, when its centred sum of squares there is at most
+N · 2⁻⁴⁴ · s², with s the series' largest absolute residual: a standard
+deviation below about 2.4e-7 · s is rounding, not signal.
+
+Groups are declarative (:class:`GroupSpec`): each becomes a boolean mask
+over the upper triangle of pairs, taken in (a < b, row-major) order, so the
+statistics are computed once per kind and every group selects from them.
+Group summaries aggregate to mean and quartiles.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,258 +34,237 @@ from .panel import DesignMatrix, PanelDataset, haversine_km
 from .regression import FitResult
 
 DEFAULT_MIN_OVERLAP = 10
+# centred sum of squares at or below N * ZERO_VARIANCE_TOL * max|x|^2 is rounding
+ZERO_VARIANCE_TOL = 2.0**-44
 
 SKIP_NO_COORDINATES = "no_coordinates"
 SKIP_SHORT_OVERLAP = "short_overlap"
 SKIP_ZERO_VARIANCE = "zero_variance"
 
-
-class FilterResult(enum.Enum):
-    PASS = "pass"
-    REJECT = "reject"
-    SKIP_NO_COORDINATES = "skip_no_coordinates"
-
-
-@dataclass(frozen=True)
-class RegionMeta:
-    country: str
-    centroid: tuple[float, float] | None
-    groups: frozenset[str]
-
-
-PairFilter = Callable[[RegionMeta, RegionMeta], FilterResult]
-
-
-def all_pairs() -> PairFilter:
-    return lambda a, b: FilterResult.PASS
-
-
-def same_country() -> PairFilter:
-    return lambda a, b: FilterResult.PASS if a.country == b.country else FilterResult.REJECT
-
-
-def different_country() -> PairFilter:
-    return lambda a, b: FilterResult.PASS if a.country != b.country else FilterResult.REJECT
-
-
-def named_country(country_id: str) -> PairFilter:
-    def check(a: RegionMeta, b: RegionMeta) -> FilterResult:
-        if a.country == country_id and b.country == country_id:
-            return FilterResult.PASS
-        return FilterResult.REJECT
-
-    return check
-
-
-def same_group(tag: str) -> PairFilter:
-    def check(a: RegionMeta, b: RegionMeta) -> FilterResult:
-        return FilterResult.PASS if tag in a.groups and tag in b.groups else FilterResult.REJECT
-
-    return check
-
-
-def _distance_filter(threshold_km: float, below: bool) -> PairFilter:
-    def check(a: RegionMeta, b: RegionMeta) -> FilterResult:
-        if a.centroid is None or b.centroid is None:
-            return FilterResult.SKIP_NO_COORDINATES
-        d = haversine_km(a.centroid, b.centroid)
-        ok = d < threshold_km if below else d > threshold_km
-        return FilterResult.PASS if ok else FilterResult.REJECT
-
-    return check
-
-
-def distance_below(threshold_km: float) -> PairFilter:
-    return _distance_filter(threshold_km, below=True)
-
-
-def distance_above(threshold_km: float) -> PairFilter:
-    return _distance_filter(threshold_km, below=False)
-
-
-def all_of(*filters: PairFilter) -> PairFilter:
-    """Conjunction; a rejection by any member dominates a coordinate skip."""
-
-    def check(a: RegionMeta, b: RegionMeta) -> FilterResult:
-        result = FilterResult.PASS
-        for f in filters:
-            r = f(a, b)
-            if r is FilterResult.REJECT:
-                return FilterResult.REJECT
-            if r is FilterResult.SKIP_NO_COORDINATES:
-                result = r
-        return result
-
-    return check
+KINDS = ("spatial", "temporal")
+SPATIAL_KEYS = ("same_country", "different_country", "country", "group", "below_km", "above_km")
+TEMPORAL_KEYS = ("consecutive",)
 
 
 class ResidualPanel:
-    """Residuals indexed by (region, year) plus per-region metadata."""
+    """(R, T) residual grid, NaN where a cell has no residual, plus per-region
+    country, centroid ((R, 2) lat/lon, NaN for none) and group tags.
 
-    __slots__ = ("region_meta", "_region_series", "_year_series")
+    Only regions and years with at least one residual are kept, so every
+    series takes part in its kind's pairs.
+    """
+
+    __slots__ = ("values", "regions", "years", "countries", "centroids", "groups", "_distances")
 
     def __init__(
         self,
-        values: Mapping[tuple[str, int], float],
-        region_meta: Mapping[str, RegionMeta],
+        values,
+        regions: Sequence[str],
+        years: Sequence[int],
+        countries: Sequence[str],
+        centroids=None,
+        groups: Sequence[Iterable[str]] | None = None,
     ):
-        if not values:
+        values = np.asarray(values, dtype=float)
+        R, T = values.shape
+        if len(regions) != R or len(countries) != R or len(years) != T:
+            raise ValueError(f"residual grid is {R}x{T}, labels do not match")
+        centroids = np.full((R, 2), math.nan) if centroids is None else np.asarray(centroids, float)
+        groups = [frozenset()] * R if groups is None else [frozenset(g) for g in groups]
+        present = ~np.isnan(values)
+        rows, cols = present.any(axis=1), present.any(axis=0)
+        if not rows.any():
             raise ValueError("residual panel is empty")
-        by_region: dict[str, list[tuple[int, float]]] = {}
-        by_year: dict[int, list[tuple[str, float]]] = {}
-        for (region, year), v in values.items():
-            if region not in region_meta:
-                raise ValueError(f"no metadata for region {region!r}")
-            by_region.setdefault(region, []).append((year, float(v)))
-            by_year.setdefault(year, []).append((region, float(v)))
-        self.region_meta = dict(region_meta)
-        self._region_series = {
-            r: (
-                np.array([y for y, _ in sorted(items)], dtype=np.int64),
-                np.array([v for _, v in sorted(items)], dtype=float),
-            )
-            for r, items in by_region.items()
-        }
-        self._year_series = {
-            y: (
-                np.array([r for r, _ in sorted(items)]),
-                np.array([v for _, v in sorted(items)], dtype=float),
-            )
-            for y, items in by_year.items()
-        }
+        self.values = values[rows][:, cols]
+        self.regions = tuple(np.asarray(regions, dtype=object)[rows].tolist())
+        self.years = tuple(np.asarray(years)[cols].tolist())
+        self.countries = np.asarray(countries, dtype=str)[rows]
+        self.centroids = centroids[rows]
+        self.groups = tuple(g for g, keep in zip(groups, rows) if keep)
+        self._distances = None
 
     @classmethod
     def from_fit(cls, fit: FitResult, design: DesignMatrix, dataset: PanelDataset) -> "ResidualPanel":
-        values = {key: float(r) for key, r in zip(design.row_index, fit.residuals)}
-        regions = {key[0] for key in design.row_index}
-        meta = {
-            r: RegionMeta(
-                country=dataset.country_of(r),
-                centroid=dataset.centroid_of(r),
-                groups=dataset.groups_of(r),
-            )
-            for r in regions
-        }
-        return cls(values, meta)
+        region, year = (np.asarray(column) for column in zip(*design.row_index))
+        grid = np.full(dataset.present.shape, math.nan)
+        grid[np.searchsorted(np.array(dataset.regions), region), year - dataset.first_year] = (
+            fit.residuals
+        )
+        years = range(dataset.first_year, dataset.first_year + grid.shape[1])
+        return cls(grid, dataset.regions, years, dataset.countries, dataset.centroids,
+                   dataset.groups)
 
-    @property
-    def regions(self) -> tuple[str, ...]:
-        return tuple(sorted(self._region_series))
+    def distances_km(self) -> np.ndarray:
+        """(R, R) great-circle distances between region centroids, computed on
+        first use; meaningless where either region has no centroid."""
+        if self._distances is None:
+            ll = np.nan_to_num(self.centroids)
+            self._distances = haversine_km(ll[:, None, :], ll[None, :, :])
+        return self._distances
 
-    @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(sorted(self._year_series))
 
-    def region_series(self, region: str):
-        return self._region_series[region]
+def pair_statistics(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlap, Pearson rho and degenerate flag of every pair of rows of a
+    NaN-masked grid, as (S, S) matrices over the S series (rows).
 
-    def year_series(self, year: int):
-        return self._year_series[year]
+    rho is over each pair's common cells, clipped to [-1, 1]; it is NaN or
+    meaningless where the overlap is below 2 or the pair is degenerate (either
+    series constant over the common cells, see the module docstring).
+    """
+    present = ~np.isnan(values)
+    M = present.astype(float)
+    centred = values - np.nanmean(values, axis=1, keepdims=True)
+    X = np.where(present, centred, 0.0)
+    N = M @ M.T
+    Sx = X @ M.T
+    Sxx = (X * X) @ M.T
+    scale = np.nanmax(np.abs(values), axis=1) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_x = Sx / N
+        cxx = Sxx - Sx * mean_x
+        cxy = X @ X.T - Sx * mean_x.T
+        flat = cxx <= N * ZERO_VARIANCE_TOL * scale[:, None]
+        rho = np.clip(cxy / np.sqrt(cxx * cxx.T), -1.0, 1.0)
+    return N.astype(np.int64), rho, flat | flat.T
 
 
 @dataclass(frozen=True)
-class PairCorrelation:
-    a: object
-    b: object
-    rho: float
-    overlap: int
+class GroupSpec:
+    """One summary row: a label, the kind, and the pair conditions it keeps.
+
+    Spatial conditions (all must hold): both regions in one country
+    (``same_country``) or in two (``different_country``), both in
+    ``country``, both tagged ``group``, and centroids closer than
+    ``below_km`` or farther than ``above_km``.  A pair that no other
+    condition rejects but that lacks a centroid for a distance condition is
+    skipped as ``no_coordinates``.  Temporal: ``consecutive`` keeps pairs of
+    adjacent calendar years.  No condition keeps every pair.
+    """
+
+    label: str
+    kind: str = "spatial"
+    same_country: bool = False
+    different_country: bool = False
+    country: str | None = None
+    group: str | None = None
+    below_km: float | None = None
+    above_km: float | None = None
+    consecutive: bool = False
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown correlation kind {self.kind!r}")
+        foreign = TEMPORAL_KEYS if self.kind == "spatial" else SPATIAL_KEYS
+        for f in fields(self):
+            if f.name in foreign and getattr(self, f.name) != f.default:
+                raise ValueError(f"key {f.name!r} does not apply to a {self.kind} group")
 
 
-@dataclass
+def _upper(square: np.ndarray) -> np.ndarray:
+    return square[np.triu_indices(square.shape[0], 1)]
+
+
+def pair_masks(panel: ResidualPanel, group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(passes, no_coordinates) masks of a group over its kind's upper-triangle
+    pairs; a rejection by any condition dominates a missing centroid."""
+    n = len(panel.regions) if group.kind == "spatial" else len(panel.years)
+    ok = np.ones((n, n), dtype=bool)
+    missing = np.zeros((n, n), dtype=bool)
+    if group.consecutive:
+        years = np.asarray(panel.years)
+        ok &= np.abs(years[:, None] - years[None, :]) == 1
+    c = panel.countries
+    if group.same_country:
+        ok &= c[:, None] == c[None, :]
+    if group.different_country:
+        ok &= c[:, None] != c[None, :]
+    if group.country:
+        member = c == str(group.country)
+        ok &= member[:, None] & member[None, :]
+    if group.group:
+        member = np.array([str(group.group) in g for g in panel.groups], dtype=bool)
+        ok &= member[:, None] & member[None, :]
+    if group.below_km is not None or group.above_km is not None:
+        located = ~np.isnan(panel.centroids[:, 0])
+        both = located[:, None] & located[None, :]
+        d = panel.distances_km()
+        if group.below_km is not None:
+            ok &= ~both | (d < float(group.below_km))
+        if group.above_km is not None:
+            ok &= ~both | (d > float(group.above_km))
+        missing = ok & ~both
+        ok &= both
+    return _upper(ok), _upper(missing)
+
+
+@dataclass(frozen=True)
 class PairCorrelations:
-    pairs: list[PairCorrelation]
-    skipped: dict[str, int] = field(default_factory=dict)
+    """One group's pairs in (a < b, row-major) order, plus skips by reason."""
 
-    @property
-    def rhos(self) -> np.ndarray:
-        return np.array([p.rho for p in self.pairs], dtype=float)
+    a: np.ndarray
+    b: np.ndarray
+    rho: np.ndarray
+    overlap: np.ndarray
+    skipped: dict[str, int] = field(default_factory=dict)
 
     @property
     def skipped_total(self) -> int:
         return sum(self.skipped.values())
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Pearson correlation; None when either series is degenerate."""
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return float(np.clip(float(xc @ yc) / (sx * sy), -1.0, 1.0))
+@dataclass(frozen=True)
+class _KindPairs:
+    """Upper-triangle statistics of one kind: labels, overlap, rho, degenerate."""
+
+    a: np.ndarray
+    b: np.ndarray
+    overlap: np.ndarray
+    rho: np.ndarray
+    degenerate: np.ndarray
 
 
-def spatial_pair_correlations(
+def _kind_pairs(panel: ResidualPanel, kind: str) -> _KindPairs:
+    if kind == "spatial":
+        grid, labels = panel.values, np.asarray(panel.regions, dtype=object)
+    else:
+        grid, labels = panel.values.T, np.asarray(panel.years)
+    ia, ib = np.triu_indices(grid.shape[0], 1)
+    N, rho, degenerate = pair_statistics(grid)
+    return _KindPairs(labels[ia], labels[ib], N[ia, ib], rho[ia, ib], degenerate[ia, ib])
+
+
+def _select(panel: ResidualPanel, pairs: _KindPairs, group: GroupSpec,
+            min_overlap: int) -> PairCorrelations:
+    passes, no_coordinates = pair_masks(panel, group)
+    short = passes & (pairs.overlap < min_overlap)
+    flat = passes & ~short & pairs.degenerate
+    keep = passes & ~short & ~pairs.degenerate
+    counts = {SKIP_NO_COORDINATES: no_coordinates, SKIP_SHORT_OVERLAP: short,
+              SKIP_ZERO_VARIANCE: flat}
+    skipped = {reason: int(m.sum()) for reason, m in counts.items() if m.any()}
+    return PairCorrelations(pairs.a[keep], pairs.b[keep], pairs.rho[keep], pairs.overlap[keep],
+                            skipped)
+
+
+def _check_min_overlap(min_overlap: int) -> None:
+    if min_overlap < 2:
+        raise ValueError(f"min_overlap must be at least 2 (a correlation needs two points), "
+                         f"got {min_overlap}")
+
+
+def pair_correlations(
     panel: ResidualPanel,
-    pair_filter: PairFilter | None = None,
+    group: GroupSpec,
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> PairCorrelations:
-    """Correlations of region residual sequences over their common years.
+    """One group's pair correlations.
 
-    Pairs rejected by the filter are excluded silently; pairs the filter
-    cannot evaluate (missing centroids) or that are short or degenerate are
-    counted under ``skipped``.
+    Pairs the group rejects are excluded silently; pairs it cannot evaluate
+    (missing centroids), and pairs with fewer than ``min_overlap`` common
+    cells or a constant series, are counted under ``skipped``.
     """
-    out = PairCorrelations(pairs=[], skipped={})
-    regs = panel.regions
-    for i, ra in enumerate(regs):
-        years_a, vals_a = panel.region_series(ra)
-        meta_a = panel.region_meta[ra]
-        for rb in regs[i + 1 :]:
-            meta_b = panel.region_meta[rb]
-            if pair_filter is not None:
-                verdict = pair_filter(meta_a, meta_b)
-                if verdict is FilterResult.REJECT:
-                    continue
-                if verdict is FilterResult.SKIP_NO_COORDINATES:
-                    out.skipped[SKIP_NO_COORDINATES] = out.skipped.get(SKIP_NO_COORDINATES, 0) + 1
-                    continue
-            years_b, vals_b = panel.region_series(rb)
-            common, ia, ib = np.intersect1d(
-                years_a, years_b, assume_unique=True, return_indices=True
-            )
-            if len(common) < min_overlap:
-                out.skipped[SKIP_SHORT_OVERLAP] = out.skipped.get(SKIP_SHORT_OVERLAP, 0) + 1
-                continue
-            rho = _pearson(vals_a[ia], vals_b[ib])
-            if rho is None:
-                out.skipped[SKIP_ZERO_VARIANCE] = out.skipped.get(SKIP_ZERO_VARIANCE, 0) + 1
-                continue
-            out.pairs.append(PairCorrelation(a=ra, b=rb, rho=rho, overlap=len(common)))
-    return out
-
-
-def consecutive_years() -> Callable[[int, int], bool]:
-    return lambda a, b: abs(a - b) == 1
-
-
-def temporal_pair_correlations(
-    panel: ResidualPanel,
-    pair_filter: Callable[[int, int], bool] | None = None,
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
-) -> PairCorrelations:
-    """Correlations of year residual cross-sections over their common regions."""
-    out = PairCorrelations(pairs=[], skipped={})
-    years = panel.years
-    for i, ya in enumerate(years):
-        regions_a, vals_a = panel.year_series(ya)
-        for yb in years[i + 1 :]:
-            if pair_filter is not None and not pair_filter(ya, yb):
-                continue
-            regions_b, vals_b = panel.year_series(yb)
-            common, ia, ib = np.intersect1d(
-                regions_a, regions_b, assume_unique=True, return_indices=True
-            )
-            if len(common) < min_overlap:
-                out.skipped[SKIP_SHORT_OVERLAP] = out.skipped.get(SKIP_SHORT_OVERLAP, 0) + 1
-                continue
-            rho = _pearson(vals_a[ia], vals_b[ib])
-            if rho is None:
-                out.skipped[SKIP_ZERO_VARIANCE] = out.skipped.get(SKIP_ZERO_VARIANCE, 0) + 1
-                continue
-            out.pairs.append(PairCorrelation(a=ya, b=yb, rho=rho, overlap=len(common)))
-    return out
+    _check_min_overlap(min_overlap)
+    return _select(panel, _kind_pairs(panel, group.kind), group, min_overlap)
 
 
 @dataclass(frozen=True)
@@ -325,33 +318,18 @@ def summarize(
     )
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """One summary row: a label, the kind, and the pair filter to apply."""
-
-    label: str
-    kind: str  # spatial | temporal
-    spatial_filter: PairFilter | None = None
-    temporal_filter: Callable[[int, int], bool] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("spatial", "temporal"):
-            raise ValueError(f"unknown correlation kind {self.kind!r}")
-
-
 def correlation_table(
     panel: ResidualPanel,
     groups: Sequence[GroupSpec],
     min_overlap: int = DEFAULT_MIN_OVERLAP,
 ) -> list[CorrelationSummary]:
-    """Group summaries over the panel, one row per group spec."""
+    """Group summaries over the panel, one row per group spec; the pair
+    statistics are computed once per kind and each group masks them."""
+    _check_min_overlap(min_overlap)
+    by_kind = {kind: _kind_pairs(panel, kind) for kind in {g.kind for g in groups}}
     rows = []
     for g in groups:
-        if g.kind == "spatial":
-            res = spatial_pair_correlations(panel, g.spatial_filter, min_overlap=min_overlap)
-        else:
-            res = temporal_pair_correlations(panel, g.temporal_filter, min_overlap=min_overlap)
-        rows.append(
-            summarize(res.rhos, group_label=g.label, kind=g.kind, skipped_count=res.skipped_total)
-        )
+        res = _select(panel, by_kind[g.kind], g, min_overlap)
+        rows.append(summarize(res.rho, group_label=g.label, kind=g.kind,
+                              skipped_count=res.skipped_total))
     return rows

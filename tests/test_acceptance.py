@@ -187,8 +187,6 @@ def test_criterion_4_bias_study():
 
 def test_criterion_5_planted_correlation():
     with criterion("criterion 5: planted within-country correlation", 30.0):
-        import clusterpanel.residcorr as rc
-
         cfg = DgpConfig(
             n_regions=200, n_years=30, countries=20, predictor_shared_weight=0.5,
             noise_sharing="country_year", noise_shared_weight=0.65, with_centroids=False,
@@ -197,10 +195,10 @@ def test_criterion_5_planted_correlation():
         design = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(design)
         panel = cp.ResidualPanel.from_fit(fit, design, ds)
-        same = cp.spatial_pair_correlations(panel, rc.same_country())
-        diff = cp.spatial_pair_correlations(panel, rc.different_country())
-        assert abs(float(np.mean(same.rhos)) - 0.65) <= 0.05
-        assert abs(float(np.mean(diff.rhos))) <= 0.05
+        same = cp.pair_correlations(panel, cp.GroupSpec("same", same_country=True))
+        diff = cp.pair_correlations(panel, cp.GroupSpec("different", different_country=True))
+        assert abs(float(np.mean(same.rho)) - 0.65) <= 0.05
+        assert abs(float(np.mean(diff.rho))) <= 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,29 @@ def test_corr_empty_group_reports_no_pairs(tmp_path):
     assert lines[1] == "spatial,ghost country,NA,NA,NA,0,0"
 
 
+@pytest.mark.parametrize(
+    "corr, message",
+    [
+        ({"groups": [{"label": "near", "kind": "spatial", "below_kms": 1000}]},
+         "unknown corr group key 'below_kms'"),
+        ({"groups": [{"label": "c", "kind": "spatial", "consecutive": True}]},
+         "corr group key 'consecutive' does not apply to a spatial group"),
+        ({"groups": [{"label": "s", "kind": "temporal", "same_country": True}]},
+         "corr group key 'same_country' does not apply to a temporal group"),
+        ({"min_overlap": 1},
+         "min_overlap must be at least 2 (a correlation needs two points), got 1"),
+    ],
+    ids=["unknown_key", "consecutive_on_spatial", "same_country_on_temporal", "min_overlap_1"],
+)
+def test_corr_config_errors_named(corr, message, capsys, tmp_path):
+    config = yaml.safe_load((ROOT / SAMPLE_CONFIG).read_text())
+    config["corr"].update(corr)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    assert run("corr", "--config", str(cfg_path), "--out", str(tmp_path / "corr")) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_fit_trivial_model_reports_only_intercept_and_dummies(tmp_path):
     import json
 

@@ -88,6 +88,17 @@ def test_load_csv_unparseable_cell_reports_row(tmp_path):
         load_csv(p, BASIC_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "row, cells", [("R1,A,2001", 3), ("R1,A,2001,0.2,1,extra", 6)], ids=["short", "long"]
+)
+def test_load_csv_ragged_row_reports_row_and_counts(row, cells, tmp_path):
+    p = write_csv(
+        tmp_path / "panel.csv", f"region,country,year,growth,temp\nR1,A,2000,0.1,1\n{row}\n"
+    )
+    with pytest.raises(ValueError, match=f"row 3 has {cells} cells, expected 5"):
+        load_csv(p, BASIC_SCHEMA)
+
+
 def test_load_csv_missing_column(tmp_path):
     p = write_csv(tmp_path / "panel.csv", "region,country,year,growth\nR1,A,2000,0.1\n")
     with pytest.raises(ValueError, match="missing"):
@@ -447,6 +458,17 @@ def test_haversine_rejects_bad_coordinates():
         haversine_km((91.0, 0.0), (0.0, 0.0))
     with pytest.raises(ValueError, match="longitude"):
         haversine_km((0.0, 0.0), (0.0, 181.0))
+    with pytest.raises(ValueError, match=r"latitude -95.0 outside \[-90, 90\]"):
+        haversine_km(np.array([[0.0, 0.0], [-95.0, 0.0]]), (0.0, 0.0))
+
+
+def test_haversine_broadcasts_like_scalar_calls(rng):
+    points = np.column_stack([rng.uniform(-89, 89, 12), rng.uniform(-179, 179, 12)])
+    d = haversine_km(points[:, None, :], points[None, :, :])
+    assert d.shape == (12, 12)
+    for i, j in np.ndindex(12, 12):
+        assert d[i, j] == haversine_km(tuple(points[i]), tuple(points[j]))
+    assert isinstance(haversine_km((0.0, 0.0), (1.0, 1.0)), float)
 
 
 def test_load_csv_custom_delimiter(tmp_path):
