@@ -25,7 +25,7 @@ from .panel import (
     build_design,
     fixed_effect_dummies,
 )
-from .regression import FitResult, ols_fit
+from .regression import FitResult, check_level, ols_fit
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,7 @@ def min_draws(level: float) -> int:
     max(20, ceil(2/(1-level))), with ``level`` taken as the decimal it prints
     as, so that level 0.9 needs 20 draws, not the 21 that the binary
     rounding of 1 - 0.9 would give."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_level(level)
     return max(20, math.ceil(2 / (1 - Fraction(repr(float(level))))))
 
 

@@ -4,110 +4,230 @@ Subcommands: fit, corr, cv, ic, bootstrap, project, simulate.  Every run
 reads a YAML config, accepts --seed / --threads / --out overrides, writes
 its outputs plus a manifest echoing the resolved configuration into the
 output directory, and is bit-reproducible from that manifest.
+
+``SCHEMA`` holds every config key with its type and default; a key with a
+home in the library takes its name and default from there.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import reports
-from .bootstrap import (
-    PercentileInterval,
-    block_bootstrap,
-    build_scenario_path,
-    first_discernible_year,
-    min_draws,
-    percentile_interval,
-    project_scenarios,
-)
+from .bootstrap import (PercentileInterval, block_bootstrap, build_scenario_path,
+                        first_discernible_year, min_draws, percentile_interval,
+                        project_scenarios)
 from .modelselect import cv_scan, ic_scan
-from .panel import (
-    ClusterScheme,
-    CsvSchema,
-    ModelSpec,
-    TermSpec,
-    assign_clusters,
-    build_design,
-    load_csv,
-)
-from .regression import clustered_cov, ols_fit, term_response_curve
-from .residcorr import (
-    SPATIAL_KEYS,
-    TEMPORAL_KEYS,
-    GroupSpec,
-    ResidualPanel,
-    correlation_table,
-)
+from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterScheme, CsvSchema, ModelSpec, TermSpec,
+                    assign_clusters, build_design, load_csv)
+from .regression import (check_level, clustered_cov, confidence_intervals, ols_fit,
+                         term_response_curve)
+from .residcorr import (DEFAULT_MIN_OVERLAP, SPATIAL_KEYS, TEMPORAL_KEYS, GroupSpec,
+                        ResidualPanel, correlation_table)
 from .simstudy import DgpConfig, bias_study, coverage_study
 
 COMMANDS = ("fit", "corr", "cv", "ic", "bootstrap", "project", "simulate")
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config schema
 # ---------------------------------------------------------------------------
 
-
-def _require(config: dict, key: str) -> dict:
-    if key not in config:
-        raise ValueError(f"config section {key!r} is missing")
-    return config[key]
+REQUIRED = object()  # the default of a key that must be given
+TOP = "top level"
 
 
-def _schema(data_cfg: dict, require_outcome: bool = True) -> CsvSchema:
-    cols = _require(data_cfg, "columns")
-    predictors = _require(data_cfg, "predictors")
-    return CsvSchema(
-        region=cols["region"],
-        country=cols["country"],
-        year=cols["year"],
-        outcome=cols.get("outcome") if require_outcome else None,
-        predictors=dict(predictors),
-        lat=cols.get("lat"),
-        lon=cols.get("lon"),
-        groups=tuple(data_cfg.get("group_columns", ())),
-        custom=dict(data_cfg.get("custom_columns", {})),
-        delimiter=data_cfg.get("delimiter", ","),
-    )
+class Variants(dict):
+    """Type of a key whose value selects more keys of its section: the table
+    that value maps to.  A key of another value's table does not apply."""
+
+
+def _list(coerce):
+    return lambda value: [coerce(v) for v in value]
+
+
+def _mapping(coerce):
+    return lambda value: {str(k): coerce(v) for k, v in value.items()}
+
+
+def _level(value) -> float:
+    check_level(float(value))
+    return float(value)
+
+
+def _fields(cls, *names) -> dict:
+    """Keys for the fields of dataclass ``cls`` (all, or those in ``names``)
+    with the fields' types and defaults; a field typed ``X | None`` is an X."""
+    types = {"str": str, "int": int, "float": float, "bool": bool}
+    return {f.name: (types[f.type.removesuffix(" | None")],
+                     REQUIRED if f.default is MISSING else f.default)
+            for f in fields(cls) if not names or f.name in names}
+
+
+def _default(func, name: str):
+    return inspect.signature(func).parameters[name].default
+
+
+# A key maps to (type, default).  The type is a coercion, a table (a nested
+# section), a one-table list (a list of sections) or Variants.  A key whose
+# default is None may be null.
+TERM = _fields(TermSpec)
+DGP = _fields(DgpConfig)
+_GROUP = _fields(GroupSpec)
+SCHEMA = {
+    "seed": (int, 0), "threads": (int, 1), "out": (str, None),  # out: out/<command>
+    "data": ({
+        "path": (str, REQUIRED),
+        **_fields(CsvSchema, "delimiter"),
+        "columns": (_fields(CsvSchema, "region", "country", "year", "outcome", "lat", "lon"),
+                    REQUIRED),
+        "predictors": (_mapping(str), REQUIRED),
+        "group_columns": (_list(str), []),
+        "custom_columns": (_mapping(str), {}),
+    }, REQUIRED),
+    "model": ({
+        **_fields(ModelSpec, "intercept"),
+        "fixed_effects": (_list(str), []),
+        "moderator_alignment": (str, _default(build_design, "moderator_alignment")),
+        "max_lag_ceiling": (int, DEFAULT_MAX_LAG_CEILING),
+        "terms": ([TERM], []),
+    }, {}),
+    "fit": ({
+        "schemes": (_list(str), ["region"]),
+        "correction": (str, _default(clustered_cov, "correction")),
+        "level": (_level, _default(confidence_intervals, "level")),
+        "response_curves": (bool, True),
+    }, {}),
+    "corr": ({
+        "min_overlap": (int, DEFAULT_MIN_OVERLAP),
+        "groups": ([{  # null: the default groups
+            "label": (str, None),  # null: the kind
+            "kind": (Variants(spatial={k: _GROUP[k] for k in SPATIAL_KEYS},
+                              temporal={k: _GROUP[k] for k in TEMPORAL_KEYS}), _GROUP["kind"][1]),
+        }], None),
+    }, {}),
+    "cv": ({
+        "schemes": (_list(str), ["region"]),
+        "k": (int, 5),
+        "direction": (str, _default(cv_scan, "direction")),
+        "candidates": ([TERM], []),
+    }, REQUIRED),
+    "ic": ({
+        "block_scheme": (str, "country_year"),
+        "direction": (str, _default(ic_scan, "direction")),
+        "criteria": (_list(str), _default(ic_scan, "criteria")),
+        "adjusted": (_list(bool), _default(ic_scan, "adjusted_flags")),
+        "count_variance_params": (bool, _default(ic_scan, "count_variance_params")),
+        "candidates": ([TERM], []),
+    }, {}),
+    "bootstrap": ({
+        "scheme": (str, "region"),
+        "b": (int, 1000),
+        "levels": (_list(_level), [0.9]),
+    }, REQUIRED),
+    "project": ({
+        "scheme": (str, "region"),
+        "b": (int, 1000),
+        "alpha": (float, _default(first_discernible_year, "alpha")),
+        "levels": (_list(_level), [0.65, 0.9]),
+        "aggregation": (Variants(mean={}, weighted={"weights": (_mapping(float), REQUIRED)}),
+                        _default(project_scenarios, "aggregation")),
+        "start_year": (int, None),
+        "scenarios": ([{"label": (str, REQUIRED), "path": (str, REQUIRED)}], REQUIRED),
+    }, REQUIRED),
+    "simulate": ({
+        "study": (Variants(
+            coverage={"schemes": (_list(str), ["region", "year"]),
+                      "level": (_level, _default(coverage_study, "level")),
+                      "correction": (str, _default(coverage_study, "correction"))},
+            bias={"scheme": (str, "year"), "correction": (str, _default(bias_study, "correction"))},
+        ), "coverage"),
+        **DGP,
+        "reps": (int, 1000),
+    }, REQUIRED),
+}
+READS = {command: ("data", "model", command) for command in COMMANDS} | {"simulate": ("simulate",)}
+
+
+def parse(table: dict, raw, section: str = TOP, fill: bool = True) -> dict:
+    """One config section through its table.  Unknown keys and keys of
+    another variant are errors.  With ``fill``, required keys must be given
+    and every key is returned, defaulted and coerced; without, the given
+    keys are only checked."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"section {section!r} must be a mapping, got {raw!r}")
+    table, foreign = dict(table), {}
+    for key, (kind, default) in list(table.items()):
+        if isinstance(kind, Variants):
+            choice = raw.get(key, default)
+            if choice not in kind:
+                raise ValueError(f"unknown {key} {choice!r} in section {section!r}; "
+                                 f"use one of {list(kind)}")
+            for keys in kind.values():
+                foreign.update(dict.fromkeys(keys, f"{key} {choice!r}"))
+            table.update(kind[choice])
+    for key in raw:
+        if key not in table and key in foreign:
+            raise ValueError(f"key {key!r} in section {section!r} does not apply to {foreign[key]}")
+        if key not in table:
+            raise ValueError(f"unknown key {key!r} in section {section!r}")
+    resolved = {}
+    for key, (kind, default) in table.items():
+        if key not in raw and (default is REQUIRED or not fill):
+            if fill:
+                raise ValueError(f"key {key!r} is missing from section {section!r}")
+            continue
+        value = raw.get(key, default)
+        name = key if section == TOP else f"{section}.{key}"
+        if value is None and default is None or isinstance(kind, Variants):
+            resolved[key] = value
+        elif isinstance(kind, dict):
+            resolved[key] = parse(kind, value, name, fill)
+        elif isinstance(kind, list):
+            resolved[key] = [parse(kind[0], v, f"{name}[{i}]", fill) for i, v in enumerate(value)]
+        elif fill:
+            try:
+                if value is None:
+                    raise ValueError("it may not be null")
+                resolved[key] = kind(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad {key!r} in section {section!r}: {exc}") from None
+    return resolved
+
+
+def resolve(config: dict, command: str) -> dict:
+    """The configuration ``command`` runs on: the run settings and the
+    sections it reads, resolved.  Every other present section is checked."""
+    parse(SCHEMA, config, fill=False)
+    reads = ("seed", "threads", "out", *READS[command])
+    return parse({k: SCHEMA[k] for k in reads}, {k: v for k, v in config.items() if k in reads})
+
+
+def _schema(data: dict) -> CsvSchema:
+    return CsvSchema(**data["columns"], predictors=data["predictors"], groups=data["group_columns"],
+                     custom=data["custom_columns"], delimiter=data["delimiter"])
 
 
 def _load_dataset(config: dict):
-    data_cfg = _require(config, "data")
-    return load_csv(data_cfg["path"], _schema(data_cfg))
+    return load_csv(config["data"]["path"], _schema(config["data"]))
 
 
-def _term(d: dict) -> TermSpec:
-    return TermSpec(
-        variable=d["variable"],
-        differenced=bool(d.get("differenced", True)),
-        moderator=d.get("moderator"),
-        max_lag=int(d.get("max_lag", 0)),
-    )
+def _model(config: dict) -> ModelSpec:
+    model = config["model"]
+    return ModelSpec(tuple(TermSpec(**t) for t in model["terms"]), model["fixed_effects"],
+                     model["intercept"])
 
 
-def _model(config: dict) -> tuple[ModelSpec, str, int]:
-    model_cfg = config.get("model", {})
-    spec = ModelSpec(
-        terms=tuple(_term(d) for d in model_cfg.get("terms", [])),
-        fixed_effects=tuple(model_cfg.get("fixed_effects", ())),
-        intercept=bool(model_cfg.get("intercept", True)),
-    )
-    alignment = model_cfg.get("moderator_alignment", "contemporaneous")
-    ceiling = int(model_cfg.get("max_lag_ceiling", 10))
-    return spec, alignment, ceiling
-
-
-def _scheme(text: str) -> ClusterScheme:
-    return ClusterScheme.parse(text)
-
-
-def _safe(label: str) -> str:
-    return label.replace(":", "_")
+def _design(config: dict, dataset, spec: ModelSpec):
+    model = config["model"]
+    return build_design(dataset, spec, moderator_alignment=model["moderator_alignment"],
+                        max_lag_ceiling=model["max_lag_ceiling"])
 
 
 # ---------------------------------------------------------------------------
@@ -116,82 +236,47 @@ def _safe(label: str) -> str:
 
 
 def cmd_fit(config: dict, out: Path, seed: int, threads: int) -> None:
-    dataset = _load_dataset(config)
-    spec, alignment, ceiling = _model(config)
-    fit_cfg = config.get("fit", {})
-    schemes = [_scheme(s) for s in fit_cfg.get("schemes", ["region"])]
-    correction = fit_cfg.get("correction", "CR1")
-    level = float(fit_cfg.get("level", 0.95))
-    design = build_design(
-        dataset, spec, moderator_alignment=alignment, max_lag_ceiling=ceiling
-    )
+    dataset, spec, fit_cfg = _load_dataset(config), _model(config), config["fit"]
+    schemes = [ClusterScheme.parse(s) for s in fit_cfg["schemes"]]
+    design = _design(config, dataset, spec)
     fit = ols_fit(design)
-    covs = {}
-    for scheme in schemes:
-        clusters = assign_clusters(design, scheme)
-        covs[scheme.label] = clustered_cov(fit, design, clusters, correction=correction)
-    table = reports.coefficient_table(fit, covs, level)
+    covs = {s.label: clustered_cov(fit, design, assign_clusters(design, s),
+                                   correction=fit_cfg["correction"]) for s in schemes}
+    table = reports.coefficient_table(fit, covs, fit_cfg["level"])
     table["dropped_rows"] = len(design.dropped_rows)
     reports.write_json(out / "coefficients.json", table)
-    if spec.terms and bool(fit_cfg.get("response_curves", True)):
+    if spec.terms and fit_cfg["response_curves"]:
+        medians = [dataset.predictor_median(t.moderator) if t.moderator else 0.0 for t in spec.terms]
         for label, cov in covs.items():
-            curves = []
-            for term in spec.terms:
-                value = dataset.predictor_median(term.moderator) if term.moderator else 0.0
-                curves.append(
-                    term_response_curve(fit, cov, term, moderator_value=value, level=level)
-                )
-            reports.write_response_curves(out / f"response_curves_{_safe(label)}.csv", curves)
+            curves = [term_response_curve(fit, cov, t, moderator_value=m, level=fit_cfg["level"])
+                      for t, m in zip(spec.terms, medians)]
+            path = out / f"response_curves_{label.replace(':', '_')}.csv"
+            reports.write_response_curves(path, curves)
     print(f"fit: n={fit.n} p={fit.p} R^2={fit.r_squared:.4f} schemes={[s.label for s in schemes]}")
 
 
-def _group_from_dict(d: dict) -> GroupSpec:
-    kind = d.get("kind", "spatial")
-    every = SPATIAL_KEYS + TEMPORAL_KEYS
-    # an unknown kind is named by GroupSpec
-    own = {"spatial": SPATIAL_KEYS, "temporal": TEMPORAL_KEYS}.get(kind, every)
-    for key in d:
-        if key in every and key not in own:
-            raise ValueError(f"corr group key {key!r} does not apply to a {kind} group")
-        if key not in ("label", "kind", *own):
-            raise ValueError(f"unknown corr group key {key!r}")
-    label = d.get("label") or kind
-    return GroupSpec(label=label, **{k: v for k, v in d.items() if k != "label"})
-
-
-def _default_groups(dataset) -> list[GroupSpec]:
-    groups = [
-        GroupSpec("all", "temporal"),
-        GroupSpec("consecutive", "temporal", consecutive=True),
-        GroupSpec("all", "spatial"),
-        GroupSpec("same country", "spatial", same_country=True),
-        GroupSpec("different country", "spatial", different_country=True),
-    ]
+def _groups(groups: list | None, dataset) -> list[GroupSpec]:
+    """The configured corr groups; when ``groups`` is null, the defaults."""
+    if groups is not None:
+        return [GroupSpec(**{**g, "label": g["label"] or g["kind"]}) for g in groups]
+    groups = [GroupSpec("all", "temporal"), GroupSpec("consecutive", "temporal", consecutive=True),
+              GroupSpec("all", "spatial"), GroupSpec("same country", "spatial", same_country=True),
+              GroupSpec("different country", "spatial", different_country=True)]
     if any(dataset.centroid_of(r) is not None for r in dataset.regions):
-        groups += [
-            GroupSpec("<1000km, same country", "spatial", same_country=True, below_km=1000.0),
-            GroupSpec("<1000km, different country", "spatial", different_country=True,
-                      below_km=1000.0),
-            GroupSpec(">1000km, same country", "spatial", same_country=True, above_km=1000.0),
-            GroupSpec(">1000km, different country", "spatial", different_country=True,
-                      above_km=1000.0),
-        ]
+        groups += [GroupSpec(f"{sign}1000km, {country} country", "spatial",
+                             **{f"{country}_country": True, side: 1000.0})
+                   for sign, side in (("<", "below_km"), (">", "above_km"))
+                   for country in ("same", "different")]
     return groups
 
 
 def cmd_corr(config: dict, out: Path, seed: int, threads: int) -> None:
     dataset = _load_dataset(config)
-    spec, alignment, ceiling = _model(config)
-    corr_cfg = config.get("corr", {})
-    design = build_design(dataset, spec, moderator_alignment=alignment, max_lag_ceiling=ceiling)
+    design = _design(config, dataset, _model(config))
     fit = ols_fit(design)
     panel = ResidualPanel.from_fit(fit, design, dataset)
-    if "groups" in corr_cfg:
-        groups = [_group_from_dict(d) for d in corr_cfg["groups"]]
-    else:
-        groups = _default_groups(dataset)
-    min_overlap = int(corr_cfg.get("min_overlap", 10))
-    summaries = correlation_table(panel, groups, min_overlap=min_overlap)
+    summaries = correlation_table(panel, _groups(config["corr"]["groups"], dataset),
+                                  min_overlap=config["corr"]["min_overlap"])
     reports.write_correlation_table(out / "correlations.csv", summaries)
     print(f"corr: {len(summaries)} groups over {fit.n} residuals")
 
@@ -200,79 +285,54 @@ def _scan_setup(section: dict, spec: ModelSpec) -> tuple[str, ModelSpec, list[Te
     """Direction, base model and candidates of a cv or ic scan: forward scans
     grow the trivial model (fixed effects and intercept kept), backward scans
     shrink the configured model."""
-    direction = section.get("direction", "forward")
+    direction = section["direction"]
     base = replace(spec, terms=()) if direction == "forward" else spec
-    return direction, base, [_term(d) for d in section.get("candidates", [])]
+    return direction, base, [TermSpec(**t) for t in section["candidates"]]
 
 
 def cmd_cv(config: dict, out: Path, seed: int, threads: int) -> None:
-    dataset = _load_dataset(config)
-    spec, alignment, _ = _model(config)
-    cv_cfg = _require(config, "cv")
-    schemes = [_scheme(s) for s in cv_cfg.get("schemes", [cv_cfg.get("scheme", "region")])]
-    K = int(cv_cfg.get("k", 5))
-    direction, base, candidates = _scan_setup(cv_cfg, spec)
+    dataset, cv_cfg = _load_dataset(config), config["cv"]
+    schemes = [ClusterScheme.parse(s) for s in cv_cfg["schemes"]]
+    direction, base, candidates = _scan_setup(cv_cfg, _model(config))
     rows = []
-    summary = {"direction": direction, "k": K, "seed": seed, "schemes": {}}
+    summary = {"direction": direction, "k": cv_cfg["k"], "seed": seed, "schemes": {}}
     for scheme in schemes:
-        scan = cv_scan(
-            dataset, base, candidates, scheme, K, seed,
-            direction=direction, moderator_alignment=alignment,
-        )
+        scan = cv_scan(dataset, base, candidates, scheme, cv_cfg["k"], seed, direction=direction,
+                       moderator_alignment=config["model"]["moderator_alignment"])
         summary["schemes"][scheme.label] = {
             "reference_loss": scan.reference_loss,
             "rows_used": scan.rows_used,
             "collinear_entries": sum(e.collinear for e in scan.entries),
         }
-        for e in scan.entries:
-            rows.append(
-                [e.term, "removed" if e.lag_depth is None else e.lag_depth, scheme.label, e.delta_loss]
-            )
+        rows += [[e.term, "removed" if e.lag_depth is None else e.lag_depth, scheme.label,
+                  e.delta_loss] for e in scan.entries]
     reports.write_csv(out / "cv_scan.csv", ["term", "lag_depth", "scheme", "delta_loss"], rows)
     reports.write_json(out / "cv_summary.json", summary)
     print(f"cv: {direction} scan, {len(rows)} entries over {[s.label for s in schemes]}")
 
 
 def cmd_ic(config: dict, out: Path, seed: int, threads: int) -> None:
-    dataset = _load_dataset(config)
-    spec, alignment, _ = _model(config)
-    ic_cfg = config.get("ic", {})
-    block = _scheme(ic_cfg.get("block_scheme", "country_year"))
-    direction, base, candidates = _scan_setup(ic_cfg, spec)
-    scan = ic_scan(
-        dataset,
-        base,
-        candidates,
-        block,
-        direction=direction,
-        criteria=tuple(ic_cfg.get("criteria", ["AIC", "BIC"])),
-        adjusted_flags=tuple(bool(a) for a in ic_cfg.get("adjusted", [False, True])),
-        moderator_alignment=alignment,
-        count_variance_params=bool(ic_cfg.get("count_variance_params", True)),
-    )
+    dataset, ic_cfg = _load_dataset(config), config["ic"]
+    block = ClusterScheme.parse(ic_cfg["block_scheme"])
+    direction, base, candidates = _scan_setup(ic_cfg, _model(config))
+    scan = ic_scan(dataset, base, candidates, block, direction=direction,
+                   criteria=tuple(ic_cfg["criteria"]), adjusted_flags=tuple(ic_cfg["adjusted"]),
+                   moderator_alignment=config["model"]["moderator_alignment"],
+                   count_variance_params=ic_cfg["count_variance_params"])
     reports.write_ic_scan(out / "ic_scan.csv", scan, block.label)
-    reports.write_json(
-        out / "ic_summary.json",
-        {
-            "direction": direction,
-            "block_scheme": block.label,
-            "rows_used": scan.rows_used,
-            "reference": {f"{crit}_adj{int(adj)}": v for (crit, adj), v in scan.reference.items()},
-        },
-    )
+    reference = {f"{crit}_adj{int(adj)}": v for (crit, adj), v in scan.reference.items()}
+    reports.write_json(out / "ic_summary.json",
+                       {"direction": direction, "block_scheme": block.label,
+                        "rows_used": scan.rows_used, "reference": reference})
     print(f"ic: {direction} scan, {len(scan.entries)} entries, blocks={block.label}")
 
 
 def cmd_bootstrap(config: dict, out: Path, seed: int, threads: int) -> None:
-    dataset = _load_dataset(config)
-    spec, alignment, _ = _model(config)
-    boot_cfg = _require(config, "bootstrap")
-    scheme = _scheme(boot_cfg.get("scheme", "region"))
-    B = int(boot_cfg.get("b", 1000))
-    levels = [float(x) for x in boot_cfg.get("levels", [0.9])]
-    sample = block_bootstrap(
-        dataset, spec, scheme, B, seed, threads=threads, moderator_alignment=alignment
-    )
+    boot_cfg = config["bootstrap"]
+    scheme = ClusterScheme.parse(boot_cfg["scheme"])
+    sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed,
+                             threads=threads,
+                             moderator_alignment=config["model"]["moderator_alignment"])
     intervals = {}
     for j, (name, label) in enumerate(zip(sample.column_names, sample.base_fit.column_labels)):
         contrast = np.zeros(len(sample.column_names))
@@ -284,138 +344,69 @@ def cmd_bootstrap(config: dict, out: Path, seed: int, threads: int) -> None:
             level: PercentileInterval(np.nan, np.nan, np.nan, level, used, len(sample.draws) - used)
             if label.kind in ("intercept", "dummy") and used < min_draws(level)
             else percentile_interval(sample, contrast, level)
-            for level in levels
+            for level in boot_cfg["levels"]
         }
     reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", sample, intervals)
-    reports.write_json(
-        out / "bootstrap_summary.json",
-        {
-            "scheme": scheme.label,
-            "b": B,
-            "seed": seed,
-            "failed_refits": sample.failed_refits,
-            "sd": {name: float(s) for name, s in zip(sample.column_names, sample.sd())},
-        },
-    )
-    print(f"bootstrap: B={B} scheme={scheme.label} failed={sample.failed_refits}")
+    sd = {name: float(s) for name, s in zip(sample.column_names, sample.sd())}
+    reports.write_json(out / "bootstrap_summary.json",
+                       {"scheme": scheme.label, "b": boot_cfg["b"], "seed": seed,
+                        "failed_refits": sample.failed_refits, "sd": sd})
+    print(f"bootstrap: B={boot_cfg['b']} scheme={scheme.label} failed={sample.failed_refits}")
 
 
 def cmd_project(config: dict, out: Path, seed: int, threads: int) -> None:
-    dataset = _load_dataset(config)
-    spec, alignment, ceiling = _model(config)
-    proj_cfg = _require(config, "project")
-    scheme = _scheme(proj_cfg.get("scheme", "region"))
-    B = int(proj_cfg.get("b", 1000))
-    alpha = float(proj_cfg.get("alpha", 0.05))
-    levels = [float(x) for x in proj_cfg.get("levels", [0.65, 0.9])]
-    aggregation = proj_cfg.get("aggregation", "mean")
-    weights = proj_cfg.get("weights")
-    start_year = proj_cfg.get("start_year")
-    sample = block_bootstrap(
-        dataset, spec, scheme, B, seed, threads=threads, moderator_alignment=alignment
-    )
-    design = build_design(dataset, spec, moderator_alignment=alignment, max_lag_ceiling=ceiling)
-    scenario_schema = _schema(_require(config, "data"), require_outcome=False)
+    dataset, spec, proj_cfg = _load_dataset(config), _model(config), config["project"]
+    sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
+                             seed, threads=threads,
+                             moderator_alignment=config["model"]["moderator_alignment"])
+    design = _design(config, dataset, spec)
+    scenario_schema = replace(_schema(config["data"]), outcome=None)
     projections = []
     unseen = {}
-    for sc in _require(proj_cfg, "scenarios"):
-        future = load_csv(sc["path"], scenario_schema)
+    for sc in proj_cfg["scenarios"]:
         path = build_scenario_path(
-            future,
-            spec,
-            design,
-            sc["label"],
-            moderator_alignment=alignment,
-            start_year=int(start_year) if start_year is not None else None,
+            load_csv(sc["path"], scenario_schema), spec, design, sc["label"],
+            moderator_alignment=config["model"]["moderator_alignment"],
+            start_year=proj_cfg["start_year"],
         )
         unseen[sc["label"]] = path.unseen_levels
-        projections.append(
-            project_scenarios(sample, path, aggregation=aggregation, weights=weights)
-        )
-    reports.write_projections(out / "projection.csv", projections, levels)
-    verdicts = []
-    for i in range(len(projections)):
-        for j in range(i + 1, len(projections)):
-            year = first_discernible_year(projections[i], projections[j], alpha=alpha)
-            verdicts.append(
-                {
-                    "a": projections[i].label,
-                    "b": projections[j].label,
-                    "first_discernible_year": year,
-                }
-            )
-    reports.write_json(
-        out / "discernibility.json",
-        {"alpha": alpha, "pairs": verdicts, "unseen_levels": unseen,
-         "failed_refits": sample.failed_refits},
-    )
-    print(f"project: {len(projections)} scenarios, B={B}, alpha={alpha}")
+        projections.append(project_scenarios(sample, path, aggregation=proj_cfg["aggregation"],
+                                             weights=proj_cfg.get("weights")))
+    reports.write_projections(out / "projection.csv", projections, proj_cfg["levels"])
+    alpha = proj_cfg["alpha"]
+    verdicts = [
+        {"a": a.label, "b": b.label, "first_discernible_year": first_discernible_year(a, b, alpha)}
+        for i, a in enumerate(projections) for b in projections[i + 1:]
+    ]
+    reports.write_json(out / "discernibility.json",
+                       {"alpha": alpha, "pairs": verdicts, "unseen_levels": unseen,
+                        "failed_refits": sample.failed_refits})
+    print(f"project: {len(projections)} scenarios, B={proj_cfg['b']}, alpha={alpha}")
 
 
 def cmd_simulate(config: dict, out: Path, seed: int, threads: int) -> None:
-    sim_cfg = _require(config, "simulate")
-    study = sim_cfg.get("study", "coverage")
-    dgp = DgpConfig(
-        n_regions=int(sim_cfg["n_regions"]),
-        n_years=int(sim_cfg["n_years"]),
-        beta_true=float(sim_cfg.get("beta_true", 1.0)),
-        predictor_shared_weight=float(sim_cfg.get("predictor_shared_weight", 0.9)),
-        noise_shared_weight=float(sim_cfg.get("noise_shared_weight", 0.9)),
-        noise_scale=float(sim_cfg.get("noise_scale", 1.0)),
-        countries=sim_cfg.get("countries"),
-        predictor_sharing=sim_cfg.get("predictor_sharing", "region"),
-        noise_sharing=sim_cfg.get("noise_sharing", "year"),
-        predictor_spatial_weight=float(sim_cfg.get("predictor_spatial_weight", 0.0)),
-        with_centroids=bool(sim_cfg.get("with_centroids", True)),
-    )
-    reps = int(sim_cfg.get("reps", 1000))
-    if study == "coverage":
-        schemes = [_scheme(s) for s in sim_cfg.get("schemes", ["region", "year"])]
-        report = coverage_study(
-            dgp,
-            schemes,
-            reps=reps,
-            level=float(sim_cfg.get("level", 0.95)),
-            seed=seed,
-            correction=sim_cfg.get("correction", "CR1"),
-            threads=threads,
-        )
+    sim_cfg = config["simulate"]
+    dgp = DgpConfig(**{key: sim_cfg[key] for key in DGP})
+    run = {"reps": sim_cfg["reps"], "seed": seed, "correction": sim_cfg["correction"],
+           "threads": threads}
+    if sim_cfg["study"] == "coverage":
+        schemes = [ClusterScheme.parse(s) for s in sim_cfg["schemes"]]
+        report = coverage_study(dgp, schemes, level=sim_cfg["level"], **run)
         reports.write_coverage_report(out / "coverage.csv", report)
-        print(
-            "simulate coverage: "
-            + " ".join(f"{r.scheme}={r.coverage:.3f}" for r in report.rows)
-        )
-    elif study == "bias":
-        report = bias_study(
-            dgp,
-            _scheme(sim_cfg.get("scheme", "year")),
-            reps=reps,
-            seed=seed,
-            correction=sim_cfg.get("correction", "CR0"),
-            threads=threads,
-        )
+        print("simulate coverage: " + " ".join(f"{r.scheme}={r.coverage:.3f}" for r in report.rows))
+    else:
+        report = bias_study(dgp, ClusterScheme.parse(sim_cfg["scheme"]), **run)
         reports.write_bias_report(out / "bias.csv", report)
         print(f"simulate bias: ratio={report.ratio:.4f}")
-    else:
-        raise ValueError(f"unknown study {study!r}; use 'coverage' or 'bias'")
 
 
-HANDLERS = {
-    "fit": cmd_fit,
-    "corr": cmd_corr,
-    "cv": cmd_cv,
-    "ic": cmd_ic,
-    "bootstrap": cmd_bootstrap,
-    "project": cmd_project,
-    "simulate": cmd_simulate,
-}
+HANDLERS = {"fit": cmd_fit, "corr": cmd_corr, "cv": cmd_cv, "ic": cmd_ic,
+            "bootstrap": cmd_bootstrap, "project": cmd_project, "simulate": cmd_simulate}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="clusterpanel",
-        description="Cluster-aware inference for panel regressions.",
-    )
+        prog="clusterpanel", description="Cluster-aware inference for panel regressions.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
@@ -429,23 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config, manifest_command, manifest_seed, manifest_threads = reports.load_config(args.config)
+        raw, manifest_command, manifest_seed, manifest_threads = reports.load_config(args.config)
         if manifest_command is not None and manifest_command != args.command:
-            raise ValueError(
-                f"manifest was written by {manifest_command!r}, not {args.command!r}"
-            )
-        seed = args.seed if args.seed is not None else (
-            manifest_seed if manifest_seed is not None else int(config.get("seed", 0))
-        )
-        threads = args.threads if args.threads is not None else (
-            manifest_threads if manifest_threads is not None else int(config.get("threads", 1))
-        )
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
-        out = Path(args.out) if args.out else Path(config.get("out", f"out/{args.command}"))
+            raise ValueError(f"manifest was written by {manifest_command!r}, not {args.command!r}")
+        config = resolve(raw, args.command)
+        # a flag overrides a manifest's header, which overrides the config
+        for key, *given in (("seed", args.seed, manifest_seed),
+                            ("threads", args.threads, manifest_threads)):
+            config[key] = next((v for v in given if v is not None), config[key])
+        if config["threads"] < 1:
+            raise ValueError(f"threads must be at least 1, got {config['threads']}")
+        config["out"] = config["out"] or f"out/{args.command}"
+        out = Path(args.out or config["out"])
         out.mkdir(parents=True, exist_ok=True)
-        HANDLERS[args.command](config, out, seed, threads)
-        reports.write_manifest(out, args.command, seed, threads, config)
+        HANDLERS[args.command](config, out, config["seed"], config["threads"])
+        reports.write_manifest(out, args.command, config["seed"], config["threads"], config)
     except Exception as exc:  # surface config/module errors with exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,16 @@ from .panel import ClusterAssignment, ClusterScheme, DesignMatrix, TermSpec, ter
 FEW_CLUSTERS_THRESHOLD = 40
 
 
+def check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
+def check_correction(correction: str) -> None:
+    if correction not in ("CR0", "CR1"):
+        raise ValueError(f"unknown correction {correction!r}; use 'CR0' or 'CR1'")
+
+
 class RankDeficientError(ValueError):
     """Design matrix is numerically rank deficient."""
 
@@ -120,8 +130,7 @@ def clustered_cov(
     to ~0 by orthogonality): a warning is emitted and, since the CR1 factor
     is undefined there, no small-sample correction is applied.
     """
-    if correction not in ("CR0", "CR1"):
-        raise ValueError(f"unknown correction {correction!r}; use 'CR0' or 'CR1'")
+    check_correction(correction)
     if clusters.n_rows != fit.n or design.n != fit.n:
         raise ValueError("fit, design and clusters disagree on the row count")
     X = design.X
@@ -150,8 +159,7 @@ def clustered_cov(
 
 @functools.lru_cache(maxsize=None)
 def _t_quantile(level: float, G: int) -> float:
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_level(level)
     if G < 2:
         raise ValueError("confidence intervals need at least 2 clusters")
     return float(sstats.t.ppf(0.5 + level / 2.0, G - 1))

@@ -212,8 +212,8 @@ def write_bias_report(path, report: BiasReport) -> None:
 
 
 def write_manifest(out_dir, command: str, seed: int, threads: int, config: dict) -> Path:
-    """Echo the fully resolved run configuration; rerunning from this file
-    reproduces the outputs."""
+    """Write the run's command, seed, threads and ``config``, the resolved
+    configuration it ran on; rerunning from this file reproduces the outputs."""
     path = Path(out_dir) / "manifest.yaml"
     payload = {"command": command, "seed": seed, "threads": threads, "config": config}
     with open(path, "w", encoding="utf-8") as fh:

@@ -25,7 +25,8 @@ from .panel import (
     assign_clusters,
     build_design,
 )
-from .regression import clustered_cov, confidence_intervals, ols_fit
+from .regression import (check_correction, check_level, clustered_cov, confidence_intervals,
+                         ols_fit)
 
 _SHARING_LEVELS = ("region", "year", "country_year")
 
@@ -217,10 +218,12 @@ def coverage_study(
 
     Each replication generates a fresh panel, fits intercept + x, and checks
     whether each scheme's interval covers the true slope.  Fit failures are
-    counted per scheme, not fatal.
+    counted per scheme, not fatal; a bad level or correction fails up front.
     """
     if reps < 100:
         raise ValueError(f"coverage study needs at least 100 replications, got {reps}")
+    check_level(level)
+    check_correction(correction)
 
     def run(rep):
         try:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from clusterpanel import cli
 from clusterpanel.cli import COMMANDS, main
 from clusterpanel.panel import PanelDataset, save_csv
 from clusterpanel.simstudy import DgpConfig, generate_panel
@@ -129,11 +130,11 @@ def test_corr_empty_group_reports_no_pairs(tmp_path):
     "corr, message",
     [
         ({"groups": [{"label": "near", "kind": "spatial", "below_kms": 1000}]},
-         "unknown corr group key 'below_kms'"),
+         "unknown key 'below_kms' in section 'corr.groups[0]'"),
         ({"groups": [{"label": "c", "kind": "spatial", "consecutive": True}]},
-         "corr group key 'consecutive' does not apply to a spatial group"),
+         "key 'consecutive' in section 'corr.groups[0]' does not apply to kind 'spatial'"),
         ({"groups": [{"label": "s", "kind": "temporal", "same_country": True}]},
-         "corr group key 'same_country' does not apply to a temporal group"),
+         "key 'same_country' in section 'corr.groups[0]' does not apply to kind 'temporal'"),
         ({"min_overlap": 1},
          "min_overlap must be at least 2 (a correlation needs two points), got 1"),
     ],
@@ -249,3 +250,165 @@ def test_bootstrap_reports_unresolved_year_dummies_as_na(tmp_path):
         if r["label"].startswith("d.x"):
             assert math.isfinite(float(r["lower"])) and math.isfinite(float(r["upper"]))
             assert int(r["used_draws"]) >= 20
+
+
+def _sample_config() -> dict:
+    return yaml.safe_load((ROOT / SAMPLE_CONFIG).read_text())
+
+
+def _run_config(config: dict, command: str, tmp_path: Path) -> int:
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    return run(command, "--config", str(cfg_path), "--out", str(tmp_path / command))
+
+
+# (command, path to the section in the sample config, key, value, section named)
+TYPOS = [
+    ("fit", (), "sead", 3, "top level"),
+    ("fit", ("data",), "delimeter", ";", "data"),
+    ("fit", ("data", "columns"), "regoin", "region", "data.columns"),
+    ("fit", ("model",), "fixed_effect", ["year"], "model"),
+    ("fit", ("model", "terms", 0), "max_lags", 1, "model.terms[0]"),
+    ("fit", ("fit",), "response_curve", False, "fit"),
+    ("corr", ("corr",), "min_overlaps", 50, "corr"),
+    ("corr", ("corr", "groups", 1), "same_countries", True, "corr.groups[1]"),
+    ("cv", ("cv",), "directon", "backward", "cv"),
+    ("cv", ("cv",), "scheme", "year", "cv"),  # no longer an alias of schemes
+    ("cv", ("cv", "candidates", 0), "max_lags", 1, "cv.candidates[0]"),
+    ("ic", ("ic",), "critera", ["AIC"], "ic"),
+    ("ic", ("ic", "candidates", 0), "moderater", "xbar", "ic.candidates[0]"),
+    ("bootstrap", ("bootstrap",), "B", 10, "bootstrap"),
+    ("project", ("project",), "aplha", 0.1, "project"),
+    ("project", ("project", "scenarios", 1), "file", "x.csv", "project.scenarios[1]"),
+    ("simulate", ("simulate",), "n_region", 5, "simulate"),
+]
+
+
+@pytest.mark.parametrize("command, where, key, value, section", TYPOS,
+                         ids=[f"{t[4]}.{t[2]}" for t in TYPOS])
+def test_unknown_key_names_key_and_section(command, where, key, value, section, capsys, tmp_path):
+    config = _sample_config()
+    target = config
+    for step in where:
+        target = target[step]
+    target[key] = value
+    assert _run_config(config, command, tmp_path) == 1
+    assert f"error: unknown key {key!r} in section {section!r}" in capsys.readouterr().err
+    assert not (tmp_path / command / "manifest.yaml").exists()
+
+
+def test_unknown_key_in_an_unread_section_is_an_error(capsys, tmp_path):
+    config = _sample_config()
+    config["corr"]["min_overlaps"] = 50
+    assert _run_config(config, "fit", tmp_path) == 1
+    assert "unknown key 'min_overlaps' in section 'corr'" in capsys.readouterr().err
+
+
+def test_simulate_needs_no_data_section(tmp_path):
+    config = _sample_config()
+    assert _run_config({"seed": 3, "simulate": config["simulate"]}, "simulate", tmp_path) == 0
+
+
+DROP = object()  # a change that removes the key
+
+
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("simulate", {"level": 1.5}, "level must be in (0, 1), got 1.5"),
+        ("simulate", {"correction": "CR2"}, "unknown correction 'CR2'; use 'CR0' or 'CR1'"),
+        ("simulate", {"scheme": "year"},
+         "key 'scheme' in section 'simulate' does not apply to study 'coverage'"),
+        ("simulate", {"study": "bias", "noise_shared_weight": 0.0, "reps": 500, "level": DROP},
+         "key 'schemes' in section 'simulate' does not apply to study 'bias'"),
+        ("project", {"levels": [0.9, 1.5]}, "level must be in (0, 1), got 1.5"),
+        ("project", {"weights": {"R000": 2.0}},
+         "key 'weights' in section 'project' does not apply to aggregation 'mean'"),
+        ("project", {"aggregation": "weighted"}, "key 'weights' is missing from section 'project'"),
+        ("bootstrap", {"b": "many"},
+         "bad 'b' in section 'bootstrap': invalid literal for int() with base 10: 'many'"),
+        ("bootstrap", {"scheme": None}, "bad 'scheme' in section 'bootstrap': it may not be null"),
+    ],
+    ids=["simulate_level", "simulate_correction", "scheme_on_coverage", "schemes_on_bias",
+         "project_levels", "weights_with_mean", "weighted_without_weights", "bad_int", "null"],
+)
+def test_setting_errors_named(command, change, message, capsys, tmp_path):
+    section = _sample_config()[command]
+    for key, value in change.items():
+        if value is DROP:
+            del section[key]
+        else:
+            section[key] = value
+    assert _run_config({"seed": 1, "data": _sample_config()["data"], command: section}, command,
+                       tmp_path) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / command).exists() or not any((tmp_path / command).iterdir())
+
+
+def test_minimal_config_manifest_holds_resolved_defaults(tmp_path):
+    config = {
+        "data": {"path": "sample/panel.csv", "predictors": {"x": "x"},
+                 "columns": {"region": "region", "country": "country", "year": "year",
+                             "outcome": "outcome"}},
+        "model": {"terms": [{"variable": "x"}]},
+    }
+    assert _run_config(config, "fit", tmp_path) == 0
+    first, second = tmp_path / "fit", tmp_path / "rerun"
+    manifest = yaml.safe_load((first / "manifest.yaml").read_text())
+    assert manifest["command"] == "fit" and (manifest["seed"], manifest["threads"]) == (0, 1)
+    assert manifest["config"] == {
+        "seed": 0,
+        "threads": 1,
+        "out": "out/fit",
+        "data": {
+            "path": "sample/panel.csv",
+            "delimiter": ",",
+            "columns": {"region": "region", "country": "country", "year": "year",
+                        "outcome": "outcome", "lat": None, "lon": None},
+            "predictors": {"x": "x"},
+            "group_columns": [],
+            "custom_columns": {},
+        },
+        "model": {
+            "intercept": True,
+            "fixed_effects": [],
+            "moderator_alignment": "contemporaneous",
+            "max_lag_ceiling": 10,
+            "terms": [{"variable": "x", "differenced": True, "moderator": None, "max_lag": 0}],
+        },
+        "fit": {"schemes": ["region"], "correction": "CR1", "level": 0.95, "response_curves": True},
+    }
+    assert run("fit", "--config", str(first / "manifest.yaml"), "--out", str(second)) == 0
+    _compare_dirs(second, first)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_as_given_manifest_reruns_like_resolved(command, tmp_path):
+    # manifests used to echo the config as given; they rerun to the goldens,
+    # whose manifests hold the resolved configuration
+    old = tmp_path / "manifest.yaml"
+    old.write_text(yaml.safe_dump(
+        {"command": command, "seed": 11, "threads": 1, "config": _sample_config()}))
+    assert run(command, "--config", str(old), "--out", str(tmp_path / command)) == 0
+    _compare_dirs(tmp_path / command, ROOT / "sample" / "golden" / command)
+
+
+def _schema_keys(table: dict) -> set:
+    keys = set()
+    for key, (kind, _) in table.items():
+        keys.add(key)
+        if isinstance(kind, cli.Variants):
+            keys |= set().union(*(_schema_keys(t) for t in kind.values()))
+        elif isinstance(kind, (dict, list)):
+            keys |= _schema_keys(kind if isinstance(kind, dict) else kind[0])
+    return keys
+
+
+def test_readme_config_block_matches_schema():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Config file", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = yaml.safe_load(block)
+    for command in COMMANDS:  # no unknown key, and every command's sections resolve
+        cli.resolve(config, command)
+    undocumented = {key for key in _schema_keys(cli.SCHEMA) if f"{key}:" not in block}
+    assert not undocumented, f"keys missing from the README schema: {sorted(undocumented)}"

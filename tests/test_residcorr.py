@@ -169,13 +169,13 @@ def _assert_matches_oracle(panel, values, meta, groups, min_overlap):
 def test_matches_looped_oracle_on_sample_config():
     config = yaml.safe_load((ROOT / "sample/config.yaml").read_text())
     config["data"]["path"] = str(ROOT / config["data"]["path"])
+    config = cli.resolve(config, "corr")
     dataset = cli._load_dataset(config)
-    spec, alignment, ceiling = cli._model(config)
-    design = build_design(dataset, spec, moderator_alignment=alignment, max_lag_ceiling=ceiling)
+    design = cli._design(config, dataset, cli._model(config))
     fit = ols_fit(design)
     panel = ResidualPanel.from_fit(fit, design, dataset)
-    groups = [cli._group_from_dict(d) for d in config["corr"]["groups"]]
-    groups += cli._default_groups(dataset) + KEY_GROUPS
+    groups = cli._groups(config["corr"]["groups"], dataset)
+    groups += cli._groups(None, dataset) + KEY_GROUPS
     values, meta = _oracle_inputs(fit, design, dataset)
     _assert_matches_oracle(panel, values, meta, groups, config["corr"]["min_overlap"])
 
@@ -213,7 +213,7 @@ def test_matches_looped_oracle_on_gappy_panel(min_overlap):
     panel = ResidualPanel.from_fit(fit, design, dataset)
     assert "R17" in dataset.regions and "R17" not in panel.regions
     assert 2011 not in panel.years and len(panel.years) == 19
-    groups = cli._default_groups(dataset) + KEY_GROUPS
+    groups = cli._groups(None, dataset) + KEY_GROUPS
     values, meta = _oracle_inputs(fit, design, dataset)
     _assert_matches_oracle(panel, values, meta, groups, min_overlap)
     # the gaps exercise every skip reason the data can produce

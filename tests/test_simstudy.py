@@ -142,6 +142,23 @@ def test_coverage_requires_reps():
         coverage_study(DgpConfig(n_regions=5, n_years=5), [YEAR], reps=50)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"level": 1.5}, r"level must be in \(0, 1\), got 1.5"),
+     ({"correction": "CR2"}, "unknown correction 'CR2'")],
+)
+def test_coverage_rejects_bad_level_or_correction_up_front(kwargs, message, monkeypatch):
+    # a bad setting fails the study once, not as every replication failing
+    import clusterpanel.simstudy as simstudy
+
+    def no_rep(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simstudy, "_coverage_rep", no_rep)
+    with pytest.raises(ValueError, match=message):
+        coverage_study(DgpConfig(n_regions=5, n_years=5), [YEAR], reps=100, **kwargs)
+
+
 def test_degenerate_noise_collapses_intervals_onto_truth():
     # interval coverage is scale-invariant for any positive noise, so the
     # exact-fit limit shows up as estimates and intervals collapsing onto
