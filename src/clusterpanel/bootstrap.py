@@ -1,8 +1,10 @@
 """Cluster block bootstrap of regression coefficients and scenario projections.
 
-Each replicate draws G cluster keys with replacement, concatenates all rows
-of the drawn clusters (duplicates kept as distinct copies), rebuilds the
-fixed-effect dummies on the resampled rows, and refits by least squares.
+Each replicate draws G cluster keys with replacement and refits the
+original design by least squares with each row weighted by its cluster's
+multiplicity in the draw: the same fit as stacking the drawn clusters' rows
+(duplicates kept) and rebuilding the fixed-effect dummies on them
+(Cameron, Gelbach & Miller 2008), without copying rows or forming dummies.
 Replicate b's randomness derives from (seed, b), so draws are identical
 under any execution order.
 """
@@ -17,15 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from .panel import (
+    DEFAULT_MAX_LAG_CEILING,
     ClusterScheme,
     DesignMatrix,
     ModelSpec,
     PanelDataset,
     assign_clusters,
     build_design,
-    fixed_effect_dummies,
+    dummy_columns,
 )
-from .regression import FitResult, check_level, ols_fit
+from .regression import Absorbed, FitResult, check_level, ols_fit
 
 
 @dataclass(frozen=True)
@@ -57,35 +60,20 @@ class BootstrapSample:
             )
 
 
-def _replicate(b, seed, G, cluster_rows, X_core, y, regions, years, fixed_effects,
-               fe_levels, slot_of, p, core_slots):
+def _replicate(b: int, seed: int, design: DesignMatrix, row_cluster: np.ndarray, G: int):
     rng = np.random.default_rng((seed, b))
     drawn = rng.integers(0, G, size=G)
-    rows = np.concatenate([cluster_rows[g] for g in drawn])
-    Xc = X_core[rows]
-    yb = y[rows]
-    if fixed_effects:
-        D, labels, _, _, re_referenced = fixed_effect_dummies(
-            list(regions[rows]), list(years[rows]), fixed_effects,
-            levels=fe_levels, restrict_to_present=True,
-        )
-        Xb = np.hstack([Xc, D])
-    else:
-        D = None
-        labels = []
-        re_referenced = ()
-        Xb = Xc
-    beta, _, rank, _ = np.linalg.lstsq(Xb, yb, rcond=None)
-    if rank < Xb.shape[1]:
+    refit = Absorbed(design, np.bincount(drawn, minlength=G)[row_cluster])
+    cols, theta, rank, alpha = refit.solve(range(design.X.shape[1]))
+    if rank < len(cols):
         return None
-    vec = np.full(p, math.nan)
-    vec[core_slots] = beta[: len(core_slots)]
-    bad_effects = set(re_referenced)
-    for j, lab in enumerate(labels):
-        if lab.effect not in bad_effects:
-            vec[slot_of[lab.name]] = beta[len(core_slots) + j]
-    if bad_effects and "intercept" in slot_of:
-        vec[slot_of["intercept"]] = math.nan
+    vec = np.full(design.p, math.nan)
+    vec[np.array(design.x_slots, dtype=int)[cols]] = theta
+    if alpha is not None:
+        vec[list(design.region_slots)] = alpha[1:]
+    if refit.re_referenced:
+        vec[[j for j, lab in enumerate(design.column_labels)
+             if lab.effect in refit.re_referenced or lab.kind == "intercept"]] = math.nan
     return vec
 
 
@@ -98,6 +86,7 @@ def block_bootstrap(
     *,
     threads: int = 1,
     moderator_alignment: str = "contemporaneous",
+    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
 ) -> BootstrapSample:
     """Pairs-cluster bootstrap: resample whole clusters of observations and refit.
 
@@ -106,28 +95,22 @@ def block_bootstrap(
     """
     if B < 1:
         raise ValueError(f"B must be at least 1, got {B}")
-    design = build_design(dataset, spec, moderator_alignment=moderator_alignment)
+    design = build_design(dataset, spec, moderator_alignment=moderator_alignment,
+                          max_lag_ceiling=max_lag_ceiling)
     base_fit = ols_fit(design)
     clusters = assign_clusters(design, scheme)
     G = clusters.n_clusters
     if G < 2:
         raise ValueError(f"block bootstrap needs at least 2 clusters, got G={G}")
-    cluster_rows = clusters.rows_by_cluster()
-    core_slots = list(design.core_column_indices)
-    X_core = design.X[:, core_slots]
-    regions = np.array([r for r, _ in design.row_index])
-    years = np.array([t for _, t in design.row_index])
-    names = design.column_names
-    slot_of = {name: j for j, name in enumerate(names)}
-    p = design.p
 
-    args = (seed, G, cluster_rows, X_core, design.y, regions, years,
-            design.fixed_effects, design.fe_levels, slot_of, p, core_slots)
+    def replicate(b):
+        return _replicate(b, seed, design, clusters.row_cluster, G)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: _replicate(b, *args), range(B)))
+            results = list(pool.map(replicate, range(B)))
     else:
-        results = [_replicate(b, *args) for b in range(B)]
+        results = [replicate(b) for b in range(B)]
 
     kept = [v for v in results if v is not None]
     failed = B - len(kept)
@@ -136,10 +119,10 @@ def block_bootstrap(
             f"block bootstrap aborted: {failed}/{B} replicates were rank deficient "
             f"under scheme {scheme.label} (G={G})"
         )
-    draws = np.array(kept) if kept else np.empty((0, p))
+    draws = np.array(kept) if kept else np.empty((0, design.p))
     return BootstrapSample(
         draws=draws,
-        column_names=names,
+        column_names=design.column_names,
         scheme=scheme,
         B=B,
         seed=seed,
@@ -211,13 +194,21 @@ def percentile_interval(
 
 @dataclass(frozen=True)
 class ScenarioPath:
-    """Future design rows for one scenario; columns match a fitted model."""
+    """Future design rows for one scenario; columns match a fitted model.
+
+    ``X`` holds the columns at ``x_slots`` of ``column_names`` (all of them
+    when None).  A region effect is read by index instead: ``region_slot``
+    gives each row's column of its region dummy, -1 for the reference level
+    or a level unseen when the model was fitted.
+    """
 
     label: str
     X: np.ndarray
     row_index: tuple[tuple[str, int], ...]
     column_names: tuple[str, ...]
     unseen_levels: int
+    x_slots: tuple[int, ...] | None = None
+    region_slot: np.ndarray | None = None
 
     def __post_init__(self):
         self.X.setflags(write=False)
@@ -227,6 +218,13 @@ class ScenarioPath:
         return tuple(sorted({t for _, t in self.row_index}))
 
 
+def _level_codes(values: np.ndarray, levels: tuple) -> np.ndarray:
+    """Index of each value in the sorted ``levels``, -1 where it is not one."""
+    lv = np.asarray(levels)
+    i = np.minimum(np.searchsorted(lv, values), len(lv) - 1)
+    return np.where(lv[i] == values, i, -1)
+
+
 def build_scenario_path(
     future: PanelDataset,
     spec: ModelSpec,
@@ -234,37 +232,34 @@ def build_scenario_path(
     label: str,
     *,
     moderator_alignment: str = "contemporaneous",
+    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
     start_year: int | None = None,
 ) -> ScenarioPath:
     """Design rows for future predictor paths, encoded against a fitted design.
 
     Term columns are built as usual (the file must include enough history
-    for differences and lags); dummies use the template's levels, so levels
-    unseen when the model was fitted contribute through the reference level
-    and are counted.
+    for differences and lags); fixed effects use the template's levels, so
+    levels unseen when the model was fitted contribute through the
+    reference level and are counted.
     """
     core_spec = ModelSpec(terms=spec.terms, fixed_effects=(), intercept=spec.intercept)
-    core = build_design(
-        future, core_spec, moderator_alignment=moderator_alignment, require_outcome=False
-    )
-    keep = np.ones(core.n, dtype=bool)
-    if start_year is not None:
-        keep = np.array([t >= start_year for _, t in core.row_index])
-        if not keep.any():
-            raise ValueError(f"no scenario rows at or after {start_year}")
-    regions = [r for (r, _), k in zip(core.row_index, keep) if k]
-    years = [t for (_, t), k in zip(core.row_index, keep) if k]
-    D, _, _, unseen, _ = fixed_effect_dummies(
-        regions, years, template.fixed_effects, levels=template.fe_levels
-    )
-    X = np.hstack([core.X[keep], D]) if D.shape[1] else core.X[keep]
-    core_names = [core.column_labels[j].name for j in range(core.p)]
-    dummy_names = [
-        template.column_labels[j].name
-        for j in range(template.p)
-        if template.column_labels[j].kind == "dummy"
-    ]
-    names = tuple(core_names + dummy_names)
+    core = build_design(future, core_spec, moderator_alignment=moderator_alignment,
+                        max_lag_ceiling=max_lag_ceiling, require_outcome=False)
+    regions, years = (np.asarray(column) for column in zip(*core.row_index))
+    keep = np.ones(core.n, dtype=bool) if start_year is None else years >= start_year
+    if not keep.any():
+        raise ValueError(f"no scenario rows at or after {start_year}")
+    regions, years = regions[keep], years[keep]
+    codes = {effect: _level_codes(regions if effect == "region" else years, levels)
+             for effect, levels in template.fe_levels.items()}
+    X = core.X[keep]
+    if "year" in codes:
+        X = np.hstack([X, dummy_columns(codes["year"], len(template.fe_levels["year"]))])
+    region_slot = None
+    if "region" in codes:
+        region_slot = np.take(np.r_[-1, template.region_slots], np.maximum(codes["region"], 0))
+    dummy_labels = [lab for lab in template.column_labels if lab.kind == "dummy"]
+    names = core.column_names + tuple(lab.name for lab in dummy_labels)
     if names != template.column_names:
         raise ValueError(
             f"scenario columns {names} do not match the fitted design {template.column_names}"
@@ -272,9 +267,11 @@ def build_scenario_path(
     return ScenarioPath(
         label=label,
         X=X,
-        row_index=tuple((r, t) for r, t in zip(regions, years)),
+        row_index=tuple(zip(regions.tolist(), years.tolist())),
         column_names=names,
-        unseen_levels=unseen,
+        unseen_levels=sum(int((c < 0).sum()) for c in codes.values()),
+        x_slots=template.x_slots,
+        region_slot=region_slot,
     )
 
 
@@ -312,15 +309,23 @@ def project_scenarios(
             f"missing {sorted(ours - theirs)}, extra {sorted(theirs - ours)}"
         )
     draws = sample.draws
-    if np.isnan(draws).any():
+    x_draws = draws if path.x_slots is None else draws[:, list(path.x_slots)]
+    if np.isnan(x_draws).any():
         # columns the path never touches must not poison the product with
         # NaN draw entries (x * 0 would still be NaN)
         untouched = np.all(path.X == 0.0, axis=0)
-        draws = draws.copy()
-        cols = draws[:, untouched]
+        x_draws = x_draws.copy()
+        cols = x_draws[:, untouched]
         cols[np.isnan(cols)] = 0.0
-        draws[:, untouched] = cols
-    per_row = path.X @ draws.T  # (rows, draws)
+        x_draws[:, untouched] = cols
+    per_row = path.X @ x_draws.T  # (rows, draws)
+    if path.region_slot is not None:
+        seen = np.flatnonzero(path.region_slot >= 0)
+        alpha = draws[:, path.region_slot[seen]]
+        per_row[seen] += alpha.T
+        # like a touched column in the product, a missing region effect the
+        # path reads drops the whole draw
+        per_row[:, np.isnan(alpha).any(axis=1)] = math.nan
     years = path.years
     values = np.empty((sample.draws.shape[0], len(years)))
     row_years = np.array([t for _, t in path.row_index])

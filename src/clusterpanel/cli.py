@@ -61,10 +61,17 @@ def _level(value) -> float:
     return float(value)
 
 
+def _bool(value) -> bool:
+    """A YAML boolean; a string such as "false" is not one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _fields(cls, *names) -> dict:
     """Keys for the fields of dataclass ``cls`` (all, or those in ``names``)
     with the fields' types and defaults; a field typed ``X | None`` is an X."""
-    types = {"str": str, "int": int, "float": float, "bool": bool}
+    types = {"str": str, "int": int, "float": float, "bool": _bool}
     return {f.name: (types[f.type.removesuffix(" | None")],
                      REQUIRED if f.default is MISSING else f.default)
             for f in fields(cls) if not names or f.name in names}
@@ -102,7 +109,7 @@ SCHEMA = {
         "schemes": (_list(str), ["region"]),
         "correction": (str, _default(clustered_cov, "correction")),
         "level": (_level, _default(confidence_intervals, "level")),
-        "response_curves": (bool, True),
+        "response_curves": (_bool, True),
     }, {}),
     "corr": ({
         "min_overlap": (int, DEFAULT_MIN_OVERLAP),
@@ -122,8 +129,8 @@ SCHEMA = {
         "block_scheme": (str, "country_year"),
         "direction": (str, _default(ic_scan, "direction")),
         "criteria": (_list(str), _default(ic_scan, "criteria")),
-        "adjusted": (_list(bool), _default(ic_scan, "adjusted_flags")),
-        "count_variance_params": (bool, _default(ic_scan, "count_variance_params")),
+        "adjusted": (_list(_bool), _default(ic_scan, "adjusted_flags")),
+        "count_variance_params": (_bool, _default(ic_scan, "count_variance_params")),
         "candidates": ([TERM], []),
     }, {}),
     "bootstrap": ({
@@ -224,10 +231,13 @@ def _model(config: dict) -> ModelSpec:
                      model["intercept"])
 
 
+def _building(config: dict) -> dict:
+    """The design-building keywords every command passes on."""
+    return {key: config["model"][key] for key in ("moderator_alignment", "max_lag_ceiling")}
+
+
 def _design(config: dict, dataset, spec: ModelSpec):
-    model = config["model"]
-    return build_design(dataset, spec, moderator_alignment=model["moderator_alignment"],
-                        max_lag_ceiling=model["max_lag_ceiling"])
+    return build_design(dataset, spec, **_building(config))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +308,7 @@ def cmd_cv(config: dict, out: Path, seed: int, threads: int) -> None:
     summary = {"direction": direction, "k": cv_cfg["k"], "seed": seed, "schemes": {}}
     for scheme in schemes:
         scan = cv_scan(dataset, base, candidates, scheme, cv_cfg["k"], seed, direction=direction,
-                       moderator_alignment=config["model"]["moderator_alignment"])
+                       **_building(config))
         summary["schemes"][scheme.label] = {
             "reference_loss": scan.reference_loss,
             "rows_used": scan.rows_used,
@@ -317,8 +327,7 @@ def cmd_ic(config: dict, out: Path, seed: int, threads: int) -> None:
     direction, base, candidates = _scan_setup(ic_cfg, _model(config))
     scan = ic_scan(dataset, base, candidates, block, direction=direction,
                    criteria=tuple(ic_cfg["criteria"]), adjusted_flags=tuple(ic_cfg["adjusted"]),
-                   moderator_alignment=config["model"]["moderator_alignment"],
-                   count_variance_params=ic_cfg["count_variance_params"])
+                   count_variance_params=ic_cfg["count_variance_params"], **_building(config))
     reports.write_ic_scan(out / "ic_scan.csv", scan, block.label)
     reference = {f"{crit}_adj{int(adj)}": v for (crit, adj), v in scan.reference.items()}
     reports.write_json(out / "ic_summary.json",
@@ -331,8 +340,7 @@ def cmd_bootstrap(config: dict, out: Path, seed: int, threads: int) -> None:
     boot_cfg = config["bootstrap"]
     scheme = ClusterScheme.parse(boot_cfg["scheme"])
     sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed,
-                             threads=threads,
-                             moderator_alignment=config["model"]["moderator_alignment"])
+                             threads=threads, **_building(config))
     intervals = {}
     for j, (name, label) in enumerate(zip(sample.column_names, sample.base_fit.column_labels)):
         contrast = np.zeros(len(sample.column_names))
@@ -357,18 +365,15 @@ def cmd_bootstrap(config: dict, out: Path, seed: int, threads: int) -> None:
 def cmd_project(config: dict, out: Path, seed: int, threads: int) -> None:
     dataset, spec, proj_cfg = _load_dataset(config), _model(config), config["project"]
     sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
-                             seed, threads=threads,
-                             moderator_alignment=config["model"]["moderator_alignment"])
+                             seed, threads=threads, **_building(config))
     design = _design(config, dataset, spec)
     scenario_schema = replace(_schema(config["data"]), outcome=None)
     projections = []
     unseen = {}
     for sc in proj_cfg["scenarios"]:
-        path = build_scenario_path(
-            load_csv(sc["path"], scenario_schema), spec, design, sc["label"],
-            moderator_alignment=config["model"]["moderator_alignment"],
-            start_year=proj_cfg["start_year"],
-        )
+        path = build_scenario_path(load_csv(sc["path"], scenario_schema), spec, design,
+                                   sc["label"], start_year=proj_cfg["start_year"],
+                                   **_building(config))
         unseen[sc["label"]] = path.unseen_levels
         projections.append(project_scenarios(sample, path, aggregation=proj_cfg["aggregation"],
                                              weights=proj_cfg.get("weights")))

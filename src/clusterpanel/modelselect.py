@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .panel import (
+    DEFAULT_MAX_LAG_CEILING,
     ClusterAssignment,
     ClusterScheme,
     DesignMatrix,
@@ -28,10 +29,9 @@ from .panel import (
     TermSpec,
     assign_clusters,
     build_design,
-    fixed_effect_dummies,
     term_label,
 )
-from .regression import FitResult, RankDeficientError, ols_fit
+from .regression import Absorbed, FitResult, RankDeficientError, ols_fit
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -79,33 +79,27 @@ class CvResult:
     fold_losses: tuple[float, ...]
 
 
-def _lstsq_fit(X: np.ndarray, y: np.ndarray):
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    return beta, int(rank)
-
-
 def _cv_results(
-    core: DesignMatrix,
-    fixed_effects: Sequence[str],
+    design: DesignMatrix,
     scheme: ClusterScheme,
     K: int,
     seed: int,
     models: Sequence[Sequence[int]],
     allow_rank_deficient: bool,
 ) -> list[CvResult]:
-    """Cluster-respecting K-fold CV of every model, each a list of column
-    indices of the dummy-free ``core`` design, on shared folds.
+    """Cluster-respecting K-fold CV of every model, each a list of term
+    columns of ``design.X`` fitted with the fixed effects, on shared folds.
 
-    Fixed-effect dummies are built once per fold, on the training rows, and
-    appended to every model's columns; they never enter ``core``.
+    Each fold refits on its training rows as weights (``Absorbed``), so
+    the fixed effects take the training split's levels: a validation row
+    whose level is unseen in training, or is the training reference, gets no
+    effect, as rebuilt all-zero dummies would give.
     """
-    clusters = assign_clusters(core, scheme)
+    clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
     fold_by_cluster = np.array([plan.assignment[k] for k in clusters.keys])
     row_folds = fold_by_cluster[clusters.row_cluster]
-
-    regions = np.array([r for r, _ in core.row_index])
-    years = np.array([t for _, t in core.row_index])
+    years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
 
     sse = [0.0] * len(models)
     rank_flags = [False] * len(models)
@@ -114,30 +108,24 @@ def _cv_results(
     unseen = 0
     for k in range(K):
         va = row_folds == k
-        tr = ~va
         if not va.any():
             raise ValueError(f"empty validation fold {k}")
-        D_tr, _, levels, _, _ = fixed_effect_dummies(
-            list(regions[tr]), list(years[tr]), fixed_effects
-        )
-        D_va, _, _, fold_unseen, _ = fixed_effect_dummies(
-            list(regions[va]), list(years[va]), fixed_effects, levels=levels
-        )
-        unseen += fold_unseen
-        X_tr, y_tr = np.hstack([core.X[tr], D_tr]), core.y[tr]
-        X_va, y_va = np.hstack([core.X[va], D_va]), core.y[va]
-        dummies = list(range(core.p, X_tr.shape[1]))
+        fold = Absorbed(design, ~va)
+        unseen += sum(int((~fold.present[effect][codes[va]]).sum())
+                      for effect, codes in design.fe_codes.items())
+        X_va, y_va = design.X[va], design.y[va]
         n_val = int(va.sum())
         n_val_total += n_val
-        for m, cols in enumerate(models):
-            # np.take copies in C order; lstsq and the matvec round by layout
-            keep = list(cols) + dummies
-            beta, rank = _lstsq_fit(np.take(X_tr, keep, axis=1), y_tr)
-            if rank < len(keep):
+        for m, model in enumerate(models):
+            cols, beta, rank, alpha = fold.solve(list(model) + years)
+            if rank < len(cols):
                 if not allow_rank_deficient:
                     raise ValueError(f"rank-deficient training design in fold {k}")
                 rank_flags[m] = True
-            err = y_va - np.take(X_va, keep, axis=1) @ beta
+            # np.take copies in C order; lstsq and the matvec round by layout
+            err = y_va - np.take(X_va, cols, axis=1) @ beta
+            if alpha is not None:
+                err -= np.nan_to_num(alpha)[design.fe_codes["region"][va]]
             sse[m] += float(err @ err)
             fold_losses[m].append(float(err @ err) / n_val)
     return [
@@ -165,19 +153,17 @@ def cv_loss(
 ) -> CvResult:
     """Mean squared validation loss under cluster-respecting K-fold CV.
 
-    Fixed-effect dummies are rebuilt on each training split; validation rows
-    with a level unseen in training predict through the reference level and
-    are counted in ``unseen_levels``.  Rank-deficient training designs raise
+    Fixed effects are refitted on each training split; validation rows with
+    a level unseen in training predict through the reference level and are
+    counted in ``unseen_levels``.  Rank-deficient training designs raise
     (naming the fold) unless ``allow_rank_deficient``, in which case the
     minimum-norm solution is used and the result is flagged.
     """
-    core = build_design(
-        dataset, replace(spec, fixed_effects=()),
-        moderator_alignment=moderator_alignment, keep_rows=keep_rows,
+    design = build_design(
+        dataset, spec, moderator_alignment=moderator_alignment, keep_rows=keep_rows
     )
-    (result,) = _cv_results(
-        core, spec.fixed_effects, scheme, K, seed, [range(core.p)], allow_rank_deficient
-    )
+    terms = [j for j, lab in enumerate(design.x_labels) if lab.kind != "dummy"]
+    (result,) = _cv_results(design, scheme, K, seed, [terms], allow_rank_deficient)
     return result
 
 
@@ -287,6 +273,7 @@ def cv_scan(
     *,
     direction: str = "forward",
     moderator_alignment: str = "contemporaneous",
+    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
 ) -> ScanResult:
     """Delta CV loss over ``model_sequence(base, candidates, direction)``.
 
@@ -296,12 +283,11 @@ def cv_scan(
     the entry collinear.
     """
     seq = model_sequence(base, candidates, direction)
-    core = build_design(
-        dataset, replace(seq.union, fixed_effects=()), moderator_alignment=moderator_alignment
-    )
+    design = build_design(dataset, seq.union, moderator_alignment=moderator_alignment,
+                          max_lag_ceiling=max_lag_ceiling)
     models = [seq.reference] + [depths for _, _, depths in seq.variants]
     ref, *results = _cv_results(
-        core, base.fixed_effects, scheme, K, seed,
+        design, scheme, K, seed,
         [_columns(seq.union, depths) for depths in models], allow_rank_deficient=True,
     )
     entries = tuple(
@@ -314,7 +300,7 @@ def cv_scan(
         )
         for (name, depth, _), cv in zip(seq.variants, results)
     )
-    return ScanResult(reference_loss=ref.loss, entries=entries, rows_used=core.n)
+    return ScanResult(reference_loss=ref.loss, entries=entries, rows_used=design.n)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +564,7 @@ def ic_scan(
     criteria: Sequence[str] = ("AIC", "BIC"),
     adjusted_flags: Sequence[bool] = (False, True),
     moderator_alignment: str = "contemporaneous",
+    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
     count_variance_params: bool = True,
 ) -> ICScanResult:
     """Information criteria over ``model_sequence(base, candidates, direction)``,
@@ -588,18 +575,13 @@ def ic_scan(
     NaN values.  Deltas are against the reference model.
     """
     seq = model_sequence(base, candidates, direction)
-    design = build_design(dataset, seq.union, moderator_alignment=moderator_alignment)
+    design = build_design(dataset, seq.union, moderator_alignment=moderator_alignment,
+                          max_lag_ceiling=max_lag_ceiling)
     clusters = assign_clusters(design, block_scheme)
-    dummies = [j for j, lab in enumerate(design.column_labels) if lab.kind == "dummy"]
+    years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
 
     def fit(depths):
-        cols = _columns(seq.union, depths) + dummies
-        # np.take copies in C order; pivoted QR rounds by layout
-        return ols_fit(replace(
-            design,
-            X=np.take(design.X, cols, axis=1),
-            column_labels=tuple(design.column_labels[j] for j in cols),
-        ))
+        return ols_fit(design.select(_columns(seq.union, depths) + years))
 
     def scores(fit):
         return {

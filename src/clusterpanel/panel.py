@@ -4,13 +4,15 @@ Datasets are stored as columns: one region x calendar-year grid per
 variable, plus per-region country membership, optional centroids and
 free-form group tags.  Design matrices are built from term specifications
 (first differences, distributed lags, moderator interactions) as shifts along
-the year axis, plus fixed-effect dummies; every row keeps its (region, year)
-provenance so residuals can be traced back to observations.
+the year axis, plus year dummies; the region effect is never a matrix, it is
+absorbed in the fit (``regression.Absorbed``).  Every row keeps its (region,
+year) provenance so residuals can be traced back to observations.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -317,11 +319,16 @@ class ColumnLabel:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Built predictor matrix with row provenance.
+    """Built design with row provenance.
 
+    ``X`` holds every column but the region dummies: the intercept, the term
+    columns, then the year dummies.  The region effect is absorbed, not
+    encoded: ``fe_codes`` gives each row's level of every fixed effect, an
+    index into ``fe_levels`` (reference level first).  ``column_labels``
+    still lists the region dummies, after the term columns and before the
+    year dummies, so ``p`` and every output count and order them as columns.
     Rows requiring unavailable lagged or differenced values are dropped and
-    recorded in ``dropped_rows``.  ``fe_levels`` keeps the dummy levels per
-    effect, reference level first.
+    recorded in ``dropped_rows``.
     """
 
     X: np.ndarray
@@ -333,6 +340,7 @@ class DesignMatrix:
     fixed_effects: tuple[str, ...]
     fe_levels: Mapping[str, tuple]
     dropped_rows: tuple[tuple[str, int], ...]
+    fe_codes: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         self.X.setflags(write=False)
@@ -344,16 +352,38 @@ class DesignMatrix:
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return len(self.column_labels)
 
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(lab.name for lab in self.column_labels)
 
+    @functools.cached_property
+    def x_slots(self) -> tuple[int, ...]:
+        """Positions in ``column_labels`` of the columns of ``X``."""
+        return tuple(j for j, lab in enumerate(self.column_labels) if lab.effect != "region")
+
+    @functools.cached_property
+    def region_slots(self) -> tuple[int, ...]:
+        """Positions in ``column_labels`` of the absorbed region dummies, in
+        level order (codes 1, 2, ...)."""
+        return tuple(j for j, lab in enumerate(self.column_labels) if lab.effect == "region")
+
     @property
-    def core_column_indices(self) -> tuple[int, ...]:
-        """Indices of non-dummy columns (intercept and term columns)."""
-        return tuple(j for j, lab in enumerate(self.column_labels) if lab.kind != "dummy")
+    def x_labels(self) -> tuple[ColumnLabel, ...]:
+        return tuple(self.column_labels[j] for j in self.x_slots)
+
+    def select(self, cols: Sequence[int]) -> "DesignMatrix":
+        """The design on the columns ``cols`` of ``X`` (term columns before
+        year dummies); the region effect stays absorbed."""
+        labels = [self.x_labels[j] for j in cols]
+        regions = [self.column_labels[j] for j in self.region_slots]
+        terms = [lab for lab in labels if lab.kind != "dummy"]
+        return replace(
+            self,
+            X=np.take(self.X, cols, axis=1),  # a C-ordered copy; QR rounds by layout
+            column_labels=tuple(terms + regions + labels[len(terms):]),
+        )
 
 
 @dataclass(frozen=True)
@@ -377,10 +407,6 @@ class ClusterAssignment:
     def n_rows(self) -> int:
         return len(self.row_cluster)
 
-    def rows_by_cluster(self) -> list[np.ndarray]:
-        order = np.argsort(self.row_cluster, kind="stable")
-        bounds = np.searchsorted(self.row_cluster[order], np.arange(self.n_clusters + 1))
-        return [order[bounds[g] : bounds[g + 1]] for g in range(self.n_clusters)]
 
 
 # ---------------------------------------------------------------------------
@@ -576,54 +602,38 @@ def _validate_spec(dataset: PanelDataset, spec: ModelSpec, max_lag_ceiling: int)
             )
 
 
-def fixed_effect_dummies(
-    regions: Sequence[str],
-    years: Sequence[int],
-    effects: Sequence[str],
-    levels: Mapping[str, tuple] | None = None,
-    restrict_to_present: bool = False,
-):
-    """Dummy-encode fixed effects with the first level (sort order) as reference.
+def dummy_columns(code: np.ndarray, n_levels: int) -> np.ndarray:
+    """0/1 columns for the levels 1 .. n_levels - 1 of ``code``; a row coded 0
+    (the reference) or -1 (no level) gets none."""
+    D = np.zeros((len(code), n_levels - 1))
+    rows = np.flatnonzero(code > 0)
+    D[rows, code[rows] - 1] = 1.0
+    return D
 
-    With ``levels`` given, encodes against that template: rows whose level is
-    not in the template get all-zero dummies for that effect and are counted
-    as unseen.  With ``restrict_to_present`` the template is filtered to the
-    levels actually present (refit on resampled rows); if the template's
-    reference level is absent the effect is re-referenced to the first
-    present level and reported in ``re_referenced``.
 
-    Returns (matrix, labels, levels_out, unseen_count, re_referenced).
+def fixed_effect_dummies(regions: np.ndarray, years: np.ndarray, effects: Sequence[str]):
+    """Encode fixed effects against their first level (sort order) as reference.
+
+    Every effect gets its sorted levels, per-row codes (indices into the
+    levels, 0 for the reference) and a label per non-reference level.  Only
+    the year effect becomes dummy columns; the region effect is absorbed in
+    the fit (``regression.Absorbed``), so it never becomes a matrix.
+
+    Returns (year dummy matrix, labels, levels, codes).
     """
-    n = len(regions)
-    columns: list[np.ndarray] = []
+    D = np.empty((len(years), 0))
     labels: list[ColumnLabel] = []
-    levels_out: dict[str, tuple] = {}
-    unseen = 0
-    re_referenced: list[str] = []
+    levels: dict[str, tuple] = {}
+    codes: dict[str, np.ndarray] = {}
     for effect in effects:
-        values = regions if effect == "region" else years
-        if levels is None:
-            lv = tuple(sorted(set(values)))
-        else:
-            lv = tuple(levels[effect])
-            if restrict_to_present:
-                present = set(values)
-                kept = [x for x in lv if x in present]
-                if not kept:
-                    raise ValueError(f"no known {effect} level present in rows")
-                if kept[0] != lv[0]:
-                    re_referenced.append(effect)
-                lv = tuple(sorted(kept)) if kept[0] != lv[0] else tuple(kept)
-        levels_out[effect] = lv
-        arr = np.asarray(values)
-        for x in lv[1:]:
-            columns.append((arr == x).astype(float))
-            labels.append(ColumnLabel(kind="dummy", effect=effect, level=str(x)))
-        if levels is not None and not restrict_to_present:
-            known = set(lv)
-            unseen += sum(1 for v in values if v not in known)
-    matrix = np.column_stack(columns) if columns else np.empty((n, 0))
-    return matrix, labels, levels_out, unseen, tuple(re_referenced)
+        lv, code = np.unique(regions if effect == "region" else years, return_inverse=True)
+        levels[effect] = tuple(lv.tolist())
+        codes[effect] = code
+        labels += [ColumnLabel(kind="dummy", effect=effect, level=str(level))
+                   for level in levels[effect][1:]]
+        if effect == "year":
+            D = dummy_columns(code, len(lv))
+    return D, labels, levels, codes
 
 
 def build_design(
@@ -685,23 +695,26 @@ def build_design(
     X_core = np.stack(grids, axis=-1)[ri, ti] if grids else np.empty((ri.size, 0))
     y = dataset.outcome[ri, ti]
     regions = np.array(dataset.regions, dtype=object)[ri].tolist()
-    years = (ti + dataset.first_year).tolist()
+    years = ti + dataset.first_year
 
     fe = spec.fixed_effects
-    D, fe_labels, fe_levels, _, _ = fixed_effect_dummies(regions, years, fe)
+    D, fe_labels, fe_levels, fe_codes = fixed_effect_dummies(
+        np.array(dataset.regions)[ri] if "region" in fe else None, years, fe
+    )
     X = np.hstack([X_core, D]) if D.shape[1] else X_core
     labels.extend(fe_labels)
 
     return DesignMatrix(
         X=X,
         y=y,
-        row_index=tuple(zip(regions, years)),
+        row_index=tuple(zip(regions, years.tolist())),
         column_labels=tuple(labels),
         countries=tuple(np.array(dataset.countries, dtype=object)[ri].tolist()),
         custom={name: tuple(grid[ri, ti].tolist()) for name, grid in dataset.custom.items()},
         fixed_effects=fe,
         fe_levels=fe_levels,
         dropped_rows=tuple(dataset.cell_keys(rows & ~ok)),
+        fe_codes=fe_codes,
     )
 
 

@@ -94,6 +94,59 @@ def design_from_arrays(X, y, cluster_keys=None, labels=None):
     )
 
 
+def dense_dummies(regions, years, effects, levels=None, restrict_to_present=False):
+    """Dummy-encode fixed effects with the first level (sort order) as
+    reference, as designs did before the region effect was absorbed; kept as
+    the oracle of the absorbed path.
+
+    With ``levels`` given, encodes against that template: rows whose level is
+    not in the template get all-zero dummies for that effect and are counted
+    as unseen.  With ``restrict_to_present`` the template is filtered to the
+    levels actually present (refit on resampled rows); if the template's
+    reference level is absent the effect is re-referenced to the first
+    present level and reported in ``re_referenced``.
+
+    Returns (matrix, labels, levels_out, unseen_count, re_referenced).
+    """
+    n = len(regions)
+    columns, labels, levels_out, re_referenced = [], [], {}, []
+    unseen = 0
+    for effect in effects:
+        values = regions if effect == "region" else years
+        if levels is None:
+            lv = tuple(sorted(set(values)))
+        else:
+            lv = tuple(levels[effect])
+            if restrict_to_present:
+                present = set(values)
+                kept = [x for x in lv if x in present]
+                if kept[0] != lv[0]:
+                    re_referenced.append(effect)
+                lv = tuple(sorted(kept)) if kept[0] != lv[0] else tuple(kept)
+        levels_out[effect] = lv
+        arr = np.asarray(values)
+        for x in lv[1:]:
+            columns.append((arr == x).astype(float))
+            labels.append(ColumnLabel(kind="dummy", effect=effect, level=str(x)))
+        if levels is not None and not restrict_to_present:
+            known = set(lv)
+            unseen += sum(1 for v in values if v not in known)
+    matrix = np.column_stack(columns) if columns else np.empty((n, 0))
+    return matrix, labels, levels_out, unseen, tuple(re_referenced)
+
+
+def dense_X(design):
+    """``design``'s full matrix in ``column_labels`` order: ``X`` plus the
+    absorbed region dummies built as 0/1 columns."""
+    X = np.empty((design.n, design.p))
+    X[:, list(design.x_slots)] = design.X
+    if design.region_slots:
+        code = design.fe_codes["region"]
+        levels = np.arange(1, len(design.region_slots) + 1)
+        X[:, list(design.region_slots)] = code[:, None] == levels
+    return X
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

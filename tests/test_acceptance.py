@@ -230,8 +230,11 @@ def test_criterion_6_model_selection_direction():
                 (COUNTRY, "cv_country_trivial", True),
                 (YEAR, "cv_year_trivial", True),
             ):
-                loss_triv = cp.cv_loss(ds, trivial, scheme, K=5, seed=run, keep_rows=keep).loss
-                loss_mod = cp.cv_loss(ds, spurious, scheme, K=5, seed=run, keep_rows=keep).loss
+                # one scan: the trivial reference and the spurious model at
+                # full depth, on the spurious model's rows and shared folds
+                scan = cp.cv_scan(ds, trivial, spurious.terms, scheme, K=5, seed=run)
+                loss_triv = scan.reference_loss
+                loss_mod = next(e.loss for e in scan.entries if e.lag_depth == 5)
                 prefers_trivial = loss_triv <= loss_mod
                 counts[key] += prefers_trivial if want_trivial else (not prefers_trivial)
             d_triv = build_design(ds, trivial, keep_rows=keep)

@@ -297,6 +297,41 @@ def test_unknown_key_names_key_and_section(command, where, key, value, section, 
     assert not (tmp_path / command / "manifest.yaml").exists()
 
 
+# every bool key of the schema: (command, path to the key, section)
+BOOL_KEYS = [
+    ("fit", ("model", "intercept"), "model"),
+    ("fit", ("model", "terms", 0, "differenced"), "model.terms[0]"),
+    ("fit", ("fit", "response_curves"), "fit"),
+    ("ic", ("ic", "adjusted", 1), "ic"),
+    ("ic", ("ic", "count_variance_params"), "ic"),
+    ("simulate", ("simulate", "with_centroids"), "simulate"),
+]
+
+
+@pytest.mark.parametrize("value", ["false", "yes", 0, 1])
+@pytest.mark.parametrize("command, where, section", BOOL_KEYS,
+                         ids=[".".join(map(str, t[1])) for t in BOOL_KEYS])
+def test_bool_keys_take_only_yaml_booleans(command, where, section, value, capsys, tmp_path):
+    config = _sample_config()
+    config["ic"]["adjusted"] = [False, True]
+    target = config
+    for step in where[:-1]:
+        target = target[step]
+    target[where[-1]] = value
+    assert _run_config(config, command, tmp_path) == 1
+    key = where[-1] if isinstance(where[-1], str) else where[-2]
+    assert (f"error: bad {key!r} in section {section!r}: expected true or false, got {value!r}"
+            in capsys.readouterr().err)
+
+
+def test_max_lag_ceiling_reaches_every_command(tmp_path):
+    config = _sample_config()
+    config["model"]["terms"][0]["max_lag"] = 11
+    config["model"]["max_lag_ceiling"] = 12
+    for command in ("fit", "corr", "cv", "ic", "bootstrap", "project"):
+        assert _run_config(config, command, tmp_path) == 0, command
+
+
 def test_unknown_key_in_an_unread_section_is_an_error(capsys, tmp_path):
     config = _sample_config()
     config["corr"]["min_overlaps"] = 50

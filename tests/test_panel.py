@@ -20,14 +20,13 @@ from clusterpanel.panel import (
     TermSpec,
     assign_clusters,
     build_design,
-    fixed_effect_dummies,
     haversine_km,
     load_csv,
     save_csv,
 )
 from clusterpanel.simstudy import DgpConfig, generate_panel
 
-from conftest import cell, grid_dataset, obs, panel_from
+from conftest import cell, dense_X, dense_dummies, grid_dataset, obs, panel_from
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +549,7 @@ def _rows_design(records, spec, moderator_alignment="contemporaneous", keep_rows
         row_index.append(key)
         countries.append(rec["country"])
     X_core = np.asarray(rows, dtype=float).reshape(len(rows), -1)
-    D, fe_labels, _, _, _ = fixed_effect_dummies(
+    D, fe_labels, _, _, _ = dense_dummies(
         [r for r, _ in row_index], [t for _, t in row_index], spec.fixed_effects
     )
     X = np.hstack([X_core, D]) if D.shape[1] else X_core
@@ -560,8 +559,11 @@ def _rows_design(records, spec, moderator_alignment="contemporaneous", keep_rows
 def _assert_matches_oracle(records, dataset, spec, **kwargs):
     got = build_design(dataset, spec, **kwargs)
     X, y, row_index, countries, dropped, fe_labels = _rows_design(records, spec, **kwargs)
-    assert got.X.shape == X.shape and got.X.flags.c_contiguous
-    assert (got.X == X).all() and got.X.tobytes() == X.tobytes()
+    assert got.X.flags.c_contiguous and got.X.shape == (X.shape[0], len(got.x_slots))
+    # the absorbed region effect expands to the oracle's dummy columns
+    dense = dense_X(got)
+    assert dense.shape == X.shape
+    assert (dense == X).all() and dense.tobytes() == X.tobytes()
     assert got.y.tobytes() == y.tobytes()  # bitwise, so NaN outcomes compare too
     assert got.row_index == row_index
     assert got.dropped_rows == dropped
