@@ -256,8 +256,8 @@ def build_scenario_path(
     if "year" in codes:
         X = np.hstack([X, dummy_columns(codes["year"], len(template.fe_levels["year"]))])
     region_slot = None
-    if "region" in codes:
-        region_slot = np.take(np.r_[-1, template.region_slots], np.maximum(codes["region"], 0))
+    if "region" in codes:  # code 0 (the reference) and -1 (unseen) read no column
+        region_slot = np.array((-1, *template.region_slots))[np.maximum(codes["region"], 0)]
     dummy_labels = [lab for lab in template.column_labels if lab.kind == "dummy"]
     names = core.column_names + tuple(lab.name for lab in dummy_labels)
     if names != template.column_names:

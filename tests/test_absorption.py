@@ -468,3 +468,18 @@ def test_sample_bootstrap_golden_matches_dense_replicates():
         sd = [np.nanstd(draws[:, j], ddof=1) for j in range(draws.shape[1])]
     got = [math.nan if v is None else v for v in summary["sd"].values()]
     _close(got, sd)
+
+
+def test_projection_with_one_region_template_matches_dense_product():
+    # one fitted region: the region effect has levels but no dummy; the
+    # scenario's second region is unseen
+    gen = np.random.default_rng(4)
+    ds = panel_from([obs("A", "C", 2000 + t, float(gen.standard_normal()),
+                         {"x": float(gen.standard_normal())}) for t in range(12)])
+    spec = ModelSpec(terms=(TermSpec("x", differenced=False),), fixed_effects=("region",))
+    sample = block_bootstrap(ds, spec, YEAR, 30, seed=0)
+    future = panel_from([obs(r, "C", 2020, math.nan, {"x": 1.0}) for r in ("A", "B")])
+    path = build_scenario_path(future, spec, build_design(ds, spec), "f")
+    assert path.unseen_levels == 1
+    _close(project_scenarios(sample, path).values,
+           _dense_projection(sample, future, spec, build_design(ds, spec)))
