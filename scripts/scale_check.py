@@ -1,4 +1,4 @@
-"""Time the fixed-effect workflow stages at 300x30 and 1000x40 against the aim-1 targets.
+"""Time the fixed-effect workflow stages and the coverage study against the aim-1 targets.
 
 Opt-in and slow (minutes at 1000x40 on older code), so the test suite does
 not run it.  It builds balanced panels with ``simstudy.generate_panel``,
@@ -12,11 +12,16 @@ adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
   and B=1000 extrapolated as t(B=1) + 999 replicates;
 - the corr all-pairs group (ResidualPanel.from_fit, correlation_table).
 
+It also times ``coverage_study`` for 1000 replications of 10x10 and of
+100x30, on the benchmark's montecarlo design (schemes region and year).
+
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
     python3 scripts/scale_check.py --label after
     python3 scripts/scale_check.py --label before --src /path/to/other/checkout/src
+
+Both runs go to ``--out`` (default BENCH_8.json).
 
 BLAS is pinned to one thread, as in the benchmark.
 """
@@ -38,6 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((300, 30), (1000, 40))
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0, "corr_all_pairs_s": 1.0}
+# coverage studies: (regions, years) at SIMULATE_REPS replications, and the
+# target for the 10x10 one, in seconds
+SIMULATE_SIZES = ((10, 10), (100, 30))
+SIMULATE_REPS = 1000
+SIMULATE_TARGET_S = 0.1
 
 
 def _panel(cp, regions, years):
@@ -85,11 +95,18 @@ def measure(cp, regions, years, extra_replicates):
     return out
 
 
+def simulate(cp, regions, years, reps):
+    """Seconds of one coverage study on the benchmark's montecarlo design."""
+    cfg = cp.DgpConfig(n_regions=regions, n_years=years, predictor_shared_weight=0.75,
+                       predictor_spatial_weight=0.15, noise_shared_weight=0.9)
+    return _timed(lambda: cp.coverage_study(cfg, [cp.REGION, cp.YEAR], reps=reps, seed=0))[0]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this run in the output, e.g. before")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
     parser.add_argument("--replicates", type=int, default=4,
                         help="extra bootstrap replicates timed for the per-replicate figure")
     args = parser.parse_args(argv)
@@ -101,25 +118,35 @@ def main(argv=None):
     import clusterpanel as cp
 
     measure(cp, 25, 8, 1)  # warm-up: imports, BLAS and first-call set-up
+    simulate(cp, 10, 10, 100)
     run = {}
     for regions, years in SIZES:
         key = f"{regions}x{years}"
         run[key] = {k: round(v, 4) if isinstance(v, float) else v
                     for k, v in measure(cp, regions, years, args.replicates).items()}
         print(key, json.dumps(run[key]), flush=True)
+    run["coverage_study_s"] = {f"{regions}x{years}": round(simulate(cp, regions, years,
+                                                                    SIMULATE_REPS), 4)
+                               for regions, years in SIMULATE_SIZES}
+    print(f"coverage_study, {SIMULATE_REPS} reps", json.dumps(run["coverage_study_s"]), flush=True)
     largest = run[f"{SIZES[-1][0]}x{SIZES[-1][1]}"]
     run["meets_targets_at_1000x40"] = {k: largest[k] < limit for k, limit in TARGETS.items()}
+    run["meets_coverage_study_target_at_10x10"] = (
+        run["coverage_study_s"]["10x10"] < SIMULATE_TARGET_S)
     run["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["about"] = ("scripts/scale_check.py: stage times in seconds, single runs, balanced "
                        "generate_panel panels, two-way fixed effects, d.x*xbar at lags 0..2")
     report["targets_s_at_1000x40"] = TARGETS
+    report["coverage_study"] = (f"{SIMULATE_REPS} replications, schemes region and year, "
+                                f"target {SIMULATE_TARGET_S} s at 10x10")
     report["machine"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
                          "numpy": np.__version__, "scipy": scipy.__version__, "blas_threads": 1}
     report.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(run["meets_targets_at_1000x40"]))
+    print(json.dumps(run["meets_targets_at_1000x40"]),
+          json.dumps({"coverage_study_10x10": run["meets_coverage_study_target_at_10x10"]}))
 
 
 if __name__ == "__main__":

@@ -392,8 +392,7 @@ def cmd_project(config: dict, out: Path, seed: int, threads: int) -> None:
 def cmd_simulate(config: dict, out: Path, seed: int, threads: int) -> None:
     sim_cfg = config["simulate"]
     dgp = DgpConfig(**{key: sim_cfg[key] for key in DGP})
-    run = {"reps": sim_cfg["reps"], "seed": seed, "correction": sim_cfg["correction"],
-           "threads": threads}
+    run = {"reps": sim_cfg["reps"], "seed": seed, "correction": sim_cfg["correction"]}
     if sim_cfg["study"] == "coverage":
         schemes = [ClusterScheme.parse(s) for s in sim_cfg["schemes"]]
         report = coverage_study(dgp, schemes, level=sim_cfg["level"], **run)

@@ -6,18 +6,22 @@ with weight w gives correlation w between any two observations in the same
 L cell.  Defaults: predictor shared within region (high temporal, low
 spatial correlation), noise shared within year (high spatial, low temporal
 correlation).
+
+The studies run every replication through one batched kernel: replication
+``rep`` draws the fields of ``generate_panel(config, (seed, rep))``, blocks of
+replications are fitted in closed form at once, and each scheme's sandwich
+sums scores over rows sorted by the clusters of one template panel.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .panel import (
+    ClusterAssignment,
     ClusterScheme,
     ModelSpec,
     PanelDataset,
@@ -25,8 +29,7 @@ from .panel import (
     assign_clusters,
     build_design,
 )
-from .regression import (check_correction, check_level, clustered_cov, confidence_intervals,
-                         ols_fit)
+from .regression import _t_quantile, check_correction, check_level
 
 _SHARING_LEVELS = ("region", "year", "country_year")
 
@@ -90,48 +93,36 @@ class DgpConfig:
         return self.countries if self.countries is not None else 1
 
 
-def _shared_field(rng, sharing, n_regions, n_years, country_of):
-    """Draw the shared component as an (n_regions, n_years) field."""
+def _shared_field(rng, sharing, config, country_of):
+    """Draw a shared component, broadcastable to an (n_regions, n_years) field."""
     if sharing == "region":
-        u = rng.standard_normal(n_regions)
-        return np.repeat(u[:, None], n_years, axis=1)
+        return rng.standard_normal(config.n_regions)[:, None]
     if sharing == "year":
-        v = rng.standard_normal(n_years)
-        return np.repeat(v[None, :], n_regions, axis=0)
-    n_countries = int(country_of.max()) + 1
-    f = rng.standard_normal((n_countries, n_years))
-    return f[country_of, :]
+        return rng.standard_normal(config.n_years)
+    return rng.standard_normal((config.n_countries, config.n_years))[country_of]
 
 
-def generate_panel(config: DgpConfig, seed) -> PanelDataset:
-    """Generate y = beta_true * x + e with the configured shared components.
-
-    x = sqrt(w_p) * shared_x [+ sqrt(w_s) * year_shared_x] + sqrt(1 - w_p - w_s) * idio;
-    e = noise_scale * (sqrt(w_e) * shared_e + sqrt(1 - w_e) * idio).
-    Draw order is fixed (shared_x, optional spatial_x, idio_x, shared_e,
-    idio_e) so results are reproducible from (config, seed).
-    """
-    rng = np.random.default_rng(seed)
+def _fields(config: DgpConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as (n_regions, n_years) grids drawn from ``rng`` in a fixed
+    order: shared_x, optional spatial_x, idio_x, shared_e, idio_e."""
     R, T = config.n_regions, config.n_years
     country_of = np.arange(R) * config.n_countries // R  # contiguous country blocks
-    wx = config.predictor_shared_weight
-    wxs = config.predictor_spatial_weight
+    wx, wxs = config.predictor_shared_weight, config.predictor_spatial_weight
     we = config.noise_shared_weight
-
-    shared_x = _shared_field(rng, config.predictor_sharing, R, T, country_of)
-    spatial_x = _shared_field(rng, "year", R, T, country_of) if wxs > 0.0 else 0.0
+    shared_x = _shared_field(rng, config.predictor_sharing, config, country_of)
+    spatial_x = _shared_field(rng, "year", config, country_of) if wxs > 0.0 else 0.0
     idio_x = rng.standard_normal((R, T))
-    x = (
-        math.sqrt(wx) * shared_x
-        + math.sqrt(wxs) * spatial_x
-        + math.sqrt(1.0 - wx - wxs) * idio_x
-    )
-
-    shared_e = _shared_field(rng, config.noise_sharing, R, T, country_of)
+    x = math.sqrt(wx) * shared_x + math.sqrt(wxs) * spatial_x + math.sqrt(1.0 - wx - wxs) * idio_x
+    shared_e = _shared_field(rng, config.noise_sharing, config, country_of)
     idio_e = rng.standard_normal((R, T))
     e = config.noise_scale * (math.sqrt(we) * shared_e + math.sqrt(1.0 - we) * idio_e)
+    return x, config.beta_true * x + e
 
-    y = config.beta_true * x + e
+
+def _dataset(config: DgpConfig, x: np.ndarray, y: np.ndarray) -> PanelDataset:
+    """The generated panel with (n_regions, n_years) grids ``x`` and ``y``."""
+    R, T = config.n_regions, config.n_years
+    country_of = np.arange(R) * config.n_countries // R
     country_width = max(2, len(str(config.n_countries - 1)))
     region_width = max(3, len(str(R - 1)))
     lat = lon = None
@@ -150,6 +141,84 @@ def generate_panel(config: DgpConfig, seed) -> PanelDataset:
         lat=lat,
         lon=lon,
     )
+
+
+def generate_panel(config: DgpConfig, seed) -> PanelDataset:
+    """Generate y = beta_true * x + e with the configured shared components.
+
+    x = sqrt(w_p) * shared_x [+ sqrt(w_s) * year_shared_x] + sqrt(1 - w_p - w_s) * idio;
+    e = noise_scale * (sqrt(w_e) * shared_e + sqrt(1 - w_e) * idio).
+    Draw order is fixed (shared_x, optional spatial_x, idio_x, shared_e,
+    idio_e) so results are reproducible from (config, seed).
+    """
+    return _dataset(config, *_fields(config, np.random.default_rng(seed)))
+
+
+# panel cells (replications x rows) fitted at once, one replication at
+# least: the kernel's arrays stay near 64 KB at any study size, small enough
+# for the allocator to reuse, and blocks this small run no slower
+_BLOCK_CELLS = 1 << 13
+
+
+def _scheme_clusters(config: DgpConfig, schemes) -> list[ClusterAssignment]:
+    """Each scheme's clusters of the rows every replication shares.  A scheme
+    that cannot give intervals (a column the panel lacks, G < 2) fails here."""
+    zeros = np.zeros((config.n_regions, config.n_years))
+    design = build_design(_dataset(config, zeros, zeros), SLOPE_SPEC)
+    assignments = []
+    for scheme in schemes:
+        try:
+            clusters = assign_clusters(design, scheme)
+        except ValueError as exc:
+            raise ValueError(f"scheme {scheme.label!r} cannot cluster the simulated panel: {exc}")
+        if clusters.n_clusters < 2:
+            raise ValueError(f"scheme {scheme.label!r} has G={clusters.n_clusters} on the "
+                             "simulated panel; intervals need at least 2 clusters")
+        assignments.append(clusters)
+    return assignments
+
+
+def _slope_sandwiches(config: DgpConfig, seed: int, reps: int, assignments, correction: str):
+    """The (reps,) slope estimates and the (schemes, reps, 2) sandwich
+    variances, intercept then slope, of intercept + x on every replication.
+
+    Both are NaN where the design is rank deficient by ``ols_fit``'s pivoted
+    QR rule: the pivots are R11 = max(sqrt(n), |x|) and sqrt(n Sxx) / R11,
+    and the second must exceed R11 n eps.  The estimator's linear map has
+    rows a_i = (x_i - xbar) / Sxx (slope) and 1/n - xbar a_i (intercept), so
+    a variance is the sum over clusters of (sum_i a_i r_i)^2, times
+    G/(G-1) (n-1)/(n-2) under CR1.
+    """
+    R, T = config.n_regions, config.n_years
+    n = R * T
+    slope = np.full(reps, math.nan)
+    variances = np.full((len(assignments), reps, 2), math.nan)
+    sorted_rows = [(np.argsort(c.row_cluster, kind="stable"), np.cumsum(c.sizes) - c.sizes)
+                   for c in assignments]
+    block = max(1, _BLOCK_CELLS // n)
+    for start in range(0, reps, block):
+        stop = min(reps, start + block)
+        x, y = np.empty((2, stop - start, R, T))
+        for i, rep in enumerate(range(start, stop)):
+            x[i], y[i] = _fields(config, np.random.default_rng((seed, rep)))
+        x, y = x.reshape(-1, n), y.reshape(-1, n)
+        xbar = x.mean(axis=1, keepdims=True)
+        xc, yc = x - xbar, y - y.mean(axis=1, keepdims=True)
+        sxx = np.einsum("ij,ij->i", xc, xc)
+        r11_sq = np.maximum(n, np.einsum("ij,ij->i", x, x))
+        fitted = np.sqrt(n * sxx) > r11_sq * n * np.finfo(float).eps
+        a = xc / np.where(fitted, sxx, 1.0)[:, None]
+        b = np.einsum("ij,ij->i", a, yc)
+        r = yc - b[:, None] * xc
+        scores = np.stack([(1.0 / n - xbar * a) * r, a * r])
+        slope[start:stop] = np.where(fitted, b, math.nan)
+        for var, (order, starts) in zip(variances, sorted_rows):
+            s = np.add.reduceat(scores[:, :, order], starts, axis=2)
+            var[start:stop] = np.where(fitted[:, None], np.einsum("kig,kig->ik", s, s), math.nan)
+    if correction == "CR1":
+        G = np.array([c.n_clusters for c in assignments], dtype=float)
+        variances *= (G / (G - 1.0) * ((n - 1.0) / (n - 2.0)))[:, None, None]
+    return slope, variances
 
 
 # ---------------------------------------------------------------------------
@@ -175,86 +244,34 @@ class CoverageReport:
     correction: str
 
 
-def _run_reps(run, reps: int, threads: int) -> list:
-    """``run(rep)`` for every rep, in order, with warnings silenced.
-
-    The warning filters are process-global before Python 3.14, so they are
-    set once here, in the calling thread, around the whole pool; setting
-    them per worker races and can leave them changed after the study.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(run, range(reps)))
-        return [run(rep) for rep in range(reps)]
-
-
-def _coverage_rep(config, seed, rep, schemes, level, correction):
-    dataset = generate_panel(config, (seed, rep))
-    design = build_design(dataset, SLOPE_SPEC)
-    fit = ols_fit(design)
-    slope = design.column_names.index("x.l0")
-    out = {}
-    for scheme in schemes:
-        clusters = assign_clusters(design, scheme)
-        cov = clustered_cov(fit, design, clusters, correction=correction)
-        ci = confidence_intervals(fit, cov, level=level)
-        lo, hi = ci[slope]
-        out[scheme.label] = (bool(lo <= config.beta_true <= hi), float(hi - lo))
-    return out
-
-
-def coverage_study(
-    config: DgpConfig,
-    schemes: list[ClusterScheme],
-    reps: int,
-    level: float = 0.95,
-    seed: int = 0,
-    correction: str = "CR1",
-    threads: int = 1,
-) -> CoverageReport:
+def coverage_study(config: DgpConfig, schemes: list[ClusterScheme], reps: int,
+                   level: float = 0.95, seed: int = 0, correction: str = "CR1") -> CoverageReport:
     """Empirical coverage of the slope CI per clustering scheme.
 
-    Each replication generates a fresh panel, fits intercept + x, and checks
-    whether each scheme's interval covers the true slope.  Fit failures are
-    counted per scheme, not fatal; a bad level or correction fails up front.
+    Replication ``rep`` fits intercept + x to ``generate_panel(config,
+    (seed, rep))`` and checks whether each scheme's t interval (G-1 degrees of
+    freedom) covers the true slope.  A bad level, correction or scheme fails
+    the study up front.  A replication fails under a scheme when its design
+    is rank deficient or that scheme's variance of either coefficient is not
+    positive, and counts under the others.
     """
     if reps < 100:
         raise ValueError(f"coverage study needs at least 100 replications, got {reps}")
     check_level(level)
     check_correction(correction)
-
-    def run(rep):
-        try:
-            return _coverage_rep(config, seed, rep, schemes, level, correction)
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-
-    results = _run_reps(run, reps, threads)
+    assignments = _scheme_clusters(config, schemes)
+    slope, variances = _slope_sandwiches(config, seed, reps, assignments, correction)
 
     rows = []
-    for scheme in schemes:
-        hits = []
-        widths = []
-        failed = 0
-        for res in results:
-            if res is None or scheme.label not in res:
-                failed += 1
-                continue
-            covered, width = res[scheme.label]
-            hits.append(covered)
-            widths.append(width)
-        rows.append(
-            CoverageRow(
-                scheme=scheme.label,
-                nominal_level=level,
-                coverage=float(np.mean(hits)) if hits else math.nan,
-                mean_ci_width=float(np.mean(widths)) if widths else math.nan,
-                replications=len(hits),
-                failed=failed,
-            )
-        )
+    for scheme, clusters, var in zip(schemes, assignments, variances):
+        usable = (var > 0.0).all(axis=1)  # False for NaN: rank-deficient replications
+        half = _t_quantile(level, clusters.n_clusters) * np.sqrt(var[usable, 1])
+        lo, hi = slope[usable] - half, slope[usable] + half
+        hits = (lo <= config.beta_true) & (config.beta_true <= hi)
+        coverage, width = (float(np.mean(hits)), float(np.mean(hi - lo))) if hits.size else (
+            math.nan, math.nan)
+        rows.append(CoverageRow(scheme.label, level, coverage, width, int(hits.size),
+                                reps - int(hits.size)))
     return CoverageReport(rows=tuple(rows), config=config, seed=seed, correction=correction)
 
 
@@ -273,43 +290,23 @@ class BiasReport:
     correction: str
 
 
-def bias_study(
-    config: DgpConfig,
-    scheme: ClusterScheme,
-    reps: int,
-    seed: int = 0,
-    correction: str = "CR0",
-    threads: int = 1,
-) -> BiasReport:
+def bias_study(config: DgpConfig, scheme: ClusterScheme, reps: int, seed: int = 0,
+               correction: str = "CR0") -> BiasReport:
     """Mean clustered variance estimate of the slope vs. its Monte Carlo variance.
 
-    Contract: iid errors, i.e. noise_shared_weight must be 0.
+    Contract: iid errors, i.e. noise_shared_weight must be 0.  Replications
+    are fitted as in ``coverage_study``; the report has no failure count, so
+    a rank-deficient replication fails the study.
     """
     if config.noise_shared_weight != 0.0:
         raise ValueError("bias study requires iid errors (noise_shared_weight = 0)")
     if reps < 500:
         raise ValueError(f"bias study needs at least 500 replications, got {reps}")
-
-    def run(rep):
-        dataset = generate_panel(config, (seed, rep))
-        design = build_design(dataset, SLOPE_SPEC)
-        fit = ols_fit(design)
-        slope = design.column_names.index("x.l0")
-        clusters = assign_clusters(design, scheme)
-        cov = clustered_cov(fit, design, clusters, correction=correction)
-        return float(fit.beta[slope]), float(cov.cov[slope, slope])
-
-    results = _run_reps(run, reps, threads)
-
-    betas = np.array([b for b, _ in results])
-    variances = np.array([v for _, v in results])
-    empirical = float(betas.var(ddof=1))
-    mean_est = float(variances.mean())
-    return BiasReport(
-        scheme=scheme.label,
-        mean_estimated_variance=mean_est,
-        empirical_variance=empirical,
-        ratio=mean_est / empirical,
-        replications=reps,
-        correction=correction,
-    )
+    check_correction(correction)
+    slope, variances = _slope_sandwiches(config, seed, reps, _scheme_clusters(config, [scheme]),
+                                         correction)
+    if np.isnan(slope).any():
+        raise ValueError(f"{int(np.isnan(slope).sum())} replications have a rank-deficient design")
+    empirical = float(slope.var(ddof=1))
+    mean_est = float(variances[0, :, 1].mean())
+    return BiasReport(scheme.label, mean_est, empirical, mean_est / empirical, reps, correction)

@@ -344,6 +344,20 @@ def test_simulate_needs_no_data_section(tmp_path):
     assert _run_config({"seed": 3, "simulate": config["simulate"]}, "simulate", tmp_path) == 0
 
 
+@pytest.mark.parametrize(
+    "scheme, message",
+    [("country", "scheme 'country' has G=1 on the simulated panel"),
+     ("custom:foo", "scheme 'custom:foo' cannot cluster the simulated panel")],
+    ids=["one_country", "missing_custom_column"],
+)
+def test_simulate_unusable_scheme_exits_one(scheme, message, capsys, tmp_path):
+    # one unusable scheme fails the run by name, not as every scheme's reps failing
+    simulate = _sample_config()["simulate"] | {"schemes": ["region", scheme]}
+    assert _run_config({"seed": 3, "simulate": simulate}, "simulate", tmp_path) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "simulate" / "coverage.csv").exists()
+
+
 DROP = object()  # a change that removes the key
 
 

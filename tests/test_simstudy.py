@@ -1,8 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from clusterpanel.panel import REGION, REGION_YEAR, YEAR, build_design
-from clusterpanel.regression import confidence_intervals, ols_fit
+import clusterpanel.simstudy as simstudy
+from clusterpanel.panel import (COUNTRY, COUNTRY_YEAR, REGION, REGION_YEAR, YEAR, ClusterScheme,
+                                assign_clusters, build_design)
+from clusterpanel.regression import _t_quantile, clustered_cov, confidence_intervals, ols_fit
 from clusterpanel.simstudy import (
     SLOPE_SPEC,
     DgpConfig,
@@ -115,24 +120,15 @@ def test_coverage_report_reproducible():
     assert a.rows == b.rows
 
 
-def test_coverage_threading_matches_serial():
-    cfg = DgpConfig(n_regions=8, n_years=8)
-    a = coverage_study(cfg, [YEAR, REGION], reps=100, seed=5)
-    b = coverage_study(cfg, [YEAR, REGION], reps=100, seed=5, threads=4)
-    assert a.rows == b.rows
-
-
 def test_threaded_studies_leave_warning_filters_alone(recwarn):
-    # "only G=10 clusters" fires on every rep; the studies silence it without
-    # leaking an ignore filter into, or warnings out of, the caller
-    import warnings
-
+    # the studies raise no warning (no "only G=10 clusters" per rep) and
+    # leave no filter changed in the caller
     before = list(warnings.filters)
     cfg = DgpConfig(n_regions=10, n_years=10)
     for seed in range(4):
-        coverage_study(cfg, [YEAR, REGION], reps=100, seed=seed, threads=2)
+        coverage_study(cfg, [YEAR, REGION], reps=100, seed=seed)
     iid = DgpConfig(n_regions=10, n_years=10, noise_shared_weight=0.0)
-    bias_study(iid, YEAR, reps=500, seed=0, threads=2)
+    bias_study(iid, YEAR, reps=500, seed=0)
     assert warnings.filters == before
     assert len(recwarn) == 0
 
@@ -149,12 +145,10 @@ def test_coverage_requires_reps():
 )
 def test_coverage_rejects_bad_level_or_correction_up_front(kwargs, message, monkeypatch):
     # a bad setting fails the study once, not as every replication failing
-    import clusterpanel.simstudy as simstudy
-
     def no_rep(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(simstudy, "_coverage_rep", no_rep)
+    monkeypatch.setattr(simstudy, "_fields", no_rep)
     with pytest.raises(ValueError, match=message):
         coverage_study(DgpConfig(n_regions=5, n_years=5), [YEAR], reps=100, **kwargs)
 
@@ -170,9 +164,6 @@ def test_degenerate_noise_collapses_intervals_onto_truth():
         design = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(design)
         slope = design.column_names.index("x.l0")
-        from clusterpanel.panel import assign_clusters
-        from clusterpanel.regression import clustered_cov
-
         cov = clustered_cov(fit, design, assign_clusters(design, REGION_YEAR), correction="CR0")
         lo, hi = confidence_intervals(fit, cov, 0.95)[slope]
         assert abs(fit.beta[slope] - cfg.beta_true) < 1e-9
@@ -239,3 +230,190 @@ def test_iid_singleton_coverage_band():
     cfg = DgpConfig(n_regions=10, n_years=10, noise_shared_weight=0.0)
     report = coverage_study(cfg, [REGION_YEAR], reps=1000, level=0.95, seed=14)
     assert 0.93 <= report.rows[0].coverage <= 0.97
+
+
+# ---------------------------------------------------------------------------
+# Batched studies against the per-rep oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_rep(config, seed, rep, schemes, level, correction):
+    """One replication on its own: generate_panel, build_design, ols_fit, then
+    clustered_cov and confidence_intervals per scheme.  Per scheme, (covered,
+    width, slope, slope variance, intercept variance), or None where the
+    scheme fails."""
+    design = build_design(generate_panel(config, (seed, rep)), SLOPE_SPEC)
+    slope = design.column_names.index("x.l0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "only G clusters" on every scheme
+        try:
+            fit = ols_fit(design)
+        except ValueError:
+            return [None] * len(schemes)
+        out = []
+        for scheme in schemes:
+            try:
+                cov = clustered_cov(fit, design, assign_clusters(design, scheme), correction)
+                lo, hi = confidence_intervals(fit, cov, level=level)[slope]
+            except ValueError:
+                out.append(None)
+                continue
+            out.append((bool(lo <= config.beta_true <= hi), hi - lo, fit.beta[slope],
+                        cov.cov[slope, slope], cov.cov[1 - slope, 1 - slope]))
+    return out
+
+
+def _oracle_reps(config, seed, reps, schemes, level=0.95, correction="CR1"):
+    """[rep][scheme] oracle results."""
+    return [_oracle_rep(config, seed, rep, schemes, level, correction) for rep in range(reps)]
+
+
+def _batched_reps(config, seed, reps, schemes, level=0.95, correction="CR1"):
+    """[rep][scheme] results of the batched kernel, in the oracle's form."""
+    assignments = simstudy._scheme_clusters(config, schemes)
+    slope, variances = simstudy._slope_sandwiches(config, seed, reps, assignments, correction)
+    out = [[None] * len(schemes) for _ in range(reps)]
+    for j, (clusters, var) in enumerate(zip(assignments, variances)):
+        q = _t_quantile(level, clusters.n_clusters)
+        for rep in np.flatnonzero((var > 0).all(axis=1)):
+            b, half = slope[rep], q * math.sqrt(var[rep, 1])
+            lo, hi = b - half, b + half
+            out[rep][j] = (bool(lo <= config.beta_true <= hi), hi - lo, b, var[rep, 1],
+                           var[rep, 0])
+    return out
+
+
+def _assert_report_matches(rows, oracle):
+    """``rows``: (replications, failed, coverage, mean width) per scheme."""
+    for j, (replications, failed, coverage, width) in enumerate(rows):
+        done = [rep[j] for rep in oracle if rep[j] is not None]
+        assert (replications, failed) == (len(done), len(oracle) - len(done))
+        assert coverage == np.mean([covered for covered, *_ in done])
+        assert width == pytest.approx(np.mean([w for _, w, *_ in done]), rel=1e-12)
+
+
+def _assert_reps_match(batched, oracle):
+    for rep, (got, want) in enumerate(zip(batched, oracle)):
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None), rep
+            if g is not None:
+                assert g[0] == w[0], rep
+                assert g[1:] == pytest.approx(w[1:], rel=1e-12, abs=0.0), rep
+
+
+ALL_SCHEMES = [REGION, YEAR, COUNTRY, COUNTRY_YEAR, REGION_YEAR]
+ORACLE_CASES = [
+    pytest.param(DgpConfig(n_regions=10, n_years=10), [REGION, YEAR, REGION_YEAR, COUNTRY_YEAR],
+                 "CR1", id="region_x_year"),
+    pytest.param(DgpConfig(n_regions=10, n_years=10, predictor_shared_weight=0.75,
+                           predictor_spatial_weight=0.15), [REGION, YEAR], "CR1",
+                 id="spatial_one_country"),
+    pytest.param(DgpConfig(n_regions=12, n_years=8, countries=4, predictor_shared_weight=0.6,
+                           predictor_sharing="country_year", noise_sharing="region"),
+                 ALL_SCHEMES, "CR0", id="country_year_x_region"),
+    pytest.param(DgpConfig(n_regions=8, n_years=10, countries=4, predictor_sharing="year",
+                           noise_sharing="country_year", noise_shared_weight=0.5),
+                 [YEAR, COUNTRY, COUNTRY_YEAR], "CR1", id="year_x_country_year"),
+    pytest.param(DgpConfig(n_regions=10, n_years=9, countries=4, predictor_shared_weight=0.75,
+                           predictor_spatial_weight=0.15, noise_sharing="country_year"),
+                 ALL_SCHEMES, "CR0", id="spatial_countries"),
+]
+
+
+@pytest.mark.parametrize("config, schemes, correction", ORACLE_CASES)
+def test_batched_reps_match_per_rep_oracle(config, schemes, correction):
+    # equal hits and failures; slopes, variances and widths to 1e-12
+    oracle = _oracle_reps(config, 31, 200, schemes, 0.9, correction)
+    _assert_reps_match(_batched_reps(config, 31, 200, schemes, 0.9, correction), oracle)
+    report = coverage_study(config, schemes, reps=200, level=0.9, seed=31, correction=correction)
+    _assert_report_matches([(r.replications, r.failed, r.coverage, r.mean_ci_width)
+                            for r in report.rows], oracle)
+
+
+@pytest.mark.parametrize("correction", ["CR0", "CR1"])
+def test_bias_study_matches_per_rep_oracle(correction):
+    cfg = DgpConfig(n_regions=8, n_years=10, countries=4, noise_shared_weight=0.0)
+    oracle = [rep[0] for rep in _oracle_reps(cfg, 3, 500, [COUNTRY_YEAR], correction=correction)]
+    report = bias_study(cfg, COUNTRY_YEAR, reps=500, seed=3, correction=correction)
+    assert report.empirical_variance == pytest.approx(
+        np.var([b for _, _, b, *_ in oracle], ddof=1), rel=1e-12)
+    assert report.mean_estimated_variance == pytest.approx(
+        np.mean([v for *_, v, _ in oracle]), rel=1e-12)
+
+
+def test_rank_deficient_reps_fail_every_scheme_like_the_oracle(monkeypatch):
+    # about half the replications get a constant x, which ols_fit rejects
+    drawn = simstudy._fields
+
+    def constant_x_for_some(config, rng):
+        x, y = drawn(config, rng)
+        return (np.full_like(x, 0.5), y) if x[0, 0] > 0 else (x, y)
+
+    monkeypatch.setattr(simstudy, "_fields", constant_x_for_some)
+    cfg = DgpConfig(n_regions=6, n_years=5)
+    oracle = _oracle_reps(cfg, 4, 100, [REGION, YEAR])
+    assert 20 < sum(rep[0] is None for rep in oracle) < 80
+    _assert_reps_match(_batched_reps(cfg, 4, 100, [REGION, YEAR]), oracle)
+    rows = coverage_study(cfg, [REGION, YEAR], reps=100, seed=4).rows
+    assert [r.failed for r in rows] == [sum(rep[j] is None for rep in oracle) for j in (0, 1)]
+    with pytest.raises(ValueError, match="rank-deficient"):
+        bias_study(DgpConfig(n_regions=6, n_years=5, noise_shared_weight=0.0), YEAR, reps=500)
+
+
+@pytest.mark.parametrize(
+    "x, y, failing",
+    [([[0, 0], [1, -1]], [[0, -2], [2, 0]], "region"),
+     ([[1, 0, -1, 0], [0, 1, -1, 0]], [[2, 1, -1, 0], [-1, 0, -1, 0]], "year")],
+    ids=["slope_variance", "intercept_variance"],
+)
+def test_zero_variance_fails_only_its_scheme(x, y, failing, monkeypatch):
+    # x and y exact in binary, with e = y - x orthogonal to 1 and x: the
+    # residuals are e exactly, and their scores cancel within the clusters
+    # of one scheme, for the slope in one case and the intercept in the other
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    monkeypatch.setattr(simstudy, "_fields", lambda config, rng: (x, y))
+    config = DgpConfig(n_regions=x.shape[0], n_years=x.shape[1])
+    for row in coverage_study(config, [REGION, YEAR], reps=100).rows:
+        if row.scheme == failing:
+            assert (row.replications, row.failed) == (0, 100)
+            assert math.isnan(row.coverage) and math.isnan(row.mean_ci_width)
+        else:
+            assert (row.replications, row.failed) == (100, 0)
+
+
+@pytest.mark.parametrize(
+    "config, scheme, message",
+    [(DgpConfig(n_regions=10, n_years=10), COUNTRY, "scheme 'country' has G=1"),
+     (DgpConfig(n_regions=10, n_years=10), ClusterScheme("custom", "foo"),
+      "scheme 'custom:foo' cannot cluster the simulated panel: custom cluster column 'foo'")],
+    ids=["one_country", "missing_custom_column"],
+)
+def test_unusable_scheme_fails_the_study_up_front(config, scheme, message, monkeypatch):
+    def no_rep(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simstudy, "_fields", no_rep)
+    with pytest.raises(ValueError, match=message):
+        coverage_study(config, [REGION, scheme], reps=100)
+    with pytest.raises(ValueError, match=message):
+        bias_study(DgpConfig(n_regions=10, n_years=10, noise_shared_weight=0.0), scheme, reps=500)
+
+
+def test_sample_simulate_golden_matches_per_rep_oracle():
+    import csv
+    from pathlib import Path
+
+    import yaml
+
+    root = Path(__file__).resolve().parent.parent
+    config = yaml.safe_load((root / "sample" / "config.yaml").read_text())
+    sim = config["simulate"]
+    dgp = DgpConfig(**{k: v for k, v in sim.items()
+                       if k not in ("study", "reps", "level", "schemes", "correction")})
+    schemes = [ClusterScheme.parse(s) for s in sim["schemes"]]
+    oracle = _oracle_reps(dgp, config["seed"], sim["reps"], schemes, sim["level"])
+    with open(root / "sample" / "golden" / "simulate" / "coverage.csv", newline="") as fh:
+        golden = list(csv.DictReader(fh))
+    assert [row["scheme"] for row in golden] == [scheme.label for scheme in schemes]
+    _assert_report_matches([(int(r["replications"]), int(r["failed"]), float(r["coverage"]),
+                             float(r["mean_ci_width"])) for r in golden], oracle)
