@@ -5,11 +5,13 @@ not run it.  It builds balanced panels with ``simstudy.generate_panel``,
 adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
 ``d.x*xbar`` at lags 0..2, then times each stage on its own:
 
+- load_csv of the panel written once by save_csv (median of LOAD_RUNS);
 - build_design;
 - fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov, region);
 - one cv model at K=4 (cv_loss, region folds);
-- one bootstrap replicate, as (t(B=1+k) - t(B=1)) / k of block_bootstrap,
-  and B=1000 extrapolated as t(B=1) + 999 replicates;
+- one bootstrap replicate, as the median of (t(B=1+k) - t(B=1)) / k over
+  BOOTSTRAP_PAIRS alternating timings of block_bootstrap, and B=1000
+  extrapolated as the median t(B=1) + 999 replicates;
 - the corr all-pairs group (ResidualPanel.from_fit, correlation_table).
 
 It also times ``coverage_study`` for 1000 replications of 10x10 and of
@@ -18,10 +20,11 @@ It also times ``coverage_study`` for 1000 replications of 10x10 and of
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
-    python3 scripts/scale_check.py --label after
-    python3 scripts/scale_check.py --label before --src /path/to/other/checkout/src
+    python3 scripts/scale_check.py --label after --out BENCH_9.json
+    python3 scripts/scale_check.py --label before --out BENCH_9.json \
+        --src /path/to/other/checkout/src
 
-Both runs go to ``--out`` (default BENCH_8.json).
+Runs already in ``--out`` under other labels are kept.
 
 BLAS is pinned to one thread, as in the benchmark.
 """
@@ -31,7 +34,9 @@ import json
 import os
 import platform
 import resource
+import statistics
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -43,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((300, 30), (1000, 40))
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0, "corr_all_pairs_s": 1.0}
+LOAD_RUNS = 5  # load_csv timings per size, of which the median is kept
+BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 # coverage studies: (regions, years) at SIMULATE_REPS replications, and the
 # target for the 10x10 one, in seconds
 SIMULATE_SIZES = ((10, 10), (100, 30))
@@ -76,6 +83,11 @@ def measure(cp, regions, years, extra_replicates):
                         fixed_effects=("region", "year"))
     ds = _panel(cp, regions, years)
     out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        schema = cp.save_csv(ds, path)
+        out["load_csv_s"] = statistics.median(
+            _timed(lambda: cp.load_csv(path, schema))[0] for _ in range(LOAD_RUNS))
     out["build_design_s"], design = _timed(lambda: cp.build_design(ds, spec))
     out["n"], out["p"] = design.n, design.p
 
@@ -86,10 +98,15 @@ def measure(cp, regions, years, extra_replicates):
 
     out["fit_cr1_s"], fit = _timed(fit_cr1)
     out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
-    one, _ = _timed(lambda: cp.block_bootstrap(ds, spec, cp.REGION, 1, seed=0))
-    more, _ = _timed(lambda: cp.block_bootstrap(ds, spec, cp.REGION, 1 + extra_replicates, seed=0))
-    out["bootstrap_replicate_s"] = (more - one) / extra_replicates
-    out["bootstrap_b1000_s"] = one + 999 * out["bootstrap_replicate_s"]
+    ones, replicates = [], []
+    for _ in range(BOOTSTRAP_PAIRS):
+        one, _ = _timed(lambda: cp.block_bootstrap(ds, spec, cp.REGION, 1, seed=0))
+        more, _ = _timed(lambda: cp.block_bootstrap(ds, spec, cp.REGION, 1 + extra_replicates,
+                                                    seed=0))
+        ones.append(one)
+        replicates.append((more - one) / extra_replicates)
+    out["bootstrap_replicate_s"] = statistics.median(replicates)
+    out["bootstrap_b1000_s"] = statistics.median(ones) + 999 * out["bootstrap_replicate_s"]
     out["corr_all_pairs_s"], _ = _timed(lambda: cp.correlation_table(
         cp.ResidualPanel.from_fit(fit, design, ds), [cp.GroupSpec("all", "spatial")]))
     return out
@@ -106,7 +123,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this run in the output, e.g. before")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="JSON file the run is added to, e.g. BENCH_9.json")
     parser.add_argument("--replicates", type=int, default=4,
                         help="extra bootstrap replicates timed for the per-replicate figure")
     args = parser.parse_args(argv)
@@ -136,8 +154,11 @@ def main(argv=None):
     run["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report["about"] = ("scripts/scale_check.py: stage times in seconds, single runs, balanced "
-                       "generate_panel panels, two-way fixed effects, d.x*xbar at lags 0..2")
+    report["about"] = ("scripts/scale_check.py: stage times in seconds, balanced generate_panel "
+                       "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s is the "
+                       f"median of {LOAD_RUNS} loads, the bootstrap figures come from the medians "
+                       f"of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, every other "
+                       "figure is a single run")
     report["targets_s_at_1000x40"] = TARGETS
     report["coverage_study"] = (f"{SIMULATE_REPS} replications, schemes region and year, "
                                 f"target {SIMULATE_TARGET_S} s at 10x10")

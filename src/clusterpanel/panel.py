@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -23,6 +24,7 @@ EARTH_RADIUS_KM = 6371.0
 DEFAULT_MAX_LAG_CEILING = 10
 
 _MISSING_TOKENS = ("", "NA")
+_BLOCK_ROWS = 256  # CSV rows parsed at a time
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +56,9 @@ class PanelDataset:
     region, country and year, the outcome, predictor values by name, and
     optionally lat/lon (NaN for no centroid), tag sets and custom strings.
     It enforces at least one observation, equal column lengths, unique
-    (region, year) keys, a single country per region, and consistent
-    centroids and group tags per region.
+    (region, year) keys, a single country per region, centroids with both
+    coordinates or neither and in range, and consistent centroids and group
+    tags per region.  It is the only place a panel is validated.
     """
 
     __slots__ = (
@@ -117,6 +120,11 @@ class PanelDataset:
         cs = np.asarray(country, dtype=str)[order]
         ll = np.full((n, 2), math.nan) if lat is None else np.column_stack([lat, lon]).astype(float)
         ll = ll[order]
+        half = np.isnan(ll[:, 0]) != np.isnan(ll[:, 1])
+        if half.any():
+            region_id = str(names[rs[np.argmax(half)]])
+            raise ValueError(f"region {region_id!r} has a half-missing centroid")
+        _check_coordinates(*ll[~np.isnan(ll[:, 0])].T)
         groups = np.fromiter(
             (frozenset(t) for t in tags) if tags is not None else (frozenset(),) * n,
             dtype=object, count=n,
@@ -436,112 +444,107 @@ class CsvSchema:
     delimiter: str = ","
 
     @classmethod
-    def canonical(
-        cls,
-        predictor_names: Sequence[str],
-        with_centroids: bool = False,
-        with_groups: bool = False,
-        custom_names: Sequence[str] = (),
-    ) -> "CsvSchema":
+    def canonical(cls, predictor_names: Sequence[str], with_centroids: bool = False,
+                  with_groups: bool = False, custom_names: Sequence[str] = ()) -> "CsvSchema":
         """Schema matching save_csv's canonical layout."""
-        return cls(
-            region="region",
-            country="country",
-            year="year",
-            outcome="outcome",
-            predictors={name: name for name in predictor_names},
-            lat="lat" if with_centroids else None,
-            lon="lon" if with_centroids else None,
-            groups=("groups",) if with_groups else (),
-            custom={name: name for name in custom_names},
-        )
+        return cls(region="region", country="country", year="year", outcome="outcome",
+                   predictors={name: name for name in predictor_names},
+                   lat="lat" if with_centroids else None, lon="lon" if with_centroids else None,
+                   groups=("groups",) if with_groups else (),
+                   custom={name: name for name in custom_names})
+
+    def columns(self) -> list[str]:
+        """The file columns this schema reads, in save_csv's canonical order."""
+        return [c for c in (self.region, self.country, self.year, self.outcome,
+                            *self.predictors.values(), self.lat, self.lon, *self.groups,
+                            *self.custom.values()) if c is not None]
 
 
-def _parse_float(cell: str, row_no: int, column: str) -> float:
-    text = cell.strip()
-    if text in _MISSING_TOKENS:
-        return math.nan
+def _floats(cells: Sequence[str], column: str, first_row: int) -> np.ndarray:
+    """A numeric column's cells as floats, NaN for a missing token."""
     try:
-        return float(text)
+        return np.array([math.nan if c.strip() in _MISSING_TOKENS else float(c) for c in cells])
     except ValueError:
-        raise ValueError(f"unparseable numeric cell {cell!r} in column {column!r}, row {row_no}") from None
+        i = _rejected(cells, lambda c: c.strip() in _MISSING_TOKENS or float(c))
+        raise ValueError(f"unparseable numeric cell {cells[i]!r} in column {column!r}, "
+                         f"row {first_row + i}") from None
+
+
+def _years(cells: Sequence[str], first_row: int) -> np.ndarray:
+    try:
+        return np.array([int(c) for c in cells], dtype=np.int64)
+    except ValueError:
+        i = _rejected(cells, int)
+        raise ValueError(f"unparseable year {cells[i].strip()!r} in row {first_row + i}") from None
+
+
+def _rejected(cells: Sequence[str], parse) -> int:
+    """Index of the first cell that ``parse`` rejects."""
+    for i, c in enumerate(cells):
+        try:
+            parse(c)
+        except ValueError:
+            return i
+
+
+def _blocks(reader, width: int):
+    """(CSV row number of the first row, columns) per block of up to ``_BLOCK_ROWS``
+    rows, each of ``width`` cells.  Blank lines are skipped and not numbered,
+    as by ``csv.DictReader``; the header is row 1."""
+    rows = filter(None, reader)
+    first = 2
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        if set(map(len, block)) != {width}:
+            i = next(i for i, row in enumerate(block) if len(row) != width)
+            raise ValueError(f"row {first + i} has {len(block[i])} cells, expected {width}")
+        yield first, list(zip(*block))
+        first += len(block)
 
 
 def load_csv(path, schema: CsvSchema) -> PanelDataset:
     """Load a panel from a delimited UTF-8 file with a header row.
 
-    Missing numeric cells (empty or 'NA') become NaN.  Errors report the
-    CSV row number (header is row 1).
+    The file is read once with ``csv.reader``, so a quoted cell may hold the
+    delimiter, and blank lines are skipped.  Rows are transposed into columns
+    block by block.  Missing numeric cells (empty or 'NA') become NaN.  A
+    ragged row, an unparseable number or year names its CSV row (the header
+    is row 1); every other check is the ``PanelDataset`` constructor's.
     """
+    # per-block arrays, each list seeded empty so a file without rows concatenates
+    years = [np.empty(0, dtype=np.int64)]
+    numbers = {c: [np.empty(0)] for c in (schema.outcome, *schema.predictors.values(), schema.lat,
+                                          schema.lon) if c is not None}
+    strings, tags = {c: [] for c in (schema.region, schema.country, *schema.custom.values())}, []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=schema.delimiter)
-        header = reader.fieldnames or []
-        needed = [schema.region, schema.country, schema.year]
-        if schema.outcome is not None:
-            needed.append(schema.outcome)
-        needed.extend(schema.predictors.values())
-        if schema.lat is not None or schema.lon is not None:
-            if schema.lat is None or schema.lon is None:
-                raise ValueError("lat and lon must be mapped together")
-            needed.extend([schema.lat, schema.lon])
-        needed.extend(schema.groups)
-        needed.extend(schema.custom.values())
-        missing = [c for c in needed if c not in header]
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        header = next(reader, [])
+        missing = [c for c in schema.columns() if c not in header]
         if missing:
             raise ValueError(f"columns missing from {path}: {missing}")
-
-        region, country, year, outcome, tags = [], [], [], [], []
-        predictors: dict[str, list[float]] = {name: [] for name in schema.predictors}
-        lat: list[float] = []
-        lon: list[float] = []
-        custom: dict[str, list[str]] = {name: [] for name in schema.custom}
-        for row_no, row in enumerate(reader, start=2):
-            # DictReader pads a short row with None and files a long row's
-            # extra cells under the key None
-            if None in row or None in row.values():
-                cells = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
-                raise ValueError(f"row {row_no} has {cells} cells, expected {len(header)}")
-            year_text = (row[schema.year] or "").strip()
-            try:
-                year.append(int(year_text))
-            except ValueError:
-                raise ValueError(
-                    f"unparseable year {year_text!r} in row {row_no}"
-                ) from None
-            outcome.append(
-                _parse_float(row[schema.outcome], row_no, schema.outcome)
-                if schema.outcome is not None
-                else math.nan
-            )
-            for name, col in schema.predictors.items():
-                predictors[name].append(_parse_float(row[col], row_no, col))
-            if schema.lat is not None:
-                la = _parse_float(row[schema.lat], row_no, schema.lat)
-                lo = _parse_float(row[schema.lon], row_no, schema.lon)
-                if math.isfinite(la) != math.isfinite(lo):
-                    raise ValueError(f"half-missing centroid in row {row_no}")
-                if math.isfinite(la):
-                    _check_coordinates(la, lo)
-                lat.append(la)
-                lon.append(lo)
-            row_tags: set[str] = set()
-            for col in schema.groups:
-                row_tags.update(t.strip() for t in (row[col] or "").split(";") if t.strip())
-            tags.append(row_tags)
-            for name, col in schema.custom.items():
-                custom[name].append((row[col] or "").strip())
-            region.append((row[schema.region] or "").strip())
-            country.append((row[schema.country] or "").strip())
-    with_centroids = schema.lat is not None
+        at = {name: j for j, name in enumerate(header)}  # a repeated name reads its last column
+        for first, cells in _blocks(reader, len(header)):
+            years.append(_years(cells[at[schema.year]], first))
+            for c in numbers:
+                numbers[c].append(_floats(cells[at[c]], c, first))
+            for c in strings:
+                strings[c] += [s.strip() for s in cells[at[c]]]
+            tags += [frozenset(t.strip() for t in ";".join(row).split(";")) - {""}
+                     for row in zip(*(cells[at[c]] for c in schema.groups))]
+    floats = {c: np.concatenate(parts) for c, parts in numbers.items()}
+    year = np.concatenate(years)
     return PanelDataset(
-        region, country, year, outcome, predictors,
-        lat=lat if with_centroids else None, lon=lon if with_centroids else None,
-        tags=tags, custom=custom,
+        strings[schema.region], strings[schema.country], year,
+        floats[schema.outcome] if schema.outcome is not None else np.full(len(year), math.nan),
+        {name: floats[c] for name, c in schema.predictors.items()},
+        lat=floats.get(schema.lat), lon=floats.get(schema.lon),  # None when not mapped
+        tags=tags if schema.groups else None,
+        custom={name: strings[c] for name, c in schema.custom.items()},
     )
 
 
-def _fmt(x: float) -> str:
-    return "NA" if not math.isfinite(x) else repr(float(x))
+def _fmt(values: np.ndarray) -> list[str]:
+    """Floats at full repr precision, 'NA' for a non-finite value."""
+    return [repr(x) if math.isfinite(x) else "NA" for x in values.tolist()]
 
 
 def save_csv(dataset: PanelDataset, path, delimiter: str = ",") -> CsvSchema:
@@ -550,37 +553,25 @@ def save_csv(dataset: PanelDataset, path, delimiter: str = ",") -> CsvSchema:
     Floats are written with full repr precision so save/load round-trips
     bit-identically.
     """
-    with_centroids = any(dataset.centroid_of(r) is not None for r in dataset.regions)
-    with_groups = any(dataset.groups_of(r) for r in dataset.regions)
-    schema = replace(
-        CsvSchema.canonical(
-            dataset.predictor_names,
-            with_centroids=with_centroids,
-            with_groups=with_groups,
-            custom_names=dataset.custom_names,
-        ),
-        delimiter=delimiter,
-    )
-    header = ["region", "country", "year", "outcome", *dataset.predictor_names]
-    if with_centroids:
-        header += ["lat", "lon"]
+    with_centroids, with_groups = not np.isnan(dataset.centroids).all(), any(dataset.groups)
+    schema = replace(CsvSchema.canonical(dataset.predictor_names, with_centroids, with_groups,
+                                         dataset.custom_names), delimiter=delimiter)
+    ri, ti = np.nonzero(dataset.present)
+    columns = [
+        np.array(dataset.regions, dtype=object)[ri].tolist(),
+        np.array(dataset.countries, dtype=object)[ri].tolist(),
+        (ti + dataset.first_year).tolist(),
+        _fmt(dataset.outcome[ri, ti]),
+        *(_fmt(dataset.predictors[name][ri, ti]) for name in dataset.predictor_names),
+    ]
+    columns += [_fmt(dataset.centroids[ri, j]) for j in (0, 1) if with_centroids]
     if with_groups:
-        header += ["groups"]
-    header += list(dataset.custom_names)
+        columns.append(np.array([";".join(sorted(g)) for g in dataset.groups], dtype=object)[ri])
+    columns += [dataset.custom[name][ri, ti] for name in dataset.custom_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(header)
-        present = dataset.present
-        for (region, year), i, t in zip(dataset.cell_keys(present), *np.nonzero(present)):
-            row = [region, dataset.countries[i], str(year), _fmt(dataset.outcome[i, t])]
-            row += [_fmt(dataset.predictors[name][i, t]) for name in dataset.predictor_names]
-            if with_centroids:
-                centroid = dataset.centroid_of(region)
-                row += ["NA", "NA"] if centroid is None else [_fmt(centroid[0]), _fmt(centroid[1])]
-            if with_groups:
-                row += [";".join(sorted(dataset.groups_of(region)))]
-            row += [dataset.custom[name][i, t] for name in dataset.custom_names]
-            writer.writerow(row)
+        writer.writerow(schema.columns())
+        writer.writerows(zip(*columns))
     return schema
 
 
@@ -753,11 +744,16 @@ def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssig
 # ---------------------------------------------------------------------------
 
 
-def _check_coordinates(lat: float, lon: float) -> None:
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError(f"latitude {lat} outside [-90, 90]")
-    if not -180.0 <= lon <= 180.0:
-        raise ValueError(f"longitude {lon} outside [-180, 180]")
+def _check_coordinates(lat: np.ndarray, lon: np.ndarray) -> None:
+    """Reject the first out-of-range (lat, lon) point of two like-shaped arrays
+    (NaN is out of range)."""
+    lat, lon = np.ravel(lat), np.ravel(lon)
+    bad = ~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not abs(lat[i]) <= 90.0:
+            raise ValueError(f"latitude {float(lat[i])} outside [-90, 90]")
+        raise ValueError(f"longitude {float(lon[i])} outside [-180, 180]")
 
 
 def haversine_km(a, b):
@@ -767,11 +763,8 @@ def haversine_km(a, b):
     (lat, lon); they broadcast, and a pair of points gives a float.
     """
     (lat1, lon1), (lat2, lon2) = (np.moveaxis(np.asarray(p, dtype=float), -1, 0) for p in (a, b))
-    for lat, lon in ((lat1, lon1), (lat2, lon2)):
-        bad = ~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            _check_coordinates(float(np.ravel(lat)[i]), float(np.ravel(lon)[i]))
+    _check_coordinates(lat1, lon1)
+    _check_coordinates(lat2, lon2)
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
     dlam = np.radians(lon2 - lon1)

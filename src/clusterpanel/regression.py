@@ -226,6 +226,8 @@ def clustered_cov(
     its variance is sum_g (a_rg - m_r' bread s_g)^2, with a_rg the sum of
     cluster g's residuals in region r over n_r and m_r the region's column
     means.  Its covariances with other columns are not formed and are NaN.
+    A region variance whose square root is at most n eps max|residual| is
+    roundoff of a structural zero and set to 0.
     """
     check_correction(correction)
     if clusters.n_rows != fit.n or design.n != fit.n:
@@ -269,6 +271,7 @@ def clustered_cov(
         unpaired = np.square(means @ np.linalg.qr(W, mode="r").T).sum(axis=1)
         unpaired -= np.bincount(r, c * c, len(means))
         var = corrected(np.bincount(r, np.square(a - c), len(means)) + np.maximum(unpaired, 0.0))
+        var[np.sqrt(var) <= n * np.finfo(float).eps * np.abs(fit.residuals).max()] = 0.0
         full = np.full((p, p), math.nan)
         full[np.ix_(design.x_slots, design.x_slots)] = cov
         full[design.region_slots, design.region_slots] = var[1:]
@@ -295,7 +298,8 @@ def confidence_intervals(
     d = np.diag(cov.cov)
     if np.any(d <= 0):
         bad = [fit.column_names[j] for j in np.flatnonzero(d <= 0)]
-        raise ValueError(f"nonpositive variance for columns {bad}; covariance is broken")
+        raise ValueError(f"nonpositive variance for columns {bad} under the "
+                         f"{cov.scheme.label} scheme")
     half = q * np.sqrt(d)
     return np.column_stack([fit.beta - half, fit.beta + half])
 

@@ -128,10 +128,11 @@ def _dataset(config: DgpConfig, x: np.ndarray, y: np.ndarray) -> PanelDataset:
     lat = lon = None
     if config.with_centroids:
         # deterministic synthetic geography: countries along the equator,
-        # regions spread around their country's center
+        # regions spread around their country's center, wrapped into [-180, 180)
         within = np.arange(R) - np.searchsorted(country_of, country_of, side="left")
         lat = np.repeat(-10.0 + 2.0 * (within % 11), T)
-        lon = np.repeat(-170.0 + 24.0 * (country_of % 15) + 2.0 * (within // 11), T)
+        lon = -170.0 + 24.0 * (country_of % 15) + 2.0 * (within // 11)
+        lon = np.repeat((lon + 180.0) % 360.0 - 180.0, T)
     return PanelDataset(
         np.repeat([f"R{i:0{region_width}d}" for i in range(R)], T),
         np.repeat([f"C{c:0{country_width}d}" for c in country_of], T),

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import csv
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from clusterpanel.panel import (
     ColumnLabel,
+    CsvSchema,
     DesignMatrix,
     PanelDataset,
 )
@@ -145,6 +147,105 @@ def dense_X(design):
         levels = np.arange(1, len(design.region_slots) + 1)
         X[:, list(design.region_slots)] = code[:, None] == levels
     return X
+
+
+def _rowwise_float(cell, row_no, column):
+    text = cell.strip()
+    if text in ("", "NA"):
+        return math.nan
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(
+            f"unparseable numeric cell {cell!r} in column {column!r}, row {row_no}"
+        ) from None
+
+
+def rowwise_load_csv(path, schema: CsvSchema) -> PanelDataset:
+    """The row-wise CSV loader that ``load_csv`` replaced, kept as its oracle:
+    one ``csv.DictReader`` dict per row, one parse and check per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter=schema.delimiter)
+        header = reader.fieldnames or []
+        needed = [schema.region, schema.country, schema.year]
+        if schema.outcome is not None:
+            needed.append(schema.outcome)
+        needed.extend(schema.predictors.values())
+        if schema.lat is not None or schema.lon is not None:
+            if schema.lat is None or schema.lon is None:
+                raise ValueError("lat and lon must be mapped together")
+            needed.extend([schema.lat, schema.lon])
+        needed.extend(schema.groups)
+        needed.extend(schema.custom.values())
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise ValueError(f"columns missing from {path}: {missing}")
+
+        region, country, year, outcome, tags = [], [], [], [], []
+        predictors = {name: [] for name in schema.predictors}
+        lat, lon = [], []
+        custom = {name: [] for name in schema.custom}
+        for row_no, row in enumerate(reader, start=2):
+            # DictReader pads a short row with None and files a long row's
+            # extra cells under the key None
+            if None in row or None in row.values():
+                cells = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
+                raise ValueError(f"row {row_no} has {cells} cells, expected {len(header)}")
+            year_text = (row[schema.year] or "").strip()
+            try:
+                year.append(int(year_text))
+            except ValueError:
+                raise ValueError(f"unparseable year {year_text!r} in row {row_no}") from None
+            outcome.append(
+                _rowwise_float(row[schema.outcome], row_no, schema.outcome)
+                if schema.outcome is not None
+                else math.nan
+            )
+            for name, col in schema.predictors.items():
+                predictors[name].append(_rowwise_float(row[col], row_no, col))
+            if schema.lat is not None:
+                la = _rowwise_float(row[schema.lat], row_no, schema.lat)
+                lo = _rowwise_float(row[schema.lon], row_no, schema.lon)
+                if math.isfinite(la) != math.isfinite(lo):
+                    raise ValueError(f"half-missing centroid in row {row_no}")
+                if math.isfinite(la):
+                    if not -90.0 <= la <= 90.0:
+                        raise ValueError(f"latitude {la} outside [-90, 90]")
+                    if not -180.0 <= lo <= 180.0:
+                        raise ValueError(f"longitude {lo} outside [-180, 180]")
+                lat.append(la)
+                lon.append(lo)
+            row_tags = set()
+            for col in schema.groups:
+                row_tags.update(t.strip() for t in (row[col] or "").split(";") if t.strip())
+            tags.append(row_tags)
+            for name, col in schema.custom.items():
+                custom[name].append((row[col] or "").strip())
+            region.append((row[schema.region] or "").strip())
+            country.append((row[schema.country] or "").strip())
+    with_centroids = schema.lat is not None
+    return PanelDataset(
+        region, country, year, outcome, predictors,
+        lat=lat if with_centroids else None, lon=lon if with_centroids else None,
+        tags=tags, custom=custom,
+    )
+
+
+def assert_same_dataset(got: PanelDataset, expected: PanelDataset):
+    """Bit-for-bit equality of two datasets: every grid's bytes, labels, tags,
+    centroids and custom column."""
+    assert got.regions == expected.regions and got.countries == expected.countries
+    assert got.first_year == expected.first_year
+    assert got.predictor_names == expected.predictor_names
+    assert got.custom_names == expected.custom_names
+    assert got.present.tobytes() == expected.present.tobytes()
+    assert got.outcome.tobytes() == expected.outcome.tobytes()
+    for name in expected.predictor_names:
+        assert got.predictors[name].tobytes() == expected.predictors[name].tobytes(), name
+    for name in expected.custom_names:
+        assert got.custom[name].tolist() == expected.custom[name].tolist(), name
+    assert got.centroids.tobytes() == expected.centroids.tobytes()
+    assert got.groups == expected.groups
 
 
 @pytest.fixture

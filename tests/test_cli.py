@@ -154,6 +154,9 @@ def test_fit_trivial_model_reports_only_intercept_and_dummies(tmp_path):
 
     config = yaml.safe_load((ROOT / SAMPLE_CONFIG).read_text())
     config["model"]["terms"] = []
+    # region clusters leave the region effects no variance without terms
+    # (test_fit_names_structurally_zero_region_variances)
+    config["fit"]["schemes"] = ["country_year"]
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(config))
     out = tmp_path / "fit"
@@ -322,6 +325,23 @@ def test_bool_keys_take_only_yaml_booleans(command, where, section, value, capsy
     key = where[-1] if isinstance(where[-1], str) else where[-2]
     assert (f"error: bad {key!r} in section {section!r}: expected true or false, got {value!r}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"terms": []}, {"terms": [], "intercept": False, "fixed_effects": ["region"]}],
+    ids=["two_way_no_terms", "region_only_no_intercept"],
+)
+def test_fit_names_structurally_zero_region_variances(model, capsys, tmp_path):
+    # without terms, region clusters leave each region effect a clustered
+    # variance that is zero but for roundoff (SEs of 1e-18 to 2.5e-16)
+    config = _sample_config()
+    config["model"].update(model)
+    config["fit"]["schemes"] = ["region"]
+    assert _run_config(config, "fit", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: nonpositive variance for columns ['region=R001', 'region=R002'" in err
+    assert "'region=R029'] under the region scheme" in err
 
 
 def test_max_lag_ceiling_reaches_every_command(tmp_path):

@@ -26,7 +26,8 @@ from clusterpanel.panel import (
 )
 from clusterpanel.simstudy import DgpConfig, generate_panel
 
-from conftest import cell, dense_X, dense_dummies, grid_dataset, obs, panel_from
+from conftest import (assert_same_dataset, cell, dense_X, dense_dummies, grid_dataset, obs,
+                      panel_from, rowwise_load_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +123,107 @@ def test_load_csv_missing_cells_and_tags(tmp_path):
     assert ds.centroid_of("R1") == (52.0, 13.0)
 
 
-def test_save_load_round_trip(tmp_path):
-    cfg = DgpConfig(n_regions=200, n_years=21, countries=10)
-    ds = generate_panel(cfg, seed=99)
-    assert ds.n_observations == 4200
+def _tagged_panel():
+    """Tags, custom strings that need quoting, and a region without a centroid."""
+    return PanelDataset(
+        ["R1", "R1", "R2", "R2", "R3"], ["A", "A", "B", "B", "B"],
+        [2000, 2002, 2000, 2001, 2001],
+        [0.1, np.nan, 1 / 3, -2.5e-300, 7.0], {"x": [1.0, 2.0, np.nan, 4.0, 5.0]},
+        lat=[52.0, 52.0, -33.9, -33.9, np.nan], lon=[13.4, 13.4, 151.2, 151.2, np.nan],
+        tags=[{"EU", "G7"}, {"EU", "G7"}, set(), set(), {"OECD"}],
+        custom={"note": ['a, "quoted" b', "c", "", "d;e", "f"]},
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_panel(DgpConfig(n_regions=200, n_years=21, countries=10), seed=99),
+        _tagged_panel,
+        # 100 regions per country, so the synthetic longitudes wrap past 180
+        lambda: generate_panel(DgpConfig(n_regions=1500, n_years=2, countries=15), seed=5),
+    ],
+    ids=["generated", "tags_custom_no_centroid", "wrapped_longitude"],
+)
+def test_save_load_round_trip(make, tmp_path):
+    ds = make()
     path = tmp_path / "panel.csv"
     schema = save_csv(ds, path)
-    back = load_csv(path, schema)
-    assert back.n_observations == ds.n_observations
-    assert back.predictor_names == ds.predictor_names
-    assert back.regions == ds.regions and back.countries == ds.countries
-    assert back.first_year == ds.first_year
-    np.testing.assert_array_equal(back.present, ds.present)
-    # bit-identical float round trip
-    assert back.outcome.tobytes() == ds.outcome.tobytes()
-    assert back.predictors["x"].tobytes() == ds.predictors["x"].tobytes()
-    for r in ds.regions:
-        assert back.centroid_of(r) == ds.centroid_of(r)
-        assert back.groups_of(r) == ds.groups_of(r)
+    assert_same_dataset(load_csv(path, schema), ds)  # bit-identical float round trip
+
+
+def _oracle_case(name, tmp_path):
+    """(path, schema) of a CSV that both loaders read."""
+    if name == "sample":
+        return SAMPLE_DIR / "panel.csv", SAMPLE_SCHEMA
+    if name == "scenario_no_outcome":
+        return SAMPLE_DIR / "scenario_low.csv", replace(SAMPLE_SCHEMA, outcome=None)
+    gappy = CsvSchema(region="region", country="country", year="year", outcome="growth",
+                      predictors={"temp": "temp"}, lat="lat", lon="lon",
+                      groups=("tags", "more_tags"), custom={"note": "note"})
+    texts = {
+        "gappy": (gappy, "region,country,year,growth,temp,lat,lon,tags,more_tags,note\n"
+                         "R2,B,2001, 0.5 ,NA,48.9,2.4,EU;,G7,b\n"
+                         " R1 ,A,2000,NA,,52.0,13.0,EU28; EU95,, a \n"
+                         "R1,A,2003,,1e-3,52.0,13.0,EU28; EU95,,\n"
+                         "R3,B,1999,-2,NA,NA,,,,c\n"
+                         "R3,B,2001,1.5e300,-0.0,,NA,,,\n"),
+        "quoted_delimiter": (replace(gappy, delimiter=";"),
+                             "region;country;year;growth;temp;lat;lon;tags;more_tags;note\n"
+                             '"R;1";A;2000;0.1;1;1.5;2.5;"EU;G7";;"x;y"\n'
+                             '"R;1";A;2001;0.2;2;1.5;2.5;"EU;G7";;"say ""hi"""\n'),
+        "blank_lines": (BASIC_SCHEMA, "region,country,year,growth,temp\n\n"
+                                      "R1,A,2000,0.1,10.0\n\n\nR1,A,2001,0.2,11.0\n\n"),
+        "header_only": (BASIC_SCHEMA, "region,country,year,growth,temp\n"),
+    }
+    schema, text = texts[name]
+    return write_csv(tmp_path / f"{name}.csv", text), schema
+
+
+def _load_or_message(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["sample", "scenario_no_outcome", "gappy", "quoted_delimiter",
+                                  "blank_lines", "header_only"])
+def test_load_csv_matches_rowwise_oracle(name, tmp_path):
+    path, schema = _oracle_case(name, tmp_path)
+    got = _load_or_message(load_csv, path, schema)
+    expected = _load_or_message(rowwise_load_csv, path, schema)
+    if name == "header_only":
+        assert got == expected == "dataset needs at least one observation"
+    else:
+        assert_same_dataset(got, expected)
+
+
+_HEADER = "region,country,year,growth,temp,lat,lon\n"
+_ROWS = "".join(f"R{i},A,2000,0.1,1,1.0,2.0\n" for i in range(5000))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_HEADER + "R1,A,2000,0.1,1,1,2\n\nR1,A,2001,oops,1,1,2\n",
+         "unparseable numeric cell 'oops' in column 'growth', row 3"),
+        (_HEADER + "\nR1,A,2000,0.1,1,1,2\nR1,A, 20x1 ,0.2,1,1,2\n",
+         "unparseable year '20x1' in row 3"),
+        (_HEADER + "R1,A,2000,0.1,1,1,2\n\n\nR1,A,2001\n", "row 3 has 3 cells, expected 7"),
+        (_HEADER + "\nR1,A,2001,0.2,1,1,2,extra\n", "row 2 has 8 cells, expected 7"),
+        (_HEADER + _ROWS + "R9,A,2000,0.1,1,1.0,2.0\nR9,A,2001,0.1,x1,1.0,2.0\n",
+         "unparseable numeric cell 'x1' in column 'temp', row 5003"),
+        (_HEADER + "R1,A,2000,0.1,1,91.0,2.0\n", r"latitude 91.0 outside [-90, 90]"),
+        (_HEADER + "R1,A,2000,0.1,1,1.0,-180.5\n", r"longitude -180.5 outside [-180, 180]"),
+    ],
+    ids=["number", "year", "short_row", "long_row", "second_block", "latitude", "longitude"],
+)
+def test_load_csv_errors_match_rowwise_oracle(text, message, tmp_path):
+    path = write_csv(tmp_path / "bad.csv", text)
+    schema = replace(BASIC_SCHEMA, lat="lat", lon="lon")
+    assert _load_or_message(load_csv, path, schema) == message
+    assert _load_or_message(rowwise_load_csv, path, schema) == message
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +251,9 @@ def test_inconsistent_centroid_rejected():
         ({"tags": [{"EU"}, set()]}, "region 'R1' carries inconsistent group tags"),
         ({"lat": [1.0, 1.0]}, "lat and lon must be given together"),
         ({"lat": [1.0, np.nan], "lon": [2.0, np.nan]}, "region 'R1' carries inconsistent centroids"),
+        ({"lat": [1.0, 1.0], "lon": [2.0, np.nan]}, "region 'R1' has a half-missing centroid"),
+        ({"lat": [91.0, 91.0], "lon": [2.0, 2.0]}, r"latitude 91.0 outside \[-90, 90\]"),
+        ({"lat": [1.0, 1.0], "lon": [182.0, 182.0]}, r"longitude 182.0 outside \[-180, 180\]"),
     ],
 )
 def test_constructor_validation(columns, message):
