@@ -16,12 +16,18 @@ adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
 
 It also times ``coverage_study`` for 1000 replications of 10x10 and of
 100x30, on the benchmark's montecarlo design (schemes region and year).
+Last, it times the cold start of a command on the ``--src`` tree, each
+figure the median of COLD_RUNS fresh interpreters:
+
+- import_s: ``import clusterpanel.cli``, timed inside the interpreter;
+- cold_fit_s: ``python -m clusterpanel.cli fit`` on sample/config.yaml,
+  timed from process launch to exit.
 
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
-    python3 scripts/scale_check.py --label after --out BENCH_9.json
-    python3 scripts/scale_check.py --label before --out BENCH_9.json \
+    python3 scripts/scale_check.py --label after --out BENCH_10.json
+    python3 scripts/scale_check.py --label before --out BENCH_10.json \
         --src /path/to/other/checkout/src
 
 Runs already in ``--out`` under other labels are kept.
@@ -35,6 +41,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -55,6 +62,7 @@ BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 SIMULATE_SIZES = ((10, 10), (100, 30))
 SIMULATE_REPS = 1000
 SIMULATE_TARGET_S = 0.1
+COLD_RUNS = 5  # fresh interpreters per cold-start figure, of which the median is kept
 
 
 def _panel(cp, regions, years):
@@ -119,16 +127,36 @@ def simulate(cp, regions, years, reps):
     return _timed(lambda: cp.coverage_study(cfg, [cp.REGION, cp.YEAR], reps=reps, seed=0))[0]
 
 
+def cold_start(src):
+    """Median seconds of a fresh interpreter's import and of a cold sample fit."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import time; t = time.perf_counter(); import clusterpanel.cli; "
+             "print(time.perf_counter() - t)")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    imports, fits = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(COLD_RUNS):
+            imports.append(float(run("-c", probe)))
+            fits.append(_timed(lambda: run("-m", "clusterpanel.cli", "fit", "--config",
+                                           "sample/config.yaml", "--out", tmp))[0])
+    return {"import_s": statistics.median(imports), "cold_fit_s": statistics.median(fits)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this run in the output, e.g. before")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, required=True,
-                        help="JSON file the run is added to, e.g. BENCH_9.json")
+                        help="JSON file the run is added to, e.g. BENCH_10.json")
     parser.add_argument("--replicates", type=int, default=4,
                         help="extra bootstrap replicates timed for the per-replicate figure")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     warnings.simplefilter("ignore")
     import numpy as np
     import scipy
@@ -137,7 +165,8 @@ def main(argv=None):
 
     measure(cp, 25, 8, 1)  # warm-up: imports, BLAS and first-call set-up
     simulate(cp, 10, 10, 100)
-    run = {}
+    run = {"cold_start_s": {k: round(v, 4) for k, v in cold_start(src).items()}}
+    print("cold start", json.dumps(run["cold_start_s"]), flush=True)
     for regions, years in SIZES:
         key = f"{regions}x{years}"
         run[key] = {k: round(v, 4) if isinstance(v, float) else v
@@ -157,7 +186,8 @@ def main(argv=None):
     report["about"] = ("scripts/scale_check.py: stage times in seconds, balanced generate_panel "
                        "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s is the "
                        f"median of {LOAD_RUNS} loads, the bootstrap figures come from the medians "
-                       f"of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, every other "
+                       f"of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, the cold-start "
+                       f"figures are medians of {COLD_RUNS} fresh interpreters, every other "
                        "figure is a single run")
     report["targets_s_at_1000x40"] = TARGETS
     report["coverage_study"] = (f"{SIMULATE_REPS} replications, schemes region and year, "

@@ -40,6 +40,14 @@ def _shift(grid: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
+def _check_unpadded(what: str, values) -> None:
+    """Reject a string with leading or trailing whitespace, which ``load_csv``
+    would strip; each distinct value is checked once."""
+    bad = sorted(v for v in map(str, set(values)) if v != v.strip())
+    if bad:
+        raise ValueError(f"{what} {bad[0]!r} has leading or trailing whitespace")
+
+
 class PanelDataset:
     """Validated region x year panel stored as columns.
 
@@ -57,8 +65,11 @@ class PanelDataset:
     optionally lat/lon (NaN for no centroid), tag sets and custom strings.
     It enforces at least one observation, equal column lengths, unique
     (region, year) keys, a single country per region, centroids with both
-    coordinates or neither and in range, and consistent centroids and group
-    tags per region.  It is the only place a panel is validated.
+    coordinates or neither and in range, consistent centroids and group
+    tags per region, no region, country, tag or custom string with leading
+    or trailing whitespace (which ``load_csv`` strips), and no empty tag or
+    tag holding ';' (the CSV tag separator).  It is the only place a panel
+    is validated.
     """
 
     __slots__ = (
@@ -144,6 +155,15 @@ class PanelDataset:
                         f"{str(cs[head[i]])!r} and {str(cs[i])!r}"
                     )
                 raise ValueError(f"region {region_id!r} carries inconsistent {what}")
+        _check_unpadded("region", names)
+        _check_unpadded("country", cs[starts])
+        all_tags = frozenset().union(*groups[starts])
+        _check_unpadded("tag", all_tags)
+        split = sorted(t for t in all_tags if not t or ";" in t)
+        if split:
+            raise ValueError(f"tag {split[0]!r} is empty or holds ';', the CSV tag separator")
+        for name, values in custom.items():
+            _check_unpadded(f"custom {name!r} value", values)
 
         cells = (rcode, year - first)
 

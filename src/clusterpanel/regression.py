@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats as sstats
+from scipy import special
 
 from .panel import ClusterAssignment, ClusterScheme, DesignMatrix, TermSpec, term_label
 
@@ -284,7 +284,7 @@ def _t_quantile(level: float, G: int) -> float:
     check_level(level)
     if G < 2:
         raise ValueError("confidence intervals need at least 2 clusters")
-    return float(sstats.t.ppf(0.5 + level / 2.0, G - 1))
+    return float(special.stdtrit(G - 1, 0.5 + level / 2.0))
 
 
 def confidence_intervals(

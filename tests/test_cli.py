@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from itertools import zip_longest
 from pathlib import Path
 
@@ -481,3 +484,22 @@ def test_readme_config_block_matches_schema():
         cli.resolve(config, command)
     undocumented = {key for key in _schema_keys(cli.SCHEMA) if f"{key}:" not in block}
     assert not undocumented, f"keys missing from the README schema: {sorted(undocumented)}"
+
+
+def test_cli_never_imports_scipy_stats(tmp_path):
+    # scipy.stats costs about a second of every command's start-up; the t
+    # quantile comes from scipy.special, so a fresh interpreter running fit
+    # and simulate must never load it
+    script = (
+        "import sys\n"
+        "from clusterpanel import cli\n"
+        "for command in ('fit', 'simulate'):\n"
+        f"    out = {str(tmp_path)!r} + '/' + command\n"
+        f"    assert cli.main([command, '--config', {SAMPLE_CONFIG!r}, '--out', out]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

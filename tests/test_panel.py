@@ -135,6 +135,16 @@ def _tagged_panel():
     )
 
 
+def _inner_spaces_panel():
+    """Strings with inner whitespace, which load_csv keeps."""
+    return PanelDataset(
+        ["New York", "New York", "Rio de Janeiro"], ["United States", "United States", "Brazil"],
+        [2000, 2001, 2000], [1.0, 2.0, 3.0], {"x": [0.5, 0.25, 0.125]},
+        tags=[{"G 7", "EU"}, {"G 7", "EU"}, {"BRICS  plus"}],
+        custom={"note": ["a b", "tab\tinside", ""], "other": ["x  y", "z", "w"]},
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -142,8 +152,9 @@ def _tagged_panel():
         _tagged_panel,
         # 100 regions per country, so the synthetic longitudes wrap past 180
         lambda: generate_panel(DgpConfig(n_regions=1500, n_years=2, countries=15), seed=5),
+        _inner_spaces_panel,
     ],
-    ids=["generated", "tags_custom_no_centroid", "wrapped_longitude"],
+    ids=["generated", "tags_custom_no_centroid", "wrapped_longitude", "inner_spaces"],
 )
 def test_save_load_round_trip(make, tmp_path):
     ds = make()
@@ -254,6 +265,15 @@ def test_inconsistent_centroid_rejected():
         ({"lat": [1.0, 1.0], "lon": [2.0, np.nan]}, "region 'R1' has a half-missing centroid"),
         ({"lat": [91.0, 91.0], "lon": [2.0, 2.0]}, r"latitude 91.0 outside \[-90, 90\]"),
         ({"lat": [1.0, 1.0], "lon": [182.0, 182.0]}, r"longitude 182.0 outside \[-180, 180\]"),
+        # load_csv strips string cells, so a padded string could not round-trip
+        ({"region": [" R1", " R1"], "tags": [{" t"}, {" t"}], "custom": {"k": [" a ", "b"]}},
+         "region ' R1' has leading or trailing whitespace"),
+        ({"country": ["A ", "A "]}, "country 'A ' has leading or trailing whitespace"),
+        ({"tags": [{"EU", " t"}, {"EU", " t"}]}, "tag ' t' has leading or trailing whitespace"),
+        ({"custom": {"k": ["a", "b\n"]}}, r"custom 'k' value 'b\\n' has leading or trailing whitespace"),
+        # load_csv splits tag cells on ';' and drops empty tags
+        ({"tags": [{"a;b"}, {"a;b"}]}, "tag 'a;b' is empty or holds ';', the CSV tag separator"),
+        ({"tags": [{""}, {""}]}, "tag '' is empty or holds ';', the CSV tag separator"),
     ],
 )
 def test_constructor_validation(columns, message):

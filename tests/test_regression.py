@@ -229,8 +229,8 @@ def test_interval_half_width_small_g():
 # passes on (not at the decimal 0.975 / 0.95), keyed by df = G - 1. Computed
 # with mpmath at 60 digits by root-finding on the regularized incomplete beta
 # P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2. Every CI bound in the fit and
-# simulate goldens scales with these values, so a drift in scipy's t.ppf
-# shows here first; rel=1e-15 is a few ulp.
+# simulate goldens scales with these values, so a drift in scipy's
+# special.stdtrit shows here first; rel=1e-15 is a few ulp.
 T_QUANTILES = {
     (1, 0.95): "12.7062047361746933141",
     (1, 0.90): "6.313751514675037397925",
@@ -251,6 +251,18 @@ T_QUANTILES = {
 def test_t_quantile_matches_high_precision_constants(df, level):
     expected = float(T_QUANTILES[(df, level)])
     assert _t_quantile(level, df + 1) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize(
+    "level", [0.01, 0.1, 0.5, 0.68, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999])
+def test_t_quantile_equals_scipy_stats_t_ppf(level):
+    # _t_quantile calls special.stdtrit directly; scipy.stats.t.ppf, the
+    # distribution framework it replaces, stays here as the exact oracle.
+    G = np.arange(2, 2501)
+    expected = stats.t.ppf(0.5 + level / 2.0, G - 1)
+    got = np.array([_t_quantile(level, int(g)) for g in G])
+    mismatch = np.flatnonzero(got != expected)
+    assert mismatch.size == 0, f"G={G[mismatch[:5]].tolist()} differ from t.ppf"
 
 
 def test_interval_rejects_nonpositive_variance():
