@@ -9,9 +9,11 @@ adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
 - build_design;
 - fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov, region);
 - one cv model at K=4 (cv_loss, region folds);
-- one bootstrap replicate, as the median of (t(B=1+k) - t(B=1)) / k over
-  BOOTSTRAP_PAIRS alternating timings of block_bootstrap, and B=1000
-  extrapolated as the median t(B=1) + 999 replicates;
+- one bootstrap replicate under each of the region, year and country_year
+  schemes, as the median of (t(B=1+k) - t(B=1)) / k over BOOTSTRAP_PAIRS
+  alternating timings of block_bootstrap, and B=1000 extrapolated as the
+  median t(B=1) + 999 replicates (keys bootstrap_replicate_s and
+  bootstrap_b1000_s for region, bootstrap_<scheme>_... for the others);
 - the corr all-pairs group (ResidualPanel.from_fit, correlation_table).
 
 It also times ``coverage_study`` for 1000 replications of 10x10 and of
@@ -26,8 +28,8 @@ figure the median of COLD_RUNS fresh interpreters:
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
-    python3 scripts/scale_check.py --label after --out BENCH_10.json
-    python3 scripts/scale_check.py --label before --out BENCH_10.json \
+    python3 scripts/scale_check.py --label after --out BENCH_11.json
+    python3 scripts/scale_check.py --label before --out BENCH_11.json \
         --src /path/to/other/checkout/src
 
 Runs already in ``--out`` under other labels are kept.
@@ -54,7 +56,9 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((300, 30), (1000, 40))
 # aim-1 targets at 1000x40, in seconds
-TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0, "corr_all_pairs_s": 1.0}
+TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
+           "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
+           "corr_all_pairs_s": 1.0}
 LOAD_RUNS = 5  # load_csv timings per size, of which the median is kept
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 # coverage studies: (regions, years) at SIMULATE_REPS replications, and the
@@ -106,15 +110,17 @@ def measure(cp, regions, years, extra_replicates):
 
     out["fit_cr1_s"], fit = _timed(fit_cr1)
     out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
-    ones, replicates = [], []
-    for _ in range(BOOTSTRAP_PAIRS):
-        one, _ = _timed(lambda: cp.block_bootstrap(ds, spec, cp.REGION, 1, seed=0))
-        more, _ = _timed(lambda: cp.block_bootstrap(ds, spec, cp.REGION, 1 + extra_replicates,
-                                                    seed=0))
-        ones.append(one)
-        replicates.append((more - one) / extra_replicates)
-    out["bootstrap_replicate_s"] = statistics.median(replicates)
-    out["bootstrap_b1000_s"] = statistics.median(ones) + 999 * out["bootstrap_replicate_s"]
+    for scheme in (cp.REGION, cp.YEAR, cp.COUNTRY_YEAR):
+        ones, replicates = [], []
+        for _ in range(BOOTSTRAP_PAIRS):
+            one, _ = _timed(lambda: cp.block_bootstrap(ds, spec, scheme, 1, seed=0))
+            more, _ = _timed(lambda: cp.block_bootstrap(ds, spec, scheme, 1 + extra_replicates,
+                                                        seed=0))
+            ones.append(one)
+            replicates.append((more - one) / extra_replicates)
+        key = "bootstrap" if scheme == cp.REGION else f"bootstrap_{scheme.label}"
+        out[f"{key}_replicate_s"] = statistics.median(replicates)
+        out[f"{key}_b1000_s"] = statistics.median(ones) + 999 * out[f"{key}_replicate_s"]
     out["corr_all_pairs_s"], _ = _timed(lambda: cp.correlation_table(
         cp.ResidualPanel.from_fit(fit, design, ds), [cp.GroupSpec("all", "spatial")]))
     return out
@@ -151,8 +157,8 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="name of this run in the output, e.g. before")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, required=True,
-                        help="JSON file the run is added to, e.g. BENCH_10.json")
-    parser.add_argument("--replicates", type=int, default=4,
+                        help="JSON file the run is added to, e.g. BENCH_11.json")
+    parser.add_argument("--replicates", type=int, default=20,
                         help="extra bootstrap replicates timed for the per-replicate figure")
     args = parser.parse_args(argv)
     src = args.src.resolve()

@@ -6,13 +6,12 @@ multiplicity in the draw: the same fit as stacking the drawn clusters' rows
 (duplicates kept) and rebuilding the fixed-effect dummies on them
 (Cameron, Gelbach & Miller 2008), without copying rows or forming dummies.
 Replicate b's randomness derives from (seed, b), so draws are identical
-under any execution order.
+under any execution order.  Replicates are solved from ``ClusterMoments``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .panel import (
     build_design,
     dummy_columns,
 )
-from .regression import Absorbed, FitResult, check_level, ols_fit
+from .regression import ClusterMoments, FitResult, check_level, ols_fit
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,7 @@ class BootstrapSample:
     levels absent from the resample, and the intercept plus the dummies of
     any effect whose reference level was absent (forcing re-referencing).
     ``failed_refits`` counts rank-deficient resamples (excluded from draws).
+    ``design``, when known, is the refitted design, a scenario path template.
     """
 
     draws: np.ndarray
@@ -48,6 +48,7 @@ class BootstrapSample:
     seed: int
     failed_refits: int
     base_fit: FitResult
+    design: DesignMatrix | None = None
 
     def __post_init__(self):
         self.draws.setflags(write=False)
@@ -60,23 +61,6 @@ class BootstrapSample:
             )
 
 
-def _replicate(b: int, seed: int, design: DesignMatrix, row_cluster: np.ndarray, G: int):
-    rng = np.random.default_rng((seed, b))
-    drawn = rng.integers(0, G, size=G)
-    refit = Absorbed(design, np.bincount(drawn, minlength=G)[row_cluster])
-    cols, theta, rank, alpha = refit.solve(range(design.X.shape[1]))
-    if rank < len(cols):
-        return None
-    vec = np.full(design.p, math.nan)
-    vec[np.array(design.x_slots, dtype=int)[cols]] = theta
-    if alpha is not None:
-        vec[list(design.region_slots)] = alpha[1:]
-    if refit.re_referenced:
-        vec[[j for j, lab in enumerate(design.column_labels)
-             if lab.effect in refit.re_referenced or lab.kind == "intercept"]] = math.nan
-    return vec
-
-
 def block_bootstrap(
     dataset: PanelDataset,
     spec: ModelSpec,
@@ -84,7 +68,6 @@ def block_bootstrap(
     B: int,
     seed: int,
     *,
-    threads: int = 1,
     moderator_alignment: str = "contemporaneous",
     max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
 ) -> BootstrapSample:
@@ -102,17 +85,22 @@ def block_bootstrap(
     G = clusters.n_clusters
     if G < 2:
         raise ValueError(f"block bootstrap needs at least 2 clusters, got G={G}")
-
-    def replicate(b):
-        return _replicate(b, seed, design, clusters.row_cluster, G)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(replicate, range(B)))
-    else:
-        results = [replicate(b) for b in range(B)]
-
-    kept = [v for v in results if v is not None]
+    moments, kept = ClusterMoments(design, clusters.row_cluster), []
+    for start in range(0, B, moments.block):
+        counts = [np.bincount(np.random.default_rng((seed, b)).integers(0, G, size=G), minlength=G)
+                  for b in range(start, min(B, start + moments.block))]
+        for refit in moments.weighted(counts):
+            cols, theta, rank, alpha = refit.solve(range(design.X.shape[1]))
+            if rank < len(cols):
+                continue
+            vec = np.full(design.p, math.nan)
+            vec[np.array(design.x_slots, dtype=int)[cols]] = theta
+            if alpha is not None:
+                vec[list(design.region_slots)] = alpha[1:]
+            if refit.re_referenced:
+                vec[[j for j, lab in enumerate(design.column_labels)
+                     if lab.effect in refit.re_referenced or lab.kind == "intercept"]] = math.nan
+            kept.append(vec)
     failed = B - len(kept)
     if failed > B / 2:
         raise RuntimeError(
@@ -128,6 +116,7 @@ def block_bootstrap(
         seed=seed,
         failed_refits=failed,
         base_fit=base_fit,
+        design=design,
     )
 
 

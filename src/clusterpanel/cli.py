@@ -236,19 +236,15 @@ def _building(config: dict) -> dict:
     return {key: config["model"][key] for key in ("moderator_alignment", "max_lag_ceiling")}
 
 
-def _design(config: dict, dataset, spec: ModelSpec):
-    return build_design(dataset, spec, **_building(config))
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(config: dict, out: Path, seed: int, threads: int) -> None:
+def cmd_fit(config: dict, out: Path, seed: int) -> None:
     dataset, spec, fit_cfg = _load_dataset(config), _model(config), config["fit"]
     schemes = [ClusterScheme.parse(s) for s in fit_cfg["schemes"]]
-    design = _design(config, dataset, spec)
+    design = build_design(dataset, spec, **_building(config))
     fit = ols_fit(design)
     covs = {s.label: clustered_cov(fit, design, assign_clusters(design, s),
                                    correction=fit_cfg["correction"]) for s in schemes}
@@ -280,9 +276,9 @@ def _groups(groups: list | None, dataset) -> list[GroupSpec]:
     return groups
 
 
-def cmd_corr(config: dict, out: Path, seed: int, threads: int) -> None:
+def cmd_corr(config: dict, out: Path, seed: int) -> None:
     dataset = _load_dataset(config)
-    design = _design(config, dataset, _model(config))
+    design = build_design(dataset, _model(config), **_building(config))
     fit = ols_fit(design)
     panel = ResidualPanel.from_fit(fit, design, dataset)
     summaries = correlation_table(panel, _groups(config["corr"]["groups"], dataset),
@@ -300,7 +296,7 @@ def _scan_setup(section: dict, spec: ModelSpec) -> tuple[str, ModelSpec, list[Te
     return direction, base, [TermSpec(**t) for t in section["candidates"]]
 
 
-def cmd_cv(config: dict, out: Path, seed: int, threads: int) -> None:
+def cmd_cv(config: dict, out: Path, seed: int) -> None:
     dataset, cv_cfg = _load_dataset(config), config["cv"]
     schemes = [ClusterScheme.parse(s) for s in cv_cfg["schemes"]]
     direction, base, candidates = _scan_setup(cv_cfg, _model(config))
@@ -321,7 +317,7 @@ def cmd_cv(config: dict, out: Path, seed: int, threads: int) -> None:
     print(f"cv: {direction} scan, {len(rows)} entries over {[s.label for s in schemes]}")
 
 
-def cmd_ic(config: dict, out: Path, seed: int, threads: int) -> None:
+def cmd_ic(config: dict, out: Path, seed: int) -> None:
     dataset, ic_cfg = _load_dataset(config), config["ic"]
     block = ClusterScheme.parse(ic_cfg["block_scheme"])
     direction, base, candidates = _scan_setup(ic_cfg, _model(config))
@@ -336,11 +332,11 @@ def cmd_ic(config: dict, out: Path, seed: int, threads: int) -> None:
     print(f"ic: {direction} scan, {len(scan.entries)} entries, blocks={block.label}")
 
 
-def cmd_bootstrap(config: dict, out: Path, seed: int, threads: int) -> None:
+def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
     boot_cfg = config["bootstrap"]
     scheme = ClusterScheme.parse(boot_cfg["scheme"])
     sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed,
-                             threads=threads, **_building(config))
+                             **_building(config))
     intervals = {}
     for j, (name, label) in enumerate(zip(sample.column_names, sample.base_fit.column_labels)):
         contrast = np.zeros(len(sample.column_names))
@@ -362,16 +358,15 @@ def cmd_bootstrap(config: dict, out: Path, seed: int, threads: int) -> None:
     print(f"bootstrap: B={boot_cfg['b']} scheme={scheme.label} failed={sample.failed_refits}")
 
 
-def cmd_project(config: dict, out: Path, seed: int, threads: int) -> None:
+def cmd_project(config: dict, out: Path, seed: int) -> None:
     dataset, spec, proj_cfg = _load_dataset(config), _model(config), config["project"]
     sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
-                             seed, threads=threads, **_building(config))
-    design = _design(config, dataset, spec)
+                             seed, **_building(config))
     scenario_schema = replace(_schema(config["data"]), outcome=None)
     projections = []
     unseen = {}
     for sc in proj_cfg["scenarios"]:
-        path = build_scenario_path(load_csv(sc["path"], scenario_schema), spec, design,
+        path = build_scenario_path(load_csv(sc["path"], scenario_schema), spec, sample.design,
                                    sc["label"], start_year=proj_cfg["start_year"],
                                    **_building(config))
         unseen[sc["label"]] = path.unseen_levels
@@ -389,7 +384,7 @@ def cmd_project(config: dict, out: Path, seed: int, threads: int) -> None:
     print(f"project: {len(projections)} scenarios, B={proj_cfg['b']}, alpha={alpha}")
 
 
-def cmd_simulate(config: dict, out: Path, seed: int, threads: int) -> None:
+def cmd_simulate(config: dict, out: Path, seed: int) -> None:
     sim_cfg = config["simulate"]
     dgp = DgpConfig(**{key: sim_cfg[key] for key in DGP})
     run = {"reps": sim_cfg["reps"], "seed": seed, "correction": sim_cfg["correction"]}
@@ -416,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", required=True, help="YAML config or a previous run's manifest")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: config seed or 0)")
-        p.add_argument("--threads", type=int, default=None, help="parallel worker cap (default 1)")
+        p.add_argument("--threads", type=int, default=None, help="written to the manifest; caps nothing")
         p.add_argument("--out", default=None, help="output directory (default: config out or ./out/<command>)")
     return parser
 
@@ -437,7 +432,7 @@ def main(argv=None) -> int:
         config["out"] = config["out"] or f"out/{args.command}"
         out = Path(args.out or config["out"])
         out.mkdir(parents=True, exist_ok=True)
-        HANDLERS[args.command](config, out, config["seed"], config["threads"])
+        HANDLERS[args.command](config, out, config["seed"])
         reports.write_manifest(out, args.command, config["seed"], config["threads"], config)
     except Exception as exc:  # surface config/module errors with exit 1
         print(f"error: {exc}", file=sys.stderr)

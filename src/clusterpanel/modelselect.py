@@ -31,7 +31,7 @@ from .panel import (
     build_design,
     term_label,
 )
-from .regression import Absorbed, FitResult, RankDeficientError, ols_fit
+from .regression import ClusterMoments, FitResult, RankDeficientError, ols_fit
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,12 +46,6 @@ class FoldPlan:
     K: int
     assignment: dict
     seed: int
-
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.K
-        for f in self.assignment.values():
-            sizes[f] += 1
-        return sizes
 
 
 def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> FoldPlan:
@@ -90,54 +84,45 @@ def _cv_results(
     """Cluster-respecting K-fold CV of every model, each a list of term
     columns of ``design.X`` fitted with the fixed effects, on shared folds.
 
-    Each fold refits on its training rows as weights (``Absorbed``), so
-    the fixed effects take the training split's levels: a validation row
-    whose level is unseen in training, or is the training reference, gets no
-    effect, as rebuilt all-zero dummies would give.
+    Each fold refits on its training clusters as 0/1 weights, from the
+    model's ``ClusterMoments.select``, so a model scores as on a design
+    built for it alone; the fixed effects take the training split's levels:
+    a validation row whose level is unseen in training, or is the training
+    reference, gets no effect, as rebuilt all-zero dummies would give.
+    Validation errors come from the rows.
     """
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
     fold_by_cluster = np.array([plan.assignment[k] for k in clusters.keys])
     row_folds = fold_by_cluster[clusters.row_cluster]
     years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
-
-    sse = [0.0] * len(models)
-    rank_flags = [False] * len(models)
-    fold_losses: list[list[float]] = [[] for _ in models]
-    n_val_total = 0
-    unseen = 0
-    for k in range(K):
-        va = row_folds == k
-        if not va.any():
-            raise ValueError(f"empty validation fold {k}")
-        fold = Absorbed(design, ~va)
-        unseen += sum(int((~fold.present[effect][codes[va]]).sum())
-                      for effect, codes in design.fe_codes.items())
-        X_va, y_va = design.X[va], design.y[va]
-        n_val = int(va.sum())
-        n_val_total += n_val
-        for m, model in enumerate(models):
-            cols, beta, rank, alpha = fold.solve(list(model) + years)
+    union, unseen, results = ClusterMoments(design, clusters.row_cluster), 0, []
+    for m, model in enumerate(models):
+        moments = union.select(list(model) + years)
+        sub, losses, deficient = moments.design, [], False
+        for k in range(K):
+            va = row_folds == k
+            if not va.any():
+                raise ValueError(f"empty validation fold {k}")
+            (fold,) = moments.weighted(fold_by_cluster != k)
+            if m == 0:
+                unseen += sum(int((~fold.present[effect][codes[va]]).sum())
+                              for effect, codes in design.fe_codes.items())
+            cols, beta, rank, alpha = fold.solve(range(sub.X.shape[1]))
             if rank < len(cols):
                 if not allow_rank_deficient:
                     raise ValueError(f"rank-deficient training design in fold {k}")
-                rank_flags[m] = True
-            # np.take copies in C order; lstsq and the matvec round by layout
-            err = y_va - np.take(X_va, cols, axis=1) @ beta
+                deficient = True
+            # np.take copies in C order; the matvec rounds by layout
+            err = sub.y[va] - np.take(sub.X[va], cols, axis=1) @ beta
             if alpha is not None:
-                err -= np.nan_to_num(alpha)[design.fe_codes["region"][va]]
-            sse[m] += float(err @ err)
-            fold_losses[m].append(float(err @ err) / n_val)
-    return [
-        CvResult(
-            loss=sse[m] / n_val_total,
-            n_validation=n_val_total,
-            unseen_levels=unseen,
-            rank_deficient=rank_flags[m],
-            fold_losses=tuple(fold_losses[m]),
-        )
-        for m in range(len(models))
-    ]
+                err -= np.nan_to_num(alpha)[sub.fe_codes["region"][va]]
+            losses.append((float(err @ err), int(va.sum())))
+        results.append(CvResult(loss=sum(e for e, _ in losses) / design.n, n_validation=design.n,
+                                unseen_levels=unseen, rank_deficient=deficient,
+                                fold_losses=tuple(e / n for e, n in losses)))
+        del moments, sub, fold  # free this model's moments before the next one's are built
+    return results
 
 
 def cv_loss(

@@ -188,10 +188,6 @@ class PanelDataset:
         self.groups = tuple(groups[starts])
 
     @property
-    def n_observations(self) -> int:
-        return int(self.present.sum())
-
-    @property
     def years(self) -> tuple[int, ...]:
         """Calendar years with at least one observation."""
         return tuple((self.first_year + np.flatnonzero(self.present.any(axis=0))).tolist())
@@ -202,9 +198,6 @@ class PanelDataset:
     def centroid_of(self, region_id: str) -> tuple[float, float] | None:
         lat, lon = self.centroids[self._index[region_id]].tolist()
         return None if math.isnan(lat) else (lat, lon)
-
-    def groups_of(self, region_id: str) -> frozenset[str]:
-        return self.groups[self._index[region_id]]
 
     def cell_keys(self, mask: np.ndarray) -> list[tuple[str, int]]:
         """(region, year) keys of the cells of a grid mask, in (region, year) order."""
@@ -233,19 +226,7 @@ class PanelDataset:
             raise ValueError(f"predictor {name!r} has no finite values")
         return float(np.median(vals))
 
-    def year_gaps(self) -> dict[str, tuple[int, ...]]:
-        """Missing interior years per region (empty tuples omitted).
 
-        Differences and lags align on calendar years, so these are the years
-        whose absence makes neighboring derived values missing.
-        """
-        gaps: dict[str, tuple[int, ...]] = {}
-        for region, row in zip(self.regions, self.present):
-            seen = np.flatnonzero(row)
-            missing = np.setdiff1d(np.arange(seen[0], seen[-1] + 1), seen)
-            if missing.size:
-                gaps[region] = tuple((missing + self.first_year).tolist())
-        return gaps
 
 
 @dataclass(frozen=True)
@@ -397,7 +378,7 @@ class DesignMatrix:
         level order (codes 1, 2, ...)."""
         return tuple(j for j, lab in enumerate(self.column_labels) if lab.effect == "region")
 
-    @property
+    @functools.cached_property
     def x_labels(self) -> tuple[ColumnLabel, ...]:
         return tuple(self.column_labels[j] for j in self.x_slots)
 
@@ -535,6 +516,7 @@ def load_csv(path, schema: CsvSchema) -> PanelDataset:
     numbers = {c: [np.empty(0)] for c in (schema.outcome, *schema.predictors.values(), schema.lat,
                                           schema.lon) if c is not None}
     strings, tags = {c: [] for c in (schema.region, schema.country, *schema.custom.values())}, []
+    parsed = {}  # tag set of each distinct row of group cells; tags are constant per region
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         header = next(reader, [])
@@ -548,8 +530,10 @@ def load_csv(path, schema: CsvSchema) -> PanelDataset:
                 numbers[c].append(_floats(cells[at[c]], c, first))
             for c in strings:
                 strings[c] += [s.strip() for s in cells[at[c]]]
-            tags += [frozenset(t.strip() for t in ";".join(row).split(";")) - {""}
-                     for row in zip(*(cells[at[c]] for c in schema.groups))]
+            rows = list(zip(*(cells[at[c]] for c in schema.groups)))
+            parsed.update((row, frozenset(t.strip() for t in ";".join(row).split(";")) - {""})
+                          for row in set(rows).difference(parsed))
+            tags += map(parsed.__getitem__, rows)
     floats = {c: np.concatenate(parts) for c, parts in numbers.items()}
     year = np.concatenate(years)
     return PanelDataset(

@@ -14,6 +14,7 @@ factor, R^2) still includes the region dummies.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import warnings
@@ -84,12 +85,23 @@ class CovarianceEstimate:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
 
 
+def _levels(design: DesignMatrix, present: dict) -> tuple[tuple, np.ndarray]:
+    """Effects whose reference level is absent, and the kept columns of ``X``."""
+    re_referenced = tuple(e for e in present if not present[e][0])
+    kept = np.ones(design.X.shape[1], dtype=bool)
+    if "year" in present:
+        years = present["year"][1:].copy()
+        if "year" in re_referenced:
+            years[np.argmax(years)] = False
+        kept[[j for j, lab in enumerate(design.x_labels) if lab.effect == "year"]] = years
+    return re_referenced, kept
+
+
 class Absorbed:
     """``design`` ready for least squares: its rows with positive integer
-    ``weights`` (all rows when None), the region effect partialled out in one
-    exact pass and the columns scaled by sqrt(weight).  Weights stand for
-    repeated rows: a CV training split (0/1) or a bootstrap replicate
-    (cluster multiplicities).
+    ``weights`` (all rows when None; a CV training split or a bootstrap
+    replicate's multiplicities), the region effect partialled out in one
+    exact pass and the columns scaled by sqrt(weight).
 
     Each region's weighted mean is subtracted from its rows, except the
     reference region's (its first level with weight): the residual of a
@@ -112,15 +124,8 @@ class Absorbed:
         codes = {effect: code[rows] for effect, code in design.fe_codes.items()}
         self.present = {effect: np.bincount(code, minlength=len(design.fe_levels[effect])) > 0
                         for effect, code in codes.items()}
-        self.re_referenced = tuple(e for e in codes if not self.present[e][0])
-        self.kept = np.ones(X.shape[1], dtype=bool)
+        self.re_referenced, self.kept = _levels(design, self.present)
         self.means = self.ymeans = None
-        if "year" in codes:
-            present = self.present["year"][1:].copy()
-            if "year" in self.re_referenced:
-                present[np.argmax(present)] = False
-            years = [j for j, lab in enumerate(design.x_labels) if lab.effect == "year"]
-            self.kept[years] = present
         if "region" in codes:
             w = np.ones(len(y)) if w is None else w
             code, present = codes["region"], self.present["region"]
@@ -158,6 +163,127 @@ class Absorbed:
             b = np.concatenate([beta, self.ymeans[seen] - means[seen] @ beta])
             beta = beta - null @ np.linalg.lstsq(A, b, rcond=None)[0]
         return cols, beta, int(rank), self.ymeans - means @ beta
+
+
+# A fit comes from the Gram only when pivoted Cholesky of the equilibrated Gram
+# keeps every pivot above _PIVOT_MIN (the normal equations then lose little
+# precision) and the smallest pivot times the spread of the squared column norms
+# clears least squares' rank threshold, (k eps max(n, k))^2, by _RANK_MARGIN;
+# other fits use the rows, as do all when G (k+1) > _MOMENT_RATIO n, where the
+# Grams would outgrow the rows.  _BLOCK_FLOATS bounds a block's temporaries.
+_PIVOT_MIN, _RANK_MARGIN, _MOMENT_RATIO, _BLOCK_FLOATS = 1e-7, 1e4, 8, 2 ** 18
+
+
+class ClusterMoments:
+    """What a weighted, region-absorbed least-squares fit of ``design``
+    depends on when each row weighs its cluster's weight (Roodman, Nielsen,
+    MacKinnon & Webb 2019; MacKinnon 2023): per cluster g the Gram A_g of
+    Z = [X y], and per (region, cluster) pair the sums s_rc and counts n_rc.
+    Under weights w, with S_r = sum_c w_c s_rc and N_r = sum_c w_c n_rc,
+    ``Absorbed``'s partialled Gram is sum_g w_g A_g - sum_{r != ref} S_r
+    S_r'/N_r, with Z centred at the regions' full-sample means so that the
+    subtraction cancels little.  ``weighted(W)`` gives each row of W a view
+    with ``Absorbed``'s ``present``, ``re_referenced`` and ``solve``.
+    """
+
+    def __init__(self, design: DesignMatrix, row_cluster: np.ndarray):
+        self.design, self.row_cluster, self.G = design, row_cluster, int(row_cluster.max()) + 1
+        G, k1 = self.G, design.X.shape[1] + 1
+        self.sizes, self.block = np.bincount(row_cluster), 1
+        self.grams = self.center = self.pair_sums = None
+        self.rows_only = G * k1 > _MOMENT_RATIO * design.n
+        if self.rows_only:
+            return
+        Z, floats = np.column_stack([design.X, design.y]), G + k1 * k1
+        if "region" in design.fe_codes:
+            code, L = design.fe_codes["region"], len(design.fe_levels["region"])
+            # (region, cluster) pairs padded per region; a pad reads cluster G's zero weight
+            pair, at = np.unique(code * G + row_cluster, return_inverse=True)
+            region, cluster = np.divmod(pair, G)
+            sums, counts = np.column_stack([np.bincount(at, z) for z in Z.T]), np.bincount(at)
+            self.center = np.column_stack([np.bincount(region, s, L) for s in sums.T])
+            self.center /= np.bincount(region, counts, L)[:, None]
+            Z -= self.center[code]
+            slot = np.arange(len(pair)) - np.searchsorted(region, region)
+            width = slot.max() + 1
+            self.pair_cluster, self.pair_counts = np.full((L, width), G), np.zeros((L, width))
+            self.pair_sums = np.zeros((L, width, k1))
+            self.pair_cluster[region, slot], self.pair_counts[region, slot] = cluster, counts
+            self.pair_sums[region, slot] = sums - counts[:, None] * self.center[region]
+            floats += self.pair_counts.size * (k1 + 1) + L * k1
+        self.Z, self.block = Z[np.argsort(row_cluster, kind="stable")], max(1, _BLOCK_FLOATS // floats)
+
+    def select(self, cols: Sequence[int]) -> "ClusterMoments":
+        """The moments of ``design.select(cols)``, bitwise as if built on it:
+        the Grams are recomputed, as a product rounds differently when wider."""
+        if list(cols) == list(range(self.design.X.shape[1])):
+            return self
+        sub, keep = copy.copy(self), [*cols, -1]
+        sub.design, sub.grams = self.design.select(cols), None
+        if not self.rows_only:  # C-ordered slices: BLAS rounds a strided operand differently
+            sub.Z, sub.center, sub.pair_sums = (a if a is None else np.take(a, keep, axis=-1)
+                                                for a in (self.Z, self.center, self.pair_sums))
+        return sub
+
+    def weighted(self, W) -> list:
+        """One fit view per row of the cluster weights ``W`` (``block`` rows at a
+        time).  Each row's sums are products of their own on C-ordered operands:
+        BLAS rounds a row of a stacked or strided product by the stack."""
+        W = np.asarray(W, dtype=float).reshape(-1, self.G)
+        if self.rows_only:
+            return [Absorbed(self.design, w[self.row_cluster]) for w in W]
+        B, k1, codes = len(W), self.Z.shape[1], self.design.fe_codes
+        if self.grams is None:  # the clusters of one size in one stacked product
+            grams, starts = np.empty((self.G, k1, k1)), np.cumsum(self.sizes) - self.sizes
+            for size in np.unique(self.sizes):
+                rows = self.Z[starts[self.sizes == size, None] + np.arange(size)]
+                grams[self.sizes == size] = np.matmul(rows.transpose(0, 2, 1), rows)
+            self.grams = grams.reshape(self.G, -1)
+        grams = np.stack([w @ self.grams for w in W]).reshape(B, k1, k1)
+        present, means = {}, [None] * B
+        if self.center is not None:
+            Wp = np.take(np.hstack([W, np.zeros((B, 1))]), self.pair_cluster, axis=1)
+            N = np.einsum("blt,lt->bl", Wp, self.pair_counts)
+            S = np.stack([np.matmul(wp[:, None], self.pair_sums)[:, 0] for wp in Wp])
+            seen = present["region"] = N > 0
+            b, ref = np.arange(B), np.argmax(seen, axis=1)
+            grams -= np.stack([t.T @ t for t in S / np.sqrt(np.where(seen, N, 1.0))[..., None]])
+            # the reference region is not demeaned: its term takes its sum about 0, S + N c
+            raw = (S[b, ref] + N[b, ref, None] * self.center[ref]) / np.sqrt(N[b, ref, None])
+            grams += raw[:, :, None] * raw[:, None, :]
+            with np.errstate(invalid="ignore"):
+                means = self.center + S / N[..., None]
+            means[b, ref] = 0.0
+        if "year" in codes:
+            present["year"] = [np.bincount(codes["year"][w[self.row_cluster] > 0],
+                                           minlength=len(self.design.fe_levels["year"])) > 0 for w in W]
+        return [_Partialled(self, W[i], grams[i], means[i],
+                            {e: present[e][i] for e in codes if e in present}) for i in range(B)]
+
+
+class _Partialled:
+    """``ClusterMoments`` under weights ``w``; ``means``: [X y]'s region means (reference 0)."""
+
+    def __init__(self, moments: ClusterMoments, w, gram, means, present):
+        self.moments, self.w, self.gram, self.means, self.present = moments, w, gram, means, present
+        self.re_referenced, self.kept = _levels(moments.design, present)
+
+    def solve(self, cols: Sequence[int]):
+        """``Absorbed.solve``, from the rows unless the Gram is well inside full rank."""
+        cols = [j for j in cols if self.kept[j]]
+        A, k = self.gram[np.ix_(cols, cols)], len(cols)
+        d = np.diag(A).copy()
+        if k and d.min() > 0.0:
+            root = np.sqrt(d)
+            U, piv, rank, _ = sla.lapack.dpstrf(A / root / root[:, None], tol=_PIVOT_MIN)
+            n = max(int(self.moments.sizes @ (self.w > 0)), k)
+            if rank == k and np.diag(U).min() ** 2 * d.min() / d.max() >= (
+                    _RANK_MARGIN * (k * np.finfo(float).eps * n) ** 2):
+                piv, theta = piv - 1, np.empty(k)
+                theta[piv] = sla.lapack.dpotrs(U, self.gram[cols, -1][piv] / root[piv])[0] / root[piv]
+                alpha = None if self.means is None else self.means[:, -1] - self.means[:, cols] @ theta
+                return cols, theta, k, alpha
+        return Absorbed(self.moments.design, self.w[self.moments.row_cluster]).solve(cols)
 
 
 def ols_fit(design: DesignMatrix) -> FitResult:

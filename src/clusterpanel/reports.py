@@ -15,6 +15,10 @@ from typing import Iterable, Mapping, Sequence
 
 import yaml
 
+# libyaml's safe classes when PyYAML has them: the same documents, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 from .bootstrap import BootstrapSample, PercentileInterval, Projection
 from .modelselect import ICScanResult
 from .regression import CovarianceEstimate, FitResult, ResponseCurve, confidence_intervals
@@ -217,7 +221,7 @@ def write_manifest(out_dir, command: str, seed: int, threads: int, config: dict)
     path = Path(out_dir) / "manifest.yaml"
     payload = {"command": command, "seed": seed, "threads": threads, "config": config}
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=True, default_flow_style=False)
+        yaml.dump(payload, fh, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
     return path
 
 
@@ -228,7 +232,7 @@ def load_config(path) -> tuple[dict, str | None, int | None, int | None]:
     manifest fields are None for plain configs.
     """
     with open(path, encoding="utf-8") as fh:
-        payload = yaml.safe_load(fh)
+        payload = yaml.load(fh, Loader=_LOADER)
     if not isinstance(payload, dict):
         raise ValueError(f"config {path} is not a mapping")
     if "config" in payload and "command" in payload:

@@ -283,10 +283,6 @@ class CorrelationSummary:
     pair_count: int
     skipped_count: int = 0
 
-    @property
-    def is_empty(self) -> bool:
-        return self.pair_count == 0
-
 
 def summarize(
     correlations: Sequence[float] | np.ndarray,

@@ -1,12 +1,14 @@
 """The absorbed region effect against the dense region-dummy oracle.
 
 Designs carry no region dummy columns: the fit partials the region effect
-out and recovers it, CV folds and bootstrap replicates refit under row
-weights.  Every numeric path is compared here with the dense computation it
-replaced, kept as test code: the full dummy matrix (``conftest.dense_X``,
-``conftest.dense_dummies``), pivoted QR or ``lstsq`` on it, the dense
-sandwich, per-fold dummy rebuilds, the row-concatenating bootstrap
-replicate, and the dense scenario product.  Agreement is to 1e-10 relative.
+out and recovers it, CV folds and bootstrap replicates refit under cluster
+weights from ``ClusterMoments``.  Every numeric path is compared here with
+the dense computation it replaced, kept as test code: the full dummy matrix
+(``conftest.dense_X``, ``conftest.dense_dummies``), pivoted QR or ``lstsq``
+on it, the dense sandwich, per-fold dummy rebuilds, the row-concatenating
+bootstrap replicate, and the dense scenario product.  The cluster moments
+are also compared with the row path they replaced (``Absorbed`` under row
+weights).  Agreement is to 1e-10 relative.
 """
 
 import csv
@@ -20,7 +22,9 @@ import yaml
 from scipy import linalg as sla
 
 from clusterpanel.bootstrap import block_bootstrap, build_scenario_path, project_scenarios
+from clusterpanel import regression
 from clusterpanel.modelselect import (
+    _cv_results,
     cv_loss,
     cv_scan,
     ic_scan,
@@ -31,6 +35,7 @@ from clusterpanel.panel import (
     COUNTRY,
     COUNTRY_YEAR,
     REGION,
+    REGION_YEAR,
     YEAR,
     ClusterScheme,
     CsvSchema,
@@ -41,6 +46,8 @@ from clusterpanel.panel import (
     load_csv,
 )
 from clusterpanel.regression import (
+    Absorbed,
+    ClusterMoments,
     FitResult,
     _t_quantile,
     clustered_cov,
@@ -483,3 +490,192 @@ def test_projection_with_one_region_template_matches_dense_product():
     assert path.unseen_levels == 1
     _close(project_scenarios(sample, path).values,
            _dense_projection(sample, future, spec, build_design(ds, spec)))
+
+
+# ---------------------------------------------------------------------------
+# cluster moments against the row path
+# ---------------------------------------------------------------------------
+
+MOMENT_SCHEMES = (REGION, COUNTRY, YEAR, COUNTRY_YEAR)
+
+
+def _column_close(got, want, rtol=RTOL):
+    """Equal NaN patterns, and finite entries within rtol of their column's largest."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    assert (np.isnan(got) == np.isnan(want)).all()
+    scale = np.nanmax(np.abs(want), axis=0, initial=0.0)
+    err = np.where(np.isnan(want), 0.0, np.abs(got - want))
+    assert (err <= rtol * np.maximum(scale, 1e-300)).all(), np.max(err / np.maximum(scale, 1e-300))
+
+
+@pytest.fixture
+def row_refits(monkeypatch):
+    """Counts the row-path refits (``Absorbed`` instances) that the moments make."""
+    made = []
+
+    class Counted(Absorbed):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(regression, "Absorbed", Counted)
+    return made
+
+
+def _replicate_weights(G, B, seed):
+    return [np.bincount(np.random.default_rng((seed, b)).integers(0, G, size=G), minlength=G)
+            for b in range(B)]
+
+
+@pytest.mark.parametrize("effects", [("region", "year"), ("year",), ()], ids=repr)
+@pytest.mark.parametrize("scheme", MOMENT_SCHEMES, ids=lambda s: s.label)
+def test_cluster_moments_solve_like_the_row_path(scheme, effects, row_refits):
+    design = build_design(_panel(True), _spec(True, effects))
+    clusters = assign_clusters(design, scheme)
+    moments = ClusterMoments(design, clusters.row_cluster)
+    assert not moments.rows_only
+    G = clusters.n_clusters
+    # bootstrap multiplicities, and training folds of 0/1 weights
+    W = _replicate_weights(G, 60, 9) + [np.arange(G) % 3 != k for k in range(3)]
+    cols = range(design.X.shape[1])
+    betas, alphas, deficient = [], [], 0
+    for w, view in zip(W, moments.weighted(W)):
+        rows = Absorbed(design, np.asarray(w)[clusters.row_cluster])
+        assert view.re_referenced == rows.re_referenced
+        assert (view.kept == rows.kept).all()
+        for effect, present in rows.present.items():
+            assert (view.present[effect] == present).all()
+        got, want = view.solve(cols), rows.solve(cols)
+        assert got[0] == want[0]
+        assert (got[2] < len(got[0])) == (want[2] < len(want[0]))
+        if want[2] < len(want[0]):
+            deficient += 1
+            continue
+        full = np.full((2, design.X.shape[1]), math.nan)
+        full[0, got[0]], full[1, want[0]] = got[1], want[1]
+        betas.append(full)
+        assert (got[3] is None) == (want[3] is None) == ("region" not in effects)
+        alphas += [] if want[3] is None else [(got[3], want[3])]
+    _column_close([b[0] for b in betas], [b[1] for b in betas])
+    if alphas:
+        _column_close([a[0] for a in alphas], [a[1] for a in alphas])
+    # each deficient fit, and only those, was refitted from the rows
+    assert len(row_refits) == deficient
+    # with both effects, the cases hold absent levels, re-referenced years
+    # and failed refits
+    views = moments.weighted(W)
+    if "region" in effects:
+        assert any(not p.all() for v in views for p in v.present.values())
+    if scheme == YEAR and effects:
+        assert any("year" in v.re_referenced for v in views)
+    if scheme == REGION and "region" in effects:
+        assert deficient > 0
+
+
+def _row_replicate(b, seed, design, clusters):
+    """One replicate on the row path: ``Absorbed`` under the drawn clusters'
+    multiplicities, as ``block_bootstrap`` refitted before the moments."""
+    G = clusters.n_clusters
+    (w,) = _replicate_weights(G, b + 1, seed)[b:]
+    refit = Absorbed(design, w[clusters.row_cluster])
+    cols, theta, rank, alpha = refit.solve(range(design.X.shape[1]))
+    if rank < len(cols):
+        return None
+    vec = np.full(design.p, math.nan)
+    vec[np.array(design.x_slots)[cols]] = theta
+    if alpha is not None:
+        vec[list(design.region_slots)] = alpha[1:]
+    if refit.re_referenced:
+        vec[[j for j, lab in enumerate(design.column_labels)
+             if lab.effect in refit.re_referenced or lab.kind == "intercept"]] = math.nan
+    return vec
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scheme", MOMENT_SCHEMES + (REGION_YEAR,), ids=lambda s: s.label)
+def test_bootstrap_draws_match_row_path_replicates(scheme):
+    # region_year clusters hold one row each: the moments would outgrow the
+    # rows, and every replicate is refitted from them
+    ds = _panel(True)
+    spec = _spec(True)
+    B, seed = 60, 9
+    sample = block_bootstrap(ds, spec, scheme, B, seed)
+    design = build_design(ds, spec)
+    clusters = assign_clusters(design, scheme)
+    assert ClusterMoments(design, clusters.row_cluster).rows_only == (scheme == REGION_YEAR)
+    rows = [_row_replicate(b, seed, design, clusters) for b in range(B)]
+    kept = [v for v in rows if v is not None]
+    assert sample.failed_refits == B - len(kept)
+    _column_close(sample.draws, np.array(kept))
+
+
+def test_near_collinear_design_takes_the_row_path(row_refits):
+    # w = x + 1e-5 noise: least squares resolves it, but the Gram's smallest
+    # equilibrated pivot, about 1e-10, is inside the margin
+    gen = np.random.default_rng(8)
+    records = []
+    for i in range(12):
+        for t in range(10):
+            x = float(gen.standard_normal())
+            records.append(obs(f"R{i:02d}", f"C{i % 3}", 2000 + t, x + float(gen.standard_normal()),
+                               {"x": x, "w": x + 1e-5 * float(gen.standard_normal())}))
+    ds = panel_from(records, predictor_names=("x", "w"))
+    spec = ModelSpec(terms=(TermSpec("x", differenced=False), TermSpec("w", differenced=False)),
+                     fixed_effects=("region", "year"))
+    design = build_design(ds, spec)
+    clusters = assign_clusters(design, COUNTRY_YEAR)
+    W = _replicate_weights(clusters.n_clusters, 5, 1)
+    cols = range(design.X.shape[1])
+    for w, view in zip(W, ClusterMoments(design, clusters.row_cluster).weighted(W)):
+        got = view.solve(cols)
+        want = Absorbed(design, w[clusters.row_cluster]).solve(cols)
+        assert got[2] == len(got[0])  # full rank, not a failed refit
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[3], want[3])
+    assert len(row_refits) == len(W)
+
+
+def _row_cv(design, scheme, K, seed, models):
+    """(loss, rank deficient, unseen levels) per model on the row path: each
+    fold refitted by ``Absorbed`` under 0/1 row weights, as ``_cv_results``
+    did before the moments."""
+    clusters = assign_clusters(design, scheme)
+    plan = make_folds(clusters, K, seed)
+    row_folds = np.array([plan.assignment[k] for k in clusters.keys])[clusters.row_cluster]
+    years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
+    sse, deficient, unseen = np.zeros(len(models)), [False] * len(models), 0
+    for k in range(K):
+        va = row_folds == k
+        fold = Absorbed(design, ~va)
+        unseen += sum(int((~fold.present[e][codes[va]]).sum())
+                      for e, codes in design.fe_codes.items())
+        for m, model in enumerate(models):
+            cols, beta, rank, alpha = fold.solve(list(model) + years)
+            deficient[m] |= rank < len(cols)
+            err = design.y[va] - design.X[va][:, cols] @ beta
+            if alpha is not None:
+                err -= np.nan_to_num(alpha)[design.fe_codes["region"][va]]
+            sse[m] += err @ err
+    return [(loss, flag, unseen) for loss, flag in zip(sse / design.n, deficient)]
+
+
+@pytest.mark.parametrize("case", sorted(CV_CASES))
+def test_cv_entries_match_row_path(case):
+    gappy, base, candidates, direction = CV_CASES[case]
+    ds = _panel(gappy)
+    union, reference, variants = _oracle_sequence(base, candidates, direction)
+    design = build_design(ds, union)
+    terms = [j for j, lab in enumerate(design.x_labels) if lab.kind != "dummy"]
+    # the reference, every variant, and each model as a column subset of the union
+    models = [terms[:j] for j in range(len(terms) + 1)] + [terms[1:]]
+    flags = []
+    for scheme, K in ((REGION, 4), (COUNTRY, 3), (YEAR, 3), (COUNTRY_YEAR, 4)):
+        got = _cv_results(design, scheme, K, 3, models, allow_rank_deficient=True)
+        for res, (loss, deficient, unseen) in zip(got, _row_cv(design, scheme, K, 3, models),
+                                                   strict=True):
+            assert res.loss == pytest.approx(loss, rel=RTOL)
+            assert (res.rank_deficient, res.unseen_levels) == (deficient, unseen)
+            flags.append(deficient)
+    assert any(flags) == (case in COLLINEAR)

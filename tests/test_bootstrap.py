@@ -17,11 +17,13 @@ from clusterpanel.bootstrap import (
 from clusterpanel.panel import (
     COUNTRY_YEAR,
     REGION,
+    YEAR,
     ModelSpec,
     TermSpec,
     assign_clusters,
     build_design,
 )
+from clusterpanel import regression
 from clusterpanel.regression import clustered_cov, ols_fit, term_response_curve
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
@@ -68,11 +70,17 @@ def test_single_draw_deterministic(rng):
     np.testing.assert_array_equal(a.draws, b.draws)
 
 
-def test_threading_does_not_change_draws(rng):
-    ds = _xy_dataset(rng)
-    serial = block_bootstrap(ds, SLOPE_SPEC, REGION, B=16, seed=7, threads=1)
-    threaded = block_bootstrap(ds, SLOPE_SPEC, REGION, B=16, seed=7, threads=4)
-    np.testing.assert_array_equal(serial.draws, threaded.draws)
+@pytest.mark.parametrize("scheme", [REGION, YEAR, COUNTRY_YEAR], ids=lambda s: s.label)
+def test_replicate_block_size_does_not_change_draws(rng, monkeypatch, scheme):
+    ds = _xy_dataset(rng, R=12, T=10)
+    spec = ModelSpec(terms=(TermSpec("x", differenced=False),), fixed_effects=("region", "year"))
+    design = build_design(ds, spec)
+    moments = regression.ClusterMoments(design, assign_clusters(design, scheme).row_cluster)
+    assert not moments.rows_only and moments.block >= 16  # one block holds every replicate
+    whole = block_bootstrap(ds, spec, scheme, B=16, seed=7)
+    monkeypatch.setattr(regression, "_BLOCK_FLOATS", 1)  # one replicate per block
+    single = block_bootstrap(ds, spec, scheme, B=16, seed=7)
+    np.testing.assert_array_equal(whole.draws, single.draws)
 
 
 def test_each_replicate_draws_exactly_g_blocks():

@@ -56,7 +56,7 @@ def test_load_csv_minimal(tmp_path):
         "R2,A,2001,0.4,13.0\n",
     )
     ds = load_csv(p, BASIC_SCHEMA)
-    assert ds.n_observations == 4
+    assert ds.present.sum() == 4
     assert ds.regions == ("R1", "R2")
     assert cell(ds, "temp", "R2", 2001) == 13.0
 
@@ -119,7 +119,7 @@ def test_load_csv_missing_cells_and_tags(tmp_path):
     ds = load_csv(p, schema)
     assert math.isnan(cell(ds, "outcome", "R1", 2000))
     assert math.isnan(cell(ds, "temp", "R1", 2000))
-    assert ds.groups_of("R1") == frozenset({"EU28", "EU95"})
+    assert ds.groups == (frozenset({"EU28", "EU95"}),)
     assert ds.centroid_of("R1") == (52.0, 13.0)
 
 
@@ -297,7 +297,7 @@ def test_constructor_lays_out_region_year_grids():
     np.testing.assert_array_equal(ds.outcome, [[1.0, 2.0, np.nan], [3.0, np.nan, 4.0]])
     np.testing.assert_array_equal(ds.predictors["v"], 10.0 * ds.outcome)
     assert ds.custom["k"].tolist() == [["a", "b", ""], ["c", "", "d"]]
-    assert ds.n_observations == 4 and ds.year_gaps() == {"R2": (2001,)}
+    assert ds.present.sum() == 4
     assert ds.cell_keys(ds.present) == [("R1", 2000), ("R1", 2001), ("R2", 2000), ("R2", 2002)]
 
 
@@ -587,13 +587,15 @@ def test_load_csv_custom_delimiter(tmp_path):
         "region;country;year;growth;temp\nR1;A;2000;0.1;10.0\nR1;A;2001;0.2;11.0\n",
     )
     ds = load_csv(p, schema)
-    assert ds.n_observations == 2
+    assert ds.present.sum() == 2
     assert cell(ds, "temp", "R1", 2001) == 11.0
 
 
 def test_year_gaps_recorded():
     ds = grid_dataset({"R1": {2000: 1.0, 2001: 2.0, 2004: 3.0}, "R2": {2000: 1.0, 2001: 2.0}})
-    assert ds.year_gaps() == {"R1": (2002, 2003)}
+    assert ds.first_year == 2000
+    np.testing.assert_array_equal(ds.present, [[True, True, False, False, True],
+                                               [True, True, False, False, False]])
 
 
 def test_save_csv_delimiter_round_trip(tmp_path):
@@ -602,7 +604,7 @@ def test_save_csv_delimiter_round_trip(tmp_path):
     schema = save_csv(ds, path, delimiter=";")
     assert schema.delimiter == ";"
     back = load_csv(path, schema)
-    assert back.n_observations == 2
+    assert back.present.sum() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from clusterpanel import reports
 from clusterpanel.panel import REGION, ColumnLabel
 from clusterpanel.regression import CovarianceEstimate, FitResult
 from clusterpanel.reports import (
@@ -74,3 +76,27 @@ def test_load_config_rejects_non_mapping(tmp_path):
     p.write_text("- 1\n- 2\n")
     with pytest.raises(ValueError, match="not a mapping"):
         load_config(p)
+
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
+
+
+def test_libyaml_reads_and_writes_like_the_safe_classes(tmp_path):
+    # configs and manifests load as the pure-Python safe loader reads them,
+    # and every golden manifest re-dumps byte for byte, with either dumper
+    assert reports._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert reports._DUMPER is getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    manifests = sorted(SAMPLE.glob("golden/*/manifest.yaml"))
+    assert len(manifests) == 7
+    for path in [SAMPLE / "config.yaml", *manifests]:
+        text = path.read_text()
+        assert yaml.load(text, Loader=reports._LOADER) == yaml.safe_load(text)
+    for path in manifests:
+        payload = yaml.safe_load(path.read_text())
+        out = tmp_path / path.parent.name
+        out.mkdir()
+        written = write_manifest(out, payload["command"], payload["seed"], payload["threads"],
+                                 payload["config"])
+        assert written.read_bytes() == path.read_bytes()
+        safe = yaml.dump(payload, Dumper=yaml.SafeDumper, sort_keys=True, default_flow_style=False)
+        assert safe == path.read_text()

@@ -126,7 +126,8 @@ def oracle_pairs(values, meta, group, min_overlap=rc.DEFAULT_MIN_OVERLAP):
 def _oracle_inputs(fit, design, dataset):
     values = dict(zip(design.row_index, fit.residuals))
     meta = {
-        r: (dataset.country_of(r), dataset.centroid_of(r), dataset.groups_of(r))
+        r: (dataset.country_of(r), dataset.centroid_of(r),
+            dataset.groups[dataset.regions.index(r)])
         for r, _ in design.row_index
     }
     return values, meta
@@ -171,7 +172,7 @@ def test_matches_looped_oracle_on_sample_config():
     config["data"]["path"] = str(ROOT / config["data"]["path"])
     config = cli.resolve(config, "corr")
     dataset = cli._load_dataset(config)
-    design = cli._design(config, dataset, cli._model(config))
+    design = build_design(dataset, cli._model(config), **cli._building(config))
     fit = ols_fit(design)
     panel = ResidualPanel.from_fit(fit, design, dataset)
     groups = cli._groups(config["corr"]["groups"], dataset)
@@ -452,7 +453,7 @@ def test_summarize_distributional_oracle(rng):
 
 def test_summarize_empty_is_explicit():
     s = summarize([], "empty group")
-    assert s.is_empty and s.pair_count == 0
+    assert s.pair_count == 0
     assert s.mean is None and s.q25 is None and s.q75 is None
 
 
