@@ -23,13 +23,15 @@ figure the median of COLD_RUNS fresh interpreters:
 
 - import_s: ``import clusterpanel.cli``, timed inside the interpreter;
 - cold_fit_s: ``python -m clusterpanel.cli fit`` on sample/config.yaml,
-  timed from process launch to exit.
+  timed from process launch to exit;
+- cold_corr_s: the same for ``corr``, a command that computes no interval
+  and so loads no scipy.
 
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
-    python3 scripts/scale_check.py --label after --out BENCH_11.json
-    python3 scripts/scale_check.py --label before --out BENCH_11.json \
+    python3 scripts/scale_check.py --label after --out BENCH_12.json
+    python3 scripts/scale_check.py --label before --out BENCH_12.json \
         --src /path/to/other/checkout/src
 
 Runs already in ``--out`` under other labels are kept.
@@ -134,7 +136,9 @@ def simulate(cp, regions, years, reps):
 
 
 def cold_start(src):
-    """Median seconds of a fresh interpreter's import and of a cold sample fit."""
+    """Median seconds of a fresh interpreter's import, of a cold sample fit
+    and of a cold sample corr (a command that needs no t quantile), each
+    launch to exit."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import time; t = time.perf_counter(); import clusterpanel.cli; "
              "print(time.perf_counter() - t)")
@@ -143,13 +147,18 @@ def cold_start(src):
         return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True,
                               capture_output=True, text=True).stdout
 
-    imports, fits = [], []
+    def command(name, out):
+        return _timed(lambda: run("-m", "clusterpanel.cli", name, "--config", "sample/config.yaml",
+                                  "--out", out))[0]
+
+    imports, fits, corrs = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(COLD_RUNS):
             imports.append(float(run("-c", probe)))
-            fits.append(_timed(lambda: run("-m", "clusterpanel.cli", "fit", "--config",
-                                           "sample/config.yaml", "--out", tmp))[0])
-    return {"import_s": statistics.median(imports), "cold_fit_s": statistics.median(fits)}
+            fits.append(command("fit", f"{tmp}/fit"))
+            corrs.append(command("corr", f"{tmp}/corr"))
+    return {"import_s": statistics.median(imports), "cold_fit_s": statistics.median(fits),
+            "cold_corr_s": statistics.median(corrs)}
 
 
 def main(argv=None):
@@ -157,7 +166,7 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="name of this run in the output, e.g. before")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, required=True,
-                        help="JSON file the run is added to, e.g. BENCH_11.json")
+                        help="JSON file the run is added to, e.g. BENCH_12.json")
     parser.add_argument("--replicates", type=int, default=20,
                         help="extra bootstrap replicates timed for the per-replicate figure")
     args = parser.parse_args(argv)

@@ -11,6 +11,7 @@ under any execution order.  Replicates are solved from ``ClusterMoments``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,6 +138,7 @@ def _contrast_values(draws: np.ndarray, contrast: np.ndarray) -> np.ndarray:
     return draws[:, nz] @ contrast[nz]
 
 
+@functools.lru_cache(maxsize=None)
 def min_draws(level: float) -> int:
     """Fewest finite draws that resolve a two-sided ``level`` interval:
     max(20, ceil(2/(1-level))), with ``level`` taken as the decimal it prints

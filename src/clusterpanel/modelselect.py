@@ -353,20 +353,32 @@ def loglik_equicorr(
     r' Sigma^-1 r = sum_b [||r_b||^2/a - (rho/a^2) (1'r_b)^2 / (1 + s_b rho/a)],
     so the cost is linear in n.
     """
+    return _block_loglik(residuals, clusters)(params)
+
+
+def _block_loglik(residuals: np.ndarray, clusters: ClusterAssignment):
+    """``loglik_equicorr`` of these residuals and blocks as a function of the
+    parameters: the block sums and squared sums are taken once, and each call
+    costs one pass over the blocks."""
     r = np.asarray(residuals, dtype=float)
     n = r.size
     if clusters.n_rows != n:
         raise ValueError("residuals and clusters disagree on the row count")
     sizes = clusters.sizes.astype(float)
-    params.check_blocks(int(sizes.max()))
-    a = params.a
-    rho = params.rho
+    n_max = int(sizes.max())
     block_sums = np.bincount(clusters.row_cluster, weights=r, minlength=clusters.n_clusters)
     block_sqsums = np.bincount(clusters.row_cluster, weights=r * r, minlength=clusters.n_clusters)
-    denom = 1.0 + sizes * rho / a
-    logdet = float(np.sum(np.log(denom) + sizes * math.log(a)))
-    quad = float(np.sum(block_sqsums / a - (rho / a**2) * block_sums**2 / denom))
-    return -0.5 * n * _LOG_2PI - 0.5 * logdet - 0.5 * quad
+
+    def loglik(params: EquicorrParams) -> float:
+        params.check_blocks(n_max)
+        a = params.a
+        rho = params.rho
+        denom = 1.0 + sizes * rho / a
+        logdet = float(np.sum(np.log(denom) + sizes * math.log(a)))
+        quad = float(np.sum(block_sqsums / a - (rho / a**2) * block_sums**2 / denom))
+        return -0.5 * n * _LOG_2PI - 0.5 * logdet - 0.5 * quad
+
+    return loglik
 
 
 @dataclass(frozen=True)
@@ -435,8 +447,10 @@ def fit_rho(
     lo = -sigma2 / (n_max - 1) * (1.0 - eps)
     hi = sigma2 * (1.0 - eps)
 
+    loglik = _block_loglik(r, clusters)
+
     def objective(rho: float) -> float:
-        return loglik_equicorr(r, clusters, EquicorrParams(sigma2=sigma2, rho=rho))
+        return loglik(EquicorrParams(sigma2=sigma2, rho=rho))
 
     xtol = 1e-8 * sigma2
     rho_hat, ll = _golden_max(objective, lo, hi, xtol)
@@ -486,24 +500,31 @@ def information_criterion(
     regression coefficients plus, by default, sigma^2 (and rho when
     adjusted); ``count_variance_params=False`` counts coefficients only.
     """
-    if criterion not in ("AIC", "BIC"):
-        raise ValueError(f"unknown criterion {criterion!r}; use 'AIC' or 'BIC'")
     if adjusted and clusters is None:
         raise ValueError("adjusted criteria need a cluster assignment for the blocks")
-    n = fit.n
-    gamma = 2.0 if criterion == "AIC" else math.log(n)
+    likelihood = _log_likelihood(fit, clusters if adjusted else None)
+    return _criterion(fit, criterion, adjusted, likelihood, count_variance_params)
+
+
+def _log_likelihood(fit: FitResult, blocks: ClusterAssignment | None):
+    """(log L, rho_hat, sigma^2) of ``fit``: iid without ``blocks``, else
+    equicorrelated with rho fitted on them, iid where rho_hat is None or 0."""
     r = fit.residuals
-    s2 = float(r @ r) / n
-    rho_hat: float | None = None
-    if adjusted:
-        rf = fit_rho(r, clusters, s2)
-        rho_hat = rf.rho_hat
-        if rho_hat is None or rho_hat == 0.0:
-            ll = loglik_iid(r)
-        else:
-            ll = loglik_equicorr(r, clusters, EquicorrParams(sigma2=s2, rho=rho_hat))
-    else:
-        ll = loglik_iid(r)
+    s2 = float(r @ r) / fit.n
+    if blocks is None:
+        return loglik_iid(r), None, s2
+    rf = fit_rho(r, blocks, s2)
+    ll = loglik_iid(r) if rf.rho_hat is None or rf.rho_hat == 0.0 else rf.loglik
+    return ll, rf.rho_hat, s2
+
+
+def _criterion(fit: FitResult, criterion: str, adjusted: bool, likelihood,
+               count_variance_params: bool) -> ICResult:
+    """``information_criterion`` from the fit's ``_log_likelihood``."""
+    if criterion not in ("AIC", "BIC"):
+        raise ValueError(f"unknown criterion {criterion!r}; use 'AIC' or 'BIC'")
+    ll, rho_hat, s2 = likelihood
+    gamma = 2.0 if criterion == "AIC" else math.log(fit.n)
     k = fit.p
     if count_variance_params:
         k += 1
@@ -568,12 +589,11 @@ def ic_scan(
     def fit(depths):
         return ols_fit(design.select(_columns(seq.union, depths) + years))
 
-    def scores(fit):
+    def scores(fit):  # one likelihood, and so one rho fit, per flag
+        likelihoods = {adj: _log_likelihood(fit, clusters if adj else None)
+                       for adj in adjusted_flags}
         return {
-            (crit, adj): information_criterion(
-                fit, clusters, criterion=crit, adjusted=adj,
-                count_variance_params=count_variance_params,
-            )
+            (crit, adj): _criterion(fit, crit, adj, likelihoods[adj], count_variance_params)
             for adj in adjusted_flags
             for crit in criteria
         }

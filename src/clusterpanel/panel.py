@@ -713,34 +713,48 @@ def build_design(
     )
 
 
+def _row_codes(design: DesignMatrix, key: str) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct values of the rows' region, year or country, and
+    each row's index among them.  Region and year reuse the fixed effect's
+    codes where there is one (``build_design`` takes its levels from the
+    rows, so each is present); a country is looked up once per region."""
+    if key in design.fe_codes:
+        return design.fe_levels[key], design.fe_codes[key]
+    if key == "country":
+        region = _row_codes(design, "region")[1]
+        present, first = np.unique(region, return_index=True)
+        levels, code = np.unique([design.countries[i] for i in first], return_inverse=True)
+        lookup = np.zeros(present[-1] + 1, dtype=np.intp)
+        lookup[present] = code
+        return tuple(levels.tolist()), lookup[region]
+    levels, code = np.unique([row[key == "year"] for row in design.row_index], return_inverse=True)
+    return tuple(levels.tolist()), code
+
+
 def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssignment:
     """Partition design rows into clusters under a scheme.
 
-    Deterministic: cluster keys are sorted and indexed canonically.
+    Deterministic: cluster keys are sorted and indexed canonically.  A
+    (country or region, year) key is coded as one integer from its parts'
+    codes, which sorts as the pairs do.
     """
     if design.n == 0:
         raise ValueError("design is empty")
-    if scheme.kind == "region":
-        keys = [r for r, _ in design.row_index]
-    elif scheme.kind == "region_year":
-        keys = list(design.row_index)
-    elif scheme.kind == "country":
-        keys = list(design.countries)
-    elif scheme.kind == "country_year":
-        keys = [(c, t) for c, (_, t) in zip(design.countries, design.row_index)]
-    elif scheme.kind == "year":
-        keys = [t for _, t in design.row_index]
-    else:
+    if scheme.kind == "custom":
         if scheme.column not in design.custom:
             raise ValueError(f"custom cluster column {scheme.column!r} not in dataset")
-        keys = list(design.custom[scheme.column])
-    uniq = sorted(set(keys))
-    index = {k: i for i, k in enumerate(uniq)}
-    row_cluster = np.fromiter((index[k] for k in keys), dtype=np.intp, count=len(keys))
-    sizes = np.bincount(row_cluster, minlength=len(uniq))
-    return ClusterAssignment(
-        scheme=scheme, keys=tuple(uniq), row_cluster=row_cluster, sizes=sizes
-    )
+        keys, code = np.unique(design.custom[scheme.column], return_inverse=True)
+        keys = tuple(keys.tolist())
+    else:
+        first, _, second = scheme.kind.partition("_")
+        keys, code = _row_codes(design, first)
+        if second:
+            years, year_code = _row_codes(design, "year")
+            pairs, code = np.unique(code * len(years) + year_code, return_inverse=True)
+            keys = tuple((keys[i], years[t]) for i, t in zip(*np.divmod(pairs, len(years))))
+    row_cluster = np.array(code, dtype=np.intp)
+    sizes = np.bincount(row_cluster, minlength=len(keys))
+    return ClusterAssignment(scheme=scheme, keys=keys, row_cluster=row_cluster, sizes=sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import special
 
 from .panel import ClusterAssignment, ClusterScheme, DesignMatrix, TermSpec, term_label
 
@@ -165,12 +163,15 @@ class Absorbed:
         return cols, beta, int(rank), self.ymeans - means @ beta
 
 
-# A fit comes from the Gram only when pivoted Cholesky of the equilibrated Gram
-# keeps every pivot above _PIVOT_MIN (the normal equations then lose little
-# precision) and the smallest pivot times the spread of the squared column norms
-# clears least squares' rank threshold, (k eps max(n, k))^2, by _RANK_MARGIN;
-# other fits use the rows, as do all when G (k+1) > _MOMENT_RATIO n, where the
-# Grams would outgrow the rows.  _BLOCK_FLOATS bounds a block's temporaries.
+# A fit comes from the Gram only when Cholesky of the equilibrated Gram less
+# tau I succeeds, which certifies its smallest eigenvalue above tau: tau is
+# _PIVOT_MIN (the normal equations then lose little precision) or, if larger,
+# least squares' rank threshold, (k eps max(n, k))^2, times _RANK_MARGIN times
+# the spread of the squared column norms.  Every pivot of a Cholesky of the
+# Gram is at least its smallest eigenvalue, so a pivoted Cholesky would keep
+# every pivot above both bounds too.  Other fits use the rows, as do all when
+# G (k+1) > _MOMENT_RATIO n, where the Grams would outgrow the rows.
+# _BLOCK_FLOATS bounds a block's temporaries.
 _PIVOT_MIN, _RANK_MARGIN, _MOMENT_RATIO, _BLOCK_FLOATS = 1e-7, 1e4, 8, 2 ** 18
 
 
@@ -261,6 +262,19 @@ class ClusterMoments:
                             {e: present[e][i] for e in codes if e in present}) for i in range(B)]
 
 
+def _gram_accepted(A: np.ndarray, spread: float, n: int) -> bool:
+    """Whether the equilibrated (unit-diagonal) Gram ``A`` of ``n`` weighted
+    rows, whose squared column norms spread by the ratio ``spread``, is well
+    enough inside full rank to solve the normal equations."""
+    k = len(A)
+    tau = max(_PIVOT_MIN, _RANK_MARGIN * (k * np.finfo(float).eps * n) ** 2 * spread)
+    try:
+        np.linalg.cholesky(A - tau * np.eye(k))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class _Partialled:
     """``ClusterMoments`` under weights ``w``; ``means``: [X y]'s region means (reference 0)."""
 
@@ -275,38 +289,68 @@ class _Partialled:
         d = np.diag(A).copy()
         if k and d.min() > 0.0:
             root = np.sqrt(d)
-            U, piv, rank, _ = sla.lapack.dpstrf(A / root / root[:, None], tol=_PIVOT_MIN)
-            n = max(int(self.moments.sizes @ (self.w > 0)), k)
-            if rank == k and np.diag(U).min() ** 2 * d.min() / d.max() >= (
-                    _RANK_MARGIN * (k * np.finfo(float).eps * n) ** 2):
-                piv, theta = piv - 1, np.empty(k)
-                theta[piv] = sla.lapack.dpotrs(U, self.gram[cols, -1][piv] / root[piv])[0] / root[piv]
+            A = A / root / root[:, None]
+            if _gram_accepted(A, d.max() / d.min(), max(int(self.moments.sizes @ (self.w > 0)), k)):
+                theta = np.linalg.solve(A, self.gram[cols, -1] / root) / root
                 alpha = None if self.means is None else self.means[:, -1] - self.means[:, cols] @ theta
                 return cols, theta, k, alpha
         return Absorbed(self.moments.design, self.w[self.moments.row_cluster]).solve(cols)
 
 
+def _pivoted_triangle(T: np.ndarray):
+    """Householder QR with column pivoting of the k x (k+1) upper trapezoid
+    ``T``, its last column carried along unpivoted: (R, piv) with
+    T[:, [*piv, k]] = Q R.  ``T`` is the triangle of an unpivoted QR of the
+    rows [X y], so this pivots as a pivoted QR of X would, in a k-step loop on
+    k x k instead of on the rows (Demmel, Grigori, Hoemmen & Langou 2012).
+    Each step takes the column of largest remaining norm.  A squared norm
+    within 4 k eps of the column's own squared norm of the largest ties with
+    it, as copies of one column of X differ in T's rounding, and a tie goes
+    to the column first in the current order, as in LAPACK's dgeqp3."""
+    R, k = T.copy(), T.shape[0]
+    piv = np.arange(k)
+    slack = np.einsum("ij,ij->j", R[:, :k], R[:, :k]) * (4 * k * np.finfo(float).eps)
+    for j in range(k):
+        norms = np.einsum("ij,ij->j", R[j:, j:k], R[j:, j:k])
+        m = j + int(np.argmax(norms >= norms.max() - slack[j:]))
+        if m != j:
+            for a in (R.T, piv, slack):
+                a[[j, m]] = a[[m, j]]
+        v = R[j:, j].copy()
+        norm = math.sqrt(v @ v)
+        if norm == 0.0:  # every remaining column is zero
+            break
+        alpha = -math.copysign(norm, v[0])
+        v[0] -= alpha
+        R[j:, j:] -= np.outer(v, (v @ R[j:, j:]) * (2.0 / (v @ v)))
+        R[j, j], R[j + 1:, j] = alpha, 0.0
+    return R, piv
+
+
 def ols_fit(design: DesignMatrix) -> FitResult:
     """Least squares via pivoted QR; reports offending columns on rank deficiency.
 
-    With a region effect the QR runs on the partialled columns, and region
-    r's coefficient is its mean of y - X beta; a rank deficiency names
-    columns of ``X``, never a region dummy.
+    The rows are factored once, unpivoted, as [X y] = Q T, and the pivoting
+    runs on the small triangle T (``_pivoted_triangle``).  With a region
+    effect the QR runs on the partialled columns, and region r's coefficient
+    is its mean of y - X beta; a rank deficiency names columns of ``X``,
+    never a region dummy.
     """
     fe = Absorbed(design)
     X, y = fe.X, fe.y
     n, p = X.shape[0], design.p
     if n <= p:
         raise ValueError(f"need more rows than columns to fit (n={n}, p={p})")
-    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    k = X.shape[1]
+    R, piv = _pivoted_triangle(np.linalg.qr(np.column_stack([X, y]), mode="r")[:k])
     diag = np.abs(np.diag(R))
     tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
     rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
+    if rank < k:
         names = [lab.name for lab in design.x_labels]
         raise RankDeficientError([names[j] for j in piv[rank:]])
-    theta = np.empty(X.shape[1])
-    theta[piv] = sla.solve_triangular(R, Q.T @ y)
+    theta = np.empty(k)
+    theta[piv] = np.linalg.solve(R[:, :k], R[:, k])
     if fe.means is None:
         beta = theta
         fitted = X @ beta
@@ -368,12 +412,12 @@ def clustered_cov(
         warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
     elif G < FEW_CLUSTERS_THRESHOLD:
         warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
-    XtX = X.T @ X
     try:
-        cho = sla.cho_factor(XtX)
+        U = np.linalg.cholesky(X.T @ X).T
     except np.linalg.LinAlgError:
         raise ValueError("X'X is singular") from None
-    bread = sla.cho_solve(cho, np.eye(k))
+    U_inv = np.linalg.solve(U, np.eye(k))  # LU of the triangle U is I U: back substitution
+    bread = U_inv @ U_inv.T
     scores = np.zeros((G, k))
     np.add.at(scores, clusters.row_cluster, X * fit.residuals[:, None])
 
@@ -410,6 +454,8 @@ def _t_quantile(level: float, G: int) -> float:
     check_level(level)
     if G < 2:
         raise ValueError("confidence intervals need at least 2 clusters")
+    from scipy import special  # the only scipy the program uses; loaded at the first interval
+
     return float(special.stdtrit(G - 1, 0.5 + level / 2.0))
 
 

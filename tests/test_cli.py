@@ -487,19 +487,30 @@ def test_readme_config_block_matches_schema():
 
 
 def test_cli_never_imports_scipy_stats(tmp_path):
-    # scipy.stats costs about a second of every command's start-up; the t
-    # quantile comes from scipy.special, so a fresh interpreter running fit
-    # and simulate must never load it
+    # scipy costs about half of every command's start-up.  The program takes
+    # only the Student-t quantile from it, from scipy.special at the first
+    # interval: importing the CLI and running the commands without intervals
+    # loads no scipy module, and fit and simulate load scipy.special but never
+    # scipy.linalg or scipy.stats.  Each list runs in a fresh interpreter.
     script = (
         "import sys\n"
         "from clusterpanel import cli\n"
-        "for command in ('fit', 'simulate'):\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "for command in sys.argv[1:]:\n"
         f"    out = {str(tmp_path)!r} + '/' + command\n"
         f"    assert cli.main([command, '--config', {SAMPLE_CONFIG!r}, '--out', out]) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
-        "assert not loaded, loaded\n"
+        "    loaded = scipy_modules()\n"
+        "    if command in ('fit', 'simulate'):\n"
+        "        assert 'scipy.special' in loaded, (command, loaded)\n"
+        "        assert not [m for m in loaded\n"
+        "                    if m.startswith(('scipy.linalg', 'scipy.stats'))], loaded\n"
+        "    else:\n"
+        "        assert not loaded, (command, loaded)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for commands in (("corr", "cv", "ic", "bootstrap", "project", "fit"), ("simulate",)):
+        proc = subprocess.run([sys.executable, "-c", script, *commands], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

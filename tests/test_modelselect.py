@@ -606,6 +606,23 @@ def test_ic_scan_forward_shape(rng):
     assert all(e.delta < 0 for e in aic_plain)  # predictive term improves the fit
 
 
+def test_ic_scan_fits_rho_once_per_model(rng, monkeypatch):
+    # adjusted AIC and BIC share one rho fit, and so one boundary warning;
+    # test_absorption checks the entries against information_criterion
+    from clusterpanel import modelselect
+
+    calls = []
+
+    def counting_fit_rho(*args):
+        calls.append(args)
+        return fit_rho(*args)
+
+    monkeypatch.setattr(modelselect, "fit_rho", counting_fit_rho)
+    ds = _xy_dataset(rng, R=8, T=10, slope=1.0, noise=0.5)
+    ic_scan(ds, ModelSpec(), [TermSpec("x", differenced=False, max_lag=1)], COUNTRY_YEAR)
+    assert len(calls) == 3  # the reference model and two lag depths
+
+
 def test_ic_scan_backward_has_trivial(rng):
     ds = _xy_dataset(rng, R=8, T=10, slope=1.0, noise=0.5)
     full = ModelSpec(terms=(TermSpec("x", differenced=False, max_lag=1),))

@@ -530,6 +530,49 @@ def test_partition_property_all_schemes():
         np.testing.assert_array_equal(counts, a.sizes)
 
 
+def _dict_clusters(design, scheme):
+    """(keys, row_cluster, sizes) with every row's key looked up in a dict,
+    as ``assign_clusters`` coded them before it used integer codes."""
+    keys = {
+        "region": [r for r, _ in design.row_index],
+        "region_year": list(design.row_index),
+        "country": list(design.countries),
+        "country_year": [(c, t) for c, (_, t) in zip(design.countries, design.row_index)],
+        "year": [t for _, t in design.row_index],
+    }.get(scheme.kind) or list(design.custom.get(scheme.column, ()))
+    uniq = sorted(set(keys))
+    index = {k: i for i, k in enumerate(uniq)}
+    row_cluster = np.fromiter((index[k] for k in keys), dtype=np.intp, count=len(keys))
+    return tuple(uniq), row_cluster, np.bincount(row_cluster, minlength=len(uniq))
+
+
+@pytest.mark.parametrize("effects", [(), ("region",), ("year",), ("region", "year")])
+def test_assign_clusters_matches_dict_oracle(effects):
+    # names that sort differently as text and as numbers, upper before lower
+    # case, non-ASCII; late entry, gaps, a custom column with empty values
+    gen = np.random.default_rng(4)
+    regions = ["a9", "a10", "B", "b", "é1", "Z0", "z", "a1"]
+    records = [
+        obs(region, f"C{i % 3}" if i != 5 else "c", year, float(gen.standard_normal()),
+            {"v": float(gen.standard_normal())},
+            custom={"tag": ("", "x", "X", "10", "9")[(i + year) % 5]})
+        for i, region in enumerate(regions) for year in range(1998 + i % 3, 2007)
+        if gen.random() > 0.2
+    ]
+    design = build_design(panel_from(records), ModelSpec(terms=(TermSpec("v", max_lag=1),),
+                                                         fixed_effects=effects))
+    schemes = (REGION, REGION_YEAR, COUNTRY, COUNTRY_YEAR, YEAR, ClusterScheme.parse("custom:tag"))
+    for scheme in schemes:
+        got = assign_clusters(design, scheme)
+        keys, row_cluster, sizes = _dict_clusters(design, scheme)
+        assert got.keys == keys
+        assert [type(k) for k in np.ravel(np.array(got.keys, dtype=object))] == [
+            type(k) for k in np.ravel(np.array(keys, dtype=object))]
+        assert got.row_cluster.dtype == np.intp
+        np.testing.assert_array_equal(got.row_cluster, row_cluster)
+        np.testing.assert_array_equal(got.sizes, sizes)
+
+
 # ---------------------------------------------------------------------------
 # Haversine
 # ---------------------------------------------------------------------------

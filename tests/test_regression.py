@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 from scipy import stats
 
 from clusterpanel.panel import (
@@ -14,9 +15,12 @@ from clusterpanel.panel import (
     build_design,
 )
 from clusterpanel.regression import (
+    _PIVOT_MIN,
+    _RANK_MARGIN,
     CovarianceEstimate,
     FitResult,
     RankDeficientError,
+    _gram_accepted,
     _t_quantile,
     clustered_cov,
     confidence_intervals,
@@ -110,6 +114,106 @@ def test_normal_equation_orthogonality(rng):
         assert np.all(np.abs(X.T @ fit.residuals) <= bound)
 
 
+def _lapack_fit(X, y):
+    """(rank, offending columns, coefficients) from LAPACK's pivoted QR of the
+    rows (dgeqp3) and a triangular solve, under ``ols_fit``'s rank rule: the
+    oracle of its QR of [X y] with pivoting on the triangle."""
+    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(X.shape) * np.finfo(float).eps))
+    beta = np.empty(X.shape[1])
+    if rank == X.shape[1]:
+        beta[piv] = sla.solve_triangular(R, Q.T @ y)
+    return rank, [f"c{j}.l0" for j in piv[rank:]], beta
+
+
+def _ols_outcome(X, y):
+    try:
+        fit = ols_fit(design_from_arrays(X, y))
+    except RankDeficientError as err:
+        return X.shape[1] - len(err.columns), list(err.columns), None
+    return X.shape[1], [], fit.beta
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_ols_fit_matches_lapack_pivoted_qr(rng, scaled):
+    # badly scaled: column norms from 1e-6 to 1e6 in shuffled order, each
+    # column contributing alike to y
+    for n, k in [(12, 1), (50, 5), (400, 30), (3000, 45)]:
+        scale = rng.permutation(np.logspace(-6, 6, k)) / np.sqrt(n) if scaled else np.ones(k)
+        X = rng.standard_normal((n, k)) * scale
+        y = X @ (rng.standard_normal(k) / scale) + rng.standard_normal(n)
+        rank, names, beta = _lapack_fit(X, y)
+        assert (rank, names) == (k, [])
+        np.testing.assert_allclose(_ols_outcome(X, y)[2], beta, rtol=1e-10)
+
+
+def _first_copies(X, names):
+    """``names`` with each column of X replaced by its first exact copy."""
+    columns = [int(name[1:-3]) for name in names]
+    return [f"c{next(i for i in range(j + 1) if np.array_equal(X[:, i], X[:, j]))}.l0"
+            for j in columns]
+
+
+def test_ols_fit_matches_lapack_on_collinear_designs(rng):
+    # one exact dependency at column scales from 1e-3 to 1e3: a zero column
+    # or a combination of two columns, named as LAPACK names it, or a copy of
+    # a column, where either copy may be named
+    for case in range(45):
+        n, k = int(rng.integers(15, 600)), int(rng.integers(3, 40))
+        X = rng.standard_normal((n, k)) * rng.permutation(np.logspace(-3, 3, k))
+        a, b, c = rng.choice(k, 3, replace=False)
+        X[:, a] = (X[:, b], 0.0, X[:, b] * 0.25 + X[:, c] * 0.5)[case % 3]
+        y = rng.standard_normal(n)
+        rank, names, _ = _lapack_fit(X, y)
+        got_rank, got_names, _ = _ols_outcome(X, y)
+        assert got_rank == rank == k - 1
+        if case % 3:
+            assert got_names == names
+        else:
+            assert _first_copies(X, got_names) == _first_copies(X, names) == [f"c{min(a, b)}.l0"]
+
+
+def test_ols_fit_names_the_later_copy_of_a_column(rng):
+    # the two largest columns are copies: their norms tie, the first in
+    # column order is pivoted first and the later one named, as by dgeqp3
+    for _ in range(20):
+        n, k = int(rng.integers(20, 500)), int(rng.integers(3, 30))
+        X = rng.standard_normal((n, k))
+        a, b = sorted(rng.choice(k, 2, replace=False))
+        X[:, a] = X[:, b] = 10.0 * rng.standard_normal(n)
+        named = _ols_outcome(X, rng.standard_normal(n))[1]
+        assert named == _lapack_fit(X, X[:, 0])[1] == [f"c{b}.l0"]
+
+
+def _dpstrf_accepts(A, spread, n):
+    """The Gram acceptance rule as LAPACK's pivoted Cholesky (dpstrf) applied
+    it: full rank at tol _PIVOT_MIN, and the smallest pivot over the spread
+    of the squared column norms at least _RANK_MARGIN (k eps n)^2."""
+    U, _, rank, _ = sla.lapack.dpstrf(A, tol=_PIVOT_MIN)
+    k = len(A)
+    return rank == k and np.diag(U).min() ** 2 / spread >= (
+        _RANK_MARGIN * (k * np.finfo(float).eps * n) ** 2)
+
+
+def test_gram_acceptance_never_exceeds_pivoted_cholesky(rng):
+    # near-singular Grams: columns share a common part up to noise of 1e-7
+    # to 1e-1, under column scales spread up to 1e6 and n up to 1e7 weighted
+    # rows; the shifted Cholesky may reject more, never accept more
+    verdicts = []
+    for _ in range(600):
+        m, k = int(rng.integers(8, 120)), int(rng.integers(1, 25))
+        X = rng.standard_normal((m, 1)) + 10.0 ** rng.uniform(-7, -1) * rng.standard_normal((m, k))
+        X *= 10.0 ** rng.uniform(0, rng.uniform(0, 6), k)
+        A = X.T @ X
+        d = np.diag(A)
+        A_eq = A / np.sqrt(d) / np.sqrt(d)[:, None]
+        spread, n = d.max() / d.min(), max(m, int(10.0 ** rng.uniform(1, 7)))
+        verdicts.append((_gram_accepted(A_eq, spread, n), _dpstrf_accepts(A_eq, spread, n)))
+    assert all(old for new, old in verdicts if new)
+    assert sum(new for new, _ in verdicts) > 50 and sum(not old for _, old in verdicts) > 50
+
+
 # ---------------------------------------------------------------------------
 # Clustered covariance
 # ---------------------------------------------------------------------------
@@ -124,6 +228,16 @@ def test_singleton_clusters_reproduce_hc0(rng):
     bread = np.linalg.inv(X.T @ X)
     hc0 = bread @ (X * fit.residuals[:, None] ** 2).T @ X @ bread
     np.testing.assert_allclose(cov.cov, hc0, atol=1e-12 * np.abs(hc0).max())
+
+
+@pytest.mark.filterwarnings("ignore:only G=")
+def test_singular_gram_is_named(rng):
+    X = np.column_stack([np.ones(30), rng.standard_normal(30), np.zeros(30)])
+    d = design_from_arrays(X, rng.standard_normal(30), cluster_keys=range(30))
+    fit = FitResult(beta=np.zeros(3), residuals=d.y.copy(), fitted=np.zeros(30), r_squared=0.0,
+                    n=30, p=3, column_labels=d.column_labels)
+    with pytest.raises(ValueError, match="X'X is singular"):
+        clustered_cov(fit, d, assign_clusters(d, custom_scheme()))
 
 
 def test_single_cluster_degenerates_to_zero(rng):
