@@ -22,16 +22,21 @@ Last, it times the cold start of a command on the ``--src`` tree, each
 figure the median of COLD_RUNS fresh interpreters:
 
 - import_s: ``import clusterpanel.cli``, timed inside the interpreter;
-- cold_fit_s: ``python -m clusterpanel.cli fit`` on sample/config.yaml,
+- cold_fit_s: a ``fit`` of sample/config.yaml through ``cli.main``,
   timed from process launch to exit;
-- cold_corr_s: the same for ``corr``, a command that computes no interval
-  and so loads no scipy.
+- cold_fit_rss_mb: the peak resident set of that fit process;
+- cold_corr_s: the same as cold_fit_s for ``corr``, a command that computes
+  no interval.
+
+and, in this process, t_quantile_s: the slowest of the interval quantiles
+``regression._t_quantile`` computes afresh over T_LEVELS at G = 10, 1000
+and 100000 clusters, each the median of COLD_RUNS uncached calls.
 
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
-    python3 scripts/scale_check.py --label after --out BENCH_12.json
-    python3 scripts/scale_check.py --label before --out BENCH_12.json \
+    python3 scripts/scale_check.py --label after --out BENCH_13.json
+    python3 scripts/scale_check.py --label before --out BENCH_13.json \
         --src /path/to/other/checkout/src
 
 Runs already in ``--out`` under other labels are kept.
@@ -69,6 +74,8 @@ SIMULATE_SIZES = ((10, 10), (100, 30))
 SIMULATE_REPS = 1000
 SIMULATE_TARGET_S = 0.1
 COLD_RUNS = 5  # fresh interpreters per cold-start figure, of which the median is kept
+T_LEVELS = (0.01, 0.1, 0.5, 0.68, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999)
+T_CLUSTERS = (10, 1000, 100000)
 
 
 def _panel(cp, regions, years):
@@ -138,27 +145,44 @@ def simulate(cp, regions, years, reps):
 def cold_start(src):
     """Median seconds of a fresh interpreter's import, of a cold sample fit
     and of a cold sample corr (a command that needs no t quantile), each
-    launch to exit."""
+    launch to exit, and the median peak RSS of the fit process in MB."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import time; t = time.perf_counter(); import clusterpanel.cli; "
              "print(time.perf_counter() - t)")
+    command = ("import resource, sys; from clusterpanel import cli; code = cli.main(sys.argv[1:]); "
+               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024); sys.exit(code)")
 
     def run(*argv):
         return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True,
                               capture_output=True, text=True).stdout
 
-    def command(name, out):
-        return _timed(lambda: run("-m", "clusterpanel.cli", name, "--config", "sample/config.yaml",
-                                  "--out", out))[0]
+    def cold(name, out):
+        """Launch-to-exit seconds and peak RSS in MB of one sample command."""
+        seconds, stdout = _timed(lambda: run("-c", command, name, "--config", "sample/config.yaml",
+                                             "--out", out))
+        return seconds, float(stdout.splitlines()[-1])
 
-    imports, fits, corrs = [], [], []
+    imports, fits, rss, corrs = [], [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(COLD_RUNS):
             imports.append(float(run("-c", probe)))
-            fits.append(command("fit", f"{tmp}/fit"))
-            corrs.append(command("corr", f"{tmp}/corr"))
+            seconds, mb = cold("fit", f"{tmp}/fit")
+            fits.append(seconds)
+            rss.append(mb)
+            corrs.append(cold("corr", f"{tmp}/corr")[0])
     return {"import_s": statistics.median(imports), "cold_fit_s": statistics.median(fits),
-            "cold_corr_s": statistics.median(corrs)}
+            "cold_fit_rss_mb": statistics.median(rss), "cold_corr_s": statistics.median(corrs)}
+
+
+def t_quantile():
+    """Per G in T_CLUSTERS, the slowest over T_LEVELS of the median uncached
+    _t_quantile call, in seconds."""
+    from clusterpanel.regression import _t_quantile
+
+    _t_quantile(0.5, 7)  # loads whatever the quantile imports at its first call
+    return {str(G): max(statistics.median(_timed(lambda: _t_quantile.__wrapped__(level, G))[0]
+                                          for _ in range(COLD_RUNS)) for level in T_LEVELS)
+            for G in T_CLUSTERS}
 
 
 def main(argv=None):
@@ -166,8 +190,8 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="name of this run in the output, e.g. before")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, required=True,
-                        help="JSON file the run is added to, e.g. BENCH_12.json")
-    parser.add_argument("--replicates", type=int, default=20,
+                        help="JSON file the run is added to, e.g. BENCH_13.json")
+    parser.add_argument("--replicates", type=int, default=100,
                         help="extra bootstrap replicates timed for the per-replicate figure")
     args = parser.parse_args(argv)
     src = args.src.resolve()
@@ -182,6 +206,8 @@ def main(argv=None):
     simulate(cp, 10, 10, 100)
     run = {"cold_start_s": {k: round(v, 4) for k, v in cold_start(src).items()}}
     print("cold start", json.dumps(run["cold_start_s"]), flush=True)
+    run["t_quantile_s"] = {k: round(v, 6) for k, v in t_quantile().items()}
+    print("t quantile", json.dumps(run["t_quantile_s"]), flush=True)
     for regions, years in SIZES:
         key = f"{regions}x{years}"
         run[key] = {k: round(v, 4) if isinstance(v, float) else v
@@ -202,8 +228,9 @@ def main(argv=None):
                        "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s is the "
                        f"median of {LOAD_RUNS} loads, the bootstrap figures come from the medians "
                        f"of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, the cold-start "
-                       f"figures are medians of {COLD_RUNS} fresh interpreters, every other "
-                       "figure is a single run")
+                       f"figures are medians of {COLD_RUNS} fresh interpreters (cold_fit_rss_mb "
+                       "in MB), t_quantile_s is the slowest level's median of "
+                       f"{COLD_RUNS} uncached calls, every other figure is a single run")
     report["targets_s_at_1000x40"] = TARGETS
     report["coverage_study"] = (f"{SIMULATE_REPS} replications, schemes region and year, "
                                 f"target {SIMULATE_TARGET_S} s at 10x10")

@@ -449,14 +449,73 @@ def clustered_cov(
     return CovarianceEstimate(cov=cov, scheme=clusters.scheme, correction=correction, G=G)
 
 
+def _abs_t_density_at_zero(nu: int) -> float:
+    """2 Gamma((nu + 1)/2) / (sqrt(pi nu) Gamma(nu/2)), the density of |T| at 0."""
+    if nu >= 64:  # Stirling series of log Gamma(a + 1/2)/Gamma(a); the next term is < 1e-16
+        a = nu / 2.0
+        return math.sqrt(2.0 / math.pi) * math.exp(
+            -1 / (8 * a) + 1 / (192 * a**3) - 1 / (640 * a**5) + 17 / (14336 * a**7))
+    n = nu // 2  # Gamma(n + 1/2) = sqrt(pi) (2n)! / (4^n n!), the integer ratio rounded once
+    c = math.comb(2 * n, n)
+    return c / 4**n * math.sqrt(nu) if nu % 2 == 0 else 2 * 4**n / c / math.pi / math.sqrt(nu)
+
+
 @functools.lru_cache(maxsize=None)
 def _t_quantile(level: float, G: int) -> float:
+    """The t with P(|T| <= t) = level, T Student t on G - 1 degrees of freedom.
+
+    Solved at the double p = 0.5 + level/2 for whichever of P(|T| <= t) = 2p - 1
+    and P(|T| > t) = 2(1 - p) is at most one half; both targets are exact, so
+    the smaller probability keeps its relative accuracy.  With f the density
+    of |T| and a = nu/2, P(|T| <= t) = t f(t) 2F1(a + 1/2, 1; 3/2; t^2/(nu + t^2))
+    and P(|T| > t) = (1/t + t/nu) f(t) 2F1(1/2, 1; a + 1; -nu/t^2) (the
+    incomplete beta, DLMF 8.17.8, with a Pfaff transformation): a power series
+    and Gauss's continued fraction whose terms are all positive, so neither
+    cancels.  Newton's method runs on log P against log t, concave for both
+    probabilities.  nu = 1 and 2 have closed forms.
+    """
     check_level(level)
     if G < 2:
         raise ValueError("confidence intervals need at least 2 clusters")
-    from scipy import special  # the only scipy the program uses; loaded at the first interval
-
-    return float(special.stdtrit(G - 1, 0.5 + level / 2.0))
+    nu, p = G - 1, 0.5 + level / 2.0
+    upper = p > 0.75
+    target = 2.0 * (1.0 - p) if upper else 2.0 * p - 1.0
+    if target == 0.0:  # level within half an ulp of 0 or 1
+        return math.inf if upper else 0.0
+    if nu == 1:
+        q = math.tan(math.pi / 2.0 * target)
+        return 1.0 / q if upper else q
+    if nu == 2:
+        return (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+    a, f0 = nu / 2.0, _abs_t_density_at_zero(nu)
+    # P(|T| <= t) <= f0 t, so the lower start is left of the root, where the
+    # Newton steps on a concave function rise monotonically
+    t, step = (1.0 if upper else target / f0), math.inf
+    while abs(step) >= 1e-10:  # Newton converges quadratically: the error is now ~step^2
+        if upper:
+            z, c, d, terms = nu / (t * t), 1.0, 0.0, []
+            while abs(c * d - 1.0) >= 3e-16:  # modified Lentz, only to find the depth
+                n = len(terms)
+                terms.append(z * (n + 1) * (nu + n) / ((nu + 2 * n) * (nu + 2 * n + 2)))
+                d = 1.0 / (1.0 + terms[-1] * d)
+                c = 1.0 + terms[-1] / c
+            fraction = 1.0
+            for term in reversed(terms):  # backward: each rounding is damped, not summed
+                fraction = 1.0 + term / fraction
+            ratio = (1.0 / (t * t) + 1.0 / nu) / fraction
+        else:
+            y, term, rest, m = t * t / (nu + t * t), 1.0, 0.0, 0
+            while term > 1e-17 * (1.0 + rest):
+                term *= (a + 0.5 + m) / (1.5 + m) * y
+                rest += term
+                m += 1
+            ratio = 1.0 + rest
+        prob = t * ratio * f0 * math.exp(-(a + 0.5) * math.log1p(t * t / nu))
+        step = math.log(prob / target) * (ratio if upper else -ratio)  # ratio = prob / (t f(t))
+        # from below the root the tail's first step overshoots; a factor e
+        # up at a time keeps f(t) from underflowing
+        t += t * math.expm1(min(step, 1.0))
+    return t
 
 
 def confidence_intervals(

@@ -486,31 +486,21 @@ def test_readme_config_block_matches_schema():
     assert not undocumented, f"keys missing from the README schema: {sorted(undocumented)}"
 
 
-def test_cli_never_imports_scipy_stats(tmp_path):
-    # scipy costs about half of every command's start-up.  The program takes
-    # only the Student-t quantile from it, from scipy.special at the first
-    # interval: importing the CLI and running the commands without intervals
-    # loads no scipy module, and fit and simulate load scipy.special but never
-    # scipy.linalg or scipy.stats.  Each list runs in a fresh interpreter.
+def test_cli_never_imports_scipy(tmp_path):
+    # scipy once cost about half of every command's start-up; the program now
+    # computes its one special function, the Student-t quantile, itself.
+    # Importing the CLI and running all seven commands in one fresh
+    # interpreter loads no scipy module.
     script = (
         "import sys\n"
         "from clusterpanel import cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not scipy_modules(), scipy_modules()\n"
         "for command in sys.argv[1:]:\n"
         f"    out = {str(tmp_path)!r} + '/' + command\n"
         f"    assert cli.main([command, '--config', {SAMPLE_CONFIG!r}, '--out', out]) == 0\n"
-        "    loaded = scipy_modules()\n"
-        "    if command in ('fit', 'simulate'):\n"
-        "        assert 'scipy.special' in loaded, (command, loaded)\n"
-        "        assert not [m for m in loaded\n"
-        "                    if m.startswith(('scipy.linalg', 'scipy.stats'))], loaded\n"
-        "    else:\n"
-        "        assert not loaded, (command, loaded)\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    assert not loaded, (command, loaded)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    for commands in (("corr", "cv", "ic", "bootstrap", "project", "fit"), ("simulate",)):
-        proc = subprocess.run([sys.executable, "-c", script, *commands], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", script, *COMMANDS], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

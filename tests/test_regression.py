@@ -340,11 +340,13 @@ def test_interval_half_width_small_g():
 
 
 # Student-t quantiles at the binary double 0.5 + level/2 that _t_quantile
-# passes on (not at the decimal 0.975 / 0.95), keyed by df = G - 1. Computed
+# solves at (not at the decimal 0.975 / 0.95), keyed by df = G - 1. Computed
 # with mpmath at 60 digits by root-finding on the regularized incomplete beta
 # P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2. Every CI bound in the fit and
-# simulate goldens scales with these values, so a drift in scipy's
-# special.stdtrit shows here first; rel=1e-15 is a few ulp.
+# simulate goldens scales with these values; rel=1e-15 is a few ulp. The
+# levels 0.01 and 0.9999 need the smaller of P(|T| <= t) and P(|T| > t)
+# computed directly: through 1 minus the larger one, the rounding of that
+# difference alone moves t by about 1e-14 and 7e-14 relative.
 T_QUANTILES = {
     (1, 0.95): "12.7062047361746933141",
     (1, 0.90): "6.313751514675037397925",
@@ -358,7 +360,33 @@ T_QUANTILES = {
     (74, 0.90): "1.665706892734023181643",
     (999, 0.95): "1.962341461133449597549",
     (999, 0.90): "1.646380345427535215176",
+    (3, 0.01): "0.01360405469103669045826",
+    (3, 0.5): "0.7648923284043452806575",
+    (3, 0.99): "5.840909309733355411261",
+    (3, 0.9999): "28.00013001095000607318",
+    (4, 0.01): "0.01333382719232065421691",
+    (4, 0.5): "0.7406970841126826329844",
+    (4, 0.99): "4.604094871349992045905",
+    (4, 0.9999): "15.54410058154611331216",
+    (49, 0.01): "0.01259758491035190562105",
+    (49, 0.5): "0.6795296452626507603085",
+    (49, 0.99): "2.679951973631551700149",
+    (49, 0.9999): "4.235725936988711984188",
+    (2499, 0.01): "0.0125347236162625407084",
+    (2499, 0.5): "0.6745879361640972908075",
+    (2499, 0.99): "2.577798125022686333406",
+    (2499, 0.9999): "3.896881567383580756523",
+    (36999, 0.01): "0.0125335542095527058766",
+    (36999, 0.5): "0.6744963811070410102514",
+    (36999, 0.99): "2.575962193259197965822",
+    (36999, 0.9999): "3.891016137261021493038",
+    (99999, 0.01): "0.01253350084701777345544",
+    (99999, 0.5): "0.6744922035778261027639",
+    (99999, 0.99): "2.575878470400052342952",
+    (99999, 0.9999): "3.890748846955445135876",
 }
+T_LEVELS = [0.01, 0.1, 0.5, 0.68, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999]
+T_CLUSTERS = [*range(2, 65), 100, 250, 500, 1000, 2500, 10**4, 10**5]
 
 
 @pytest.mark.parametrize("df,level", sorted(T_QUANTILES))
@@ -367,16 +395,33 @@ def test_t_quantile_matches_high_precision_constants(df, level):
     assert _t_quantile(level, df + 1) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize(
-    "level", [0.01, 0.1, 0.5, 0.68, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("level", T_LEVELS)
 def test_t_quantile_equals_scipy_stats_t_ppf(level):
-    # _t_quantile calls special.stdtrit directly; scipy.stats.t.ppf, the
-    # distribution framework it replaces, stays here as the exact oracle.
-    G = np.arange(2, 2501)
+    # scipy.stats.t.ppf is an independent implementation, equal to rel 1e-12:
+    # at level 0.01 and G = 5 it is itself 7.5e-13 from the 60-digit constant
+    # in T_QUANTILES, which _t_quantile matches to 1e-16.
+    G = np.array(T_CLUSTERS)
     expected = stats.t.ppf(0.5 + level / 2.0, G - 1)
     got = np.array([_t_quantile(level, int(g)) for g in G])
-    mismatch = np.flatnonzero(got != expected)
-    assert mismatch.size == 0, f"G={G[mismatch[:5]].tolist()} differ from t.ppf"
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_t_quantile_rises_with_level():
+    levels = np.linspace(0.0, 1.0, 2001)[1:-1]
+    for G in (2, 3, 4, 30, 10**5):
+        assert np.all(np.diff([_t_quantile(float(lv), G) for lv in levels]) > 0), G
+
+
+def test_t_quantile_falls_with_clusters():
+    for level in T_LEVELS:
+        assert np.all(np.diff([_t_quantile(level, G) for G in T_CLUSTERS]) < 0), level
+
+
+def test_t_quantile_at_the_ends_of_the_level_range():
+    # 0.5 + level/2 rounds to 1 at the largest level below 1, and to 0.5 at
+    # subnormal levels
+    assert _t_quantile(np.nextafter(1.0, 0.0), 30) == np.inf
+    assert _t_quantile(5e-324, 30) == 0.0
 
 
 def test_interval_rejects_nonpositive_variance():
