@@ -9,6 +9,10 @@ adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
 - build_design;
 - fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov, region);
 - one cv model at K=4 (cv_loss, region folds);
+- a forward cv scan at K=4 from the fixed-effect-only base, with the
+  candidates d.x*xbar at lags 0..2 and x (undifferenced) at lags 0..1: six
+  models counting the reference, on one set of folds (cv_scan, the median
+  of CV_SCAN_RUNS; keys cv_scan_s for region folds, cv_scan_country_year_s);
 - one bootstrap replicate under each of the region, year and country_year
   schemes, as the median of (t(B=1+k) - t(B=1)) / k over BOOTSTRAP_PAIRS
   alternating timings of block_bootstrap, and B=1000 extrapolated as the
@@ -35,8 +39,8 @@ and 100000 clusters, each the median of COLD_RUNS uncached calls.
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
-    python3 scripts/scale_check.py --label after --out BENCH_13.json
-    python3 scripts/scale_check.py --label before --out BENCH_13.json \
+    python3 scripts/scale_check.py --label after --out BENCH_14.json
+    python3 scripts/scale_check.py --label before --out BENCH_14.json \
         --src /path/to/other/checkout/src
 
 Runs already in ``--out`` under other labels are kept.
@@ -68,6 +72,7 @@ TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "corr_all_pairs_s": 1.0}
 LOAD_RUNS = 5  # load_csv timings per size, of which the median is kept
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
+CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
 # coverage studies: (regions, years) at SIMULATE_REPS replications, and the
 # target for the 10x10 one, in seconds
 SIMULATE_SIZES = ((10, 10), (100, 30))
@@ -119,6 +124,13 @@ def measure(cp, regions, years, extra_replicates):
 
     out["fit_cr1_s"], fit = _timed(fit_cr1)
     out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
+    base = cp.ModelSpec(fixed_effects=("region", "year"))
+    candidates = spec.terms + (cp.TermSpec("x", differenced=False, max_lag=1),)
+    for scheme in (cp.REGION, cp.COUNTRY_YEAR):
+        key = "cv_scan_s" if scheme == cp.REGION else f"cv_scan_{scheme.label}_s"
+        out[key] = statistics.median(
+            _timed(lambda: cp.cv_scan(ds, base, candidates, scheme, K=4, seed=0))[0]
+            for _ in range(CV_SCAN_RUNS))
     for scheme in (cp.REGION, cp.YEAR, cp.COUNTRY_YEAR):
         ones, replicates = [], []
         for _ in range(BOOTSTRAP_PAIRS):
@@ -190,7 +202,7 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="name of this run in the output, e.g. before")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
     parser.add_argument("--out", type=Path, required=True,
-                        help="JSON file the run is added to, e.g. BENCH_13.json")
+                        help="JSON file the run is added to, e.g. BENCH_14.json")
     parser.add_argument("--replicates", type=int, default=100,
                         help="extra bootstrap replicates timed for the per-replicate figure")
     args = parser.parse_args(argv)
@@ -226,10 +238,11 @@ def main(argv=None):
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["about"] = ("scripts/scale_check.py: stage times in seconds, balanced generate_panel "
                        "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s is the "
-                       f"median of {LOAD_RUNS} loads, the bootstrap figures come from the medians "
-                       f"of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, the cold-start "
-                       f"figures are medians of {COLD_RUNS} fresh interpreters (cold_fit_rss_mb "
-                       "in MB), t_quantile_s is the slowest level's median of "
+                       f"median of {LOAD_RUNS} loads, the cv_scan figures (six models, K=4) "
+                       f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
+                       f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, the "
+                       f"cold-start figures are medians of {COLD_RUNS} fresh interpreters "
+                       "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "
                        f"{COLD_RUNS} uncached calls, every other figure is a single run")
     report["targets_s_at_1000x40"] = TARGETS
     report["coverage_study"] = (f"{SIMULATE_REPS} replications, schemes region and year, "

@@ -84,45 +84,41 @@ def _cv_results(
     """Cluster-respecting K-fold CV of every model, each a list of term
     columns of ``design.X`` fitted with the fixed effects, on shared folds.
 
-    Each fold refits on its training clusters as 0/1 weights, from the
-    model's ``ClusterMoments.select``, so a model scores as on a design
-    built for it alone; the fixed effects take the training split's levels:
-    a validation row whose level is unseen in training, or is the training
-    reference, gets no effect, as rebuilt all-zero dummies would give.
-    Validation errors come from the rows.
+    One ``weighted`` call on the design's ``ClusterMoments`` gives every
+    training fold as 0/1 cluster weights, and each model solves its columns
+    there, as on a design built for it alone up to rounding.  The fixed
+    effects take the training split's levels: a validation row whose level
+    is unseen in training, or is the training reference, gets no effect, as
+    rebuilt all-zero dummies would give.  Validation errors come from the rows.
     """
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
     fold_by_cluster = np.array([plan.assignment[k] for k in clusters.keys])
     row_folds = fold_by_cluster[clusters.row_cluster]
     years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
-    union, unseen, results = ClusterMoments(design, clusters.row_cluster), 0, []
-    for m, model in enumerate(models):
-        moments = union.select(list(model) + years)
-        sub, losses, deficient = moments.design, [], False
-        for k in range(K):
-            va = row_folds == k
-            if not va.any():
-                raise ValueError(f"empty validation fold {k}")
-            (fold,) = moments.weighted(fold_by_cluster != k)
-            if m == 0:
-                unseen += sum(int((~fold.present[effect][codes[va]]).sum())
-                              for effect, codes in design.fe_codes.items())
-            cols, beta, rank, alpha = fold.solve(range(sub.X.shape[1]))
-            if rank < len(cols):
-                if not allow_rank_deficient:
-                    raise ValueError(f"rank-deficient training design in fold {k}")
-                deficient = True
+    counts = np.bincount(row_folds, minlength=K)
+    if not counts.all():
+        raise ValueError(f"empty validation fold {int(np.argmin(counts))}")
+    folds = ClusterMoments(design, clusters.row_cluster).weighted(
+        [fold_by_cluster != k for k in range(K)])
+    sse, deficient, unseen = np.zeros((len(models), K)), [False] * len(models), 0
+    for k, fold in enumerate(folds):
+        va = row_folds == k
+        X_va, codes = design.X[va], {e: c[va] for e, c in design.fe_codes.items()}
+        unseen += sum(int((~fold.present[e][c]).sum()) for e, c in codes.items())
+        for m, model in enumerate(models):
+            cols, beta, rank, alpha = fold.solve(list(model) + years)
+            if rank < len(cols) and not allow_rank_deficient:
+                raise ValueError(f"rank-deficient training design in fold {k}")
+            deficient[m] |= rank < len(cols)
             # np.take copies in C order; the matvec rounds by layout
-            err = sub.y[va] - np.take(sub.X[va], cols, axis=1) @ beta
+            err = design.y[va] - np.take(X_va, cols, axis=1) @ beta
             if alpha is not None:
-                err -= np.nan_to_num(alpha)[sub.fe_codes["region"][va]]
-            losses.append((float(err @ err), int(va.sum())))
-        results.append(CvResult(loss=sum(e for e, _ in losses) / design.n, n_validation=design.n,
-                                unseen_levels=unseen, rank_deficient=deficient,
-                                fold_losses=tuple(e / n for e, n in losses)))
-        del moments, sub, fold  # free this model's moments before the next one's are built
-    return results
+                err -= np.nan_to_num(alpha)[codes["region"]]
+            sse[m, k] = err @ err
+    return [CvResult(loss=sum(map(float, e)) / design.n, n_validation=design.n,
+                     unseen_levels=unseen, rank_deficient=flag,
+                     fold_losses=tuple(map(float, e / counts))) for e, flag in zip(sse, deficient)]
 
 
 def cv_loss(

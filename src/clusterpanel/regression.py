@@ -14,7 +14,6 @@ factor, R^2) still includes the region dummies.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -183,15 +182,17 @@ class ClusterMoments:
     Under weights w, with S_r = sum_c w_c s_rc and N_r = sum_c w_c n_rc,
     ``Absorbed``'s partialled Gram is sum_g w_g A_g - sum_{r != ref} S_r
     S_r'/N_r, with Z centred at the regions' full-sample means so that the
-    subtraction cancels little.  ``weighted(W)`` gives each row of W a view
-    with ``Absorbed``'s ``present``, ``re_referenced`` and ``solve``.
+    subtraction cancels little.  The A_g are built here; Z is not kept.
+    ``weighted(W)`` gives each row of W a view with ``Absorbed``'s
+    ``present``, ``re_referenced`` and ``solve``.  Each entry of the Gram
+    depends on its two columns alone, so a view solves a column subset from
+    a sub-block, as a build on those columns would up to rounding.
     """
 
     def __init__(self, design: DesignMatrix, row_cluster: np.ndarray):
         self.design, self.row_cluster, self.G = design, row_cluster, int(row_cluster.max()) + 1
         G, k1 = self.G, design.X.shape[1] + 1
-        self.sizes, self.block = np.bincount(row_cluster), 1
-        self.grams = self.center = self.pair_sums = None
+        self.sizes, self.block, self.center = np.bincount(row_cluster), 1, None
         self.rows_only = G * k1 > _MOMENT_RATIO * design.n
         if self.rows_only:
             return
@@ -212,19 +213,13 @@ class ClusterMoments:
             self.pair_cluster[region, slot], self.pair_counts[region, slot] = cluster, counts
             self.pair_sums[region, slot] = sums - counts[:, None] * self.center[region]
             floats += self.pair_counts.size * (k1 + 1) + L * k1
-        self.Z, self.block = Z[np.argsort(row_cluster, kind="stable")], max(1, _BLOCK_FLOATS // floats)
-
-    def select(self, cols: Sequence[int]) -> "ClusterMoments":
-        """The moments of ``design.select(cols)``, bitwise as if built on it:
-        the Grams are recomputed, as a product rounds differently when wider."""
-        if list(cols) == list(range(self.design.X.shape[1])):
-            return self
-        sub, keep = copy.copy(self), [*cols, -1]
-        sub.design, sub.grams = self.design.select(cols), None
-        if not self.rows_only:  # C-ordered slices: BLAS rounds a strided operand differently
-            sub.Z, sub.center, sub.pair_sums = (a if a is None else np.take(a, keep, axis=-1)
-                                                for a in (self.Z, self.center, self.pair_sums))
-        return sub
+            del sums  # up to n x k1, as large as Z: free it before the Grams are built
+        Z, self.block = Z[np.argsort(row_cluster, kind="stable")], max(1, _BLOCK_FLOATS // floats)
+        # the clusters of one size in one stacked product
+        self.grams, starts = np.empty((G, k1 * k1)), np.cumsum(self.sizes) - self.sizes
+        for size in np.unique(self.sizes):
+            rows = Z[starts[self.sizes == size, None] + np.arange(size)]
+            self.grams[self.sizes == size] = (rows.transpose(0, 2, 1) @ rows).reshape(-1, k1 * k1)
 
     def weighted(self, W) -> list:
         """One fit view per row of the cluster weights ``W`` (``block`` rows at a
@@ -233,13 +228,7 @@ class ClusterMoments:
         W = np.asarray(W, dtype=float).reshape(-1, self.G)
         if self.rows_only:
             return [Absorbed(self.design, w[self.row_cluster]) for w in W]
-        B, k1, codes = len(W), self.Z.shape[1], self.design.fe_codes
-        if self.grams is None:  # the clusters of one size in one stacked product
-            grams, starts = np.empty((self.G, k1, k1)), np.cumsum(self.sizes) - self.sizes
-            for size in np.unique(self.sizes):
-                rows = self.Z[starts[self.sizes == size, None] + np.arange(size)]
-                grams[self.sizes == size] = np.matmul(rows.transpose(0, 2, 1), rows)
-            self.grams = grams.reshape(self.G, -1)
+        B, k1, codes = len(W), self.design.X.shape[1] + 1, self.design.fe_codes
         grams = np.stack([w @ self.grams for w in W]).reshape(B, k1, k1)
         present, means = {}, [None] * B
         if self.center is not None:

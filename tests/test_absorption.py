@@ -22,7 +22,7 @@ import yaml
 from scipy import linalg as sla
 
 from clusterpanel.bootstrap import block_bootstrap, build_scenario_path, project_scenarios
-from clusterpanel import regression
+from clusterpanel import modelselect, regression
 from clusterpanel.modelselect import (
     _cv_results,
     cv_loss,
@@ -671,7 +671,13 @@ def test_cv_entries_match_row_path(case):
     # the reference, every variant, and each model as a column subset of the union
     models = [terms[:j] for j in range(len(terms) + 1)] + [terms[1:]]
     flags = []
-    for scheme, K in ((REGION, 4), (COUNTRY, 3), (YEAR, 3), (COUNTRY_YEAR, 4)):
+    # region_year clusters hold one row each: with the year dummies the
+    # moments would outgrow the rows, every fold is refitted from them, and
+    # each model solves its columns of the union's partialled rows
+    for scheme, K in ((REGION, 4), (COUNTRY, 3), (YEAR, 3), (COUNTRY_YEAR, 4), (REGION_YEAR, 4)):
+        clusters = assign_clusters(design, scheme)
+        assert ClusterMoments(design, clusters.row_cluster).rows_only == (
+            scheme == REGION_YEAR and "year" in design.fe_codes)
         got = _cv_results(design, scheme, K, 3, models, allow_rank_deficient=True)
         for res, (loss, deficient, unseen) in zip(got, _row_cv(design, scheme, K, 3, models),
                                                    strict=True):
@@ -679,3 +685,23 @@ def test_cv_entries_match_row_path(case):
             assert (res.rank_deficient, res.unseen_levels) == (deficient, unseen)
             flags.append(deficient)
     assert any(flags) == (case in COLLINEAR)
+
+
+def test_cv_scan_builds_one_set_of_fold_views(monkeypatch):
+    made, calls = [], []
+
+    class Counted(ClusterMoments):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+        def weighted(self, W):
+            calls.append(W)
+            return super().weighted(W)
+
+    monkeypatch.setattr(modelselect, "ClusterMoments", Counted)
+    base = ModelSpec(fixed_effects=("region", "year"))
+    scan = cv_scan(_panel(True), base, (X_MOD, Z0), COUNTRY, 3, seed=3)
+    assert len(scan.entries) == 3
+    assert len(made) == len(calls) == 1
+    assert len(calls[0]) == 3  # one training fold per row of weights

@@ -307,15 +307,17 @@ def test_cv_scan_matches_per_model_builds(case):
             return cv_loss(ds, spec, scheme, K, seed=7, keep_rows=rows,
                            moderator_alignment=alignment, allow_rank_deficient=True)
 
+        # the scan solves each model on a sub-block of the union's fold
+        # Grams, which rounds as a product of their own width would not
         ref = cv(reference)
         assert scan.rows_used == len(rows)
-        assert scan.reference_loss == ref.loss
+        assert scan.reference_loss == pytest.approx(ref.loss, rel=1e-12)
         assert [(e.term, e.lag_depth) for e in scan.entries] == [(n, d) for n, d, _ in variants]
         for entry, (_, _, spec) in zip(scan.entries, variants):
             res = cv(spec)
-            assert (entry.loss, entry.delta_loss, entry.collinear) == (
-                res.loss, res.loss - ref.loss, res.rank_deficient
-            )
+            assert entry.collinear == res.rank_deficient
+            assert entry.loss == pytest.approx(res.loss, rel=1e-12)
+            assert entry.delta_loss == pytest.approx(res.loss - ref.loss, abs=1e-12 * ref.loss)
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
