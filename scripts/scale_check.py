@@ -143,7 +143,7 @@ def measure(cp, regions, years, extra_replicates):
         out[f"{key}_replicate_s"] = statistics.median(replicates)
         out[f"{key}_b1000_s"] = statistics.median(ones) + 999 * out[f"{key}_replicate_s"]
     out["corr_all_pairs_s"], _ = _timed(lambda: cp.correlation_table(
-        cp.ResidualPanel.from_fit(fit, design, ds), [cp.GroupSpec("all", "spatial")]))
+        cp.ResidualPanel.from_fit(fit, design), [cp.GroupSpec("all", "spatial")]))
     return out
 
 

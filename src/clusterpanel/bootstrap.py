@@ -90,7 +90,9 @@ def block_bootstrap(
     for start in range(0, B, moments.block):
         counts = [np.bincount(np.random.default_rng((seed, b)).integers(0, G, size=G), minlength=G)
                   for b in range(start, min(B, start + moments.block))]
-        for refit in moments.weighted(counts):
+        views = moments.weighted(counts)[::-1]
+        while views:  # each view, and the row-path refit it may hold, is freed once solved
+            refit = views.pop()
             cols, theta, rank, alpha = refit.solve(range(design.X.shape[1]))
             if rank < len(cols):
                 continue
@@ -187,26 +189,25 @@ def percentile_interval(
 class ScenarioPath:
     """Future design rows for one scenario; columns match a fitted model.
 
-    ``X`` holds the columns at ``x_slots`` of ``column_names`` (all of them
-    when None).  A region effect is read by index instead: ``region_slot``
-    gives each row's column of its region dummy, -1 for the reference level
-    or a level unseen when the model was fitted.
+    Row i is the region ``row_regions[i]`` in the year ``row_years[i]``.  ``X``
+    holds the columns at ``x_slots`` of ``column_names`` (all of them when
+    None).  A region effect is read by index instead: ``region_slot`` gives
+    each row's column of its region dummy, -1 for the reference level or a
+    level unseen when the model was fitted.
     """
 
     label: str
     X: np.ndarray
-    row_index: tuple[tuple[str, int], ...]
+    row_regions: np.ndarray
+    row_years: np.ndarray
     column_names: tuple[str, ...]
     unseen_levels: int
     x_slots: tuple[int, ...] | None = None
     region_slot: np.ndarray | None = None
 
     def __post_init__(self):
-        self.X.setflags(write=False)
-
-    @property
-    def years(self) -> tuple[int, ...]:
-        return tuple(sorted({t for _, t in self.row_index}))
+        for a in (self.X, self.row_regions, self.row_years):
+            a.setflags(write=False)
 
 
 def _level_codes(values: np.ndarray, levels: tuple) -> np.ndarray:
@@ -236,7 +237,8 @@ def build_scenario_path(
     core_spec = ModelSpec(terms=spec.terms, fixed_effects=(), intercept=spec.intercept)
     core = build_design(future, core_spec, moderator_alignment=moderator_alignment,
                         max_lag_ceiling=max_lag_ceiling, require_outcome=False)
-    regions, years = (np.asarray(column) for column in zip(*core.row_index))
+    ri, ti = core.cells
+    regions, years = np.array(future.regions)[ri], ti + future.first_year
     keep = np.ones(core.n, dtype=bool) if start_year is None else years >= start_year
     if not keep.any():
         raise ValueError(f"no scenario rows at or after {start_year}")
@@ -258,7 +260,8 @@ def build_scenario_path(
     return ScenarioPath(
         label=label,
         X=X,
-        row_index=tuple(zip(regions.tolist(), years.tolist())),
+        row_regions=regions,
+        row_years=years,
         column_names=names,
         unseen_levels=sum(int((c < 0).sum()) for c in codes.values()),
         x_slots=template.x_slots,
@@ -286,12 +289,21 @@ def project_scenarios(
 ) -> Projection:
     """Aggregate x'beta* over regions per year for every coefficient draw.
 
-    A static linear read-out: no growth accumulation or discounting.
+    A static linear read-out: no growth accumulation or discounting.  A
+    region without a weight weighs 0; a weight for a region without rows
+    in the path raises.
     """
     if aggregation not in ("mean", "weighted"):
         raise ValueError(f"unknown aggregation {aggregation!r}; use 'mean' or 'weighted'")
-    if aggregation == "weighted" and not weights:
-        raise ValueError("weighted aggregation needs region weights")
+    if aggregation == "weighted":
+        if not weights:
+            raise ValueError("weighted aggregation needs region weights")
+        names, at = np.unique(path.row_regions, return_inverse=True)
+        unknown = sorted(set(weights).difference(names.tolist()))
+        if unknown:
+            raise ValueError(f"weight for region {unknown[0]!r}, which has no rows "
+                             f"in scenario {path.label!r}")
+        row_weights = np.array([weights.get(r, 0.0) for r in names.tolist()], dtype=float)[at]
     if path.column_names != sample.column_names:
         ours = set(sample.column_names)
         theirs = set(path.column_names)
@@ -317,13 +329,10 @@ def project_scenarios(
         # like a touched column in the product, a missing region effect the
         # path reads drops the whole draw
         per_row[:, np.isnan(alpha).any(axis=1)] = math.nan
-    years = path.years
+    years = tuple(np.unique(path.row_years).tolist())
     values = np.empty((sample.draws.shape[0], len(years)))
-    row_years = np.array([t for _, t in path.row_index])
-    if aggregation == "weighted":
-        row_weights = np.array([weights.get(r, 0.0) for r, _ in path.row_index])
     for j, year in enumerate(years):
-        mask = row_years == year
+        mask = path.row_years == year
         block = per_row[mask]
         if aggregation == "mean":
             values[:, j] = block.mean(axis=0)

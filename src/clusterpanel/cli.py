@@ -280,7 +280,7 @@ def cmd_corr(config: dict, out: Path, seed: int) -> None:
     dataset = _load_dataset(config)
     design = build_design(dataset, _model(config), **_building(config))
     fit = ols_fit(design)
-    panel = ResidualPanel.from_fit(fit, design, dataset)
+    panel = ResidualPanel.from_fit(fit, design)
     summaries = correlation_table(panel, _groups(config["corr"]["groups"], dataset),
                                   min_overlap=config["corr"]["min_overlap"])
     reports.write_correlation_table(out / "correlations.csv", summaries)

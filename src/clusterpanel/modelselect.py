@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class CvResult:
     n_validation: int
     unseen_levels: int
     rank_deficient: bool
-    fold_losses: tuple[float, ...]
 
 
 def _cv_results(
@@ -100,9 +99,10 @@ def _cv_results(
     if not counts.all():
         raise ValueError(f"empty validation fold {int(np.argmin(counts))}")
     folds = ClusterMoments(design, clusters.row_cluster).weighted(
-        [fold_by_cluster != k for k in range(K)])
+        [fold_by_cluster != k for k in range(K)])[::-1]
     sse, deficient, unseen = np.zeros((len(models), K)), [False] * len(models), 0
-    for k, fold in enumerate(folds):
+    for k in range(K):
+        fold = folds.pop()  # freed, with the row-path refit it may hold, after its models
         va = row_folds == k
         X_va, codes = design.X[va], {e: c[va] for e, c in design.fe_codes.items()}
         unseen += sum(int((~fold.present[e][c]).sum()) for e, c in codes.items())
@@ -117,8 +117,7 @@ def _cv_results(
                 err -= np.nan_to_num(alpha)[codes["region"]]
             sse[m, k] = err @ err
     return [CvResult(loss=sum(map(float, e)) / design.n, n_validation=design.n,
-                     unseen_levels=unseen, rank_deficient=flag,
-                     fold_losses=tuple(map(float, e / counts))) for e, flag in zip(sse, deficient)]
+                     unseen_levels=unseen, rank_deficient=flag) for e, flag in zip(sse, deficient)]
 
 
 def cv_loss(
@@ -128,7 +127,7 @@ def cv_loss(
     K: int,
     seed: int,
     *,
-    keep_rows: Iterable[tuple[str, int]] | None = None,
+    keep_rows: np.ndarray | None = None,
     moderator_alignment: str = "contemporaneous",
     allow_rank_deficient: bool = False,
 ) -> CvResult:
@@ -138,7 +137,8 @@ def cv_loss(
     a level unseen in training predict through the reference level and are
     counted in ``unseen_levels``.  Rank-deficient training designs raise
     (naming the fold) unless ``allow_rank_deficient``, in which case the
-    minimum-norm solution is used and the result is flagged.
+    minimum-norm solution is used and the result is flagged.  ``keep_rows``
+    is ``build_design``'s: a boolean grid shaped like ``dataset.present``.
     """
     design = build_design(
         dataset, spec, moderator_alignment=moderator_alignment, keep_rows=keep_rows

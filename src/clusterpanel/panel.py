@@ -5,8 +5,9 @@ variable, plus per-region country membership, optional centroids and
 free-form group tags.  Design matrices are built from term specifications
 (first differences, distributed lags, moderator interactions) as shifts along
 the year axis, plus year dummies; the region effect is never a matrix, it is
-absorbed in the fit (``regression.Absorbed``).  Every row keeps its (region,
-year) provenance so residuals can be traced back to observations.
+absorbed in the fit (``regression.Absorbed``).  A design row is a cell of its
+dataset's grids, so residuals trace back to observations and every per-row key
+(region, year, country, custom string) is an array lookup.
 """
 
 from __future__ import annotations
@@ -199,25 +200,6 @@ class PanelDataset:
         lat, lon = self.centroids[self._index[region_id]].tolist()
         return None if math.isnan(lat) else (lat, lon)
 
-    def cell_keys(self, mask: np.ndarray) -> list[tuple[str, int]]:
-        """(region, year) keys of the cells of a grid mask, in (region, year) order."""
-        ri, ti = np.nonzero(mask)
-        regions = np.array(self.regions, dtype=object)[ri].tolist()
-        return list(zip(regions, (ti + self.first_year).tolist()))
-
-    def cell_mask(self, keys: Iterable[tuple[str, int]]) -> np.ndarray:
-        """Grid mask of the observed cells among (region, year) keys."""
-        mask = np.zeros_like(self.present)
-        keys = list(keys)
-        if keys:
-            names = np.array(self.regions)
-            region, year = (np.asarray(column) for column in zip(*keys))
-            i = np.minimum(np.searchsorted(names, region), len(names) - 1)
-            t = year - self.first_year
-            ok = (names[i] == region) & (t >= 0) & (t < mask.shape[1])
-            mask[i[ok], t[ok]] = True
-        return mask & self.present
-
     def predictor_median(self, name: str) -> float:
         """Median of a predictor over all non-missing cells."""
         grid = self.predictors[name]
@@ -225,8 +207,6 @@ class PanelDataset:
         if not vals.size:
             raise ValueError(f"predictor {name!r} has no finite values")
         return float(np.median(vals))
-
-
 
 
 @dataclass(frozen=True)
@@ -330,6 +310,9 @@ class ColumnLabel:
 class DesignMatrix:
     """Built design with row provenance.
 
+    Row i is the (region index, year index) cell ``(cells[0][i], cells[1][i])``
+    of ``dataset``, the panel it was built from: ``grid[design.cells]`` reads
+    any of its (R, T) grids at the rows.
     ``X`` holds every column but the region dummies: the intercept, the term
     columns, then the year dummies.  The region effect is absorbed, not
     encoded: ``fe_codes`` gives each row's level of every fixed effect, an
@@ -337,23 +320,22 @@ class DesignMatrix:
     still lists the region dummies, after the term columns and before the
     year dummies, so ``p`` and every output count and order them as columns.
     Rows requiring unavailable lagged or differenced values are dropped and
-    recorded in ``dropped_rows``.
+    their (region, year) keys recorded in ``dropped_rows``.
     """
 
     X: np.ndarray
     y: np.ndarray
-    row_index: tuple[tuple[str, int], ...]
+    cells: tuple[np.ndarray, np.ndarray]
+    dataset: PanelDataset = field(repr=False)
     column_labels: tuple[ColumnLabel, ...]
-    countries: tuple[str, ...]
-    custom: Mapping[str, tuple[str, ...]]
     fixed_effects: tuple[str, ...]
     fe_levels: Mapping[str, tuple]
     dropped_rows: tuple[tuple[str, int], ...]
     fe_codes: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.X.setflags(write=False)
-        self.y.setflags(write=False)
+        for a in (self.X, self.y, *self.cells):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -415,7 +397,6 @@ class ClusterAssignment:
     @property
     def n_rows(self) -> int:
         return len(self.row_cluster)
-
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +618,7 @@ def build_design(
     *,
     moderator_alignment: str = "contemporaneous",
     max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
-    keep_rows: Iterable[tuple[str, int]] | None = None,
+    keep_rows: np.ndarray | None = None,
     require_outcome: bool = True,
 ) -> DesignMatrix:
     """Build the design matrix for a model spec.
@@ -647,13 +628,17 @@ def build_design(
     enters undifferenced; ``moderator_alignment`` picks its year: the row's
     own year ("contemporaneous", default) or the lagged year ("lag_aligned").
     Rows with any missing required value are dropped and recorded.
-    ``keep_rows`` restricts the result to a caller-chosen subset of
-    (region, year) keys without recording the exclusions as drops.
+    ``keep_rows``, a boolean grid shaped like ``dataset.present``, restricts
+    the result to its cells without recording the exclusions as drops.
     """
     if moderator_alignment not in ("contemporaneous", "lag_aligned"):
         raise ValueError(f"unknown moderator_alignment {moderator_alignment!r}")
     _validate_spec(dataset, spec, max_lag_ceiling)
-    rows = dataset.present if keep_rows is None else dataset.cell_mask(keep_rows)
+    rows = dataset.present
+    if keep_rows is not None:
+        if np.asarray(keep_rows).dtype != bool or np.shape(keep_rows) != rows.shape:
+            raise ValueError(f"keep_rows must be a {rows.shape} boolean grid like dataset.present")
+        rows = rows & keep_rows
     ok = np.isfinite(dataset.outcome) if require_outcome else np.ones_like(rows)
 
     labels: list[ColumnLabel] = []
@@ -683,32 +668,29 @@ def build_design(
                 )
                 grids.append(b * mod)
 
-    used = rows & ok
-    ri, ti = np.nonzero(used)
+    ri, ti = np.nonzero(rows & ok)
+    di, dt = np.nonzero(rows & ~ok)
+    regions = np.array(dataset.regions)
     if not ri.size:
         raise ValueError("empty design after lag trimming")
     X_core = np.stack(grids, axis=-1)[ri, ti] if grids else np.empty((ri.size, 0))
-    y = dataset.outcome[ri, ti]
-    regions = np.array(dataset.regions, dtype=object)[ri].tolist()
-    years = ti + dataset.first_year
 
     fe = spec.fixed_effects
     D, fe_labels, fe_levels, fe_codes = fixed_effect_dummies(
-        np.array(dataset.regions)[ri] if "region" in fe else None, years, fe
+        regions[ri] if "region" in fe else None, ti + dataset.first_year, fe
     )
     X = np.hstack([X_core, D]) if D.shape[1] else X_core
     labels.extend(fe_labels)
 
     return DesignMatrix(
         X=X,
-        y=y,
-        row_index=tuple(zip(regions, years.tolist())),
+        y=dataset.outcome[ri, ti],
+        cells=(ri, ti),
+        dataset=dataset,
         column_labels=tuple(labels),
-        countries=tuple(np.array(dataset.countries, dtype=object)[ri].tolist()),
-        custom={name: tuple(grid[ri, ti].tolist()) for name, grid in dataset.custom.items()},
         fixed_effects=fe,
         fe_levels=fe_levels,
-        dropped_rows=tuple(dataset.cell_keys(rows & ~ok)),
+        dropped_rows=tuple(zip(regions[di].tolist(), (dt + dataset.first_year).tolist())),
         fe_codes=fe_codes,
     )
 
@@ -717,18 +699,20 @@ def _row_codes(design: DesignMatrix, key: str) -> tuple[tuple, np.ndarray]:
     """The sorted distinct values of the rows' region, year or country, and
     each row's index among them.  Region and year reuse the fixed effect's
     codes where there is one (``build_design`` takes its levels from the
-    rows, so each is present); a country is looked up once per region."""
+    rows, so each is present); otherwise the rows' indices into the sorted
+    labels of the dataset are renumbered over the labels present."""
     if key in design.fe_codes:
         return design.fe_levels[key], design.fe_codes[key]
-    if key == "country":
-        region = _row_codes(design, "region")[1]
-        present, first = np.unique(region, return_index=True)
-        levels, code = np.unique([design.countries[i] for i in first], return_inverse=True)
-        lookup = np.zeros(present[-1] + 1, dtype=np.intp)
-        lookup[present] = code
-        return tuple(levels.tolist()), lookup[region]
-    levels, code = np.unique([row[key == "year"] for row in design.row_index], return_inverse=True)
-    return tuple(levels.tolist()), code
+    ds, (ri, ti) = design.dataset, design.cells
+    if key == "region":
+        labels, code = np.array(ds.regions), ri
+    elif key == "year":
+        labels, code = ds.first_year + np.arange(ds.present.shape[1]), ti
+    else:
+        labels, of_region = np.unique(ds.countries, return_inverse=True)
+        code = of_region[ri]
+    present, code = np.unique(code, return_inverse=True)
+    return tuple(labels[present].tolist()), code
 
 
 def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssignment:
@@ -741,9 +725,10 @@ def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssig
     if design.n == 0:
         raise ValueError("design is empty")
     if scheme.kind == "custom":
-        if scheme.column not in design.custom:
+        if scheme.column not in design.dataset.custom:
             raise ValueError(f"custom cluster column {scheme.column!r} not in dataset")
-        keys, code = np.unique(design.custom[scheme.column], return_inverse=True)
+        values = design.dataset.custom[scheme.column][design.cells].astype(str)
+        keys, code = np.unique(values, return_inverse=True)
         keys = tuple(keys.tolist())
     else:
         first, _, second = scheme.kind.partition("_")

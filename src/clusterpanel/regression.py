@@ -271,6 +271,11 @@ class _Partialled:
         self.moments, self.w, self.gram, self.means, self.present = moments, w, gram, means, present
         self.re_referenced, self.kept = _levels(moments.design, present)
 
+    @functools.cached_property
+    def rows(self) -> Absorbed:
+        """The row path under ``w``, built on first need and shared by every solve."""
+        return Absorbed(self.moments.design, self.w[self.moments.row_cluster])
+
     def solve(self, cols: Sequence[int]):
         """``Absorbed.solve``, from the rows unless the Gram is well inside full rank."""
         cols = [j for j in cols if self.kept[j]]
@@ -283,7 +288,7 @@ class _Partialled:
                 theta = np.linalg.solve(A, self.gram[cols, -1] / root) / root
                 alpha = None if self.means is None else self.means[:, -1] - self.means[:, cols] @ theta
                 return cols, theta, k, alpha
-        return Absorbed(self.moments.design, self.w[self.moments.row_cluster]).solve(cols)
+        return self.rows.solve(cols)
 
 
 def _pivoted_triangle(T: np.ndarray):

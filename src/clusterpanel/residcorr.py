@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .panel import DesignMatrix, PanelDataset, haversine_km
+from .panel import DesignMatrix, haversine_km
 from .regression import FitResult
 
 DEFAULT_MIN_OVERLAP = 10
@@ -84,12 +84,11 @@ class ResidualPanel:
         self._distances = None
 
     @classmethod
-    def from_fit(cls, fit: FitResult, design: DesignMatrix, dataset: PanelDataset) -> "ResidualPanel":
-        region, year = (np.asarray(column) for column in zip(*design.row_index))
+    def from_fit(cls, fit: FitResult, design: DesignMatrix) -> "ResidualPanel":
+        """The fit's residuals at their cells of the grid of the design's dataset."""
+        dataset = design.dataset
         grid = np.full(dataset.present.shape, math.nan)
-        grid[np.searchsorted(np.array(dataset.regions), region), year - dataset.first_year] = (
-            fit.residuals
-        )
+        grid[design.cells] = fit.residuals
         years = range(dataset.first_year, dataset.first_year + grid.shape[1])
         return cls(grid, dataset.regions, years, dataset.countries, dataset.centroids,
                    dataset.groups)

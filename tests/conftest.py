@@ -73,27 +73,43 @@ def cell(dataset, name, region, year):
 
 
 def design_from_arrays(X, y, cluster_keys=None, labels=None):
-    """DesignMatrix around raw arrays; cluster_keys land in a custom column 'g'."""
+    """DesignMatrix around raw arrays, row i the cell (R<i>, 2000) of a
+    one-year panel; cluster_keys land in its custom column 'g'."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if labels is None:
         labels = tuple(ColumnLabel(kind="base", term=f"c{j}", lag=0) for j in range(p))
-    row_index = tuple((f"R{i:04d}", 2000) for i in range(n))
-    custom = {}
-    if cluster_keys is not None:
-        custom["g"] = tuple(str(k) for k in cluster_keys)
+    custom = {} if cluster_keys is None else {"g": [str(k) for k in cluster_keys]}
+    dataset = PanelDataset([f"R{i:04d}" for i in range(n)], ["C0"] * n, [2000] * n, y, {},
+                           custom=custom)
     return DesignMatrix(
         X=X,
         y=y,
-        row_index=row_index,
+        cells=(np.arange(n), np.zeros(n, dtype=np.intp)),
+        dataset=dataset,
         column_labels=tuple(labels),
-        countries=tuple("C0" for _ in range(n)),
-        custom=custom,
         fixed_effects=(),
         fe_levels={},
         dropped_rows=(),
     )
+
+
+def row_keys(design):
+    """The (region, year) key of every design row, read from its grid cell."""
+    ds = design.dataset
+    return [(ds.regions[i], ds.first_year + t) for i, t in zip(*(c.tolist() for c in design.cells))]
+
+
+def keep_grid(dataset, keys):
+    """Boolean grid shaped like ``dataset.present``, True at each (region,
+    year) key inside the grid; other keys are ignored."""
+    grid = np.zeros(dataset.present.shape, dtype=bool)
+    for region, year in keys:
+        t = year - dataset.first_year
+        if region in dataset.regions and 0 <= t < grid.shape[1]:
+            grid[dataset.regions.index(region), t] = True
+    return grid
 
 
 def dense_dummies(regions, years, effects, levels=None, restrict_to_present=False):

@@ -55,7 +55,7 @@ from clusterpanel.regression import (
     ols_fit,
 )
 
-from conftest import dense_dummies, dense_X, obs, panel_from
+from conftest import dense_dummies, dense_X, keep_grid, obs, panel_from, row_keys
 from test_modelselect import _oracle_sequence
 
 RTOL = 1e-10
@@ -104,7 +104,14 @@ def _spec(intercept, fixed_effects=("region", "year")):
 
 
 def _row_levels(design):
-    return ([r for r, _ in design.row_index], [t for _, t in design.row_index])
+    """Each row's region and year, read from its (region, year) cell."""
+    keys = row_keys(design)
+    return [r for r, _ in keys], [t for _, t in keys]
+
+
+def _rows_of(design):
+    """``keep_rows`` grid of the design's rows."""
+    return keep_grid(design.dataset, row_keys(design))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +171,7 @@ def test_rank_deficiency_names_a_term_column():
     # z is constant within every region but R00 and R01; dropping those two
     # makes it collinear with the absorbed region effect
     ds = _panel(False)
-    keep = [(r, 2000 + t) for r in ds.regions[2:] for t in range(12)]
+    keep = keep_grid(ds, [(r, 2000 + t) for r in ds.regions[2:] for t in range(12)])
     design = build_design(ds, _spec(True), keep_rows=keep)
     with pytest.raises(Exception, match="offending columns: z.l0"):
         ols_fit(design)
@@ -223,7 +230,7 @@ def test_cv_scan_matches_dense_cv(case):
     gappy, base, candidates, direction = CV_CASES[case]
     ds = _panel(gappy)
     union, reference, variants = _oracle_sequence(base, candidates, direction)
-    rows = build_design(ds, union).row_index
+    rows = _rows_of(build_design(ds, union))
     for scheme, K in ((REGION, 4), (YEAR, 3), (COUNTRY_YEAR, 4)):
         scan = cv_scan(ds, base, candidates, scheme, K, seed=3, direction=direction)
 
@@ -259,7 +266,7 @@ def test_ic_scan_matches_dense_fits(case):
     gappy, base, candidates, direction = CV_CASES[case]
     ds = _panel(gappy)
     union, reference, variants = _oracle_sequence(base, candidates, direction)
-    rows = build_design(ds, union).row_index
+    rows = _rows_of(build_design(ds, union))
     scan = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction)
 
     def scores(spec):
@@ -431,7 +438,7 @@ def test_sample_cv_and_ic_goldens_match_dense():
     base = ModelSpec(fixed_effects=spec.fixed_effects)
     candidates = [TermSpec(**t) for t in config["cv"]["candidates"]]
     union, reference, variants = _oracle_sequence(base, candidates, "forward")
-    rows = build_design(ds, union).row_index
+    rows = _rows_of(build_design(ds, union))
     cv_rows = iter(_golden_csv("cv", "cv_scan.csv"))
     for label in config["cv"]["schemes"]:
         scheme = ClusterScheme.parse(label)
@@ -705,3 +712,12 @@ def test_cv_scan_builds_one_set_of_fold_views(monkeypatch):
     assert len(scan.entries) == 3
     assert len(made) == len(calls) == 1
     assert len(calls[0]) == 3  # one training fold per row of weights
+
+
+def test_cv_scan_refits_each_fold_from_the_rows_once(row_refits):
+    # the collinear candidate sends every deficient model of a fold to the
+    # row path; the fold's row partialling is built once and shared
+    gappy, base, candidates, direction = CV_CASES["forward_region_collinear"]
+    scan = cv_scan(_panel(gappy), base, candidates, COUNTRY, 3, seed=3, direction=direction)
+    assert any(entry.collinear for entry in scan.entries)
+    assert len(row_refits) == 3

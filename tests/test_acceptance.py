@@ -30,7 +30,7 @@ from clusterpanel.panel import (
 from clusterpanel.regression import clustered_cov, ols_fit
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import design_from_arrays, obs, panel_from
+from conftest import design_from_arrays, keep_grid, obs, panel_from, row_keys
 from test_modelselect import make_clusters
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,7 +194,7 @@ def test_criterion_5_planted_correlation():
         ds = generate_panel(cfg, 0)
         design = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(design)
-        panel = cp.ResidualPanel.from_fit(fit, design, ds)
+        panel = cp.ResidualPanel.from_fit(fit, design)
         same = cp.pair_correlations(panel, cp.GroupSpec("same", same_country=True))
         diff = cp.pair_correlations(panel, cp.GroupSpec("different", different_country=True))
         assert abs(float(np.mean(same.rho)) - 0.65) <= 0.05
@@ -224,7 +224,7 @@ def test_criterion_6_model_selection_direction():
         runs = 50
         for run in range(runs):
             ds = generate_panel(cfg, (2000, run))
-            keep = build_design(ds, spurious).row_index
+            keep = keep_grid(ds, row_keys(build_design(ds, spurious)))
             for scheme, key, want_trivial in (
                 (REGION, "cv_region_nontrivial", False),
                 (COUNTRY, "cv_country_trivial", True),

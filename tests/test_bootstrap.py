@@ -267,8 +267,9 @@ def test_scenario_difference_is_algebraic(rng):
 
 def test_column_mismatch_names_offenders(rng):
     sample = _sample_from(rng.standard_normal((25, 2)), names=("intercept", "x.l0"))
-    path = ScenarioPath(label="bad", X=np.ones((4, 2)), row_index=tuple(("R", 2030 + i) for i in range(4)),
-                        column_names=("intercept", "z.l0"), unseen_levels=0)
+    path = ScenarioPath(label="bad", X=np.ones((4, 2)), row_regions=np.array(["R"] * 4),
+                        row_years=np.arange(2030, 2034), column_names=("intercept", "z.l0"),
+                        unseen_levels=0)
     with pytest.raises(ValueError, match="z.l0"):
         project_scenarios(sample, path)
 
@@ -288,6 +289,10 @@ def test_weighted_aggregation(rng):
         path = build_scenario_path(future, SLOPE_SPEC, design, "w")
         proj = project_scenarios(sample, path, aggregation="weighted", weights={"R0": 3.0, "R1": 1.0})
         np.testing.assert_allclose(proj.values[:, 0], (3.0 * 1.0 + 1.0 * 3.0) / 4.0)
+    # a weight for a region without rows in the path, a typo say, is an error
+    with pytest.raises(ValueError, match="region 'R3', which has no rows in scenario 'w'"):
+        project_scenarios(sample, path, aggregation="weighted",
+                          weights={"R0": 3.0, "R1": 1.0, "R3": 2.0})
 
 
 # ---------------------------------------------------------------------------

@@ -397,12 +397,15 @@ DROP = object()  # a change that removes the key
         ("project", {"weights": {"R000": 2.0}},
          "key 'weights' in section 'project' does not apply to aggregation 'mean'"),
         ("project", {"aggregation": "weighted"}, "key 'weights' is missing from section 'project'"),
+        ("project", {"aggregation": "weighted", "weights": {"R000": 2.0, "R0O1": 1.0}},
+         "weight for region 'R0O1', which has no rows in scenario 'low'"),
         ("bootstrap", {"b": "many"},
          "bad 'b' in section 'bootstrap': invalid literal for int() with base 10: 'many'"),
         ("bootstrap", {"scheme": None}, "bad 'scheme' in section 'bootstrap': it may not be null"),
     ],
     ids=["simulate_level", "simulate_correction", "scheme_on_coverage", "schemes_on_bias",
-         "project_levels", "weights_with_mean", "weighted_without_weights", "bad_int", "null"],
+         "project_levels", "weights_with_mean", "weighted_without_weights",
+         "weight_without_rows", "bad_int", "null"],
 )
 def test_setting_errors_named(command, change, message, capsys, tmp_path):
     section = _sample_config()[command]

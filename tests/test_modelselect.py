@@ -35,7 +35,7 @@ from clusterpanel.panel import (
 from clusterpanel.regression import FitResult, RankDeficientError, ols_fit
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import grid_dataset, obs, panel_from
+from conftest import grid_dataset, keep_grid, obs, panel_from, row_keys
 
 
 def make_clusters(sizes):
@@ -138,9 +138,11 @@ def test_cv_rank_deficient_training_named_fold(rng):
 
 def test_cv_keep_rows_restricts(rng):
     ds = _xy_dataset(rng, R=4, T=10)
-    keep = [(f"R{i}", 2000 + t) for i in range(4) for t in range(5)]
+    keep = keep_grid(ds, [(f"R{i}", 2000 + t) for i in range(4) for t in range(5)])
     res = cv_loss(ds, SLOPE_SPEC, YEAR, K=2, seed=0, keep_rows=keep)
     assert res.n_validation == 20
+    with pytest.raises(ValueError, match=r"keep_rows must be a \(4, 10\) boolean grid"):
+        cv_loss(ds, SLOPE_SPEC, YEAR, K=2, seed=0, keep_rows=keep.T)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +294,7 @@ def _scan_case(case):
     gappy, alignment, base, candidates, direction = SCAN_CASES[case]
     ds = _scan_panel(gappy)
     union, reference, variants = _oracle_sequence(base, candidates, direction)
-    rows = build_design(ds, union, moderator_alignment=alignment).row_index
+    rows = keep_grid(ds, row_keys(build_design(ds, union, moderator_alignment=alignment)))
     return ds, alignment, base, candidates, direction, reference, variants, rows
 
 
@@ -310,7 +312,7 @@ def test_cv_scan_matches_per_model_builds(case):
         # the scan solves each model on a sub-block of the union's fold
         # Grams, which rounds as a product of their own width would not
         ref = cv(reference)
-        assert scan.rows_used == len(rows)
+        assert scan.rows_used == rows.sum()
         assert scan.reference_loss == pytest.approx(ref.loss, rel=1e-12)
         assert [(e.term, e.lag_depth) for e in scan.entries] == [(n, d) for n, d, _ in variants]
         for entry, (_, _, spec) in zip(scan.entries, variants):
@@ -338,7 +340,7 @@ def test_ic_scan_matches_per_model_builds(case):
                 for crit, adj in flags}
 
     ref = scores(reference)
-    assert scan.rows_used == len(rows)
+    assert scan.rows_used == rows.sum()
     assert scan.reference == {key: ic.value for key, ic in ref.items()}
     expected = []
     for name, depth, spec in variants:

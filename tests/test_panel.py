@@ -26,8 +26,8 @@ from clusterpanel.panel import (
 )
 from clusterpanel.simstudy import DgpConfig, generate_panel
 
-from conftest import (assert_same_dataset, cell, dense_X, dense_dummies, grid_dataset, obs,
-                      panel_from, rowwise_load_csv)
+from conftest import (assert_same_dataset, cell, dense_X, dense_dummies, grid_dataset, keep_grid,
+                      obs, panel_from, row_keys, rowwise_load_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_constructor_lays_out_region_year_grids():
     np.testing.assert_array_equal(ds.predictors["v"], 10.0 * ds.outcome)
     assert ds.custom["k"].tolist() == [["a", "b", ""], ["c", "", "d"]]
     assert ds.present.sum() == 4
-    assert ds.cell_keys(ds.present) == [("R1", 2000), ("R1", 2001), ("R2", 2000), ("R2", 2002)]
+    assert np.argwhere(ds.present).tolist() == [[0, 0], [0, 1], [1, 0], [1, 2]]
 
 
 def test_predictor_median():
@@ -315,7 +315,9 @@ def test_build_design_single_region_differenced_lag():
     ds = grid_dataset({"R1": {2000: 1.0, 2001: 3.0, 2002: 6.0, 2003: 10.0}})
     spec = ModelSpec(terms=(TermSpec("v", differenced=True, max_lag=1),))
     d = build_design(ds, spec)
-    assert d.row_index == (("R1", 2002), ("R1", 2003))
+    assert d.dataset is ds
+    assert [c.tolist() for c in d.cells] == [[0, 0], [2, 3]]
+    assert row_keys(d) == [("R1", 2002), ("R1", 2003)]
     assert d.column_names == ("intercept", "d.v.l0", "d.v.l1")
     np.testing.assert_array_equal(d.X, [[1.0, 3.0, 2.0], [1.0, 4.0, 3.0]])
     assert d.dropped_rows == (("R1", 2000), ("R1", 2001))
@@ -369,7 +371,7 @@ def test_build_design_cell_recompute_oracle(rng):
         return v
 
     col = {lab.name: j for j, lab in enumerate(d.column_labels)}
-    for i, (r, y) in enumerate(d.row_index):
+    for i, (r, y) in enumerate(row_keys(d)):
         assert d.X[i, col["intercept"]] == 1.0
         assert d.X[i, col["d.a.l2"]] == cell(terms[0], r, y, 2)
         assert d.X[i, col["d.b.l1"]] == cell(terms[1], r, y, 1)
@@ -392,7 +394,7 @@ def test_lag_consistency(rng):
     )
     d = build_design(ds, ModelSpec(terms=(TermSpec("v", differenced=True, max_lag=3),)))
     col = {lab.name: j for j, lab in enumerate(d.column_labels)}
-    rows = {key: i for i, key in enumerate(d.row_index)}
+    rows = {key: i for i, key in enumerate(row_keys(d))}
     for (r, y), i in rows.items():
         for lag in (1, 2, 3):
             if (r, y - lag) in rows:
@@ -403,7 +405,7 @@ def test_year_gap_makes_value_missing():
     ds = grid_dataset({"R1": {2000: 1.0, 2001: 2.0, 2003: 4.0, 2004: 8.0}})
     d = build_design(ds, ModelSpec(terms=(TermSpec("v", differenced=True, max_lag=0),)))
     # 2003 lacks 2002, so only 2001 and 2004 difference cleanly
-    assert d.row_index == (("R1", 2001), ("R1", 2004))
+    assert row_keys(d) == [("R1", 2001), ("R1", 2004)]
     assert ("R1", 2003) in d.dropped_rows
 
 
@@ -444,7 +446,7 @@ def test_build_design_deterministic():
     b = build_design(ds, spec)
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.y, b.y)
-    assert a.row_index == b.row_index and a.column_labels == b.column_labels
+    assert row_keys(a) == row_keys(b) and a.column_labels == b.column_labels
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +534,18 @@ def test_partition_property_all_schemes():
 
 def _dict_clusters(design, scheme):
     """(keys, row_cluster, sizes) with every row's key looked up in a dict,
-    as ``assign_clusters`` coded them before it used integer codes."""
+    as ``assign_clusters`` coded them before it used integer codes.  Each
+    row's key is read off the dataset at the row's (region, year)."""
+    ds, rows = design.dataset, row_keys(design)
+    countries = [ds.country_of(r) for r, _ in rows]
     keys = {
-        "region": [r for r, _ in design.row_index],
-        "region_year": list(design.row_index),
-        "country": list(design.countries),
-        "country_year": [(c, t) for c, (_, t) in zip(design.countries, design.row_index)],
-        "year": [t for _, t in design.row_index],
-    }.get(scheme.kind) or list(design.custom.get(scheme.column, ()))
+        "region": [r for r, _ in rows],
+        "region_year": rows,
+        "country": countries,
+        "country_year": [(c, t) for c, (_, t) in zip(countries, rows)],
+        "year": [t for _, t in rows],
+    }.get(scheme.kind) or [str(ds.custom[scheme.column][ds.regions.index(r), t - ds.first_year])
+                           for r, t in rows]
     uniq = sorted(set(keys))
     index = {k: i for i, k in enumerate(uniq)}
     row_cluster = np.fromiter((index[k] for k in keys), dtype=np.intp, count=len(keys))
@@ -709,7 +715,9 @@ def _rows_design(records, spec, moderator_alignment="contemporaneous", keep_rows
 
 
 def _assert_matches_oracle(records, dataset, spec, **kwargs):
-    got = build_design(dataset, spec, **kwargs)
+    keys = kwargs.get("keep_rows")
+    grid = {} if keys is None else {"keep_rows": keep_grid(dataset, keys)}
+    got = build_design(dataset, spec, **{**kwargs, **grid})
     X, y, row_index, countries, dropped, fe_labels = _rows_design(records, spec, **kwargs)
     assert got.X.flags.c_contiguous and got.X.shape == (X.shape[0], len(got.x_slots))
     # the absorbed region effect expands to the oracle's dummy columns
@@ -717,9 +725,10 @@ def _assert_matches_oracle(records, dataset, spec, **kwargs):
     assert dense.shape == X.shape
     assert (dense == X).all() and dense.tobytes() == X.tobytes()
     assert got.y.tobytes() == y.tobytes()  # bitwise, so NaN outcomes compare too
-    assert got.row_index == row_index
+    assert got.dataset is dataset
+    assert tuple(row_keys(got)) == row_index
     assert got.dropped_rows == dropped
-    assert got.countries == countries
+    assert tuple(dataset.country_of(r) for r, _ in row_keys(got)) == countries
     assert tuple(lab for lab in got.column_labels if lab.kind == "dummy") == tuple(fe_labels)
     return got
 
@@ -795,7 +804,18 @@ def test_columnar_design_matches_rows_on_keep_rows_subset(rng):
     keep = [(r["region"], r["year"]) for r in records[::3]] + [("R99", 2000), ("R0", 1900)]
     d = _assert_matches_oracle(records, ds, GAPPY_SPEC, keep_rows=keep,
                                moderator_alignment="lag_aligned")
-    assert set(d.row_index + d.dropped_rows) < set(keep)
+    assert set(row_keys(d)) | set(d.dropped_rows) < set(keep)
+
+
+def test_keep_rows_must_be_a_grid_of_the_dataset_shape(rng):
+    ds = panel_from(_gappy_records(rng))
+    spec = ModelSpec(terms=(TermSpec("v", differenced=False),))
+    keep = np.ones(ds.present.shape, dtype=bool)
+    assert build_design(ds, spec, keep_rows=keep).n == build_design(ds, spec).n
+    wrong = (keep[:, 1:], keep.astype(int), [("R1", 1995)])
+    for bad in wrong:
+        with pytest.raises(ValueError, match=r"keep_rows must be a \(9, 14\) boolean grid"):
+            build_design(ds, spec, keep_rows=bad)
 
 
 def test_columnar_design_matches_rows_on_scenario_rows():

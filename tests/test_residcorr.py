@@ -19,7 +19,7 @@ from clusterpanel.residcorr import (
     summarize,
 )
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
-from conftest import obs, panel_from
+from conftest import obs, panel_from, row_keys
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,11 +124,14 @@ def oracle_pairs(values, meta, group, min_overlap=rc.DEFAULT_MIN_OVERLAP):
 
 
 def _oracle_inputs(fit, design, dataset):
-    values = dict(zip(design.row_index, fit.residuals))
+    """Residuals by (region, year) key, read off each row's cell, and each
+    region's country, centroid and tags."""
+    keys = row_keys(design)
+    values = dict(zip(keys, fit.residuals))
     meta = {
         r: (dataset.country_of(r), dataset.centroid_of(r),
             dataset.groups[dataset.regions.index(r)])
-        for r, _ in design.row_index
+        for r, _ in keys
     }
     return values, meta
 
@@ -174,7 +177,7 @@ def test_matches_looped_oracle_on_sample_config():
     dataset = cli._load_dataset(config)
     design = build_design(dataset, cli._model(config), **cli._building(config))
     fit = ols_fit(design)
-    panel = ResidualPanel.from_fit(fit, design, dataset)
+    panel = ResidualPanel.from_fit(fit, design)
     groups = cli._groups(config["corr"]["groups"], dataset)
     groups += cli._groups(None, dataset) + KEY_GROUPS
     values, meta = _oracle_inputs(fit, design, dataset)
@@ -211,7 +214,7 @@ def test_matches_looped_oracle_on_gappy_panel(min_overlap):
     dataset = _gappy_dataset()
     design = build_design(dataset, ModelSpec(terms=(TermSpec("x", differenced=False),)))
     fit = ols_fit(design)
-    panel = ResidualPanel.from_fit(fit, design, dataset)
+    panel = ResidualPanel.from_fit(fit, design)
     assert "R17" in dataset.regions and "R17" not in panel.regions
     assert 2011 not in panel.years and len(panel.years) == 19
     groups = cli._groups(None, dataset) + KEY_GROUPS
@@ -481,7 +484,7 @@ def _residual_panel(cfg, seed):
     ds = generate_panel(cfg, seed)
     design = build_design(ds, SLOPE_SPEC)
     fit = ols_fit(design)
-    return ResidualPanel.from_fit(fit, design, ds)
+    return ResidualPanel.from_fit(fit, design)
 
 
 def test_null_calibration_on_iid_residuals():
