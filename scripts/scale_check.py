@@ -36,6 +36,15 @@ and, in this process, t_quantile_s: the slowest of the interval quantiles
 ``regression._t_quantile`` computes afresh over T_LEVELS at G = 10, 1000
 and 100000 clusters, each the median of COLD_RUNS uncached calls.
 
+Every stage also gets its ``tracemalloc`` peak in MB (key ``<stage>_peak_mb``),
+taken in one more call of the stage with tracing on, so that tracing does
+not slow the timed calls; a bootstrap peak is that of a B=1+k call.
+
+``--sizes`` replaces the default sizes (300x30 and 1000x40), for example
+``--sizes 5000x50``, and ``--stages`` keeps only the named stages, for
+example ``--stages fit_cr1,bootstrap`` to leave out the all-pairs corr group,
+whose R x R arrays take gigabytes at 5000 regions.
+
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
 
@@ -58,6 +67,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -65,7 +75,9 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = ((300, 30), (1000, 40))
+SIZES = "300x30,1000x40"
+STAGES = ("load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan", "bootstrap",
+          "corr_all_pairs")
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
@@ -104,17 +116,30 @@ def _timed(func):
     return time.perf_counter() - start, result
 
 
-def measure(cp, regions, years, extra_replicates):
+def _peak_mb(func) -> float:
+    """The tracemalloc peak of one call of ``func``, in MB."""
+    tracemalloc.start()
+    try:
+        func()
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 1)
+    finally:
+        tracemalloc.stop()
+
+
+def measure(cp, regions, years, extra_replicates, stages=STAGES):
     spec = cp.ModelSpec(terms=(cp.TermSpec("x", differenced=True, moderator="xbar", max_lag=2),),
                         fixed_effects=("region", "year"))
     ds = _panel(cp, regions, years)
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "panel.csv"
-        schema = cp.save_csv(ds, path)
-        out["load_csv_s"] = statistics.median(
-            _timed(lambda: cp.load_csv(path, schema))[0] for _ in range(LOAD_RUNS))
+    if "load_csv" in stages:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            schema = cp.save_csv(ds, path)
+            out["load_csv_s"] = statistics.median(
+                _timed(lambda: cp.load_csv(path, schema))[0] for _ in range(LOAD_RUNS))
+            out["load_csv_peak_mb"] = _peak_mb(lambda: cp.load_csv(path, schema))
     out["build_design_s"], design = _timed(lambda: cp.build_design(ds, spec))
+    out["build_design_peak_mb"] = _peak_mb(lambda: cp.build_design(ds, spec))
     out["n"], out["p"] = design.n, design.p
 
     def fit_cr1():
@@ -123,15 +148,20 @@ def measure(cp, regions, years, extra_replicates):
         return fit
 
     out["fit_cr1_s"], fit = _timed(fit_cr1)
-    out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
+    out["fit_cr1_peak_mb"] = _peak_mb(fit_cr1)
+    if "cv_model" in stages:
+        out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
+        out["cv_model_peak_mb"] = _peak_mb(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
     base = cp.ModelSpec(fixed_effects=("region", "year"))
     candidates = spec.terms + (cp.TermSpec("x", differenced=False, max_lag=1),)
-    for scheme in (cp.REGION, cp.COUNTRY_YEAR):
-        key = "cv_scan_s" if scheme == cp.REGION else f"cv_scan_{scheme.label}_s"
-        out[key] = statistics.median(
+    for scheme in (cp.REGION, cp.COUNTRY_YEAR) if "cv_scan" in stages else ():
+        key = "cv_scan" if scheme == cp.REGION else f"cv_scan_{scheme.label}"
+        out[f"{key}_s"] = statistics.median(
             _timed(lambda: cp.cv_scan(ds, base, candidates, scheme, K=4, seed=0))[0]
             for _ in range(CV_SCAN_RUNS))
-    for scheme in (cp.REGION, cp.YEAR, cp.COUNTRY_YEAR):
+        out[f"{key}_peak_mb"] = _peak_mb(
+            lambda: cp.cv_scan(ds, base, candidates, scheme, K=4, seed=0))
+    for scheme in (cp.REGION, cp.YEAR, cp.COUNTRY_YEAR) if "bootstrap" in stages else ():
         ones, replicates = [], []
         for _ in range(BOOTSTRAP_PAIRS):
             one, _ = _timed(lambda: cp.block_bootstrap(ds, spec, scheme, 1, seed=0))
@@ -142,8 +172,15 @@ def measure(cp, regions, years, extra_replicates):
         key = "bootstrap" if scheme == cp.REGION else f"bootstrap_{scheme.label}"
         out[f"{key}_replicate_s"] = statistics.median(replicates)
         out[f"{key}_b1000_s"] = statistics.median(ones) + 999 * out[f"{key}_replicate_s"]
-    out["corr_all_pairs_s"], _ = _timed(lambda: cp.correlation_table(
-        cp.ResidualPanel.from_fit(fit, design), [cp.GroupSpec("all", "spatial")]))
+        out[f"{key}_peak_mb"] = _peak_mb(
+            lambda: cp.block_bootstrap(ds, spec, scheme, 1 + extra_replicates, seed=0))
+    if "corr_all_pairs" in stages:
+        def corr():
+            return cp.correlation_table(cp.ResidualPanel.from_fit(fit, design),
+                                        [cp.GroupSpec("all", "spatial")])
+
+        out["corr_all_pairs_s"], _ = _timed(corr)
+        out["corr_all_pairs_peak_mb"] = _peak_mb(corr)
     return out
 
 
@@ -205,7 +242,17 @@ def main(argv=None):
                         help="JSON file the run is added to, e.g. BENCH_14.json")
     parser.add_argument("--replicates", type=int, default=100,
                         help="extra bootstrap replicates timed for the per-replicate figure")
+    parser.add_argument("--sizes", default=SIZES,
+                        help=f"comma-separated RxT panel sizes to time (default {SIZES})")
+    parser.add_argument("--stages", default=",".join(STAGES),
+                        help="comma-separated stages to time (default all); build_design "
+                             "and fit_cr1 always run")
     args = parser.parse_args(argv)
+    sizes = [tuple(map(int, size.split("x"))) for size in args.sizes.split(",")]
+    stages = args.stages.split(",")
+    unknown = sorted(set(stages) - set(STAGES))
+    if unknown:
+        parser.error(f"unknown stages {unknown}; use some of {','.join(STAGES)}")
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     warnings.simplefilter("ignore")
@@ -220,17 +267,18 @@ def main(argv=None):
     print("cold start", json.dumps(run["cold_start_s"]), flush=True)
     run["t_quantile_s"] = {k: round(v, 6) for k, v in t_quantile().items()}
     print("t quantile", json.dumps(run["t_quantile_s"]), flush=True)
-    for regions, years in SIZES:
+    for regions, years in sizes:
         key = f"{regions}x{years}"
         run[key] = {k: round(v, 4) if isinstance(v, float) else v
-                    for k, v in measure(cp, regions, years, args.replicates).items()}
+                    for k, v in measure(cp, regions, years, args.replicates, stages).items()}
         print(key, json.dumps(run[key]), flush=True)
     run["coverage_study_s"] = {f"{regions}x{years}": round(simulate(cp, regions, years,
                                                                     SIMULATE_REPS), 4)
                                for regions, years in SIMULATE_SIZES}
     print(f"coverage_study, {SIMULATE_REPS} reps", json.dumps(run["coverage_study_s"]), flush=True)
-    largest = run[f"{SIZES[-1][0]}x{SIZES[-1][1]}"]
-    run["meets_targets_at_1000x40"] = {k: largest[k] < limit for k, limit in TARGETS.items()}
+    if "1000x40" in run:
+        run["meets_targets_at_1000x40"] = {k: run["1000x40"][k] < limit
+                                           for k, limit in TARGETS.items() if k in run["1000x40"]}
     run["meets_coverage_study_target_at_10x10"] = (
         run["coverage_study_s"]["10x10"] < SIMULATE_TARGET_S)
     run["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
@@ -243,7 +291,9 @@ def main(argv=None):
                        f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, the "
                        f"cold-start figures are medians of {COLD_RUNS} fresh interpreters "
                        "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "
-                       f"{COLD_RUNS} uncached calls, every other figure is a single run")
+                       f"{COLD_RUNS} uncached calls, every other figure is a single run; each "
+                       "<stage>_peak_mb is the tracemalloc peak of one more call of the stage, "
+                       "in MB (a bootstrap's a B=1+k call)")
     report["targets_s_at_1000x40"] = TARGETS
     report["coverage_study"] = (f"{SIMULATE_REPS} replications, schemes region and year, "
                                 f"target {SIMULATE_TARGET_S} s at 10x10")
@@ -251,7 +301,7 @@ def main(argv=None):
                          "numpy": np.__version__, "scipy": scipy.__version__, "blas_threads": 1}
     report.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps(run["meets_targets_at_1000x40"]),
+    print(json.dumps(run.get("meets_targets_at_1000x40")),
           json.dumps({"coverage_study_10x10": run["meets_coverage_study_target_at_10x10"]}))
 
 

@@ -13,21 +13,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
-from .panel import (
-    DEFAULT_MAX_LAG_CEILING,
-    ClusterScheme,
-    DesignMatrix,
-    ModelSpec,
-    PanelDataset,
-    assign_clusters,
-    build_design,
-    dummy_columns,
-)
+from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterScheme, DesignMatrix, ModelSpec, PanelDataset,
+                    assign_clusters, build_design)
 from .regression import ClusterMoments, FitResult, check_level, ols_fit
 
 
@@ -87,22 +80,25 @@ def block_bootstrap(
     if G < 2:
         raise ValueError(f"block bootstrap needs at least 2 clusters, got G={G}")
     moments, kept = ClusterMoments(design, clusters.row_cluster), []
+    # the columns whose meaning changes when an effect is re-referenced
+    unresolved = {effect: [j for j, lab in enumerate(design.column_labels)
+                           if lab.effect == effect or lab.kind == "intercept"]
+                  for effect in design.fixed_effects}
     for start in range(0, B, moments.block):
         counts = [np.bincount(np.random.default_rng((seed, b)).integers(0, G, size=G), minlength=G)
                   for b in range(start, min(B, start + moments.block))]
         views = moments.weighted(counts)[::-1]
         while views:  # each view, and the row-path refit it may hold, is freed once solved
             refit = views.pop()
-            cols, theta, rank, alpha = refit.solve(range(design.X.shape[1]))
-            if rank < len(cols):
+            theta, deficient, effects = refit.solve(range(design.X.shape[1]))
+            if deficient:
                 continue
             vec = np.full(design.p, math.nan)
-            vec[np.array(design.x_slots, dtype=int)[cols]] = theta
-            if alpha is not None:
-                vec[list(design.region_slots)] = alpha[1:]
-            if refit.re_referenced:
-                vec[[j for j, lab in enumerate(design.column_labels)
-                     if lab.effect in refit.re_referenced or lab.kind == "intercept"]] = math.nan
+            vec[: len(theta)] = theta
+            for effect, values in effects.items():
+                vec[list(design.fe_slots[effect])] = values[1:]
+            for effect in refit.re_referenced:
+                vec[unresolved[effect]] = math.nan
             kept.append(vec)
     failed = B - len(kept)
     if failed > B / 2:
@@ -111,16 +107,8 @@ def block_bootstrap(
             f"under scheme {scheme.label} (G={G})"
         )
     draws = np.array(kept) if kept else np.empty((0, design.p))
-    return BootstrapSample(
-        draws=draws,
-        column_names=design.column_names,
-        scheme=scheme,
-        B=B,
-        seed=seed,
-        failed_refits=failed,
-        base_fit=base_fit,
-        design=design,
-    )
+    return BootstrapSample(draws=draws, column_names=design.column_names, scheme=scheme, B=B,
+                           seed=seed, failed_refits=failed, base_fit=base_fit, design=design)
 
 
 @dataclass(frozen=True)
@@ -175,14 +163,8 @@ def percentile_interval(
             f"B={values.size} usable draws too small for level {level}; need at least {needed}"
         )
     lo, med, hi = np.quantile(values, [0.5 - level / 2.0, 0.5, 0.5 + level / 2.0])
-    return PercentileInterval(
-        lower=float(lo),
-        median=float(med),
-        upper=float(hi),
-        level=level,
-        used_draws=int(values.size),
-        dropped_draws=dropped,
-    )
+    return PercentileInterval(lower=float(lo), median=float(med), upper=float(hi), level=level,
+                              used_draws=int(values.size), dropped_draws=dropped)
 
 
 @dataclass(frozen=True)
@@ -190,10 +172,10 @@ class ScenarioPath:
     """Future design rows for one scenario; columns match a fitted model.
 
     Row i is the region ``row_regions[i]`` in the year ``row_years[i]``.  ``X``
-    holds the columns at ``x_slots`` of ``column_names`` (all of them when
-    None).  A region effect is read by index instead: ``region_slot`` gives
-    each row's column of its region dummy, -1 for the reference level or a
-    level unseen when the model was fitted.
+    holds the first columns of ``column_names``, the intercept and the term
+    columns.  The fixed effects are read by index instead: ``effect_slots``
+    gives, per effect, each row's column of its level's dummy, -1 for the
+    reference level or a level unseen when the model was fitted.
     """
 
     label: str
@@ -202,8 +184,7 @@ class ScenarioPath:
     row_years: np.ndarray
     column_names: tuple[str, ...]
     unseen_levels: int
-    x_slots: tuple[int, ...] | None = None
-    region_slot: np.ndarray | None = None
+    effect_slots: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         for a in (self.X, self.row_regions, self.row_years):
@@ -245,28 +226,18 @@ def build_scenario_path(
     regions, years = regions[keep], years[keep]
     codes = {effect: _level_codes(regions if effect == "region" else years, levels)
              for effect, levels in template.fe_levels.items()}
-    X = core.X[keep]
-    if "year" in codes:
-        X = np.hstack([X, dummy_columns(codes["year"], len(template.fe_levels["year"]))])
-    region_slot = None
-    if "region" in codes:  # code 0 (the reference) and -1 (unseen) read no column
-        region_slot = np.array((-1, *template.region_slots))[np.maximum(codes["region"], 0)]
+    # code 0 (the reference) and -1 (unseen) read no column
+    slots = {effect: np.array((-1, *template.fe_slots[effect]))[np.maximum(code, 0)]
+             for effect, code in codes.items()}
     dummy_labels = [lab for lab in template.column_labels if lab.kind == "dummy"]
     names = core.column_names + tuple(lab.name for lab in dummy_labels)
     if names != template.column_names:
         raise ValueError(
             f"scenario columns {names} do not match the fitted design {template.column_names}"
         )
-    return ScenarioPath(
-        label=label,
-        X=X,
-        row_regions=regions,
-        row_years=years,
-        column_names=names,
-        unseen_levels=sum(int((c < 0).sum()) for c in codes.values()),
-        x_slots=template.x_slots,
-        region_slot=region_slot,
-    )
+    return ScenarioPath(label=label, X=core.X[keep], row_regions=regions, row_years=years,
+                        column_names=names, effect_slots=slots,
+                        unseen_levels=sum(int((c < 0).sum()) for c in codes.values()))
 
 
 @dataclass(frozen=True)
@@ -312,23 +283,14 @@ def project_scenarios(
             f"missing {sorted(ours - theirs)}, extra {sorted(theirs - ours)}"
         )
     draws = sample.draws
-    x_draws = draws if path.x_slots is None else draws[:, list(path.x_slots)]
-    if np.isnan(x_draws).any():
-        # columns the path never touches must not poison the product with
-        # NaN draw entries (x * 0 would still be NaN)
-        untouched = np.all(path.X == 0.0, axis=0)
-        x_draws = x_draws.copy()
-        cols = x_draws[:, untouched]
-        cols[np.isnan(cols)] = 0.0
-        x_draws[:, untouched] = cols
-    per_row = path.X @ x_draws.T  # (rows, draws)
-    if path.region_slot is not None:
-        seen = np.flatnonzero(path.region_slot >= 0)
-        alpha = draws[:, path.region_slot[seen]]
-        per_row[seen] += alpha.T
-        # like a touched column in the product, a missing region effect the
-        # path reads drops the whole draw
-        per_row[:, np.isnan(alpha).any(axis=1)] = math.nan
+    per_row = path.X @ draws[:, : path.X.shape[1]].T
+    for slot in path.effect_slots.values():
+        seen = np.flatnonzero(slot >= 0)
+        effect = draws[:, slot[seen]]
+        per_row[seen] += effect.T
+        # like a NaN coefficient in the product, a missing effect the path
+        # reads drops the whole draw
+        per_row[:, np.isnan(effect).any(axis=1)] = math.nan
     years = tuple(np.unique(path.row_years).tolist())
     values = np.empty((sample.draws.shape[0], len(years)))
     for j, year in enumerate(years):

@@ -19,18 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import (
-    DEFAULT_MAX_LAG_CEILING,
-    ClusterAssignment,
-    ClusterScheme,
-    DesignMatrix,
-    ModelSpec,
-    PanelDataset,
-    TermSpec,
-    assign_clusters,
-    build_design,
-    term_label,
-)
+from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterAssignment, ClusterScheme, DesignMatrix,
+                    ModelSpec, PanelDataset, TermSpec, assign_clusters, build_design, term_label)
 from .regression import ClusterMoments, FitResult, RankDeficientError, ols_fit
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,8 +70,8 @@ def _cv_results(
     models: Sequence[Sequence[int]],
     allow_rank_deficient: bool,
 ) -> list[CvResult]:
-    """Cluster-respecting K-fold CV of every model, each a list of term
-    columns of ``design.X`` fitted with the fixed effects, on shared folds.
+    """Cluster-respecting K-fold CV of every model, each a list of columns
+    of ``design.X`` fitted with the fixed effects, on shared folds.
 
     One ``weighted`` call on the design's ``ClusterMoments`` gives every
     training fold as 0/1 cluster weights, and each model solves its columns
@@ -94,7 +84,6 @@ def _cv_results(
     plan = make_folds(clusters, K, seed)
     fold_by_cluster = np.array([plan.assignment[k] for k in clusters.keys])
     row_folds = fold_by_cluster[clusters.row_cluster]
-    years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
     counts = np.bincount(row_folds, minlength=K)
     if not counts.all():
         raise ValueError(f"empty validation fold {int(np.argmin(counts))}")
@@ -107,14 +96,14 @@ def _cv_results(
         X_va, codes = design.X[va], {e: c[va] for e, c in design.fe_codes.items()}
         unseen += sum(int((~fold.present[e][c]).sum()) for e, c in codes.items())
         for m, model in enumerate(models):
-            cols, beta, rank, alpha = fold.solve(list(model) + years)
-            if rank < len(cols) and not allow_rank_deficient:
+            beta, collinear, effects = fold.solve(model)
+            if collinear and not allow_rank_deficient:
                 raise ValueError(f"rank-deficient training design in fold {k}")
-            deficient[m] |= rank < len(cols)
+            deficient[m] |= collinear
             # np.take copies in C order; the matvec rounds by layout
-            err = design.y[va] - np.take(X_va, cols, axis=1) @ beta
-            if alpha is not None:
-                err -= np.nan_to_num(alpha)[codes["region"]]
+            err = design.y[va] - np.take(X_va, model, axis=1) @ beta
+            for effect, values in effects.items():
+                err -= np.nan_to_num(values)[codes[effect]]
             sse[m, k] = err @ err
     return [CvResult(loss=sum(map(float, e)) / design.n, n_validation=design.n,
                      unseen_levels=unseen, rank_deficient=flag) for e, flag in zip(sse, deficient)]
@@ -143,8 +132,8 @@ def cv_loss(
     design = build_design(
         dataset, spec, moderator_alignment=moderator_alignment, keep_rows=keep_rows
     )
-    terms = [j for j, lab in enumerate(design.x_labels) if lab.kind != "dummy"]
-    (result,) = _cv_results(design, scheme, K, seed, [terms], allow_rank_deficient)
+    (result,) = _cv_results(design, scheme, K, seed, [range(design.X.shape[1])],
+                            allow_rank_deficient)
     return result
 
 
@@ -271,16 +260,9 @@ def cv_scan(
         design, scheme, K, seed,
         [_columns(seq.union, depths) for depths in models], allow_rank_deficient=True,
     )
-    entries = tuple(
-        ScanEntry(
-            term=name,
-            lag_depth=depth,
-            loss=cv.loss,
-            delta_loss=cv.loss - ref.loss,
-            collinear=cv.rank_deficient,
-        )
-        for (name, depth, _), cv in zip(seq.variants, results)
-    )
+    entries = tuple(ScanEntry(term=name, lag_depth=depth, loss=cv.loss,
+                              delta_loss=cv.loss - ref.loss, collinear=cv.rank_deficient)
+                    for (name, depth, _), cv in zip(seq.variants, results))
     return ScanResult(reference_loss=ref.loss, entries=entries, rows_used=design.n)
 
 
@@ -431,14 +413,8 @@ def fit_rho(
     n_max = int(clusters.sizes.max())
     if n_max == 1:
         warnings.warn("all blocks have size one; rho is unidentified")
-        return RhoFit(
-            rho_hat=None,
-            loglik=loglik_iid(r),
-            identified=False,
-            at_boundary=False,
-            sigma2=sigma2,
-            n_max=1,
-        )
+        return RhoFit(rho_hat=None, loglik=loglik_iid(r), identified=False, at_boundary=False,
+                      sigma2=sigma2, n_max=1)
     eps = 1e-9
     lo = -sigma2 / (n_max - 1) * (1.0 - eps)
     hi = sigma2 * (1.0 - eps)
@@ -456,14 +432,8 @@ def fit_rho(
     boundary = min(rho_hat - lo, hi - rho_hat) <= 10.0 * xtol
     if boundary:
         warnings.warn(f"rho estimate {rho_hat:.6g} is at the admissible boundary")
-    return RhoFit(
-        rho_hat=float(rho_hat),
-        loglik=float(ll),
-        identified=True,
-        at_boundary=boundary,
-        sigma2=sigma2,
-        n_max=n_max,
-    )
+    return RhoFit(rho_hat=float(rho_hat), loglik=float(ll), identified=True,
+                  at_boundary=boundary, sigma2=sigma2, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -521,20 +491,9 @@ def _criterion(fit: FitResult, criterion: str, adjusted: bool, likelihood,
         raise ValueError(f"unknown criterion {criterion!r}; use 'AIC' or 'BIC'")
     ll, rho_hat, s2 = likelihood
     gamma = 2.0 if criterion == "AIC" else math.log(fit.n)
-    k = fit.p
-    if count_variance_params:
-        k += 1
-        if adjusted:
-            k += 1
-    return ICResult(
-        criterion=criterion,
-        adjusted=adjusted,
-        value=gamma * k - 2.0 * ll,
-        k=k,
-        log_lik=ll,
-        rho_hat=rho_hat,
-        sigma2=s2,
-    )
+    k = fit.p + (1 + adjusted if count_variance_params else 0)
+    return ICResult(criterion=criterion, adjusted=adjusted, value=gamma * k - 2.0 * ll, k=k,
+                    log_lik=ll, rho_hat=rho_hat, sigma2=s2)
 
 
 @dataclass(frozen=True)
@@ -580,10 +539,9 @@ def ic_scan(
     design = build_design(dataset, seq.union, moderator_alignment=moderator_alignment,
                           max_lag_ceiling=max_lag_ceiling)
     clusters = assign_clusters(design, block_scheme)
-    years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
 
     def fit(depths):
-        return ols_fit(design.select(_columns(seq.union, depths) + years))
+        return ols_fit(design.select(_columns(seq.union, depths)))
 
     def scores(fit):  # one likelihood, and so one rho fit, per flag
         likelihoods = {adj: _log_likelihood(fit, clusters if adj else None)
@@ -604,19 +562,11 @@ def ic_scan(
             res = None
         for adj in adjusted_flags:
             for crit in criteria:
-                if res is None:
-                    entries.append(
-                        ICScanEntry(term=name, lag_depth=depth, criterion=crit, adjusted=adj,
-                                    value=math.nan, delta=math.nan, rho_hat=None, collinear=True)
-                    )
-                else:
-                    ic = res[(crit, adj)]
-                    entries.append(
-                        ICScanEntry(
-                            term=name, lag_depth=depth, criterion=crit, adjusted=adj,
-                            value=ic.value, delta=ic.value - ref[(crit, adj)].value,
-                            rho_hat=ic.rho_hat, collinear=False,
-                        )
-                    )
+                ic = None if res is None else res[(crit, adj)]
+                value = math.nan if ic is None else ic.value
+                entries.append(ICScanEntry(
+                    term=name, lag_depth=depth, criterion=crit, adjusted=adj, value=value,
+                    delta=value - ref[(crit, adj)].value, rho_hat=None if ic is None else ic.rho_hat,
+                    collinear=ic is None))
     reference = {(crit, adj): ref[(crit, adj)].value for adj in adjusted_flags for crit in criteria}
     return ICScanResult(reference=reference, entries=tuple(entries), rows_used=design.n)

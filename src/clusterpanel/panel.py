@@ -4,10 +4,11 @@ Datasets are stored as columns: one region x calendar-year grid per
 variable, plus per-region country membership, optional centroids and
 free-form group tags.  Design matrices are built from term specifications
 (first differences, distributed lags, moderator interactions) as shifts along
-the year axis, plus year dummies; the region effect is never a matrix, it is
-absorbed in the fit (``regression.Absorbed``).  A design row is a cell of its
-dataset's grids, so residuals trace back to observations and every per-row key
-(region, year, country, custom string) is an array lookup.
+the year axis.  Fixed effects are never a matrix: each row carries its region
+and year codes, and the fit absorbs both effects (``regression.Absorbed``).
+A design row is a cell of its dataset's grids, so residuals trace back to
+observations and every per-row key (region, year, country, custom string) is
+an array lookup.
 """
 
 from __future__ import annotations
@@ -313,12 +314,12 @@ class DesignMatrix:
     Row i is the (region index, year index) cell ``(cells[0][i], cells[1][i])``
     of ``dataset``, the panel it was built from: ``grid[design.cells]`` reads
     any of its (R, T) grids at the rows.
-    ``X`` holds every column but the region dummies: the intercept, the term
-    columns, then the year dummies.  The region effect is absorbed, not
-    encoded: ``fe_codes`` gives each row's level of every fixed effect, an
-    index into ``fe_levels`` (reference level first).  ``column_labels``
-    still lists the region dummies, after the term columns and before the
-    year dummies, so ``p`` and every output count and order them as columns.
+    ``X`` holds the intercept and the term columns only.  Both fixed effects
+    are absorbed, not encoded: ``fe_codes`` gives each row's level of every
+    fixed effect, an index into ``fe_levels`` (reference level first).
+    ``column_labels`` still lists the region dummies, then the year dummies,
+    after the term columns, so ``p`` and every output count and order them as
+    columns; ``fe_slots`` gives their positions.
     Rows requiring unavailable lagged or differenced values are dropped and
     their (region, year) keys recorded in ``dropped_rows``.
     """
@@ -349,31 +350,25 @@ class DesignMatrix:
     def column_names(self) -> tuple[str, ...]:
         return tuple(lab.name for lab in self.column_labels)
 
-    @functools.cached_property
-    def x_slots(self) -> tuple[int, ...]:
-        """Positions in ``column_labels`` of the columns of ``X``."""
-        return tuple(j for j, lab in enumerate(self.column_labels) if lab.effect != "region")
-
-    @functools.cached_property
-    def region_slots(self) -> tuple[int, ...]:
-        """Positions in ``column_labels`` of the absorbed region dummies, in
-        level order (codes 1, 2, ...)."""
-        return tuple(j for j, lab in enumerate(self.column_labels) if lab.effect == "region")
-
-    @functools.cached_property
+    @property
     def x_labels(self) -> tuple[ColumnLabel, ...]:
-        return tuple(self.column_labels[j] for j in self.x_slots)
+        """The labels of the columns of ``X``, which come first."""
+        return self.column_labels[: self.X.shape[1]]
+
+    @functools.cached_property
+    def fe_slots(self) -> dict[str, tuple[int, ...]]:
+        """Per fixed effect, the positions in ``column_labels`` of its absorbed
+        dummies, in level order (codes 1, 2, ...)."""
+        return {effect: tuple(j for j, lab in enumerate(self.column_labels)
+                              if lab.effect == effect) for effect in self.fixed_effects}
 
     def select(self, cols: Sequence[int]) -> "DesignMatrix":
-        """The design on the columns ``cols`` of ``X`` (term columns before
-        year dummies); the region effect stays absorbed."""
-        labels = [self.x_labels[j] for j in cols]
-        regions = [self.column_labels[j] for j in self.region_slots]
-        terms = [lab for lab in labels if lab.kind != "dummy"]
+        """The design on the columns ``cols`` of ``X``; both effects stay absorbed."""
         return replace(
             self,
             X=np.take(self.X, cols, axis=1),  # a C-ordered copy; QR rounds by layout
-            column_labels=tuple(terms + regions + labels[len(terms):]),
+            column_labels=(tuple(self.x_labels[j] for j in cols)
+                           + self.column_labels[self.X.shape[1]:]),
         )
 
 
@@ -578,38 +573,44 @@ def _validate_spec(dataset: PanelDataset, spec: ModelSpec, max_lag_ceiling: int)
             )
 
 
-def dummy_columns(code: np.ndarray, n_levels: int) -> np.ndarray:
-    """0/1 columns for the levels 1 .. n_levels - 1 of ``code``; a row coded 0
-    (the reference) or -1 (no level) gets none."""
-    D = np.zeros((len(code), n_levels - 1))
-    rows = np.flatnonzero(code > 0)
-    D[rows, code[rows] - 1] = 1.0
-    return D
+def _cell_codes(dataset: PanelDataset, cells, key: str) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct regions, years or countries of the rows at ``cells``,
+    and each row's index among them: the rows' indices into the dataset's
+    sorted labels, renumbered over the labels present."""
+    ri, ti = cells
+    if key == "region":
+        labels, code = np.array(dataset.regions), ri
+    elif key == "year":
+        labels, code = dataset.first_year + np.arange(dataset.present.shape[1]), ti
+    else:
+        labels, of_region = np.unique(dataset.countries, return_inverse=True)
+        code = of_region[ri]
+    present = np.bincount(code, minlength=len(labels)) > 0
+    return tuple(labels[present].tolist()), (np.cumsum(present) - 1)[code]
 
 
-def fixed_effect_dummies(regions: np.ndarray, years: np.ndarray, effects: Sequence[str]):
-    """Encode fixed effects against their first level (sort order) as reference.
+def fixed_effect_levels(dataset: PanelDataset, cells, effects: Sequence[str]):
+    """Levels and row codes of the fixed ``effects`` at the design rows ``cells``.
 
-    Every effect gets its sorted levels, per-row codes (indices into the
-    levels, 0 for the reference) and a label per non-reference level.  Only
-    the year effect becomes dummy columns; the region effect is absorbed in
-    the fit (``regression.Absorbed``), so it never becomes a matrix.
+    Every effect gets its sorted levels among the rows, per-row codes
+    (indices into the levels, 0 for the reference) and a dummy label per
+    non-reference level.  No effect becomes a matrix: both are absorbed in
+    the fit (``regression.Absorbed``).
 
-    Returns (year dummy matrix, labels, levels, codes).
+    Returns (labels, levels, codes).
     """
-    D = np.empty((len(years), 0))
     labels: list[ColumnLabel] = []
     levels: dict[str, tuple] = {}
     codes: dict[str, np.ndarray] = {}
     for effect in effects:
-        lv, code = np.unique(regions if effect == "region" else years, return_inverse=True)
-        levels[effect] = tuple(lv.tolist())
-        codes[effect] = code
+        levels[effect], codes[effect] = _cell_codes(dataset, cells, effect)
         labels += [ColumnLabel(kind="dummy", effect=effect, level=str(level))
                    for level in levels[effect][1:]]
-        if effect == "year":
-            D = dummy_columns(code, len(lv))
-    return D, labels, levels, codes
+    return labels, levels, codes
+
+
+# the name under which bench/tracer.py times the encoding
+fixed_effect_dummies = fixed_effect_levels
 
 
 def build_design(
@@ -670,49 +671,22 @@ def build_design(
 
     ri, ti = np.nonzero(rows & ok)
     di, dt = np.nonzero(rows & ~ok)
-    regions = np.array(dataset.regions)
     if not ri.size:
         raise ValueError("empty design after lag trimming")
-    X_core = np.stack(grids, axis=-1)[ri, ti] if grids else np.empty((ri.size, 0))
-
-    fe = spec.fixed_effects
-    D, fe_labels, fe_levels, fe_codes = fixed_effect_dummies(
-        regions[ri] if "region" in fe else None, ti + dataset.first_year, fe
-    )
-    X = np.hstack([X_core, D]) if D.shape[1] else X_core
-    labels.extend(fe_labels)
-
-    return DesignMatrix(
-        X=X,
-        y=dataset.outcome[ri, ti],
-        cells=(ri, ti),
-        dataset=dataset,
-        column_labels=tuple(labels),
-        fixed_effects=fe,
-        fe_levels=fe_levels,
-        dropped_rows=tuple(zip(regions[di].tolist(), (dt + dataset.first_year).tolist())),
-        fe_codes=fe_codes,
-    )
+    X = np.stack(grids, axis=-1)[ri, ti] if grids else np.empty((ri.size, 0))
+    fe_labels, fe_levels, fe_codes = fixed_effect_levels(dataset, (ri, ti), spec.fixed_effects)
+    dropped = zip(np.array(dataset.regions)[di].tolist(), (dt + dataset.first_year).tolist())
+    return DesignMatrix(X=X, y=dataset.outcome[ri, ti], cells=(ri, ti), dataset=dataset,
+                        column_labels=tuple(labels + fe_labels), fixed_effects=spec.fixed_effects,
+                        fe_levels=fe_levels, dropped_rows=tuple(dropped), fe_codes=fe_codes)
 
 
 def _row_codes(design: DesignMatrix, key: str) -> tuple[tuple, np.ndarray]:
-    """The sorted distinct values of the rows' region, year or country, and
-    each row's index among them.  Region and year reuse the fixed effect's
-    codes where there is one (``build_design`` takes its levels from the
-    rows, so each is present); otherwise the rows' indices into the sorted
-    labels of the dataset are renumbered over the labels present."""
+    """``_cell_codes`` of the design's rows; region and year reuse the fixed
+    effect's codes where there is one."""
     if key in design.fe_codes:
         return design.fe_levels[key], design.fe_codes[key]
-    ds, (ri, ti) = design.dataset, design.cells
-    if key == "region":
-        labels, code = np.array(ds.regions), ri
-    elif key == "year":
-        labels, code = ds.first_year + np.arange(ds.present.shape[1]), ti
-    else:
-        labels, of_region = np.unique(ds.countries, return_inverse=True)
-        code = of_region[ri]
-    present, code = np.unique(code, return_inverse=True)
-    return tuple(labels[present].tolist()), code
+    return _cell_codes(design.dataset, design.cells, key)
 
 
 def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssignment:

@@ -5,11 +5,12 @@ The covariance estimator is the one-way clustered sandwich
 CR1 rescales the middle factor by G/(G-1) * (n-1)/(n-p); CR0 leaves it
 uncorrected.  Interval quantiles use Student t with G-1 degrees of freedom.
 
-A region effect is absorbed (``Absorbed``): the fit runs on the partialled
-columns and recovers each region's effect afterwards, and the sandwich gets
-the region effects' variances exactly from the rows of the estimator's
-linear map, without forming a region dummy column.  Every count (p, the CR1
-factor, R^2) still includes the region dummies.
+Both fixed effects are absorbed (``Absorbed``): the fit runs on the
+partialled intercept and term columns and recovers each region's and each
+year's effect afterwards.  The sandwich gets the year effects from the joint
+scores of the term and year columns and the region effects' variances
+exactly from the rows of the estimator's linear map, without forming a dummy
+column.  Every count (p, the CR1 factor, R^2) still includes the dummies.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,11 +57,12 @@ class FitResult:
     n: int
     p: int
     column_labels: tuple
+    # the fit's partialled design, which the sandwich of the same design reuses
+    _absorbed: "Absorbed | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.beta.setflags(write=False)
-        self.residuals.setflags(write=False)
-        self.fitted.setflags(write=False)
+        for a in (self.beta, self.residuals, self.fitted):
+            a.setflags(write=False)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -82,84 +84,150 @@ class CovarianceEstimate:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
 
 
-def _levels(design: DesignMatrix, present: dict) -> tuple[tuple, np.ndarray]:
-    """Effects whose reference level is absent, and the kept columns of ``X``."""
-    re_referenced = tuple(e for e in present if not present[e][0])
-    kept = np.ones(design.X.shape[1], dtype=bool)
-    if "year" in present:
-        years = present["year"][1:].copy()
-        if "year" in re_referenced:
-            years[np.argmax(years)] = False
-        kept[[j for j, lab in enumerate(design.x_labels) if lab.effect == "year"]] = years
-    return re_referenced, kept
+def _year_gram(C, N_r, N_t, years):
+    """The Gram Ẽ'Ẽ of the kept ``years``' dummies after the region
+    partialling, diag(N_t) - sum_{r != ref} C_r C_r' / N_r with C the
+    weighted (region, year) counts (no rows without a region effect), and
+    the shares C / N_r (0 in the reference region's row and in an absent
+    region's)."""
+    scale = np.divide(1.0, N_r, out=np.zeros(len(N_r)), where=N_r > 0)
+    scale[np.flatnonzero(scale)[:1]] = 0.0  # the reference region is not demeaned
+    root = C * np.sqrt(scale)[:, None]
+    return (np.diag(N_t) - root.T @ root)[np.ix_(years, years)], C * scale[:, None]
 
 
-class Absorbed:
+def _pinv_solve(H: np.ndarray, F: np.ndarray, n: int):
+    """(H^+ F, a basis of the null space of the symmetric ``H``), from its
+    eigenvalues; one at most max(n, len(H)) eps times the largest is 0."""
+    lam, V = np.linalg.eigh(H)
+    keep = lam > max(n, len(H)) * np.finfo(float).eps * lam.max(initial=0.0)
+    return V[:, keep] @ ((V[:, keep].T @ F) / lam[keep, None]), V[:, ~keep]
+
+
+class _Effects:
+    """What a weighted fit on the partialled columns needs to recover the
+    absorbed effects, with the row weights' levels:
+
+    - ``present``: per effect, the levels with weight;
+    - ``re_referenced``: the effects whose reference level has none, each
+      re-referenced to its first level with weight, as dummies rebuilt on
+      the rows would be;
+    - ``years``: the codes of the year levels that keep a dummy, those with
+      weight but the reference;
+    - ``means``: [X y]'s weighted region means, 0 for the reference region
+      and NaN for an absent one, whose effect is then NaN too;
+    - ``shares``: C / N_r (``_year_gram``);
+    - ``P``: the coefficients of [X y] region-partialled on the year
+      dummies, one row per kept year, and ``null`` the null space of the
+      year block (empty unless the dummies are collinear).
+
+    An absent effect has no levels, so these are empty.  The year effects of
+    coefficients beta on columns ``cols`` are P[:, y] - P[:, cols] beta, and
+    the region effects means[:, y] - means[:, cols] beta - shares gamma
+    (Frisch-Waugh-Lovell).
+    """
+
+    def _levels(self, present: dict, k1: int) -> None:
+        self.present = present
+        self.re_referenced = tuple(e for e in present if not present[e][0])
+        self.years = np.flatnonzero(present.get("year", ()))[1:]
+        L, T = (len(present.get(e, ())) for e in ("region", "year"))
+        self.means, self.shares = np.zeros((L, k1)), np.zeros((L, T))
+        self.P, self.null = np.zeros((0, k1)), np.zeros((0, 0))
+
+    def effects(self, cols: Sequence[int], beta: np.ndarray, gamma=None) -> dict:
+        """Each absorbed effect by level code, NaN for a level without weight
+        and 0 for the reference; ``gamma``, the kept years' effects, when
+        given, else recovered from ``beta``."""
+        year = np.zeros(self.shares.shape[1])
+        year[self.years] = self.P[:, -1] - self.P[:, cols] @ beta if gamma is None else gamma
+        out = {"region": self.means[:, -1] - self.means[:, cols] @ beta - self.shares @ year}
+        year[~self.present.get("year", np.ones(0, bool))] = math.nan
+        out["year"] = year
+        return {effect: out[effect] for effect in self.present}
+
+
+class Absorbed(_Effects):
     """``design`` ready for least squares: its rows with positive integer
     ``weights`` (all rows when None; a CV training split or a bootstrap
-    replicate's multiplicities), the region effect partialled out in one
-    exact pass and the columns scaled by sqrt(weight).
+    replicate's multiplicities), both fixed effects partialled out exactly
+    and the columns scaled by sqrt(weight).
 
-    Each region's weighted mean is subtracted from its rows, except the
-    reference region's (its first level with weight): the residual of a
-    regression on the non-reference region dummies.  By Frisch-Waugh-Lovell,
-    least squares on ``X`` and ``y`` gives the dummy-coded coefficients, with
-    and without an intercept, and region r's effect is ``ymeans[r] -
-    means[r] @ coefficients`` (0 for the reference).  Columns are partialled
-    one by one, so column subsets are exact.
-
-    Levels without weight drop out: their region means are NaN and their
-    year dummy is not ``kept``.  An effect whose reference level has no
-    weight is re-referenced to its first level with weight, as dummies
-    rebuilt on the rows would be, and listed in ``re_referenced``.
+    First each region's weighted mean is subtracted from its rows, except
+    the reference region's (its first level with weight): the residual of a
+    regression on the non-reference region dummies.  Then the year block is
+    eliminated through the partitioned normal equations: with Ẽ the
+    region-partialled non-reference year dummies, Ẽ'Ẽ comes from the
+    (region, year) counts (``_year_gram``) and Ẽ'Z from per-year sums, and
+    row i of Ẽ P is P[t_i] - (shares P)[r_i], so no dummy column is formed.
+    By Frisch-Waugh-Lovell, least squares on ``X`` and ``y`` gives the
+    dummy-coded coefficients, with and without an intercept, and
+    ``effects`` the dummies'.  Columns are partialled one by one, so column
+    subsets are exact.  Levels without weight drop out (``_Effects``).
     """
 
     def __init__(self, design: DesignMatrix, weights: np.ndarray | None = None):
+        self.design = design
         rows = slice(None) if weights is None else np.flatnonzero(weights)
-        X, y = design.X[rows], design.y[rows]
-        w = None if weights is None else weights[rows].astype(float)
+        Z = np.column_stack([design.X[rows], design.y[rows]])
+        w = np.ones(len(Z)) if weights is None else weights[rows].astype(float)
         codes = {effect: code[rows] for effect, code in design.fe_codes.items()}
-        self.present = {effect: np.bincount(code, minlength=len(design.fe_levels[effect])) > 0
-                        for effect, code in codes.items()}
-        self.re_referenced, self.kept = _levels(design, self.present)
-        self.means = self.ymeans = None
-        if "region" in codes:
-            w = np.ones(len(y)) if w is None else w
-            code, present = codes["region"], self.present["region"]
-            L = len(present)
-            total = np.bincount(code, w, L)[present]
-            self.means = np.full((L, X.shape[1]), math.nan)
-            self.ymeans = np.full(L, math.nan)
-            for j in range(X.shape[1]):
-                self.means[present, j] = np.bincount(code, w * X[:, j], L)[present] / total
-            self.ymeans[present] = np.bincount(code, w * y, L)[present] / total
-            self.means[np.argmax(present)] = self.ymeans[np.argmax(present)] = 0.0
-            X, y = X - self.means[code], y - self.ymeans[code]
+        counts = {effect: np.bincount(code, w, len(design.fe_levels[effect]))
+                  for effect, code in codes.items()}
+        self._levels({effect: N > 0 for effect, N in counts.items()}, Z.shape[1])
+
+        def sums(code, L):
+            return np.column_stack([np.bincount(code, w * z, L) for z in Z.T])
+
+        L, T = self.shares.shape
+        if L:
+            r = codes["region"]
+            with np.errstate(invalid="ignore"):
+                self.means = sums(r, L) / counts["region"][:, None]
+            self.means[np.argmax(self.present["region"])] = 0.0
+            Z -= self.means[r]
+        if T:
+            t = codes["year"]
+            C = np.bincount(r * T + t, w, L * T).reshape(L, T) if L else np.zeros((0, T))
+            self.H, self.shares = _year_gram(C, counts.get("region", np.zeros(0)), counts["year"],
+                                             self.years)
+            self.P, self.null = _pinv_solve(self.H, sums(t, T)[self.years], len(Z))
+            at = np.zeros((T, Z.shape[1]))
+            at[self.years] = self.P
+            Z -= at[t]
+            if L:
+                Z += (self.shares @ at)[r]
         if weights is not None:
-            X, y = X * np.sqrt(w)[:, None], y * np.sqrt(w)
-        self.X, self.y = X, y
+            Z *= np.sqrt(w)[:, None]
+        self.X, self.y = Z[:, :-1], Z[:, -1]
 
     def solve(self, cols: Sequence[int]):
-        """Minimum-norm least squares on the kept ones of the ``X`` columns
-        ``cols``: (those columns, coefficients, rank, region effects by
-        level code, None without a region effect).
+        """Minimum-norm least squares on the ``X`` columns ``cols``:
+        (coefficients, whether the fit is rank deficient, ``effects``).
 
-        The norm is that of the dummy-coded coefficients, region effects
-        included: a rank-deficient fit moves the coefficients within the
-        null space of ``X`` to minimize |beta|^2 + |alpha|^2."""
-        cols = [j for j in cols if self.kept[j]]
+        The norm is that of the dummy-coded coefficients, the effects
+        included: a rank-deficient fit moves the coefficients and the
+        effects within the null space of the full dummy design to minimize
+        |beta|^2 + |alpha|^2 + |gamma|^2."""
+        cols, k = list(cols), len(cols)
         X = np.take(self.X, cols, axis=1)
         beta, _, rank, _ = np.linalg.lstsq(X, self.y, rcond=None)
-        if self.means is None:
-            return cols, beta, int(rank), None
-        means = np.take(self.means, cols, axis=1)
-        if rank < len(cols):
-            null = np.linalg.svd(X, full_matrices=False)[2][rank:].T
-            seen = ~np.isnan(self.ymeans)
-            A = np.vstack([null, -means[seen] @ null])
-            b = np.concatenate([beta, self.ymeans[seen] - means[seen] @ beta])
-            beta = beta - null @ np.linalg.lstsq(A, b, rcond=None)[0]
-        return cols, beta, int(rank), self.ymeans - means @ beta
+        if rank == k and not self.null.size:
+            return beta, False, self.effects(cols, beta)
+        # the null directions of the full design in the coordinates (beta,
+        # gamma): (v, -P v) for v in the null space of the partialled
+        # columns, (0, u) for u in that of the year block; and in (beta,
+        # alpha of the regions with weight, gamma), with alpha's rows
+        # -means v - shares gamma
+        v = np.linalg.svd(X, full_matrices=False)[2][rank:].T
+        Pc, seen = self.P[:, cols], np.flatnonzero(~np.isnan(self.means[:, -1]))
+        S, M = self.shares[np.ix_(seen, self.years)], self.means[seen]
+        B = np.block([[v, np.zeros((k, self.null.shape[1]))], [-Pc @ v, self.null]])
+        N = np.vstack([B[:k], -M[:, cols] @ B[:k] - S @ B[k:], B[k:]])
+        gamma = self.P[:, -1] - Pc @ beta
+        sol = np.concatenate([beta, M[:, -1] - M[:, cols] @ beta - S @ gamma, gamma])
+        sol -= N @ np.linalg.lstsq(N, sol, rcond=None)[0]
+        return sol[:k], True, self.effects(cols, sol[:k], sol[k + len(seen):])
 
 
 # A fit comes from the Gram only when Cholesky of the equilibrated Gram less
@@ -168,37 +236,42 @@ class Absorbed:
 # least squares' rank threshold, (k eps max(n, k))^2, times _RANK_MARGIN times
 # the spread of the squared column norms.  Every pivot of a Cholesky of the
 # Gram is at least its smallest eigenvalue, so a pivoted Cholesky would keep
-# every pivot above both bounds too.  Other fits use the rows, as do all when
-# G (k+1) > _MOMENT_RATIO n, where the Grams would outgrow the rows.
-# _BLOCK_FLOATS bounds a block's temporaries.
+# every pivot above both bounds too.  The year block must pass the same test.
+# Other fits use the rows, as do all when G (k + 1 + T) > _MOMENT_RATIO n,
+# where the moments would outgrow the rows.  _BLOCK_FLOATS bounds a block's
+# temporaries.
 _PIVOT_MIN, _RANK_MARGIN, _MOMENT_RATIO, _BLOCK_FLOATS = 1e-7, 1e4, 8, 2 ** 18
 
 
 class ClusterMoments:
-    """What a weighted, region-absorbed least-squares fit of ``design``
-    depends on when each row weighs its cluster's weight (Roodman, Nielsen,
-    MacKinnon & Webb 2019; MacKinnon 2023): per cluster g the Gram A_g of
-    Z = [X y], and per (region, cluster) pair the sums s_rc and counts n_rc.
+    """What a weighted, absorbed least-squares fit of ``design`` depends on
+    when each row weighs its cluster's weight (Roodman, Nielsen, MacKinnon &
+    Webb 2019; MacKinnon 2023), for Z = [X y]: per cluster g the Gram A_g,
+    per (region, cluster) pair the sums s_rc and counts n_rc, per (cluster,
+    year) the sums y_gt and counts, and each (region, year) cell's cluster.
     Under weights w, with S_r = sum_c w_c s_rc and N_r = sum_c w_c n_rc,
-    ``Absorbed``'s partialled Gram is sum_g w_g A_g - sum_{r != ref} S_r
+    the region-partialled Gram is sum_g w_g A_g - sum_{r != ref} S_r
     S_r'/N_r, with Z centred at the regions' full-sample means so that the
-    subtraction cancels little.  The A_g are built here; Z is not kept.
-    ``weighted(W)`` gives each row of W a view with ``Absorbed``'s
-    ``present``, ``re_referenced`` and ``solve``.  Each entry of the Gram
-    depends on its two columns alone, so a view solves a column subset from
-    a sub-block, as a build on those columns would up to rounding.
+    subtraction cancels little.  The year block is eliminated from it as in
+    ``Absorbed``, its per-year sums F_t = sum_g w_g y_gt less the cells'
+    weighted counts times the region means.  The moments are built here; Z
+    is not kept.  ``weighted(W)`` gives each row of W a view with
+    ``Absorbed``'s ``solve`` and levels.  Each entry of the Gram depends on
+    its two columns alone, so a view solves a column subset from a
+    sub-block, as a build on those columns would up to rounding.
     """
 
     def __init__(self, design: DesignMatrix, row_cluster: np.ndarray):
         self.design, self.row_cluster, self.G = design, row_cluster, int(row_cluster.max()) + 1
-        G, k1 = self.G, design.X.shape[1] + 1
+        G, k1, codes = self.G, design.X.shape[1] + 1, design.fe_codes
+        L, T = (len(design.fe_levels.get(effect, ())) for effect in ("region", "year"))
         self.sizes, self.block, self.center = np.bincount(row_cluster), 1, None
-        self.rows_only = G * k1 > _MOMENT_RATIO * design.n
+        self.rows_only = G * (k1 + T) > _MOMENT_RATIO * design.n
         if self.rows_only:
             return
         Z, floats = np.column_stack([design.X, design.y]), G + k1 * k1
-        if "region" in design.fe_codes:
-            code, L = design.fe_codes["region"], len(design.fe_levels["region"])
+        if L:
+            code = codes["region"]
             # (region, cluster) pairs padded per region; a pad reads cluster G's zero weight
             pair, at = np.unique(code * G + row_cluster, return_inverse=True)
             region, cluster = np.divmod(pair, G)
@@ -212,8 +285,16 @@ class ClusterMoments:
             self.pair_sums = np.zeros((L, width, k1))
             self.pair_cluster[region, slot], self.pair_counts[region, slot] = cluster, counts
             self.pair_sums[region, slot] = sums - counts[:, None] * self.center[region]
-            floats += self.pair_counts.size * (k1 + 1) + L * k1
+            floats += self.pair_counts.size * (k1 + 1) + L * (k1 + T)
             del sums  # up to n x k1, as large as Z: free it before the Grams are built
+        if T:
+            at = row_cluster * T + codes["year"]
+            self.year_counts = np.bincount(at, minlength=G * T).reshape(G, T).astype(float)
+            self.year_sums = np.column_stack([np.bincount(at, z, G * T) for z in Z.T]).reshape(G, -1)
+            self.cell_cluster = np.full((L, T), G)  # no rows without a region effect
+            if L:
+                self.cell_cluster[code, codes["year"]] = row_cluster
+            floats += T * (k1 + T + 1)
         Z, self.block = Z[np.argsort(row_cluster, kind="stable")], max(1, _BLOCK_FLOATS // floats)
         # the clusters of one size in one stacked product
         self.grams, starts = np.empty((G, k1 * k1)), np.cumsum(self.sizes) - self.sizes
@@ -230,11 +311,13 @@ class ClusterMoments:
             return [Absorbed(self.design, w[self.row_cluster]) for w in W]
         B, k1, codes = len(W), self.design.X.shape[1] + 1, self.design.fe_codes
         grams = np.stack([w @ self.grams for w in W]).reshape(B, k1, k1)
-        present, means = {}, [None] * B
+        Wp = np.hstack([W, np.zeros((B, 1))])
+        views = [_Partialled(self, W[i], grams[i]) for i in range(B)]
+        present, N, shift = {}, np.zeros((B, 0)), np.zeros((B, 0, k1))
         if self.center is not None:
-            Wp = np.take(np.hstack([W, np.zeros((B, 1))]), self.pair_cluster, axis=1)
-            N = np.einsum("blt,lt->bl", Wp, self.pair_counts)
-            S = np.stack([np.matmul(wp[:, None], self.pair_sums)[:, 0] for wp in Wp])
+            Wr = np.take(Wp, self.pair_cluster, axis=1)
+            N = np.einsum("blt,lt->bl", Wr, self.pair_counts)
+            S = np.stack([np.matmul(wr[:, None], self.pair_sums)[:, 0] for wr in Wr])
             seen = present["region"] = N > 0
             b, ref = np.arange(B), np.argmax(seen, axis=1)
             grams -= np.stack([t.T @ t for t in S / np.sqrt(np.where(seen, N, 1.0))[..., None]])
@@ -243,12 +326,20 @@ class ClusterMoments:
             grams += raw[:, :, None] * raw[:, None, :]
             with np.errstate(invalid="ignore"):
                 means = self.center + S / N[..., None]
-            means[b, ref] = 0.0
+                shift = np.where(seen[..., None], S / N[..., None], 0.0)  # demeaned Z less centred Z
+            means[b, ref], shift[b, ref] = 0.0, -self.center[ref]
         if "year" in codes:
-            present["year"] = [np.bincount(codes["year"][w[self.row_cluster] > 0],
-                                           minlength=len(self.design.fe_levels["year"])) > 0 for w in W]
-        return [_Partialled(self, W[i], grams[i], means[i],
-                            {e: present[e][i] for e in codes if e in present}) for i in range(B)]
+            N_t = np.stack([w @ self.year_counts for w in W])
+            F = np.stack([w @ self.year_sums for w in W]).reshape(B, N_t.shape[1], k1)
+            present["year"] = N_t > 0
+        for i, view in enumerate(views):
+            view._levels({e: present[e][i] for e in codes}, k1)
+            if self.center is not None:
+                view.means = means[i]
+            if "year" in codes:
+                C = Wp[i][self.cell_cluster]
+                view.eliminate_years(C, N[i], N_t[i], F[i] - C.T @ shift[i])
+        return views
 
 
 def _gram_accepted(A: np.ndarray, spread: float, n: int) -> bool:
@@ -264,12 +355,35 @@ def _gram_accepted(A: np.ndarray, spread: float, n: int) -> bool:
     return True
 
 
-class _Partialled:
-    """``ClusterMoments`` under weights ``w``; ``means``: [X y]'s region means (reference 0)."""
+def _equilibrated(A: np.ndarray):
+    """(``A`` scaled to a unit diagonal, the square roots of its diagonal,
+    their squares' spread), or None when a diagonal entry is not positive."""
+    d = np.diag(A).copy()
+    if not len(d) or d.min() <= 0.0:
+        return None
+    root = np.sqrt(d)
+    return A / root / root[:, None], root, d.max() / d.min()
 
-    def __init__(self, moments: ClusterMoments, w, gram, means, present):
-        self.moments, self.w, self.gram, self.means, self.present = moments, w, gram, means, present
-        self.re_referenced, self.kept = _levels(moments.design, present)
+
+class _Partialled(_Effects):
+    """``ClusterMoments`` under weights ``w``: ``gram`` is [X y]'s partialled
+    Gram, None once the year block fails the acceptance test."""
+
+    def __init__(self, moments: ClusterMoments, w, gram):
+        self.moments, self.w, self.gram = moments, w, gram
+        self.n = int(moments.sizes @ (w > 0))
+
+    def eliminate_years(self, C, N_r, N_t, F) -> None:
+        """Subtract the year block with the per-year sums ``F`` of the
+        region-partialled [X y] from the Gram, or give the view to the rows."""
+        H, self.shares = _year_gram(C, N_r, N_t, self.years)
+        eq = _equilibrated(H)
+        if len(H) and (eq is None or not _gram_accepted(eq[0], eq[2], self.n)):
+            self.gram = None
+            return
+        self.P, self.null = np.linalg.solve(H, F[self.years]), np.zeros((len(H), 0))
+        self.gram -= F[self.years].T @ self.P
+        self.gram = 0.5 * (self.gram + self.gram.T)
 
     @functools.cached_property
     def rows(self) -> Absorbed:
@@ -278,16 +392,13 @@ class _Partialled:
 
     def solve(self, cols: Sequence[int]):
         """``Absorbed.solve``, from the rows unless the Gram is well inside full rank."""
-        cols = [j for j in cols if self.kept[j]]
-        A, k = self.gram[np.ix_(cols, cols)], len(cols)
-        d = np.diag(A).copy()
-        if k and d.min() > 0.0:
-            root = np.sqrt(d)
-            A = A / root / root[:, None]
-            if _gram_accepted(A, d.max() / d.min(), max(int(self.moments.sizes @ (self.w > 0)), k)):
+        cols = list(cols)
+        eq = None if self.gram is None else _equilibrated(self.gram[np.ix_(cols, cols)])
+        if eq is not None:
+            A, root, spread = eq
+            if _gram_accepted(A, spread, max(self.n, len(cols))):
                 theta = np.linalg.solve(A, self.gram[cols, -1] / root) / root
-                alpha = None if self.means is None else self.means[:, -1] - self.means[:, cols] @ theta
-                return cols, theta, k, alpha
+                return theta, False, self.effects(cols, theta)
         return self.rows.solve(cols)
 
 
@@ -325,10 +436,11 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     """Least squares via pivoted QR; reports offending columns on rank deficiency.
 
     The rows are factored once, unpivoted, as [X y] = Q T, and the pivoting
-    runs on the small triangle T (``_pivoted_triangle``).  With a region
-    effect the QR runs on the partialled columns, and region r's coefficient
-    is its mean of y - X beta; a rank deficiency names columns of ``X``,
-    never a region dummy.
+    runs on the small triangle T (``_pivoted_triangle``).  The QR runs on the
+    columns with both effects partialled out (``Absorbed``), and the effects
+    are recovered from the coefficients.  A rank deficiency names columns of
+    ``X``, or year dummies when the year effect is collinear with the region
+    effect, never a region dummy.
     """
     fe = Absorbed(design)
     X, y = fe.X, fe.y
@@ -336,6 +448,13 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     if n <= p:
         raise ValueError(f"need more rows than columns to fit (n={n}, p={p})")
     k = X.shape[1]
+    if fe.null.shape[1]:
+        # pivot a square root of the year block, its null space exactly zero
+        lam, V = np.linalg.eigh(fe.H)  # ascending: the null space comes first
+        lam[: fe.null.shape[1]] = 0.0
+        piv = _pivoted_triangle(np.column_stack([np.sqrt(lam)[:, None] * V.T, lam * 0.0]))[1]
+        names = [design.column_labels[j].name for j in design.fe_slots["year"]]
+        raise RankDeficientError([names[j] for j in piv[len(lam) - fe.null.shape[1]:]])
     R, piv = _pivoted_triangle(np.linalg.qr(np.column_stack([X, y]), mode="r")[:k])
     diag = np.abs(np.diag(R))
     tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
@@ -345,30 +464,23 @@ def ols_fit(design: DesignMatrix) -> FitResult:
         raise RankDeficientError([names[j] for j in piv[rank:]])
     theta = np.empty(k)
     theta[piv] = np.linalg.solve(R[:, :k], R[:, k])
-    if fe.means is None:
-        beta = theta
-        fitted = X @ beta
-        residuals = y - fitted
-    else:
-        beta = np.empty(p)
-        beta[list(design.x_slots)] = theta
-        beta[list(design.region_slots)] = (fe.ymeans - fe.means @ theta)[1:]
-        residuals = y - X @ theta
-        fitted = design.y - residuals
+    beta = np.empty(p)
+    beta[:k] = theta
+    for effect, values in fe.effects(range(k), theta).items():
+        beta[list(design.fe_slots[effect])] = values[1:]
+    residuals = y - X @ theta
+    fitted = design.y - residuals
     ssr = float(residuals @ residuals)
     centered = any(lab.kind in ("intercept", "dummy") for lab in design.column_labels)
-    if centered:
-        dev = design.y - design.y.mean()
-        sst = float(dev @ dev)
-    else:
-        sst = float(design.y @ design.y)
+    dev = design.y - design.y.mean() if centered else design.y
+    sst = float(dev @ dev)
     if sst == 0.0:
         warnings.warn("total sum of squares is zero; defining R^2 = 0")
         r2 = 0.0
     else:
         r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
     return FitResult(beta=beta, residuals=residuals, fitted=fitted, r_squared=r2, n=n, p=p,
-                     column_labels=design.column_labels)
+                     column_labels=design.column_labels, _absorbed=fe)
 
 
 def clustered_cov(
@@ -384,23 +496,31 @@ def clustered_cov(
     to ~0 by orthogonality): a warning is emitted and, since the CR1 factor
     is undefined there, no small-sample correction is applied.
 
-    With a region effect, the sandwich of the columns of ``X`` runs on the
-    partialled columns, and a region dummy gets its variance alone: region
-    r's row of the estimator's linear map is 1_r'/n_r - m_r' bread X~', so
-    its variance is sum_g (a_rg - m_r' bread s_g)^2, with a_rg the sum of
-    cluster g's residuals in region r over n_r and m_r the region's column
-    means.  Its covariances with other columns are not formed and are NaN.
-    A region variance whose square root is at most n eps max|residual| is
+    The sandwich runs on the fit's partialled columns X~ (``Absorbed``,
+    rebuilt only for a fit of another design).  Cluster g's influence on the
+    term coefficients is W_g = bread X~_g' r_g, and on the year effects
+    gamma = P_y - P_X beta it is H^-1 Ẽ_g' r_g - P_X W_g, where Ẽ_g' r_g is
+    the cluster's per-year residual sums less its regions' shares of them:
+    the joint sandwich of the term and year columns, without a year dummy.
+    A region dummy gets its variance alone: region r's row of the
+    estimator's linear map is 1_r'/n_r - m_r' [W; gamma's], with m_r the
+    region's column means and year shares, so its variance is sum_g (a_rg -
+    m_r' W_g)^2, with a_rg the sum of cluster g's residuals in region r over
+    n_r.  Its covariances with other columns are not formed and are NaN.  A
+    region variance whose square root is at most n eps max|residual| is
     roundoff of a structural zero and set to 0.
     """
     check_correction(correction)
     if clusters.n_rows != fit.n or design.n != fit.n:
         raise ValueError("fit, design and clusters disagree on the row count")
-    fe = Absorbed(design)
-    X, means = fe.X, fe.means
+    fe = fit._absorbed
+    if fe is None or fe.design is not design:
+        fe = Absorbed(design)
+    X, e = fe.X, fit.residuals
     n, k = X.shape
     p = design.p
     G = clusters.n_clusters
+    g = clusters.row_cluster
     assert int(clusters.sizes.sum()) == n and np.all(clusters.sizes > 0)
     if G == 1:
         warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
@@ -411,34 +531,41 @@ def clustered_cov(
     except np.linalg.LinAlgError:
         raise ValueError("X'X is singular") from None
     U_inv = np.linalg.solve(U, np.eye(k))  # LU of the triangle U is I U: back substitution
-    bread = U_inv @ U_inv.T
-    scores = np.zeros((G, k))
-    np.add.at(scores, clusters.row_cluster, X * fit.residuals[:, None])
+    W = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ U_inv @ U_inv.T
+    L, T = fe.shares.shape
+    if L:
+        code = design.fe_codes["region"]
+        pairs, at = np.unique(code * G + g, return_inverse=True)
+        r, pair_g = np.divmod(pairs, G)
+        sums = np.bincount(at, e)
+    if T:
+        Ee = np.bincount(g * T + design.fe_codes["year"], e, G * T).reshape(G, T)[:, fe.years]
+        if L:
+            Ee -= np.column_stack([np.bincount(pair_g, sums * s[r], G)
+                                   for s in fe.shares[:, fe.years].T])
+        W = np.hstack([W, np.linalg.solve(fe.H, Ee.T).T - W @ fe.P[:, :k].T])
 
     def corrected(m):
         return m * (G / (G - 1.0)) * ((n - 1.0) / (n - p)) if correction == "CR1" and G > 1 else m
 
-    meat = corrected(scores.T @ scores)
-    cov = bread @ meat @ bread
+    cov = corrected(W.T @ W)
     cov = 0.5 * (cov + cov.T)
-    if means is not None:
-        # sum_g (a_rg - c_rg)^2 with c_rg = m_r' bread s_g, as squares: over the
+    if L:
+        # sum_g (a_rg - c_rg)^2 with c_rg = m_r' W_g, as squares: over the
         # (region, cluster) pairs with rows directly, and over the other
-        # clusters, where a_rg = 0, as sum_g c_rg^2 (= ||R m_r||^2 for W = QR
-        # with rows W_g = bread s_g) less the pairs' share
-        code = design.fe_codes["region"]
-        pairs, at = np.unique(code * G + clusters.row_cluster, return_inverse=True)
-        r, g = np.divmod(pairs, G)
-        a = np.bincount(at, fit.residuals) / np.bincount(code)[r]
-        W = scores @ bread
-        c = np.einsum("ij,ij->i", means[r], W[g])
+        # clusters, where a_rg = 0, as sum_g c_rg^2 (= ||R m_r||^2 for W = QR)
+        # less the pairs' share
+        means = np.hstack([fe.means[:, :k], fe.shares[:, fe.years]])
+        a = sums / np.bincount(code)[r]
+        c = np.einsum("ij,ij->i", means[r], W[pair_g])
         unpaired = np.square(means @ np.linalg.qr(W, mode="r").T).sum(axis=1)
         unpaired -= np.bincount(r, c * c, len(means))
         var = corrected(np.bincount(r, np.square(a - c), len(means)) + np.maximum(unpaired, 0.0))
-        var[np.sqrt(var) <= n * np.finfo(float).eps * np.abs(fit.residuals).max()] = 0.0
+        var[np.sqrt(var) <= n * np.finfo(float).eps * np.abs(e).max()] = 0.0
         full = np.full((p, p), math.nan)
-        full[np.ix_(design.x_slots, design.x_slots)] = cov
-        full[design.region_slots, design.region_slots] = var[1:]
+        kept = [*range(k), *design.fe_slots.get("year", ())]
+        full[np.ix_(kept, kept)] = cov
+        full[design.fe_slots["region"], design.fe_slots["region"]] = var[1:]
         cov = full
     return CovarianceEstimate(cov=cov, scheme=clusters.scheme, correction=correction, G=G)
 
@@ -561,16 +688,10 @@ def term_response_curve(
     the variance comes from c' Cov c with the matching contrast vector.
     """
     lbl = term_label(term)
-    base_cols = {
-        lab.lag: j
-        for j, lab in enumerate(fit.column_labels)
-        if lab.kind == "base" and lab.term == lbl and lab.moderator == term.moderator
-    }
-    inter_cols = {
-        lab.lag: j
-        for j, lab in enumerate(fit.column_labels)
-        if lab.kind == "interaction" and lab.term == lbl and lab.moderator == term.moderator
-    }
+    base_cols, inter_cols = ({lab.lag: j for j, lab in enumerate(fit.column_labels)
+                              if lab.kind == kind and lab.term == lbl
+                              and lab.moderator == term.moderator}
+                             for kind in ("base", "interaction"))
     if not base_cols:
         raise ValueError(f"term {lbl!r} not in the fitted model")
     max_present = max(base_cols)
@@ -592,10 +713,5 @@ def term_response_curve(
         points.append(
             CurvePoint(lag=lag, effect=effect, se=se, lower=effect - q * se, upper=effect + q * se)
         )
-    return ResponseCurve(
-        term=lbl,
-        moderator=term.moderator,
-        moderator_value=moderator_value,
-        level=level,
-        points=tuple(points),
-    )
+    return ResponseCurve(term=lbl, moderator=term.moderator, moderator_value=moderator_value,
+                         level=level, points=tuple(points))

@@ -73,12 +73,13 @@ def coefficient_table(
 ) -> dict:
     """JSON-ready coefficient table: estimate plus per-scheme SE, t and CI."""
     per_scheme_ci = {label: confidence_intervals(fit, cov, level) for label, cov in covs.items()}
+    per_scheme_se = {label: cov.standard_errors.tolist() for label, cov in covs.items()}
     coefficients = []
     for j, name in enumerate(fit.column_names):
         est = float(fit.beta[j])
         entry = {"label": name, "estimate": est, "se": {}, "t": {}, "ci": {}}
-        for label, cov in covs.items():
-            se = float(cov.standard_errors[j])
+        for label in covs:
+            se = per_scheme_se[label][j]
             entry["se"][label] = se
             entry["t"][label] = est / se if se > 0 else None
             lo, hi = per_scheme_ci[label][j]
@@ -123,23 +124,9 @@ def write_correlation_table(path, summaries: Sequence[CorrelationSummary]) -> No
 
 
 def write_ic_scan(path, scan: ICScanResult, scheme_label: str) -> None:
-    rows = [
-        [
-            e.term,
-            "removed" if e.lag_depth is None else e.lag_depth,
-            scheme_label,
-            e.criterion,
-            e.adjusted,
-            e.value,
-            e.rho_hat,
-        ]
-        for e in scan.entries
-    ]
-    write_csv(
-        path,
-        ["term", "lag_depth", "scheme", "criterion", "adjusted", "value", "rho_hat"],
-        rows,
-    )
+    write_csv(path, ["term", "lag_depth", "scheme", "criterion", "adjusted", "value", "rho_hat"],
+              [[e.term, "removed" if e.lag_depth is None else e.lag_depth, scheme_label,
+                e.criterion, e.adjusted, e.value, e.rho_hat] for e in scan.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +171,17 @@ def write_projections(
 
 
 def write_coverage_report(path, report: CoverageReport) -> None:
-    rows = [
-        [r.scheme, r.nominal_level, r.coverage, r.mean_ci_width, r.replications, r.failed]
-        for r in report.rows
-    ]
-    write_csv(
-        path,
-        ["scheme", "nominal_level", "coverage", "mean_ci_width", "replications", "failed"],
-        rows,
-    )
+    write_csv(path,
+              ["scheme", "nominal_level", "coverage", "mean_ci_width", "replications", "failed"],
+              [[r.scheme, r.nominal_level, r.coverage, r.mean_ci_width, r.replications, r.failed]
+               for r in report.rows])
 
 
 def write_bias_report(path, report: BiasReport) -> None:
-    write_csv(
-        path,
-        ["scheme", "correction", "mean_estimated_variance", "empirical_variance", "ratio", "replications"],
-        [[
-            report.scheme,
-            report.correction,
-            report.mean_estimated_variance,
-            report.empirical_variance,
-            report.ratio,
-            report.replications,
-        ]],
-    )
+    write_csv(path, ["scheme", "correction", "mean_estimated_variance", "empirical_variance",
+                     "ratio", "replications"],
+              [[report.scheme, report.correction, report.mean_estimated_variance,
+                report.empirical_variance, report.ratio, report.replications]])
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +210,6 @@ def load_config(path) -> tuple[dict, str | None, int | None, int | None]:
     if not isinstance(payload, dict):
         raise ValueError(f"config {path} is not a mapping")
     if "config" in payload and "command" in payload:
-        return (
-            payload["config"],
-            str(payload["command"]),
-            payload.get("seed"),
-            payload.get("threads"),
-        )
+        return (payload["config"], str(payload["command"]), payload.get("seed"),
+                payload.get("threads"))
     return payload, None, None, None

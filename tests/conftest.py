@@ -155,13 +155,12 @@ def dense_dummies(regions, years, effects, levels=None, restrict_to_present=Fals
 
 def dense_X(design):
     """``design``'s full matrix in ``column_labels`` order: ``X`` plus the
-    absorbed region dummies built as 0/1 columns."""
+    absorbed region and year dummies built as 0/1 columns."""
     X = np.empty((design.n, design.p))
-    X[:, list(design.x_slots)] = design.X
-    if design.region_slots:
-        code = design.fe_codes["region"]
-        levels = np.arange(1, len(design.region_slots) + 1)
-        X[:, list(design.region_slots)] = code[:, None] == levels
+    X[:, : design.X.shape[1]] = design.X
+    for effect, slots in design.fe_slots.items():
+        levels = np.arange(1, len(slots) + 1)
+        X[:, list(slots)] = design.fe_codes[effect][:, None] == levels
     return X
 
 

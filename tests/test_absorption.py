@@ -1,14 +1,14 @@
-"""The absorbed region effect against the dense region-dummy oracle.
+"""The absorbed region and year effects against the dense dummy oracle.
 
-Designs carry no region dummy columns: the fit partials the region effect
-out and recovers it, CV folds and bootstrap replicates refit under cluster
+Designs carry no dummy columns: the fit partials both effects out and
+recovers them, CV folds and bootstrap replicates refit under cluster
 weights from ``ClusterMoments``.  Every numeric path is compared here with
 the dense computation it replaced, kept as test code: the full dummy matrix
 (``conftest.dense_X``, ``conftest.dense_dummies``), pivoted QR or ``lstsq``
 on it, the dense sandwich, per-fold dummy rebuilds, the row-concatenating
-bootstrap replicate, and the dense scenario product.  The cluster moments
-are also compared with the row path they replaced (``Absorbed`` under row
-weights).  Agreement is to 1e-10 relative.
+bootstrap replicate, and the dense scenario product, on a balanced and on a
+gappy panel.  The cluster moments are also compared with the row path they
+replaced (``Absorbed`` under row weights).  Agreement is to 1e-10 relative.
 """
 
 import csv
@@ -141,7 +141,9 @@ def _dense_sandwich(X, e, clusters):
 @pytest.mark.parametrize("intercept", [True, False])
 def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
     design = build_design(_panel(gappy), _spec(intercept))
-    assert design.X.shape[1] == design.p - len(design.region_slots) and design.region_slots
+    slots = design.fe_slots
+    assert design.X.shape[1] == design.p - len(slots["region"]) - len(slots["year"])
+    assert slots["region"] and slots["year"]
     X = dense_X(design)
     beta, e = _dense_fit(X, design.y)
     fit = ols_fit(design)
@@ -154,8 +156,9 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
         V = _dense_sandwich(X, e, clusters)
         cov = clustered_cov(fit, design, clusters)
         np.testing.assert_allclose(cov.standard_errors, np.sqrt(np.diag(V)), rtol=RTOL)
-        slots = list(design.x_slots)
-        _close(cov.cov[np.ix_(slots, slots)], V[np.ix_(slots, slots)])
+        # the joint block of the term and year columns is formed in full
+        joint = [*range(design.X.shape[1]), *slots["year"]]
+        _close(cov.cov[np.ix_(joint, joint)], V[np.ix_(joint, joint)])
         half = _t_quantile(0.95, clusters.n_clusters) * np.sqrt(np.diag(V))
         _close(confidence_intervals(fit, cov), np.column_stack([beta - half, beta + half]))
 
@@ -165,6 +168,63 @@ def test_r_squared_matches_dense():
     _, e = _dense_fit(dense_X(design), design.y)
     dev = design.y - design.y.mean()
     assert ols_fit(design).r_squared == pytest.approx(1.0 - (e @ e) / (dev @ dev), rel=RTOL)
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_design_holds_only_the_intercept_and_term_columns(intercept):
+    design = build_design(_panel(True), _spec(intercept))
+    terms = 2 * (X_MOD.max_lag + 1) + Z0.max_lag + 1
+    assert design.X.shape[1] == intercept + terms
+    regions, years = (len(design.fe_levels[e]) for e in ("region", "year"))
+    assert design.p == len(design.column_labels) == intercept + terms + regions - 1 + years - 1
+    assert [lab.effect for lab in design.column_labels[design.X.shape[1]:]] == (
+        ["region"] * (regions - 1) + ["year"] * (years - 1))
+    assert ols_fit(design).p == design.p == dense_X(design).shape[1]
+
+
+def _disconnected_panel():
+    """_panel(False) plus regions R90 and R91 observed only in 2015, a year
+    no other region has: the 2015 dummy is the sum of their region dummies."""
+    gen = np.random.default_rng(11)
+    ds = _panel(False)
+    records = [obs(r, "C0", year, float(ds.outcome[i, t]),
+                   {v: float(ds.predictors[v][i, t]) for v in ds.predictor_names},
+                   custom={"blk": "b0"})
+               for i, r in enumerate(ds.regions) for t, year in enumerate(range(2000, 2012))]
+    records += [obs(r, "C1", 2015, float(gen.standard_normal()),
+                    {v: float(gen.standard_normal()) for v in ds.predictor_names},
+                    custom={"blk": "b1"}) for r in ("R90", "R91")]
+    return panel_from(records, predictor_names=ds.predictor_names)
+
+
+def test_collinear_year_effect_is_named_and_solved_at_minimum_norm():
+    # the design without lags, so that the 2015 rows survive
+    spec = ModelSpec(terms=(TermSpec("x", differenced=False), Z0), fixed_effects=("region", "year"))
+    design = build_design(_disconnected_panel(), spec)
+    with pytest.raises(Exception, match="offending columns: year=2015"):
+        ols_fit(design)
+    X = dense_X(design)
+    want, _, rank, _ = np.linalg.lstsq(X, design.y, rcond=None)
+    assert rank == X.shape[1] - 1
+    beta, deficient, effects = Absorbed(design).solve(range(design.X.shape[1]))
+    assert deficient
+    got = np.empty(design.p)
+    got[: len(beta)] = beta
+    for effect, values in effects.items():
+        got[list(design.fe_slots[effect])] = values[1:]
+    _close(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fit_command_partials_the_design_once(row_refits):
+    config, ds, spec = _sample_case()
+    design = build_design(ds, spec)
+    fit = ols_fit(design)
+    for label in config["fit"]["schemes"]:
+        clustered_cov(fit, design, assign_clusters(design, ClusterScheme.parse(label)))
+    assert len(row_refits) == 1
+    clustered_cov(fit, build_design(ds, spec), assign_clusters(design, REGION))
+    assert len(row_refits) == 2  # a fit of another design is partialled afresh
 
 
 def test_rank_deficiency_names_a_term_column():
@@ -355,6 +415,23 @@ def test_bootstrap_draws_match_row_concatenating_replicates(scheme):
         assert np.isnan(sample.draws[:, intercept]).any()  # reference year absent
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scheme", [REGION, YEAR], ids=lambda s: s.label)
+def test_balanced_bootstrap_draws_match_row_concatenating_replicates(scheme):
+    ds = _panel(False)
+    spec = _spec(True)
+    B, seed = 40, 4
+    sample = block_bootstrap(ds, spec, scheme, B, seed)
+    design = build_design(ds, spec)
+    clusters = assign_clusters(design, scheme)
+    dense = [_dense_replicate(b, seed, design, clusters) for b in range(B)]
+    _close(sample.draws, np.array([v for v in dense if v is not None]))
+    if scheme == YEAR:  # a replicate without the reference year: intercept and years NaN
+        lost = np.isnan(sample.draws[:, sample.column_names.index("intercept")])
+        years = [j for j, name in enumerate(sample.column_names) if name.startswith("year=")]
+        assert lost.any() and np.isnan(sample.draws[np.ix_(lost, years)]).all()
+
+
 def _dense_projection(sample, future, spec, template):
     """Scenario rows encoded with dense dummies against the template's
     levels, multiplied into every draw; untouched NaN columns count 0."""
@@ -373,10 +450,8 @@ def _dense_projection(sample, future, spec, template):
     return np.column_stack([per_row[years == t].mean(axis=0) for t in sorted(set(years))])
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("scheme", [REGION, YEAR], ids=lambda s: s.label)
-def test_projection_matches_dense_product(scheme):
-    ds = _panel(True)
+def _projection_case(gappy, scheme):
+    ds = _panel(gappy)
     spec = _spec(True)
     sample = block_bootstrap(ds, spec, scheme, 40, seed=2)
     template = build_design(ds, spec)
@@ -391,7 +466,20 @@ def test_projection_matches_dense_product(scheme):
     assert path.unseen_levels > 0
     got = project_scenarios(sample, path).values
     _close(got, _dense_projection(sample, future, spec, template))
+    return got
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scheme", [REGION, YEAR], ids=lambda s: s.label)
+def test_projection_matches_dense_product(scheme):
+    got = _projection_case(True, scheme)
     assert np.isnan(got).any() and np.isfinite(got).any()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scheme", [REGION, YEAR], ids=lambda s: s.label)
+def test_balanced_projection_matches_dense_product(scheme):
+    assert np.isfinite(_projection_case(False, scheme)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -546,27 +634,25 @@ def test_cluster_moments_solve_like_the_row_path(scheme, effects, row_refits):
     # bootstrap multiplicities, and training folds of 0/1 weights
     W = _replicate_weights(G, 60, 9) + [np.arange(G) % 3 != k for k in range(3)]
     cols = range(design.X.shape[1])
-    betas, alphas, deficient = [], [], 0
+    betas, fixed, deficient = [], [], 0
     for w, view in zip(W, moments.weighted(W)):
         rows = Absorbed(design, np.asarray(w)[clusters.row_cluster])
         assert view.re_referenced == rows.re_referenced
-        assert (view.kept == rows.kept).all()
+        assert (view.years == rows.years).all()
         for effect, present in rows.present.items():
             assert (view.present[effect] == present).all()
         got, want = view.solve(cols), rows.solve(cols)
-        assert got[0] == want[0]
-        assert (got[2] < len(got[0])) == (want[2] < len(want[0]))
-        if want[2] < len(want[0]):
+        assert got[1] == want[1]
+        if want[1]:
             deficient += 1
             continue
-        full = np.full((2, design.X.shape[1]), math.nan)
-        full[0, got[0]], full[1, want[0]] = got[1], want[1]
-        betas.append(full)
-        assert (got[3] is None) == (want[3] is None) == ("region" not in effects)
-        alphas += [] if want[3] is None else [(got[3], want[3])]
+        betas.append((got[0], want[0]))
+        assert tuple(got[2]) == tuple(want[2]) == effects
+        if effects:  # the region effects, then the year effects, by level
+            fixed.append([np.concatenate(list(e.values())) for e in (got[2], want[2])])
     _column_close([b[0] for b in betas], [b[1] for b in betas])
-    if alphas:
-        _column_close([a[0] for a in alphas], [a[1] for a in alphas])
+    if fixed:
+        _column_close([f[0] for f in fixed], [f[1] for f in fixed])
     # each deficient fit, and only those, was refitted from the rows
     assert len(row_refits) == deficient
     # with both effects, the cases hold absent levels, re-referenced years
@@ -586,13 +672,13 @@ def _row_replicate(b, seed, design, clusters):
     G = clusters.n_clusters
     (w,) = _replicate_weights(G, b + 1, seed)[b:]
     refit = Absorbed(design, w[clusters.row_cluster])
-    cols, theta, rank, alpha = refit.solve(range(design.X.shape[1]))
-    if rank < len(cols):
+    theta, deficient, effects = refit.solve(range(design.X.shape[1]))
+    if deficient:
         return None
     vec = np.full(design.p, math.nan)
-    vec[np.array(design.x_slots)[cols]] = theta
-    if alpha is not None:
-        vec[list(design.region_slots)] = alpha[1:]
+    vec[: len(theta)] = theta
+    for effect, values in effects.items():
+        vec[list(design.fe_slots[effect])] = values[1:]
     if refit.re_referenced:
         vec[[j for j, lab in enumerate(design.column_labels)
              if lab.effect in refit.re_referenced or lab.kind == "intercept"]] = math.nan
@@ -637,10 +723,10 @@ def test_near_collinear_design_takes_the_row_path(row_refits):
     for w, view in zip(W, ClusterMoments(design, clusters.row_cluster).weighted(W)):
         got = view.solve(cols)
         want = Absorbed(design, w[clusters.row_cluster]).solve(cols)
-        assert got[2] == len(got[0])  # full rank, not a failed refit
-        assert got[0] == want[0]
-        np.testing.assert_array_equal(got[1], want[1])
-        np.testing.assert_array_equal(got[3], want[3])
+        assert not got[1]  # full rank, not a failed refit
+        np.testing.assert_array_equal(got[0], want[0])
+        for effect in ("region", "year"):
+            np.testing.assert_array_equal(got[2][effect], want[2][effect])
     assert len(row_refits) == len(W)
 
 
@@ -651,7 +737,6 @@ def _row_cv(design, scheme, K, seed, models):
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
     row_folds = np.array([plan.assignment[k] for k in clusters.keys])[clusters.row_cluster]
-    years = [j for j, lab in enumerate(design.x_labels) if lab.kind == "dummy"]
     sse, deficient, unseen = np.zeros(len(models)), [False] * len(models), 0
     for k in range(K):
         va = row_folds == k
@@ -659,11 +744,11 @@ def _row_cv(design, scheme, K, seed, models):
         unseen += sum(int((~fold.present[e][codes[va]]).sum())
                       for e, codes in design.fe_codes.items())
         for m, model in enumerate(models):
-            cols, beta, rank, alpha = fold.solve(list(model) + years)
-            deficient[m] |= rank < len(cols)
-            err = design.y[va] - design.X[va][:, cols] @ beta
-            if alpha is not None:
-                err -= np.nan_to_num(alpha)[design.fe_codes["region"][va]]
+            beta, flag, effects = fold.solve(model)
+            deficient[m] |= flag
+            err = design.y[va] - design.X[va][:, model] @ beta
+            for effect, values in effects.items():
+                err -= np.nan_to_num(values)[design.fe_codes[effect][va]]
             sse[m] += err @ err
     return [(loss, flag, unseen) for loss, flag in zip(sse / design.n, deficient)]
 

@@ -719,7 +719,7 @@ def _assert_matches_oracle(records, dataset, spec, **kwargs):
     grid = {} if keys is None else {"keep_rows": keep_grid(dataset, keys)}
     got = build_design(dataset, spec, **{**kwargs, **grid})
     X, y, row_index, countries, dropped, fe_labels = _rows_design(records, spec, **kwargs)
-    assert got.X.flags.c_contiguous and got.X.shape == (X.shape[0], len(got.x_slots))
+    assert got.X.flags.c_contiguous and got.X.shape == (X.shape[0], len(got.x_labels))
     # the absorbed region effect expands to the oracle's dummy columns
     dense = dense_X(got)
     assert dense.shape == X.shape

@@ -44,6 +44,26 @@ def test_write_json_cleans_non_finite(tmp_path):
     assert json.loads(p.read_text()) == {"a": None, "b": [1.0, None], "c": [1, 2]}
 
 
+def test_coefficient_table_takes_each_schemes_standard_errors_once(monkeypatch):
+    p = 30
+    labels = tuple(ColumnLabel(kind="base", term="x", lag=j) for j in range(p))
+    fit = FitResult(beta=np.arange(1.0, p + 1), residuals=np.zeros(40), fitted=np.zeros(40),
+                    r_squared=0.0, n=40, p=p, column_labels=labels)
+    covs = {label: CovarianceEstimate(cov=np.diag(np.full(p, 4.0)), scheme=REGION,
+                                      correction="CR1", G=12) for label in ("a", "b")}
+    calls = []
+    original = CovarianceEstimate.standard_errors
+
+    def counted(self):
+        calls.append(self)
+        return original.fget(self)
+
+    monkeypatch.setattr(CovarianceEstimate, "standard_errors", property(counted))
+    table = coefficient_table(fit, covs, level=0.95)
+    assert len(calls) == len(covs)
+    assert all(row["se"] == {"a": 2.0, "b": 2.0} for row in table["coefficients"])
+
+
 def test_coefficient_table_zero_se_yields_null_t():
     labels = (ColumnLabel(kind="intercept"),)
     fit = FitResult(beta=np.array([2.0]), residuals=np.zeros(5), fitted=np.zeros(5),
