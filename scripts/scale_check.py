@@ -5,7 +5,10 @@ not run it.  It builds balanced panels with ``simstudy.generate_panel``,
 adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
 ``d.x*xbar`` at lags 0..2, then times each stage on its own:
 
-- load_csv of the panel written once by save_csv (median of LOAD_RUNS);
+- load_csv of the panel written once by save_csv (median of LOAD_RUNS),
+  and load_cached_hit_s, the median of LOAD_RUNS hits of ``load_cached``
+  on an entry in a temporary cache directory (a tree without
+  ``load_cached`` has no such key);
 - build_design;
 - fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov, region);
 - one cv model at K=4 (cv_loss, region folds);
@@ -27,7 +30,8 @@ figure the median of COLD_RUNS fresh interpreters:
 
 - import_s: ``import clusterpanel.cli``, timed inside the interpreter;
 - cold_fit_s: a ``fit`` of sample/config.yaml through ``cli.main``,
-  timed from process launch to exit;
+  timed from process launch to exit, with a temporary dataset cache
+  (``XDG_CACHE_HOME``), so the first run misses and the later ones hit;
 - cold_fit_rss_mb: the peak resident set of that fit process;
 - cold_corr_s: the same as cold_fit_s for ``corr``, a command that computes
   no interval.
@@ -138,6 +142,12 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
             out["load_csv_s"] = statistics.median(
                 _timed(lambda: cp.load_csv(path, schema))[0] for _ in range(LOAD_RUNS))
             out["load_csv_peak_mb"] = _peak_mb(lambda: cp.load_csv(path, schema))
+            if hasattr(cp, "load_cached"):
+                cache = Path(tmp) / "cache"
+                cp.load_cached(path, schema, cache)  # the miss that writes the entry
+                out["load_cached_hit_s"] = statistics.median(
+                    _timed(lambda: cp.load_cached(path, schema, cache))[0]
+                    for _ in range(LOAD_RUNS))
     out["build_design_s"], design = _timed(lambda: cp.build_design(ds, spec))
     out["build_design_peak_mb"] = _peak_mb(lambda: cp.build_design(ds, spec))
     out["n"], out["p"] = design.n, design.p
@@ -213,6 +223,7 @@ def cold_start(src):
 
     imports, fits, rss, corrs = [], [], [], []
     with tempfile.TemporaryDirectory() as tmp:
+        env["XDG_CACHE_HOME"] = f"{tmp}/cache"
         for _ in range(COLD_RUNS):
             imports.append(float(run("-c", probe)))
             seconds, mb = cold("fit", f"{tmp}/fit")
@@ -288,7 +299,8 @@ def main(argv=None):
                        "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s is the "
                        f"median of {LOAD_RUNS} loads, the cv_scan figures (six models, K=4) "
                        f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
-                       f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, the "
+                       f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, "
+                       f"load_cached_hit_s the median of {LOAD_RUNS} cache hits, the "
                        f"cold-start figures are medians of {COLD_RUNS} fresh interpreters "
                        "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "
                        f"{COLD_RUNS} uncached calls, every other figure is a single run; each "

@@ -23,6 +23,7 @@ from .panel import (
     assign_clusters,
     build_design,
     haversine_km,
+    load_cached,
     load_csv,
     save_csv,
     term_label,

@@ -25,7 +25,7 @@ from .bootstrap import (PercentileInterval, block_bootstrap, build_scenario_path
                         project_scenarios)
 from .modelselect import cv_scan, ic_scan
 from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterScheme, CsvSchema, ModelSpec, TermSpec,
-                    assign_clusters, build_design, load_csv)
+                    assign_clusters, build_design, load_cached)
 from .regression import (check_level, clustered_cov, confidence_intervals, ols_fit,
                          term_response_curve)
 from .residcorr import (DEFAULT_MIN_OVERLAP, SPATIAL_KEYS, TEMPORAL_KEYS, GroupSpec,
@@ -222,7 +222,7 @@ def _schema(data: dict) -> CsvSchema:
 
 
 def _load_dataset(config: dict):
-    return load_csv(config["data"]["path"], _schema(config["data"]))
+    return load_cached(config["data"]["path"], _schema(config["data"]))
 
 
 def _model(config: dict) -> ModelSpec:
@@ -366,7 +366,7 @@ def cmd_project(config: dict, out: Path, seed: int) -> None:
     projections = []
     unseen = {}
     for sc in proj_cfg["scenarios"]:
-        path = build_scenario_path(load_csv(sc["path"], scenario_schema), spec, sample.design,
+        path = build_scenario_path(load_cached(sc["path"], scenario_schema), spec, sample.design,
                                    sc["label"], start_year=proj_cfg["start_year"],
                                    **_building(config))
         unseen[sc["label"]] = path.unseen_levels

@@ -13,11 +13,15 @@ an array lookup.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +31,8 @@ DEFAULT_MAX_LAG_CEILING = 10
 
 _MISSING_TOKENS = ("", "NA")
 _BLOCK_ROWS = 256  # CSV rows parsed at a time
+CACHE_ENTRIES = 32  # entries ``load_cached`` keeps in its directory; the oldest go first
+_STR_SLOTS = ("regions", "countries", "predictor_names", "custom_names")  # stored as str arrays
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +446,10 @@ class CsvSchema:
 def _floats(cells: Sequence[str], column: str, first_row: int) -> np.ndarray:
     """A numeric column's cells as floats, NaN for a missing token."""
     try:
-        return np.array([math.nan if c.strip() in _MISSING_TOKENS else float(c) for c in cells])
+        try:  # numpy's cast takes and rejects what float() does, and fails on a missing token
+            return np.array(cells, dtype=float)
+        except ValueError:
+            return np.array([math.nan if c.strip() in _MISSING_TOKENS else float(c) for c in cells])
     except ValueError:
         i = _rejected(cells, lambda c: c.strip() in _MISSING_TOKENS or float(c))
         raise ValueError(f"unparseable numeric cell {cells[i]!r} in column {column!r}, "
@@ -449,7 +458,7 @@ def _floats(cells: Sequence[str], column: str, first_row: int) -> np.ndarray:
 
 def _years(cells: Sequence[str], first_row: int) -> np.ndarray:
     try:
-        return np.array([int(c) for c in cells], dtype=np.int64)
+        return np.array(cells, dtype=np.int64)  # numpy's cast takes and rejects what int() does
     except ValueError:
         i = _rejected(cells, int)
         raise ValueError(f"unparseable year {cells[i].strip()!r} in row {first_row + i}") from None
@@ -520,6 +529,76 @@ def load_csv(path, schema: CsvSchema) -> PanelDataset:
         tags=tags if schema.groups else None,
         custom={name: strings[c] for name, c in schema.custom.items()},
     )
+
+
+def _str_array(values) -> np.ndarray:
+    """``values`` as a numpy str array; ValueError if a string would not round-trip."""
+    out = np.array(values, dtype=str)
+    if out.tolist() != np.asarray(values, dtype=object).tolist():
+        raise ValueError("a string does not round-trip through numpy")  # e.g. a trailing NUL
+    return out
+
+
+def _entry_arrays(ds: PanelDataset) -> dict[str, np.ndarray]:
+    shape = (-1, *ds.present.shape)
+    return {**{name: _str_array(getattr(ds, name)) for name in _STR_SLOTS},
+            "first_year": np.int64(ds.first_year), "present": ds.present, "outcome": ds.outcome,
+            "predictors": np.array([ds.predictors[n] for n in ds.predictor_names]).reshape(shape),
+            "custom": _str_array([ds.custom[n] for n in ds.custom_names]).reshape(shape),
+            "centroids": ds.centroids,
+            "groups": _str_array([";".join(sorted(tags)) for tags in ds.groups])}
+
+
+def _from_entry(entry) -> PanelDataset:
+    """The dataset of a cache entry, set slot by slot and not validated again:
+    entries are written only from datasets the constructor accepted."""
+    ds = object.__new__(PanelDataset)
+    for name in _STR_SLOTS:
+        setattr(ds, name, tuple(entry[name].tolist()))
+    predictors, custom = entry["predictors"], entry["custom"].astype(object)
+    ds.present, ds.outcome, ds.centroids = entry["present"], entry["outcome"], entry["centroids"]
+    for a in (predictors, custom, ds.present, ds.outcome, ds.centroids):
+        a.setflags(write=False)
+    ds.first_year = int(entry["first_year"])
+    ds.predictors = dict(zip(ds.predictor_names, predictors, strict=True))
+    ds.custom = dict(zip(ds.custom_names, custom, strict=True))
+    ds.groups = tuple(frozenset(tags.split(";")) - {""} for tags in entry["groups"].tolist())
+    ds._index = {r: i for i, r in enumerate(ds.regions)}
+    return ds
+
+
+def load_cached(path, schema: CsvSchema, cache_dir=None) -> PanelDataset:
+    """``load_csv`` through an on-disk cache in ``cache_dir``, by default
+    ``$XDG_CACHE_HOME/clusterpanel`` or ``~/.cache/clusterpanel``.  An entry is keyed by
+    the sha256 of the file's bytes, ``repr(schema)`` and this module's source; an
+    unreadable entry is parsed again and rewritten, and a failed write is skipped."""
+    import hashlib  # here, so that a command which loads no CSV does not start OpenSSL
+
+    try:
+        parts = (Path(path).read_bytes(), repr(schema).encode(), Path(__file__).read_bytes())
+        key = hashlib.sha256(b"".join(hashlib.sha256(part).digest() for part in parts))
+        home = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+        entry = Path(cache_dir or Path(home) / "clusterpanel") / f"{key.hexdigest()}.npz"
+    except (OSError, RuntimeError):  # an unreadable file, which load_csv reports, or no home
+        return load_csv(path, schema)
+    with contextlib.suppress(Exception), open(entry, "rb") as fh:  # no or a bad entry: parse
+        with np.load(fh, allow_pickle=False) as arrays:
+            return _from_entry(arrays)
+    ds = load_csv(path, schema)
+    # an unwritable directory, or a string numpy would change, writes no entry
+    with contextlib.suppress(OSError, ValueError):
+        arrays = _entry_arrays(ds)
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, entry)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+        for old in sorted(entry.parent.glob("*.npz"), key=os.path.getmtime)[:-CACHE_ENTRIES]:
+            old.unlink(missing_ok=True)
+    return ds
 
 
 def _fmt(values: np.ndarray) -> list[str]:

@@ -263,6 +263,13 @@ def assert_same_dataset(got: PanelDataset, expected: PanelDataset):
     assert got.groups == expected.groups
 
 
+@pytest.fixture(autouse=True)
+def _cold_cache(tmp_path, monkeypatch):
+    """Every test starts with an empty dataset cache of its own, which the
+    subprocesses it launches inherit; no test writes into the real home."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -183,6 +183,14 @@ def _oracle_case(name, tmp_path):
                              "region;country;year;growth;temp;lat;lon;tags;more_tags;note\n"
                              '"R;1";A;2000;0.1;1;1.5;2.5;"EU;G7";;"x;y"\n'
                              '"R;1";A;2001;0.2;2;1.5;2.5;"EU;G7";;"say ""hi"""\n'),
+        # a column without missing tokens goes through numpy's cast, one with
+        # them through the cell-by-cell parse; both strip and take underscores
+        "padded_cells": (replace(BASIC_SCHEMA, lat="lat", lon="lon"),
+                         "region,country,year,growth,temp,lat,lon\n"
+                         "R1,A, 2000 , NA ,\t1_0,1.5 , 2.5\n"
+                         "R1,A,2_001,1_0.5,-.5e1_0 ,1.5,2.5\n"
+                         "R2,B,2000,\tNA\t, +0.25,-1_0,3_0\n"
+                         "R2,B,2001 , 2.5 ,1e-3_0,-1_0,3_0\n"),
         "blank_lines": (BASIC_SCHEMA, "region,country,year,growth,temp\n\n"
                                       "R1,A,2000,0.1,10.0\n\n\nR1,A,2001,0.2,11.0\n\n"),
         "header_only": (BASIC_SCHEMA, "region,country,year,growth,temp\n"),
@@ -199,7 +207,7 @@ def _load_or_message(loader, path, schema):
 
 
 @pytest.mark.parametrize("name", ["sample", "scenario_no_outcome", "gappy", "quoted_delimiter",
-                                  "blank_lines", "header_only"])
+                                  "padded_cells", "blank_lines", "header_only"])
 def test_load_csv_matches_rowwise_oracle(name, tmp_path):
     path, schema = _oracle_case(name, tmp_path)
     got = _load_or_message(load_csv, path, schema)
