@@ -21,7 +21,18 @@ adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
   alternating timings of block_bootstrap, and B=1000 extrapolated as the
   median t(B=1) + 999 replicates (keys bootstrap_replicate_s and
   bootstrap_b1000_s for region, bootstrap_<scheme>_... for the others);
-- the corr all-pairs group (ResidualPanel.from_fit, correlation_table).
+- the corr all-pairs group (ResidualPanel.from_fit, correlation_table);
+- bootstrap_readout_s: the read-out of ``cli.cmd_bootstrap`` (the 0.9
+  intervals and ``sd`` of every column, with their CSV and JSON) on a
+  year-scheme sample of READOUT_B draws computed beforehand, the median of
+  READOUT_RUNS calls.
+
+After the sizes, trending_agreement is the largest relative deviation,
+per column scaled by its largest draw, of TRENDING_REPLICATES region-scheme
+bootstrap draws from the row path's (``Absorbed`` under each replicate's
+weights) on a 40x20 panel whose x and y trend by 100 and 1000 a year, the
+case where the year effect carries most of the variance: over the intercept
+and term columns ("terms") and over the region and year effects ("effects").
 
 It also times ``coverage_study`` for 1000 replications of 10x10 and of
 100x30, on the benchmark's montecarlo design (schemes region and year).
@@ -62,6 +73,8 @@ BLAS is pinned to one thread, as in the benchmark.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -81,7 +94,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
 STAGES = ("load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan", "bootstrap",
-          "corr_all_pairs")
+          "corr_all_pairs", "bootstrap_readout")
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
@@ -89,6 +102,8 @@ TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
 LOAD_RUNS = 5  # load_csv timings per size, of which the median is kept
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
+READOUT_B, READOUT_RUNS = 1000, 5  # the read-out's sample size, and its timings per size
+TRENDING_REPLICATES = 30
 # coverage studies: (regions, years) at SIMULATE_REPS replications, and the
 # target for the 10x10 one, in seconds
 SIMULATE_SIZES = ((10, 10), (100, 30))
@@ -191,7 +206,72 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
 
         out["corr_all_pairs_s"], _ = _timed(corr)
         out["corr_all_pairs_peak_mb"] = _peak_mb(corr)
+    if "bootstrap_readout" in stages:
+        out["bootstrap_readout_s"] = bootstrap_readout(cp, ds, spec)
     return out
+
+
+def bootstrap_readout(cp, ds, spec):
+    """Median seconds of ``cli.cmd_bootstrap`` on a precomputed sample: its
+    ``block_bootstrap`` and ``_load_dataset`` are swapped for the sample's."""
+    from clusterpanel import cli
+
+    sample = cp.block_bootstrap(ds, spec, cp.YEAR, READOUT_B, seed=0)
+    config = {"bootstrap": {"scheme": "year", "b": READOUT_B, "levels": [0.9]},
+              "model": {"terms": [], "fixed_effects": [], "intercept": True,
+                        "moderator_alignment": "contemporaneous", "max_lag_ceiling": 10}}
+    swapped = {"block_bootstrap": lambda *args, **kwargs: sample, "_load_dataset": lambda c: ds}
+    kept = {name: getattr(cli, name) for name in swapped}
+    vars(cli).update(swapped)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            return statistics.median(_timed(lambda: cli.cmd_bootstrap(config, Path(tmp), 0))[0]
+                                     for _ in range(READOUT_RUNS))
+    finally:
+        vars(cli).update(kept)
+
+
+def trending_agreement(cp):
+    """The largest relative deviation of region-scheme bootstrap draws from
+    the row path's on a 40x20 panel with x and y trending by 100 and 1000 a
+    year, each column scaled by its largest draw: over the intercept and term
+    columns, and over the effects."""
+    import numpy as np
+    from clusterpanel.regression import Absorbed
+
+    gen = np.random.default_rng(0)
+    R, T = 40, 20
+    t = np.tile(np.arange(T), R)
+    x = 100.0 * t + gen.standard_normal(R * T)
+    y = 1000.0 * t + 0.5 * x + gen.standard_normal(R * T)
+    ds = cp.PanelDataset(np.repeat([f"R{i:02d}" for i in range(R)], T),
+                         np.repeat([f"C{i % 4}" for i in range(R)], T), 2000 + t, y, {"x": x})
+    spec = cp.ModelSpec(terms=(cp.TermSpec("x", differenced=False),),
+                        fixed_effects=("region", "year"))
+    design = cp.build_design(ds, spec)
+    clusters = cp.assign_clusters(design, cp.REGION)
+    G, cols = clusters.n_clusters, range(design.X.shape[1])
+    sample = cp.block_bootstrap(ds, spec, cp.REGION, TRENDING_REPLICATES, seed=0)
+    rows = []
+    for b in range(TRENDING_REPLICATES):
+        w = np.bincount(np.random.default_rng((0, b)).integers(0, G, size=G), minlength=G)
+        refit = Absorbed(design, w[clusters.row_cluster])
+        theta, deficient, effects = refit.solve(cols)
+        if deficient:
+            continue
+        vec = np.full(design.p, np.nan)
+        vec[: len(theta)] = theta
+        for effect, values in effects.items():
+            vec[list(design.fe_slots[effect])] = values[1:]
+            if not refit.present[effect][0]:  # re-referenced
+                vec[[j for j, lab in enumerate(design.column_labels)
+                     if lab.effect == effect or lab.kind == "intercept"]] = np.nan
+        rows.append(vec)
+    want = np.array(rows)
+    deviation = np.nanmax(np.abs(sample.draws - want) / np.nanmax(np.abs(want), axis=0), axis=0)
+    k = len(cols)
+    return {"terms": float(f"{deviation[:k].max():.3g}"),
+            "effects": float(f"{np.nanmax(deviation[k:]):.3g}")}
 
 
 def simulate(cp, regions, years, reps):
@@ -287,6 +367,8 @@ def main(argv=None):
                                                                     SIMULATE_REPS), 4)
                                for regions, years in SIMULATE_SIZES}
     print(f"coverage_study, {SIMULATE_REPS} reps", json.dumps(run["coverage_study_s"]), flush=True)
+    run["trending_agreement"] = trending_agreement(cp)
+    print("trending agreement", json.dumps(run["trending_agreement"]), flush=True)
     if "1000x40" in run:
         run["meets_targets_at_1000x40"] = {k: run["1000x40"][k] < limit
                                            for k, limit in TARGETS.items() if k in run["1000x40"]}
@@ -303,7 +385,10 @@ def main(argv=None):
                        f"load_cached_hit_s the median of {LOAD_RUNS} cache hits, the "
                        f"cold-start figures are medians of {COLD_RUNS} fresh interpreters "
                        "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "
-                       f"{COLD_RUNS} uncached calls, every other figure is a single run; each "
+                       f"{COLD_RUNS} uncached calls, bootstrap_readout_s (year scheme, "
+                       f"B={READOUT_B}) the median of {READOUT_RUNS} read-outs, "
+                       "trending_agreement a relative deviation (no unit), "
+                       "every other figure is a single run; each "
                        "<stage>_peak_mb is the tracemalloc peak of one more call of the stage, "
                        "in MB (a bootstrap's a B=1+k call)")
     report["targets_s_at_1000x40"] = TARGETS

@@ -6,7 +6,10 @@ multiplicity in the draw: the same fit as stacking the drawn clusters' rows
 (duplicates kept) and rebuilding the fixed-effect dummies on them
 (Cameron, Gelbach & Miller 2008), without copying rows or forming dummies.
 Replicate b's randomness derives from (seed, b), so draws are identical
-under any execution order.  Replicates are solved from ``ClusterMoments``.
+under any execution order.  Replicates are solved from ``ClusterMoments``, a
+block of them as one stack of views, and their draws scattered into place.
+Read-outs (intervals, ``sd``, projections, discernibility) take every column
+at once (``column_quantiles``), with the bits of a column read alone.
 """
 
 from __future__ import annotations
@@ -48,11 +51,10 @@ class BootstrapSample:
         self.draws.setflags(write=False)
 
     def sd(self) -> np.ndarray:
-        """Column-wise standard deviation over finite draws."""
+        """Column-wise standard deviation over finite draws, as ``nanstd``
+        of each column alone: a contiguous reduction per row of the transpose."""
         with np.errstate(invalid="ignore"):
-            return np.array(
-                [np.nanstd(self.draws[:, j], ddof=1) for j in range(self.draws.shape[1])]
-            )
+            return np.nanstd(np.ascontiguousarray(self.draws.T), axis=1, ddof=1)
 
 
 def block_bootstrap(
@@ -79,36 +81,31 @@ def block_bootstrap(
     G = clusters.n_clusters
     if G < 2:
         raise ValueError(f"block bootstrap needs at least 2 clusters, got G={G}")
-    moments, kept = ClusterMoments(design, clusters.row_cluster), []
-    # the columns whose meaning changes when an effect is re-referenced
-    unresolved = {effect: [j for j, lab in enumerate(design.column_labels)
-                           if lab.effect == effect or lab.kind == "intercept"]
-                  for effect in design.fixed_effects}
+    moments, cols = ClusterMoments(design, clusters.row_cluster), range(design.X.shape[1])
+    # each effect's dummy columns, and the columns whose meaning changes when it is re-referenced
+    columns = {effect: (np.array(design.fe_slots[effect], dtype=int),
+                        np.flatnonzero([lab.effect == effect or lab.kind == "intercept"
+                                        for lab in design.column_labels]))
+               for effect in design.fixed_effects}
+    draws, deficient = np.full((B, design.p), math.nan), np.zeros(B, dtype=bool)
     for start in range(0, B, moments.block):
-        counts = [np.bincount(np.random.default_rng((seed, b)).integers(0, G, size=G), minlength=G)
-                  for b in range(start, min(B, start + moments.block))]
-        views = moments.weighted(counts)[::-1]
-        while views:  # each view, and the row-path refit it may hold, is freed once solved
-            refit = views.pop()
-            theta, deficient, effects = refit.solve(range(design.X.shape[1]))
-            if deficient:
-                continue
-            vec = np.full(design.p, math.nan)
-            vec[: len(theta)] = theta
-            for effect, values in effects.items():
-                vec[list(design.fe_slots[effect])] = values[1:]
-            for effect in refit.re_referenced:
-                vec[unresolved[effect]] = math.nan
-            kept.append(vec)
-    failed = B - len(kept)
+        block = slice(start, min(B, start + moments.block))
+        draw = [np.random.default_rng((seed, b)).integers(0, G, size=G) for b in range(B)[block]]
+        views = moments.weighted([np.bincount(d, minlength=G) for d in draw])
+        theta, deficient[block], effects = views.solve(cols)
+        out = draws[block]  # a view of draws, filled by the scatters below
+        out[:, : len(cols)] = theta
+        for effect, (slots, unresolved) in columns.items():
+            out[:, slots] = effects[effect][:, 1:]
+            out[np.ix_(~views.present[effect][:, 0], unresolved)] = math.nan
+    failed = int(deficient.sum())
     if failed > B / 2:
         raise RuntimeError(
             f"block bootstrap aborted: {failed}/{B} replicates were rank deficient "
             f"under scheme {scheme.label} (G={G})"
         )
-    draws = np.array(kept) if kept else np.empty((0, design.p))
-    return BootstrapSample(draws=draws, column_names=design.column_names, scheme=scheme, B=B,
-                           seed=seed, failed_refits=failed, base_fit=base_fit, design=design)
+    return BootstrapSample(draws=draws[~deficient], column_names=design.column_names, scheme=scheme,
+                           B=B, seed=seed, failed_refits=failed, base_fit=base_fit, design=design)
 
 
 @dataclass(frozen=True)
@@ -121,13 +118,6 @@ class PercentileInterval:
     dropped_draws: int
 
 
-def _contrast_values(draws: np.ndarray, contrast: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(contrast)
-    if nz.size == 0:
-        return np.zeros(draws.shape[0])
-    return draws[:, nz] @ contrast[nz]
-
-
 @functools.lru_cache(maxsize=None)
 def min_draws(level: float) -> int:
     """Fewest finite draws that resolve a two-sided ``level`` interval:
@@ -136,6 +126,35 @@ def min_draws(level: float) -> int:
     rounding of 1 - 0.9 would give."""
     check_level(level)
     return max(20, math.ceil(2 / (1 - Fraction(repr(float(level))))))
+
+
+def column_quantiles(values: np.ndarray, qs) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's quantiles ``qs`` over its finite entries, (len(qs),
+    columns) and NaN for a column without any, and the finite counts.  The
+    columns are sorted once, non-finite entries last, and those of one count
+    share an ``np.quantile(axis=0)`` of their finite heads: the same order
+    statistics and interpolation as ``np.quantile`` of one column's finite
+    entries, so the same bits."""
+    finite = np.isfinite(values)
+    counts = finite.sum(axis=0)
+    ordered = np.sort(np.where(finite, values, math.nan), axis=0)
+    out = np.full((len(qs), values.shape[1]), math.nan)
+    for count in np.unique(counts[counts > 0]):
+        cols = counts == count
+        out[:, cols] = np.quantile(ordered[:count, cols], qs, axis=0)
+    return out, counts
+
+
+def interval_qs(levels) -> list[float]:
+    """The lower, median and upper quantile of each two-sided ``level``."""
+    return [q for level in levels for q in (0.5 - level / 2.0, 0.5, 0.5 + level / 2.0)]
+
+
+def check_draws(used: int, level: float) -> None:
+    """Raise unless ``used`` finite draws resolve a ``level`` interval (``min_draws``)."""
+    if used < min_draws(level):
+        raise ValueError(f"B={used} usable draws too small for level {level}; "
+                         f"need at least {min_draws(level)}")
 
 
 def percentile_interval(
@@ -148,23 +167,16 @@ def percentile_interval(
     resolvable; draws where the contrast touches a NaN column are dropped
     and counted.
     """
-    needed = min_draws(level)
     contrast = np.asarray(contrast, dtype=float)
     if contrast.shape != (sample.draws.shape[1],):
         raise ValueError(
             f"contrast length {contrast.shape} does not match {sample.draws.shape[1]} columns"
         )
-    values = _contrast_values(sample.draws, contrast)
-    finite = np.isfinite(values)
-    dropped = int((~finite).sum())
-    values = values[finite]
-    if values.size < needed:
-        raise ValueError(
-            f"B={values.size} usable draws too small for level {level}; need at least {needed}"
-        )
-    lo, med, hi = np.quantile(values, [0.5 - level / 2.0, 0.5, 0.5 + level / 2.0])
-    return PercentileInterval(lower=float(lo), median=float(med), upper=float(hi), level=level,
-                              used_draws=int(values.size), dropped_draws=dropped)
+    values = sample.draws[:, contrast != 0] @ contrast[contrast != 0]
+    quantiles, counts = column_quantiles(values[:, None], interval_qs([level]))
+    used = int(counts[0])
+    check_draws(used, level)
+    return PercentileInterval(*quantiles[:, 0].tolist(), level, used, len(values) - used)
 
 
 @dataclass(frozen=True)
@@ -321,12 +333,7 @@ def first_discernible_year(
         raise ValueError("projections cover different years")
     if outcomes_a.values.shape != outcomes_b.values.shape:
         raise ValueError("projections carry different draw counts")
-    for j, year in enumerate(outcomes_a.years):
-        d = outcomes_a.values[:, j] - outcomes_b.values[:, j]
-        d = d[np.isfinite(d)]
-        if d.size == 0:
-            continue
-        lo, hi = np.quantile(d, [alpha / 2.0, 1.0 - alpha / 2.0])
-        if lo > 0.0 or hi < 0.0:
-            return int(year)
-    return None
+    (lo, hi), counts = column_quantiles(outcomes_a.values - outcomes_b.values,
+                                        [alpha / 2.0, 1.0 - alpha / 2.0])
+    hits = np.flatnonzero((counts > 0) & ((lo > 0.0) | (hi < 0.0)))
+    return int(outcomes_a.years[hits[0]]) if len(hits) else None

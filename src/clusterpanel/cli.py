@@ -12,6 +12,7 @@ home in the library takes its name and default from there.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from dataclasses import MISSING, fields, replace
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .bootstrap import (PercentileInterval, block_bootstrap, build_scenario_path,
-                        first_discernible_year, min_draws, percentile_interval,
+from .bootstrap import (block_bootstrap, build_scenario_path, check_draws, column_quantiles,
+                        first_discernible_year, interval_qs, min_draws,
                         project_scenarios)
 from .modelselect import cv_scan, ic_scan
 from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterScheme, CsvSchema, ModelSpec, TermSpec,
@@ -337,20 +338,17 @@ def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
     scheme = ClusterScheme.parse(boot_cfg["scheme"])
     sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed,
                              **_building(config))
-    intervals = {}
-    for j, (name, label) in enumerate(zip(sample.column_names, sample.base_fit.column_labels)):
-        contrast = np.zeros(len(sample.column_names))
-        contrast[j] = 1.0
-        used = int(np.isfinite(sample.draws[:, j]).sum())
-        # a dummy or the intercept whose level (or reference level) too few
-        # resamples hold is reported unresolved rather than failing the run
-        intervals[name] = {
-            level: PercentileInterval(np.nan, np.nan, np.nan, level, used, len(sample.draws) - used)
-            if label.kind in ("intercept", "dummy") and used < min_draws(level)
-            else percentile_interval(sample, contrast, level)
-            for level in boot_cfg["levels"]
-        }
-    reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", sample, intervals)
+    levels, p = list(dict.fromkeys(boot_cfg["levels"])), len(sample.column_names)
+    bounds, used = column_quantiles(sample.draws, interval_qs(levels))
+    short = used < np.array([min_draws(level) for level in levels], dtype=int)[:, None]
+    # a dummy or the intercept whose level (or reference level) too few
+    # resamples hold is reported unresolved rather than failing the run
+    for j, i in np.argwhere(short.T):
+        if sample.base_fit.column_labels[j].kind not in ("intercept", "dummy"):
+            check_draws(int(used[j]), levels[i])
+    bounds = np.where(short[:, None], np.nan, bounds.reshape(len(levels), 3, p))
+    reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", sample.column_names, levels,
+                                  bounds, used)
     sd = {name: float(s) for name, s in zip(sample.column_names, sample.sd())}
     reports.write_json(out / "bootstrap_summary.json",
                        {"scheme": scheme.label, "b": boot_cfg["b"], "seed": seed,
@@ -403,6 +401,7 @@ HANDLERS = {"fit": cmd_fit, "corr": cmd_corr, "cv": cmd_cv, "ic": cmd_ic,
             "bootstrap": cmd_bootstrap, "project": cmd_project, "simulate": cmd_simulate}
 
 
+@functools.cache  # built once per process: every main call parses with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterpanel", description="Cluster-aware inference for panel regressions.")

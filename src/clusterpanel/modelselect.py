@@ -75,10 +75,11 @@ def _cv_results(
 
     One ``weighted`` call on the design's ``ClusterMoments`` gives every
     training fold as 0/1 cluster weights, and each model solves its columns
-    there, as on a design built for it alone up to rounding.  The fixed
-    effects take the training split's levels: a validation row whose level
-    is unseen in training, or is the training reference, gets no effect, as
-    rebuilt all-zero dummies would give.  Validation errors come from the rows.
+    on all K folds in one call, as on a design built for it alone up to
+    rounding.  The fixed effects take the training split's levels: a
+    validation row whose level is unseen in training, or is the training
+    reference, gets no effect, as rebuilt all-zero dummies would give.
+    Validation errors come from the rows.
     """
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
@@ -88,25 +89,24 @@ def _cv_results(
     if not counts.all():
         raise ValueError(f"empty validation fold {int(np.argmin(counts))}")
     folds = ClusterMoments(design, clusters.row_cluster).weighted(
-        [fold_by_cluster != k for k in range(K)])[::-1]
-    sse, deficient, unseen = np.zeros((len(models), K)), [False] * len(models), 0
+        [fold_by_cluster != k for k in range(K)])
+    fits = [folds.solve(model) for model in models]  # each over all K folds
+    collinear = np.array([fit[1] for fit in fits]).reshape(-1, K)
+    if collinear.any() and not allow_rank_deficient:
+        raise ValueError(f"rank-deficient training design in fold {collinear.any(0).argmax()}")
+    sse, unseen = np.zeros((len(models), K)), 0
     for k in range(K):
-        fold = folds.pop()  # freed, with the row-path refit it may hold, after its models
         va = row_folds == k
         X_va, codes = design.X[va], {e: c[va] for e, c in design.fe_codes.items()}
-        unseen += sum(int((~fold.present[e][c]).sum()) for e, c in codes.items())
-        for m, model in enumerate(models):
-            beta, collinear, effects = fold.solve(model)
-            if collinear and not allow_rank_deficient:
-                raise ValueError(f"rank-deficient training design in fold {k}")
-            deficient[m] |= collinear
+        unseen += sum(int((~folds.present[e][k][c]).sum()) for e, c in codes.items())
+        for m, (model, (beta, _, effects)) in enumerate(zip(models, fits)):
             # np.take copies in C order; the matvec rounds by layout
-            err = design.y[va] - np.take(X_va, model, axis=1) @ beta
+            err = design.y[va] - np.take(X_va, model, axis=1) @ beta[k]
             for effect, values in effects.items():
-                err -= np.nan_to_num(values)[codes[effect]]
+                err -= np.nan_to_num(values[k])[codes[effect]]
             sse[m, k] = err @ err
-    return [CvResult(loss=sum(map(float, e)) / design.n, n_validation=design.n,
-                     unseen_levels=unseen, rank_deficient=flag) for e, flag in zip(sse, deficient)]
+    return [CvResult(loss=sum(map(float, e)) / design.n, n_validation=design.n, unseen_levels=unseen,
+                     rank_deficient=flag) for e, flag in zip(sse, collinear.any(1).tolist())]
 
 
 def cv_loss(

@@ -84,16 +84,21 @@ class CovarianceEstimate:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
 
 
-def _year_gram(C, N_r, N_t, years):
-    """The Gram Ẽ'Ẽ of the kept ``years``' dummies after the region
-    partialling, diag(N_t) - sum_{r != ref} C_r C_r' / N_r with C the
-    weighted (region, year) counts (no rows without a region effect), and
-    the shares C / N_r (0 in the reference region's row and in an absent
-    region's)."""
-    scale = np.divide(1.0, N_r, out=np.zeros(len(N_r)), where=N_r > 0)
-    scale[np.flatnonzero(scale)[:1]] = 0.0  # the reference region is not demeaned
-    root = C * np.sqrt(scale)[:, None]
-    return (np.diag(N_t) - root.T @ root)[np.ix_(years, years)], C * scale[:, None]
+def _year_gram(C, N_r, N_t):
+    """The Gram Ẽ'Ẽ of all year dummies after the region partialling, that is
+    diag(N_t) less sum_{r != ref} C_r C_r' / N_r with C the weighted (region,
+    year) counts (no rows without a region effect), and the shares C / N_r (0
+    in the reference region's row, not demeaned, and in an absent one's)."""
+    scale = np.divide(1.0, N_r, out=np.zeros(N_r.shape), where=N_r > 0)
+    scale[(scale > 0) & (np.cumsum(scale > 0, axis=-1) == 1)] = 0.0
+    root = C * np.sqrt(scale)[..., None]
+    H = N_t[..., None] * np.eye(N_t.shape[-1]) - root.swapaxes(-1, -2) @ root
+    return H, C * scale[..., None]
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x over any leading axes, each product one BLAS matrix-vector call."""
+    return (A @ x[..., None])[..., 0]
 
 
 def _pinv_solve(H: np.ndarray, F: np.ndarray, n: int):
@@ -108,10 +113,9 @@ class _Effects:
     """What a weighted fit on the partialled columns needs to recover the
     absorbed effects, with the row weights' levels:
 
-    - ``present``: per effect, the levels with weight;
-    - ``re_referenced``: the effects whose reference level has none, each
-      re-referenced to its first level with weight, as dummies rebuilt on
-      the rows would be;
+    - ``present``: per effect, the levels with weight; an effect whose
+      reference level has none is re-referenced to its first level with
+      weight, as dummies rebuilt on the rows would be;
     - ``years``: the codes of the year levels that keep a dummy, those with
       weight but the reference;
     - ``means``: [X y]'s weighted region means, 0 for the reference region
@@ -124,25 +128,19 @@ class _Effects:
     An absent effect has no levels, so these are empty.  The year effects of
     coefficients beta on columns ``cols`` are P[:, y] - P[:, cols] beta, and
     the region effects means[:, y] - means[:, cols] beta - shares gamma
-    (Frisch-Waugh-Lovell).
+    (Frisch-Waugh-Lovell), also over a stack of views with the same years.
     """
-
-    def _levels(self, present: dict, k1: int) -> None:
-        self.present = present
-        self.re_referenced = tuple(e for e in present if not present[e][0])
-        self.years = np.flatnonzero(present.get("year", ()))[1:]
-        L, T = (len(present.get(e, ())) for e in ("region", "year"))
-        self.means, self.shares = np.zeros((L, k1)), np.zeros((L, T))
-        self.P, self.null = np.zeros((0, k1)), np.zeros((0, 0))
 
     def effects(self, cols: Sequence[int], beta: np.ndarray, gamma=None) -> dict:
         """Each absorbed effect by level code, NaN for a level without weight
         and 0 for the reference; ``gamma``, the kept years' effects, when
         given, else recovered from ``beta``."""
-        year = np.zeros(self.shares.shape[1])
-        year[self.years] = self.P[:, -1] - self.P[:, cols] @ beta if gamma is None else gamma
-        out = {"region": self.means[:, -1] - self.means[:, cols] @ beta - self.shares @ year}
-        year[~self.present.get("year", np.ones(0, bool))] = math.nan
+        P, M = self.P, self.means
+        year = np.zeros((*np.shape(beta)[:-1], self.shares.shape[-1]))
+        year[..., self.years] = P[..., -1] - _mv(P[..., cols], beta) if gamma is None else gamma
+        out = {"region": M[..., -1] - _mv(M[..., cols], beta) - _mv(self.shares, year)}
+        if "year" in self.present:
+            year[~self.present["year"]] = math.nan
         out["year"] = year
         return {effect: out[effect] for effect in self.present}
 
@@ -174,12 +172,15 @@ class Absorbed(_Effects):
         codes = {effect: code[rows] for effect, code in design.fe_codes.items()}
         counts = {effect: np.bincount(code, w, len(design.fe_levels[effect]))
                   for effect, code in codes.items()}
-        self._levels({effect: N > 0 for effect, N in counts.items()}, Z.shape[1])
+        self.present = present = {effect: N > 0 for effect, N in counts.items()}
+        self.years = np.flatnonzero(present.get("year", ()))[1:]
+        L, T = (len(present.get(e, ())) for e in ("region", "year"))
+        self.means, self.shares = np.zeros((L, Z.shape[1])), np.zeros((L, T))
+        self.P, self.null = np.zeros((0, Z.shape[1])), np.zeros((0, 0))
 
         def sums(code, L):
             return np.column_stack([np.bincount(code, w * z, L) for z in Z.T])
 
-        L, T = self.shares.shape
         if L:
             r = codes["region"]
             with np.errstate(invalid="ignore"):
@@ -189,8 +190,8 @@ class Absorbed(_Effects):
         if T:
             t = codes["year"]
             C = np.bincount(r * T + t, w, L * T).reshape(L, T) if L else np.zeros((0, T))
-            self.H, self.shares = _year_gram(C, counts.get("region", np.zeros(0)), counts["year"],
-                                             self.years)
+            H, self.shares = _year_gram(C, counts.get("region", np.zeros(0)), counts["year"])
+            self.H = H[np.ix_(self.years, self.years)]
             self.P, self.null = _pinv_solve(self.H, sums(t, T)[self.years], len(Z))
             at = np.zeros((T, Z.shape[1]))
             at[self.years] = self.P
@@ -255,10 +256,10 @@ class ClusterMoments:
     subtraction cancels little.  The year block is eliminated from it as in
     ``Absorbed``, its per-year sums F_t = sum_g w_g y_gt less the cells'
     weighted counts times the region means.  The moments are built here; Z
-    is not kept.  ``weighted(W)`` gives each row of W a view with
-    ``Absorbed``'s ``solve`` and levels.  Each entry of the Gram depends on
-    its two columns alone, so a view solves a column subset from a
-    sub-block, as a build on those columns would up to rounding.
+    is not kept.  ``weighted(W)`` stacks the views of the rows of W
+    (``_Views``).  Each entry of the Gram depends on its two columns alone,
+    so a view solves a column subset from a sub-block, as a build on those
+    columns would up to rounding.
     """
 
     def __init__(self, design: DesignMatrix, row_cluster: np.ndarray):
@@ -302,104 +303,124 @@ class ClusterMoments:
             rows = Z[starts[self.sizes == size, None] + np.arange(size)]
             self.grams[self.sizes == size] = (rows.transpose(0, 2, 1) @ rows).reshape(-1, k1 * k1)
 
-    def weighted(self, W) -> list:
-        """One fit view per row of the cluster weights ``W`` (``block`` rows at a
-        time).  Each row's sums are products of their own on C-ordered operands:
-        BLAS rounds a row of a stacked or strided product by the stack."""
-        W = np.asarray(W, dtype=float).reshape(-1, self.G)
-        if self.rows_only:
-            return [Absorbed(self.design, w[self.row_cluster]) for w in W]
-        B, k1, codes = len(W), self.design.X.shape[1] + 1, self.design.fe_codes
-        grams = np.stack([w @ self.grams for w in W]).reshape(B, k1, k1)
-        Wp = np.hstack([W, np.zeros((B, 1))])
-        views = [_Partialled(self, W[i], grams[i]) for i in range(B)]
-        present, N, shift = {}, np.zeros((B, 0)), np.zeros((B, 0, k1))
-        if self.center is not None:
-            Wr = np.take(Wp, self.pair_cluster, axis=1)
-            N = np.einsum("blt,lt->bl", Wr, self.pair_counts)
-            S = np.stack([np.matmul(wr[:, None], self.pair_sums)[:, 0] for wr in Wr])
-            seen = present["region"] = N > 0
-            b, ref = np.arange(B), np.argmax(seen, axis=1)
-            grams -= np.stack([t.T @ t for t in S / np.sqrt(np.where(seen, N, 1.0))[..., None]])
-            # the reference region is not demeaned: its term takes its sum about 0, S + N c
-            raw = (S[b, ref] + N[b, ref, None] * self.center[ref]) / np.sqrt(N[b, ref, None])
-            grams += raw[:, :, None] * raw[:, None, :]
-            with np.errstate(invalid="ignore"):
-                means = self.center + S / N[..., None]
-                shift = np.where(seen[..., None], S / N[..., None], 0.0)  # demeaned Z less centred Z
-            means[b, ref], shift[b, ref] = 0.0, -self.center[ref]
-        if "year" in codes:
-            N_t = np.stack([w @ self.year_counts for w in W])
-            F = np.stack([w @ self.year_sums for w in W]).reshape(B, N_t.shape[1], k1)
-            present["year"] = N_t > 0
-        for i, view in enumerate(views):
-            view._levels({e: present[e][i] for e in codes}, k1)
-            if self.center is not None:
-                view.means = means[i]
-            if "year" in codes:
-                C = Wp[i][self.cell_cluster]
-                view.eliminate_years(C, N[i], N_t[i], F[i] - C.T @ shift[i])
-        return views
+    def weighted(self, W) -> "_Views":
+        """The rows of the cluster weights ``W`` (``block`` at a time) as one stack of views."""
+        return _Views(self, np.asarray(W, dtype=float).reshape(-1, self.G))
 
 
-def _gram_accepted(A: np.ndarray, spread: float, n: int) -> bool:
-    """Whether the equilibrated (unit-diagonal) Gram ``A`` of ``n`` weighted
-    rows, whose squared column norms spread by the ratio ``spread``, is well
-    enough inside full rank to solve the normal equations."""
-    k = len(A)
-    tau = max(_PIVOT_MIN, _RANK_MARGIN * (k * np.finfo(float).eps * n) ** 2 * spread)
+def _gram_accepted(A: np.ndarray, spread, n) -> np.ndarray:
+    """Whether each equilibrated (unit-diagonal) Gram of the stack ``A``, of ``n``
+    weighted rows whose squared column norms spread by the ratio ``spread``, is
+    well inside full rank: one stacked Cholesky, rerun Gram by Gram if it fails."""
+    k = A.shape[-1]
+    tau = np.maximum(_PIVOT_MIN, _RANK_MARGIN * (k * np.finfo(float).eps * n) ** 2 * spread)
+    shifted = A - np.multiply.outer(tau, np.eye(k))
     try:
-        np.linalg.cholesky(A - tau * np.eye(k))
+        np.linalg.cholesky(shifted)
+        return np.ones(shifted.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return A.ndim > 2 and np.array([_gram_accepted(*one) for one in zip(A, spread, n)], bool)
 
 
 def _equilibrated(A: np.ndarray):
-    """(``A`` scaled to a unit diagonal, the square roots of its diagonal,
-    their squares' spread), or None when a diagonal entry is not positive."""
-    d = np.diag(A).copy()
-    if not len(d) or d.min() <= 0.0:
-        return None
-    root = np.sqrt(d)
-    return A / root / root[:, None], root, d.max() / d.min()
+    """Per Gram of the stack ``A``: (it scaled to a unit diagonal, the square roots and
+    the spread of its diagonal, whether that is positive, else the rest is void)."""
+    d = np.diagonal(A, axis1=-2, axis2=-1)
+    fine = (d > 0.0).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(d)
+        return A / root[..., None, :] / root[..., None], root, d.max(-1) / d.min(-1), fine
 
 
-class _Partialled(_Effects):
-    """``ClusterMoments`` under weights ``w``: ``gram`` is [X y]'s partialled
-    Gram, None once the year block fails the acceptance test."""
+class _Views:
+    """``ClusterMoments`` under each row of the cluster weights ``W``: one stack
+    of fit views, ``present`` as ``Absorbed``'s per view.  The Grams are
+    partialled together, the year block per group of views that keep the same
+    years (``groups``: the views, their ``_Effects``).  A view's weighted sums
+    are products of their own, as BLAS rounds a row of a stacked product by the
+    stack, but a stacked matmul or LAPACK call rounds each matrix alone: no
+    number of a view depends on its stack.  A view whose year block fails the
+    acceptance test solves from the rows."""
 
-    def __init__(self, moments: ClusterMoments, w, gram):
-        self.moments, self.w, self.gram = moments, w, gram
-        self.n = int(moments.sizes @ (w > 0))
-
-    def eliminate_years(self, C, N_r, N_t, F) -> None:
-        """Subtract the year block with the per-year sums ``F`` of the
-        region-partialled [X y] from the Gram, or give the view to the rows."""
-        H, self.shares = _year_gram(C, N_r, N_t, self.years)
-        eq = _equilibrated(H)
-        if len(H) and (eq is None or not _gram_accepted(eq[0], eq[2], self.n)):
-            self.gram = None
+    def __init__(self, moments: ClusterMoments, W: np.ndarray):
+        design, B, self.rows = moments.design, len(W), {}
+        self.moments, self.W, self.groups, self.ok = moments, W, [], np.zeros(B, dtype=bool)
+        self.n, k1, codes = (W > 0) @ moments.sizes, design.X.shape[1] + 1, design.fe_codes
+        if moments.rows_only:
+            self.rows = {i: Absorbed(design, w[moments.row_cluster]) for i, w in enumerate(W)}
+            self.present = {e: np.array([r.present[e] for r in self.rows.values()]) for e in codes}
             return
-        self.P, self.null = np.linalg.solve(H, F[self.years]), np.zeros((len(H), 0))
-        self.gram -= F[self.years].T @ self.P
-        self.gram = 0.5 * (self.gram + self.gram.T)
-
-    @functools.cached_property
-    def rows(self) -> Absorbed:
-        """The row path under ``w``, built on first need and shared by every solve."""
-        return Absorbed(self.moments.design, self.w[self.moments.row_cluster])
+        gram = np.stack([w @ moments.grams for w in W]).reshape(B, k1, k1)
+        Wp = np.hstack([W, np.zeros((B, 1))])
+        present, N, means, shift = {}, np.zeros((B, 0)), np.zeros((B, 0, k1)), np.zeros((B, 0, k1))
+        if moments.center is not None:
+            Wr = np.take(Wp, moments.pair_cluster, axis=1)
+            N = np.einsum("blt,lt->bl", Wr, moments.pair_counts)
+            S = np.matmul(Wr[:, :, None], moments.pair_sums)[:, :, 0]
+            seen = present["region"] = N > 0
+            b, ref = np.arange(B), np.argmax(seen, axis=1)
+            root = S / np.sqrt(np.where(seen, N, 1.0))[..., None]
+            gram -= root.swapaxes(1, 2) @ root
+            # the reference region is not demeaned: its term takes its sum about 0, S + N c
+            raw = (S[b, ref] + N[b, ref, None] * moments.center[ref]) / np.sqrt(N[b, ref, None])
+            gram += raw[:, :, None] * raw[:, None, :]
+            with np.errstate(invalid="ignore"):
+                means = moments.center + S / N[..., None]
+                shift = np.where(seen[..., None], S / N[..., None], 0.0)  # demeaned Z less centred Z
+            means[b, ref], shift[b, ref] = 0.0, -moments.center[ref]
+        kept, shares = np.zeros((B, 0), dtype=bool), np.zeros((B, N.shape[1], 0))
+        if "year" in codes:
+            N_t = np.stack([w @ moments.year_counts for w in W])
+            F = np.stack([w @ moments.year_sums for w in W]).reshape(B, N_t.shape[1], k1)
+            present["year"] = N_t > 0
+            # every year with weight but the first, the reference
+            kept = present["year"] & (np.cumsum(present["year"], axis=1) > 1)
+            C = np.take(Wp, moments.cell_cluster, axis=1)
+            H, shares = _year_gram(C, N, N_t)
+            F -= C.swapaxes(1, 2) @ shift
+        self.ok[:], self.present, groups = True, present, {}
+        for i, key in enumerate(kept):
+            groups.setdefault(key.tobytes(), []).append(i)
+        for views in map(np.array, groups.values()):
+            years, P = np.flatnonzero(kept[views[0]]), np.zeros((len(views), 0, k1))
+            if len(years):
+                Hg, Fg = H[views[:, None, None], years[:, None], years], F[views[:, None], years]
+                A, _, spread, fine = _equilibrated(Hg)
+                fine[fine] = _gram_accepted(A[fine], spread[fine], self.n[views[fine]])
+                self.ok[views[~fine]] = False
+                views, P = views[fine], np.linalg.solve(Hg[fine], Fg[fine])
+                gram[views] -= Fg[fine].swapaxes(1, 2) @ P
+            fx, at = _Effects(), slice(None) if len(views) == B else views  # no copy for all
+            fx.present, fx.years = {e: p[at] for e, p in present.items()}, years
+            fx.means, fx.shares, fx.P = means[at], shares[at], P
+            self.groups.append((views, fx))
+        self.gram = 0.5 * (gram + gram.swapaxes(1, 2)) if "year" in codes else gram
 
     def solve(self, cols: Sequence[int]):
-        """``Absorbed.solve``, from the rows unless the Gram is well inside full rank."""
-        cols = list(cols)
-        eq = None if self.gram is None else _equilibrated(self.gram[np.ix_(cols, cols)])
-        if eq is not None:
-            A, root, spread = eq
-            if _gram_accepted(A, spread, max(self.n, len(cols))):
-                theta = np.linalg.solve(A, self.gram[cols, -1] / root) / root
-                return theta, False, self.effects(cols, theta)
-        return self.rows.solve(cols)
+        """``Absorbed.solve`` of every view, stacked over the views.  A view whose
+        Gram is not well inside full rank solves from its rows, built once."""
+        cols, B, design = list(cols), len(self.W), self.moments.design
+        theta, deficient = np.zeros((B, len(cols))), np.zeros(B, dtype=bool)
+        effects = {e: np.zeros((B, len(design.fe_levels[e]))) for e in self.present}
+        solved = self.ok & bool(cols)
+        if solved.any():
+            gram = self.gram[solved]
+            A, root, spread, fine = _equilibrated(gram[:, np.array(cols)[:, None], cols])
+            fine[fine] = _gram_accepted(A[fine], spread[fine],
+                                        np.maximum(self.n[solved][fine], len(cols)))
+            solved[solved], root = fine, root[fine]
+            rhs = gram[fine][:, cols, -1] / root
+            theta[solved] = np.linalg.solve(A[fine], rhs[..., None])[..., 0] / root
+            for members, fx in self.groups:
+                for effect, values in fx.effects(cols, theta[members]).items():
+                    effects[effect][members] = values
+        for i in np.flatnonzero(~solved):
+            if i not in self.rows:
+                self.rows[i] = Absorbed(design, self.W[i][self.moments.row_cluster])
+            theta[i], deficient[i], fixed = self.rows[i].solve(cols)
+            for effect, values in fixed.items():
+                effects[effect][i] = values
+        return theta, deficient, effects
 
 
 def _pivoted_triangle(T: np.ndarray):

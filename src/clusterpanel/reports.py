@@ -13,13 +13,14 @@ import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 # libyaml's safe classes when PyYAML has them: the same documents, several times faster
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-from .bootstrap import BootstrapSample, PercentileInterval, Projection
+from .bootstrap import Projection, column_quantiles, interval_qs
 from .modelselect import ICScanResult
 from .regression import CovarianceEstimate, FitResult, ResponseCurve, confidence_intervals
 from .residcorr import CorrelationSummary
@@ -135,13 +136,13 @@ def write_ic_scan(path, scan: ICScanResult, scheme_label: str) -> None:
 
 
 def write_bootstrap_table(
-    path, sample: BootstrapSample, intervals: Mapping[str, Mapping[float, PercentileInterval]]
+    path, names: Sequence[str], levels: Sequence[float], bounds: np.ndarray, used: np.ndarray
 ) -> None:
-    rows = []
-    for name in sample.column_names:
-        for level, iv in intervals[name].items():
-            rows.append([name, level, iv.lower, iv.median, iv.upper, iv.used_draws])
-    write_csv(path, ["label", "level", "lower", "median", "upper", "used_draws"], rows)
+    """One row per column and level; ``bounds`` is (levels, lower/median/upper, columns)."""
+    per_column = np.moveaxis(bounds, -1, 0).tolist()
+    write_csv(path, ["label", "level", "lower", "median", "upper", "used_draws"],
+              [[name, level, *bound, n] for name, column, n in zip(names, per_column, used.tolist())
+               for level, bound in zip(levels, column)])
 
 
 def write_projections(
@@ -149,19 +150,15 @@ def write_projections(
     projections: Sequence[Projection],
     levels: Sequence[float],
 ) -> None:
-    import numpy as np
-
     rows = []
     for proj in projections:
-        for j, year in enumerate(proj.years):
-            draws = proj.values[:, j]
-            draws = draws[np.isfinite(draws)]
-            if draws.size == 0:
-                raise ValueError(f"no finite projection draws for {proj.label!r} in {year}")
-            med = float(np.quantile(draws, 0.5))
-            for level in levels:
-                lo, hi = np.quantile(draws, [0.5 - level / 2.0, 0.5 + level / 2.0])
-                rows.append([proj.label, year, level, med, float(lo), float(hi)])
+        quantiles, counts = column_quantiles(proj.values, interval_qs(levels))
+        if not counts.all():
+            year = proj.years[int(np.argmin(counts))]
+            raise ValueError(f"no finite projection draws for {proj.label!r} in {year}")
+        cells = quantiles.T.reshape(len(proj.years), len(levels), 3).tolist()
+        rows += [[proj.label, year, level, med, lo, hi] for year, column in zip(proj.years, cells)
+                 for level, (lo, med, hi) in zip(levels, column)]
     write_csv(path, ["scenario", "year", "level", "median", "lower", "upper"], rows)
 
 

@@ -634,14 +634,15 @@ def test_cluster_moments_solve_like_the_row_path(scheme, effects, row_refits):
     # bootstrap multiplicities, and training folds of 0/1 weights
     W = _replicate_weights(G, 60, 9) + [np.arange(G) % 3 != k for k in range(3)]
     cols = range(design.X.shape[1])
+    views = moments.weighted(W)
+    solved = views.solve(cols)
     betas, fixed, deficient = [], [], 0
-    for w, view in zip(W, moments.weighted(W)):
+    for i, w in enumerate(W):
         rows = Absorbed(design, np.asarray(w)[clusters.row_cluster])
-        assert view.re_referenced == rows.re_referenced
-        assert (view.years == rows.years).all()
+        assert tuple(views.present) == tuple(rows.present) == effects
         for effect, present in rows.present.items():
-            assert (view.present[effect] == present).all()
-        got, want = view.solve(cols), rows.solve(cols)
+            assert (views.present[effect][i] == present).all()
+        got, want = (solved[0][i], solved[1][i], solved[2]), rows.solve(cols)
         assert got[1] == want[1]
         if want[1]:
             deficient += 1
@@ -649,7 +650,8 @@ def test_cluster_moments_solve_like_the_row_path(scheme, effects, row_refits):
         betas.append((got[0], want[0]))
         assert tuple(got[2]) == tuple(want[2]) == effects
         if effects:  # the region effects, then the year effects, by level
-            fixed.append([np.concatenate(list(e.values())) for e in (got[2], want[2])])
+            fixed.append([np.concatenate([e[i] for e in got[2].values()]),
+                          np.concatenate(list(want[2].values()))])
     _column_close([b[0] for b in betas], [b[1] for b in betas])
     if fixed:
         _column_close([f[0] for f in fixed], [f[1] for f in fixed])
@@ -657,11 +659,10 @@ def test_cluster_moments_solve_like_the_row_path(scheme, effects, row_refits):
     assert len(row_refits) == deficient
     # with both effects, the cases hold absent levels, re-referenced years
     # and failed refits
-    views = moments.weighted(W)
     if "region" in effects:
-        assert any(not p.all() for v in views for p in v.present.values())
+        assert any((~p).any() for p in views.present.values())
     if scheme == YEAR and effects:
-        assert any("year" in v.re_referenced for v in views)
+        assert (~views.present["year"][:, 0]).any()
     if scheme == REGION and "region" in effects:
         assert deficient > 0
 
@@ -679,9 +680,11 @@ def _row_replicate(b, seed, design, clusters):
     vec[: len(theta)] = theta
     for effect, values in effects.items():
         vec[list(design.fe_slots[effect])] = values[1:]
-    if refit.re_referenced:
+    # an effect without weight at its reference level is re-referenced
+    re_referenced = [effect for effect, present in refit.present.items() if not present[0]]
+    if re_referenced:
         vec[[j for j, lab in enumerate(design.column_labels)
-             if lab.effect in refit.re_referenced or lab.kind == "intercept"]] = math.nan
+             if lab.effect in re_referenced or lab.kind == "intercept"]] = math.nan
     return vec
 
 
@@ -720,14 +723,67 @@ def test_near_collinear_design_takes_the_row_path(row_refits):
     clusters = assign_clusters(design, COUNTRY_YEAR)
     W = _replicate_weights(clusters.n_clusters, 5, 1)
     cols = range(design.X.shape[1])
-    for w, view in zip(W, ClusterMoments(design, clusters.row_cluster).weighted(W)):
-        got = view.solve(cols)
+    theta, deficient, effects = ClusterMoments(design, clusters.row_cluster).weighted(W).solve(cols)
+    assert not deficient.any()  # full rank, not a failed refit
+    for i, w in enumerate(W):
         want = Absorbed(design, w[clusters.row_cluster]).solve(cols)
-        assert not got[1]  # full rank, not a failed refit
-        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(theta[i], want[0])
         for effect in ("region", "year"):
-            np.testing.assert_array_equal(got[2][effect], want[2][effect])
+            np.testing.assert_array_equal(effects[effect][i], want[2][effect])
     assert len(row_refits) == len(W)
+
+
+def _near_collinear_gappy_panel():
+    """The gappy panel's rows with ``w`` = x + 1e-5 noise except in 2011,
+    where ``w`` is drawn on its own: a year resample without 2011 is full
+    rank but inside the Gram's acceptance margin, one with it is not."""
+    gen = np.random.default_rng(12)
+    records = []
+    for i in range(14):
+        for t in range(12):
+            if (i % 5 == 2 and t < 1 + i % 4) or (i % 4 == 3 and t in (6, 7)):
+                continue
+            x = float(gen.standard_normal())
+            w = float(gen.standard_normal()) if t == 11 else x + 1e-5 * float(gen.standard_normal())
+            records.append(obs(f"R{i:02d}", f"C{i % 4}", 2000 + t,
+                               x + 0.1 * i + float(gen.standard_normal()), {"x": x, "w": w}))
+    return panel_from(records, predictor_names=("x", "w"))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_stacked_views_do_not_depend_on_their_stack(monkeypatch, row_refits):
+    # year resamples of a gappy panel keep different year sets, so a stack
+    # eliminates several year blocks, and the replicates without 2011 fail
+    # the Gram's acceptance inside a stack of replicates that pass it
+    ds = _near_collinear_gappy_panel()
+    spec = ModelSpec(terms=(TermSpec("x", differenced=False), TermSpec("w", differenced=False)),
+                     fixed_effects=("region", "year"))
+    design = build_design(ds, spec)
+    clusters = assign_clusters(design, YEAR)
+    moments = ClusterMoments(design, clusters.row_cluster)
+    B, seed, cols = 40, 3, range(design.X.shape[1])
+    assert moments.block >= B  # one stack holds every replicate
+    W = _replicate_weights(clusters.n_clusters, B, seed)
+    stacked = moments.weighted(W)
+    assert len(stacked.groups) > 5
+    theta, deficient, effects = stacked.solve(cols)
+    assert 0 < len(row_refits) < B and not deficient.any()
+    alone = [moments.weighted(W[i:i + 1]).solve(cols) for i in range(B)]
+    reversed_ = moments.weighted(W[::-1]).solve(cols)
+    for i, (one_theta, one_deficient, one_effects) in enumerate(alone):
+        np.testing.assert_array_equal(theta[i], one_theta[0])
+        np.testing.assert_array_equal(theta[i], reversed_[0][B - 1 - i])
+        for effect, values in effects.items():
+            np.testing.assert_array_equal(values[i], one_effects[effect][0])
+            np.testing.assert_array_equal(values[i], reversed_[2][effect][B - 1 - i])
+    # the draws: the same bits in one stack and one replicate per stack, and
+    # the row path's to 1e-10
+    whole = block_bootstrap(ds, spec, YEAR, B, seed)
+    monkeypatch.setattr(regression, "_BLOCK_FLOATS", 1)
+    single = block_bootstrap(ds, spec, YEAR, B, seed)
+    np.testing.assert_array_equal(whole.draws, single.draws)
+    rows = [_row_replicate(b, seed, design, clusters) for b in range(B)]
+    _column_close(whole.draws, np.array([v for v in rows if v is not None]))
 
 
 def _row_cv(design, scheme, K, seed, models):

@@ -7,7 +7,9 @@ from clusterpanel.bootstrap import (
     BootstrapSample,
     block_bootstrap,
     build_scenario_path,
+    column_quantiles,
     first_discernible_year,
+    interval_qs,
     min_draws,
     percentile_interval,
     project_scenarios,
@@ -203,6 +205,59 @@ def test_nan_draws_dropped_and_counted(rng):
     assert iv2.dropped_draws == 0 and iv2.used_draws == 40
 
 
+def _ragged_draws(rng, B=60):
+    """Draws whose columns hold 0, 5 (below ``min_draws``), 19, 20, 37, 37,
+    60 and 44 finite entries, NaN and +-inf elsewhere, in shuffled rows."""
+    counts = (0, 5, 19, 20, 37, 37, 60, 44)
+    draws = rng.standard_normal((B, len(counts))) * 10.0 ** rng.integers(-3, 4, len(counts))
+    for j, count in enumerate(counts):
+        missing = rng.permutation(B)[count:]
+        draws[missing, j] = rng.choice([math.nan, math.inf, -math.inf], len(missing))
+    draws[:, -1] = np.round(draws[:, -1], 1)  # ties among the order statistics
+    return draws
+
+
+def _per_column_quantiles(draws, qs):
+    """The oracle: ``np.quantile`` of each column's finite draws alone."""
+    out = np.full((len(qs), draws.shape[1]), math.nan)
+    for j in range(draws.shape[1]):
+        finite = draws[np.isfinite(draws[:, j]), j]
+        if finite.size:
+            out[:, j] = np.quantile(finite, qs)
+    return out
+
+
+def test_column_quantiles_are_bit_identical_to_per_column_quantiles(rng):
+    draws = _ragged_draws(rng)
+    for qs in (interval_qs([0.9, 0.5, 0.99]), [0.025, 0.975], [0.5], []):
+        got, counts = column_quantiles(draws, qs)
+        np.testing.assert_array_equal(got, _per_column_quantiles(draws, qs))
+        np.testing.assert_array_equal(counts, np.isfinite(draws).sum(axis=0))
+
+
+def test_sd_is_bit_identical_to_per_column_nanstd(rng):
+    draws = _ragged_draws(rng)
+    draws[~np.isfinite(draws)] = math.nan  # block_bootstrap leaves NaN, not inf
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
+        want = [np.nanstd(draws[:, j], ddof=1) for j in range(draws.shape[1])]
+    with pytest.warns(RuntimeWarning, match="Degrees of freedom"):  # the all-NaN column
+        got = _sample_from(draws).sd()
+    np.testing.assert_array_equal(got, want)
+
+
+def test_percentile_interval_is_bit_identical_to_per_column_quantile(rng):
+    draws = _ragged_draws(rng)
+    sample = _sample_from(draws)
+    for j in range(3, draws.shape[1]):
+        iv = percentile_interval(sample, np.eye(draws.shape[1])[j], level=0.9)
+        want = _per_column_quantiles(draws[:, [j]], interval_qs([0.9]))[:, 0]
+        np.testing.assert_array_equal([iv.lower, iv.median, iv.upper], want)
+        assert (iv.used_draws, iv.dropped_draws) == (np.isfinite(draws[:, j]).sum(),
+                                                     (~np.isfinite(draws[:, j])).sum())
+    with pytest.raises(ValueError, match="B=19 usable draws too small for level 0.9; need at "):
+        percentile_interval(sample, np.eye(draws.shape[1])[2], level=0.9)
+
+
 def test_contrast_shape_checked(rng):
     sample = _sample_from(rng.standard_normal((25, 2)))
     with pytest.raises(ValueError, match="contrast"):
@@ -302,6 +357,30 @@ def test_weighted_aggregation(rng):
 
 def _proj(values, years, label="p"):
     return Projection(label=label, years=tuple(years), values=np.asarray(values, float))
+
+
+def test_first_discernible_year_matches_per_year_oracle(rng):
+    def oracle(a, b, alpha):
+        for j, year in enumerate(a.years):
+            d = a.values[:, j] - b.values[:, j]
+            d = d[np.isfinite(d)]
+            if d.size:
+                lo, hi = np.quantile(d, [alpha / 2.0, 1.0 - alpha / 2.0])
+                if lo > 0.0 or hi < 0.0:
+                    return year
+        return None
+
+    years = range(2030, 2038)
+    found = set()
+    for trial in range(40):
+        # projections leave NaN, not inf, where a draw is missing
+        a, b = (np.where(np.isfinite(d), d, math.nan) for d in (_ragged_draws(rng), _ragged_draws(rng)))
+        a += np.linspace(-1.0, 3.0, 8) * rng.uniform(0.0, 2.0)
+        for alpha in (0.05, 0.5):
+            want = oracle(_proj(a, years), _proj(b, years), alpha)
+            assert first_discernible_year(_proj(a, years), _proj(b, years), alpha) == want
+            found.add(want)
+    assert None in found and len(found) > 2
 
 
 def test_identical_scenarios_never_discernible(rng):

@@ -1,8 +1,11 @@
 import csv
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -10,7 +13,8 @@ import numpy as np
 import pytest
 import yaml
 
-from clusterpanel import cli
+from clusterpanel import cli, reports
+from clusterpanel.bootstrap import min_draws
 from clusterpanel.cli import COMMANDS, main
 from clusterpanel.panel import PanelDataset, save_csv
 from clusterpanel.simstudy import DgpConfig, generate_panel
@@ -103,6 +107,87 @@ def test_seed_override_changes_resampling(tmp_path):
     assert (a / "bootstrap_coefficients.csv").read_bytes() != (b / "bootstrap_coefficients.csv").read_bytes()
     manifest = yaml.safe_load((b / "manifest.yaml").read_text())
     assert manifest["seed"] == 99
+
+
+def test_parser_is_built_once_and_each_call_resolves_its_own_seed(tmp_path, capsys):
+    # the parser is cached for the process: a flag given to one call must
+    # not leak into the next, and usage errors still exit 2
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("simulate", "--config", SAMPLE_CONFIG, "--out", str(a), "--seed", "5") == 0
+    assert run("simulate", "--config", SAMPLE_CONFIG, "--out", str(b)) == 0
+    assert yaml.safe_load((a / "manifest.yaml").read_text())["seed"] == 5
+    assert yaml.safe_load((b / "manifest.yaml").read_text())["seed"] == 11  # the config's
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--seed", "5")
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def _crafted_draws(monkeypatch, edit):
+    """Make ``cmd_bootstrap`` read out the sample bootstrap with its draws
+    edited by ``edit(draws, column kinds)``; the edited samples are listed."""
+    real, made = cli.block_bootstrap, []
+
+    def crafted(*args, **kwargs):
+        sample = real(*args, **kwargs)
+        draws = np.array(sample.draws)
+        edit(draws, [lab.kind for lab in sample.base_fit.column_labels])
+        made.append(replace(sample, draws=draws))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "block_bootstrap", crafted)
+    return made
+
+
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning")  # the all-NaN sd
+def test_bootstrap_table_matches_the_per_column_read_out(tmp_path, monkeypatch):
+    # the oracle is the per-column read-out: np.quantile and np.nanstd of a
+    # column's finite draws; an intercept or dummy column with fewer than
+    # min_draws of them is unresolved (NA interval, draws still counted)
+    def edit(draws, kinds):
+        dummies = [j for j, kind in enumerate(kinds) if kind == "dummy"]
+        draws[:, kinds.index("intercept")] = math.nan
+        draws[5:, dummies[0]] = math.nan
+        draws[::3, dummies[1]] = math.nan
+        draws[:9, kinds.index("base")] = math.nan
+        draws[:, dummies[2]] = np.round(draws[:, dummies[2]], 2)  # tied order statistics
+
+    made = _crafted_draws(monkeypatch, edit)
+    config = yaml.safe_load((ROOT / SAMPLE_CONFIG).read_text())
+    config["bootstrap"]["levels"] = [0.9, 0.5, 0.9]
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "boot"
+    assert run("bootstrap", "--config", str(cfg_path), "--out", str(out)) == 0
+    (sample,) = made
+    kinds = [lab.kind for lab in sample.base_fit.column_labels]
+    want, sd = [], {}
+    for j, name in enumerate(sample.column_names):
+        finite = sample.draws[np.isfinite(sample.draws[:, j]), j]
+        for level in (0.9, 0.5):
+            bounds = np.quantile(finite, [0.5 - level / 2, 0.5, 0.5 + level / 2]) \
+                if finite.size >= min_draws(level) else [math.nan] * 3
+            want.append([name, str(level), *map(reports.fmt, bounds), str(finite.size)])
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sd[name] = float(np.nanstd(sample.draws[:, j], ddof=1))
+        assert finite.size >= min_draws(0.9) or kinds[j] in ("intercept", "dummy")
+    with open(out / "bootstrap_coefficients.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == want
+    summary = json.loads((out / "bootstrap_summary.json").read_text())
+    assert summary["sd"] == {k: None if math.isnan(v) else v for k, v in sd.items()}
+    assert any(row[2] == "NA" for row in want) and any(row[5] == "5" for row in want)
+
+
+def test_bootstrap_term_column_below_min_draws_fails(tmp_path, monkeypatch, capsys):
+    def edit(draws, kinds):
+        draws[:, kinds.index("dummy")] = math.nan  # unresolved, not an error
+        draws[19:, [j for j, kind in enumerate(kinds) if kind == "base"][1]] = math.nan
+
+    _crafted_draws(monkeypatch, edit)
+    assert run("bootstrap", "--config", SAMPLE_CONFIG, "--out", str(tmp_path / "boot")) == 1
+    assert "B=19 usable draws too small for level 0.9; need at least 20" in capsys.readouterr().err
 
 
 def test_threads_flag_does_not_change_outputs(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import yaml
 
 from clusterpanel import reports
+from clusterpanel.bootstrap import Projection
 from clusterpanel.panel import REGION, ColumnLabel
 from clusterpanel.regression import CovarianceEstimate, FitResult
 from clusterpanel.reports import (
@@ -120,3 +122,27 @@ def test_libyaml_reads_and_writes_like_the_safe_classes(tmp_path):
         assert written.read_bytes() == path.read_bytes()
         safe = yaml.dump(payload, Dumper=yaml.SafeDumper, sort_keys=True, default_flow_style=False)
         assert safe == path.read_text()
+
+
+def test_write_projections_matches_per_year_quantiles(tmp_path):
+    # the oracle: np.quantile of each year's finite draws alone, the median
+    # once and each level's bounds; ragged NaN columns and tied values
+    rng = np.random.default_rng(4)
+    values = np.round(rng.standard_normal((50, 6)), 1)
+    for j, missing in enumerate((0, 1, 17, 30, 49, 25)):
+        values[rng.permutation(50)[:missing], j] = np.nan
+    proj = Projection(label="low", years=tuple(range(2040, 2046)), values=values)
+    levels = [0.9, 0.5]
+    reports.write_projections(tmp_path / "p.csv", [proj], levels)
+    want = []
+    for j, year in enumerate(proj.years):
+        draws = values[np.isfinite(values[:, j]), j]
+        med = float(np.quantile(draws, 0.5))
+        for level in levels:
+            lo, hi = np.quantile(draws, [0.5 - level / 2.0, 0.5 + level / 2.0])
+            want.append(",".join(["low", str(year), fmt(level), fmt(med), fmt(lo), fmt(hi)]))
+    assert (tmp_path / "p.csv").read_text().splitlines()[1:] == want
+    values = values.copy()
+    values[:, 3] = np.nan
+    with pytest.raises(ValueError, match="no finite projection draws for 'low' in 2043"):
+        reports.write_projections(tmp_path / "q.csv", [proj, replace(proj, values=values)], levels)
