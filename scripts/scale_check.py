@@ -35,7 +35,8 @@ case where the year effect carries most of the variance: over the intercept
 and term columns ("terms") and over the region and year effects ("effects").
 
 It also times ``coverage_study`` for 1000 replications of 10x10 and of
-100x30, on the benchmark's montecarlo design (schemes region and year).
+100x30, on the benchmark's montecarlo design (schemes region and year), each
+figure the median of COLD_RUNS studies.
 Last, it times the cold start of a command on the ``--src`` tree, each
 figure the median of COLD_RUNS fresh interpreters:
 
@@ -275,10 +276,12 @@ def trending_agreement(cp):
 
 
 def simulate(cp, regions, years, reps):
-    """Seconds of one coverage study on the benchmark's montecarlo design."""
+    """Median seconds of COLD_RUNS coverage studies on the benchmark's montecarlo design."""
     cfg = cp.DgpConfig(n_regions=regions, n_years=years, predictor_shared_weight=0.75,
                        predictor_spatial_weight=0.15, noise_shared_weight=0.9)
-    return _timed(lambda: cp.coverage_study(cfg, [cp.REGION, cp.YEAR], reps=reps, seed=0))[0]
+    return statistics.median(
+        _timed(lambda: cp.coverage_study(cfg, [cp.REGION, cp.YEAR], reps=reps, seed=0))[0]
+        for _ in range(COLD_RUNS))
 
 
 def cold_start(src):
@@ -387,6 +390,7 @@ def main(argv=None):
                        "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "
                        f"{COLD_RUNS} uncached calls, bootstrap_readout_s (year scheme, "
                        f"B={READOUT_B}) the median of {READOUT_RUNS} read-outs, "
+                       f"coverage_study_s the median of {COLD_RUNS} studies, "
                        "trending_agreement a relative deviation (no unit), "
                        "every other figure is a single run; each "
                        "<stage>_peak_mb is the tracemalloc peak of one more call of the stage, "

@@ -52,9 +52,14 @@ class BootstrapSample:
 
     def sd(self) -> np.ndarray:
         """Column-wise standard deviation over finite draws, as ``nanstd``
-        of each column alone: a contiguous reduction per row of the transpose."""
+        of each column alone: a contiguous reduction per row of the transpose.
+        NaN, without numpy's degrees-of-freedom warning, below 2 finite draws."""
+        columns = np.ascontiguousarray(self.draws.T)
+        usable = (~np.isnan(columns)).sum(axis=1) > 1
+        sd = np.full(len(columns), math.nan)
         with np.errstate(invalid="ignore"):
-            return np.nanstd(np.ascontiguousarray(self.draws.T), axis=1, ddof=1)
+            sd[usable] = np.nanstd(columns[usable], axis=1, ddof=1)
+        return sd
 
 
 def block_bootstrap(

@@ -7,10 +7,10 @@ L cell.  Defaults: predictor shared within region (high temporal, low
 spatial correlation), noise shared within year (high spatial, low temporal
 correlation).
 
-The studies run every replication through one batched kernel: replication
-``rep`` draws the fields of ``generate_panel(config, (seed, rep))``, blocks of
-replications are fitted in closed form at once, and each scheme's sandwich
-sums scores over rows sorted by the clusters of one template panel.
+The studies run every replication through one batched kernel: a block of
+replications gets its fields from one draw call each, those of
+``generate_panel(config, (seed, rep))``, is fitted in closed form at once, and
+each scheme's sandwich sums scores over rows sorted by one panel's clusters.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ class DgpConfig:
             raise ValueError(
                 "predictor_spatial_weight duplicates a 'year' predictor_sharing component"
             )
+        for name in ("beta_true", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_scale <= 0:
             raise ValueError(f"noise_scale must be positive, got {self.noise_scale}")
         if self.countries is not None and not 1 <= self.countries <= self.n_regions:
@@ -93,28 +96,31 @@ class DgpConfig:
         return self.countries if self.countries is not None else 1
 
 
-def _shared_field(rng, sharing, config, country_of):
-    """Draw a shared component, broadcastable to an (n_regions, n_years) field."""
-    if sharing == "region":
-        return rng.standard_normal(config.n_regions)[:, None]
-    if sharing == "year":
-        return rng.standard_normal(config.n_years)
-    return rng.standard_normal((config.n_countries, config.n_years))[country_of]
+def _draw_fields(config: DgpConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as (len(seeds), n_regions, n_years) grids, one per seed.
 
-
-def _fields(config: DgpConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as (n_regions, n_years) grids drawn from ``rng`` in a fixed
-    order: shared_x, optional spatial_x, idio_x, shared_e, idio_e."""
-    R, T = config.n_regions, config.n_years
-    country_of = np.arange(R) * config.n_countries // R  # contiguous country blocks
+    Each seed's generator fills its row of the draws in one call, laid out in
+    the fixed order shared_x, optional spatial_x, idio_x, shared_e, idio_e;
+    one call of m normals gives the values of consecutive calls summing to m.
+    """
+    R, T, C = config.n_regions, config.n_years, config.n_countries
     wx, wxs = config.predictor_shared_weight, config.predictor_spatial_weight
     we = config.noise_shared_weight
-    shared_x = _shared_field(rng, config.predictor_sharing, config, country_of)
-    spatial_x = _shared_field(rng, "year", config, country_of) if wxs > 0.0 else 0.0
-    idio_x = rng.standard_normal((R, T))
+    shapes = {"region": (R, 1), "year": (1, T), "country_year": (C, T), "idio": (R, T)}
+    spatial = ["year"] if wxs > 0.0 else []
+    order = [config.predictor_sharing, *spatial, "idio", config.noise_sharing, "idio"]
+    sizes = [math.prod(shapes[part]) for part in order]
+    draws = np.empty((len(seeds), sum(sizes)))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    rows = {"country_year": np.arange(R) * C // R}  # contiguous country blocks
+    fields = iter(block.reshape(-1, *shapes[part])[:, rows.get(part, slice(None))]
+                  for block, part in zip(np.split(draws, np.cumsum(sizes)[:-1], axis=1), order))
+    shared_x = next(fields)
+    spatial_x = next(fields) if wxs > 0.0 else 0.0
+    idio_x = next(fields)
     x = math.sqrt(wx) * shared_x + math.sqrt(wxs) * spatial_x + math.sqrt(1.0 - wx - wxs) * idio_x
-    shared_e = _shared_field(rng, config.noise_sharing, config, country_of)
-    idio_e = rng.standard_normal((R, T))
+    shared_e, idio_e = fields
     e = config.noise_scale * (math.sqrt(we) * shared_e + math.sqrt(1.0 - we) * idio_e)
     return x, config.beta_true * x + e
 
@@ -152,7 +158,8 @@ def generate_panel(config: DgpConfig, seed) -> PanelDataset:
     Draw order is fixed (shared_x, optional spatial_x, idio_x, shared_e,
     idio_e) so results are reproducible from (config, seed).
     """
-    return _dataset(config, *_fields(config, np.random.default_rng(seed)))
+    x, y = _draw_fields(config, [seed])
+    return _dataset(config, x[0], y[0])
 
 
 # panel cells (replications x rows) fitted at once, one replication at
@@ -190,8 +197,7 @@ def _slope_sandwiches(config: DgpConfig, seed: int, reps: int, assignments, corr
     a variance is the sum over clusters of (sum_i a_i r_i)^2, times
     G/(G-1) (n-1)/(n-2) under CR1.
     """
-    R, T = config.n_regions, config.n_years
-    n = R * T
+    n = config.n_regions * config.n_years
     slope = np.full(reps, math.nan)
     variances = np.full((len(assignments), reps, 2), math.nan)
     sorted_rows = [(np.argsort(c.row_cluster, kind="stable"), np.cumsum(c.sizes) - c.sizes)
@@ -199,9 +205,7 @@ def _slope_sandwiches(config: DgpConfig, seed: int, reps: int, assignments, corr
     block = max(1, _BLOCK_CELLS // n)
     for start in range(0, reps, block):
         stop = min(reps, start + block)
-        x, y = np.empty((2, stop - start, R, T))
-        for i, rep in enumerate(range(start, stop)):
-            x[i], y[i] = _fields(config, np.random.default_rng((seed, rep)))
+        x, y = _draw_fields(config, [(seed, rep) for rep in range(start, stop)])
         x, y = x.reshape(-1, n), y.reshape(-1, n)
         xbar = x.mean(axis=1, keepdims=True)
         xc, yc = x - xbar, y - y.mean(axis=1, keepdims=True)

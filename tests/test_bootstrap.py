@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,11 +239,14 @@ def test_column_quantiles_are_bit_identical_to_per_column_quantiles(rng):
 def test_sd_is_bit_identical_to_per_column_nanstd(rng):
     draws = _ragged_draws(rng)
     draws[~np.isfinite(draws)] = math.nan  # block_bootstrap leaves NaN, not inf
+    draws[:, 1], draws[7, 1] = math.nan, 2.5  # one finite draw
     with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
         want = [np.nanstd(draws[:, j], ddof=1) for j in range(draws.shape[1])]
-    with pytest.warns(RuntimeWarning, match="Degrees of freedom"):  # the all-NaN column
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # none for the columns of 0 and 1 finite draws
         got = _sample_from(draws).sd()
     np.testing.assert_array_equal(got, want)
+    assert np.isnan(got[:2]).all() and np.isfinite(got[2:]).all()
 
 
 def test_percentile_interval_is_bit_identical_to_per_column_quantile(rng):

@@ -140,7 +140,6 @@ def _crafted_draws(monkeypatch, edit):
     return made
 
 
-@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning")  # the all-NaN sd
 def test_bootstrap_table_matches_the_per_column_read_out(tmp_path, monkeypatch):
     # the oracle is the per-column read-out: np.quantile and np.nanstd of a
     # column's finite draws; an intercept or dummy column with fewer than
@@ -474,6 +473,9 @@ DROP = object()  # a change that removes the key
     [
         ("simulate", {"level": 1.5}, "level must be in (0, 1), got 1.5"),
         ("simulate", {"correction": "CR2"}, "unknown correction 'CR2'; use 'CR0' or 'CR1'"),
+        ("simulate", {"noise_scale": math.nan}, "noise_scale must be finite, got nan"),
+        ("simulate", {"noise_scale": math.inf}, "noise_scale must be finite, got inf"),
+        ("simulate", {"beta_true": math.nan}, "beta_true must be finite, got nan"),
         ("simulate", {"scheme": "year"},
          "key 'scheme' in section 'simulate' does not apply to study 'coverage'"),
         ("simulate", {"study": "bias", "noise_shared_weight": 0.0, "reps": 500, "level": DROP},
@@ -488,7 +490,8 @@ DROP = object()  # a change that removes the key
          "bad 'b' in section 'bootstrap': invalid literal for int() with base 10: 'many'"),
         ("bootstrap", {"scheme": None}, "bad 'scheme' in section 'bootstrap': it may not be null"),
     ],
-    ids=["simulate_level", "simulate_correction", "scheme_on_coverage", "schemes_on_bias",
+    ids=["simulate_level", "simulate_correction", "nan_noise_scale", "inf_noise_scale",
+         "nan_beta_true", "scheme_on_coverage", "schemes_on_bias",
          "project_levels", "weights_with_mean", "weighted_without_weights",
          "weight_without_rows", "bad_int", "null"],
 )

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -41,6 +42,10 @@ def test_config_validation():
         DgpConfig(n_regions=5, n_years=5, noise_shared_weight=1.5)
     with pytest.raises(ValueError, match="noise_scale"):
         DgpConfig(n_regions=5, n_years=5, noise_scale=0.0)
+    for name in ("noise_scale", "beta_true"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+                DgpConfig(n_regions=5, n_years=5, **{name: value})
     with pytest.raises(ValueError, match="countries"):
         DgpConfig(n_regions=5, n_years=5, countries=9)
     with pytest.raises(ValueError, match="sharing"):
@@ -108,6 +113,93 @@ def test_generator_deterministic():
     assert a.predictors["x"].tobytes() == b.predictors["x"].tobytes()
 
 
+def _shared_field(rng, sharing, config, country_of):
+    """Draw a shared component, broadcastable to an (n_regions, n_years) field."""
+    if sharing == "region":
+        return rng.standard_normal(config.n_regions)[:, None]
+    if sharing == "year":
+        return rng.standard_normal(config.n_years)
+    return rng.standard_normal((config.n_countries, config.n_years))[country_of]
+
+
+def _fields(config, rng):
+    """Oracle of one replication's fields, a draw call per component: x and y
+    as (n_regions, n_years) grids drawn from ``rng`` in a fixed order:
+    shared_x, optional spatial_x, idio_x, shared_e, idio_e."""
+    R, T = config.n_regions, config.n_years
+    country_of = np.arange(R) * config.n_countries // R  # contiguous country blocks
+    wx, wxs = config.predictor_shared_weight, config.predictor_spatial_weight
+    we = config.noise_shared_weight
+    shared_x = _shared_field(rng, config.predictor_sharing, config, country_of)
+    spatial_x = _shared_field(rng, "year", config, country_of) if wxs > 0.0 else 0.0
+    idio_x = rng.standard_normal((R, T))
+    x = math.sqrt(wx) * shared_x + math.sqrt(wxs) * spatial_x + math.sqrt(1.0 - wx - wxs) * idio_x
+    shared_e = _shared_field(rng, config.noise_sharing, config, country_of)
+    idio_e = rng.standard_normal((R, T))
+    e = config.noise_scale * (math.sqrt(we) * shared_e + math.sqrt(1.0 - we) * idio_e)
+    return x, config.beta_true * x + e
+
+
+def _assert_oracle_fields(config, seeds, x, y):
+    assert x.shape == y.shape == (len(seeds), config.n_regions, config.n_years)
+    for i, seed in enumerate(seeds):
+        want_x, want_y = _fields(config, np.random.default_rng(seed))
+        assert x[i].tobytes() == want_x.tobytes(), (config, seed)
+        assert y[i].tobytes() == want_y.tobytes(), (config, seed)
+
+
+SHARINGS = ("region", "year", "country_year")
+
+
+def test_draw_fields_are_bit_identical_to_per_replication_oracle():
+    # every sharing pair, with and without the spatial component and
+    # countries, on a square and a non-square grid
+    seeds = [(21, rep) for rep in range(4)]
+    for (R, T), xs, es, spatial, countries in itertools.product(
+            [(10, 10), (7, 13)], SHARINGS, SHARINGS, [0.0, 0.15], [None, 3]):
+        if spatial and xs == "year":
+            continue  # DgpConfig rejects a second year component
+        config = DgpConfig(n_regions=R, n_years=T, predictor_sharing=xs, noise_sharing=es,
+                           predictor_shared_weight=0.6, predictor_spatial_weight=spatial,
+                           countries=countries)
+        _assert_oracle_fields(config, seeds, *simstudy._draw_fields(config, seeds))
+
+
+@pytest.mark.parametrize("R, T, reps", [(10, 10, 200), (91, 91, 3)],
+                         ids=["blocks_cross", "block_size_1"])
+def test_sandwich_blocks_draw_the_oracle_fields(R, T, reps, monkeypatch):
+    # one draw call per block of replications, in order, each rep's fields
+    # those of its own (seed, rep) generator
+    drawn, calls = simstudy._draw_fields, []
+
+    def recording(config, seeds):
+        x, y = drawn(config, seeds)
+        calls.append((list(seeds), x.copy(), y.copy()))
+        return x, y
+
+    monkeypatch.setattr(simstudy, "_draw_fields", recording)
+    config = DgpConfig(n_regions=R, n_years=T, countries=3, predictor_shared_weight=0.6,
+                       predictor_spatial_weight=0.15, noise_sharing="country_year")
+    simstudy._slope_sandwiches(config, 8, reps, simstudy._scheme_clusters(config, [YEAR]), "CR1")
+    block = max(1, simstudy._BLOCK_CELLS // (R * T))
+    assert [len(seeds) for seeds, *_ in calls] == [min(block, reps - start)
+                                                   for start in range(0, reps, block)]
+    assert len(calls) > 1 and (block == 1) == (R * T > simstudy._BLOCK_CELLS)
+    assert [seed for seeds, *_ in calls for seed in seeds] == [(8, rep) for rep in range(reps)]
+    for seeds, x, y in calls:
+        _assert_oracle_fields(config, seeds, x, y)
+
+
+@pytest.mark.parametrize("seed", [17, (17, 4)], ids=["int_seed", "tuple_seed"])
+def test_generate_panel_draws_the_oracle_fields(seed):
+    config = DgpConfig(n_regions=7, n_years=13, countries=3, predictor_sharing="country_year",
+                       noise_sharing="region", predictor_shared_weight=0.6)
+    x, y = _fields(config, np.random.default_rng(seed))
+    ds = generate_panel(config, seed)
+    assert ds.predictors["x"].tobytes() == x.tobytes()
+    assert ds.outcome.tobytes() == y.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Coverage study
 # ---------------------------------------------------------------------------
@@ -148,7 +240,7 @@ def test_coverage_rejects_bad_level_or_correction_up_front(kwargs, message, monk
     def no_rep(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(simstudy, "_fields", no_rep)
+    monkeypatch.setattr(simstudy, "_draw_fields", no_rep)
     with pytest.raises(ValueError, match=message):
         coverage_study(DgpConfig(n_regions=5, n_years=5), [YEAR], reps=100, **kwargs)
 
@@ -343,13 +435,14 @@ def test_bias_study_matches_per_rep_oracle(correction):
 
 def test_rank_deficient_reps_fail_every_scheme_like_the_oracle(monkeypatch):
     # about half the replications get a constant x, which ols_fit rejects
-    drawn = simstudy._fields
+    drawn = simstudy._draw_fields
 
-    def constant_x_for_some(config, rng):
-        x, y = drawn(config, rng)
-        return (np.full_like(x, 0.5), y) if x[0, 0] > 0 else (x, y)
+    def constant_x_for_some(config, seeds):
+        x, y = drawn(config, seeds)
+        x[x[:, 0, 0] > 0] = 0.5
+        return x, y
 
-    monkeypatch.setattr(simstudy, "_fields", constant_x_for_some)
+    monkeypatch.setattr(simstudy, "_draw_fields", constant_x_for_some)
     cfg = DgpConfig(n_regions=6, n_years=5)
     oracle = _oracle_reps(cfg, 4, 100, [REGION, YEAR])
     assert 20 < sum(rep[0] is None for rep in oracle) < 80
@@ -371,7 +464,8 @@ def test_zero_variance_fails_only_its_scheme(x, y, failing, monkeypatch):
     # residuals are e exactly, and their scores cancel within the clusters
     # of one scheme, for the slope in one case and the intercept in the other
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-    monkeypatch.setattr(simstudy, "_fields", lambda config, rng: (x, y))
+    monkeypatch.setattr(simstudy, "_draw_fields",
+                        lambda config, seeds: (np.stack([x] * len(seeds)), np.stack([y] * len(seeds))))
     config = DgpConfig(n_regions=x.shape[0], n_years=x.shape[1])
     for row in coverage_study(config, [REGION, YEAR], reps=100).rows:
         if row.scheme == failing:
@@ -392,7 +486,7 @@ def test_unusable_scheme_fails_the_study_up_front(config, scheme, message, monke
     def no_rep(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(simstudy, "_fields", no_rep)
+    monkeypatch.setattr(simstudy, "_draw_fields", no_rep)
     with pytest.raises(ValueError, match=message):
         coverage_study(config, [REGION, scheme], reps=100)
     with pytest.raises(ValueError, match=message):
