@@ -25,7 +25,10 @@ adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
 - bootstrap_readout_s: the read-out of ``cli.cmd_bootstrap`` (the 0.9
   intervals and ``sd`` of every column, with their CSV and JSON) on a
   year-scheme sample of READOUT_B draws computed beforehand, the median of
-  READOUT_RUNS calls.
+  READOUT_RUNS calls;
+- project_readout_s: ``project_scenarios`` on that sample with a scenario of
+  PROJECT_YEARS future years for every region, the median of READOUT_RUNS
+  calls, and project_readout_peak_mb.
 
 After the sizes, trending_agreement is the largest relative deviation,
 per column scaled by its largest draw, of TRENDING_REPLICATES region-scheme
@@ -95,7 +98,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
 STAGES = ("load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan", "bootstrap",
-          "corr_all_pairs", "bootstrap_readout")
+          "corr_all_pairs", "bootstrap_readout", "project_readout")
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
@@ -103,7 +106,8 @@ TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
 LOAD_RUNS = 5  # load_csv timings per size, of which the median is kept
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
-READOUT_B, READOUT_RUNS = 1000, 5  # the read-out's sample size, and its timings per size
+READOUT_B, READOUT_RUNS = 1000, 5  # the read-outs' sample size, and their timings per size
+PROJECT_YEARS = 20  # future years of the project read-out's scenario
 TRENDING_REPLICATES = 30
 # coverage studies: (regions, years) at SIMULATE_REPS replications, and the
 # target for the 10x10 one, in seconds
@@ -207,17 +211,21 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
 
         out["corr_all_pairs_s"], _ = _timed(corr)
         out["corr_all_pairs_peak_mb"] = _peak_mb(corr)
+    if {"bootstrap_readout", "project_readout"}.intersection(stages):
+        sample = cp.block_bootstrap(ds, spec, cp.YEAR, READOUT_B, seed=0)
     if "bootstrap_readout" in stages:
-        out["bootstrap_readout_s"] = bootstrap_readout(cp, ds, spec)
+        out["bootstrap_readout_s"] = bootstrap_readout(cp, ds, sample)
+    if "project_readout" in stages:
+        out["project_readout_s"], out["project_readout_peak_mb"] = project_readout(cp, ds, spec,
+                                                                                   sample)
     return out
 
 
-def bootstrap_readout(cp, ds, spec):
+def bootstrap_readout(cp, ds, sample):
     """Median seconds of ``cli.cmd_bootstrap`` on a precomputed sample: its
     ``block_bootstrap`` and ``_load_dataset`` are swapped for the sample's."""
     from clusterpanel import cli
 
-    sample = cp.block_bootstrap(ds, spec, cp.YEAR, READOUT_B, seed=0)
     config = {"bootstrap": {"scheme": "year", "b": READOUT_B, "levels": [0.9]},
               "model": {"terms": [], "fixed_effects": [], "intercept": True,
                         "moderator_alignment": "contemporaneous", "max_lag_ceiling": 10}}
@@ -230,6 +238,26 @@ def bootstrap_readout(cp, ds, spec):
                                      for _ in range(READOUT_RUNS))
     finally:
         vars(cli).update(kept)
+
+
+def project_readout(cp, ds, spec, sample):
+    """Median seconds of ``project_scenarios`` on a precomputed sample, with a
+    scenario of PROJECT_YEARS years after the panel for every region (x on
+    from its last value by 0.01 a year, and three history years for d.x at
+    lags 0..2), and the tracemalloc peak of one more call in MB."""
+    import numpy as np
+
+    (R, T), steps = ds.present.shape, np.arange(-3, PROJECT_YEARS)
+    x = ds.predictors["x"][:, -1:] + 0.01 * steps
+    future = cp.PanelDataset(np.repeat(ds.regions, len(steps)), np.repeat(ds.countries, len(steps)),
+                             np.tile(ds.first_year + T + steps, R), np.full(x.size, np.nan),
+                             {"x": x.ravel(), "xbar": np.repeat(ds.predictors["xbar"][:, -1],
+                                                                len(steps))})
+    path = cp.build_scenario_path(future, spec, sample.design, "scenario",
+                                  start_year=ds.first_year + T)
+    seconds = statistics.median(_timed(lambda: cp.project_scenarios(sample, path))[0]
+                                for _ in range(READOUT_RUNS))
+    return seconds, _peak_mb(lambda: cp.project_scenarios(sample, path))
 
 
 def trending_agreement(cp):
@@ -389,7 +417,8 @@ def main(argv=None):
                        f"cold-start figures are medians of {COLD_RUNS} fresh interpreters "
                        "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "
                        f"{COLD_RUNS} uncached calls, bootstrap_readout_s (year scheme, "
-                       f"B={READOUT_B}) the median of {READOUT_RUNS} read-outs, "
+                       f"B={READOUT_B}) and project_readout_s (a {PROJECT_YEARS}-year scenario for "
+                       f"every region) the medians of {READOUT_RUNS} read-outs, "
                        f"coverage_study_s the median of {COLD_RUNS} studies, "
                        "trending_agreement a relative deviation (no unit), "
                        "every other figure is a single run; each "

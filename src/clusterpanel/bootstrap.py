@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -275,14 +276,18 @@ def project_scenarios(
     aggregation: str = "mean",
     weights: dict[str, float] | None = None,
 ) -> Projection:
-    """Aggregate x'beta* over regions per year for every coefficient draw.
-
-    A static linear read-out: no growth accumulation or discounting.  A
-    region without a weight weighs 0; a weight for a region without rows
-    in the path raises.
-    """
+    """Aggregate x'beta* over regions per year for every coefficient draw, a
+    static linear read-out: year t is ``M[t] @ draw``, with ``M[t]`` the year's
+    weighted mean design row.  A draw with a NaN in a column the path reads
+    (the intercept and terms, and each effect column some row reads, whatever
+    its weight) is NaN in every year, and a warning counts those.  A region
+    without a weight weighs 0; a weight for a region without rows, a negative
+    or non-finite one, and weights under ``mean`` raise."""
     if aggregation not in ("mean", "weighted"):
         raise ValueError(f"unknown aggregation {aggregation!r}; use 'mean' or 'weighted'")
+    if aggregation == "mean" and weights is not None:
+        raise ValueError("region weights need aggregation 'weighted', not 'mean'")
+    row_weights = np.ones(len(path.row_years))
     if aggregation == "weighted":
         if not weights:
             raise ValueError("weighted aggregation needs region weights")
@@ -291,37 +296,32 @@ def project_scenarios(
         if unknown:
             raise ValueError(f"weight for region {unknown[0]!r}, which has no rows "
                              f"in scenario {path.label!r}")
+        for r, w in weights.items():
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"weight for region {r!r} must be finite and >= 0, got {w}")
         row_weights = np.array([weights.get(r, 0.0) for r in names.tolist()], dtype=float)[at]
     if path.column_names != sample.column_names:
-        ours = set(sample.column_names)
-        theirs = set(path.column_names)
-        raise ValueError(
-            "scenario columns do not match the bootstrap sample; "
-            f"missing {sorted(ours - theirs)}, extra {sorted(theirs - ours)}"
-        )
-    draws = sample.draws
-    per_row = path.X @ draws[:, : path.X.shape[1]].T
-    for slot in path.effect_slots.values():
-        seen = np.flatnonzero(slot >= 0)
-        effect = draws[:, slot[seen]]
-        per_row[seen] += effect.T
-        # like a NaN coefficient in the product, a missing effect the path
-        # reads drops the whole draw
-        per_row[:, np.isnan(effect).any(axis=1)] = math.nan
-    years = tuple(np.unique(path.row_years).tolist())
-    values = np.empty((sample.draws.shape[0], len(years)))
-    for j, year in enumerate(years):
-        mask = path.row_years == year
-        block = per_row[mask]
-        if aggregation == "mean":
-            values[:, j] = block.mean(axis=0)
-        else:
-            w = row_weights[mask]
-            total = w.sum()
-            if total <= 0:
-                raise ValueError(f"no positive weights for year {year}")
-            values[:, j] = (w[None, :] @ block).ravel() / total
-    return Projection(label=path.label, years=years, values=values)
+        ours, theirs = set(sample.column_names), set(path.column_names)
+        raise ValueError("scenario columns do not match the bootstrap sample; "
+                         f"missing {sorted(ours - theirs)}, extra {sorted(theirs - ours)}")
+    years, at = np.unique(path.row_years, return_inverse=True)
+    total = np.bincount(at, row_weights)
+    if (total <= 0).any():
+        raise ValueError(f"no positive weights for year {years[np.argmax(total <= 0)]}")
+    # each row's columns (-1: no dummy, read as column 0 with entry 0) and entries
+    k, p = path.X.shape[1], len(path.column_names)
+    cols = np.column_stack([np.tile(np.arange(k), (len(at), 1)), *path.effect_slots.values()])
+    x = np.column_stack([path.X, cols[:, k:] >= 0]) * row_weights[:, None]
+    read = np.unique(cols[cols >= 0])
+    draws = sample.draws[:, read]
+    M = np.bincount((at[:, None] * p + np.maximum(cols, 0)).ravel(), x.ravel(), len(years) * p)
+    values = draws @ (M.reshape(-1, p)[:, read] / total[:, None]).T
+    dropped = np.isnan(draws).any(axis=1)
+    values[dropped] = math.nan
+    if dropped.any():
+        warnings.warn(f"scenario {path.label!r}: {dropped.sum()} of {len(dropped)} draws dropped; "
+                      "each lacks the intercept or a fixed effect that the path reads")
+    return Projection(label=path.label, years=tuple(years.tolist()), values=values)
 
 
 def first_discernible_year(

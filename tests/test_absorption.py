@@ -14,6 +14,7 @@ replaced (``Absorbed`` under row weights).  Agreement is to 1e-10 relative.
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -432,9 +433,12 @@ def test_balanced_bootstrap_draws_match_row_concatenating_replicates(scheme):
         assert lost.any() and np.isnan(sample.draws[np.ix_(lost, years)]).all()
 
 
-def _dense_projection(sample, future, spec, template):
+def _dense_projection(sample, future, spec, template, weights=None):
     """Scenario rows encoded with dense dummies against the template's
-    levels, multiplied into every draw; untouched NaN columns count 0."""
+    levels, multiplied into every draw and averaged per year, weighted by
+    region under ``weights`` (a region without one weighs 0).  Dummy
+    columns that no row reads count 0; a NaN in any other column reaches
+    every row and year, as NaN * 0 is NaN."""
     core_spec = ModelSpec(terms=spec.terms, intercept=spec.intercept)
     core = build_design(future, core_spec, require_outcome=False)
     regions, years = _row_levels(core)
@@ -442,12 +446,26 @@ def _dense_projection(sample, future, spec, template):
     X = np.hstack([core.X, D])
     draws = sample.draws.copy()
     untouched = np.all(X == 0.0, axis=0)
+    untouched[: core.X.shape[1]] = False  # the intercept and term columns are always read
     cols = draws[:, untouched]
     cols[np.isnan(cols)] = 0.0
     draws[:, untouched] = cols
     per_row = X @ draws.T
+    w = np.array([1.0 if weights is None else weights.get(r, 0.0) for r in regions])
     years = np.array(years)
-    return np.column_stack([per_row[years == t].mean(axis=0) for t in sorted(set(years))])
+    return np.column_stack([w[years == t] @ per_row[years == t] / w[years == t].sum()
+                            for t in sorted(set(years))])
+
+
+def _scenario(ds, x=lambda i, year: 0.1 * (year - 2008) + i):
+    """Every third region and the unseen R99, region i over 2008..2011+i.
+    History years inside the panel touch year dummies, and the regions'
+    paths end in different years, so a draw missing one region's effect
+    must drop out of every year, not only of that region's years."""
+    records = [obs(r, "C0", year, math.nan, {"x": x(i, year), "m": 1.0, "z": 0.5})
+               for i, r in enumerate(list(ds.regions[::3]) + ["R99"])
+               for year in range(2008, 2012 + i)]
+    return panel_from(records, predictor_names=("x", "m", "z"))
 
 
 def _projection_case(gappy, scheme):
@@ -455,13 +473,7 @@ def _projection_case(gappy, scheme):
     spec = _spec(True)
     sample = block_bootstrap(ds, spec, scheme, 40, seed=2)
     template = build_design(ds, spec)
-    # history years inside the panel touch year dummies; R99 is unseen; the
-    # regions' paths end in different years, so a draw missing one region's
-    # effect must drop out of every year, not only of that region's years
-    records = [obs(r, "C0", year, math.nan, {"x": 0.1 * (year - 2008) + i, "m": 1.0, "z": 0.5})
-               for i, r in enumerate(list(ds.regions[::3]) + ["R99"])
-               for year in range(2008, 2012 + i)]
-    future = panel_from(records, predictor_names=("x", "m", "z"))
+    future = _scenario(ds)
     path = build_scenario_path(future, spec, template, "s")
     assert path.unseen_levels > 0
     got = project_scenarios(sample, path).values
@@ -480,6 +492,48 @@ def test_projection_matches_dense_product(scheme):
 @pytest.mark.parametrize("scheme", [REGION, YEAR], ids=lambda s: s.label)
 def test_balanced_projection_matches_dense_product(scheme):
     assert np.isfinite(_projection_case(False, scheme)).any()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("gappy", [False, True])
+def test_weighted_projection_matches_dense_product(gappy):
+    # R03 weighs 0, yet a draw without its effect drops out of every year
+    ds = _panel(gappy)
+    spec = _spec(True)
+    sample = block_bootstrap(ds, spec, REGION, 40, seed=2)
+    template = build_design(ds, spec)
+    future = _scenario(ds)
+    path = build_scenario_path(future, spec, template, "s")
+    regions = sorted(set(path.row_regions.tolist()))
+    weights = {r: 1.0 + i for i, r in enumerate(regions)} | {"R03": 0.0}
+    lost = np.isnan(sample.draws[:, sample.column_names.index("region=R03")])
+    assert lost.any() and not lost.all()
+    got = project_scenarios(sample, path, "weighted", weights).values
+    _close(got, _dense_projection(sample, future, spec, template, weights))
+    assert np.isnan(got[lost]).all() and np.isfinite(got).any()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_projection_drop_rule_matches_dense_product():
+    # a NaN in an all-zero term column drops the draw, as NaN * 0 does; a
+    # NaN in a region or year column that no row reads does not
+    ds = _panel(False)
+    spec = _spec(True)
+    sample = block_bootstrap(ds, spec, YEAR, 40, seed=2)
+    template = build_design(ds, spec)
+    future = _scenario(ds, x=lambda i, year: float(i))  # d.x = 0 in every row
+    path = build_scenario_path(future, spec, template, "s")
+    names = sample.column_names
+    zero, region, year = (names.index(c) for c in ("d.x.l0", "region=R01", "year=2004"))
+    assert not path.X[:, zero].any()
+    assert not np.isin([region, year], np.concatenate(list(path.effect_slots.values()))).any()
+    kept = np.flatnonzero(np.isfinite(project_scenarios(sample, path).values).all(axis=1))
+    draws = sample.draws.copy()
+    draws[kept[:3], [zero, region, year]] = math.nan
+    changed = replace(sample, draws=draws)
+    got = project_scenarios(changed, path).values
+    _close(got, _dense_projection(changed, future, spec, template))
+    assert np.isnan(got[kept[0]]).all() and np.isfinite(got[kept[1:]]).all()
 
 
 # ---------------------------------------------------------------------------

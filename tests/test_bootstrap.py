@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -352,6 +354,39 @@ def test_weighted_aggregation(rng):
     with pytest.raises(ValueError, match="region 'R3', which has no rows in scenario 'w'"):
         project_scenarios(sample, path, aggregation="weighted",
                           weights={"R0": 3.0, "R1": 1.0, "R3": 2.0})
+    # a negative weight gave 4.0 for rows valued 1 and 3, a NaN or inf one NaN
+    for bad in (-1.0, math.nan, math.inf):
+        message = f"weight for region 'R1' must be finite and >= 0, got {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            project_scenarios(sample, path, aggregation="weighted", weights={"R0": 3.0, "R1": bad})
+    with pytest.raises(ValueError, match="region weights need aggregation 'weighted', not 'mean'"):
+        project_scenarios(sample, path, weights={"R0": 3.0, "R1": 1.0})
+
+
+def test_projection_forms_no_rows_by_draws_array():
+    # 1 000 regions x 20 years and 1 000 draws: a (rows x draws) product alone takes 160 MB
+    R, T, B = 1000, 20, 1000
+    gen = np.random.default_rng(0)
+    names = ("intercept", "x.l0") + tuple(f"region=R{i:04d}" for i in range(1, R))
+    sample = _sample_from(gen.standard_normal((B, len(names))), names=names)
+    region = np.repeat(np.arange(R), T)
+    path = ScenarioPath(label="big", X=np.column_stack([np.ones(R * T), gen.standard_normal(R * T)]),
+                        row_regions=np.array([f"R{i:04d}" for i in range(R)])[region],
+                        row_years=np.tile(np.arange(2030, 2030 + T), R), column_names=names,
+                        unseen_levels=0,
+                        effect_slots={"region": np.where(region > 0, region + 1, -1)})
+    tracemalloc.start()
+    try:
+        values = project_scenarios(sample, path).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"read-out peaked at {peak / 1e6:.0f} MB"
+    # the first year of three draws, row by row
+    rows = path.row_years == 2030
+    alpha = np.column_stack([np.zeros(3), sample.draws[:3, 2:]])
+    want = (path.X[rows] @ sample.draws[:3, :2].T + alpha.T).mean(axis=0)
+    np.testing.assert_allclose(values[:3, 0], want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,12 @@ DROP = object()  # a change that removes the key
         ("project", {"aggregation": "weighted"}, "key 'weights' is missing from section 'project'"),
         ("project", {"aggregation": "weighted", "weights": {"R000": 2.0, "R0O1": 1.0}},
          "weight for region 'R0O1', which has no rows in scenario 'low'"),
+        ("project", {"aggregation": "weighted", "weights": {"R000": -1.0, "R001": 3.0}},
+         "weight for region 'R000' must be finite and >= 0, got -1.0"),
+        ("project", {"aggregation": "weighted", "weights": {"R000": 1.0, "R001": math.nan}},
+         "weight for region 'R001' must be finite and >= 0, got nan"),
+        ("project", {"aggregation": "weighted", "weights": {"R000": math.inf}},
+         "weight for region 'R000' must be finite and >= 0, got inf"),
         ("bootstrap", {"b": "many"},
          "bad 'b' in section 'bootstrap': invalid literal for int() with base 10: 'many'"),
         ("bootstrap", {"scheme": None}, "bad 'scheme' in section 'bootstrap': it may not be null"),
@@ -493,7 +499,7 @@ DROP = object()  # a change that removes the key
     ids=["simulate_level", "simulate_correction", "nan_noise_scale", "inf_noise_scale",
          "nan_beta_true", "scheme_on_coverage", "schemes_on_bias",
          "project_levels", "weights_with_mean", "weighted_without_weights",
-         "weight_without_rows", "bad_int", "null"],
+         "weight_without_rows", "negative_weight", "nan_weight", "inf_weight", "bad_int", "null"],
 )
 def test_setting_errors_named(command, change, message, capsys, tmp_path):
     section = _sample_config()[command]
@@ -506,6 +512,25 @@ def test_setting_errors_named(command, change, message, capsys, tmp_path):
                        tmp_path) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / command).exists() or not any((tmp_path / command).iterdir())
+
+
+DROPPED = "draws dropped; each lacks the intercept or a fixed effect that the path reads"
+
+
+@pytest.mark.parametrize("scheme, dropped, code", [("year", 26, 0), ("region", 80, 1)],
+                         ids=["year", "region"])
+def test_project_warns_of_dropped_draws(scheme, dropped, code, capsys, tmp_path):
+    # year-scheme replicates without the reference year lack the intercept;
+    # every region-scheme replicate leaves out some region that the paths
+    # read, so no draw is left
+    config = _sample_config()
+    config["project"]["scheme"] = scheme
+    with pytest.warns(UserWarning) as caught:
+        assert _run_config(config, "project", tmp_path) == code
+    assert [str(w.message) for w in caught if DROPPED in str(w.message)] == [
+        f"scenario 'low': {dropped} of 80 {DROPPED}", f"scenario 'high': {dropped} of 80 {DROPPED}"]
+    if code:
+        assert "error: no finite projection draws for 'low' in 2021" in capsys.readouterr().err
 
 
 def test_minimal_config_manifest_holds_resolved_defaults(tmp_path):
