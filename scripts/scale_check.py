@@ -62,7 +62,10 @@ not slow the timed calls; a bootstrap peak is that of a B=1+k call.
 ``--sizes`` replaces the default sizes (300x30 and 1000x40), for example
 ``--sizes 5000x50``, and ``--stages`` keeps only the named stages, for
 example ``--stages fit_cr1,bootstrap`` to leave out the all-pairs corr group,
-whose R x R arrays take gigabytes at 5000 regions.
+whose R x R arrays take gigabytes at 5000 regions.  The figures outside the
+sizes are stages too: cold_start, t_quantile, coverage_study and
+trending_agreement, so ``--stages project_readout`` times that stage alone
+(with build_design and fit_cr1, which always run).
 
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:
@@ -90,6 +93,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from importlib import metadata
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -98,7 +102,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
 STAGES = ("load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan", "bootstrap",
-          "corr_all_pairs", "bootstrap_readout", "project_readout")
+          "corr_all_pairs", "bootstrap_readout", "project_readout",  # per size
+          "cold_start", "t_quantile", "coverage_study", "trending_agreement")  # once per run
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
@@ -379,32 +384,37 @@ def main(argv=None):
     sys.path.insert(0, str(src))
     warnings.simplefilter("ignore")
     import numpy as np
-    import scipy
 
     import clusterpanel as cp
 
-    measure(cp, 25, 8, 1)  # warm-up: imports, BLAS and first-call set-up
-    simulate(cp, 10, 10, 100)
-    run = {"cold_start_s": {k: round(v, 4) for k, v in cold_start(src).items()}}
-    print("cold start", json.dumps(run["cold_start_s"]), flush=True)
-    run["t_quantile_s"] = {k: round(v, 6) for k, v in t_quantile().items()}
-    print("t quantile", json.dumps(run["t_quantile_s"]), flush=True)
+    measure(cp, 25, 8, 1, stages)  # warm-up: imports, BLAS and first-call set-up
+    run = {}
+    if "cold_start" in stages:
+        run["cold_start_s"] = {k: round(v, 4) for k, v in cold_start(src).items()}
+        print("cold start", json.dumps(run["cold_start_s"]), flush=True)
+    if "t_quantile" in stages:
+        run["t_quantile_s"] = {k: round(v, 6) for k, v in t_quantile().items()}
+        print("t quantile", json.dumps(run["t_quantile_s"]), flush=True)
     for regions, years in sizes:
         key = f"{regions}x{years}"
         run[key] = {k: round(v, 4) if isinstance(v, float) else v
                     for k, v in measure(cp, regions, years, args.replicates, stages).items()}
         print(key, json.dumps(run[key]), flush=True)
-    run["coverage_study_s"] = {f"{regions}x{years}": round(simulate(cp, regions, years,
-                                                                    SIMULATE_REPS), 4)
-                               for regions, years in SIMULATE_SIZES}
-    print(f"coverage_study, {SIMULATE_REPS} reps", json.dumps(run["coverage_study_s"]), flush=True)
-    run["trending_agreement"] = trending_agreement(cp)
-    print("trending agreement", json.dumps(run["trending_agreement"]), flush=True)
+    if "coverage_study" in stages:
+        simulate(cp, 10, 10, 100)  # warm-up
+        run["coverage_study_s"] = {f"{regions}x{years}": round(simulate(cp, regions, years,
+                                                                        SIMULATE_REPS), 4)
+                                   for regions, years in SIMULATE_SIZES}
+        print(f"coverage_study, {SIMULATE_REPS} reps", json.dumps(run["coverage_study_s"]),
+              flush=True)
+        run["meets_coverage_study_target_at_10x10"] = (
+            run["coverage_study_s"]["10x10"] < SIMULATE_TARGET_S)
+    if "trending_agreement" in stages:
+        run["trending_agreement"] = trending_agreement(cp)
+        print("trending agreement", json.dumps(run["trending_agreement"]), flush=True)
     if "1000x40" in run:
         run["meets_targets_at_1000x40"] = {k: run["1000x40"][k] < limit
                                            for k, limit in TARGETS.items() if k in run["1000x40"]}
-    run["meets_coverage_study_target_at_10x10"] = (
-        run["coverage_study_s"]["10x10"] < SIMULATE_TARGET_S)
     run["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -427,12 +437,16 @@ def main(argv=None):
     report["targets_s_at_1000x40"] = TARGETS
     report["coverage_study"] = (f"{SIMULATE_REPS} replications, schemes region and year, "
                                 f"target {SIMULATE_TARGET_S} s at 10x10")
+    try:  # scipy is a test dependency only
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
     report["machine"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
-                         "numpy": np.__version__, "scipy": scipy.__version__, "blas_threads": 1}
+                         "numpy": np.__version__, "scipy": scipy, "blas_threads": 1}
     report.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(run.get("meets_targets_at_1000x40")),
-          json.dumps({"coverage_study_10x10": run["meets_coverage_study_target_at_10x10"]}))
+          json.dumps({"coverage_study_10x10": run.get("meets_coverage_study_target_at_10x10")}))
 
 
 if __name__ == "__main__":

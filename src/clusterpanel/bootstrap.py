@@ -17,14 +17,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterScheme, DesignMatrix, ModelSpec, PanelDataset,
-                    assign_clusters, build_design)
+from .panel import (ClusterScheme, DesignMatrix, ModelSpec, PanelDataset, assign_clusters,
+                    build_design)
 from .regression import ClusterMoments, FitResult, check_level, ols_fit
 
 
@@ -69,19 +69,16 @@ def block_bootstrap(
     scheme: ClusterScheme,
     B: int,
     seed: int,
-    *,
-    moderator_alignment: str = "contemporaneous",
-    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
 ) -> BootstrapSample:
-    """Pairs-cluster bootstrap: resample whole clusters of observations and refit.
+    """Pairs-cluster bootstrap: resample whole clusters of observations and
+    refit the design of ``spec``, its moderator alignment and lag ceiling too.
 
     Aborts when more than half of the replicates fail to refit (persistent
     rank deficiency).
     """
     if B < 1:
         raise ValueError(f"B must be at least 1, got {B}")
-    design = build_design(dataset, spec, moderator_alignment=moderator_alignment,
-                          max_lag_ceiling=max_lag_ceiling)
+    design = build_design(dataset, spec)
     base_fit = ols_fit(design)
     clusters = assign_clusters(design, scheme)
     G = clusters.n_clusters
@@ -222,20 +219,16 @@ def build_scenario_path(
     template: DesignMatrix,
     label: str,
     *,
-    moderator_alignment: str = "contemporaneous",
-    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
     start_year: int | None = None,
 ) -> ScenarioPath:
     """Design rows for future predictor paths, encoded against a fitted design.
 
-    Term columns are built as usual (the file must include enough history
-    for differences and lags); fixed effects use the template's levels, so
-    levels unseen when the model was fitted contribute through the
-    reference level and are counted.
+    Term columns are built as usual, under ``spec``'s moderator alignment (the
+    file must include enough history for differences and lags); fixed effects
+    use the template's levels, so levels unseen when the model was fitted
+    contribute through the reference level and are counted.
     """
-    core_spec = ModelSpec(terms=spec.terms, fixed_effects=(), intercept=spec.intercept)
-    core = build_design(future, core_spec, moderator_alignment=moderator_alignment,
-                        max_lag_ceiling=max_lag_ceiling, require_outcome=False)
+    core = build_design(future, replace(spec, fixed_effects=()), require_outcome=False)
     ri, ti = core.cells
     regions, years = np.array(future.regions)[ri], ti + future.first_year
     keep = np.ones(core.n, dtype=bool) if start_year is None else years >= start_year

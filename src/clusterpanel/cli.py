@@ -25,8 +25,8 @@ from .bootstrap import (block_bootstrap, build_scenario_path, check_draws, colum
                         first_discernible_year, interval_qs, min_draws,
                         project_scenarios)
 from .modelselect import cv_scan, ic_scan
-from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterScheme, CsvSchema, ModelSpec, TermSpec,
-                    assign_clusters, build_design, load_cached)
+from .panel import (ClusterScheme, CsvSchema, ModelSpec, TermSpec, assign_clusters, build_design,
+                    load_cached)
 from .regression import (check_level, clustered_cov, confidence_intervals, ols_fit,
                          term_response_curve)
 from .residcorr import (DEFAULT_MIN_OVERLAP, SPATIAL_KEYS, TEMPORAL_KEYS, GroupSpec,
@@ -50,11 +50,19 @@ class Variants(dict):
 
 
 def _list(coerce):
-    return lambda value: [coerce(v) for v in value]
+    def parse(value):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
+        return [coerce(v) for v in value]
+    return parse
 
 
 def _mapping(coerce):
-    return lambda value: {str(k): coerce(v) for k, v in value.items()}
+    def parse(value):
+        if not isinstance(value, dict):
+            raise ValueError(f"expected a mapping, got {value!r}")
+        return {str(k): coerce(v) for k, v in value.items()}
+    return parse
 
 
 def _level(value) -> float:
@@ -100,10 +108,8 @@ SCHEMA = {
         "custom_columns": (_mapping(str), {}),
     }, REQUIRED),
     "model": ({
-        **_fields(ModelSpec, "intercept"),
+        **_fields(ModelSpec, "intercept", "moderator_alignment", "max_lag_ceiling"),
         "fixed_effects": (_list(str), []),
-        "moderator_alignment": (str, _default(build_design, "moderator_alignment")),
-        "max_lag_ceiling": (int, DEFAULT_MAX_LAG_CEILING),
         "terms": ([TERM], []),
     }, {}),
     "fit": ({
@@ -229,12 +235,7 @@ def _load_dataset(config: dict):
 def _model(config: dict) -> ModelSpec:
     model = config["model"]
     return ModelSpec(tuple(TermSpec(**t) for t in model["terms"]), model["fixed_effects"],
-                     model["intercept"])
-
-
-def _building(config: dict) -> dict:
-    """The design-building keywords every command passes on."""
-    return {key: config["model"][key] for key in ("moderator_alignment", "max_lag_ceiling")}
+                     model["intercept"], model["moderator_alignment"], model["max_lag_ceiling"])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def _building(config: dict) -> dict:
 def cmd_fit(config: dict, out: Path, seed: int) -> None:
     dataset, spec, fit_cfg = _load_dataset(config), _model(config), config["fit"]
     schemes = [ClusterScheme.parse(s) for s in fit_cfg["schemes"]]
-    design = build_design(dataset, spec, **_building(config))
+    design = build_design(dataset, spec)
     fit = ols_fit(design)
     covs = {s.label: clustered_cov(fit, design, assign_clusters(design, s),
                                    correction=fit_cfg["correction"]) for s in schemes}
@@ -279,7 +280,7 @@ def _groups(groups: list | None, dataset) -> list[GroupSpec]:
 
 def cmd_corr(config: dict, out: Path, seed: int) -> None:
     dataset = _load_dataset(config)
-    design = build_design(dataset, _model(config), **_building(config))
+    design = build_design(dataset, _model(config))
     fit = ols_fit(design)
     panel = ResidualPanel.from_fit(fit, design)
     summaries = correlation_table(panel, _groups(config["corr"]["groups"], dataset),
@@ -304,8 +305,7 @@ def cmd_cv(config: dict, out: Path, seed: int) -> None:
     rows = []
     summary = {"direction": direction, "k": cv_cfg["k"], "seed": seed, "schemes": {}}
     for scheme in schemes:
-        scan = cv_scan(dataset, base, candidates, scheme, cv_cfg["k"], seed, direction=direction,
-                       **_building(config))
+        scan = cv_scan(dataset, base, candidates, scheme, cv_cfg["k"], seed, direction=direction)
         summary["schemes"][scheme.label] = {
             "reference_loss": scan.reference_loss,
             "rows_used": scan.rows_used,
@@ -324,7 +324,7 @@ def cmd_ic(config: dict, out: Path, seed: int) -> None:
     direction, base, candidates = _scan_setup(ic_cfg, _model(config))
     scan = ic_scan(dataset, base, candidates, block, direction=direction,
                    criteria=tuple(ic_cfg["criteria"]), adjusted_flags=tuple(ic_cfg["adjusted"]),
-                   count_variance_params=ic_cfg["count_variance_params"], **_building(config))
+                   count_variance_params=ic_cfg["count_variance_params"])
     reports.write_ic_scan(out / "ic_scan.csv", scan, block.label)
     reference = {f"{crit}_adj{int(adj)}": v for (crit, adj), v in scan.reference.items()}
     reports.write_json(out / "ic_summary.json",
@@ -336,8 +336,7 @@ def cmd_ic(config: dict, out: Path, seed: int) -> None:
 def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
     boot_cfg = config["bootstrap"]
     scheme = ClusterScheme.parse(boot_cfg["scheme"])
-    sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed,
-                             **_building(config))
+    sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed)
     levels, p = list(dict.fromkeys(boot_cfg["levels"])), len(sample.column_names)
     bounds, used = column_quantiles(sample.draws, interval_qs(levels))
     short = used < np.array([min_draws(level) for level in levels], dtype=int)[:, None]
@@ -359,14 +358,13 @@ def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
 def cmd_project(config: dict, out: Path, seed: int) -> None:
     dataset, spec, proj_cfg = _load_dataset(config), _model(config), config["project"]
     sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
-                             seed, **_building(config))
+                             seed)
     scenario_schema = replace(_schema(config["data"]), outcome=None)
     projections = []
     unseen = {}
     for sc in proj_cfg["scenarios"]:
         path = build_scenario_path(load_cached(sc["path"], scenario_schema), spec, sample.design,
-                                   sc["label"], start_year=proj_cfg["start_year"],
-                                   **_building(config))
+                                   sc["label"], start_year=proj_cfg["start_year"])
         unseen[sc["label"]] = path.unseen_levels
         projections.append(project_scenarios(sample, path, aggregation=proj_cfg["aggregation"],
                                              weights=proj_cfg.get("weights")))

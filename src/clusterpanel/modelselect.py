@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import (DEFAULT_MAX_LAG_CEILING, ClusterAssignment, ClusterScheme, DesignMatrix,
-                    ModelSpec, PanelDataset, TermSpec, assign_clusters, build_design, term_label)
+from .panel import (ClusterAssignment, ClusterScheme, DesignMatrix, ModelSpec, PanelDataset,
+                    TermSpec, assign_clusters, build_design, term_label)
 from .regression import ClusterMoments, FitResult, RankDeficientError, ols_fit
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -117,7 +117,6 @@ def cv_loss(
     seed: int,
     *,
     keep_rows: np.ndarray | None = None,
-    moderator_alignment: str = "contemporaneous",
     allow_rank_deficient: bool = False,
 ) -> CvResult:
     """Mean squared validation loss under cluster-respecting K-fold CV.
@@ -128,10 +127,9 @@ def cv_loss(
     (naming the fold) unless ``allow_rank_deficient``, in which case the
     minimum-norm solution is used and the result is flagged.  ``keep_rows``
     is ``build_design``'s: a boolean grid shaped like ``dataset.present``.
+    The design follows ``spec``, its moderator alignment and lag ceiling too.
     """
-    design = build_design(
-        dataset, spec, moderator_alignment=moderator_alignment, keep_rows=keep_rows
-    )
+    design = build_design(dataset, spec, keep_rows=keep_rows)
     (result,) = _cv_results(design, scheme, K, seed, [range(design.X.shape[1])],
                             allow_rank_deficient)
     return result
@@ -242,19 +240,17 @@ def cv_scan(
     seed: int,
     *,
     direction: str = "forward",
-    moderator_alignment: str = "contemporaneous",
-    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
 ) -> ScanResult:
     """Delta CV loss over ``model_sequence(base, candidates, direction)``.
 
-    All models are evaluated on the rows usable under the union model, so
-    deltas are not confounded by lag trimming, and on shared folds.
-    Rank-deficient training designs use the minimum-norm solution and flag
-    the entry collinear.
+    The union design follows ``base``'s moderator alignment and lag ceiling,
+    which bound the candidates too.  All models are evaluated on the rows
+    usable under the union model, so deltas are not confounded by lag
+    trimming, and on shared folds.  Rank-deficient training designs use the
+    minimum-norm solution and flag the entry collinear.
     """
     seq = model_sequence(base, candidates, direction)
-    design = build_design(dataset, seq.union, moderator_alignment=moderator_alignment,
-                          max_lag_ceiling=max_lag_ceiling)
+    design = build_design(dataset, seq.union)
     models = [seq.reference] + [depths for _, _, depths in seq.variants]
     ref, *results = _cv_results(
         design, scheme, K, seed,
@@ -524,20 +520,18 @@ def ic_scan(
     direction: str = "forward",
     criteria: Sequence[str] = ("AIC", "BIC"),
     adjusted_flags: Sequence[bool] = (False, True),
-    moderator_alignment: str = "contemporaneous",
-    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
     count_variance_params: bool = True,
 ) -> ICScanResult:
     """Information criteria over ``model_sequence(base, candidates, direction)``,
-    the same models the CV scan scores.
+    the same models the CV scan scores, on a union design that follows
+    ``base``'s moderator alignment and lag ceiling.
 
     All models are fitted on the rows usable under the union model, with
     the blocks assigned once; rank-deficient fits are flagged collinear with
     NaN values.  Deltas are against the reference model.
     """
     seq = model_sequence(base, candidates, direction)
-    design = build_design(dataset, seq.union, moderator_alignment=moderator_alignment,
-                          max_lag_ceiling=max_lag_ceiling)
+    design = build_design(dataset, seq.union)
     clusters = assign_clusters(design, block_scheme)
 
     def fit(depths):

@@ -230,14 +230,24 @@ class TermSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     """Terms plus fixed effects and intercept.  An empty term list is the
-    trivial model (intercept/fixed effects only)."""
+    trivial model (intercept/fixed effects only).  ``moderator_alignment``
+    reads a moderator at the row's year ("contemporaneous") or the lagged one
+    ("lag_aligned"); every term's ``max_lag`` lies in 0..``max_lag_ceiling``."""
 
     terms: tuple[TermSpec, ...] = ()
     fixed_effects: tuple[str, ...] = ()
     intercept: bool = True
+    moderator_alignment: str = "contemporaneous"
+    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        if self.moderator_alignment not in ("contemporaneous", "lag_aligned"):
+            raise ValueError(f"unknown moderator_alignment {self.moderator_alignment!r}")
+        for term in self.terms:
+            if not 0 <= term.max_lag <= self.max_lag_ceiling:
+                raise ValueError(f"max_lag {term.max_lag} outside 0..{self.max_lag_ceiling} "
+                                 f"for {term.variable!r}")
         fe = tuple(self.fixed_effects)
         bad = set(fe) - {"region", "year"}
         if bad:
@@ -639,19 +649,6 @@ def save_csv(dataset: PanelDataset, path, delimiter: str = ",") -> CsvSchema:
 # ---------------------------------------------------------------------------
 
 
-def _validate_spec(dataset: PanelDataset, spec: ModelSpec, max_lag_ceiling: int) -> None:
-    known = set(dataset.predictor_names)
-    for term in spec.terms:
-        if term.variable not in known:
-            raise ValueError(f"unknown predictor {term.variable!r} in term spec")
-        if term.moderator is not None and term.moderator not in known:
-            raise ValueError(f"unknown moderator {term.moderator!r} in term spec")
-        if not 0 <= term.max_lag <= max_lag_ceiling:
-            raise ValueError(
-                f"max_lag {term.max_lag} outside 0..{max_lag_ceiling} for {term.variable!r}"
-            )
-
-
 def _cell_codes(dataset: PanelDataset, cells, key: str) -> tuple[tuple, np.ndarray]:
     """The sorted distinct regions, years or countries of the rows at ``cells``,
     and each row's index among them: the rows' indices into the dataset's
@@ -696,8 +693,6 @@ def build_design(
     dataset: PanelDataset,
     spec: ModelSpec,
     *,
-    moderator_alignment: str = "contemporaneous",
-    max_lag_ceiling: int = DEFAULT_MAX_LAG_CEILING,
     keep_rows: np.ndarray | None = None,
     require_outcome: bool = True,
 ) -> DesignMatrix:
@@ -705,15 +700,15 @@ def build_design(
 
     Per term, columns are the base value at lags 0..max_lag and, when a
     moderator is given, the base value times the moderator.  The moderator
-    enters undifferenced; ``moderator_alignment`` picks its year: the row's
-    own year ("contemporaneous", default) or the lagged year ("lag_aligned").
+    enters undifferenced, at the year ``spec.moderator_alignment`` picks.
     Rows with any missing required value are dropped and recorded.
     ``keep_rows``, a boolean grid shaped like ``dataset.present``, restricts
     the result to its cells without recording the exclusions as drops.
     """
-    if moderator_alignment not in ("contemporaneous", "lag_aligned"):
-        raise ValueError(f"unknown moderator_alignment {moderator_alignment!r}")
-    _validate_spec(dataset, spec, max_lag_ceiling)
+    for term in spec.terms:
+        for role, name in (("predictor", term.variable), ("moderator", term.moderator)):
+            if name is not None and name not in dataset.predictors:
+                raise ValueError(f"unknown {role} {name!r} in term spec")
     rows = dataset.present
     if keep_rows is not None:
         if np.asarray(keep_rows).dtype != bool or np.shape(keep_rows) != rows.shape:
@@ -741,7 +736,7 @@ def build_design(
             m = dataset.predictors[term.moderator]
             for lag, b in zip(lags, lagged):
                 # the moderator enters undifferenced, at the row's year or the lagged one
-                mod = m if moderator_alignment == "contemporaneous" else _shift(m, lag)
+                mod = m if spec.moderator_alignment == "contemporaneous" else _shift(m, lag)
                 ok = ok & np.isfinite(mod)
                 labels.append(
                     ColumnLabel(kind="interaction", term=lbl, lag=lag, moderator=term.moderator)

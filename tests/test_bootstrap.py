@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,6 +310,36 @@ def test_single_region_reads_out_coefficient(rng):
     path = build_scenario_path(future, spec, design, "unit")
     proj = project_scenarios(sample, path)
     np.testing.assert_allclose(proj.values[:, 0], draws[:, 0])
+
+
+def test_scenario_path_follows_the_spec_moderator_alignment(rng):
+    # x and a moderator w that varies over time: only the alignment decides
+    # whether the lag-1 interaction reads w at t or at t-1
+    values = {(f"R{i}", 2000 + t): (float(rng.standard_normal()), float(rng.uniform(1.0, 3.0)))
+              for i in range(8) for t in range(14)}
+    observations = [obs(r, f"C{int(r[1:]) % 2}", year, float(rng.standard_normal()),
+                        {"x": x, "w": w}) for (r, year), (x, w) in values.items()]
+    ds = panel_from([o for o in observations if o["year"] < 2010], predictor_names=("x", "w"))
+    future = panel_from([{**o, "outcome": math.nan} for o in observations if o["year"] >= 2007],
+                        predictor_names=("x", "w"))
+    term = TermSpec("x", differenced=True, moderator="w", max_lag=1)
+    spec = ModelSpec(terms=(term,), fixed_effects=("region",), moderator_alignment="lag_aligned")
+    sample = block_bootstrap(ds, spec, REGION, 20, seed=3)
+    path = build_scenario_path(future, spec, sample.design, "lagged", start_year=2010)
+    assert path.column_names == sample.column_names
+    col = path.column_names.index("d.x.l1:w")
+
+    def dx(r, year):
+        return values[(r, year)][0] - values[(r, year - 1)][0]
+
+    keys = list(zip(path.row_regions.tolist(), path.row_years.tolist()))
+    assert keys == [(f"R{i}", year) for i in range(8) for year in range(2010, 2014)]
+    lagged = [dx(r, year - 1) * values[(r, year - 1)][1] for r, year in keys]
+    assert path.X[:, col].tolist() == lagged
+    own_year = [dx(r, year - 1) * values[(r, year)][1] for r, year in keys]
+    own = replace(spec, moderator_alignment="contemporaneous")
+    path = build_scenario_path(future, own, sample.design, "own", start_year=2010)
+    assert path.X[:, col].tolist() == own_year != lagged
 
 
 def test_scenario_difference_is_algebraic(rng):

@@ -439,6 +439,29 @@ def test_max_lag_ceiling_reaches_every_command(tmp_path):
         assert _run_config(config, command, tmp_path) == 0, command
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [("model", "fixed_effects", "region",
+      "bad 'fixed_effects' in section 'model': expected a list, got 'region'"),
+     ("data", "predictors", "x", "bad 'predictors' in section 'data': expected a mapping, got 'x'"),
+     ("model", "moderator_alignment", "lagged", "unknown moderator_alignment 'lagged'")],
+    ids=["fixed_effects", "predictors", "alignment"],
+)
+def test_model_and_data_errors_named(section, key, value, message, capsys, tmp_path):
+    config = _sample_config()
+    config[section][key] = value
+    assert _run_config(config, "fit", tmp_path) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_tuple_defaults_pass_as_lists():
+    config = _sample_config()
+    for key in ("criteria", "adjusted"):
+        del config["ic"][key]
+    ic = cli.resolve(config, "ic")["ic"]
+    assert (ic["criteria"], ic["adjusted"]) == (["AIC", "BIC"], [False, True])
+
+
 def test_unknown_key_in_an_unread_section_is_an_error(capsys, tmp_path):
     config = _sample_config()
     config["corr"]["min_overlaps"] = 50
@@ -495,11 +518,16 @@ DROP = object()  # a change that removes the key
         ("bootstrap", {"b": "many"},
          "bad 'b' in section 'bootstrap': invalid literal for int() with base 10: 'many'"),
         ("bootstrap", {"scheme": None}, "bad 'scheme' in section 'bootstrap': it may not be null"),
+        ("bootstrap", {"levels": 0.9}, "bad 'levels' in section 'bootstrap': expected a list, got 0.9"),
+        ("fit", {"schemes": "region"}, "bad 'schemes' in section 'fit': expected a list, got 'region'"),
+        ("cv", {"candidates": [{"variable": "x", "max_lag": 11}]},
+         "max_lag 11 outside 0..10 for 'x'"),
     ],
     ids=["simulate_level", "simulate_correction", "nan_noise_scale", "inf_noise_scale",
          "nan_beta_true", "scheme_on_coverage", "schemes_on_bias",
          "project_levels", "weights_with_mean", "weighted_without_weights",
-         "weight_without_rows", "negative_weight", "nan_weight", "inf_weight", "bad_int", "null"],
+         "weight_without_rows", "negative_weight", "nan_weight", "inf_weight", "bad_int", "null",
+         "scalar_levels", "scalar_schemes", "candidate_above_ceiling"],
 )
 def test_setting_errors_named(command, change, message, capsys, tmp_path):
     section = _sample_config()[command]

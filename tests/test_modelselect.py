@@ -269,7 +269,7 @@ def _oracle_sequence(base, candidates, direction):
 
     def with_terms(terms):
         return ModelSpec(terms=tuple(terms), fixed_effects=base.fixed_effects,
-                         intercept=base.intercept)
+                         intercept=base.intercept, moderator_alignment=base.moderator_alignment)
 
     if direction == "forward":
         variants = [
@@ -292,22 +292,20 @@ def _oracle_sequence(base, candidates, direction):
 
 def _scan_case(case):
     gappy, alignment, base, candidates, direction = SCAN_CASES[case]
-    ds = _scan_panel(gappy)
+    ds, base = _scan_panel(gappy), replace(base, moderator_alignment=alignment)
     union, reference, variants = _oracle_sequence(base, candidates, direction)
-    rows = keep_grid(ds, row_keys(build_design(ds, union, moderator_alignment=alignment)))
-    return ds, alignment, base, candidates, direction, reference, variants, rows
+    rows = keep_grid(ds, row_keys(build_design(ds, union)))
+    return ds, base, candidates, direction, reference, variants, rows
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_cv_scan_matches_per_model_builds(case):
-    ds, alignment, base, candidates, direction, reference, variants, rows = _scan_case(case)
+    ds, base, candidates, direction, reference, variants, rows = _scan_case(case)
     for scheme, K in ((COUNTRY, 3), (YEAR, 4)):
-        scan = cv_scan(ds, base, candidates, scheme, K, seed=7, direction=direction,
-                       moderator_alignment=alignment)
+        scan = cv_scan(ds, base, candidates, scheme, K, seed=7, direction=direction)
 
         def cv(spec):
-            return cv_loss(ds, spec, scheme, K, seed=7, keep_rows=rows,
-                           moderator_alignment=alignment, allow_rank_deficient=True)
+            return cv_loss(ds, spec, scheme, K, seed=7, keep_rows=rows, allow_rank_deficient=True)
 
         # the scan solves each model on a sub-block of the union's fold
         # Grams, which rounds as a product of their own width would not
@@ -324,13 +322,12 @@ def test_cv_scan_matches_per_model_builds(case):
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_ic_scan_matches_per_model_builds(case):
-    ds, alignment, base, candidates, direction, reference, variants, rows = _scan_case(case)
+    ds, base, candidates, direction, reference, variants, rows = _scan_case(case)
     flags = [(crit, adj) for adj in (False, True) for crit in ("AIC", "BIC")]
-    scan = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction,
-                   moderator_alignment=alignment)
+    scan = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction)
 
     def scores(spec):
-        design = build_design(ds, spec, moderator_alignment=alignment, keep_rows=rows)
+        design = build_design(ds, spec, keep_rows=rows)
         try:
             fit = ols_fit(design)
         except RankDeficientError:
@@ -361,14 +358,28 @@ def test_ic_scan_matches_per_model_builds(case):
 
 
 def test_duplicate_candidate_collinear_in_both_scans():
-    ds, alignment, base, candidates, direction, *_ = _scan_case("gappy_lag_aligned_forward")
-    cv = cv_scan(ds, base, candidates, COUNTRY, 3, seed=7, direction=direction,
-                 moderator_alignment=alignment)
-    ic = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction,
-                 moderator_alignment=alignment)
+    ds, base, candidates, direction, *_ = _scan_case("gappy_lag_aligned_forward")
+    cv = cv_scan(ds, base, candidates, COUNTRY, 3, seed=7, direction=direction)
+    ic = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction)
     assert [e.collinear for e in cv.entries] == [False, False, False, True]
     assert [e.collinear for e in ic.entries] == [False] * 12 + [True] * 4
     assert all(math.isnan(e.value) for e in ic.entries[-4:])
+
+
+def test_lag_ceiling_of_the_spec_reaches_cv_and_ic():
+    ds = generate_panel(DgpConfig(n_regions=12, n_years=16, countries=3), 5)
+    deep = TermSpec("x", differenced=True, max_lag=11)
+    with pytest.raises(ValueError, match=r"max_lag 11 outside 0\.\.10 for 'x'"):
+        ModelSpec(terms=(deep,))
+    spec = ModelSpec(terms=(deep,), max_lag_ceiling=12)
+    res = cv_loss(ds, spec, REGION, 3, seed=0)
+    assert math.isfinite(res.loss) and res.n_validation == build_design(ds, spec).n == 12 * 4
+    # a candidate is held to the base model's ceiling
+    base = ModelSpec(max_lag_ceiling=12)
+    assert len(cv_scan(ds, base, [deep], REGION, 3, seed=0).entries) == 12
+    assert len(ic_scan(ds, base, [deep], COUNTRY_YEAR, criteria=("AIC",)).entries) == 24
+    with pytest.raises(ValueError, match=r"max_lag 11 outside 0\.\.10 for 'x'"):
+        cv_scan(ds, ModelSpec(), [deep], REGION, 3, seed=0)
 
 
 def test_model_sequence_depths():

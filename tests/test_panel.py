@@ -425,7 +425,7 @@ def test_moderator_alignment_switch():
     ds = panel_from(observations, predictor_names=("v", "m"))
     spec = ModelSpec(terms=(TermSpec("v", differenced=True, moderator="m", max_lag=1),))
     contemporaneous = build_design(ds, spec)
-    lag_aligned = build_design(ds, spec, moderator_alignment="lag_aligned")
+    lag_aligned = build_design(ds, replace(spec, moderator_alignment="lag_aligned"))
     col = {lab.name: j for j, lab in enumerate(contemporaneous.column_labels)}
     # row is (R1, 2002): lag-1 base value is 1.0
     assert contemporaneous.X[0, col["d.v.l1:m"]] == 1.0 * 12.0
@@ -438,6 +438,25 @@ def test_build_design_rejects_unknown_names():
         build_design(ds, ModelSpec(terms=(TermSpec("w"),)))
     with pytest.raises(ValueError, match="max_lag"):
         build_design(ds, ModelSpec(terms=(TermSpec("v", max_lag=11),)))
+
+
+def test_model_spec_checks_alignment_and_lag_ceiling_when_built():
+    with pytest.raises(ValueError, match="unknown moderator_alignment 'lagged'"):
+        ModelSpec(moderator_alignment="lagged")
+    spec = ModelSpec(terms=(TermSpec("v", moderator="v"),))
+    with pytest.raises(ValueError, match="unknown moderator_alignment 'lagged'"):
+        replace(spec, moderator_alignment="lagged")
+    deep = (TermSpec("v", max_lag=11),)
+    with pytest.raises(ValueError, match=r"max_lag 11 outside 0\.\.10 for 'v'"):
+        ModelSpec(terms=deep)
+    with pytest.raises(ValueError, match=r"max_lag -1 outside 0\.\.10 for 'v'"):
+        ModelSpec(terms=(TermSpec("v", max_lag=-1),))
+    assert ModelSpec(terms=deep, max_lag_ceiling=12).terms == deep
+    with pytest.raises(ValueError, match=r"max_lag 11 outside 0\.\.10 for 'v'"):
+        replace(ModelSpec(terms=deep, max_lag_ceiling=12), max_lag_ceiling=10)
+    # the lag is checked with the spec, before any dataset names its predictors
+    with pytest.raises(ValueError, match=r"max_lag 11 outside 0\.\.10 for 'w'"):
+        ModelSpec(terms=(TermSpec("w", max_lag=11),))
 
 
 def test_empty_design_after_trimming():
@@ -669,8 +688,7 @@ def test_save_csv_delimiter_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _rows_design(records, spec, moderator_alignment="contemporaneous", keep_rows=None,
-                 require_outcome=True):
+def _rows_design(records, spec, keep_rows=None, require_outcome=True):
     """The per-row design build, kept as the oracle of ``build_design``: it walks
     the records in (region, year) order and reads every value from its own
     {(region, year): record} dict, never from a dataset's grids."""
@@ -700,9 +718,9 @@ def _rows_design(records, spec, moderator_alignment="contemporaneous", keep_rows
                 break
             vec.extend(base_vals)
             if term.moderator is not None:
+                lagged = spec.moderator_alignment == "lag_aligned"
                 for lag, b in enumerate(base_vals):
-                    m = value(region, year - (lag if moderator_alignment == "lag_aligned" else 0),
-                              term.moderator)
+                    m = value(region, year - (lag if lagged else 0), term.moderator)
                     ok = ok and math.isfinite(m)
                     vec.append(b * m)
             if not ok:
@@ -770,7 +788,7 @@ SAMPLE_SPEC = ModelSpec(
 def test_columnar_design_matches_rows_on_sample(alignment):
     records = _csv_records(SAMPLE_DIR / "panel.csv")
     ds = load_csv(SAMPLE_DIR / "panel.csv", SAMPLE_SCHEMA)
-    d = _assert_matches_oracle(records, ds, SAMPLE_SPEC, moderator_alignment=alignment)
+    d = _assert_matches_oracle(records, ds, replace(SAMPLE_SPEC, moderator_alignment=alignment))
     assert d.n == 30 * 15 and len(d.dropped_rows) == 30 * 3
 
 
@@ -801,8 +819,8 @@ GAPPY_SPEC = ModelSpec(
 @pytest.mark.parametrize("alignment", ["contemporaneous", "lag_aligned"])
 def test_columnar_design_matches_rows_on_gappy_panel(rng, alignment):
     records = _gappy_records(rng)
-    d = _assert_matches_oracle(records, panel_from(records), GAPPY_SPEC,
-                               moderator_alignment=alignment)
+    d = _assert_matches_oracle(records, panel_from(records),
+                               replace(GAPPY_SPEC, moderator_alignment=alignment))
     assert d.dropped_rows and d.n > 50
 
 
@@ -810,8 +828,8 @@ def test_columnar_design_matches_rows_on_keep_rows_subset(rng):
     records = _gappy_records(rng)
     ds = panel_from(records)
     keep = [(r["region"], r["year"]) for r in records[::3]] + [("R99", 2000), ("R0", 1900)]
-    d = _assert_matches_oracle(records, ds, GAPPY_SPEC, keep_rows=keep,
-                               moderator_alignment="lag_aligned")
+    d = _assert_matches_oracle(records, ds, replace(GAPPY_SPEC, moderator_alignment="lag_aligned"),
+                               keep_rows=keep)
     assert set(row_keys(d)) | set(d.dropped_rows) < set(keep)
 
 

@@ -175,7 +175,7 @@ def test_matches_looped_oracle_on_sample_config():
     config["data"]["path"] = str(ROOT / config["data"]["path"])
     config = cli.resolve(config, "corr")
     dataset = cli._load_dataset(config)
-    design = build_design(dataset, cli._model(config), **cli._building(config))
+    design = build_design(dataset, cli._model(config))
     fit = ols_fit(design)
     panel = ResidualPanel.from_fit(fit, design)
     groups = cli._groups(config["corr"]["groups"], dataset)
