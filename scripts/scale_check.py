@@ -2,8 +2,9 @@
 
 Opt-in and slow (minutes at 1000x40 on older code), so the test suite does
 not run it.  It builds balanced panels with ``simstudy.generate_panel``,
-adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
-``d.x*xbar`` at lags 0..2, then times each stage on its own:
+centroids included, adds ``xbar`` (each region's mean of x) and fits
+two-way fixed effects with ``d.x*xbar`` at lags 0..2, then times each stage
+on its own:
 
 - load_csv of the panel written once by save_csv (median of LOAD_RUNS),
   and load_cached_hit_s, the median of LOAD_RUNS hits of ``load_cached``
@@ -21,7 +22,10 @@ adds ``xbar`` (each region's mean of x) and fits two-way fixed effects with
   alternating timings of block_bootstrap, and B=1000 extrapolated as the
   median t(B=1) + 999 replicates (keys bootstrap_replicate_s and
   bootstrap_b1000_s for region, bootstrap_<scheme>_... for the others);
-- the corr all-pairs group (ResidualPanel.from_fit, correlation_table);
+- the corr all-pairs group (ResidualPanel.from_fit, correlation_table),
+  and corr_groups: the same over the CLI's default groups
+  (``cli._groups(None, ...)``: both temporal groups and the seven spatial
+  ones, four of them distance groups on the panel's centroids);
 - bootstrap_readout_s: the read-out of ``cli.cmd_bootstrap`` (the 0.9
   intervals and ``sd`` of every column, with their CSV and JSON) on a
   year-scheme sample of READOUT_B draws computed beforehand, the median of
@@ -61,7 +65,7 @@ not slow the timed calls; a bootstrap peak is that of a B=1+k call.
 
 ``--sizes`` replaces the default sizes (300x30 and 1000x40), for example
 ``--sizes 5000x50``, and ``--stages`` keeps only the named stages, for
-example ``--stages fit_cr1,bootstrap`` to leave out the all-pairs corr group,
+example ``--stages fit_cr1,bootstrap`` to leave out the corr stages,
 whose R x R arrays take gigabytes at 5000 regions.  The figures outside the
 sizes are stages too: cold_start, t_quantile, coverage_study and
 trending_agreement, so ``--stages project_readout`` times that stage alone
@@ -102,7 +106,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
 STAGES = ("load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan", "bootstrap",
-          "corr_all_pairs", "bootstrap_readout", "project_readout",  # per size
+          "corr_all_pairs", "corr_groups", "bootstrap_readout", "project_readout",  # per size
           "cold_start", "t_quantile", "coverage_study", "trending_agreement")  # once per run
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
@@ -125,7 +129,8 @@ T_CLUSTERS = (10, 1000, 100000)
 
 
 def _panel(cp, regions, years):
-    """A balanced generate_panel panel plus xbar, each region's mean of x."""
+    """A balanced generate_panel panel, centroids included, plus xbar, each
+    region's mean of x."""
     from clusterpanel.simstudy import DgpConfig, generate_panel
 
     import numpy as np
@@ -136,7 +141,8 @@ def _panel(cp, regions, years):
     xbar = np.repeat(x.mean(axis=1), years)
     return cp.PanelDataset(np.array(ds.regions)[ri], np.array(ds.countries)[ri],
                            ti + ds.first_year, ds.outcome[ri, ti],
-                           {"x": x[ri, ti], "xbar": xbar})
+                           {"x": x[ri, ti], "xbar": xbar},
+                           lat=ds.centroids[ri, 0], lon=ds.centroids[ri, 1])
 
 
 def _timed(func):
@@ -209,13 +215,17 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
         out[f"{key}_b1000_s"] = statistics.median(ones) + 999 * out[f"{key}_replicate_s"]
         out[f"{key}_peak_mb"] = _peak_mb(
             lambda: cp.block_bootstrap(ds, spec, scheme, 1 + extra_replicates, seed=0))
-    if "corr_all_pairs" in stages:
-        def corr():
-            return cp.correlation_table(cp.ResidualPanel.from_fit(fit, design),
-                                        [cp.GroupSpec("all", "spatial")])
+    from clusterpanel import cli
 
-        out["corr_all_pairs_s"], _ = _timed(corr)
-        out["corr_all_pairs_peak_mb"] = _peak_mb(corr)
+    corr_stages = {"corr_all_pairs": [cp.GroupSpec("all", "spatial")],
+                   "corr_groups": cli._groups(None, ds)}
+    for stage, groups in corr_stages.items():
+        if stage in stages:
+            def corr():
+                return cp.correlation_table(cp.ResidualPanel.from_fit(fit, design), groups)
+
+            out[f"{stage}_s"], _ = _timed(corr)
+            out[f"{stage}_peak_mb"] = _peak_mb(corr)
     if {"bootstrap_readout", "project_readout"}.intersection(stages):
         sample = cp.block_bootstrap(ds, spec, cp.YEAR, READOUT_B, seed=0)
     if "bootstrap_readout" in stages:

@@ -390,7 +390,8 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Partition of design rows under a scheme; keys sorted canonically."""
+    """Partition of design rows under a scheme; keys sorted canonically.
+    Each row's code is in [0, G), ``sizes`` is their bincount, none is 0."""
 
     scheme: ClusterScheme
     keys: tuple
@@ -398,6 +399,14 @@ class ClusterAssignment:
     sizes: np.ndarray
 
     def __post_init__(self):
+        G, codes = len(self.keys), self.row_cluster
+        if codes.ndim != 1 or ((codes < 0) | (codes >= G)).any():
+            raise ValueError(f"row_cluster must be a 1-D array of codes in [0, {G})")
+        if not np.array_equal(self.sizes, np.bincount(codes, minlength=G)):
+            raise ValueError("sizes must be the row counts of row_cluster's codes")
+        empty = np.flatnonzero(self.sizes == 0)
+        if empty.size:
+            raise ValueError(f"cluster {self.keys[empty[0]]!r} has no rows")
         self.row_cluster.setflags(write=False)
         self.sizes.setflags(write=False)
 

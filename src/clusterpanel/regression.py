@@ -542,7 +542,6 @@ def clustered_cov(
     p = design.p
     G = clusters.n_clusters
     g = clusters.row_cluster
-    assert int(clusters.sizes.sum()) == n and np.all(clusters.sizes > 0)
     if G == 1:
         warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
     elif G < FEW_CLUSTERS_THRESHOLD:

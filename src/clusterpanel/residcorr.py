@@ -16,10 +16,11 @@ A series is constant over a pair's common cells, and the pair is skipped as
 N · 2⁻⁴⁴ · s², with s the series' largest absolute residual: a standard
 deviation below about 2.4e-7 · s is rounding, not signal.
 
-Groups are declarative (:class:`GroupSpec`): each becomes a boolean mask
-over the upper triangle of pairs, taken in (a < b, row-major) order, so the
-statistics are computed once per kind and every group selects from them.
-Group summaries aggregate to mean and quartiles.
+Groups are declarative (:class:`GroupSpec`): each becomes a square boolean
+mask over its kind's series, True only in the strict upper triangle
+(a < b), so the square statistics are computed once per kind and every
+group selects its pairs from them, in row-major order.  Group summaries
+aggregate to mean and quartiles.
 """
 
 from __future__ import annotations
@@ -157,17 +158,20 @@ class GroupSpec:
         for f in fields(self):
             if f.name in foreign and getattr(self, f.name) != f.default:
                 raise ValueError(f"key {f.name!r} does not apply to a {self.kind} group")
-
-
-def _upper(square: np.ndarray) -> np.ndarray:
-    return square[np.triu_indices(square.shape[0], 1)]
+        if self.same_country and self.different_country:
+            raise ValueError("same_country and different_country together keep no pair")
+        for name in ("below_km", "above_km"):
+            bound = getattr(self, name)
+            if bound is not None and not bound >= 0:
+                raise ValueError(f"{name} must be a distance >= 0 km, got {bound!r}")
 
 
 def pair_masks(panel: ResidualPanel, group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(passes, no_coordinates) masks of a group over its kind's upper-triangle
-    pairs; a rejection by any condition dominates a missing centroid."""
+    """(passes, no_coordinates) (n, n) masks of a group over its kind's n
+    series, True only for pairs a < b; a rejection by any condition dominates
+    a missing centroid."""
     n = len(panel.regions) if group.kind == "spatial" else len(panel.years)
-    ok = np.ones((n, n), dtype=bool)
+    ok = np.triu(np.ones((n, n), dtype=bool), 1)
     missing = np.zeros((n, n), dtype=bool)
     if group.consecutive:
         years = np.asarray(panel.years)
@@ -193,7 +197,7 @@ def pair_masks(panel: ResidualPanel, group: GroupSpec) -> tuple[np.ndarray, np.n
             ok &= ~both | (d > float(group.above_km))
         missing = ok & ~both
         ok &= both
-    return _upper(ok), _upper(missing)
+    return ok, missing
 
 
 @dataclass(frozen=True)
@@ -211,38 +215,20 @@ class PairCorrelations:
         return sum(self.skipped.values())
 
 
-@dataclass(frozen=True)
-class _KindPairs:
-    """Upper-triangle statistics of one kind: labels, overlap, rho, degenerate."""
-
-    a: np.ndarray
-    b: np.ndarray
-    overlap: np.ndarray
-    rho: np.ndarray
-    degenerate: np.ndarray
+def _grid(panel: ResidualPanel, kind: str) -> np.ndarray:
+    return panel.values if kind == "spatial" else panel.values.T
 
 
-def _kind_pairs(panel: ResidualPanel, kind: str) -> _KindPairs:
-    if kind == "spatial":
-        grid, labels = panel.values, np.asarray(panel.regions, dtype=object)
-    else:
-        grid, labels = panel.values.T, np.asarray(panel.years)
-    ia, ib = np.triu_indices(grid.shape[0], 1)
-    N, rho, degenerate = pair_statistics(grid)
-    return _KindPairs(labels[ia], labels[ib], N[ia, ib], rho[ia, ib], degenerate[ia, ib])
-
-
-def _select(panel: ResidualPanel, pairs: _KindPairs, group: GroupSpec,
-            min_overlap: int) -> PairCorrelations:
+def _select(panel: ResidualPanel, group: GroupSpec, overlap: np.ndarray, degenerate: np.ndarray,
+            min_overlap: int) -> tuple[np.ndarray, dict[str, int]]:
+    """The (n, n) mask of the group's kept pairs and its skips by reason."""
     passes, no_coordinates = pair_masks(panel, group)
-    short = passes & (pairs.overlap < min_overlap)
-    flat = passes & ~short & pairs.degenerate
-    keep = passes & ~short & ~pairs.degenerate
+    short = passes & (overlap < min_overlap)
+    flat = passes & ~short & degenerate
+    keep = passes & ~short & ~degenerate
     counts = {SKIP_NO_COORDINATES: no_coordinates, SKIP_SHORT_OVERLAP: short,
               SKIP_ZERO_VARIANCE: flat}
-    skipped = {reason: int(m.sum()) for reason, m in counts.items() if m.any()}
-    return PairCorrelations(pairs.a[keep], pairs.b[keep], pairs.rho[keep], pairs.overlap[keep],
-                            skipped)
+    return keep, {reason: int(m.sum()) for reason, m in counts.items() if m.any()}
 
 
 def _check_min_overlap(min_overlap: int) -> None:
@@ -263,7 +249,12 @@ def pair_correlations(
     cells or a constant series, are counted under ``skipped``.
     """
     _check_min_overlap(min_overlap)
-    return _select(panel, _kind_pairs(panel, group.kind), group, min_overlap)
+    overlap, rho, degenerate = pair_statistics(_grid(panel, group.kind))
+    keep, skipped = _select(panel, group, overlap, degenerate, min_overlap)
+    labels = (np.asarray(panel.regions, dtype=object) if group.kind == "spatial"
+              else np.asarray(panel.years))
+    a, b = np.nonzero(keep)
+    return PairCorrelations(labels[a], labels[b], rho[keep], overlap[keep], skipped)
 
 
 @dataclass(frozen=True)
@@ -291,26 +282,10 @@ def summarize(
 ) -> CorrelationSummary:
     """Aggregate pair correlations: mean plus quartiles by linear interpolation."""
     rhos = np.asarray(correlations, dtype=float)
-    if rhos.size == 0:
-        return CorrelationSummary(
-            group_label=group_label,
-            kind=kind,
-            mean=None,
-            q25=None,
-            q75=None,
-            pair_count=0,
-            skipped_count=skipped_count,
-        )
-    q25, q75 = np.quantile(rhos, [0.25, 0.75])
-    return CorrelationSummary(
-        group_label=group_label,
-        kind=kind,
-        mean=float(rhos.mean()),
-        q25=float(q25),
-        q75=float(q75),
-        pair_count=int(rhos.size),
-        skipped_count=skipped_count,
-    )
+    mean = q25 = q75 = None
+    if rhos.size:
+        mean, (q25, q75) = float(rhos.mean()), np.quantile(rhos, [0.25, 0.75]).tolist()
+    return CorrelationSummary(group_label, kind, mean, q25, q75, int(rhos.size), skipped_count)
 
 
 def correlation_table(
@@ -321,10 +296,11 @@ def correlation_table(
     """Group summaries over the panel, one row per group spec; the pair
     statistics are computed once per kind and each group masks them."""
     _check_min_overlap(min_overlap)
-    by_kind = {kind: _kind_pairs(panel, kind) for kind in {g.kind for g in groups}}
+    by_kind = {kind: pair_statistics(_grid(panel, kind)) for kind in {g.kind for g in groups}}
     rows = []
     for g in groups:
-        res = _select(panel, by_kind[g.kind], g, min_overlap)
-        rows.append(summarize(res.rho, group_label=g.label, kind=g.kind,
-                              skipped_count=res.skipped_total))
+        overlap, rho, degenerate = by_kind[g.kind]
+        keep, skipped = _select(panel, g, overlap, degenerate, min_overlap)
+        rows.append(summarize(rho[keep], group_label=g.label, kind=g.kind,
+                              skipped_count=sum(skipped.values())))
     return rows

@@ -522,12 +522,14 @@ DROP = object()  # a change that removes the key
         ("fit", {"schemes": "region"}, "bad 'schemes' in section 'fit': expected a list, got 'region'"),
         ("cv", {"candidates": [{"variable": "x", "max_lag": 11}]},
          "max_lag 11 outside 0..10 for 'x'"),
+        ("corr", {"groups": [{"label": "near", "kind": "spatial", "below_km": math.nan}]},
+         "below_km must be a distance >= 0 km, got nan"),
     ],
     ids=["simulate_level", "simulate_correction", "nan_noise_scale", "inf_noise_scale",
          "nan_beta_true", "scheme_on_coverage", "schemes_on_bias",
          "project_levels", "weights_with_mean", "weighted_without_weights",
          "weight_without_rows", "negative_weight", "nan_weight", "inf_weight", "bad_int", "null",
-         "scalar_levels", "scalar_schemes", "candidate_above_ceiling"],
+         "scalar_levels", "scalar_schemes", "candidate_above_ceiling", "nan_below_km"],
 )
 def test_setting_errors_named(command, change, message, capsys, tmp_path):
     section = _sample_config()[command]

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from clusterpanel.panel import (
     REGION,
     REGION_YEAR,
     YEAR,
+    ClusterAssignment,
     ClusterScheme,
     CsvSchema,
     ModelSpec,
@@ -546,6 +548,23 @@ def test_custom_column_missing():
     d = build_design(ds, ModelSpec())
     with pytest.raises(ValueError, match="custom cluster column"):
         assign_clusters(d, ClusterScheme.parse("custom:nope"))
+
+
+@pytest.mark.parametrize(
+    "codes, sizes, message",
+    [
+        ([0, 0, 2, 2], [2, 0, 2], "cluster 'b' has no rows"),
+        ([0, 0, 1, 2], [2, 2, 0], "sizes must be the row counts of row_cluster's codes"),
+        ([0, 1, 3, 2], [1, 1, 1], "row_cluster must be a 1-D array of codes in [0, 3)"),
+        ([0, -1, 1, 2], [1, 1, 1], "row_cluster must be a 1-D array of codes in [0, 3)"),
+        ([[0, 1], [2, 2]], [1, 1, 2], "row_cluster must be a 1-D array of codes in [0, 3)"),
+    ],
+    ids=["empty_cluster", "mismatched_sizes", "code_above", "code_below", "two_dimensional"],
+)
+def test_cluster_assignment_checks_its_codes(codes, sizes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClusterAssignment(scheme=ClusterScheme("custom", "g"), keys=("a", "b", "c"),
+                          row_cluster=np.array(codes), sizes=np.array(sizes))
 
 
 def test_partition_property_all_schemes():

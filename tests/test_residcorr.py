@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,24 @@ def test_group_spec_rejects_keys_of_the_other_kind():
         GroupSpec("x", "diagonal")
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"below_km": math.nan}, "below_km must be a distance >= 0 km, got nan"),
+        ({"above_km": math.nan}, "above_km must be a distance >= 0 km, got nan"),
+        ({"below_km": -1.0}, "below_km must be a distance >= 0 km, got -1.0"),
+        ({"above_km": -500}, "above_km must be a distance >= 0 km, got -500"),
+        ({"same_country": True, "different_country": True},
+         "same_country and different_country together keep no pair"),
+    ],
+    ids=["nan_below", "nan_above", "negative_below", "negative_above", "same_and_different"],
+)
+def test_group_spec_rejects_bounds_that_keep_no_pair(keys, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GroupSpec("x", **keys)
+    GroupSpec("x", below_km=0.0, above_km=math.inf)  # the limits themselves are accepted
+
+
 # ---------------------------------------------------------------------------
 # Group masks
 # ---------------------------------------------------------------------------
@@ -367,9 +386,15 @@ PAIRS_OF_3 = [("R000", "R001"), ("R000", "R002"), ("R001", "R002")]
 
 
 def _masks(group, countries=None, centroids=None, groups=None):
+    """The square masks' strict upper triangles, in mask order; the diagonal
+    and the lower triangle must be all False."""
     panel = panel_from_matrix(np.zeros((3, 2)), countries, centroids, groups)
     passes, no_coordinates = pair_masks(panel, group)
-    return passes.tolist(), no_coordinates.tolist()
+    lower = np.tril(np.ones((3, 3), dtype=bool))
+    for mask in (passes, no_coordinates):
+        assert mask.shape == (3, 3) and not mask[lower].any()
+    upper = np.triu_indices(3, 1)
+    return passes[upper].tolist(), no_coordinates[upper].tolist()
 
 
 def test_same_country_filter():
