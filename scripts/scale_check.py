@@ -11,7 +11,9 @@ on its own:
   on an entry in a temporary cache directory (a tree without
   ``load_cached`` has no such key);
 - build_design;
-- fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov, region);
+- fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov): key
+  fit_cr1_s under the region scheme, fit_cr1_country_year_s under
+  country_year, the two schemes a ``fit`` of the sample config runs;
 - one cv model at K=4 (cv_loss, region folds);
 - a forward cv scan at K=4 from the fixed-effect-only base, with the
   candidates d.x*xbar at lags 0..2 and x (undifferenced) at lags 0..1: six
@@ -183,13 +185,15 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
     out["build_design_peak_mb"] = _peak_mb(lambda: cp.build_design(ds, spec))
     out["n"], out["p"] = design.n, design.p
 
-    def fit_cr1():
+    def fit_cr1(scheme):
         fit = cp.ols_fit(design)
-        cp.clustered_cov(fit, design, cp.assign_clusters(design, cp.REGION))
+        cp.clustered_cov(fit, design, cp.assign_clusters(design, scheme))
         return fit
 
-    out["fit_cr1_s"], fit = _timed(fit_cr1)
-    out["fit_cr1_peak_mb"] = _peak_mb(fit_cr1)
+    for scheme in (cp.REGION, cp.COUNTRY_YEAR):
+        key = "fit_cr1" if scheme == cp.REGION else f"fit_cr1_{scheme.label}"
+        out[f"{key}_s"], fit = _timed(lambda: fit_cr1(scheme))
+        out[f"{key}_peak_mb"] = _peak_mb(lambda: fit_cr1(scheme))
     if "cv_model" in stages:
         out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
         out["cv_model_peak_mb"] = _peak_mb(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))

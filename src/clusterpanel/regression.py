@@ -9,8 +9,8 @@ Both fixed effects are absorbed (``Absorbed``): the fit runs on the
 partialled intercept and term columns and recovers each region's and each
 year's effect afterwards.  The sandwich gets the year effects from the joint
 scores of the term and year columns and the region effects' variances
-exactly from the rows of the estimator's linear map, without forming a dummy
-column.  Every count (p, the CR1 factor, R^2) still includes the dummies.
+exactly from the rows of the estimator's linear map, forming no dummy column
+and no (p, p) array.  Every count (p, the CR1 factor, R^2) includes the dummies.
 """
 
 from __future__ import annotations
@@ -71,17 +71,22 @@ class FitResult:
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
+    """``cov``: the joint covariance of the columns of ``X`` and the year effects,
+    in design order (all p without a region effect); ``variances``: one per column."""
+
     cov: np.ndarray
+    variances: np.ndarray
     scheme: ClusterScheme
     correction: str
     G: int
 
     def __post_init__(self):
         self.cov.setflags(write=False)
+        self.variances.setflags(write=False)
 
     @property
     def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
+        return np.sqrt(np.clip(self.variances, 0.0, None))
 
 
 def _year_gram(C, N_r, N_t):
@@ -527,9 +532,9 @@ def clustered_cov(
     estimator's linear map is 1_r'/n_r - m_r' [W; gamma's], with m_r the
     region's column means and year shares, so its variance is sum_g (a_rg -
     m_r' W_g)^2, with a_rg the sum of cluster g's residuals in region r over
-    n_r.  Its covariances with other columns are not formed and are NaN.  A
-    region variance whose square root is at most n eps max|residual| is
-    roundoff of a structural zero and set to 0.
+    n_r.  Only these variances are formed (``CovarianceEstimate``).  A region
+    variance whose square root is at most n eps max|residual| is roundoff of
+    a structural zero and set to 0.
     """
     check_correction(correction)
     if clusters.n_rows != fit.n or design.n != fit.n:
@@ -570,6 +575,7 @@ def clustered_cov(
 
     cov = corrected(W.T @ W)
     cov = 0.5 * (cov + cov.T)
+    variances = np.diag(cov)
     if L:
         # sum_g (a_rg - c_rg)^2 with c_rg = m_r' W_g, as squares: over the
         # (region, cluster) pairs with rows directly, and over the other
@@ -582,12 +588,8 @@ def clustered_cov(
         unpaired -= np.bincount(r, c * c, len(means))
         var = corrected(np.bincount(r, np.square(a - c), len(means)) + np.maximum(unpaired, 0.0))
         var[np.sqrt(var) <= n * np.finfo(float).eps * np.abs(e).max()] = 0.0
-        full = np.full((p, p), math.nan)
-        kept = [*range(k), *design.fe_slots.get("year", ())]
-        full[np.ix_(kept, kept)] = cov
-        full[design.fe_slots["region"], design.fe_slots["region"]] = var[1:]
-        cov = full
-    return CovarianceEstimate(cov=cov, scheme=clusters.scheme, correction=correction, G=G)
+        variances = np.concatenate([variances[:k], var[1:], variances[k:]])  # design order
+    return CovarianceEstimate(cov, variances, clusters.scheme, correction, G)
 
 
 def _abs_t_density_at_zero(nu: int) -> float:
@@ -667,12 +669,11 @@ def confidence_intervals(
     Quantile: Student t with G-1 degrees of freedom.
     """
     q = _t_quantile(level, cov.G)
-    d = np.diag(cov.cov)
-    if np.any(d <= 0):
-        bad = [fit.column_names[j] for j in np.flatnonzero(d <= 0)]
+    bad = [fit.column_names[j] for j in np.flatnonzero(cov.variances <= 0)]
+    if bad:
         raise ValueError(f"nonpositive variance for columns {bad} under the "
                          f"{cov.scheme.label} scheme")
-    half = q * np.sqrt(d)
+    half = q * np.sqrt(cov.variances)
     return np.column_stack([fit.beta - half, fit.beta + half])
 
 
@@ -715,10 +716,9 @@ def term_response_curve(
     if not base_cols:
         raise ValueError(f"term {lbl!r} not in the fitted model")
     max_present = max(base_cols)
-    if horizon is None:
-        horizon = max_present
-    if horizon > max_present:
-        raise ValueError(f"horizon {horizon} exceeds fitted lags 0..{max_present}")
+    horizon = max_present if horizon is None else horizon
+    if not 0 <= horizon <= max_present:
+        raise ValueError(f"horizon {horizon} outside the fitted lags 0..{max_present}")
     q = _t_quantile(level, cov.G)
     points = []
     contrast = np.zeros(fit.p)

@@ -14,6 +14,7 @@ replaced (``Absorbed`` under row weights).  Agreement is to 1e-10 relative.
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from clusterpanel.panel import (
     build_design,
     load_csv,
 )
+from clusterpanel.simstudy import DgpConfig, generate_panel
 from clusterpanel.regression import (
     Absorbed,
     ClusterMoments,
@@ -159,9 +161,33 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
         np.testing.assert_allclose(cov.standard_errors, np.sqrt(np.diag(V)), rtol=RTOL)
         # the joint block of the term and year columns is formed in full
         joint = [*range(design.X.shape[1]), *slots["year"]]
-        _close(cov.cov[np.ix_(joint, joint)], V[np.ix_(joint, joint)])
+        _close(cov.cov, V[np.ix_(joint, joint)])
         half = _t_quantile(0.95, clusters.n_clusters) * np.sqrt(np.diag(V))
         _close(confidence_intervals(fit, cov), np.column_stack([beta - half, beta + half]))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_sandwich_memory_is_linear_in_regions():
+    """2000 regions over 6 years, p = 2006: a sandwich forms the region
+    variances alone, no (p, p) array, which would take 32 MB."""
+    ds = generate_panel(DgpConfig(n_regions=2000, n_years=6, countries=100), 0)
+    design = build_design(ds, ModelSpec(terms=(TermSpec("x", differenced=False),),
+                                        fixed_effects=("region", "year")))
+    fit = ols_fit(design)
+    X, region = dense_X(design), list(design.fe_slots["region"])
+    assert design.p == 2006
+    for scheme in (REGION, COUNTRY_YEAR):
+        clusters = assign_clusters(design, scheme)
+        tracemalloc.start()
+        try:
+            cov = clustered_cov(fit, design, clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"{scheme.label}: peak {peak / 2**20:.1f} MiB"
+        V = _dense_sandwich(X, fit.residuals, clusters)
+        np.testing.assert_allclose(cov.standard_errors[region], np.sqrt(np.diag(V)[region]),
+                                   rtol=RTOL)
 
 
 def test_r_squared_matches_dense():

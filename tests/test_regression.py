@@ -317,7 +317,8 @@ def test_scale_equivariance(rng):
 
 
 def _unit_cov(G, p=2):
-    return CovarianceEstimate(cov=np.eye(p), scheme=REGION, correction="CR1", G=G)
+    return CovarianceEstimate(cov=np.eye(p), variances=np.ones(p), scheme=REGION, correction="CR1",
+                              G=G)
 
 
 def _zero_fit(p=2):
@@ -425,7 +426,8 @@ def test_t_quantile_at_the_ends_of_the_level_range():
 
 
 def test_interval_rejects_nonpositive_variance():
-    cov = CovarianceEstimate(cov=np.diag([1.0, -1e-6]), scheme=REGION, correction="CR0", G=5)
+    cov = CovarianceEstimate(cov=np.diag([1.0, -1e-6]), variances=np.array([1.0, -1e-6]),
+                             scheme=REGION, correction="CR0", G=5)
     with pytest.raises(ValueError, match="nonpositive"):
         confidence_intervals(_zero_fit(), cov)
 
@@ -451,7 +453,8 @@ def test_cumulative_effects_plain_term():
     labels = [ColumnLabel(kind="base", term="d.v", lag=0),
               ColumnLabel(kind="base", term="d.v", lag=1)]
     fit = _curve_fit([0.1, -0.1], labels)
-    cov = CovarianceEstimate(cov=np.eye(2) * 0.01, scheme=REGION, correction="CR1", G=30)
+    cov = CovarianceEstimate(cov=np.eye(2) * 0.01, variances=np.full(2, 0.01), scheme=REGION,
+                             correction="CR1", G=30)
     curve = term_response_curve(fit, cov, TermSpec("v", differenced=True, max_lag=1))
     assert [pt.effect for pt in curve.points] == pytest.approx([0.1, 0.0])
     # variance of the lag-1 cumulative sum is c' I c * 0.01 with c = (1, 1)
@@ -466,7 +469,8 @@ def test_zero_moderator_value_nulls_interactions():
         ColumnLabel(kind="interaction", term="d.v", lag=1, moderator="m"),
     ]
     fit = _curve_fit([0.5, 0.25, 99.0, -99.0], labels)
-    cov = CovarianceEstimate(cov=np.eye(4), scheme=REGION, correction="CR1", G=30)
+    cov = CovarianceEstimate(cov=np.eye(4), variances=np.ones(4), scheme=REGION, correction="CR1",
+                             G=30)
     term = TermSpec("v", differenced=True, moderator="m", max_lag=1)
     curve = term_response_curve(fit, cov, term, moderator_value=0.0)
     assert [pt.effect for pt in curve.points] == pytest.approx([0.5, 0.75])
@@ -475,11 +479,15 @@ def test_zero_moderator_value_nulls_interactions():
 def test_missing_term_errors():
     labels = [ColumnLabel(kind="base", term="d.v", lag=0)]
     fit = _curve_fit([0.1], labels)
-    cov = CovarianceEstimate(cov=np.eye(1), scheme=REGION, correction="CR1", G=30)
+    cov = CovarianceEstimate(cov=np.eye(1), variances=np.ones(1), scheme=REGION, correction="CR1",
+                             G=30)
     with pytest.raises(ValueError, match="not in the fitted model"):
         term_response_curve(fit, cov, TermSpec("w", differenced=True))
     with pytest.raises(ValueError, match="horizon"):
         term_response_curve(fit, cov, TermSpec("v", differenced=True, max_lag=0), horizon=3)
+    for horizon in (-1, -3):
+        with pytest.raises(ValueError, match=r"horizon -\d outside the fitted lags 0\.\.0"):
+            term_response_curve(fit, cov, TermSpec("v", differenced=True), horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

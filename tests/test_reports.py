@@ -51,8 +51,8 @@ def test_coefficient_table_takes_each_schemes_standard_errors_once(monkeypatch):
     labels = tuple(ColumnLabel(kind="base", term="x", lag=j) for j in range(p))
     fit = FitResult(beta=np.arange(1.0, p + 1), residuals=np.zeros(40), fitted=np.zeros(40),
                     r_squared=0.0, n=40, p=p, column_labels=labels)
-    covs = {label: CovarianceEstimate(cov=np.diag(np.full(p, 4.0)), scheme=REGION,
-                                      correction="CR1", G=12) for label in ("a", "b")}
+    covs = {label: CovarianceEstimate(cov=np.diag(np.full(p, 4.0)), variances=np.full(p, 4.0),
+                                      scheme=REGION, correction="CR1", G=12) for label in ("a", "b")}
     calls = []
     original = CovarianceEstimate.standard_errors
 
@@ -70,8 +70,10 @@ def test_coefficient_table_zero_se_yields_null_t():
     labels = (ColumnLabel(kind="intercept"),)
     fit = FitResult(beta=np.array([2.0]), residuals=np.zeros(5), fitted=np.zeros(5),
                     r_squared=0.0, n=5, p=1, column_labels=labels)
-    cov = CovarianceEstimate(cov=np.array([[1.0]]), scheme=REGION, correction="CR0", G=5)
-    zero = CovarianceEstimate(cov=np.array([[0.0]]), scheme=REGION, correction="CR0", G=5)
+    cov = CovarianceEstimate(cov=np.array([[1.0]]), variances=np.array([1.0]), scheme=REGION,
+                             correction="CR0", G=5)
+    zero = CovarianceEstimate(cov=np.array([[0.0]]), variances=np.array([0.0]), scheme=REGION,
+                              correction="CR0", G=5)
     table = coefficient_table(fit, {"a": cov}, level=0.9)
     assert table["coefficients"][0]["t"]["a"] == pytest.approx(2.0)
     # zero-variance covariance: the interval computation rejects it upstream,
