@@ -68,10 +68,11 @@ not slow the timed calls; a bootstrap peak is that of a B=1+k call.
 ``--sizes`` replaces the default sizes (300x30 and 1000x40), for example
 ``--sizes 5000x50``, and ``--stages`` keeps only the named stages, for
 example ``--stages fit_cr1,bootstrap`` to leave out the corr stages,
-whose R x R arrays take gigabytes at 5000 regions.  The figures outside the
-sizes are stages too: cold_start, t_quantile, coverage_study and
-trending_agreement, so ``--stages project_readout`` times that stage alone
-(with build_design and fit_cr1, which always run).
+which keep every kept pair's rho (about 600 MB for the default groups at
+5000 regions).  The figures outside the sizes are stages too: cold_start,
+t_quantile, coverage_study and trending_agreement, so ``--stages
+project_readout`` times that stage alone (with build_design and fit_cr1,
+which always run).
 
 Each run is stored under a label in the output JSON, so the same script run
 on two source trees gives before and after numbers from one machine:

@@ -4,39 +4,43 @@ Spatial kind: one residual series per region, indexed by year; a Pearson
 correlation per unordered region pair over their common years.  Temporal
 kind: one series per year, indexed by region, over their common regions.
 
-Both kinds run one kernel, :func:`pair_statistics`, over a NaN-masked grid
-(the residual grid for the spatial kind, its transpose for the temporal
-one).  It centres each series on its own mean, zero-fills the missing cells
-into X and marks the present ones in M, and forms N = MMᵀ (common cells),
-Sx = XMᵀ, Sxx = X²Mᵀ and Sxy = XXᵀ.  Every pair's centred sums over its
-common cells follow in one pass, e.g. Cxy = Sxy - Sx ∘ Sxᵀ / N.
+Both kinds run one pair walk, :func:`_walk`, over a NaN-masked grid (the
+residual grid for the spatial kind, its transpose for the temporal one).  It
+centres each series on its own mean, zero-fills the missing cells into X and
+marks the present ones in M.  Each block of at most ``_BLOCK`` series a meets
+the series b from the block's first on: N = M_a M_bᵀ (common cells),
+Sx = X_a M_bᵀ, Syx = (X_b M_aᵀ)ᵀ, Sxx = X²_a M_bᵀ and its transpose, and
+Sxy = X_a X_bᵀ give every pair's centred sums over its common cells, e.g.
+Cxy = Sxy - Sx ∘ Syx / N.  Memory grows with ``_BLOCK`` times the series.
 
 A series is constant over a pair's common cells, and the pair is skipped as
 ``zero_variance``, when its centred sum of squares there is at most
 N · 2⁻⁴⁴ · s², with s the series' largest absolute residual: a standard
 deviation below about 2.4e-7 · s is rounding, not signal.
 
-Groups are declarative (:class:`GroupSpec`): each becomes a square boolean
-mask over its kind's series, True only in the strict upper triangle
-(a < b), so the square statistics are computed once per kind and every
-group selects its pairs from them, in row-major order.  Group summaries
-aggregate to mean and quartiles.
+Groups are declarative (:class:`GroupSpec`): :func:`pair_masks` gives a
+group's masks over a block, True only where a < b, so each group masks each
+block once, keeps only its rho, and its pairs come in row-major (a, b) order.
+Distances are computed per block, only when some group has a km bound.
+Group summaries aggregate to mean and quartiles.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .panel import DesignMatrix, haversine_km
+from .panel import DesignMatrix, _check_coordinates, haversine_km
 from .regression import FitResult
 
 DEFAULT_MIN_OVERLAP = 10
 # centred sum of squares at or below N * ZERO_VARIANCE_TOL * max|x|^2 is rounding
 ZERO_VARIANCE_TOL = 2.0**-44
+_BLOCK = 256  # series a per block of the pair walk
 
 SKIP_NO_COORDINATES = "no_coordinates"
 SKIP_SHORT_OVERLAP = "short_overlap"
@@ -49,13 +53,13 @@ TEMPORAL_KEYS = ("consecutive",)
 
 class ResidualPanel:
     """(R, T) residual grid, NaN where a cell has no residual, plus per-region
-    country, centroid ((R, 2) lat/lon, NaN for none) and group tags.
+    country, centroid ((R, 2) lat/lon, NaN latitude for none) and group tags.
 
     Only regions and years with at least one residual are kept, so every
     series takes part in its kind's pairs.
     """
 
-    __slots__ = ("values", "regions", "years", "countries", "centroids", "groups", "_distances")
+    __slots__ = ("values", "regions", "years", "countries", "centroids", "groups")
 
     def __init__(
         self,
@@ -72,6 +76,11 @@ class ResidualPanel:
             raise ValueError(f"residual grid is {R}x{T}, labels do not match")
         centroids = np.full((R, 2), math.nan) if centroids is None else np.asarray(centroids, float)
         groups = [frozenset()] * R if groups is None else [frozenset(g) for g in groups]
+        if centroids.shape != (R, 2):
+            raise ValueError(f"centroids are {centroids.shape} for {R} regions, expected ({R}, 2)")
+        if len(groups) != R:
+            raise ValueError(f"{len(groups)} group tag sets for {R} regions")
+        _check_coordinates(*centroids[~np.isnan(centroids[:, 0])].T)
         present = ~np.isnan(values)
         rows, cols = present.any(axis=1), present.any(axis=0)
         if not rows.any():
@@ -82,7 +91,6 @@ class ResidualPanel:
         self.countries = np.asarray(countries, dtype=str)[rows]
         self.centroids = centroids[rows]
         self.groups = tuple(g for g, keep in zip(groups, rows) if keep)
-        self._distances = None
 
     @classmethod
     def from_fit(cls, fit: FitResult, design: DesignMatrix) -> "ResidualPanel":
@@ -94,38 +102,32 @@ class ResidualPanel:
         return cls(grid, dataset.regions, years, dataset.countries, dataset.centroids,
                    dataset.groups)
 
-    def distances_km(self) -> np.ndarray:
-        """(R, R) great-circle distances between region centroids, computed on
-        first use; meaningless where either region has no centroid."""
-        if self._distances is None:
-            ll = np.nan_to_num(self.centroids)
-            self._distances = haversine_km(ll[:, None, :], ll[None, :, :])
-        return self._distances
 
-
-def pair_statistics(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Overlap, Pearson rho and degenerate flag of every pair of rows of a
-    NaN-masked grid, as (S, S) matrices over the S series (rows).
-
-    rho is over each pair's common cells, clipped to [-1, 1]; it is NaN or
-    meaningless where the overlap is below 2 or the pair is degenerate (either
-    series constant over the common cells, see the module docstring).
-    """
+def _walk(values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per block of at most ``_BLOCK`` rows a of a NaN-masked grid, against
+    the rows b from the block's first on: the index arrays a and b and the
+    (len(a), len(b)) overlap, Pearson rho (clipped to [-1, 1], meaningless
+    where the overlap is below 2) and degenerate flag (module docstring)."""
     present = ~np.isnan(values)
     M = present.astype(float)
     centred = values - np.nanmean(values, axis=1, keepdims=True)
     X = np.where(present, centred, 0.0)
-    N = M @ M.T
-    Sx = X @ M.T
-    Sxx = (X * X) @ M.T
+    X2 = X * X
     scale = np.nanmax(np.abs(values), axis=1) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_x = Sx / N
-        cxx = Sxx - Sx * mean_x
-        cxy = X @ X.T - Sx * mean_x.T
-        flat = cxx <= N * ZERO_VARIANCE_TOL * scale[:, None]
-        rho = np.clip(cxy / np.sqrt(cxx * cxx.T), -1.0, 1.0)
-    return N.astype(np.int64), rho, flat | flat.T
+    S = len(values)
+    for first in range(0, S, _BLOCK):
+        A, B = slice(first, first + _BLOCK), slice(first, S)
+        N = M[A] @ M[B].T
+        sx, syx = X[A] @ M[B].T, (X[B] @ M[A].T).T
+        sxx, syy = X2[A] @ M[B].T, (X2[B] @ M[A].T).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean_x, mean_y = sx / N, syx / N
+            cxx, cyy = sxx - sx * mean_x, syy - syx * mean_y
+            cxy = X[A] @ X[B].T - sx * mean_y
+            flat = ((cxx <= N * ZERO_VARIANCE_TOL * scale[A, None])
+                    | (cyy <= N * ZERO_VARIANCE_TOL * scale[None, B]))
+            rho = np.clip(cxy / np.sqrt(cxx * cyy), -1.0, 1.0)
+        yield np.arange(S)[A], np.arange(S)[B], N.astype(np.int64), rho, flat
 
 
 @dataclass(frozen=True)
@@ -166,31 +168,39 @@ class GroupSpec:
                 raise ValueError(f"{name} must be a distance >= 0 km, got {bound!r}")
 
 
-def pair_masks(panel: ResidualPanel, group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(passes, no_coordinates) (n, n) masks of a group over its kind's n
-    series, True only for pairs a < b; a rejection by any condition dominates
-    a missing centroid."""
-    n = len(panel.regions) if group.kind == "spatial" else len(panel.years)
-    ok = np.triu(np.ones((n, n), dtype=bool), 1)
-    missing = np.zeros((n, n), dtype=bool)
+def _distances(panel: ResidualPanel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) great-circle km between the regions' centroids;
+    meaningless where either region has no centroid."""
+    ll = np.nan_to_num(panel.centroids)
+    return haversine_km(ll[a][:, None, :], ll[b][None, :, :])
+
+
+def pair_masks(panel: ResidualPanel, group: GroupSpec, a: np.ndarray, b: np.ndarray,
+               d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(passes, no_coordinates) (len(a), len(b)) masks of a group over the
+    pairs of its kind's series indices a and b, True only where a < b; a
+    rejection by any condition dominates a missing centroid.  ``d`` is the
+    block's km distances, computed here if a km bound needs them."""
+    ok = np.less.outer(a, b)
+    missing = np.zeros_like(ok)
     if group.consecutive:
         years = np.asarray(panel.years)
-        ok &= np.abs(years[:, None] - years[None, :]) == 1
+        ok &= np.abs(np.subtract.outer(years[a], years[b])) == 1
     c = panel.countries
     if group.same_country:
-        ok &= c[:, None] == c[None, :]
+        ok &= np.equal.outer(c[a], c[b])
     if group.different_country:
-        ok &= c[:, None] != c[None, :]
+        ok &= np.not_equal.outer(c[a], c[b])
     if group.country:
         member = c == str(group.country)
-        ok &= member[:, None] & member[None, :]
+        ok &= np.logical_and.outer(member[a], member[b])
     if group.group:
         member = np.array([str(group.group) in g for g in panel.groups], dtype=bool)
-        ok &= member[:, None] & member[None, :]
+        ok &= np.logical_and.outer(member[a], member[b])
     if group.below_km is not None or group.above_km is not None:
         located = ~np.isnan(panel.centroids[:, 0])
-        both = located[:, None] & located[None, :]
-        d = panel.distances_km()
+        both = np.logical_and.outer(located[a], located[b])
+        d = _distances(panel, a, b) if d is None else d
         if group.below_km is not None:
             ok &= ~both | (d < float(group.below_km))
         if group.above_km is not None:
@@ -210,51 +220,50 @@ class PairCorrelations:
     overlap: np.ndarray
     skipped: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def skipped_total(self) -> int:
-        return sum(self.skipped.values())
 
-
-def _grid(panel: ResidualPanel, kind: str) -> np.ndarray:
-    return panel.values if kind == "spatial" else panel.values.T
-
-
-def _select(panel: ResidualPanel, group: GroupSpec, overlap: np.ndarray, degenerate: np.ndarray,
-            min_overlap: int) -> tuple[np.ndarray, dict[str, int]]:
-    """The (n, n) mask of the group's kept pairs and its skips by reason."""
-    passes, no_coordinates = pair_masks(panel, group)
-    short = passes & (overlap < min_overlap)
-    flat = passes & ~short & degenerate
-    keep = passes & ~short & ~degenerate
-    counts = {SKIP_NO_COORDINATES: no_coordinates, SKIP_SHORT_OVERLAP: short,
-              SKIP_ZERO_VARIANCE: flat}
-    return keep, {reason: int(m.sum()) for reason, m in counts.items() if m.any()}
-
-
-def _check_min_overlap(min_overlap: int) -> None:
+def _group_pairs(panel: ResidualPanel, groups: Sequence[GroupSpec], min_overlap: int,
+                 with_pairs: bool = False) -> list[tuple[tuple[np.ndarray, ...], dict[str, int]]]:
+    """Per group, from one walk per kind: its kept rho in (a < b, row-major)
+    order, preceded with ``with_pairs`` by the pairs' series indices a and b
+    and followed by their overlap, and its skips by reason."""
     if min_overlap < 2:
         raise ValueError(f"min_overlap must be at least 2 (a correlation needs two points), "
                          f"got {min_overlap}")
+    kept, skipped = [[] for _ in groups], [Counter() for _ in groups]
+    for kind in dict.fromkeys(g.kind for g in groups):
+        mine = [i for i, g in enumerate(groups) if g.kind == kind]
+        km = any(groups[i].below_km is not None or groups[i].above_km is not None for i in mine)
+        for a, b, overlap, rho, degenerate in _walk(panel.values if kind == "spatial"
+                                                    else panel.values.T):
+            d = _distances(panel, a, b) if km else None
+            short = overlap < min_overlap
+            for i in mine:
+                passes, no_coordinates = pair_masks(panel, groups[i], a, b, d)
+                keep = passes & ~short & ~degenerate
+                skipped[i].update({SKIP_NO_COORDINATES: int(no_coordinates.sum()),
+                                   SKIP_SHORT_OVERLAP: int((passes & short).sum()),
+                                   SKIP_ZERO_VARIANCE: int((passes & ~short & degenerate).sum())})
+                if with_pairs:
+                    rows, cols = np.nonzero(keep)
+                    kept[i].append((a[rows], b[cols], rho[keep], overlap[keep]))
+                else:
+                    kept[i].append((rho[keep],))
+    return [(tuple(map(np.concatenate, zip(*parts))), dict(+skips))
+            for parts, skips in zip(kept, skipped)]
 
 
-def pair_correlations(
-    panel: ResidualPanel,
-    group: GroupSpec,
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
-) -> PairCorrelations:
+def pair_correlations(panel: ResidualPanel, group: GroupSpec,
+                      min_overlap: int = DEFAULT_MIN_OVERLAP) -> PairCorrelations:
     """One group's pair correlations.
 
     Pairs the group rejects are excluded silently; pairs it cannot evaluate
     (missing centroids), and pairs with fewer than ``min_overlap`` common
     cells or a constant series, are counted under ``skipped``.
     """
-    _check_min_overlap(min_overlap)
-    overlap, rho, degenerate = pair_statistics(_grid(panel, group.kind))
-    keep, skipped = _select(panel, group, overlap, degenerate, min_overlap)
+    [((a, b, rho, overlap), skipped)] = _group_pairs(panel, [group], min_overlap, with_pairs=True)
     labels = (np.asarray(panel.regions, dtype=object) if group.kind == "spatial"
               else np.asarray(panel.years))
-    a, b = np.nonzero(keep)
-    return PairCorrelations(labels[a], labels[b], rho[keep], overlap[keep], skipped)
+    return PairCorrelations(labels[a], labels[b], rho, overlap, skipped)
 
 
 @dataclass(frozen=True)
@@ -288,19 +297,10 @@ def summarize(
     return CorrelationSummary(group_label, kind, mean, q25, q75, int(rhos.size), skipped_count)
 
 
-def correlation_table(
-    panel: ResidualPanel,
-    groups: Sequence[GroupSpec],
-    min_overlap: int = DEFAULT_MIN_OVERLAP,
-) -> list[CorrelationSummary]:
-    """Group summaries over the panel, one row per group spec; the pair
-    statistics are computed once per kind and each group masks them."""
-    _check_min_overlap(min_overlap)
-    by_kind = {kind: pair_statistics(_grid(panel, kind)) for kind in {g.kind for g in groups}}
-    rows = []
-    for g in groups:
-        overlap, rho, degenerate = by_kind[g.kind]
-        keep, skipped = _select(panel, g, overlap, degenerate, min_overlap)
-        rows.append(summarize(rho[keep], group_label=g.label, kind=g.kind,
-                              skipped_count=sum(skipped.values())))
-    return rows
+def correlation_table(panel: ResidualPanel, groups: Sequence[GroupSpec],
+                      min_overlap: int = DEFAULT_MIN_OVERLAP) -> list[CorrelationSummary]:
+    """Group summaries over the panel, one row per group spec, from one pair
+    walk per kind that every group masks block by block; only the kept rho
+    values are stored."""
+    return [summarize(rho, g.label, g.kind, sum(skipped.values()))
+            for g, ((rho,), skipped) in zip(groups, _group_pairs(panel, groups, min_overlap))]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,65 @@ def test_matches_looped_oracle_on_gappy_panel(min_overlap):
         assert set(skips) == {rc.SKIP_NO_COORDINATES, rc.SKIP_SHORT_OVERLAP}
 
 
+def _blocked_pairs(panel, groups, min_overlap, block, monkeypatch):
+    monkeypatch.setattr(rc, "_BLOCK", block)
+    table = correlation_table(panel, groups, min_overlap=min_overlap)
+    return table, [pair_correlations(panel, g, min_overlap=min_overlap) for g in groups]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_size_changes_no_pair(block, monkeypatch):
+    # 320 regions with NaN cells, regions without centroids and a constant
+    # series, so every skip reason occurs; the default groups include the km
+    # and temporal ones.  A block's products round by its shape, so rho may
+    # move in the last bits: by up to 3.2e-15 at block sizes 1, 7 and 64
+    ds = generate_panel(DgpConfig(n_regions=320, n_years=16, countries=16), 11)
+    design = build_design(ds, SLOPE_SPEC)
+    full = ResidualPanel.from_fit(ols_fit(design), design)
+    gen = np.random.default_rng(12)
+    values = full.values.copy()
+    values[gen.random(values.shape) < 0.3] = math.nan
+    values[5] = np.where(np.isnan(values[5]), math.nan, 0.1)
+    centroids = full.centroids.copy()
+    centroids[::9] = math.nan
+    panel = ResidualPanel(values, full.regions, full.years, full.countries, centroids, full.groups)
+    groups = cli._groups(None, ds)
+    assert sum(g.below_km is not None or g.above_km is not None for g in groups) == 4
+    assert len(panel.regions) > 300 and {g.kind for g in groups} == set(rc.KINDS)
+    table, got = _blocked_pairs(panel, groups, 6, block, monkeypatch)
+    ref_table, ref = _blocked_pairs(panel, groups, 6, 10**6, monkeypatch)
+    reasons = set()
+    for group, row, ref_row, res, want in zip(groups, table, ref_table, got, ref):
+        where = f"{group.kind} {group.label!r}"
+        assert res.a.tolist() == want.a.tolist() and res.b.tolist() == want.b.tolist(), where
+        assert res.overlap.tolist() == want.overlap.tolist() and res.skipped == want.skipped, where
+        assert np.all(np.abs(res.rho - want.rho) <= 1e-14), where
+        assert (row.pair_count, row.skipped_count) == (ref_row.pair_count, ref_row.skipped_count)
+        assert row.mean == pytest.approx(ref_row.mean, abs=1e-14), where
+        reasons |= set(res.skipped)
+    assert reasons == {rc.SKIP_NO_COORDINATES, rc.SKIP_SHORT_OVERLAP, rc.SKIP_ZERO_VARIANCE}
+
+
+def _table_peak_bytes(R, rng):
+    countries = {f"R{i:03d}": f"C{i // 10}" for i in range(R)}
+    panel = panel_from_matrix(rng.standard_normal((R, 10)), countries=countries)
+    tracemalloc.start()
+    try:
+        [row] = correlation_table(panel, [GroupSpec("same", same_country=True)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.pair_count == R // 10 * 45
+    return peak
+
+
+def test_correlation_table_memory_grows_linearly_in_regions(rng):
+    # the walk holds (block x regions) statistics, not (regions x regions);
+    # a same-country group keeps a number of pairs linear in the regions
+    small, large = _table_peak_bytes(800, rng), _table_peak_bytes(1600, rng)
+    assert large < 2.6 * small, (small, large)
+
+
 # ---------------------------------------------------------------------------
 # Pairwise correlations
 # ---------------------------------------------------------------------------
@@ -342,6 +402,21 @@ def test_consecutive_filter_counts_pairs(rng):
     assert len(res.rho) == 19
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"groups": [(), ("EU",)]}, "2 group tag sets for 4 regions"),
+        ({"centroids": [(0.0, 0.0)] * 3}, "centroids are (3, 2) for 4 regions, expected (4, 2)"),
+        ({"centroids": [(0.0, 0.0)] * 3 + [(95.0, 10.0)]}, "latitude 95.0 outside [-90, 90]"),
+    ],
+    ids=["short_groups", "short_centroids", "latitude_95"],
+)
+def test_residual_panel_rejects_bad_region_inputs(keys, message, rng):
+    regions = [f"R{i}" for i in range(4)]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ResidualPanel(rng.standard_normal((4, 6)), regions, range(6), ["C0"] * 4, **keys)
+
+
 def test_min_overlap_below_two_rejected(rng):
     panel = panel_from_matrix(rng.standard_normal((3, 5)))
     with pytest.raises(ValueError, match="min_overlap must be at least 2.*got 1"):
@@ -386,10 +461,10 @@ PAIRS_OF_3 = [("R000", "R001"), ("R000", "R002"), ("R001", "R002")]
 
 
 def _masks(group, countries=None, centroids=None, groups=None):
-    """The square masks' strict upper triangles, in mask order; the diagonal
-    and the lower triangle must be all False."""
+    """The masks' strict upper triangles over every pair of the three series,
+    in mask order; the diagonal and the lower triangle must be all False."""
     panel = panel_from_matrix(np.zeros((3, 2)), countries, centroids, groups)
-    passes, no_coordinates = pair_masks(panel, group)
+    passes, no_coordinates = pair_masks(panel, group, np.arange(3), np.arange(3))
     lower = np.tril(np.ones((3, 3), dtype=bool))
     for mask in (passes, no_coordinates):
         assert mask.shape == (3, 3) and not mask[lower].any()
