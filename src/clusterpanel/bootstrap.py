@@ -5,9 +5,9 @@ original design by least squares with each row weighted by its cluster's
 multiplicity in the draw: the same fit as stacking the drawn clusters' rows
 (duplicates kept) and rebuilding the fixed-effect dummies on them
 (Cameron, Gelbach & Miller 2008), without copying rows or forming dummies.
-Replicate b's randomness derives from (seed, b), so draws are identical
-under any execution order.  Replicates are solved from ``ClusterMoments``, a
-block of them as one stack of views, and their draws scattered into place.
+Replicate b draws its clusters as ``default_rng((seed, b))`` would, so draws
+are identical under any execution order.  Replicates are solved from
+``ClusterMoments``, a block of them as one stack of views, their draws scattered.
 Read-outs (intervals, ``sd``, projections, discernibility) take every column
 at once (``column_quantiles``), with the bits of a column read alone.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .panel import (ClusterScheme, DesignMatrix, ModelSpec, PanelDataset, assign_clusters,
                     build_design)
-from .regression import ClusterMoments, FitResult, check_level, ols_fit
+from .regression import ClusterMoments, FitResult, _replicate_streams, check_level, ols_fit
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,11 @@ def block_bootstrap(
                                         for lab in design.column_labels]))
                for effect in design.fixed_effects}
     draws, deficient = np.full((B, design.p), math.nan), np.zeros(B, dtype=bool)
+    streams = _replicate_streams(seed, range(B))
     for start in range(0, B, moments.block):
         block = slice(start, min(B, start + moments.block))
-        draw = [np.random.default_rng((seed, b)).integers(0, G, size=G) for b in range(B)[block]]
-        views = moments.weighted([np.bincount(d, minlength=G) for d in draw])
+        views = moments.weighted([np.bincount(gen.integers(0, G, size=G), minlength=G)
+                                  for _, gen in zip(range(B)[block], streams)])
         theta, deficient[block], effects = views.solve(cols)
         out = draws[block]  # a view of draws, filled by the scatters below
         out[:, : len(cols)] = theta

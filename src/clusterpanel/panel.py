@@ -32,7 +32,6 @@ DEFAULT_MAX_LAG_CEILING = 10
 _MISSING_TOKENS = ("", "NA")
 _BLOCK_ROWS = 256  # CSV rows parsed at a time
 CACHE_ENTRIES = 32  # entries ``load_cached`` keeps in its directory; the oldest go first
-_STR_SLOTS = ("regions", "countries", "predictor_names", "custom_names")  # stored as str arrays
 
 
 # ---------------------------------------------------------------------------
@@ -559,29 +558,39 @@ def _str_array(values) -> np.ndarray:
 
 
 def _entry_arrays(ds: PanelDataset) -> dict[str, np.ndarray]:
-    shape = (-1, *ds.present.shape)
-    return {**{name: _str_array(getattr(ds, name)) for name in _STR_SLOTS},
-            "first_year": np.int64(ds.first_year), "present": ds.present, "outcome": ds.outcome,
-            "predictors": np.array([ds.predictors[n] for n in ds.predictor_names]).reshape(shape),
-            "custom": _str_array([ds.custom[n] for n in ds.custom_names]).reshape(shape),
-            "centroids": ds.centroids,
-            "groups": _str_array([";".join(sorted(tags)) for tags in ds.groups])}
+    """The presence mask, a float stack (first year, predictor and custom counts, outcome,
+    predictors, centroids) and a str stack (regions, countries, tags, names, custom)."""
+    custom = [v for name in ds.custom_names for v in ds.custom[name].ravel().tolist()]
+    floats = [[ds.first_year, len(ds.predictor_names), len(ds.custom_names)], ds.outcome,
+              *(ds.predictors[n] for n in ds.predictor_names), ds.centroids]
+    floats = np.concatenate([np.ravel(a) for a in floats])
+    if int(floats[0]) != ds.first_year:
+        raise ValueError(f"first year {ds.first_year} does not round-trip through a float")
+    return {"present": ds.present, "floats": floats,
+            "strings": _str_array([*ds.regions, *ds.countries,
+                                   *(";".join(sorted(tags)) for tags in ds.groups),
+                                   *ds.predictor_names, *ds.custom_names, *custom])}
 
 
 def _from_entry(entry) -> PanelDataset:
     """The dataset of a cache entry, set slot by slot and not validated again:
     entries are written only from datasets the constructor accepted."""
     ds = object.__new__(PanelDataset)
-    for name in _STR_SLOTS:
-        setattr(ds, name, tuple(entry[name].tolist()))
-    predictors, custom = entry["predictors"], entry["custom"].astype(object)
-    ds.present, ds.outcome, ds.centroids = entry["present"], entry["outcome"], entry["centroids"]
+    ds.present, floats, strings = entry["present"], entry["floats"], entry["strings"]
+    (R, T), P, C = ds.present.shape, int(floats[1]), int(floats[2])
+    ds.first_year, cells = int(floats[0]), 3 + R * T * (P + 1)
+    ds.outcome = floats[3:3 + R * T].reshape(R, T)
+    predictors = floats[3 + R * T:cells].reshape(P, R, T)
+    ds.centroids = floats[cells:].reshape(R, 2)
+    custom = strings[3 * R + P + C:].astype(object).reshape(C, R, T)
     for a in (predictors, custom, ds.present, ds.outcome, ds.centroids):
         a.setflags(write=False)
-    ds.first_year = int(entry["first_year"])
+    head = strings[:3 * R + P + C].tolist()
+    ds.regions, ds.countries = tuple(head[:R]), tuple(head[R:2 * R])
+    ds.groups = tuple(frozenset(tags.split(";")) - {""} for tags in head[2 * R:3 * R])
+    ds.predictor_names, ds.custom_names = tuple(head[3 * R:3 * R + P]), tuple(head[3 * R + P:])
     ds.predictors = dict(zip(ds.predictor_names, predictors, strict=True))
     ds.custom = dict(zip(ds.custom_names, custom, strict=True))
-    ds.groups = tuple(frozenset(tags.split(";")) - {""} for tags in entry["groups"].tolist())
     ds._index = {r: i for i, r in enumerate(ds.regions)}
     return ds
 

@@ -45,23 +45,16 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             writer.writerow([fmt(v) for v in row])
 
 
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def write_json(path, payload) -> None:
-    def clean(obj):
+    def clean(obj):  # tuples as lists, a non-finite float as null
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
-        return _jsonable(obj)
+        return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(clean(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(clean(payload), indent=2) + "\n")  # one write, not one per token
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ L cell.  Defaults: predictor shared within region (high temporal, low
 spatial correlation), noise shared within year (high spatial, low temporal
 correlation).
 
-The studies run every replication through one batched kernel: a block of
-replications gets its fields from one draw call each, those of
-``generate_panel(config, (seed, rep))``, is fitted in closed form at once, and
-each scheme's sandwich sums scores over rows sorted by one panel's clusters.
+The studies run every replication through one batched kernel, its streams
+seeded together: a block of replications gets the fields of
+``generate_panel(config, (seed, rep))`` from one draw call each, is fitted in
+closed form at once, and each scheme's sandwich sums scores over rows sorted
+by one panel's clusters.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .panel import (
     assign_clusters,
     build_design,
 )
-from .regression import _t_quantile, check_correction, check_level
+from .regression import _replicate_streams, _t_quantile, check_correction, check_level
 
 _SHARING_LEVELS = ("region", "year", "country_year")
 
@@ -96,10 +97,10 @@ class DgpConfig:
         return self.countries if self.countries is not None else 1
 
 
-def _draw_fields(config: DgpConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as (len(seeds), n_regions, n_years) grids, one per seed.
+def _draw_fields(config: DgpConfig, streams, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as (rows, n_regions, n_years) grids, one per generator taken from ``streams``.
 
-    Each seed's generator fills its row of the draws in one call, laid out in
+    Each row's generator fills its row of the draws in one call, laid out in
     the fixed order shared_x, optional spatial_x, idio_x, shared_e, idio_e;
     one call of m normals gives the values of consecutive calls summing to m.
     """
@@ -110,9 +111,9 @@ def _draw_fields(config: DgpConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
     spatial = ["year"] if wxs > 0.0 else []
     order = [config.predictor_sharing, *spatial, "idio", config.noise_sharing, "idio"]
     sizes = [math.prod(shapes[part]) for part in order]
-    draws = np.empty((len(seeds), sum(sizes)))
-    for row, seed in zip(draws, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    draws = np.empty((rows, sum(sizes)))
+    for row, gen in zip(draws, streams):  # takes no generator past the last row
+        gen.standard_normal(out=row)
     rows = {"country_year": np.arange(R) * C // R}  # contiguous country blocks
     fields = iter(block.reshape(-1, *shapes[part])[:, rows.get(part, slice(None))]
                   for block, part in zip(np.split(draws, np.cumsum(sizes)[:-1], axis=1), order))
@@ -156,9 +157,10 @@ def generate_panel(config: DgpConfig, seed) -> PanelDataset:
     x = sqrt(w_p) * shared_x [+ sqrt(w_s) * year_shared_x] + sqrt(1 - w_p - w_s) * idio;
     e = noise_scale * (sqrt(w_e) * shared_e + sqrt(1 - w_e) * idio).
     Draw order is fixed (shared_x, optional spatial_x, idio_x, shared_e,
-    idio_e) so results are reproducible from (config, seed).
+    idio_e) so results are reproducible from (config, seed), a non-negative
+    int or a tuple of them: the draws of ``np.random.default_rng(seed)``.
     """
-    x, y = _draw_fields(config, [seed])
+    x, y = _draw_fields(config, _replicate_streams(seed), 1)
     return _dataset(config, x[0], y[0])
 
 
@@ -202,10 +204,10 @@ def _slope_sandwiches(config: DgpConfig, seed: int, reps: int, assignments, corr
     variances = np.full((len(assignments), reps, 2), math.nan)
     sorted_rows = [(np.argsort(c.row_cluster, kind="stable"), np.cumsum(c.sizes) - c.sizes)
                    for c in assignments]
-    block = max(1, _BLOCK_CELLS // n)
+    block, streams = max(1, _BLOCK_CELLS // n), _replicate_streams(seed, range(reps))
     for start in range(0, reps, block):
         stop = min(reps, start + block)
-        x, y = _draw_fields(config, [(seed, rep) for rep in range(start, stop)])
+        x, y = _draw_fields(config, streams, stop - start)
         x, y = x.reshape(-1, n), y.reshape(-1, n)
         xbar = x.mean(axis=1, keepdims=True)
         xc, yc = x - xbar, y - y.mean(axis=1, keepdims=True)

@@ -29,7 +29,7 @@ from clusterpanel.panel import (
     assign_clusters,
     build_design,
 )
-from clusterpanel import regression
+from clusterpanel import bootstrap, regression
 from clusterpanel.regression import clustered_cov, ols_fit, term_response_curve
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
@@ -87,6 +87,32 @@ def test_replicate_block_size_does_not_change_draws(rng, monkeypatch, scheme):
     monkeypatch.setattr(regression, "_BLOCK_FLOATS", 1)  # one replicate per block
     single = block_bootstrap(ds, spec, scheme, B=16, seed=7)
     np.testing.assert_array_equal(whole.draws, single.draws)
+
+
+@pytest.mark.parametrize("one_per_block", [False, True], ids=["one_block", "block_per_replicate"])
+def test_each_replicate_draws_the_seed_b_oracle(rng, monkeypatch, one_per_block):
+    # replicate b's clusters are default_rng((seed, b)).integers(0, G, size=G),
+    # recorded as the resampler takes them, in order, in any block layout
+    taken, streams = [], bootstrap._replicate_streams
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def integers(self, *args, **kwargs):
+            taken.append(self.gen.integers(*args, **kwargs).tolist())
+            return np.array(taken[-1])
+
+    monkeypatch.setattr(bootstrap, "_replicate_streams",
+                        lambda seed, reps: map(Recording, streams(seed, reps)))
+    if one_per_block:
+        monkeypatch.setattr(regression, "_BLOCK_FLOATS", 1)
+    ds = _xy_dataset(rng, R=12, T=10)
+    spec = ModelSpec(terms=(TermSpec("x", differenced=False),), fixed_effects=("region", "year"))
+    B, seed, G = 16, 2**40 + 5, 10  # a seed of two words; YEAR gives G = T
+    block_bootstrap(ds, spec, YEAR, B=B, seed=seed)
+    assert taken == [np.random.default_rng((seed, b)).integers(0, G, size=G).tolist()
+                     for b in range(B)]
 
 
 def test_each_replicate_draws_exactly_g_blocks():

@@ -179,6 +179,28 @@ def test_string_numpy_would_change_writes_no_entry(tmp_path, parses):
     assert len(parses) == 2 and not _entries(cache)
 
 
+def test_year_a_float_would_change_writes_no_entry(tmp_path, parses):
+    # the first year is kept in the entry's float stack
+    cache = tmp_path / "cache"
+    path = tmp_path / "far.csv"
+    path.write_text(f"region,country,year,outcome,x\nR1,A,{2**53 + 1},0.1,1\n", encoding="utf-8")
+    schema = CsvSchema(region="region", country="country", year="year", outcome="outcome",
+                       predictors={"x": "x"})
+    for _ in range(2):
+        assert load_cached(path, schema, cache).first_year == 2**53 + 1
+    assert len(parses) == 2 and not _entries(cache)
+
+
+def test_entry_holds_three_members(tmp_path):
+    # a hit reads one header per member: the presence mask, a float and a str stack
+    path, schema = _gappy_tagged(tmp_path)
+    load_cached(path, schema, tmp_path / "cache")
+    (entry,) = _entries(tmp_path / "cache")
+    with np.load(entry, allow_pickle=False) as arrays:
+        assert sorted(arrays.files) == ["floats", "present", "strings"]
+        assert arrays["floats"].dtype == float and arrays["present"].dtype == bool
+
+
 def test_entry_bound_drops_the_oldest(tmp_path, monkeypatch):
     monkeypatch.setattr(panel, "CACHE_ENTRIES", 3)
     cache = tmp_path / "cache"

@@ -14,6 +14,7 @@ from clusterpanel.panel import (
     assign_clusters,
     build_design,
 )
+from clusterpanel import regression
 from clusterpanel.regression import (
     _PIVOT_MIN,
     _RANK_MARGIN,
@@ -21,6 +22,7 @@ from clusterpanel.regression import (
     FitResult,
     RankDeficientError,
     _gram_accepted,
+    _replicate_streams,
     _t_quantile,
     clustered_cov,
     confidence_intervals,
@@ -536,3 +538,73 @@ def test_block_aware_scheme_widens_uncertainty_on_planted_benchmark():
         se_r = clustered_cov(fit, d, assign_clusters(d, REGION)).standard_errors[1]
         wider += se_cy > se_r
     assert wider >= 9
+
+
+# ---------------------------------------------------------------------------
+# Replicate streams against np.random.default_rng
+# ---------------------------------------------------------------------------
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7]
+
+
+def _assert_streams_draw_like(streams, seeds):
+    # each stream a normal block then an odd-length integer draw, which leaves
+    # a buffered 32-bit half the next stream must not inherit
+    taken = 0
+    for gen, seed in zip(streams, seeds):
+        want = np.random.default_rng(seed)
+        assert gen.bit_generator.state == want.bit_generator.state, seed
+        assert gen.standard_normal(11).tobytes() == want.standard_normal(11).tobytes(), seed
+        assert gen.integers(0, 7, size=7).tolist() == want.integers(0, 7, size=7).tolist(), seed
+        assert gen.standard_normal(3).tobytes() == want.standard_normal(3).tobytes(), seed
+        taken += 1
+    assert taken == len(seeds) and next(streams, None) is None
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+def test_replicate_streams_draw_like_default_rng_of_seed_rep(seed):
+    # the first replicates and the last below 2**32, each one entropy word;
+    # 2**100 + 7 is four words, so with a replicate one past the 4-word pool
+    for reps in (range(4), range(2**32 - 3, 2**32)):
+        _assert_streams_draw_like(_replicate_streams(seed, reps), [(seed, rep) for rep in reps])
+
+
+@pytest.mark.parametrize(
+    "seed", [*STREAM_SEEDS, (17, 4), (5, 2**40, 0), (), (2**64 + 3, 2**32 - 1),
+             (2**100 + 7, 2**64 + 3, 9), (2**100 + 7,) * 3], ids=str)
+def test_replicate_streams_draw_like_default_rng_of_a_bare_seed(seed):
+    # the last two are 8 and 12 entropy words, mixed in past the pool
+    _assert_streams_draw_like(_replicate_streams(seed), [seed])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_seeding_passes_do_not_change_a_stream(rows, monkeypatch):
+    monkeypatch.setattr(regression, "_SEED_ROWS", rows)
+    seed, reps = (2**100 + 7, 12), range(5, 15)
+    _assert_streams_draw_like(_replicate_streams(seed, reps), [(seed, rep) for rep in reps])
+
+
+def test_cluster_draws_of_every_stream_match_the_oracle():
+    G, seed = 13, 2**40 + 5
+    got = [gen.integers(0, G, size=G).tolist() for gen in _replicate_streams(seed, range(50))]
+    assert got == [np.random.default_rng((seed, b)).integers(0, G, size=G).tolist()
+                   for b in range(50)]
+
+
+@pytest.mark.parametrize(
+    "seed, reps, message",
+    [(-1, None, "a non-negative integer or a tuple of them: -1"),
+     ((3, -2), None, r"a non-negative integer or a tuple of them: \(3, -2\)"),
+     (1.5, None, "a non-negative integer"),
+     ("7", range(2), "a non-negative integer"),
+     (True, None, "a non-negative integer"),
+     (None, None, "a non-negative integer"),
+     ((3, (4, 5)), None, "a non-negative integer"),
+     (0, range(2**32 - 1, 2**32 + 1), r"reach outside \[0, 2\*\*32\)"),
+     (0, range(2**32, 2**32 + 1), "reach outside"),
+     (0, range(-1, 2), "reach outside")],
+    ids=["negative", "negative_in_tuple", "float", "str", "bool", "none", "nested_tuple",
+         "rep_2_32", "rep_past_2_32", "negative_rep"])
+def test_replicate_streams_reject_what_would_wrap_by_name(seed, reps, message):
+    with pytest.raises(ValueError, match=message):
+        next(_replicate_streams(seed, reps))

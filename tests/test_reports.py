@@ -46,6 +46,29 @@ def test_write_json_cleans_non_finite(tmp_path):
     assert json.loads(p.read_text()) == {"a": None, "b": [1.0, None], "c": [1, 2]}
 
 
+def test_write_json_writes_the_streamed_bytes_at_once(tmp_path, monkeypatch):
+    # the bytes of json.dump streamed with indent=2 plus a newline, in one write
+    payload = {"name": "r\u00e9gion \"q\"", "nested": [{"x": 0.1, "y": [1, 2, []]}, {}],
+               "big": 1e300, "tiny": -2.5e-300, "flag": True, "none": None}
+    want = tmp_path / "want.json"
+    with open(want, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    writes, real_open = [], open
+
+    def counting_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(text) or write(text)
+        return fh
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    write_json(tmp_path / "got.json", payload)
+    monkeypatch.undo()
+    assert (tmp_path / "got.json").read_bytes() == want.read_bytes()
+    assert len(writes) == 1
+
+
 def test_coefficient_table_takes_each_schemes_standard_errors_once(monkeypatch):
     p = 30
     labels = tuple(ColumnLabel(kind="base", term="x", lag=j) for j in range(p))

@@ -8,7 +8,8 @@ import pytest
 import clusterpanel.simstudy as simstudy
 from clusterpanel.panel import (COUNTRY, COUNTRY_YEAR, REGION, REGION_YEAR, YEAR, ClusterScheme,
                                 assign_clusters, build_design)
-from clusterpanel.regression import _t_quantile, clustered_cov, confidence_intervals, ols_fit
+from clusterpanel.regression import (_replicate_streams, _t_quantile, clustered_cov,
+                                     confidence_intervals, ols_fit)
 from clusterpanel.simstudy import (
     SLOPE_SPEC,
     DgpConfig,
@@ -162,19 +163,27 @@ def test_draw_fields_are_bit_identical_to_per_replication_oracle():
         config = DgpConfig(n_regions=R, n_years=T, predictor_sharing=xs, noise_sharing=es,
                            predictor_shared_weight=0.6, predictor_spatial_weight=spatial,
                            countries=countries)
-        _assert_oracle_fields(config, seeds, *simstudy._draw_fields(config, seeds))
+        fields = simstudy._draw_fields(config, _replicate_streams(21, range(4)), 4)
+        _assert_oracle_fields(config, seeds, *fields)
 
 
 @pytest.mark.parametrize("R, T, reps", [(10, 10, 200), (91, 91, 3)],
                          ids=["blocks_cross", "block_size_1"])
 def test_sandwich_blocks_draw_the_oracle_fields(R, T, reps, monkeypatch):
     # one draw call per block of replications, in order, each rep's fields
-    # those of its own (seed, rep) generator
+    # those of its own (seed, rep) generator: the state of each stream taken
     drawn, calls = simstudy._draw_fields, []
 
-    def recording(config, seeds):
-        x, y = drawn(config, seeds)
-        calls.append((list(seeds), x.copy(), y.copy()))
+    def recording(config, streams, rows):
+        states = []
+
+        def taken():
+            for gen in streams:
+                states.append(gen.bit_generator.state)
+                yield gen
+
+        x, y = drawn(config, taken(), rows)
+        calls.append((states, x.copy(), y.copy()))
         return x, y
 
     monkeypatch.setattr(simstudy, "_draw_fields", recording)
@@ -182,12 +191,13 @@ def test_sandwich_blocks_draw_the_oracle_fields(R, T, reps, monkeypatch):
                        predictor_spatial_weight=0.15, noise_sharing="country_year")
     simstudy._slope_sandwiches(config, 8, reps, simstudy._scheme_clusters(config, [YEAR]), "CR1")
     block = max(1, simstudy._BLOCK_CELLS // (R * T))
-    assert [len(seeds) for seeds, *_ in calls] == [min(block, reps - start)
-                                                   for start in range(0, reps, block)]
+    assert [len(states) for states, *_ in calls] == [min(block, reps - start)
+                                                     for start in range(0, reps, block)]
     assert len(calls) > 1 and (block == 1) == (R * T > simstudy._BLOCK_CELLS)
-    assert [seed for seeds, *_ in calls for seed in seeds] == [(8, rep) for rep in range(reps)]
-    for seeds, x, y in calls:
-        _assert_oracle_fields(config, seeds, x, y)
+    assert [state for states, *_ in calls for state in states] == [
+        np.random.default_rng((8, rep)).bit_generator.state for rep in range(reps)]
+    for start, (states, x, y) in zip(range(0, reps, block), calls):
+        _assert_oracle_fields(config, [(8, rep) for rep in range(start, start + len(states))], x, y)
 
 
 @pytest.mark.parametrize("seed", [17, (17, 4)], ids=["int_seed", "tuple_seed"])
@@ -437,8 +447,8 @@ def test_rank_deficient_reps_fail_every_scheme_like_the_oracle(monkeypatch):
     # about half the replications get a constant x, which ols_fit rejects
     drawn = simstudy._draw_fields
 
-    def constant_x_for_some(config, seeds):
-        x, y = drawn(config, seeds)
+    def constant_x_for_some(config, streams, rows):
+        x, y = drawn(config, streams, rows)
         x[x[:, 0, 0] > 0] = 0.5
         return x, y
 
@@ -465,7 +475,7 @@ def test_zero_variance_fails_only_its_scheme(x, y, failing, monkeypatch):
     # of one scheme, for the slope in one case and the intercept in the other
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     monkeypatch.setattr(simstudy, "_draw_fields",
-                        lambda config, seeds: (np.stack([x] * len(seeds)), np.stack([y] * len(seeds))))
+                        lambda config, streams, rows: (np.stack([x] * rows), np.stack([y] * rows)))
     config = DgpConfig(n_regions=x.shape[0], n_years=x.shape[1])
     for row in coverage_study(config, [REGION, YEAR], reps=100).rows:
         if row.scheme == failing:
