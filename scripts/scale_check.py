@@ -312,9 +312,8 @@ def trending_agreement(cp):
         vec[: len(theta)] = theta
         for effect, values in effects.items():
             vec[list(design.fe_slots[effect])] = values[1:]
-            if not refit.present[effect][0]:  # re-referenced
-                vec[[j for j, lab in enumerate(design.column_labels)
-                     if lab.effect == effect or lab.kind == "intercept"]] = np.nan
+            if not refit.present[effect][0]:  # re-referenced: its dummies and the intercept
+                vec[[0, *design.fe_slots[effect]]] = np.nan
         rows.append(vec)
     want = np.array(rows)
     deviation = np.nanmax(np.abs(sample.draws - want) / np.nanmax(np.abs(want), axis=0), axis=0)

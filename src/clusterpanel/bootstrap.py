@@ -25,7 +25,8 @@ import numpy as np
 
 from .panel import (ClusterScheme, DesignMatrix, ModelSpec, PanelDataset, assign_clusters,
                     build_design)
-from .regression import ClusterMoments, FitResult, _replicate_streams, check_level, ols_fit
+from .regression import (ClusterMoments, FitResult, _replicate_streams, check_level, check_seed,
+                         ols_fit)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,7 @@ def block_bootstrap(
     Aborts when more than half of the replicates fail to refit (persistent
     rank deficiency).
     """
+    check_seed(seed)
     if B < 1:
         raise ValueError(f"B must be at least 1, got {B}")
     design = build_design(dataset, spec)
@@ -85,11 +87,7 @@ def block_bootstrap(
     if G < 2:
         raise ValueError(f"block bootstrap needs at least 2 clusters, got G={G}")
     moments, cols = ClusterMoments(design, clusters.row_cluster), range(design.X.shape[1])
-    # each effect's dummy columns, and the columns whose meaning changes when it is re-referenced
-    columns = {effect: (np.array(design.fe_slots[effect], dtype=int),
-                        np.flatnonzero([lab.effect == effect or lab.kind == "intercept"
-                                        for lab in design.column_labels]))
-               for effect in design.fixed_effects}
+    intercept = [0] if spec.intercept else []
     draws, deficient = np.full((B, design.p), math.nan), np.zeros(B, dtype=bool)
     streams = _replicate_streams(seed, range(B))
     for start in range(0, B, moments.block):
@@ -99,9 +97,10 @@ def block_bootstrap(
         theta, deficient[block], effects = views.solve(cols)
         out = draws[block]  # a view of draws, filled by the scatters below
         out[:, : len(cols)] = theta
-        for effect, (slots, unresolved) in columns.items():
+        for effect, slots in design.fe_slots.items():
             out[:, slots] = effects[effect][:, 1:]
-            out[np.ix_(~views.present[effect][:, 0], unresolved)] = math.nan
+            # a re-referenced effect changes the meaning of its dummies and the intercept's
+            out[np.ix_(~views.present[effect][:, 0], [*intercept, *slots])] = math.nan
     failed = int(deficient.sum())
     if failed > B / 2:
         raise RuntimeError(
@@ -241,8 +240,7 @@ def build_scenario_path(
     # code 0 (the reference) and -1 (unseen) read no column
     slots = {effect: np.array((-1, *template.fe_slots[effect]))[np.maximum(code, 0)]
              for effect, code in codes.items()}
-    dummy_labels = [lab for lab in template.column_labels if lab.kind == "dummy"]
-    names = core.column_names + tuple(lab.name for lab in dummy_labels)
+    names = core.column_names + template.column_names[template.X.shape[1]:]
     if names != template.column_names:
         raise ValueError(
             f"scenario columns {names} do not match the fitted design {template.column_names}"

@@ -27,7 +27,7 @@ from .bootstrap import (block_bootstrap, build_scenario_path, check_draws, colum
 from .modelselect import cv_scan, ic_scan
 from .panel import (ClusterScheme, CsvSchema, ModelSpec, TermSpec, assign_clusters, build_design,
                     load_cached)
-from .regression import (check_level, clustered_cov, confidence_intervals, ols_fit,
+from .regression import (check_level, check_seed, clustered_cov, confidence_intervals, ols_fit,
                          term_response_curve)
 from .residcorr import (DEFAULT_MIN_OVERLAP, SPATIAL_KEYS, TEMPORAL_KEYS, GroupSpec,
                         ResidualPanel, correlation_table)
@@ -342,8 +342,9 @@ def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
     short = used < np.array([min_draws(level) for level in levels], dtype=int)[:, None]
     # a dummy or the intercept whose level (or reference level) too few
     # resamples hold is reported unresolved rather than failing the run
+    terms = {j for j, lab in enumerate(sample.base_fit.column_labels) if lab.kind != "intercept"}
     for j, i in np.argwhere(short.T):
-        if sample.base_fit.column_labels[j].kind not in ("intercept", "dummy"):
+        if j in terms:
             check_draws(int(used[j]), levels[i])
     bounds = np.where(short[:, None], np.nan, bounds.reshape(len(levels), 3, p))
     reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", sample.column_names, levels,
@@ -426,6 +427,7 @@ def main(argv=None) -> int:
             config[key] = next((v for v in given if v is not None), config[key])
         if config["threads"] < 1:
             raise ValueError(f"threads must be at least 1, got {config['threads']}")
+        check_seed(config["seed"])
         config["out"] = config["out"] or f"out/{args.command}"
         out = Path(args.out or config["out"])
         out.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import itertools
 import math
 import os
@@ -302,14 +301,12 @@ YEAR = ClusterScheme("year")
 
 @dataclass(frozen=True)
 class ColumnLabel:
-    """Provenance of one design column."""
+    """Provenance of one column of a design's ``X``."""
 
-    kind: str  # intercept | base | interaction | dummy
+    kind: str  # intercept | base | interaction
     term: str | None = None
     lag: int | None = None
     moderator: str | None = None
-    effect: str | None = None
-    level: str | None = None
 
     @property
     def name(self) -> str:
@@ -317,9 +314,7 @@ class ColumnLabel:
             return "intercept"
         if self.kind == "base":
             return f"{self.term}.l{self.lag}"
-        if self.kind == "interaction":
-            return f"{self.term}.l{self.lag}:{self.moderator}"
-        return f"{self.effect}={self.level}"
+        return f"{self.term}.l{self.lag}:{self.moderator}"
 
 
 @dataclass(frozen=True)
@@ -329,12 +324,12 @@ class DesignMatrix:
     Row i is the (region index, year index) cell ``(cells[0][i], cells[1][i])``
     of ``dataset``, the panel it was built from: ``grid[design.cells]`` reads
     any of its (R, T) grids at the rows.
-    ``X`` holds the intercept and the term columns only.  Both fixed effects
-    are absorbed, not encoded: ``fe_codes`` gives each row's level of every
-    fixed effect, an index into ``fe_levels`` (reference level first).
-    ``column_labels`` still lists the region dummies, then the year dummies,
-    after the term columns, so ``p`` and every output count and order them as
-    columns; ``fe_slots`` gives their positions.
+    ``X`` holds the intercept and the term columns only, ``column_labels`` one
+    label each.  Both fixed effects are absorbed, not encoded: ``fe_codes``
+    gives each row's level of every effect, an index into ``fe_levels``
+    (reference level first).  Each other level still counts as a column after
+    those of ``X``, region before year: ``p`` counts it, ``column_names``
+    names it ``effect=level`` and ``fe_slots`` gives its position.
     Rows requiring unavailable lagged or differenced values are dropped and
     their (region, year) keys recorded in ``dropped_rows``.
     """
@@ -359,32 +354,28 @@ class DesignMatrix:
 
     @property
     def p(self) -> int:
-        return len(self.column_labels)
+        return self.X.shape[1] + sum(map(len, self.fe_slots.values()))
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(lab.name for lab in self.column_labels)
+        return (*(lab.name for lab in self.column_labels),
+                *(f"{effect}={level}" for effect in self.fixed_effects
+                  for level in self.fe_levels[effect][1:]))
 
     @property
-    def x_labels(self) -> tuple[ColumnLabel, ...]:
-        """The labels of the columns of ``X``, which come first."""
-        return self.column_labels[: self.X.shape[1]]
-
-    @functools.cached_property
-    def fe_slots(self) -> dict[str, tuple[int, ...]]:
-        """Per fixed effect, the positions in ``column_labels`` of its absorbed
+    def fe_slots(self) -> dict[str, range]:
+        """Per fixed effect, the positions in ``column_names`` of its absorbed
         dummies, in level order (codes 1, 2, ...)."""
-        return {effect: tuple(j for j, lab in enumerate(self.column_labels)
-                              if lab.effect == effect) for effect in self.fixed_effects}
+        slots, start = {}, self.X.shape[1]
+        for effect in self.fixed_effects:
+            slots[effect] = range(start, start + len(self.fe_levels[effect]) - 1)
+            start = slots[effect].stop
+        return slots
 
     def select(self, cols: Sequence[int]) -> "DesignMatrix":
         """The design on the columns ``cols`` of ``X``; both effects stay absorbed."""
-        return replace(
-            self,
-            X=np.take(self.X, cols, axis=1),  # a C-ordered copy; QR rounds by layout
-            column_labels=(tuple(self.x_labels[j] for j in cols)
-                           + self.column_labels[self.X.shape[1]:]),
-        )
+        return replace(self, X=np.take(self.X, cols, axis=1),  # C-ordered: QR rounds by layout
+                       column_labels=tuple(self.column_labels[j] for j in cols))
 
 
 @dataclass(frozen=True)
@@ -686,21 +677,17 @@ def _cell_codes(dataset: PanelDataset, cells, key: str) -> tuple[tuple, np.ndarr
 def fixed_effect_levels(dataset: PanelDataset, cells, effects: Sequence[str]):
     """Levels and row codes of the fixed ``effects`` at the design rows ``cells``.
 
-    Every effect gets its sorted levels among the rows, per-row codes
-    (indices into the levels, 0 for the reference) and a dummy label per
-    non-reference level.  No effect becomes a matrix: both are absorbed in
-    the fit (``regression.Absorbed``).
+    Every effect gets its sorted levels among the rows and per-row codes
+    (indices into the levels, 0 for the reference).  No effect becomes a
+    matrix or a label: both are absorbed in the fit (``regression.Absorbed``),
+    and ``DesignMatrix`` names the dummies from the levels.
 
-    Returns (labels, levels, codes).
+    Returns (levels, codes).
     """
-    labels: list[ColumnLabel] = []
-    levels: dict[str, tuple] = {}
-    codes: dict[str, np.ndarray] = {}
+    levels, codes = {}, {}
     for effect in effects:
         levels[effect], codes[effect] = _cell_codes(dataset, cells, effect)
-        labels += [ColumnLabel(kind="dummy", effect=effect, level=str(level))
-                   for level in levels[effect][1:]]
-    return labels, levels, codes
+    return levels, codes
 
 
 # the name under which bench/tracer.py times the encoding
@@ -766,10 +753,10 @@ def build_design(
     if not ri.size:
         raise ValueError("empty design after lag trimming")
     X = np.stack(grids, axis=-1)[ri, ti] if grids else np.empty((ri.size, 0))
-    fe_labels, fe_levels, fe_codes = fixed_effect_levels(dataset, (ri, ti), spec.fixed_effects)
+    fe_levels, fe_codes = fixed_effect_levels(dataset, (ri, ti), spec.fixed_effects)
     dropped = zip(np.array(dataset.regions)[di].tolist(), (dt + dataset.first_year).tolist())
     return DesignMatrix(X=X, y=dataset.outcome[ri, ti], cells=(ri, ti), dataset=dataset,
-                        column_labels=tuple(labels + fe_labels), fixed_effects=spec.fixed_effects,
+                        column_labels=tuple(labels), fixed_effects=spec.fixed_effects,
                         fe_levels=fe_levels, dropped_rows=tuple(dropped), fe_codes=fe_codes)
 
 

@@ -56,7 +56,8 @@ class FitResult:
     r_squared: float
     n: int
     p: int
-    column_labels: tuple
+    column_labels: tuple  # of the columns of the design's X, which come first
+    fe_names: tuple[str, ...] = ()  # of the absorbed dummies, which follow them
     # the fit's partialled design, which the sandwich of the same design reuses
     _absorbed: "Absorbed | None" = field(default=None, repr=False, compare=False)
 
@@ -66,7 +67,7 @@ class FitResult:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(lab.name for lab in self.column_labels)
+        return (*(lab.name for lab in self.column_labels), *self.fe_names)
 
 
 @dataclass(frozen=True)
@@ -479,15 +480,14 @@ def ols_fit(design: DesignMatrix) -> FitResult:
         lam, V = np.linalg.eigh(fe.H)  # ascending: the null space comes first
         lam[: fe.null.shape[1]] = 0.0
         piv = _pivoted_triangle(np.column_stack([np.sqrt(lam)[:, None] * V.T, lam * 0.0]))[1]
-        names = [design.column_labels[j].name for j in design.fe_slots["year"]]
+        names = design.column_names[design.fe_slots["year"].start:]
         raise RankDeficientError([names[j] for j in piv[len(lam) - fe.null.shape[1]:]])
     R, piv = _pivoted_triangle(np.linalg.qr(np.column_stack([X, y]), mode="r")[:k])
     diag = np.abs(np.diag(R))
     tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
     rank = int(np.sum(diag > tol))
     if rank < k:
-        names = [lab.name for lab in design.x_labels]
-        raise RankDeficientError([names[j] for j in piv[rank:]])
+        raise RankDeficientError([design.column_labels[j].name for j in piv[rank:]])
     theta = np.empty(k)
     theta[piv] = np.linalg.solve(R[:, :k], R[:, k])
     beta = np.empty(p)
@@ -497,7 +497,8 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     residuals = y - X @ theta
     fitted = design.y - residuals
     ssr = float(residuals @ residuals)
-    centered = any(lab.kind in ("intercept", "dummy") for lab in design.column_labels)
+    # R^2 is centred when the design has an intercept or any dummy (p > k)
+    centered = p > k or any(lab.kind == "intercept" for lab in design.column_labels)
     dev = design.y - design.y.mean() if centered else design.y
     sst = float(dev @ dev)
     if sst == 0.0:
@@ -506,7 +507,8 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     else:
         r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
     return FitResult(beta=beta, residuals=residuals, fitted=fitted, r_squared=r2, n=n, p=p,
-                     column_labels=design.column_labels, _absorbed=fe)
+                     column_labels=design.column_labels, fe_names=design.column_names[k:],
+                     _absorbed=fe)
 
 
 def clustered_cov(
@@ -761,20 +763,26 @@ def _hashmix(v: np.ndarray, h: np.ndarray, into: np.ndarray | None = None) -> np
     return v
 
 
-def _replicate_streams(seed, reps: range | None = None) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to the state of ``default_rng(seed)`` if
-    ``reps`` is None, else of ``default_rng((seed, rep))`` for each rep: the
-    same object each time, so take a stream's draws before the next.  The
-    SeedSequence pool mixing and ``generate_state(4, np.uint64)`` of many
-    entropy rows (each integer's 32-bit words, low first) run as uint32 array
-    operations; PCG64 seeds as ``pcg_setseq_128_srandom_r`` does, in Python ints.
-    A negative or non-integer seed, or a rep past 2**32 - 1, fails by name."""
+def check_seed(seed) -> list[int]:
+    """The 32-bit words of ``seed``, a non-negative integer or a tuple of them,
+    each integer's low first; any other seed fails by name, before any set-up."""
     words = []
     for part in seed if isinstance(seed, tuple) else (seed,):
         if isinstance(part, bool) or not isinstance(part, (int, np.integer)) or part < 0:
             raise ValueError(f"seed must be a non-negative integer or a tuple of them: {seed!r}")
         words += [int(part) >> s & _MASK32 for s in range(0, max(int(part).bit_length(), 1), 32)]
-    entropy = np.array([words], dtype=np.uint32)
+    return words
+
+
+def _replicate_streams(seed, reps: range | None = None) -> Iterator[np.random.Generator]:
+    """One generator, set in turn to the state of ``default_rng(seed)`` if
+    ``reps`` is None, else of ``default_rng((seed, rep))`` for each rep: the
+    same object each time, so take a stream's draws before the next.  The
+    SeedSequence pool mixing and ``generate_state(4, np.uint64)`` of many
+    entropy rows (``check_seed``'s words) run as uint32 array operations;
+    PCG64 seeds as ``pcg_setseq_128_srandom_r`` does, in Python ints.  A bad
+    seed (``check_seed``) or a rep past 2**32 - 1 fails by name."""
+    entropy = np.array([check_seed(seed)], dtype=np.uint32)
     if reps is not None:
         if len(reps) and not 0 <= min(reps[0], reps[-1]) <= max(reps[0], reps[-1]) <= _MASK32:
             raise ValueError(f"replicates {reps} reach outside [0, 2**32)")

@@ -54,7 +54,8 @@ def write_json(path, payload) -> None:
         return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(clean(payload), indent=2) + "\n")  # one write, not one per token
+        fh.write(json.dumps(clean(payload), indent=2))  # one write, not one per token
+        fh.write("\n")  # apart, so that the document is not copied to append it
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .panel import (
     assign_clusters,
     build_design,
 )
-from .regression import _replicate_streams, _t_quantile, check_correction, check_level
+from .regression import _replicate_streams, _t_quantile, check_correction, check_level, check_seed
 
 _SHARING_LEVELS = ("region", "year", "country_year")
 
@@ -262,6 +262,7 @@ def coverage_study(config: DgpConfig, schemes: list[ClusterScheme], reps: int,
     is rank deficient or that scheme's variance of either coefficient is not
     positive, and counts under the others.
     """
+    check_seed(seed)
     if reps < 100:
         raise ValueError(f"coverage study needs at least 100 replications, got {reps}")
     check_level(level)
@@ -305,6 +306,7 @@ def bias_study(config: DgpConfig, scheme: ClusterScheme, reps: int, seed: int = 
     are fitted as in ``coverage_study``; the report has no failure count, so
     a rank-deficient replication fails the study.
     """
+    check_seed(seed)
     if config.noise_shared_weight != 0.0:
         raise ValueError("bias study requires iid errors (noise_shared_weight = 0)")
     if reps < 500:

@@ -124,10 +124,11 @@ def dense_dummies(regions, years, effects, levels=None, restrict_to_present=Fals
     reference level is absent the effect is re-referenced to the first
     present level and reported in ``re_referenced``.
 
-    Returns (matrix, labels, levels_out, unseen_count, re_referenced).
+    Returns (matrix, names, levels_out, unseen_count, re_referenced), each
+    column named ``effect=level``.
     """
     n = len(regions)
-    columns, labels, levels_out, re_referenced = [], [], {}, []
+    columns, names, levels_out, re_referenced = [], [], {}, []
     unseen = 0
     for effect in effects:
         values = regions if effect == "region" else years
@@ -145,16 +146,16 @@ def dense_dummies(regions, years, effects, levels=None, restrict_to_present=Fals
         arr = np.asarray(values)
         for x in lv[1:]:
             columns.append((arr == x).astype(float))
-            labels.append(ColumnLabel(kind="dummy", effect=effect, level=str(x)))
+            names.append(f"{effect}={x}")
         if levels is not None and not restrict_to_present:
             known = set(lv)
             unseen += sum(1 for v in values if v not in known)
     matrix = np.column_stack(columns) if columns else np.empty((n, 0))
-    return matrix, labels, levels_out, unseen, tuple(re_referenced)
+    return matrix, names, levels_out, unseen, tuple(re_referenced)
 
 
 def dense_X(design):
-    """``design``'s full matrix in ``column_labels`` order: ``X`` plus the
+    """``design``'s full matrix in ``column_names`` order: ``X`` plus the
     absorbed region and year dummies built as 0/1 columns."""
     X = np.empty((design.n, design.p))
     X[:, : design.X.shape[1]] = design.X

@@ -203,8 +203,9 @@ def test_design_holds_only_the_intercept_and_term_columns(intercept):
     terms = 2 * (X_MOD.max_lag + 1) + Z0.max_lag + 1
     assert design.X.shape[1] == intercept + terms
     regions, years = (len(design.fe_levels[e]) for e in ("region", "year"))
-    assert design.p == len(design.column_labels) == intercept + terms + regions - 1 + years - 1
-    assert [lab.effect for lab in design.column_labels[design.X.shape[1]:]] == (
+    assert len(design.column_labels) == design.X.shape[1]
+    assert design.p == len(design.column_names) == intercept + terms + regions - 1 + years - 1
+    assert [name.partition("=")[0] for name in design.column_names[design.X.shape[1]:]] == (
         ["region"] * (regions - 1) + ["year"] * (years - 1))
     assert ols_fit(design).p == design.p == dense_X(design).shape[1]
 
@@ -273,7 +274,7 @@ def _dense_cv(design, scheme, K, seed):
     """The per-fold dense CV: dummies rebuilt on the training rows, the
     validation rows encoded against the training levels.  Returns
     (loss, rank deficient, unseen levels)."""
-    core = design.X[:, [j for j, lab in enumerate(design.x_labels) if lab.kind != "dummy"]]
+    core = design.X
     regions, years = (np.array(v) for v in _row_levels(design))
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
@@ -398,10 +399,10 @@ def _dense_replicate(b, seed, design, clusters):
     rng = np.random.default_rng((seed, b))
     drawn = rng.integers(0, clusters.n_clusters, size=clusters.n_clusters)
     rows = np.concatenate([np.flatnonzero(clusters.row_cluster == g) for g in drawn])
-    core = [j for j, lab in enumerate(design.column_labels) if lab.kind != "dummy"]
+    core = list(range(design.X.shape[1]))
     X = dense_X(design)
     regions, years = (np.array(v) for v in _row_levels(design))
-    D, labels, _, _, re_referenced = dense_dummies(
+    D, names, _, _, re_referenced = dense_dummies(
         list(regions[rows]), list(years[rows]), design.fixed_effects,
         levels=design.fe_levels, restrict_to_present=True,
     )
@@ -412,9 +413,9 @@ def _dense_replicate(b, seed, design, clusters):
     slot = {name: j for j, name in enumerate(design.column_names)}
     vec = np.full(design.p, math.nan)
     vec[core] = beta[: len(core)]
-    for j, lab in enumerate(labels):
-        if lab.effect not in re_referenced:
-            vec[slot[lab.name]] = beta[len(core) + j]
+    for j, name in enumerate(names):
+        if name.partition("=")[0] not in re_referenced:
+            vec[slot[name]] = beta[len(core) + j]
     if re_referenced and "intercept" in slot:
         vec[slot["intercept"]] = math.nan
     return vec
@@ -763,8 +764,8 @@ def _row_replicate(b, seed, design, clusters):
     # an effect without weight at its reference level is re-referenced
     re_referenced = [effect for effect, present in refit.present.items() if not present[0]]
     if re_referenced:
-        vec[[j for j, lab in enumerate(design.column_labels)
-             if lab.effect in re_referenced or lab.kind == "intercept"]] = math.nan
+        vec[[j for j, name in enumerate(design.column_names)
+             if name.partition("=")[0] in re_referenced or name == "intercept"]] = math.nan
     return vec
 
 
@@ -895,7 +896,7 @@ def test_cv_entries_match_row_path(case):
     ds = _panel(gappy)
     union, reference, variants = _oracle_sequence(base, candidates, direction)
     design = build_design(ds, union)
-    terms = [j for j, lab in enumerate(design.x_labels) if lab.kind != "dummy"]
+    terms = list(range(design.X.shape[1]))
     # the reference, every variant, and each model as a column subset of the union
     models = [terms[:j] for j in range(len(terms) + 1)] + [terms[1:]]
     flags = []

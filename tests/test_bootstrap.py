@@ -132,6 +132,20 @@ def test_bootstrap_needs_two_clusters():
         block_bootstrap(ds, SLOPE_SPEC, REGION, B=4, seed=0)
 
 
+def test_a_bad_seed_fails_before_the_design_is_built(rng, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_design reached")
+
+    ds = _xy_dataset(rng)
+    monkeypatch.setattr(bootstrap, "build_design", unreachable)
+    with pytest.raises(ValueError) as exc:
+        block_bootstrap(ds, SLOPE_SPEC, REGION, 10, seed=-1)
+    with pytest.raises(ValueError) as streams:
+        next(regression._replicate_streams(-1, range(10)))
+    assert str(exc.value) == str(streams.value)
+    assert str(exc.value) == "seed must be a non-negative integer or a tuple of them: -1"
+
+
 def test_persistent_rank_deficiency_aborts(rng):
     # x is the indicator of region B; resamples drawing only one region are
     # rank deficient (x constant), which happens for half the replicates

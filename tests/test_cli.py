@@ -124,6 +124,12 @@ def test_parser_is_built_once_and_each_call_resolves_its_own_seed(tmp_path, caps
     assert "--config" in capsys.readouterr().err
 
 
+def _kinds(sample):
+    """Each column's kind: its label's for a column of ``X``, else "dummy"."""
+    kinds = [lab.kind for lab in sample.base_fit.column_labels]
+    return kinds + ["dummy"] * (len(sample.column_names) - len(kinds))
+
+
 def _crafted_draws(monkeypatch, edit):
     """Make ``cmd_bootstrap`` read out the sample bootstrap with its draws
     edited by ``edit(draws, column kinds)``; the edited samples are listed."""
@@ -132,7 +138,7 @@ def _crafted_draws(monkeypatch, edit):
     def crafted(*args, **kwargs):
         sample = real(*args, **kwargs)
         draws = np.array(sample.draws)
-        edit(draws, [lab.kind for lab in sample.base_fit.column_labels])
+        edit(draws, _kinds(sample))
         made.append(replace(sample, draws=draws))
         return made[-1]
 
@@ -160,7 +166,7 @@ def test_bootstrap_table_matches_the_per_column_read_out(tmp_path, monkeypatch):
     out = tmp_path / "boot"
     assert run("bootstrap", "--config", str(cfg_path), "--out", str(out)) == 0
     (sample,) = made
-    kinds = [lab.kind for lab in sample.base_fit.column_labels]
+    kinds = _kinds(sample)
     want, sd = [], {}
     for j, name in enumerate(sample.column_names):
         finite = sample.draws[np.isfinite(sample.draws[:, j]), j]
@@ -200,6 +206,14 @@ def test_threads_flag_does_not_change_outputs(tmp_path):
 def test_invalid_threads_rejected(capsys):
     assert run("fit", "--config", SAMPLE_CONFIG, "--threads", "0") == 1
     assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "bootstrap", "simulate"])
+def test_negative_seed_fails_by_name_and_writes_nothing(command, tmp_path, capsys):
+    out = tmp_path / command
+    assert run(command, "--config", SAMPLE_CONFIG, "--seed", "-1", "--out", str(out)) == 1
+    assert "seed must be a non-negative integer or a tuple of them: -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corr_empty_group_reports_no_pairs(tmp_path):

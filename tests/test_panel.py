@@ -26,6 +26,8 @@ from clusterpanel.panel import (
     load_csv,
     save_csv,
 )
+from clusterpanel.bootstrap import build_scenario_path
+from clusterpanel.regression import ols_fit
 from clusterpanel.simstudy import DgpConfig, generate_panel
 
 from conftest import (assert_same_dataset, cell, dense_X, dense_dummies, grid_dataset, keep_grid,
@@ -478,6 +480,48 @@ def test_build_design_deterministic():
     assert row_keys(a) == row_keys(b) and a.column_labels == b.column_labels
 
 
+def _naming_panel(regions):
+    """A gappy panel of ``regions`` regions over 2000-2006."""
+    gen = np.random.default_rng(4)
+    return panel_from([obs(f"R{i}", f"C{i % 2}", 2000 + t, float(gen.standard_normal()),
+                           {"x": float(gen.standard_normal())})
+                       for i in range(regions) for t in range(7) if (i + t) % 5])
+
+
+@pytest.mark.parametrize("regions, effects", [
+    (6, ("region", "year")), (6, ("region",)), (6, ("year",)), (6, ()),
+    (1, ("region",)),
+], ids=["both", "region", "year", "none", "one_region"])
+def test_absorbed_dummies_are_named_and_placed_as_the_dense_encoder_does(regions, effects):
+    ds = _naming_panel(regions)
+    spec = ModelSpec(terms=(TermSpec("x", differenced=False),), fixed_effects=effects,
+                     intercept=False)
+    design = build_design(ds, spec)
+    k = design.X.shape[1]
+    regions_at, years_at = zip(*row_keys(design))
+    D, names, _, _, _ = dense_dummies(regions_at, years_at, effects)
+    assert len(design.column_labels) == k == 1
+    assert design.p == k + D.shape[1] == len(design.column_names)
+    assert design.column_names[k:] == tuple(names)
+    assert {e: list(s) for e, s in design.fe_slots.items()} == {
+        e: [k + j for j, name in enumerate(names) if name.startswith(f"{e}=")] for e in effects}
+    assert (dense_X(design) == np.hstack([design.X, D])).all()
+    # R^2 is centred when the design has any dummy, and a region effect of
+    # one level has none
+    fit = ols_fit(design)
+    Xd = np.hstack([design.X, D])
+    e = design.y - Xd @ np.linalg.lstsq(Xd, design.y, rcond=None)[0]
+    dev = design.y - design.y.mean() if D.shape[1] else design.y
+    assert fit.r_squared == pytest.approx(1.0 - (e @ e) / (dev @ dev), rel=1e-10)
+    assert fit.column_names == design.column_names and fit.column_labels == design.column_labels
+    # a scenario path takes the template's names, and rejects a core that differs
+    future = panel_from([obs(r, "C0", 2030 + t, math.nan, {"x": 1.0})
+                         for r in ds.regions for t in range(2)])
+    assert build_scenario_path(future, spec, design, "same").column_names == design.column_names
+    with pytest.raises(ValueError, match="do not match the fitted design"):
+        build_scenario_path(future, replace(spec, intercept=True), design, "other")
+
+
 # ---------------------------------------------------------------------------
 # Cluster assignment
 # ---------------------------------------------------------------------------
@@ -764,7 +808,7 @@ def _assert_matches_oracle(records, dataset, spec, **kwargs):
     grid = {} if keys is None else {"keep_rows": keep_grid(dataset, keys)}
     got = build_design(dataset, spec, **{**kwargs, **grid})
     X, y, row_index, countries, dropped, fe_labels = _rows_design(records, spec, **kwargs)
-    assert got.X.flags.c_contiguous and got.X.shape == (X.shape[0], len(got.x_labels))
+    assert got.X.flags.c_contiguous and got.X.shape == (X.shape[0], len(got.column_labels))
     # the absorbed region effect expands to the oracle's dummy columns
     dense = dense_X(got)
     assert dense.shape == X.shape
@@ -774,7 +818,7 @@ def _assert_matches_oracle(records, dataset, spec, **kwargs):
     assert tuple(row_keys(got)) == row_index
     assert got.dropped_rows == dropped
     assert tuple(dataset.country_of(r) for r, _ in row_keys(got)) == countries
-    assert tuple(lab for lab in got.column_labels if lab.kind == "dummy") == tuple(fe_labels)
+    assert got.column_names[got.X.shape[1]:] == tuple(fe_labels)
     return got
 
 

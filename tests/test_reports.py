@@ -47,7 +47,8 @@ def test_write_json_cleans_non_finite(tmp_path):
 
 
 def test_write_json_writes_the_streamed_bytes_at_once(tmp_path, monkeypatch):
-    # the bytes of json.dump streamed with indent=2 plus a newline, in one write
+    # the bytes of json.dump streamed with indent=2 plus a newline: the
+    # document in one write, then the newline
     payload = {"name": "r\u00e9gion \"q\"", "nested": [{"x": 0.1, "y": [1, 2, []]}, {}],
                "big": 1e300, "tiny": -2.5e-300, "flag": True, "none": None}
     want = tmp_path / "want.json"
@@ -66,7 +67,7 @@ def test_write_json_writes_the_streamed_bytes_at_once(tmp_path, monkeypatch):
     write_json(tmp_path / "got.json", payload)
     monkeypatch.undo()
     assert (tmp_path / "got.json").read_bytes() == want.read_bytes()
-    assert len(writes) == 1
+    assert len(writes) == 2 and writes[1] == "\n"
 
 
 def test_coefficient_table_takes_each_schemes_standard_errors_once(monkeypatch):

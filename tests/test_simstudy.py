@@ -255,6 +255,24 @@ def test_coverage_rejects_bad_level_or_correction_up_front(kwargs, message, monk
         coverage_study(DgpConfig(n_regions=5, n_years=5), [YEAR], reps=100, **kwargs)
 
 
+@pytest.mark.parametrize("study", ["coverage", "bias"])
+def test_a_bad_seed_fails_before_the_design_is_built(study, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_design reached")
+
+    monkeypatch.setattr(simstudy, "build_design", unreachable)
+    cfg = DgpConfig(n_regions=5, n_years=5, noise_shared_weight=0.0)
+    with pytest.raises(ValueError) as exc:
+        if study == "coverage":
+            coverage_study(cfg, [YEAR], reps=100, seed=-1)
+        else:
+            bias_study(cfg, YEAR, reps=500, seed=-1)
+    with pytest.raises(ValueError) as streams:
+        next(_replicate_streams(-1, range(1)))
+    assert str(exc.value) == str(streams.value)
+    assert str(exc.value) == "seed must be a non-negative integer or a tuple of them: -1"
+
+
 def test_degenerate_noise_collapses_intervals_onto_truth():
     # interval coverage is scale-invariant for any positive noise, so the
     # exact-fit limit shows up as estimates and intervals collapsing onto
