@@ -10,10 +10,11 @@ on its own:
   and load_cached_hit_s, the median of LOAD_RUNS hits of ``load_cached``
   on an entry in a temporary cache directory (a tree without
   ``load_cached`` has no such key);
-- build_design;
-- fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov): key
-  fit_cr1_s under the region scheme, fit_cr1_country_year_s under
-  country_year, the two schemes a ``fit`` of the sample config runs;
+- build_design (median of LOAD_RUNS);
+- fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov; median
+  of LOAD_RUNS): key fit_cr1_s under the region scheme,
+  fit_cr1_country_year_s under country_year, the two schemes a ``fit`` of
+  the sample config runs;
 - one cv model at K=4 (cv_loss, region folds);
 - a forward cv scan at K=4 from the fixed-effect-only base, with the
   candidates d.x*xbar at lags 0..2 and x (undifferenced) at lags 0..1: six
@@ -68,7 +69,7 @@ not slow the timed calls; a bootstrap peak is that of a B=1+k call.
 ``--sizes`` replaces the default sizes (300x30 and 1000x40), for example
 ``--sizes 5000x50``, and ``--stages`` keeps only the named stages, for
 example ``--stages fit_cr1,bootstrap`` to leave out the corr stages,
-which keep every kept pair's rho (about 600 MB for the default groups at
+which keep every kept pair's rho (about 400 MB for the default groups at
 5000 regions).  The figures outside the sizes are stages too: cold_start,
 t_quantile, coverage_study and trending_agreement, so ``--stages
 project_readout`` times that stage alone (with build_design and fit_cr1,
@@ -115,7 +116,7 @@ STAGES = ("load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan", "bootstr
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
            "corr_all_pairs_s": 1.0}
-LOAD_RUNS = 5  # load_csv timings per size, of which the median is kept
+LOAD_RUNS = 5  # load_csv, build_design and fit_cr1 timings per size, of which the median is kept
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
 READOUT_B, READOUT_RUNS = 1000, 5  # the read-outs' sample size, and their timings per size
@@ -154,6 +155,15 @@ def _timed(func):
     return time.perf_counter() - start, result
 
 
+def _median_timed(func, runs=LOAD_RUNS):
+    """The median seconds of ``runs`` calls of ``func``, and the last call's result."""
+    seconds = []
+    for _ in range(runs):
+        elapsed, result = _timed(func)
+        seconds.append(elapsed)
+    return statistics.median(seconds), result
+
+
 def _peak_mb(func) -> float:
     """The tracemalloc peak of one call of ``func``, in MB."""
     tracemalloc.start()
@@ -182,7 +192,7 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
                 out["load_cached_hit_s"] = statistics.median(
                     _timed(lambda: cp.load_cached(path, schema, cache))[0]
                     for _ in range(LOAD_RUNS))
-    out["build_design_s"], design = _timed(lambda: cp.build_design(ds, spec))
+    out["build_design_s"], design = _median_timed(lambda: cp.build_design(ds, spec))
     out["build_design_peak_mb"] = _peak_mb(lambda: cp.build_design(ds, spec))
     out["n"], out["p"] = design.n, design.p
 
@@ -193,7 +203,7 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
 
     for scheme in (cp.REGION, cp.COUNTRY_YEAR):
         key = "fit_cr1" if scheme == cp.REGION else f"fit_cr1_{scheme.label}"
-        out[f"{key}_s"], fit = _timed(lambda: fit_cr1(scheme))
+        out[f"{key}_s"], fit = _median_timed(lambda: fit_cr1(scheme))
         out[f"{key}_peak_mb"] = _peak_mb(lambda: fit_cr1(scheme))
     if "cv_model" in stages:
         out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
@@ -433,8 +443,9 @@ def main(argv=None):
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["about"] = ("scripts/scale_check.py: stage times in seconds, balanced generate_panel "
-                       "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s is the "
-                       f"median of {LOAD_RUNS} loads, the cv_scan figures (six models, K=4) "
+                       "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s, "
+                       "build_design_s and the fit_cr1 figures are each the median of "
+                       f"{LOAD_RUNS} calls, the cv_scan figures (six models, K=4) "
                        f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
                        f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, "
                        f"load_cached_hit_s the median of {LOAD_RUNS} cache hits, the "

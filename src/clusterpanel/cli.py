@@ -148,7 +148,7 @@ SCHEMA = {
     "project": ({
         "scheme": (str, "region"),
         "b": (int, 1000),
-        "alpha": (float, _default(first_discernible_year, "alpha")),
+        "alpha": (_level, _default(first_discernible_year, "alpha")),
         "levels": (_list(_level), [0.65, 0.9]),
         "aggregation": (Variants(mean={}, weighted={"weights": (_mapping(float), REQUIRED)}),
                         _default(project_scenarios, "aggregation")),

@@ -122,19 +122,19 @@ class _Effects:
     - ``present``: per effect, the levels with weight; an effect whose
       reference level has none is re-referenced to its first level with
       weight, as dummies rebuilt on the rows would be;
-    - ``years``: the codes of the year levels that keep a dummy, those with
-      weight but the reference;
+    - ``years``: the year levels that P has rows for: those that keep a dummy,
+      with weight but the reference (``Absorbed``), or all (``_Views``);
     - ``means``: [X y]'s weighted region means, 0 for the reference region
       and NaN for an absent one, whose effect is then NaN too;
     - ``shares``: C / N_r (``_year_gram``);
     - ``P``: the coefficients of [X y] region-partialled on the year
-      dummies, one row per kept year, and ``null`` the null space of the
-      year block (empty unless the dummies are collinear).
+      dummies, one row per year of ``years``, and ``null`` the null space of
+      the year block (empty unless the dummies are collinear).
 
     An absent effect has no levels, so these are empty.  The year effects of
     coefficients beta on columns ``cols`` are P[:, y] - P[:, cols] beta, and
     the region effects means[:, y] - means[:, cols] beta - shares gamma
-    (Frisch-Waugh-Lovell), also over a stack of views with the same years.
+    (Frisch-Waugh-Lovell), also over a stack of views.
     """
 
     def effects(self, cols: Sequence[int], beta: np.ndarray, gamma=None) -> dict:
@@ -338,25 +338,28 @@ def _equilibrated(A: np.ndarray):
         return A / root[..., None, :] / root[..., None], root, d.max(-1) / d.min(-1), fine
 
 
-class _Views:
+class _Views(_Effects):
     """``ClusterMoments`` under each row of the cluster weights ``W``: one stack
-    of fit views, ``present`` as ``Absorbed``'s per view.  The Grams are
-    partialled together, the year block per group of views that keep the same
-    years (``groups``: the views, their ``_Effects``).  A view's weighted sums
-    are products of their own, as BLAS rounds a row of a stacked product by the
-    stack, but a stacked matmul or LAPACK call rounds each matrix alone: no
-    number of a view depends on its stack.  A view whose year block fails the
-    acceptance test solves from the rows."""
+    of fit views and their ``_Effects``, ``present`` as ``Absorbed``'s per view.
+    Each view's year block is padded to every year level: a year it does not
+    keep (its reference, or one without weight) has a zero row of F, and in H
+    a diagonal entry alone, the kept block's largest, so the acceptance test
+    sees the kept block's eigenvalues (and 1s) and its spread.  LU never
+    pivots on nor eliminates through such a row: its row of P is exactly 0.
+    A view's weighted sums are products of their own, as BLAS rounds a row of
+    a stacked product by the stack, but a stacked matmul or LAPACK call rounds
+    each matrix alone: no number of a view depends on its stack.  A view whose
+    year block fails the acceptance test solves from the rows."""
 
     def __init__(self, moments: ClusterMoments, W: np.ndarray):
         design, B, self.rows = moments.design, len(W), {}
-        self.moments, self.W, self.groups, self.ok = moments, W, [], np.zeros(B, dtype=bool)
+        self.moments, self.W, self.ok = moments, W, np.zeros(B, dtype=bool)
         self.n, k1, codes = (W > 0) @ moments.sizes, design.X.shape[1] + 1, design.fe_codes
         if moments.rows_only:
             self.rows = {i: Absorbed(design, w[moments.row_cluster]) for i, w in enumerate(W)}
             self.present = {e: np.array([r.present[e] for r in self.rows.values()]) for e in codes}
             return
-        gram = np.stack([w @ moments.grams for w in W]).reshape(B, k1, k1)
+        gram = np.matmul(W[:, None], moments.grams)[:, 0].reshape(B, k1, k1)
         Wp = np.hstack([W, np.zeros((B, 1))])
         present, N, means, shift = {}, np.zeros((B, 0)), np.zeros((B, 0, k1)), np.zeros((B, 0, k1))
         if moments.center is not None:
@@ -374,32 +377,27 @@ class _Views:
                 means = moments.center + S / N[..., None]
                 shift = np.where(seen[..., None], S / N[..., None], 0.0)  # demeaned Z less centred Z
             means[b, ref], shift[b, ref] = 0.0, -moments.center[ref]
-        kept, shares = np.zeros((B, 0), dtype=bool), np.zeros((B, N.shape[1], 0))
+        self.ok[:], P, shares = True, np.zeros((B, 0, k1)), np.zeros((B, N.shape[1], 0))
         if "year" in codes:
-            N_t = np.stack([w @ moments.year_counts for w in W])
-            F = np.stack([w @ moments.year_sums for w in W]).reshape(B, N_t.shape[1], k1)
+            N_t = np.matmul(W[:, None], moments.year_counts)[:, 0]
+            F = np.matmul(W[:, None], moments.year_sums)[:, 0].reshape(B, -1, k1)
             present["year"] = N_t > 0
             # every year with weight but the first, the reference
             kept = present["year"] & (np.cumsum(present["year"], axis=1) > 1)
             C = np.take(Wp, moments.cell_cluster, axis=1)
             H, shares = _year_gram(C, N, N_t)
             F -= C.swapaxes(1, 2) @ shift
-        self.ok[:], self.present, groups = True, present, {}
-        for i, key in enumerate(kept):
-            groups.setdefault(key.tobytes(), []).append(i)
-        for views in map(np.array, groups.values()):
-            years, P = np.flatnonzero(kept[views[0]]), np.zeros((len(views), 0, k1))
-            if len(years):
-                Hg, Fg = H[views[:, None, None], years[:, None], years], F[views[:, None], years]
-                A, _, spread, fine = _equilibrated(Hg)
-                fine[fine] = _gram_accepted(A[fine], spread[fine], self.n[views[fine]])
-                self.ok[views[~fine]] = False
-                views, P = views[fine], np.linalg.solve(Hg[fine], Fg[fine])
-                gram[views] -= Fg[fine].swapaxes(1, 2) @ P
-            fx, at = _Effects(), slice(None) if len(views) == B else views  # no copy for all
-            fx.present, fx.years = {e: p[at] for e, p in present.items()}, years
-            fx.means, fx.shares, fx.P = means[at], shares[at], P
-            self.groups.append((views, fx))
+            pad = np.max(np.diagonal(H, axis1=1, axis2=2), axis=1, where=kept, initial=0.0)
+            v, t = np.nonzero(~kept)
+            F[v, t], H[v, t], H[v, :, t] = 0.0, 0.0, 0.0
+            H[v, t, t] = np.where(pad > 0.0, pad, 1.0)[v]  # 1 when no year is kept
+            A, _, spread, self.ok = _equilibrated(H)
+            self.ok[self.ok] = _gram_accepted(A[self.ok], spread[self.ok], self.n[self.ok])
+            H[~self.ok] = np.eye(H.shape[1])  # a failed view solves from its rows: keep LU off it
+            P = np.linalg.solve(H, F)
+            gram -= F.swapaxes(1, 2) @ P
+        self.present, self.years = present, np.arange(P.shape[1])
+        self.means, self.shares, self.P = means, shares, P
         self.gram = 0.5 * (gram + gram.swapaxes(1, 2)) if "year" in codes else gram
 
     def solve(self, cols: Sequence[int]):
@@ -407,7 +405,6 @@ class _Views:
         Gram is not well inside full rank solves from its rows, built once."""
         cols, B, design = list(cols), len(self.W), self.moments.design
         theta, deficient = np.zeros((B, len(cols))), np.zeros(B, dtype=bool)
-        effects = {e: np.zeros((B, len(design.fe_levels[e]))) for e in self.present}
         solved = self.ok & bool(cols)
         if solved.any():
             gram = self.gram[solved]
@@ -417,9 +414,8 @@ class _Views:
             solved[solved], root = fine, root[fine]
             rhs = gram[fine][:, cols, -1] / root
             theta[solved] = np.linalg.solve(A[fine], rhs[..., None])[..., 0] / root
-            for members, fx in self.groups:
-                for effect, values in fx.effects(cols, theta[members]).items():
-                    effects[effect][members] = values
+        effects = self.effects(cols, theta) if solved.any() else {
+            e: np.zeros((B, len(design.fe_levels[e]))) for e in self.present}
         for i in np.flatnonzero(~solved):
             if i not in self.rows:
                 self.rows[i] = Absorbed(design, self.W[i][self.moments.row_cluster])

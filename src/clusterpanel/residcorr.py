@@ -248,8 +248,9 @@ def _group_pairs(panel: ResidualPanel, groups: Sequence[GroupSpec], min_overlap:
                     kept[i].append((a[rows], b[cols], rho[keep], overlap[keep]))
                 else:
                     kept[i].append((rho[keep],))
-    return [(tuple(map(np.concatenate, zip(*parts))), dict(+skips))
-            for parts, skips in zip(kept, skipped)]
+    for i, skips in enumerate(skipped):  # a group's pieces are dropped before the next join
+        kept[i] = (tuple(map(np.concatenate, zip(*kept[i]))), dict(+skips))
+    return kept
 
 
 def pair_correlations(panel: ResidualPanel, group: GroupSpec,

@@ -846,7 +846,7 @@ def test_stacked_views_do_not_depend_on_their_stack(monkeypatch, row_refits):
     assert moments.block >= B  # one stack holds every replicate
     W = _replicate_weights(clusters.n_clusters, B, seed)
     stacked = moments.weighted(W)
-    assert len(stacked.groups) > 5
+    assert len(np.unique(stacked.present["year"], axis=0)) > 5
     theta, deficient, effects = stacked.solve(cols)
     assert 0 < len(row_refits) < B and not deficient.any()
     alone = [moments.weighted(W[i:i + 1]).solve(cols) for i in range(B)]
@@ -865,6 +865,65 @@ def test_stacked_views_do_not_depend_on_their_stack(monkeypatch, row_refits):
     np.testing.assert_array_equal(whole.draws, single.draws)
     rows = [_row_replicate(b, seed, design, clusters) for b in range(B)]
     _column_close(whole.draws, np.array([v for v in rows if v is not None]))
+
+
+def test_padded_year_blocks_keep_the_reference_and_absent_years_exact(row_refits):
+    # one year-scheme stack whose views keep or drop the first year, the
+    # reference, and other years: each view's year block is padded to every
+    # year level, and still gives 0 at its reference and NaN where absent
+    design = build_design(_panel(True), _spec(True))
+    clusters = assign_clusters(design, YEAR)
+    moments = ClusterMoments(design, clusters.row_cluster)
+    G, T = clusters.n_clusters, len(design.fe_levels["year"])
+    year_cluster = np.zeros(T, dtype=int)
+    year_cluster[design.fe_codes["year"]] = clusters.row_cluster
+    by_year = np.ones((6, T))
+    by_year[1, 0] = by_year[2, :2] = by_year[3, 5] = by_year[4, [0, 7]] = 0
+    by_year[4, 3] = by_year[5, 0] = 2
+    W = np.zeros((6, G))
+    W[:, year_cluster] = by_year
+    W = np.vstack([W, _replicate_weights(G, 20, 4)])
+    cols = range(design.X.shape[1])
+    views = moments.weighted(W)
+    theta, deficient, effects = views.solve(cols)
+    assert not row_refits and not deficient.any()  # every view solved in the stack
+    rows = [Absorbed(design, w[clusters.row_cluster]) for w in W]
+    wants = [r.solve(cols) for r in rows]
+    references = []
+    for i, (row, want) in enumerate(zip(rows, wants)):
+        present, year = row.present["year"], effects["year"][i]
+        references.append(np.argmax(present))
+        assert (views.present["year"][i] == present).all()
+        assert year[references[-1]] == 0.0 == want[2]["year"][references[-1]]
+        assert (np.isnan(year) == ~present).all()
+    assert 0 < np.count_nonzero(references) < len(W)  # some views re-referenced, some not
+    _column_close(theta, [want[0] for want in wants])
+    for effect in ("region", "year"):
+        _column_close(effects[effect], [want[2][effect] for want in wants])
+
+
+def test_a_singular_year_block_in_a_stack_solves_from_the_rows(row_refits):
+    # RX has one row, in 2005: a view without the other 2005 clusters leaves
+    # that year in RX alone, its row of the year block exactly 0
+    gen = np.random.default_rng(2)
+    records = [obs(f"R{i:02d}", f"C{i % 4}", 2000 + t, float(gen.standard_normal()),
+                   {"x": float(gen.standard_normal())}) for i in range(20) for t in range(12)]
+    records.append(obs("RX", "CX", 2005, 0.5, {"x": 1.5}))
+    ds = panel_from(records, predictor_names=("x",))
+    design = build_design(ds, ModelSpec(terms=(TermSpec("x", differenced=False),),
+                                        fixed_effects=("region", "year")))
+    clusters = assign_clusters(design, COUNTRY_YEAR)
+    moments = ClusterMoments(design, clusters.row_cluster)
+    assert not moments.rows_only
+    W = np.ones((3, clusters.n_clusters))
+    W[1, [k for k, key in enumerate(clusters.keys) if key[1] == 2005 and key[0] != "CX"]] = 0
+    cols = range(design.X.shape[1])
+    theta, deficient, effects = moments.weighted(W).solve(cols)
+    assert len(row_refits) == 1 and deficient.tolist() == [False, True, False]
+    want = Absorbed(design, W[1][clusters.row_cluster]).solve(cols)
+    np.testing.assert_array_equal(theta[1], want[0])
+    for effect, values in effects.items():
+        np.testing.assert_array_equal(values[1], want[2][effect])
 
 
 def _row_cv(design, scheme, K, seed, models):

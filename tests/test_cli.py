@@ -518,6 +518,8 @@ DROP = object()  # a change that removes the key
         ("simulate", {"study": "bias", "noise_shared_weight": 0.0, "reps": 500, "level": DROP},
          "key 'schemes' in section 'simulate' does not apply to study 'bias'"),
         ("project", {"levels": [0.9, 1.5]}, "level must be in (0, 1), got 1.5"),
+        ("project", {"alpha": 1.5},
+         "bad 'alpha' in section 'project': level must be in (0, 1), got 1.5"),
         ("project", {"weights": {"R000": 2.0}},
          "key 'weights' in section 'project' does not apply to aggregation 'mean'"),
         ("project", {"aggregation": "weighted"}, "key 'weights' is missing from section 'project'"),
@@ -541,7 +543,7 @@ DROP = object()  # a change that removes the key
     ],
     ids=["simulate_level", "simulate_correction", "nan_noise_scale", "inf_noise_scale",
          "nan_beta_true", "scheme_on_coverage", "schemes_on_bias",
-         "project_levels", "weights_with_mean", "weighted_without_weights",
+         "project_levels", "project_alpha", "weights_with_mean", "weighted_without_weights",
          "weight_without_rows", "negative_weight", "nan_weight", "inf_weight", "bad_int", "null",
          "scalar_levels", "scalar_schemes", "candidate_above_ceiling", "nan_below_km"],
 )
