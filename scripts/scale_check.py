@@ -6,6 +6,8 @@ centroids included, adds ``xbar`` (each region's mean of x) and fits
 two-way fixed effects with ``d.x*xbar`` at lags 0..2, then times each stage
 on its own:
 
+- generate_panel of the size's DgpConfig (countries R // 25, centroids
+  included; median of LOAD_RUNS);
 - load_csv of the panel written once by save_csv (median of LOAD_RUNS),
   and load_cached_hit_s, the median of LOAD_RUNS hits of ``load_cached``
   on an entry in a temporary cache directory (a tree without
@@ -109,14 +111,15 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
-STAGES = ("load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan", "bootstrap",
-          "corr_all_pairs", "corr_groups", "bootstrap_readout", "project_readout",  # per size
+STAGES = ("generate_panel", "load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan",
+          "bootstrap", "corr_all_pairs", "corr_groups", "bootstrap_readout",
+          "project_readout",  # per size
           "cold_start", "t_quantile", "coverage_study", "trending_agreement")  # once per run
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
            "corr_all_pairs_s": 1.0}
-LOAD_RUNS = 5  # load_csv, build_design and fit_cr1 timings per size, of which the median is kept
+LOAD_RUNS = 5  # generate_panel, load_csv, build_design, fit_cr1 timings per size; median kept
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
 READOUT_B, READOUT_RUNS = 1000, 5  # the read-outs' sample size, and their timings per size
@@ -149,6 +152,11 @@ def _panel(cp, regions, years):
                            lat=ds.centroids[ri, 0], lon=ds.centroids[ri, 1])
 
 
+def _sig(value: float) -> float:
+    """``value`` to 4 significant digits, so a 1 ms stage keeps as many as a 1 s one."""
+    return float(f"{value:.4g}")
+
+
 def _timed(func):
     start = time.perf_counter()
     result = func()
@@ -179,6 +187,10 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
                         fixed_effects=("region", "year"))
     ds = _panel(cp, regions, years)
     out = {}
+    if "generate_panel" in stages:
+        config = cp.DgpConfig(n_regions=regions, n_years=years, countries=regions // 25)
+        out["generate_panel_s"], _ = _median_timed(lambda: cp.generate_panel(config, 3))
+        out["generate_panel_peak_mb"] = _peak_mb(lambda: cp.generate_panel(config, 3))
     if "load_csv" in stages:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "panel.csv"
@@ -414,20 +426,20 @@ def main(argv=None):
     measure(cp, 25, 8, 1, stages)  # warm-up: imports, BLAS and first-call set-up
     run = {}
     if "cold_start" in stages:
-        run["cold_start_s"] = {k: round(v, 4) for k, v in cold_start(src).items()}
+        run["cold_start_s"] = {k: _sig(v) for k, v in cold_start(src).items()}
         print("cold start", json.dumps(run["cold_start_s"]), flush=True)
     if "t_quantile" in stages:
-        run["t_quantile_s"] = {k: round(v, 6) for k, v in t_quantile().items()}
+        run["t_quantile_s"] = {k: _sig(v) for k, v in t_quantile().items()}
         print("t quantile", json.dumps(run["t_quantile_s"]), flush=True)
     for regions, years in sizes:
         key = f"{regions}x{years}"
-        run[key] = {k: round(v, 4) if isinstance(v, float) else v
+        run[key] = {k: _sig(v) if k.endswith("_s") else v
                     for k, v in measure(cp, regions, years, args.replicates, stages).items()}
         print(key, json.dumps(run[key]), flush=True)
     if "coverage_study" in stages:
         simulate(cp, 10, 10, 100)  # warm-up
-        run["coverage_study_s"] = {f"{regions}x{years}": round(simulate(cp, regions, years,
-                                                                        SIMULATE_REPS), 4)
+        run["coverage_study_s"] = {f"{regions}x{years}": _sig(simulate(cp, regions, years,
+                                                                       SIMULATE_REPS))
                                    for regions, years in SIMULATE_SIZES}
         print(f"coverage_study, {SIMULATE_REPS} reps", json.dumps(run["coverage_study_s"]),
               flush=True)
@@ -442,9 +454,10 @@ def main(argv=None):
     run["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report["about"] = ("scripts/scale_check.py: stage times in seconds, balanced generate_panel "
-                       "panels, two-way fixed effects, d.x*xbar at lags 0..2; load_csv_s, "
-                       "build_design_s and the fit_cr1 figures are each the median of "
+    report["about"] = ("scripts/scale_check.py: stage times in seconds to 4 significant digits, "
+                       "balanced generate_panel panels, two-way fixed effects, d.x*xbar at lags "
+                       "0..2; generate_panel_s, load_csv_s, build_design_s and the fit_cr1 "
+                       "figures are each the median of "
                        f"{LOAD_RUNS} calls, the cv_scan figures (six models, K=4) "
                        f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
                        f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, "

@@ -361,15 +361,19 @@ def cmd_project(config: dict, out: Path, seed: int) -> None:
     sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
                              seed)
     scenario_schema = replace(_schema(config["data"]), outcome=None)
-    projections = []
-    unseen = {}
+    levels, projections, unseen = list(dict.fromkeys(proj_cfg["levels"])), [], {}
     for sc in proj_cfg["scenarios"]:
         path = build_scenario_path(load_cached(sc["path"], scenario_schema), spec, sample.design,
                                    sc["label"], start_year=proj_cfg["start_year"])
         unseen[sc["label"]] = path.unseen_levels
         projections.append(project_scenarios(sample, path, aggregation=proj_cfg["aggregation"],
                                              weights=proj_cfg.get("weights")))
-    reports.write_projections(out / "projection.csv", projections, proj_cfg["levels"])
+        used = int(np.isfinite(projections[-1].values).sum(axis=0).min())  # a dropped draw is all NaN
+        for level in levels if used else ():  # with none, write_projections names the year
+            if used < min_draws(level):
+                raise ValueError(f"scenario {sc['label']!r}: B={used} usable draws too small "
+                                 f"for level {level}; need at least {min_draws(level)}")
+    reports.write_projections(out / "projection.csv", projections, levels)
     alpha = proj_cfg["alpha"]
     verdicts = [
         {"a": a.label, "b": b.label, "first_discernible_year": first_discernible_year(a, b, alpha)}

@@ -75,7 +75,8 @@ class PanelDataset:
     tags per region, no region, country, tag or custom string with leading
     or trailing whitespace (which ``load_csv`` strips), and no empty tag or
     tag holding ';' (the CSV tag separator).  It is the only place a panel
-    is validated.
+    is validated.  Grids it already accepted (cache entries) or that hold by
+    construction (the generator's) enter unchecked through ``_from_grids``.
     """
 
     __slots__ = (
@@ -176,22 +177,31 @@ class PanelDataset:
         def grid(values, fill, dtype):
             g = np.full((R, T), fill, dtype=dtype)
             g[cells] = np.asarray(values, dtype=dtype)
-            g.setflags(write=False)
             return g
 
-        self.regions: tuple[str, ...] = tuple(names.tolist())
-        self.countries: tuple[str, ...] = tuple(cs[starts].tolist())
-        self.first_year = first
-        self.present = grid(np.ones(n, dtype=bool), False, bool)
-        self.outcome = grid(outcome, math.nan, float)
-        self.predictors = {name: grid(v, math.nan, float) for name, v in predictors.items()}
-        self.predictor_names = tuple(predictors)
-        self.custom = {name: grid(v, "", object) for name, v in custom.items()}
-        self.custom_names = tuple(custom)
+        self._set_grids(names.tolist(), cs[starts].tolist(), first,
+                        grid(np.ones(n, dtype=bool), False, bool), grid(outcome, math.nan, float),
+                        {name: grid(v, math.nan, float) for name, v in predictors.items()},
+                        {name: grid(v, "", object) for name, v in custom.items()},
+                        ll[starts], groups[starts])
+
+    @classmethod
+    def _from_grids(cls, *grids) -> "PanelDataset":
+        """The panel of grids the program already trusts, as ``_set_grids`` takes them."""
+        return object.__new__(cls)._set_grids(*grids)
+
+    def _set_grids(self, regions, countries, first_year, present, outcome, predictors, custom,
+                   centroids, groups) -> "PanelDataset":
+        """Set every slot, unchecked; the (R, T) and (R, 2) grids become read-only in place."""
+        for a in (present, outcome, centroids, *predictors.values(), *custom.values()):
+            a.setflags(write=False)
+        self.regions, self.countries = tuple(regions), tuple(countries)
+        self.first_year, self.groups = int(first_year), tuple(groups)
+        self.present, self.outcome, self.centroids = present, outcome, centroids
+        self.predictors, self.predictor_names = dict(predictors), tuple(predictors)
+        self.custom, self.custom_names = dict(custom), tuple(custom)
         self._index = {r: i for i, r in enumerate(self.regions)}
-        self.centroids = ll[starts]
-        self.centroids.setflags(write=False)
-        self.groups = tuple(groups[starts])
+        return self
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -564,26 +574,17 @@ def _entry_arrays(ds: PanelDataset) -> dict[str, np.ndarray]:
 
 
 def _from_entry(entry) -> PanelDataset:
-    """The dataset of a cache entry, set slot by slot and not validated again:
-    entries are written only from datasets the constructor accepted."""
-    ds = object.__new__(PanelDataset)
-    ds.present, floats, strings = entry["present"], entry["floats"], entry["strings"]
-    (R, T), P, C = ds.present.shape, int(floats[1]), int(floats[2])
-    ds.first_year, cells = int(floats[0]), 3 + R * T * (P + 1)
-    ds.outcome = floats[3:3 + R * T].reshape(R, T)
-    predictors = floats[3 + R * T:cells].reshape(P, R, T)
-    ds.centroids = floats[cells:].reshape(R, 2)
-    custom = strings[3 * R + P + C:].astype(object).reshape(C, R, T)
-    for a in (predictors, custom, ds.present, ds.outcome, ds.centroids):
-        a.setflags(write=False)
-    head = strings[:3 * R + P + C].tolist()
-    ds.regions, ds.countries = tuple(head[:R]), tuple(head[R:2 * R])
-    ds.groups = tuple(frozenset(tags.split(";")) - {""} for tags in head[2 * R:3 * R])
-    ds.predictor_names, ds.custom_names = tuple(head[3 * R:3 * R + P]), tuple(head[3 * R + P:])
-    ds.predictors = dict(zip(ds.predictor_names, predictors, strict=True))
-    ds.custom = dict(zip(ds.custom_names, custom, strict=True))
-    ds._index = {r: i for i, r in enumerate(ds.regions)}
-    return ds
+    """A cache entry's dataset, unchecked: entries are written only from accepted datasets."""
+    present, floats, strings = entry["present"], entry["floats"], entry["strings"]
+    (R, T), P, C = present.shape, int(floats[1]), int(floats[2])
+    cells, custom_at = 3 + R * T * (P + 1), 3 * R + P  # where centroids, custom names start
+    head = strings[:custom_at + C].tolist()
+    return PanelDataset._from_grids(
+        head[:R], head[R:2 * R], floats[0], present, floats[3:3 + R * T].reshape(R, T),
+        dict(zip(head[3 * R:custom_at], floats[3 + R * T:cells].reshape(P, R, T), strict=True)),
+        dict(zip(head[custom_at:], strings[custom_at + C:].astype(object).reshape(C, R, T),
+                 strict=True)),
+        floats[cells:].reshape(R, 2), (frozenset(t.split(";")) - {""} for t in head[2 * R:3 * R]))
 
 
 def load_cached(path, schema: CsvSchema, cache_dir=None) -> PanelDataset:

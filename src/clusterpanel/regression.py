@@ -310,7 +310,7 @@ class ClusterMoments:
             self.grams[self.sizes == size] = (rows.transpose(0, 2, 1) @ rows).reshape(-1, k1 * k1)
 
     def weighted(self, W) -> "_Views":
-        """The rows of the cluster weights ``W`` (``block`` at a time) as one stack of views."""
+        """Every row of the cluster weights ``W`` in one stack of views; callers choose how many."""
         return _Views(self, np.asarray(W, dtype=float).reshape(-1, self.G))
 
 

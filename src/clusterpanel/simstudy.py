@@ -127,28 +127,22 @@ def _draw_fields(config: DgpConfig, streams, rows: int) -> tuple[np.ndarray, np.
 
 
 def _dataset(config: DgpConfig, x: np.ndarray, y: np.ndarray) -> PanelDataset:
-    """The generated panel with (n_regions, n_years) grids ``x`` and ``y``."""
+    """The panel of (n_regions, n_years) grids ``x`` and ``y``, unchecked: the zero-padded
+    region names sort in row order, each region has one country and every centroid is in range."""
     R, T = config.n_regions, config.n_years
     country_of = np.arange(R) * config.n_countries // R
-    country_width = max(2, len(str(config.n_countries - 1)))
-    region_width = max(3, len(str(R - 1)))
-    lat = lon = None
+    region_width, country_width = max(3, len(str(R - 1))), max(2, len(str(config.n_countries - 1)))
+    centroids = np.full((R, 2), math.nan)
     if config.with_centroids:
         # deterministic synthetic geography: countries along the equator,
         # regions spread around their country's center, wrapped into [-180, 180)
         within = np.arange(R) - np.searchsorted(country_of, country_of, side="left")
-        lat = np.repeat(-10.0 + 2.0 * (within % 11), T)
         lon = -170.0 + 24.0 * (country_of % 15) + 2.0 * (within // 11)
-        lon = np.repeat((lon + 180.0) % 360.0 - 180.0, T)
-    return PanelDataset(
-        np.repeat([f"R{i:0{region_width}d}" for i in range(R)], T),
-        np.repeat([f"C{c:0{country_width}d}" for c in country_of], T),
-        np.tile(np.arange(2000, 2000 + T), R),
-        y.ravel(),
-        {"x": x.ravel()},
-        lat=lat,
-        lon=lon,
-    )
+        centroids = np.column_stack([-10.0 + 2.0 * (within % 11), (lon + 180.0) % 360.0 - 180.0])
+    return PanelDataset._from_grids(
+        [f"R{i:0{region_width}d}" for i in range(R)],
+        [f"C{c:0{country_width}d}" for c in country_of],
+        2000, np.ones((R, T), dtype=bool), y, {"x": x}, {}, centroids, (frozenset(),) * R)
 
 
 def generate_panel(config: DgpConfig, seed) -> PanelDataset:

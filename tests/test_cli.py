@@ -579,6 +579,28 @@ def test_project_warns_of_dropped_draws(scheme, dropped, code, capsys, tmp_path)
         assert "error: no finite projection draws for 'low' in 2021" in capsys.readouterr().err
 
 
+def test_project_below_min_draws_fails_before_writing(capsys, tmp_path):
+    # B=19 year-scheme replicates leave 10 usable draws per scenario, fewer
+    # than the 20 that levels 0.65 and 0.9 need
+    config = _sample_config()
+    config["project"]["b"] = 19
+    with pytest.warns(UserWarning, match=DROPPED):
+        assert _run_config(config, "project", tmp_path) == 1
+    assert ("error: scenario 'low': B=10 usable draws too small for level 0.65; "
+            "need at least 20") in capsys.readouterr().err
+    assert not (tmp_path / "project" / "projection.csv").exists()
+
+
+def test_project_reads_out_a_repeated_level_once(tmp_path):
+    config = _sample_config()
+    config["project"]["levels"] = [0.9, 0.9]
+    with pytest.warns(UserWarning, match=DROPPED):
+        assert _run_config(config, "project", tmp_path) == 0
+    rows = (tmp_path / "project" / "projection.csv").read_text().splitlines()
+    golden = (ROOT / "sample/golden/project/projection.csv").read_text().splitlines()
+    assert rows == [row for row in golden if row.split(",")[2] in ("level", "0.9")]
+
+
 def test_minimal_config_manifest_holds_resolved_defaults(tmp_path):
     config = {
         "data": {"path": "sample/panel.csv", "predictors": {"x": "x"},

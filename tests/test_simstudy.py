@@ -7,7 +7,7 @@ import pytest
 
 import clusterpanel.simstudy as simstudy
 from clusterpanel.panel import (COUNTRY, COUNTRY_YEAR, REGION, REGION_YEAR, YEAR, ClusterScheme,
-                                assign_clusters, build_design)
+                                PanelDataset, assign_clusters, build_design)
 from clusterpanel.regression import (_replicate_streams, _t_quantile, clustered_cov,
                                      confidence_intervals, ols_fit)
 from clusterpanel.simstudy import (
@@ -17,6 +17,9 @@ from clusterpanel.simstudy import (
     coverage_study,
     generate_panel,
 )
+
+from conftest import assert_same_dataset
+from test_cache import _assert_read_only
 
 
 def _matrices(ds, beta_true):
@@ -208,6 +211,51 @@ def test_generate_panel_draws_the_oracle_fields(seed):
     ds = generate_panel(config, seed)
     assert ds.predictors["x"].tobytes() == x.tobytes()
     assert ds.outcome.tobytes() == y.tobytes()
+
+
+def _long_format_panel(config, x, y):
+    """The generated panel through the validating long-format constructor:
+    one row per (region, year) cell, per-region labels and centroids repeated."""
+    R, T = config.n_regions, config.n_years
+    country_of = np.arange(R) * config.n_countries // R
+    country_width = max(2, len(str(config.n_countries - 1)))
+    region_width = max(3, len(str(R - 1)))
+    lat = lon = None
+    if config.with_centroids:
+        within = np.arange(R) - np.searchsorted(country_of, country_of, side="left")
+        lat = np.repeat(-10.0 + 2.0 * (within % 11), T)
+        lon = -170.0 + 24.0 * (country_of % 15) + 2.0 * (within // 11)
+        lon = np.repeat((lon + 180.0) % 360.0 - 180.0, T)
+    return PanelDataset(
+        np.repeat([f"R{i:0{region_width}d}" for i in range(R)], T),
+        np.repeat([f"C{c:0{country_width}d}" for c in country_of], T),
+        np.tile(np.arange(2000, 2000 + T), R),
+        y.ravel(),
+        {"x": x.ravel()},
+        lat=lat,
+        lon=lon,
+    )
+
+
+@pytest.mark.parametrize("R, T, countries, with_centroids", list(itertools.product(
+    [10, 1001], [2, 40], [None, 7], [True, False])))
+def test_generate_panel_matches_the_long_format_constructor(R, T, countries, with_centroids):
+    config = DgpConfig(n_regions=R, n_years=T, countries=countries, with_centroids=with_centroids)
+    ds = generate_panel(config, (3, R, T))
+    oracle = _long_format_panel(config, ds.predictors["x"], ds.outcome)
+    assert_same_dataset(ds, oracle)
+    _assert_read_only(ds)
+    for grid, want in [(ds.present, oracle.present), (ds.outcome, oracle.outcome),
+                       (ds.predictors["x"], oracle.predictors["x"]),
+                       (ds.centroids, oracle.centroids)]:
+        assert (grid.shape, grid.dtype) == (want.shape, want.dtype)
+    np.testing.assert_array_equal(ds.centroids, oracle.centroids)  # NaN where none
+    assert np.isnan(ds.centroids).all() != with_centroids
+    assert ds._index == oracle._index and type(ds.first_year) is int
+    assert all(type(name) is str for name in (*ds.regions, *ds.countries))
+    assert list(ds.regions) == sorted(ds.regions) and len(set(ds.regions)) == R
+    assert ds.regions[-1] == ("R1000" if R == 1001 else "R009")
+    assert len(set(ds.countries)) == config.n_countries
 
 
 # ---------------------------------------------------------------------------
