@@ -17,6 +17,8 @@ on its own:
   of LOAD_RUNS): key fit_cr1_s under the region scheme,
   fit_cr1_country_year_s under country_year, the two schemes a ``fit`` of
   the sample config runs;
+- assign_clusters on that design under each of CLUSTER_SCHEMES (median of
+  LOAD_RUNS; key assign_clusters_<scheme>_s);
 - one cv model at K=4 (cv_loss, region folds);
 - a forward cv scan at K=4 from the fixed-effect-only base, with the
   candidates d.x*xbar at lags 0..2 and x (undifferenced) at lags 0..1: six
@@ -111,15 +113,16 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
-STAGES = ("generate_panel", "load_csv", "build_design", "fit_cr1", "cv_model", "cv_scan",
-          "bootstrap", "corr_all_pairs", "corr_groups", "bootstrap_readout",
-          "project_readout",  # per size
+STAGES = ("generate_panel", "load_csv", "build_design", "fit_cr1", "assign_clusters",
+          "cv_model", "cv_scan", "bootstrap", "corr_all_pairs", "corr_groups",
+          "bootstrap_readout", "project_readout",  # per size
           "cold_start", "t_quantile", "coverage_study", "trending_agreement")  # once per run
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
            "bootstrap_year_b1000_s": 60.0, "bootstrap_country_year_b1000_s": 60.0,
            "corr_all_pairs_s": 1.0}
-LOAD_RUNS = 5  # generate_panel, load_csv, build_design, fit_cr1 timings per size; median kept
+LOAD_RUNS = 5  # generate_panel, load_csv, build_design, fit_cr1, assign_clusters timings
+CLUSTER_SCHEMES = ("region", "country", "year", "country_year", "region_year")
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
 READOUT_B, READOUT_RUNS = 1000, 5  # the read-outs' sample size, and their timings per size
@@ -217,6 +220,10 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
         key = "fit_cr1" if scheme == cp.REGION else f"fit_cr1_{scheme.label}"
         out[f"{key}_s"], fit = _median_timed(lambda: fit_cr1(scheme))
         out[f"{key}_peak_mb"] = _peak_mb(lambda: fit_cr1(scheme))
+    for label in CLUSTER_SCHEMES if "assign_clusters" in stages else ():
+        scheme = cp.ClusterScheme(label)
+        out[f"assign_clusters_{label}_s"], _ = _median_timed(
+            lambda: cp.assign_clusters(design, scheme))
     if "cv_model" in stages:
         out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
         out["cv_model_peak_mb"] = _peak_mb(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
@@ -456,8 +463,8 @@ def main(argv=None):
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["about"] = ("scripts/scale_check.py: stage times in seconds to 4 significant digits, "
                        "balanced generate_panel panels, two-way fixed effects, d.x*xbar at lags "
-                       "0..2; generate_panel_s, load_csv_s, build_design_s and the fit_cr1 "
-                       "figures are each the median of "
+                       "0..2; generate_panel_s, load_csv_s, build_design_s, the fit_cr1 "
+                       "and the assign_clusters figures are each the median of "
                        f"{LOAD_RUNS} calls, the cv_scan figures (six models, K=4) "
                        f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
                        f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, "

@@ -273,33 +273,37 @@ def term_label(term: TermSpec) -> str:
     return f"d.{term.variable}" if term.differenced else term.variable
 
 
-_SCHEME_KINDS = ("region", "region_year", "country", "country_year", "year", "custom")
+# each scheme kind and what its argument names; None for a kind without one
+_SCHEME_ARGS = {"region": None, "region_year": None, "country": None, "country_year": None,
+                "year": None, "custom": "a custom column"}
 
 
 @dataclass(frozen=True)
 class ClusterScheme:
-    """A rule partitioning design rows into clusters."""
+    """A rule partitioning design rows into clusters, written ``kind`` or
+    ``kind:arg``; ``_SCHEME_ARGS`` says which kinds take an argument."""
 
     kind: str
-    column: str | None = None
+    arg: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _SCHEME_KINDS:
-            raise ValueError(f"unknown cluster scheme {self.kind!r}; use one of {_SCHEME_KINDS}")
-        if self.kind == "custom" and not self.column:
-            raise ValueError("custom cluster scheme needs a column name")
-        if self.kind != "custom" and self.column is not None:
-            raise ValueError("column only applies to the custom scheme")
+        if self.kind not in _SCHEME_ARGS:
+            raise ValueError(
+                f"unknown cluster scheme {self.kind!r}; use one of {tuple(_SCHEME_ARGS)}")
+        needs = _SCHEME_ARGS[self.kind]
+        if needs and not self.arg:
+            raise ValueError(f"cluster scheme {self.kind!r} needs {needs}: '{self.kind}:<arg>'")
+        if not needs and self.arg is not None:
+            raise ValueError(f"cluster scheme {self.kind!r} takes no argument, got {self.label!r}")
 
     @property
     def label(self) -> str:
-        return f"custom:{self.column}" if self.kind == "custom" else self.kind
+        return self.kind if self.arg is None else f"{self.kind}:{self.arg}"
 
     @classmethod
     def parse(cls, text: str) -> "ClusterScheme":
-        if text.startswith("custom:"):
-            return cls("custom", text.split(":", 1)[1])
-        return cls(text)
+        kind, colon, arg = text.partition(":")
+        return cls(kind, arg if colon else None)
 
 
 REGION = ClusterScheme("region")
@@ -659,17 +663,24 @@ def save_csv(dataset: PanelDataset, path, delimiter: str = ",") -> CsvSchema:
 # ---------------------------------------------------------------------------
 
 
-def _cell_codes(dataset: PanelDataset, cells, key: str) -> tuple[tuple, np.ndarray]:
-    """The sorted distinct regions, years or countries of the rows at ``cells``,
-    and each row's index among them: the rows' indices into the dataset's
-    sorted labels, renumbered over the labels present."""
+def _cell_codes(dataset: PanelDataset, cells, key: str,
+                column: str | None = None) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct years, custom ``column`` values, regions or
+    countries of the rows at ``cells``, and each row's index among them: the
+    rows' indices into the dataset's sorted labels, renumbered over the
+    labels present."""
     ri, ti = cells
-    if key == "region":
-        labels, code = np.array(dataset.regions), ri
-    elif key == "year":
+    if key == "year":
         labels, code = dataset.first_year + np.arange(dataset.present.shape[1]), ti
-    else:
-        labels, of_region = np.unique(dataset.countries, return_inverse=True)
+    elif key == "custom":
+        if column not in dataset.custom:
+            raise ValueError(f"custom cluster column {column!r} not in dataset")
+        labels, code = np.unique(dataset.custom[column][cells].astype(str), return_inverse=True)
+    else:  # a region-level key: labels and one code per region
+        if key == "region":
+            labels, of_region = np.array(dataset.regions), np.arange(len(dataset.regions))
+        else:
+            labels, of_region = np.unique(dataset.countries, return_inverse=True)
         code = of_region[ri]
     present = np.bincount(code, minlength=len(labels)) > 0
     return tuple(labels[present].tolist()), (np.cumsum(present) - 1)[code]
@@ -761,36 +772,21 @@ def build_design(
                         fe_levels=fe_levels, dropped_rows=tuple(dropped), fe_codes=fe_codes)
 
 
-def _row_codes(design: DesignMatrix, key: str) -> tuple[tuple, np.ndarray]:
-    """``_cell_codes`` of the design's rows; region and year reuse the fixed
-    effect's codes where there is one."""
-    if key in design.fe_codes:
-        return design.fe_levels[key], design.fe_codes[key]
-    return _cell_codes(design.dataset, design.cells, key)
-
-
 def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssignment:
     """Partition design rows into clusters under a scheme.
 
-    Deterministic: cluster keys are sorted and indexed canonically.  A
-    (country or region, year) key is coded as one integer from its parts'
-    codes, which sorts as the pairs do.
+    Deterministic: cluster keys are sorted and indexed canonically.  Each
+    key part is coded by ``_cell_codes``; a (country or region, year) key is
+    coded as one integer from its parts' codes, which sorts as the pairs do.
     """
     if design.n == 0:
         raise ValueError("design is empty")
-    if scheme.kind == "custom":
-        if scheme.column not in design.dataset.custom:
-            raise ValueError(f"custom cluster column {scheme.column!r} not in dataset")
-        values = design.dataset.custom[scheme.column][design.cells].astype(str)
-        keys, code = np.unique(values, return_inverse=True)
-        keys = tuple(keys.tolist())
-    else:
-        first, _, second = scheme.kind.partition("_")
-        keys, code = _row_codes(design, first)
-        if second:
-            years, year_code = _row_codes(design, "year")
-            pairs, code = np.unique(code * len(years) + year_code, return_inverse=True)
-            keys = tuple((keys[i], years[t]) for i, t in zip(*np.divmod(pairs, len(years))))
+    first, _, second = scheme.kind.partition("_")
+    keys, code = _cell_codes(design.dataset, design.cells, first, scheme.arg)
+    if second:
+        years, year_code = _cell_codes(design.dataset, design.cells, "year")
+        pairs, code = np.unique(code * len(years) + year_code, return_inverse=True)
+        keys = tuple((keys[i], years[t]) for i, t in zip(*np.divmod(pairs, len(years))))
     row_cluster = np.array(code, dtype=np.intp)
     sizes = np.bincount(row_cluster, minlength=len(keys))
     return ClusterAssignment(scheme=scheme, keys=keys, row_cluster=row_cluster, sizes=sizes)

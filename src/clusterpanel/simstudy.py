@@ -120,7 +120,9 @@ def _draw_fields(config: DgpConfig, streams, rows: int) -> tuple[np.ndarray, np.
     shared_x = next(fields)
     spatial_x = next(fields) if wxs > 0.0 else 0.0
     idio_x = next(fields)
-    x = math.sqrt(wx) * shared_x + math.sqrt(wxs) * spatial_x + math.sqrt(1.0 - wx - wxs) * idio_x
+    # weights summing to 1 can leave 1 - wx - wxs at -3e-17: no idiosyncratic part
+    idio_w = max(0.0, 1.0 - wx - wxs)
+    x = math.sqrt(wx) * shared_x + math.sqrt(wxs) * spatial_x + math.sqrt(idio_w) * idio_x
     shared_e, idio_e = fields
     e = config.noise_scale * (math.sqrt(we) * shared_e + math.sqrt(1.0 - we) * idio_e)
     return x, config.beta_true * x + e

@@ -502,6 +502,20 @@ def test_simulate_unusable_scheme_exits_one(scheme, message, capsys, tmp_path):
     assert not (tmp_path / "simulate" / "coverage.csv").exists()
 
 
+
+def test_simulate_takes_predictor_weights_summing_to_one(tmp_path):
+    simulate = _sample_config()["simulate"] | {"predictor_shared_weight": 0.9,
+                                               "predictor_spatial_weight": 0.1}
+    assert _run_config({"seed": 3, "simulate": simulate}, "simulate", tmp_path) == 0
+
+
+def test_fit_rejects_an_argument_to_a_kind_without_one(capsys, tmp_path):
+    config = _sample_config()
+    config["fit"]["schemes"] = ["region:x"]
+    assert _run_config(config, "fit", tmp_path) == 1
+    assert "cluster scheme 'region' takes no argument, got 'region:x'" in capsys.readouterr().err
+    assert not list((tmp_path / "fit").glob("*"))
+
 DROP = object()  # a change that removes the key
 
 

@@ -594,6 +594,43 @@ def test_custom_column_missing():
         assign_clusters(d, ClusterScheme.parse("custom:nope"))
 
 
+
+ARGLESS_KINDS = ("region", "region_year", "country", "country_year", "year")
+
+
+@pytest.mark.parametrize("scheme", [*map(ClusterScheme, ARGLESS_KINDS),
+                                    ClusterScheme("custom", "g"), ClusterScheme("custom", "a:b")],
+                         ids=lambda s: s.label)
+def test_scheme_label_parses_back(scheme):
+    assert ClusterScheme.parse(scheme.label) == scheme
+
+
+@pytest.mark.parametrize("kind", ARGLESS_KINDS)
+def test_scheme_kind_without_argument_rejects_one(kind):
+    message = f"cluster scheme {kind!r} takes no argument"
+    for text in (f"{kind}:x", f"{kind}:"):
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {text!r}")):
+            ClusterScheme.parse(text)
+    with pytest.raises(ValueError, match=message):
+        ClusterScheme(kind, "x")
+
+
+@pytest.mark.parametrize("make", [lambda: ClusterScheme.parse("custom"),
+                                  lambda: ClusterScheme.parse("custom:"),
+                                  lambda: ClusterScheme("custom"),
+                                  lambda: ClusterScheme("custom", "")],
+                         ids=["custom", "custom:", "no_arg", "empty_arg"])
+def test_custom_scheme_needs_a_column(make):
+    with pytest.raises(ValueError, match="cluster scheme 'custom' needs a custom column"):
+        make()
+
+
+@pytest.mark.parametrize("text", ["continent", "Region", "country-year", ":g", ""])
+def test_unknown_scheme_kind_lists_the_kinds(text):
+    with pytest.raises(ValueError, match="unknown cluster scheme") as info:
+        ClusterScheme.parse(text)
+    assert str(info.value).endswith(f"use one of {(*ARGLESS_KINDS, 'custom')}")
+
 @pytest.mark.parametrize(
     "codes, sizes, message",
     [
@@ -634,7 +671,7 @@ def _dict_clusters(design, scheme):
         "country": countries,
         "country_year": [(c, t) for c, (_, t) in zip(countries, rows)],
         "year": [t for _, t in rows],
-    }.get(scheme.kind) or [str(ds.custom[scheme.column][ds.regions.index(r), t - ds.first_year])
+    }.get(scheme.kind) or [str(ds.custom[scheme.arg][ds.regions.index(r), t - ds.first_year])
                            for r, t in rows]
     uniq = sorted(set(keys))
     index = {k: i for i, k in enumerate(uniq)}

@@ -66,6 +66,15 @@ def test_fully_shared_predictor_is_region_constant():
         assert max(vals) == pytest.approx(min(vals))
 
 
+
+def test_predictor_weights_summing_to_one_leave_no_idiosyncratic_part():
+    # 0.9 + 0.1 leaves 1 - 0.9 - 0.1 at -2.8e-17 in floating point
+    ds = generate_panel(DgpConfig(7, 5, predictor_spatial_weight=0.1), 1)
+    x = ds.predictors["x"]
+    # a region part plus a year part: nothing is left once both means are removed
+    rest = x - x.mean(axis=1, keepdims=True) - x.mean(axis=0, keepdims=True) + x.mean()
+    np.testing.assert_allclose(rest, 0.0, atol=1e-12)
+
 def test_iid_noise_has_no_spatial_correlation():
     cfg = DgpConfig(n_regions=60, n_years=40, noise_shared_weight=0.0)
     _, e = _matrices(generate_panel(cfg, 1), cfg.beta_true)
