@@ -10,8 +10,8 @@ on its own:
   included; median of LOAD_RUNS);
 - load_csv of the panel written once by save_csv (median of LOAD_RUNS),
   and load_cached_hit_s, the median of LOAD_RUNS hits of ``load_cached``
-  on an entry in a temporary cache directory (a tree without
-  ``load_cached`` has no such key);
+  on an entry in a temporary cache directory (``XDG_CACHE_HOME``; a tree
+  without ``load_cached`` has no such key);
 - build_design (median of LOAD_RUNS);
 - fit plus CR1 sandwich (ols_fit, assign_clusters, clustered_cov; median
   of LOAD_RUNS): key fit_cr1_s under the region scheme,
@@ -37,9 +37,9 @@ on its own:
   intervals and ``sd`` of every column, with their CSV and JSON) on a
   year-scheme sample of READOUT_B draws computed beforehand, the median of
   READOUT_RUNS calls;
-- project_readout_s: ``project_scenarios`` on that sample with a scenario of
-  PROJECT_YEARS future years for every region, the median of READOUT_RUNS
-  calls, and project_readout_peak_mb.
+- project_readout_s: ``build_scenario_path`` plus ``project_scenarios`` on
+  that sample with a scenario of PROJECT_YEARS future years for every
+  region, the median of READOUT_RUNS calls, and project_readout_peak_mb.
 
 After the sizes, trending_agreement is the largest relative deviation,
 per column scaled by its largest draw, of TRENDING_REPLICATES region-scheme
@@ -107,6 +107,7 @@ import tracemalloc
 import warnings
 from importlib import metadata
 from pathlib import Path
+from unittest import mock
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
@@ -202,11 +203,10 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
                 _timed(lambda: cp.load_csv(path, schema))[0] for _ in range(LOAD_RUNS))
             out["load_csv_peak_mb"] = _peak_mb(lambda: cp.load_csv(path, schema))
             if hasattr(cp, "load_cached"):
-                cache = Path(tmp) / "cache"
-                cp.load_cached(path, schema, cache)  # the miss that writes the entry
-                out["load_cached_hit_s"] = statistics.median(
-                    _timed(lambda: cp.load_cached(path, schema, cache))[0]
-                    for _ in range(LOAD_RUNS))
+                with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(Path(tmp) / "cache")):
+                    cp.load_cached(path, schema)  # the miss that writes the entry
+                    out["load_cached_hit_s"] = statistics.median(
+                        _timed(lambda: cp.load_cached(path, schema))[0] for _ in range(LOAD_RUNS))
     out["build_design_s"], design = _median_timed(lambda: cp.build_design(ds, spec))
     out["build_design_peak_mb"] = _peak_mb(lambda: cp.build_design(ds, spec))
     out["n"], out["p"] = design.n, design.p
@@ -290,10 +290,11 @@ def bootstrap_readout(cp, ds, sample):
 
 
 def project_readout(cp, ds, spec, sample):
-    """Median seconds of ``project_scenarios`` on a precomputed sample, with a
-    scenario of PROJECT_YEARS years after the panel for every region (x on
-    from its last value by 0.01 a year, and three history years for d.x at
-    lags 0..2), and the tracemalloc peak of one more call in MB."""
+    """Median seconds of ``build_scenario_path`` plus ``project_scenarios`` on
+    a precomputed sample, with a scenario of PROJECT_YEARS years after the
+    panel for every region (x on from its last value by 0.01 a year, and
+    three history years for d.x at lags 0..2), and the tracemalloc peak of
+    one more call in MB."""
     import numpy as np
 
     (R, T), steps = ds.present.shape, np.arange(-3, PROJECT_YEARS)
@@ -302,11 +303,14 @@ def project_readout(cp, ds, spec, sample):
                              np.tile(ds.first_year + T + steps, R), np.full(x.size, np.nan),
                              {"x": x.ravel(), "xbar": np.repeat(ds.predictors["xbar"][:, -1],
                                                                 len(steps))})
-    path = cp.build_scenario_path(future, spec, sample.design, "scenario",
-                                  start_year=ds.first_year + T)
-    seconds = statistics.median(_timed(lambda: cp.project_scenarios(sample, path))[0]
-                                for _ in range(READOUT_RUNS))
-    return seconds, _peak_mb(lambda: cp.project_scenarios(sample, path))
+
+    def readout():
+        path = cp.build_scenario_path(future, spec, sample.design, "scenario",
+                                      start_year=ds.first_year + T)
+        return cp.project_scenarios(sample, path)
+
+    seconds = statistics.median(_timed(readout)[0] for _ in range(READOUT_RUNS))
+    return seconds, _peak_mb(readout)
 
 
 def trending_agreement(cp):
@@ -472,8 +476,9 @@ def main(argv=None):
                        f"cold-start figures are medians of {COLD_RUNS} fresh interpreters "
                        "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "
                        f"{COLD_RUNS} uncached calls, bootstrap_readout_s (year scheme, "
-                       f"B={READOUT_B}) and project_readout_s (a {PROJECT_YEARS}-year scenario for "
-                       f"every region) the medians of {READOUT_RUNS} read-outs, "
+                       f"B={READOUT_B}) and project_readout_s (build_scenario_path plus "
+                       f"project_scenarios, a {PROJECT_YEARS}-year scenario for every region) "
+                       f"the medians of {READOUT_RUNS} read-outs, "
                        f"coverage_study_s the median of {COLD_RUNS} studies, "
                        "trending_agreement a relative deviation (no unit), "
                        "every other figure is a single run; each "

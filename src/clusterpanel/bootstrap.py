@@ -8,8 +8,10 @@ multiplicity in the draw: the same fit as stacking the drawn clusters' rows
 Replicate b draws its clusters as ``default_rng((seed, b))`` would, so draws
 are identical under any execution order.  Replicates are solved from
 ``ClusterMoments``, a block of them as one stack of views, their draws scattered.
-Read-outs (intervals, ``sd``, projections, discernibility) take every column
-at once (``column_quantiles``), with the bits of a column read alone.
+A scenario is the (years × p) map ``M`` of its yearly mean design rows
+(``ScenarioPath``), so a projection is ``M @ draw`` per draw.  Read-outs
+(intervals, ``sd``, projections, discernibility) take every column at once
+(``column_quantiles``), with the bits of a column read alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -184,26 +186,24 @@ def percentile_interval(
 
 @dataclass(frozen=True)
 class ScenarioPath:
-    """Future design rows for one scenario; columns match a fitted model.
-
-    Row i is the region ``row_regions[i]`` in the year ``row_years[i]``.  ``X``
-    holds the first columns of ``column_names``, the intercept and the term
-    columns.  The fixed effects are read by index instead: ``effect_slots``
-    gives, per effect, each row's column of its level's dummy, -1 for the
-    reference level or a level unseen when the model was fitted.
-    """
+    """One scenario as the linear read-out it is: year ``years[t]`` of a
+    coefficient draw is ``M[t] @ draw``, with ``M[t]`` the year's weighted
+    mean design row, dummies included, over ``column_names``.  ``read`` holds
+    the columns some row reads, whatever its weight: the intercept and term
+    columns, and the dummy of each level a row has.  The reference level and
+    levels unseen when the model was fitted read no column; ``unseen_levels``
+    counts the rows' unseen levels."""
 
     label: str
-    X: np.ndarray
-    row_regions: np.ndarray
-    row_years: np.ndarray
+    years: tuple[int, ...]
+    M: np.ndarray  # (years, p)
+    read: np.ndarray
     column_names: tuple[str, ...]
     unseen_levels: int
-    effect_slots: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        for a in (self.X, self.row_regions, self.row_years):
-            a.setflags(write=False)
+        self.M.setflags(write=False)
+        self.read.setflags(write=False)
 
 
 def _level_codes(values: np.ndarray, levels: tuple) -> np.ndarray:
@@ -220,14 +220,23 @@ def build_scenario_path(
     label: str,
     *,
     start_year: int | None = None,
+    aggregation: str = "mean",
+    weights: Mapping[str, float] | None = None,
 ) -> ScenarioPath:
-    """Design rows for future predictor paths, encoded against a fitted design.
+    """The read-out map of future predictor paths, encoded against a fitted design.
 
     Term columns are built as usual, under ``spec``'s moderator alignment (the
     file must include enough history for differences and lags); fixed effects
     use the template's levels, so levels unseen when the model was fitted
-    contribute through the reference level and are counted.
+    contribute through the reference level and are counted.  Each year
+    averages its rows, under ``weighted`` by region weight: a region without
+    a weight weighs 0; a weight for a region without rows, a negative or
+    non-finite one, and weights under ``mean`` raise.
     """
+    if aggregation not in ("mean", "weighted"):
+        raise ValueError(f"unknown aggregation {aggregation!r}; use 'mean' or 'weighted'")
+    if aggregation == "mean" and weights is not None:
+        raise ValueError("region weights need aggregation 'weighted', not 'mean'")
     core = build_design(future, replace(spec, fixed_effects=()), require_outcome=False)
     ri, ti = core.cells
     regions, years = np.array(future.regions)[ri], ti + future.first_year
@@ -235,18 +244,40 @@ def build_scenario_path(
     if not keep.any():
         raise ValueError(f"no scenario rows at or after {start_year}")
     regions, years = regions[keep], years[keep]
+    row_weights = np.ones(len(years))
+    if aggregation == "weighted":
+        if not weights:
+            raise ValueError("weighted aggregation needs region weights")
+        held, which = np.unique(regions, return_inverse=True)
+        unknown = sorted(set(weights).difference(held.tolist()))
+        if unknown:
+            raise ValueError(f"weight for region {unknown[0]!r}, which has no rows "
+                             f"in scenario {label!r}")
+        for r, w in weights.items():
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"weight for region {r!r} must be finite and >= 0, got {w}")
+        row_weights = np.array([weights.get(r, 0.0) for r in held.tolist()], dtype=float)[which]
     codes = {effect: _level_codes(regions if effect == "region" else years, levels)
              for effect, levels in template.fe_levels.items()}
-    # code 0 (the reference) and -1 (unseen) read no column
-    slots = {effect: np.array((-1, *template.fe_slots[effect]))[np.maximum(code, 0)]
-             for effect, code in codes.items()}
     names = core.column_names + template.column_names[template.X.shape[1]:]
     if names != template.column_names:
         raise ValueError(
             f"scenario columns {names} do not match the fitted design {template.column_names}"
         )
-    return ScenarioPath(label=label, X=core.X[keep], row_regions=regions, row_years=years,
-                        column_names=names, effect_slots=slots,
+    years, at = np.unique(years, return_inverse=True)
+    total = np.bincount(at, row_weights)
+    if (total <= 0).any():
+        raise ValueError(f"no positive weights for year {years[np.argmax(total <= 0)]}")
+    # each row's columns (-1: no dummy, read as column 0 with entry 0) and
+    # entries; code 0 (the reference) and -1 (unseen) read no column
+    k, p = core.X.shape[1], len(names)
+    cols = np.column_stack([np.tile(np.arange(k), (len(at), 1)),
+                            *(np.array((-1, *template.fe_slots[effect]))[np.maximum(code, 0)]
+                              for effect, code in codes.items())])
+    x = np.column_stack([core.X[keep], cols[:, k:] >= 0]) * row_weights[:, None]
+    M = np.bincount((at[:, None] * p + np.maximum(cols, 0)).ravel(), x.ravel(), len(years) * p)
+    return ScenarioPath(label, tuple(years.tolist()), M.reshape(-1, p) / total[:, None],
+                        np.unique(cols[cols >= 0]), names,
                         unseen_levels=sum(int((c < 0).sum()) for c in codes.values()))
 
 
@@ -262,58 +293,22 @@ class Projection:
         self.values.setflags(write=False)
 
 
-def project_scenarios(
-    sample: BootstrapSample,
-    path: ScenarioPath,
-    aggregation: str = "mean",
-    weights: dict[str, float] | None = None,
-) -> Projection:
-    """Aggregate x'beta* over regions per year for every coefficient draw, a
-    static linear read-out: year t is ``M[t] @ draw``, with ``M[t]`` the year's
-    weighted mean design row.  A draw with a NaN in a column the path reads
-    (the intercept and terms, and each effect column some row reads, whatever
-    its weight) is NaN in every year, and a warning counts those.  A region
-    without a weight weighs 0; a weight for a region without rows, a negative
-    or non-finite one, and weights under ``mean`` raise."""
-    if aggregation not in ("mean", "weighted"):
-        raise ValueError(f"unknown aggregation {aggregation!r}; use 'mean' or 'weighted'")
-    if aggregation == "mean" and weights is not None:
-        raise ValueError("region weights need aggregation 'weighted', not 'mean'")
-    row_weights = np.ones(len(path.row_years))
-    if aggregation == "weighted":
-        if not weights:
-            raise ValueError("weighted aggregation needs region weights")
-        names, at = np.unique(path.row_regions, return_inverse=True)
-        unknown = sorted(set(weights).difference(names.tolist()))
-        if unknown:
-            raise ValueError(f"weight for region {unknown[0]!r}, which has no rows "
-                             f"in scenario {path.label!r}")
-        for r, w in weights.items():
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"weight for region {r!r} must be finite and >= 0, got {w}")
-        row_weights = np.array([weights.get(r, 0.0) for r in names.tolist()], dtype=float)[at]
+def project_scenarios(sample: BootstrapSample, path: ScenarioPath) -> Projection:
+    """The path's read-out of every coefficient draw: year t is ``M[t] @ draw``
+    over the columns the path reads.  A draw with a NaN in one of them is NaN
+    in every year, and a warning counts those."""
     if path.column_names != sample.column_names:
         ours, theirs = set(sample.column_names), set(path.column_names)
         raise ValueError("scenario columns do not match the bootstrap sample; "
                          f"missing {sorted(ours - theirs)}, extra {sorted(theirs - ours)}")
-    years, at = np.unique(path.row_years, return_inverse=True)
-    total = np.bincount(at, row_weights)
-    if (total <= 0).any():
-        raise ValueError(f"no positive weights for year {years[np.argmax(total <= 0)]}")
-    # each row's columns (-1: no dummy, read as column 0 with entry 0) and entries
-    k, p = path.X.shape[1], len(path.column_names)
-    cols = np.column_stack([np.tile(np.arange(k), (len(at), 1)), *path.effect_slots.values()])
-    x = np.column_stack([path.X, cols[:, k:] >= 0]) * row_weights[:, None]
-    read = np.unique(cols[cols >= 0])
-    draws = sample.draws[:, read]
-    M = np.bincount((at[:, None] * p + np.maximum(cols, 0)).ravel(), x.ravel(), len(years) * p)
-    values = draws @ (M.reshape(-1, p)[:, read] / total[:, None]).T
+    draws = sample.draws[:, path.read]
+    values = draws @ path.M[:, path.read].T
     dropped = np.isnan(draws).any(axis=1)
     values[dropped] = math.nan
     if dropped.any():
         warnings.warn(f"scenario {path.label!r}: {dropped.sum()} of {len(dropped)} draws dropped; "
                       "each lacks the intercept or a fixed effect that the path reads")
-    return Projection(label=path.label, years=tuple(years.tolist()), values=values)
+    return Projection(label=path.label, years=path.years, values=values)
 
 
 def first_discernible_year(

@@ -151,7 +151,7 @@ SCHEMA = {
         "alpha": (_level, _default(first_discernible_year, "alpha")),
         "levels": (_list(_level), [0.65, 0.9]),
         "aggregation": (Variants(mean={}, weighted={"weights": (_mapping(float), REQUIRED)}),
-                        _default(project_scenarios, "aggregation")),
+                        _default(build_scenario_path, "aggregation")),
         "start_year": (int, None),
         "scenarios": ([{"label": (str, REQUIRED), "path": (str, REQUIRED)}], REQUIRED),
     }, REQUIRED),
@@ -270,7 +270,7 @@ def _groups(groups: list | None, dataset) -> list[GroupSpec]:
     groups = [GroupSpec("all", "temporal"), GroupSpec("consecutive", "temporal", consecutive=True),
               GroupSpec("all", "spatial"), GroupSpec("same country", "spatial", same_country=True),
               GroupSpec("different country", "spatial", different_country=True)]
-    if any(dataset.centroid_of(r) is not None for r in dataset.regions):
+    if not np.isnan(dataset.centroids[:, 0]).all():
         groups += [GroupSpec(f"{sign}1000km, {country} country", "spatial",
                              **{f"{country}_country": True, side: 1000.0})
                    for sign, side in (("<", "below_km"), (">", "above_km"))
@@ -364,10 +364,11 @@ def cmd_project(config: dict, out: Path, seed: int) -> None:
     levels, projections, unseen = list(dict.fromkeys(proj_cfg["levels"])), [], {}
     for sc in proj_cfg["scenarios"]:
         path = build_scenario_path(load_cached(sc["path"], scenario_schema), spec, sample.design,
-                                   sc["label"], start_year=proj_cfg["start_year"])
+                                   sc["label"], start_year=proj_cfg["start_year"],
+                                   aggregation=proj_cfg["aggregation"],
+                                   weights=proj_cfg.get("weights"))
         unseen[sc["label"]] = path.unseen_levels
-        projections.append(project_scenarios(sample, path, aggregation=proj_cfg["aggregation"],
-                                             weights=proj_cfg.get("weights")))
+        projections.append(project_scenarios(sample, path))
         used = int(np.isfinite(projections[-1].values).sum(axis=0).min())  # a dropped draw is all NaN
         for level in levels if used else ():  # with none, write_projections names the year
             if used < min_draws(level):

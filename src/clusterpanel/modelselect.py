@@ -34,12 +34,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass(frozen=True)
 class FoldPlan:
     K: int
-    assignment: dict
+    fold: np.ndarray  # (G,): the fold of each cluster code, in [0, K)
     seed: int
 
 
 def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> FoldPlan:
-    """Shuffle cluster keys with a seeded RNG and deal them round-robin.
+    """Shuffle cluster codes with a seeded RNG and deal them round-robin.
 
     Fold sizes (in clusters) differ by at most one.
     """
@@ -48,10 +48,9 @@ def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> FoldPlan:
         raise ValueError(f"K must be at least 2, got {K}")
     if K > G:
         raise ValueError(f"K={K} exceeds the number of clusters G={G}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(G)
-    assignment = {clusters.keys[g]: int(i % K) for i, g in enumerate(order)}
-    return FoldPlan(K=K, assignment=assignment, seed=seed)
+    fold = np.empty(G, dtype=np.intp)
+    fold[np.random.default_rng(seed).permutation(G)] = np.arange(G) % K
+    return FoldPlan(K=K, fold=fold, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,12 @@ def _cv_results(
     """
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
-    fold_by_cluster = np.array([plan.assignment[k] for k in clusters.keys])
-    row_folds = fold_by_cluster[clusters.row_cluster]
+    row_folds = plan.fold[clusters.row_cluster]
     counts = np.bincount(row_folds, minlength=K)
     if not counts.all():
         raise ValueError(f"empty validation fold {int(np.argmin(counts))}")
     folds = ClusterMoments(design, clusters.row_cluster).weighted(
-        [fold_by_cluster != k for k in range(K)])
+        [plan.fold != k for k in range(K)])
     fits = [folds.solve(model) for model in models]  # each over all K folds
     collinear = np.array([fit[1] for fit in fits]).reshape(-1, K)
     if collinear.any() and not allow_rank_deficient:

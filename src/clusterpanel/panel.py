@@ -591,18 +591,18 @@ def _from_entry(entry) -> PanelDataset:
         floats[cells:].reshape(R, 2), (frozenset(t.split(";")) - {""} for t in head[2 * R:3 * R]))
 
 
-def load_cached(path, schema: CsvSchema, cache_dir=None) -> PanelDataset:
-    """``load_csv`` through an on-disk cache in ``cache_dir``, by default
-    ``$XDG_CACHE_HOME/clusterpanel`` or ``~/.cache/clusterpanel``.  An entry is keyed by
-    the sha256 of the file's bytes, ``repr(schema)`` and this module's source; an
-    unreadable entry is parsed again and rewritten, and a failed write is skipped."""
+def load_cached(path, schema: CsvSchema) -> PanelDataset:
+    """``load_csv`` through an on-disk cache in ``$XDG_CACHE_HOME/clusterpanel``, or
+    ``~/.cache/clusterpanel`` without that variable.  An entry is keyed by the sha256 of
+    the file's bytes, ``repr(schema)`` and this module's source; an unreadable entry is
+    parsed again and rewritten, and a failed write is skipped."""
     import hashlib  # here, so that a command which loads no CSV does not start OpenSSL
 
     try:
         parts = (Path(path).read_bytes(), repr(schema).encode(), Path(__file__).read_bytes())
         key = hashlib.sha256(b"".join(hashlib.sha256(part).digest() for part in parts))
         home = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-        entry = Path(cache_dir or Path(home) / "clusterpanel") / f"{key.hexdigest()}.npz"
+        entry = Path(home) / "clusterpanel" / f"{key.hexdigest()}.npz"
     except (OSError, RuntimeError):  # an unreadable file, which load_csv reports, or no home
         return load_csv(path, schema)
     with contextlib.suppress(Exception), open(entry, "rb") as fh:  # no or a bad entry: parse

@@ -3,6 +3,7 @@
 Spatial kind: one residual series per region, indexed by year; a Pearson
 correlation per unordered region pair over their common years.  Temporal
 kind: one series per year, indexed by region, over their common regions.
+A :class:`ResidualPanel` is a residual grid over a dataset's cells, labelled by it.
 
 Both kinds run one pair walk, :func:`_walk`, over a NaN-masked grid (the
 residual grid for the spatial kind, its transpose for the temporal one).  It
@@ -30,11 +31,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .panel import DesignMatrix, _check_coordinates, haversine_km
+from .panel import DesignMatrix, PanelDataset, haversine_km
 from .regression import FitResult
 
 DEFAULT_MIN_OVERLAP = 10
@@ -52,55 +53,39 @@ TEMPORAL_KEYS = ("consecutive",)
 
 
 class ResidualPanel:
-    """(R, T) residual grid, NaN where a cell has no residual, plus per-region
-    country, centroid ((R, 2) lat/lon, NaN latitude for none) and group tags.
+    """(R, T) residual grid over a dataset's cells, NaN where a cell has no
+    residual, with the dataset's per-region countries, centroids ((R, 2)
+    lat/lon, NaN latitude for none) and group tags.
 
     Only regions and years with at least one residual are kept, so every
-    series takes part in its kind's pairs.
+    series takes part in its kind's pairs; the labels are the dataset's,
+    sliced by the kept rows and columns.
     """
 
     __slots__ = ("values", "regions", "years", "countries", "centroids", "groups")
 
-    def __init__(
-        self,
-        values,
-        regions: Sequence[str],
-        years: Sequence[int],
-        countries: Sequence[str],
-        centroids=None,
-        groups: Sequence[Iterable[str]] | None = None,
-    ):
+    def __init__(self, dataset: PanelDataset, values):
         values = np.asarray(values, dtype=float)
-        R, T = values.shape
-        if len(regions) != R or len(countries) != R or len(years) != T:
-            raise ValueError(f"residual grid is {R}x{T}, labels do not match")
-        centroids = np.full((R, 2), math.nan) if centroids is None else np.asarray(centroids, float)
-        groups = [frozenset()] * R if groups is None else [frozenset(g) for g in groups]
-        if centroids.shape != (R, 2):
-            raise ValueError(f"centroids are {centroids.shape} for {R} regions, expected ({R}, 2)")
-        if len(groups) != R:
-            raise ValueError(f"{len(groups)} group tag sets for {R} regions")
-        _check_coordinates(*centroids[~np.isnan(centroids[:, 0])].T)
+        if values.shape != dataset.present.shape:
+            raise ValueError(f"residual grid is {values.shape}, expected the dataset's "
+                             f"{dataset.present.shape}")
         present = ~np.isnan(values)
         rows, cols = present.any(axis=1), present.any(axis=0)
         if not rows.any():
             raise ValueError("residual panel is empty")
         self.values = values[rows][:, cols]
-        self.regions = tuple(np.asarray(regions, dtype=object)[rows].tolist())
-        self.years = tuple(np.asarray(years)[cols].tolist())
-        self.countries = np.asarray(countries, dtype=str)[rows]
-        self.centroids = centroids[rows]
-        self.groups = tuple(g for g, keep in zip(groups, rows) if keep)
+        self.regions = tuple(np.asarray(dataset.regions, dtype=object)[rows].tolist())
+        self.years = tuple((dataset.first_year + np.flatnonzero(cols)).tolist())
+        self.countries = np.asarray(dataset.countries, dtype=str)[rows]
+        self.centroids = dataset.centroids[rows]
+        self.groups = tuple(g for g, keep in zip(dataset.groups, rows) if keep)
 
     @classmethod
     def from_fit(cls, fit: FitResult, design: DesignMatrix) -> "ResidualPanel":
         """The fit's residuals at their cells of the grid of the design's dataset."""
-        dataset = design.dataset
-        grid = np.full(dataset.present.shape, math.nan)
+        grid = np.full(design.dataset.present.shape, math.nan)
         grid[design.cells] = fit.residuals
-        years = range(dataset.first_year, dataset.first_year + grid.shape[1])
-        return cls(grid, dataset.regions, years, dataset.countries, dataset.centroids,
-                   dataset.groups)
+        return cls(design.dataset, grid)
 
 
 def _walk(values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:

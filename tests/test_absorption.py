@@ -278,7 +278,7 @@ def _dense_cv(design, scheme, K, seed):
     regions, years = (np.array(v) for v in _row_levels(design))
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
-    row_folds = np.array([plan.assignment[k] for k in clusters.keys])[clusters.row_cluster]
+    row_folds = plan.fold[clusters.row_cluster]
     sse, n_val, unseen, deficient = 0.0, 0, 0, False
     for k in range(K):
         va, tr = row_folds == k, row_folds != k
@@ -530,14 +530,46 @@ def test_weighted_projection_matches_dense_product(gappy):
     sample = block_bootstrap(ds, spec, REGION, 40, seed=2)
     template = build_design(ds, spec)
     future = _scenario(ds)
-    path = build_scenario_path(future, spec, template, "s")
-    regions = sorted(set(path.row_regions.tolist()))
-    weights = {r: 1.0 + i for i, r in enumerate(regions)} | {"R03": 0.0}
+    weights = {r: 1.0 + i for i, r in enumerate(future.regions)} | {"R03": 0.0}
+    path = build_scenario_path(future, spec, template, "s", aggregation="weighted",
+                               weights=weights)
     lost = np.isnan(sample.draws[:, sample.column_names.index("region=R03")])
     assert lost.any() and not lost.all()
-    got = project_scenarios(sample, path, "weighted", weights).values
+    got = project_scenarios(sample, path).values
     _close(got, _dense_projection(sample, future, spec, template, weights))
     assert np.isnan(got[lost]).all() and np.isfinite(got).any()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["mean", "weighted"])
+def test_scenario_map_is_the_dense_mean_row(weighted):
+    # M is each year's mean of the scenario's rows with dense dummies, under
+    # ``weighted`` by region; read holds the intercept and term columns and
+    # each dummy some row has, whatever its weight: the reference region R00,
+    # the unseen R99 and the unseen years after 2011 read no column
+    ds = _panel(True)
+    spec = _spec(True)
+    template = build_design(ds, spec)
+    future = _scenario(ds)
+    weights = {r: float(i % 3) for i, r in enumerate(future.regions)} if weighted else None
+    path = build_scenario_path(future, spec, template, "s", weights=weights,
+                               aggregation="weighted" if weighted else "mean")
+    core = build_design(future, ModelSpec(terms=spec.terms, intercept=spec.intercept),
+                        require_outcome=False)
+    regions, years = _row_levels(core)
+    D, names, _, unseen, _ = dense_dummies(regions, years, template.fixed_effects,
+                                           levels=template.fe_levels)
+    X, years = np.hstack([core.X, D]), np.array(years)
+    w = np.array([1.0 if weights is None else weights[r] for r in regions])
+    assert path.years == tuple(sorted(set(years.tolist())))
+    _close(path.M, [w[years == t] @ X[years == t] / w[years == t].sum() for t in path.years])
+    k = core.X.shape[1]
+    assert path.read.tolist() == np.flatnonzero(np.r_[[True] * k, D.any(axis=0)]).tolist()
+    assert path.unseen_levels == unseen > 0
+    read = {template.column_names[j] for j in path.read[k:]}
+    assert "R00" in future.regions and template.fe_levels["region"][0] == "R00"
+    assert path.years[-1] > 2011 == template.fe_levels["year"][-1]
+    assert read == {f"region={r}" for r in future.regions if r not in ("R00", "R99")} | {
+        f"year={t}" for t in path.years if t <= 2011}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -552,8 +584,8 @@ def test_projection_drop_rule_matches_dense_product():
     path = build_scenario_path(future, spec, template, "s")
     names = sample.column_names
     zero, region, year = (names.index(c) for c in ("d.x.l0", "region=R01", "year=2004"))
-    assert not path.X[:, zero].any()
-    assert not np.isin([region, year], np.concatenate(list(path.effect_slots.values()))).any()
+    assert zero in path.read and not path.M[:, zero].any()
+    assert not np.isin([region, year], path.read).any()
     kept = np.flatnonzero(np.isfinite(project_scenarios(sample, path).values).all(axis=1))
     draws = sample.draws.copy()
     draws[kept[:3], [zero, region, year]] = math.nan
@@ -932,7 +964,7 @@ def _row_cv(design, scheme, K, seed, models):
     did before the moments."""
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
-    row_folds = np.array([plan.assignment[k] for k in clusters.keys])[clusters.row_cluster]
+    row_folds = plan.fold[clusters.row_cluster]
     sse, deficient, unseen = np.zeros(len(models)), [False] * len(models), 0
     for k in range(K):
         va = row_folds == k

@@ -360,8 +360,10 @@ def test_scenario_path_follows_the_spec_moderator_alignment(rng):
     observations = [obs(r, f"C{int(r[1:]) % 2}", year, float(rng.standard_normal()),
                         {"x": x, "w": w}) for (r, year), (x, w) in values.items()]
     ds = panel_from([o for o in observations if o["year"] < 2010], predictor_names=("x", "w"))
-    future = panel_from([{**o, "outcome": math.nan} for o in observations if o["year"] >= 2007],
-                        predictor_names=("x", "w"))
+    # one region, so that each year's mean row is the region's row
+    r = "R3"
+    future = panel_from([{**o, "outcome": math.nan} for o in observations
+                         if o["year"] >= 2007 and o["region"] == r], predictor_names=("x", "w"))
     term = TermSpec("x", differenced=True, moderator="w", max_lag=1)
     spec = ModelSpec(terms=(term,), fixed_effects=("region",), moderator_alignment="lag_aligned")
     sample = block_bootstrap(ds, spec, REGION, 20, seed=3)
@@ -369,17 +371,17 @@ def test_scenario_path_follows_the_spec_moderator_alignment(rng):
     assert path.column_names == sample.column_names
     col = path.column_names.index("d.x.l1:w")
 
-    def dx(r, year):
+    def dx(year):
         return values[(r, year)][0] - values[(r, year - 1)][0]
 
-    keys = list(zip(path.row_regions.tolist(), path.row_years.tolist()))
-    assert keys == [(f"R{i}", year) for i in range(8) for year in range(2010, 2014)]
-    lagged = [dx(r, year - 1) * values[(r, year - 1)][1] for r, year in keys]
-    assert path.X[:, col].tolist() == lagged
-    own_year = [dx(r, year - 1) * values[(r, year)][1] for r, year in keys]
+    years = range(2010, 2014)
+    assert path.years == tuple(years)
+    lagged = [dx(year - 1) * values[(r, year - 1)][1] for year in years]
+    assert path.M[:, col].tolist() == lagged
+    own_year = [dx(year - 1) * values[(r, year)][1] for year in years]
     own = replace(spec, moderator_alignment="contemporaneous")
     path = build_scenario_path(future, own, sample.design, "own", start_year=2010)
-    assert path.X[:, col].tolist() == own_year != lagged
+    assert path.M[:, col].tolist() == own_year != lagged
 
 
 def test_scenario_difference_is_algebraic(rng):
@@ -399,9 +401,8 @@ def test_scenario_difference_is_algebraic(rng):
 
 def test_column_mismatch_names_offenders(rng):
     sample = _sample_from(rng.standard_normal((25, 2)), names=("intercept", "x.l0"))
-    path = ScenarioPath(label="bad", X=np.ones((4, 2)), row_regions=np.array(["R"] * 4),
-                        row_years=np.arange(2030, 2034), column_names=("intercept", "z.l0"),
-                        unseen_levels=0)
+    path = ScenarioPath(label="bad", years=(2030, 2031, 2032, 2033), M=np.ones((4, 2)),
+                        read=np.arange(2), column_names=("intercept", "z.l0"), unseen_levels=0)
     with pytest.raises(ValueError, match="z.l0"):
         project_scenarios(sample, path)
 
@@ -418,20 +419,25 @@ def test_weighted_aggregation(rng):
     # the second case adds a region missing from the weights: its weight is 0
     for extra in ([], [obs("R2", "C1", 2030, math.nan, {"x": 50.0})]):
         future = panel_from(observations + extra, predictor_names=("x",))
-        path = build_scenario_path(future, SLOPE_SPEC, design, "w")
-        proj = project_scenarios(sample, path, aggregation="weighted", weights={"R0": 3.0, "R1": 1.0})
+        path = build_scenario_path(future, SLOPE_SPEC, design, "w", aggregation="weighted",
+                                   weights={"R0": 3.0, "R1": 1.0})
+        proj = project_scenarios(sample, path)
         np.testing.assert_allclose(proj.values[:, 0], (3.0 * 1.0 + 1.0 * 3.0) / 4.0)
+
+    def weighted(weights, aggregation="weighted"):
+        return build_scenario_path(future, SLOPE_SPEC, design, "w", aggregation=aggregation,
+                                   weights=weights)
+
     # a weight for a region without rows in the path, a typo say, is an error
     with pytest.raises(ValueError, match="region 'R3', which has no rows in scenario 'w'"):
-        project_scenarios(sample, path, aggregation="weighted",
-                          weights={"R0": 3.0, "R1": 1.0, "R3": 2.0})
+        weighted({"R0": 3.0, "R1": 1.0, "R3": 2.0})
     # a negative weight gave 4.0 for rows valued 1 and 3, a NaN or inf one NaN
     for bad in (-1.0, math.nan, math.inf):
         message = f"weight for region 'R1' must be finite and >= 0, got {bad}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            project_scenarios(sample, path, aggregation="weighted", weights={"R0": 3.0, "R1": bad})
+            weighted({"R0": 3.0, "R1": bad})
     with pytest.raises(ValueError, match="region weights need aggregation 'weighted', not 'mean'"):
-        project_scenarios(sample, path, weights={"R0": 3.0, "R1": 1.0})
+        weighted({"R0": 3.0, "R1": 1.0}, "mean")
 
 
 def test_projection_forms_no_rows_by_draws_array():
@@ -440,12 +446,13 @@ def test_projection_forms_no_rows_by_draws_array():
     gen = np.random.default_rng(0)
     names = ("intercept", "x.l0") + tuple(f"region=R{i:04d}" for i in range(1, R))
     sample = _sample_from(gen.standard_normal((B, len(names))), names=names)
-    region = np.repeat(np.arange(R), T)
-    path = ScenarioPath(label="big", X=np.column_stack([np.ones(R * T), gen.standard_normal(R * T)]),
-                        row_regions=np.array([f"R{i:04d}" for i in range(R)])[region],
-                        row_years=np.tile(np.arange(2030, 2030 + T), R), column_names=names,
-                        unseen_levels=0,
-                        effect_slots={"region": np.where(region > 0, region + 1, -1)})
+    # row (region r, year t) is X[r * T + t] and the dummy of region r > 0,
+    # column r + 1; each year's map is the mean of its R rows
+    X = np.column_stack([np.ones(R * T), gen.standard_normal(R * T)])
+    year = np.tile(np.arange(T), R)
+    M = np.column_stack([X.reshape(R, T, 2).mean(axis=0), np.full((T, R - 1), 1.0 / R)])
+    path = ScenarioPath(label="big", years=tuple(range(2030, 2030 + T)), M=M,
+                        read=np.arange(len(names)), column_names=names, unseen_levels=0)
     tracemalloc.start()
     try:
         values = project_scenarios(sample, path).values
@@ -454,9 +461,9 @@ def test_projection_forms_no_rows_by_draws_array():
         tracemalloc.stop()
     assert peak < 32e6, f"read-out peaked at {peak / 1e6:.0f} MB"
     # the first year of three draws, row by row
-    rows = path.row_years == 2030
+    rows = year == 0
     alpha = np.column_stack([np.zeros(3), sample.draws[:3, 2:]])
-    want = (path.X[rows] @ sample.draws[:3, :2].T + alpha.T).mean(axis=0)
+    want = (X[rows] @ sample.draws[:3, :2].T + alpha.T).mean(axis=0)
     np.testing.assert_allclose(values[:3, 0], want, rtol=1e-12)
 
 

@@ -36,6 +36,13 @@ def parses(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def cache():
+    """The test's cache directory, under the empty XDG_CACHE_HOME that the
+    autouse fixture gave it."""
+    return Path(os.environ["XDG_CACHE_HOME"]) / "clusterpanel"
+
+
 def _entries(cache: Path) -> list[Path]:
     return sorted(cache.glob("*.npz"))
 
@@ -66,16 +73,15 @@ def _assert_read_only(ds: PanelDataset):
 
 
 @pytest.mark.parametrize("case", ["sample", "sample_scenario", "gappy_tagged"])
-def test_hit_equals_miss_equals_load_csv(case, tmp_path, parses):
+def test_hit_equals_miss_equals_load_csv(case, tmp_path, parses, cache):
     if case == "gappy_tagged":
         path, schema = _gappy_tagged(tmp_path)
     else:
         path = SAMPLE_DIR / ("panel.csv" if case == "sample" else "scenario_low.csv")
         schema = SAMPLE_SCHEMA if case == "sample" else replace(SAMPLE_SCHEMA, outcome=None)
-    cache = tmp_path / "cache"
     oracle = load_csv(path, schema)
-    miss = load_cached(path, schema, cache)
-    hit = load_cached(path, schema, cache)
+    miss = load_cached(path, schema)
+    hit = load_cached(path, schema)
     assert parses == [path.name] and len(_entries(cache)) == 1
     for ds in (miss, hit):
         assert_same_dataset(ds, oracle)
@@ -97,44 +103,41 @@ def test_default_directory_follows_xdg_cache_home(tmp_path, monkeypatch, parses)
     assert len(parses) == 2
 
 
-def test_edited_bytes_and_another_schema_miss(tmp_path, parses):
-    cache = tmp_path / "cache"
+def test_edited_bytes_and_another_schema_miss(tmp_path, parses, cache):
     path = tmp_path / "scenario.csv"
     text = (SAMPLE_DIR / "scenario_low.csv").read_text(encoding="utf-8")
     path.write_text(text, encoding="utf-8")
     scenario = replace(SAMPLE_SCHEMA, outcome=None)
-    first = load_cached(path, scenario, cache)
-    load_cached(path, scenario, cache)
+    first = load_cached(path, scenario)
+    load_cached(path, scenario)
     assert len(parses) == 1
     # the scenario schema reads the same bytes into its own entry
     sample = SAMPLE_DIR / "panel.csv"
-    load_cached(sample, SAMPLE_SCHEMA, cache)
-    load_cached(sample, scenario, cache)
+    load_cached(sample, SAMPLE_SCHEMA)
+    load_cached(sample, scenario)
     assert len(parses) == 3 and len(_entries(cache)) == 3
     path.write_text(text.replace("\n", "\n\n", 1), encoding="utf-8")  # a blank line
-    assert_same_dataset(load_cached(path, scenario, cache), first)
+    assert_same_dataset(load_cached(path, scenario), first)
     assert len(parses) == 4 and len(_entries(cache)) == 4
 
 
-def test_edited_module_source_misses(tmp_path, monkeypatch, parses):
+def test_edited_module_source_misses(tmp_path, monkeypatch, parses, cache):
     # the key covers panel.py's bytes, so a change to the parser or the
     # validating constructor reads no entry an older version wrote
     source = tmp_path / "panel.py"
     source.write_bytes(Path(panel.__file__).read_bytes())
     monkeypatch.setattr(panel, "__file__", str(source))
-    cache = tmp_path / "cache"
     for _ in range(2):
-        load_cached(SAMPLE_DIR / "panel.csv", SAMPLE_SCHEMA, cache)
+        load_cached(SAMPLE_DIR / "panel.csv", SAMPLE_SCHEMA)
     source.write_bytes(source.read_bytes() + b"# edited\n")
-    load_cached(SAMPLE_DIR / "panel.csv", SAMPLE_SCHEMA, cache)
+    load_cached(SAMPLE_DIR / "panel.csv", SAMPLE_SCHEMA)
     assert len(parses) == 2 and len(_entries(cache)) == 2
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage", "foreign"])
-def test_unreadable_entry_is_parsed_and_rewritten(damage, tmp_path, parses):
-    cache = tmp_path / "cache"
+def test_unreadable_entry_is_parsed_and_rewritten(damage, tmp_path, parses, cache):
     path = SAMPLE_DIR / "panel.csv"
-    expected = load_cached(path, SAMPLE_SCHEMA, cache)
+    expected = load_cached(path, SAMPLE_SCHEMA)
     (entry,) = _entries(cache)
     good = entry.read_bytes()
     if damage == "truncated":
@@ -144,14 +147,13 @@ def test_unreadable_entry_is_parsed_and_rewritten(damage, tmp_path, parses):
     else:
         with open(entry, "wb") as fh:
             np.savez(fh, regions=np.array(["R1"]))
-    assert_same_dataset(load_cached(path, SAMPLE_SCHEMA, cache), expected)
+    assert_same_dataset(load_cached(path, SAMPLE_SCHEMA), expected)
     assert entry.read_bytes() == good
-    assert_same_dataset(load_cached(path, SAMPLE_SCHEMA, cache), expected)
+    assert_same_dataset(load_cached(path, SAMPLE_SCHEMA), expected)
     assert len(parses) == 2
 
 
-def test_invalid_csv_raises_every_time_and_writes_nothing(tmp_path, parses):
-    cache = tmp_path / "cache"
+def test_invalid_csv_raises_every_time_and_writes_nothing(tmp_path, parses, cache):
     path = tmp_path / "bad.csv"
     path.write_text("region,country,year,outcome,x\nR1,A,2000,0.1,1\nR1,B,2001,0.2,2\n",
                     encoding="utf-8")
@@ -159,57 +161,54 @@ def test_invalid_csv_raises_every_time_and_writes_nothing(tmp_path, parses):
                        predictors={"x": "x"})
     for _ in range(2):
         with pytest.raises(ValueError, match="maps to multiple countries"):
-            load_cached(path, schema, cache)
+            load_cached(path, schema)
     with pytest.raises(FileNotFoundError):
-        load_cached(tmp_path / "absent.csv", schema, cache)
+        load_cached(tmp_path / "absent.csv", schema)
     assert len(parses) == 3 and not _entries(cache)
 
 
-def test_string_numpy_would_change_writes_no_entry(tmp_path, parses):
+def test_string_numpy_would_change_writes_no_entry(tmp_path, parses, cache):
     # a trailing NUL is a character the constructor accepts and a numpy str
     # array drops
-    cache = tmp_path / "cache"
     path = tmp_path / "nul.csv"
     path.write_text("region,country,year,outcome,x,note\nR1,A,2000,0.1,1,a\x00\n",
                     encoding="utf-8")
     schema = CsvSchema(region="region", country="country", year="year", outcome="outcome",
                        predictors={"x": "x"}, custom={"note": "note"})
     for _ in range(2):
-        assert load_cached(path, schema, cache).custom["note"].tolist() == [["a\x00"]]
+        assert load_cached(path, schema).custom["note"].tolist() == [["a\x00"]]
     assert len(parses) == 2 and not _entries(cache)
 
 
-def test_year_a_float_would_change_writes_no_entry(tmp_path, parses):
+def test_year_a_float_would_change_writes_no_entry(tmp_path, parses, cache):
     # the first year is kept in the entry's float stack
-    cache = tmp_path / "cache"
     path = tmp_path / "far.csv"
     path.write_text(f"region,country,year,outcome,x\nR1,A,{2**53 + 1},0.1,1\n", encoding="utf-8")
     schema = CsvSchema(region="region", country="country", year="year", outcome="outcome",
                        predictors={"x": "x"})
     for _ in range(2):
-        assert load_cached(path, schema, cache).first_year == 2**53 + 1
+        assert load_cached(path, schema).first_year == 2**53 + 1
     assert len(parses) == 2 and not _entries(cache)
 
 
-def test_entry_holds_three_members(tmp_path):
+def test_entry_holds_three_members(tmp_path, cache):
     # a hit reads one header per member: the presence mask, a float and a str stack
     path, schema = _gappy_tagged(tmp_path)
-    load_cached(path, schema, tmp_path / "cache")
-    (entry,) = _entries(tmp_path / "cache")
+    load_cached(path, schema)
+    (entry,) = _entries(cache)
     with np.load(entry, allow_pickle=False) as arrays:
         assert sorted(arrays.files) == ["floats", "present", "strings"]
         assert arrays["floats"].dtype == float and arrays["present"].dtype == bool
 
 
-def test_entry_bound_drops_the_oldest(tmp_path, monkeypatch):
+def test_entry_bound_drops_the_oldest(tmp_path, monkeypatch, cache):
     monkeypatch.setattr(panel, "CACHE_ENTRIES", 3)
-    cache = tmp_path / "cache"
     text = (SAMPLE_DIR / "panel.csv").read_text(encoding="utf-8")
     written = []
     for i in range(5):
         path = tmp_path / f"panel{i}.csv"
         path.write_text(text + "\n" * i, encoding="utf-8")  # blank lines: same data, new bytes
-        load_cached(path, SAMPLE_SCHEMA, cache)
+        load_cached(path, SAMPLE_SCHEMA)
         (new,) = set(_entries(cache)) - set(written)
         os.utime(new, ns=(i, i))  # oldest first, whatever the clock's resolution
         written.append(new)
@@ -229,10 +228,8 @@ def test_unwritable_cache_leaves_outputs_unchanged(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == ""
 
 
-def test_second_round_of_processes_hits_with_identical_outputs(tmp_path):
-    # the autouse fixture gave this test an empty XDG_CACHE_HOME, which the
-    # command processes inherit
-    cache = Path(os.environ["XDG_CACHE_HOME"]) / "clusterpanel"
+def test_second_round_of_processes_hits_with_identical_outputs(tmp_path, cache):
+    # the command processes inherit the test's XDG_CACHE_HOME
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     stamps = []
     for round_ in ("cold", "warm"):

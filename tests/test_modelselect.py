@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -54,20 +53,23 @@ def make_clusters(sizes):
 
 def test_folds_one_cluster_each():
     plan = make_folds(make_clusters([3, 3, 3, 3]), K=4, seed=0)
-    assert sorted(Counter(plan.assignment.values()).values()) == [1, 1, 1, 1]
+    assert sorted(np.bincount(plan.fold).tolist()) == [1, 1, 1, 1]
 
 
 def test_folds_pigeonhole():
     plan = make_folds(make_clusters([2] * 10), K=3, seed=1)
-    assert sorted(Counter(plan.assignment.values()).values()) == [3, 3, 4]
+    assert sorted(np.bincount(plan.fold).tolist()) == [3, 3, 4]
 
 
 def test_folds_deterministic_and_seed_sensitive():
     clusters = make_clusters([1] * 50)
     a = make_folds(clusters, K=5, seed=7)
     b = make_folds(clusters, K=5, seed=7)
-    assert a.assignment == b.assignment
-    distinct = {tuple(sorted(make_folds(clusters, K=5, seed=s).assignment.items())) for s in range(100)}
+    assert a.fold.tolist() == b.fold.tolist()
+    # the seed's permutation of the cluster codes, dealt round-robin
+    order = np.random.default_rng(7).permutation(50)
+    assert a.fold[order].tolist() == [i % 5 for i in range(50)]
+    distinct = {tuple(make_folds(clusters, K=5, seed=s).fold.tolist()) for s in range(100)}
     assert len(distinct) > 95
 
 
@@ -82,8 +84,8 @@ def test_folds_validation():
 def test_fold_integrity():
     clusters = make_clusters([1] * 23)
     plan = make_folds(clusters, K=4, seed=3)
-    assert set(plan.assignment) == set(clusters.keys)
-    assert set(plan.assignment.values()) == {0, 1, 2, 3}
+    assert plan.fold.shape == (clusters.n_clusters,)
+    assert set(plan.fold.tolist()) == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import yaml
 
 import clusterpanel.residcorr as rc
 from clusterpanel import cli
-from clusterpanel.panel import ModelSpec, TermSpec, build_design, haversine_km
+from clusterpanel.panel import ModelSpec, PanelDataset, TermSpec, build_design, haversine_km
 from clusterpanel.regression import ols_fit
 from clusterpanel.residcorr import (
     GroupSpec,
@@ -26,18 +26,22 @@ from conftest import obs, panel_from, row_keys
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def panel_from_matrix(values, countries=None, centroids=None, groups=None, years=None):
-    """ResidualPanel from a (region x year) matrix of residuals (NaN = none)."""
-    R, T = np.shape(values)
+def matrix_dataset(R, T, countries=None, centroids=None, groups=None):
+    """Dataset of regions R000.. over every year from 2000 to 2000 + T - 1,
+    country C0, no centroid and no tags unless given by region."""
     regions = [f"R{i:03d}" for i in range(R)]
-    return ResidualPanel(
-        values,
-        regions,
-        years or [2000 + t for t in range(T)],
-        [(countries or {}).get(r, "C0") for r in regions],
-        [(centroids or {}).get(r, (math.nan, math.nan)) for r in regions],
-        [(groups or {}).get(r, ()) for r in regions],
+    lat, lon = np.array([(centroids or {}).get(r, (math.nan, math.nan)) for r in regions]).T
+    return PanelDataset(
+        np.repeat(regions, T), np.repeat([(countries or {}).get(r, "C0") for r in regions], T),
+        np.tile(2000 + np.arange(T), R), np.zeros(R * T), {},
+        lat=np.repeat(lat, T), lon=np.repeat(lon, T),
+        tags=[(groups or {}).get(r, ()) for r in regions for _ in range(T)],
     )
+
+
+def panel_from_matrix(values, countries=None, centroids=None, groups=None):
+    """ResidualPanel from a (region x year) matrix of residuals (NaN = none)."""
+    return ResidualPanel(matrix_dataset(*np.shape(values), countries, centroids, groups), values)
 
 
 def _pairs(res):
@@ -247,9 +251,14 @@ def test_block_size_changes_no_pair(block, monkeypatch):
     values = full.values.copy()
     values[gen.random(values.shape) < 0.3] = math.nan
     values[5] = np.where(np.isnan(values[5]), math.nan, 0.1)
-    centroids = full.centroids.copy()
+    centroids = ds.centroids.copy()
     centroids[::9] = math.nan
-    panel = ResidualPanel(values, full.regions, full.years, full.countries, centroids, full.groups)
+    thinned = PanelDataset._from_grids(ds.regions, ds.countries, ds.first_year, ds.present,
+                                       ds.outcome, ds.predictors, ds.custom, centroids, ds.groups)
+    grid = np.full(ds.present.shape, math.nan)
+    grid[np.ix_([ds.regions.index(r) for r in full.regions],
+                np.subtract(full.years, ds.first_year))] = values
+    panel = ResidualPanel(thinned, grid)
     groups = cli._groups(None, ds)
     assert sum(g.below_km is not None or g.above_km is not None for g in groups) == 4
     assert len(panel.regions) > 300 and {g.kind for g in groups} == set(rc.KINDS)
@@ -402,19 +411,17 @@ def test_consecutive_filter_counts_pairs(rng):
     assert len(res.rho) == 19
 
 
-@pytest.mark.parametrize(
-    "keys, message",
-    [
-        ({"groups": [(), ("EU",)]}, "2 group tag sets for 4 regions"),
-        ({"centroids": [(0.0, 0.0)] * 3}, "centroids are (3, 2) for 4 regions, expected (4, 2)"),
-        ({"centroids": [(0.0, 0.0)] * 3 + [(95.0, 10.0)]}, "latitude 95.0 outside [-90, 90]"),
-    ],
-    ids=["short_groups", "short_centroids", "latitude_95"],
-)
-def test_residual_panel_rejects_bad_region_inputs(keys, message, rng):
-    regions = [f"R{i}" for i in range(4)]
+@pytest.mark.parametrize("shape", [(3, 6), (4, 5), (24,)], ids=["regions", "years", "flat"])
+def test_residual_panel_rejects_a_grid_of_another_shape(shape, rng):
+    dataset = matrix_dataset(4, 6)
+    message = f"residual grid is {shape}, expected the dataset's (4, 6)"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ResidualPanel(rng.standard_normal((4, 6)), regions, range(6), ["C0"] * 4, **keys)
+        ResidualPanel(dataset, rng.standard_normal(shape))
+
+
+def test_residual_panel_without_a_residual_is_empty():
+    with pytest.raises(ValueError, match="residual panel is empty"):
+        ResidualPanel(matrix_dataset(4, 6), np.full((4, 6), math.nan))
 
 
 def test_min_overlap_below_two_rejected(rng):
