@@ -19,6 +19,10 @@ on its own:
   the sample config runs;
 - assign_clusters on that design under each of CLUSTER_SCHEMES (median of
   LOAD_RUNS; key assign_clusters_<scheme>_s);
+- coefficients_json: ``reports.write_coefficients`` of that fit under the
+  region and country_year schemes, as ``fit`` writes coefficients.json
+  (median of LOAD_RUNS; a tree without the writer runs the
+  ``coefficient_table`` and ``write_json`` that ``fit`` ran before it);
 - one cv model at K=4 (cv_loss, region folds);
 - a forward cv scan at K=4 from the fixed-effect-only base, with the
   candidates d.x*xbar at lags 0..2 and x (undifferenced) at lags 0..1: six
@@ -115,7 +119,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
 STAGES = ("generate_panel", "load_csv", "build_design", "fit_cr1", "assign_clusters",
-          "cv_model", "cv_scan", "bootstrap", "corr_all_pairs", "corr_groups",
+          "coefficients_json", "cv_model", "cv_scan", "bootstrap", "corr_all_pairs", "corr_groups",
           "bootstrap_readout", "project_readout",  # per size
           "cold_start", "t_quantile", "coverage_study", "trending_agreement")  # once per run
 # aim-1 targets at 1000x40, in seconds
@@ -224,6 +228,16 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
         scheme = cp.ClusterScheme(label)
         out[f"assign_clusters_{label}_s"], _ = _median_timed(
             lambda: cp.assign_clusters(design, scheme))
+    if "coefficients_json" in stages:
+        covs = {s.label: cp.clustered_cov(fit, design, cp.assign_clusters(design, s))
+                for s in (cp.REGION, cp.COUNTRY_YEAR)}
+        write = _coefficients_writer()
+        with tempfile.TemporaryDirectory() as tmp:
+            def coefficients_json():
+                write(Path(tmp) / "coefficients.json", fit, covs, 0.95, len(design.dropped_rows))
+
+            out["coefficients_json_s"], _ = _median_timed(coefficients_json)
+            out["coefficients_json_peak_mb"] = _peak_mb(coefficients_json)
     if "cv_model" in stages:
         out["cv_model_s"], _ = _timed(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
         out["cv_model_peak_mb"] = _peak_mb(lambda: cp.cv_loss(ds, spec, cp.REGION, K=4, seed=0))
@@ -268,6 +282,22 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
         out["project_readout_s"], out["project_readout_peak_mb"] = project_readout(cp, ds, spec,
                                                                                    sample)
     return out
+
+
+def _coefficients_writer():
+    """``reports.write_coefficients``, or on a tree without it the table and
+    ``write_json`` with which ``cli.cmd_fit`` wrote coefficients.json."""
+    from clusterpanel import reports
+
+    if hasattr(reports, "write_coefficients"):
+        return reports.write_coefficients
+
+    def write(path, fit, covs, level, dropped_rows):
+        table = reports.coefficient_table(fit, covs, level)
+        table["dropped_rows"] = dropped_rows
+        reports.write_json(path, table)
+
+    return write
 
 
 def bootstrap_readout(cp, ds, sample):
@@ -467,8 +497,8 @@ def main(argv=None):
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["about"] = ("scripts/scale_check.py: stage times in seconds to 4 significant digits, "
                        "balanced generate_panel panels, two-way fixed effects, d.x*xbar at lags "
-                       "0..2; generate_panel_s, load_csv_s, build_design_s, the fit_cr1 "
-                       "and the assign_clusters figures are each the median of "
+                       "0..2; generate_panel_s, load_csv_s, build_design_s, the fit_cr1, "
+                       "assign_clusters and coefficients_json figures are each the median of "
                        f"{LOAD_RUNS} calls, the cv_scan figures (six models, K=4) "
                        f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
                        f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, "

@@ -250,9 +250,8 @@ def cmd_fit(config: dict, out: Path, seed: int) -> None:
     fit = ols_fit(design)
     covs = {s.label: clustered_cov(fit, design, assign_clusters(design, s),
                                    correction=fit_cfg["correction"]) for s in schemes}
-    table = reports.coefficient_table(fit, covs, fit_cfg["level"])
-    table["dropped_rows"] = len(design.dropped_rows)
-    reports.write_json(out / "coefficients.json", table)
+    reports.write_coefficients(out / "coefficients.json", fit, covs, fit_cfg["level"],
+                               len(design.dropped_rows))
     if spec.terms and fit_cfg["response_curves"]:
         medians = [dataset.predictor_median(t.moderator) if t.moderator else 0.0 for t in spec.terms]
         for label, cov in covs.items():

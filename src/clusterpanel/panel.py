@@ -786,7 +786,8 @@ def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssig
     if second:
         years, year_code = _cell_codes(design.dataset, design.cells, "year")
         pairs, code = np.unique(code * len(years) + year_code, return_inverse=True)
-        keys = tuple((keys[i], years[t]) for i, t in zip(*np.divmod(pairs, len(years))))
+        i, t = np.divmod(pairs, len(years))
+        keys = tuple(zip(np.array(keys, dtype=object)[i].tolist(), np.array(years)[t].tolist()))
     row_cluster = np.array(code, dtype=np.intp)
     sizes = np.bincount(row_cluster, minlength=len(keys))
     return ClusterAssignment(scheme=scheme, keys=keys, row_cluster=row_cluster, sizes=sizes)

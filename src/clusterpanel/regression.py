@@ -248,6 +248,7 @@ class Absorbed(_Effects):
 # where the moments would outgrow the rows.  _BLOCK_FLOATS bounds a block's
 # temporaries.
 _PIVOT_MIN, _RANK_MARGIN, _MOMENT_RATIO, _BLOCK_FLOATS = 1e-7, 1e4, 8, 2 ** 18
+_PAIR_BLOCK = 256  # (region, cluster) pairs per block of the sandwich's gathers
 
 
 class ClusterMoments:
@@ -578,10 +579,12 @@ def clustered_cov(
         # sum_g (a_rg - c_rg)^2 with c_rg = m_r' W_g, as squares: over the
         # (region, cluster) pairs with rows directly, and over the other
         # clusters, where a_rg = 0, as sum_g c_rg^2 (= ||R m_r||^2 for W = QR)
-        # less the pairs' share
+        # less the pairs' share; c is gathered _PAIR_BLOCK pairs at a time
         means = np.hstack([fe.means[:, :k], fe.shares[:, fe.years]])
         a = sums / np.bincount(code)[r]
-        c = np.einsum("ij,ij->i", means[r], W[pair_g])
+        c = np.concatenate([np.einsum("ij,ij->i", means[r[b:b + _PAIR_BLOCK]],
+                                      W[pair_g[b:b + _PAIR_BLOCK]])
+                            for b in range(0, len(r), _PAIR_BLOCK)])
         unpaired = np.square(means @ np.linalg.qr(W, mode="r").T).sum(axis=1)
         unpaired -= np.bincount(r, c * c, len(means))
         var = corrected(np.bincount(r, np.square(a - c), len(means)) + np.maximum(unpaired, 0.0))

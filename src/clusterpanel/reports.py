@@ -2,7 +2,8 @@
 
 All floats are written with full repr precision and rows in canonical order,
 so identical inputs produce byte-identical files.  Missing values appear as
-"NA" in CSV and null in JSON.
+"NA" in CSV and null in JSON.  ``coefficients.json``, which grows with the
+design, is filled in from its columns (``write_coefficients``), not encoded.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -63,33 +65,48 @@ def write_json(path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def coefficient_table(
-    fit: FitResult, covs: Mapping[str, CovarianceEstimate], level: float
-) -> dict:
-    """JSON-ready coefficient table: estimate plus per-scheme SE, t and CI."""
-    per_scheme_ci = {label: confidence_intervals(fit, cov, level) for label, cov in covs.items()}
-    per_scheme_se = {label: cov.standard_errors.tolist() for label, cov in covs.items()}
-    coefficients = []
-    for j, name in enumerate(fit.column_names):
-        est = float(fit.beta[j])
-        entry = {"label": name, "estimate": est, "se": {}, "t": {}, "ci": {}}
-        for label in covs:
-            se = per_scheme_se[label][j]
-            entry["se"][label] = se
-            entry["t"][label] = est / se if se > 0 else None
-            lo, hi = per_scheme_ci[label][j]
-            entry["ci"][label] = [float(lo), float(hi)]
-        coefficients.append(entry)
-    return {
-        "n": fit.n,
-        "p": fit.p,
-        "r_squared": fit.r_squared,
-        "level": level,
-        "schemes": {
-            label: {"correction": cov.correction, "clusters": cov.G} for label, cov in covs.items()
-        },
-        "coefficients": coefficients,
-    }
+def _scalar(value) -> str:
+    """``value`` as ``write_json`` writes it: JSON, null for a non-finite float."""
+    return "null" if isinstance(value, float) and not math.isfinite(value) else json.dumps(value)
+
+
+def _nested(depth: int, items: Sequence[str], brackets: str = "{}") -> str:
+    """Encoded items as a JSON object (items "key: value") or array at nesting
+    ``depth``, indented as ``json.dumps(indent=2)`` indents them."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + ",".join(pad + item for item in items) + pad[:-2] + brackets[1]
+
+
+def write_coefficients(path, fit: FitResult, covs: Mapping[str, CovarianceEstimate],
+                       level: float, dropped_rows: int) -> None:
+    """coefficients.json: n, p, R^2, the level, per scheme its correction and
+    clusters, per column its estimate and per scheme its SE, t (null unless SE
+    > 0) and interval, and the dropped rows, in the bytes ``write_json`` gives
+    them; each column of numbers is formatted once and fills one template."""
+    keys = [encode_basestring_ascii(label) for label in covs]
+    slots = [key.replace("%", "%%") + ": " for key in keys]
+    template = _nested(2, ['"label": %s', '"estimate": %s', *(
+        f'"{name}": ' + _nested(3, [slot + value for slot in slots])
+        for name, value in (("se", "%s"), ("t", "%s"), ("ci", _nested(4, ["%s", "%s"], "[]"))))])
+    se = [cov.standard_errors for cov in covs.values()]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        numbers = [fit.beta, *se, *(np.where(s > 0, fit.beta / s, math.nan) for s in se)]
+    for cov in covs.values():
+        numbers += [*confidence_intervals(fit, cov, level).T]
+    columns = [map(encode_basestring_ascii, fit.column_names)] + [
+        [repr(v) if math.isfinite(v) else "null" for v in c.tolist()] for c in numbers]
+    schemes = [f"{key}: " + _nested(2, [f'"correction": {_scalar(cov.correction)}',
+                                        f'"clusters": {_scalar(cov.G)}'])
+               for key, cov in zip(keys, covs.values())]
+    document = _nested(0, [f'"n": {_scalar(fit.n)}', f'"p": {_scalar(fit.p)}',
+                           f'"r_squared": {_scalar(fit.r_squared)}', f'"level": {_scalar(level)}',
+                           '"schemes": ' + _nested(1, schemes),
+                           '"coefficients": ' + _nested(1, [template % row
+                                                            for row in zip(*columns)], "[]"),
+                           f'"dropped_rows": {_scalar(dropped_rows)}'])
+    Path(path).write_text(document + "\n", encoding="utf-8")
 
 
 def write_response_curves(path, curves: Sequence[ResponseCurve]) -> None:

@@ -92,7 +92,9 @@ def _walk(values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """Per block of at most ``_BLOCK`` rows a of a NaN-masked grid, against
     the rows b from the block's first on: the index arrays a and b and the
     (len(a), len(b)) overlap, Pearson rho (clipped to [-1, 1], meaningless
-    where the overlap is below 2) and degenerate flag (module docstring)."""
+    where the overlap is below 2) and degenerate flag (module docstring).
+    Only these outlive a block's arithmetic: its centred sums are freed before
+    the yield, not held while the consumer masks the block."""
     present = ~np.isnan(values)
     M = present.astype(float)
     centred = values - np.nanmean(values, axis=1, keepdims=True)
@@ -112,7 +114,9 @@ def _walk(values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
             flat = ((cxx <= N * ZERO_VARIANCE_TOL * scale[A, None])
                     | (cyy <= N * ZERO_VARIANCE_TOL * scale[None, B]))
             rho = np.clip(cxy / np.sqrt(cxx * cyy), -1.0, 1.0)
-        yield np.arange(S)[A], np.arange(S)[B], N.astype(np.int64), rho, flat
+        del sx, syx, sxx, syy, mean_x, mean_y, cxx, cyy, cxy
+        N = N.astype(np.int64)
+        yield np.arange(S)[A], np.arange(S)[B], N, rho, flat
 
 
 @dataclass(frozen=True)

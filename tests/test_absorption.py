@@ -190,6 +190,46 @@ def test_sandwich_memory_is_linear_in_regions():
                                    rtol=RTOL)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("scheme", [YEAR, COUNTRY_YEAR, ClusterScheme("custom", "blk")],
+                         ids=lambda s: s.label)
+@pytest.mark.parametrize("gappy", [False, True])
+def test_blocked_pair_gathers_give_bit_identical_variances(gappy, scheme, block, monkeypatch):
+    """The region variances gathered over the (region, cluster) pairs a block
+    at a time equal those of one gather of every pair, bit for bit."""
+    design = build_design(_panel(gappy), _spec(True))
+    fit, clusters = ols_fit(design), assign_clusters(design, scheme)
+    monkeypatch.setattr(regression, "_PAIR_BLOCK", design.n)  # at least the pairs: one gather
+    whole = clustered_cov(fit, design, clusters)
+    monkeypatch.setattr(regression, "_PAIR_BLOCK", block)
+    blocked = clustered_cov(fit, design, clusters)
+    assert np.array_equal(blocked.variances, whole.variances)
+    assert np.array_equal(blocked.cov, whole.cov)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_country_year_sandwich_peaks_below_one_pair_gather():
+    """400 regions over 30 years under country_year: every (region, year)
+    cell is a (region, cluster) pair, and the sandwich's peak stays below
+    one pairs x (k + T - 1) gather of the region means or cluster influences."""
+    ds = generate_panel(DgpConfig(n_regions=400, n_years=30, countries=16), 0)
+    design = build_design(ds, ModelSpec(terms=(TermSpec("x", differenced=False),),
+                                        fixed_effects=("region", "year")))
+    fit, clusters = ols_fit(design), assign_clusters(design, COUNTRY_YEAR)
+    pairs = len(np.unique(design.fe_codes["region"] * clusters.n_clusters
+                          + clusters.row_cluster))
+    gather = pairs * (design.X.shape[1] + len(design.fe_levels["year"]) - 1) * 8
+    tracemalloc.start()
+    try:
+        clustered_cov(fit, design, clusters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == design.n == 12000
+    assert peak < gather, f"peak {peak / 2**20:.2f} MiB, one gather {gather / 2**20:.2f} MiB"
+
+
 def test_r_squared_matches_dense():
     design = build_design(_panel(True), _spec(True))
     _, e = _dense_fit(dense_X(design), design.y)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,16 +9,33 @@ import yaml
 
 from clusterpanel import reports
 from clusterpanel.bootstrap import Projection
-from clusterpanel.panel import REGION, ColumnLabel
-from clusterpanel.regression import CovarianceEstimate, FitResult
+from clusterpanel.panel import (
+    COUNTRY_YEAR,
+    REGION,
+    ClusterScheme,
+    ColumnLabel,
+    ModelSpec,
+    TermSpec,
+    assign_clusters,
+    build_design,
+)
+from clusterpanel.regression import (
+    CovarianceEstimate,
+    FitResult,
+    clustered_cov,
+    confidence_intervals,
+    ols_fit,
+)
 from clusterpanel.reports import (
-    coefficient_table,
     fmt,
     load_config,
+    write_coefficients,
     write_csv,
     write_json,
     write_manifest,
 )
+
+from conftest import obs, panel_from
 
 
 def test_fmt_edge_cases():
@@ -70,7 +88,103 @@ def test_write_json_writes_the_streamed_bytes_at_once(tmp_path, monkeypatch):
     assert len(writes) == 2 and writes[1] == "\n"
 
 
-def test_coefficient_table_takes_each_schemes_standard_errors_once(monkeypatch):
+def coefficient_table(fit, covs, level):
+    """Oracle of ``write_coefficients``: the coefficient table as a dict,
+    which ``write_json`` must encode to the writer's bytes."""
+    per_scheme_ci = {label: confidence_intervals(fit, cov, level) for label, cov in covs.items()}
+    per_scheme_se = {label: cov.standard_errors.tolist() for label, cov in covs.items()}
+    coefficients = []
+    for j, name in enumerate(fit.column_names):
+        est = float(fit.beta[j])
+        entry = {"label": name, "estimate": est, "se": {}, "t": {}, "ci": {}}
+        for label in covs:
+            se = per_scheme_se[label][j]
+            entry["se"][label] = se
+            entry["t"][label] = est / se if se > 0 else None
+            lo, hi = per_scheme_ci[label][j]
+            entry["ci"][label] = [float(lo), float(hi)]
+        coefficients.append(entry)
+    return {
+        "n": fit.n,
+        "p": fit.p,
+        "r_squared": fit.r_squared,
+        "level": level,
+        "schemes": {
+            label: {"correction": cov.correction, "clusters": cov.G} for label, cov in covs.items()
+        },
+        "coefficients": coefficients,
+    }
+
+
+# a custom cluster column whose name needs JSON escapes and holds a % sign
+ODD_COLUMN = 'blk "\u00e9t\u00e9" %s 100%'
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """A two-way fixed-effect fit of 9 regions in 3 countries over 8 years,
+    and its CR1 covariances under region, country_year and ODD_COLUMN."""
+    gen = np.random.default_rng(3)
+    records = [obs(f"R{i}", f"C{i % 3}", 2000 + t, float(gen.standard_normal()),
+                   {"x": float(gen.standard_normal())}, custom={ODD_COLUMN: f"b{(i + t) % 4}"})
+               for i in range(9) for t in range(8)]
+    design = build_design(panel_from(records), ModelSpec(
+        terms=(TermSpec("x", differenced=False, max_lag=1),), fixed_effects=("region", "year")))
+    fit = ols_fit(design)
+    schemes = (REGION, COUNTRY_YEAR, ClusterScheme("custom", ODD_COLUMN))
+    with warnings.catch_warnings():  # few clusters
+        warnings.simplefilter("ignore")
+        return fit, {s.label: clustered_cov(fit, design, assign_clusters(design, s))
+                     for s in schemes}
+
+
+def _written(tmp_path, fit, covs, level=0.95, dropped_rows=3):
+    """The bytes of write_coefficients and of write_json on the oracle's table."""
+    write_coefficients(tmp_path / "got.json", fit, covs, level, dropped_rows)
+    write_json(tmp_path / "want.json", {**coefficient_table(fit, covs, level),
+                                        "dropped_rows": dropped_rows})
+    return (tmp_path / "got.json").read_bytes(), (tmp_path / "want.json").read_bytes()
+
+
+def test_write_coefficients_writes_the_oracles_bytes(tmp_path, fitted):
+    fit, covs = fitted
+    got, want = _written(tmp_path, fit, covs)
+    assert got == want
+    assert len(json.loads(got)["coefficients"]) == fit.p
+    assert list(json.loads(got)["schemes"]) == ["region", "country_year", f"custom:{ODD_COLUMN}"]
+    assert b"\\u00e9" in got and b'\\"' in got  # escaped as json escapes them
+
+
+@pytest.mark.parametrize("labels", [["region"], [f"custom:{ODD_COLUMN}"], []],
+                         ids=["one scheme", "odd label", "no scheme"])
+def test_write_coefficients_over_fewer_schemes(tmp_path, fitted, labels):
+    fit, covs = fitted
+    got, want = _written(tmp_path, fit, {label: covs[label] for label in labels},
+                         level=0.9, dropped_rows=0)
+    assert got == want
+    if not labels:
+        entry = json.loads(got)["coefficients"][0]
+        assert entry["se"] == entry["t"] == entry["ci"] == {} and json.loads(got)["schemes"] == {}
+
+
+def test_write_coefficients_writes_an_absent_level_as_null(tmp_path, fitted):
+    # a level without rows: NaN estimate and variance give null estimate, SE, t and bounds
+    fit, covs = fitted
+    j = fit.p - 1
+    beta = fit.beta.copy()
+    beta[j] = np.nan
+    absent = {label: replace(cov, variances=np.where(np.arange(fit.p) == j, np.nan,
+                                                    cov.variances))
+              for label, cov in covs.items()}
+    got, want = _written(tmp_path, replace(fit, beta=beta), absent)
+    assert got == want
+    entry = json.loads(got)["coefficients"][j]
+    assert entry["estimate"] is None
+    assert all(v is None for key in ("se", "t") for v in entry[key].values())
+    assert all(bound is None for ci in entry["ci"].values() for bound in ci)
+
+
+def test_write_coefficients_takes_each_schemes_standard_errors_once(tmp_path, monkeypatch):
     p = 30
     labels = tuple(ColumnLabel(kind="base", term="x", lag=j) for j in range(p))
     fit = FitResult(beta=np.arange(1.0, p + 1), residuals=np.zeros(40), fitted=np.zeros(40),
@@ -85,12 +199,13 @@ def test_coefficient_table_takes_each_schemes_standard_errors_once(monkeypatch):
         return original.fget(self)
 
     monkeypatch.setattr(CovarianceEstimate, "standard_errors", property(counted))
-    table = coefficient_table(fit, covs, level=0.95)
+    write_coefficients(tmp_path / "c.json", fit, covs, 0.95, 0)
     assert len(calls) == len(covs)
+    table = json.loads((tmp_path / "c.json").read_text())
     assert all(row["se"] == {"a": 2.0, "b": 2.0} for row in table["coefficients"])
 
 
-def test_coefficient_table_zero_se_yields_null_t():
+def test_write_coefficients_zero_se_yields_null_t(tmp_path):
     labels = (ColumnLabel(kind="intercept"),)
     fit = FitResult(beta=np.array([2.0]), residuals=np.zeros(5), fitted=np.zeros(5),
                     r_squared=0.0, n=5, p=1, column_labels=labels)
@@ -98,12 +213,14 @@ def test_coefficient_table_zero_se_yields_null_t():
                              correction="CR0", G=5)
     zero = CovarianceEstimate(cov=np.array([[0.0]]), variances=np.array([0.0]), scheme=REGION,
                               correction="CR0", G=5)
-    table = coefficient_table(fit, {"a": cov}, level=0.9)
-    assert table["coefficients"][0]["t"]["a"] == pytest.approx(2.0)
+    write_coefficients(tmp_path / "c.json", fit, {"a": cov}, 0.9, 0)
+    assert json.loads((tmp_path / "c.json").read_text())["coefficients"][0]["t"]["a"] == (
+        pytest.approx(2.0))
     # zero-variance covariance: the interval computation rejects it upstream,
-    # so the table builder is only reachable with positive diagonals
+    # so the writer only ever writes t for positive diagonals, and writes nothing
     with pytest.raises(ValueError, match="nonpositive"):
-        coefficient_table(fit, {"a": zero}, level=0.9)
+        write_coefficients(tmp_path / "z.json", fit, {"a": zero}, 0.9, 0)
+    assert not (tmp_path / "z.json").exists()
 
 
 def test_manifest_round_trip(tmp_path):
