@@ -43,7 +43,10 @@ on its own:
   READOUT_RUNS calls;
 - project_readout_s: ``build_scenario_path`` plus ``project_scenarios`` on
   that sample with a scenario of PROJECT_YEARS future years for every
-  region, the median of READOUT_RUNS calls, and project_readout_peak_mb.
+  region, the median of READOUT_RUNS calls, and project_readout_peak_mb;
+  project_intervals_s: the read-out of that projection as ``cli.cmd_project``
+  makes it, its PROJECT_LEVELS intervals and projection.csv, the median of
+  READOUT_RUNS calls.
 
 After the sizes, trending_agreement is the largest relative deviation,
 per column scaled by its largest draw, of TRENDING_REPLICATES region-scheme
@@ -132,6 +135,7 @@ BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
 READOUT_B, READOUT_RUNS = 1000, 5  # the read-outs' sample size, and their timings per size
 PROJECT_YEARS = 20  # future years of the project read-out's scenario
+PROJECT_LEVELS = [0.65, 0.9]  # the intervals it reads out, project's default levels
 TRENDING_REPLICATES = 30
 # coverage studies: (regions, years) at SIMULATE_REPS replications, and the
 # target for the 10x10 one, in seconds
@@ -279,8 +283,8 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
     if "bootstrap_readout" in stages:
         out["bootstrap_readout_s"] = bootstrap_readout(cp, ds, sample)
     if "project_readout" in stages:
-        out["project_readout_s"], out["project_readout_peak_mb"] = project_readout(cp, ds, spec,
-                                                                                   sample)
+        (out["project_readout_s"], out["project_readout_peak_mb"],
+         out["project_intervals_s"]) = project_readout(cp, ds, spec, sample)
     return out
 
 
@@ -319,12 +323,29 @@ def bootstrap_readout(cp, ds, sample):
         vars(cli).update(kept)
 
 
+def _projection_writer():
+    """The intervals and projection.csv of ``cli.cmd_project``: the bounds of
+    ``bootstrap.read_intervals`` written by ``reports.write_projections``, or
+    on a tree without ``read_intervals`` the writer that computed them."""
+    from clusterpanel import bootstrap, reports
+
+    if not hasattr(bootstrap, "read_intervals"):
+        return reports.write_projections
+
+    def write(path, projections, levels):
+        bounds = [bootstrap.read_intervals(proj.values, levels, True)[0] for proj in projections]
+        reports.write_projections(path, projections, levels, bounds)
+
+    return write
+
+
 def project_readout(cp, ds, spec, sample):
     """Median seconds of ``build_scenario_path`` plus ``project_scenarios`` on
     a precomputed sample, with a scenario of PROJECT_YEARS years after the
     panel for every region (x on from its last value by 0.01 a year, and
-    three history years for d.x at lags 0..2), and the tracemalloc peak of
-    one more call in MB."""
+    three history years for d.x at lags 0..2), the tracemalloc peak of one
+    more call in MB, and the median seconds of the projection's interval
+    read-out with its CSV."""
     import numpy as np
 
     (R, T), steps = ds.present.shape, np.arange(-3, PROJECT_YEARS)
@@ -340,7 +361,12 @@ def project_readout(cp, ds, spec, sample):
         return cp.project_scenarios(sample, path)
 
     seconds = statistics.median(_timed(readout)[0] for _ in range(READOUT_RUNS))
-    return seconds, _peak_mb(readout)
+    peak, projections, write = _peak_mb(readout), [readout()], _projection_writer()
+    with tempfile.TemporaryDirectory() as tmp:
+        intervals = statistics.median(
+            _timed(lambda: write(Path(tmp) / "projection.csv", projections, PROJECT_LEVELS))[0]
+            for _ in range(READOUT_RUNS))
+    return seconds, peak, intervals
 
 
 def trending_agreement(cp):
@@ -508,7 +534,8 @@ def main(argv=None):
                        f"{COLD_RUNS} uncached calls, bootstrap_readout_s (year scheme, "
                        f"B={READOUT_B}) and project_readout_s (build_scenario_path plus "
                        f"project_scenarios, a {PROJECT_YEARS}-year scenario for every region) "
-                       f"the medians of {READOUT_RUNS} read-outs, "
+                       f"and project_intervals_s (its levels {PROJECT_LEVELS} intervals and "
+                       f"CSV) the medians of {READOUT_RUNS} read-outs, "
                        f"coverage_study_s the median of {COLD_RUNS} studies, "
                        "trending_agreement a relative deviation (no unit), "
                        "every other figure is a single run; each "

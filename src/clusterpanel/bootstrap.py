@@ -10,8 +10,8 @@ are identical under any execution order.  Replicates are solved from
 ``ClusterMoments``, a block of them as one stack of views, their draws scattered.
 A scenario is the (years × p) map ``M`` of its yearly mean design rows
 (``ScenarioPath``), so a projection is ``M @ draw`` per draw.  Read-outs
-(intervals, ``sd``, projections, discernibility) take every column at once
-(``column_quantiles``), with the bits of a column read alone.
+take every column at once, with the bits of a column read alone; intervals
+come from ``read_intervals``, which alone applies the ``min_draws`` rule.
 """
 
 from __future__ import annotations
@@ -150,16 +150,19 @@ def column_quantiles(values: np.ndarray, qs) -> tuple[np.ndarray, np.ndarray]:
     return out, counts
 
 
-def interval_qs(levels) -> list[float]:
-    """The lower, median and upper quantile of each two-sided ``level``."""
-    return [q for level in levels for q in (0.5 - level / 2.0, 0.5, 0.5 + level / 2.0)]
-
-
-def check_draws(used: int, level: float) -> None:
-    """Raise unless ``used`` finite draws resolve a ``level`` interval (``min_draws``)."""
-    if used < min_draws(level):
-        raise ValueError(f"B={used} usable draws too small for level {level}; "
-                         f"need at least {min_draws(level)}")
+def read_intervals(values: np.ndarray, levels, need) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's lower, median and upper quantile at every two-sided level
+    over its finite entries, (levels, 3, columns), and the finite counts.  With
+    fewer than ``min_draws(level)`` draws an interval is NaN, or raises for a
+    column that ``need`` (a bool or a mask) marks: the first, in column order."""
+    qs = [q for level in levels for q in (0.5 - level / 2.0, 0.5, 0.5 + level / 2.0)]
+    quantiles, used = column_quantiles(values, qs)
+    short = used < np.array([min_draws(level) for level in levels], dtype=int)[:, None]
+    for j, i in np.argwhere((short & need).T)[:1]:  # the first, in column order
+        raise ValueError(f"B={used[j]} usable draws too small for level {levels[i]}; "
+                         f"need at least {min_draws(levels[i])}")
+    bounds = quantiles.reshape(len(levels), 3, values.shape[1])
+    return np.where(short[:, None], math.nan, bounds), used
 
 
 def percentile_interval(
@@ -178,10 +181,8 @@ def percentile_interval(
             f"contrast length {contrast.shape} does not match {sample.draws.shape[1]} columns"
         )
     values = sample.draws[:, contrast != 0] @ contrast[contrast != 0]
-    quantiles, counts = column_quantiles(values[:, None], interval_qs([level]))
-    used = int(counts[0])
-    check_draws(used, level)
-    return PercentileInterval(*quantiles[:, 0].tolist(), level, used, len(values) - used)
+    bounds, (used,) = read_intervals(values[:, None], [level], True)
+    return PercentileInterval(*bounds[0, :, 0].tolist(), level, int(used), len(values) - int(used))
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,9 @@ def first_discernible_year(
     """Earliest year whose paired-difference percentile interval excludes zero.
 
     Differences pair draws by index; the two-sided interval has coverage
-    1 - alpha.  Returns None when no year is discernible.
+    1 - alpha.  Returns None when no year is discernible.  No ``min_draws``
+    rule applies: at alpha 0.05 it needs 40 finite draws, and the benchmark's
+    panel_fe runs ``project`` at B=24; adding it waits for ROADMAP item 2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .bootstrap import (block_bootstrap, build_scenario_path, check_draws, column_quantiles,
-                        first_discernible_year, interval_qs, min_draws,
-                        project_scenarios)
+from .bootstrap import (block_bootstrap, build_scenario_path, first_discernible_year,
+                        project_scenarios, read_intervals)
 from .modelselect import cv_scan, ic_scan
 from .panel import (ClusterScheme, CsvSchema, ModelSpec, TermSpec, assign_clusters, build_design,
                     load_cached)
@@ -336,16 +335,11 @@ def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
     boot_cfg = config["bootstrap"]
     scheme = ClusterScheme.parse(boot_cfg["scheme"])
     sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed)
-    levels, p = list(dict.fromkeys(boot_cfg["levels"])), len(sample.column_names)
-    bounds, used = column_quantiles(sample.draws, interval_qs(levels))
-    short = used < np.array([min_draws(level) for level in levels], dtype=int)[:, None]
+    levels, fit = list(dict.fromkeys(boot_cfg["levels"])), sample.base_fit
     # a dummy or the intercept whose level (or reference level) too few
     # resamples hold is reported unresolved rather than failing the run
-    terms = {j for j, lab in enumerate(sample.base_fit.column_labels) if lab.kind != "intercept"}
-    for j, i in np.argwhere(short.T):
-        if j in terms:
-            check_draws(int(used[j]), levels[i])
-    bounds = np.where(short[:, None], np.nan, bounds.reshape(len(levels), 3, p))
+    terms = [lab.kind != "intercept" for lab in fit.column_labels] + [False] * len(fit.fe_names)
+    bounds, used = read_intervals(sample.draws, levels, np.array(terms, dtype=bool))
     reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", sample.column_names, levels,
                                   bounds, used)
     sd = {name: float(s) for name, s in zip(sample.column_names, sample.sd())}
@@ -360,7 +354,7 @@ def cmd_project(config: dict, out: Path, seed: int) -> None:
     sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
                              seed)
     scenario_schema = replace(_schema(config["data"]), outcome=None)
-    levels, projections, unseen = list(dict.fromkeys(proj_cfg["levels"])), [], {}
+    levels, projections, bounds, unseen = list(dict.fromkeys(proj_cfg["levels"])), [], [], {}
     for sc in proj_cfg["scenarios"]:
         path = build_scenario_path(load_cached(sc["path"], scenario_schema), spec, sample.design,
                                    sc["label"], start_year=proj_cfg["start_year"],
@@ -368,12 +362,12 @@ def cmd_project(config: dict, out: Path, seed: int) -> None:
                                    weights=proj_cfg.get("weights"))
         unseen[sc["label"]] = path.unseen_levels
         projections.append(project_scenarios(sample, path))
-        used = int(np.isfinite(projections[-1].values).sum(axis=0).min())  # a dropped draw is all NaN
-        for level in levels if used else ():  # with none, write_projections names the year
-            if used < min_draws(level):
-                raise ValueError(f"scenario {sc['label']!r}: B={used} usable draws too small "
-                                 f"for level {level}; need at least {min_draws(level)}")
-    reports.write_projections(out / "projection.csv", projections, levels)
+    for proj in projections:  # read out once every scenario has warned of its dropped draws
+        try:
+            bounds.append(read_intervals(proj.values, levels, True)[0])
+        except ValueError as exc:
+            raise ValueError(f"scenario {proj.label!r}: {exc}") from None
+    reports.write_projections(out / "projection.csv", projections, levels, bounds)
     alpha = proj_cfg["alpha"]
     verdicts = [
         {"a": a.label, "b": b.label, "first_discernible_year": first_discernible_year(a, b, alpha)}

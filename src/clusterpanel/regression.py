@@ -167,7 +167,7 @@ class Absorbed(_Effects):
     By Frisch-Waugh-Lovell, least squares on ``X`` and ``y`` gives the
     dummy-coded coefficients, with and without an intercept, and
     ``effects`` the dummies'.  Columns are partialled one by one, so column
-    subsets are exact.  Levels without weight drop out (``_Effects``).
+    subsets agree up to rounding.  Levels without weight drop out (``_Effects``).
     """
 
     def __init__(self, design: DesignMatrix, weights: np.ndarray | None = None):

@@ -22,7 +22,7 @@ import yaml
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-from .bootstrap import Projection, column_quantiles, interval_qs
+from .bootstrap import Projection
 from .modelselect import ICScanResult
 from .regression import CovarianceEstimate, FitResult, ResponseCurve, confidence_intervals
 from .residcorr import CorrelationSummary
@@ -157,20 +157,13 @@ def write_bootstrap_table(
 
 
 def write_projections(
-    path,
-    projections: Sequence[Projection],
-    levels: Sequence[float],
+    path, projections: Sequence[Projection], levels: Sequence[float], bounds: Sequence[np.ndarray]
 ) -> None:
-    rows = []
-    for proj in projections:
-        quantiles, counts = column_quantiles(proj.values, interval_qs(levels))
-        if not counts.all():
-            year = proj.years[int(np.argmin(counts))]
-            raise ValueError(f"no finite projection draws for {proj.label!r} in {year}")
-        cells = quantiles.T.reshape(len(proj.years), len(levels), 3).tolist()
-        rows += [[proj.label, year, level, med, lo, hi] for year, column in zip(proj.years, cells)
-                 for level, (lo, med, hi) in zip(levels, column)]
-    write_csv(path, ["scenario", "year", "level", "median", "lower", "upper"], rows)
+    """One row per scenario, year and level; a scenario's bounds are (levels, 3, years)."""
+    write_csv(path, ["scenario", "year", "level", "median", "lower", "upper"],
+              [[proj.label, year, level, med, lo, hi] for proj, scenario in zip(projections, bounds)
+               for year, column in zip(proj.years, np.moveaxis(scenario, -1, 0).tolist())
+               for level, (lo, med, hi) in zip(levels, column)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from clusterpanel.bootstrap import (
     build_scenario_path,
     column_quantiles,
     first_discernible_year,
-    interval_qs,
     min_draws,
     percentile_interval,
     project_scenarios,
     Projection,
+    read_intervals,
     ScenarioPath,
 )
 from clusterpanel.panel import (
@@ -273,10 +273,58 @@ def _per_column_quantiles(draws, qs):
 
 def test_column_quantiles_are_bit_identical_to_per_column_quantiles(rng):
     draws = _ragged_draws(rng)
-    for qs in (interval_qs([0.9, 0.5, 0.99]), [0.025, 0.975], [0.5], []):
+    for qs in ([0.05, 0.5, 0.95, 0.25, 0.5, 0.75, 0.5 - 0.99 / 2.0, 0.5, 0.5 + 0.99 / 2.0],
+               [0.025, 0.975], [0.5], []):
         got, counts = column_quantiles(draws, qs)
         np.testing.assert_array_equal(got, _per_column_quantiles(draws, qs))
         np.testing.assert_array_equal(counts, np.isfinite(draws).sum(axis=0))
+
+
+def _per_level_oracle(draws, levels):
+    """The read-out's oracle: each column's ``np.quantile`` over its finite
+    draws at the level's two bounds and the median, (levels, 3, columns); NaN
+    below ``min_draws(level)`` finite draws."""
+    want = np.full((len(levels), 3, draws.shape[1]), math.nan)
+    for j in range(draws.shape[1]):
+        finite = draws[np.isfinite(draws[:, j]), j]
+        for i, level in enumerate(levels):
+            if finite.size >= min_draws(level):
+                want[i, :, j] = np.quantile(finite, [0.5 - level / 2.0, 0.5, 0.5 + level / 2.0])
+    return want
+
+
+def test_read_intervals_match_per_column_quantiles(rng):
+    # ragged columns of 0, 5, 19, 20, 37, 37, 60 and 44 finite draws, ties in
+    # the last; levels 0.9 and 0.5 need 20 draws, 0.95 needs 40
+    draws = _ragged_draws(rng)
+    for levels in ([0.9, 0.5, 0.95], [0.95], []):
+        bounds, used = read_intervals(draws, levels, False)
+        assert bounds.shape == (len(levels), 3, draws.shape[1])
+        np.testing.assert_array_equal(bounds, _per_level_oracle(draws, levels))
+        np.testing.assert_array_equal(used, np.isfinite(draws).sum(axis=0))
+    # a column below min_draws is NaN unless need marks it; a mask that marks
+    # only resolvable columns raises nothing
+    resolvable = np.isfinite(draws).sum(axis=0) >= 40
+    bounds, _ = read_intervals(draws, [0.9, 0.95], resolvable)
+    np.testing.assert_array_equal(bounds, _per_level_oracle(draws, [0.9, 0.95]))
+    assert np.isnan(bounds[1, :, 4]).all() and np.isfinite(bounds[0, :, 4]).all()
+    assert read_intervals(np.empty((0, 3)), [], True)[0].shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("columns, levels, need, message", [
+    (None, [0.9], True, "B=0 usable draws too small for level 0.9; need at least 20"),
+    (None, [0.9], [False, True, True, False, False, False, False, False],
+     "B=5 usable draws too small for level 0.9; need at least 20"),
+    (None, [0.95, 0.9], [False, False, False, False, True, False, False, False],
+     "B=37 usable draws too small for level 0.95; need at least 40"),
+    # column order first: 37 draws fall short only at 0.95, 19 already at 0.5
+    ([4, 2], [0.5, 0.95], True, "B=37 usable draws too small for level 0.95; need at least 40"),
+], ids=["scalar", "first_marked_column", "one_marked_column", "column_before_level"])
+def test_read_intervals_name_the_first_short_marked_column(rng, columns, levels, need, message):
+    # the ragged columns hold 0, 5, 19, 20, 37, 37, 60 and 44 finite draws
+    draws = _ragged_draws(rng)[:, columns or slice(None)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_intervals(draws, levels, need)
 
 
 def test_sd_is_bit_identical_to_per_column_nanstd(rng):
@@ -297,7 +345,7 @@ def test_percentile_interval_is_bit_identical_to_per_column_quantile(rng):
     sample = _sample_from(draws)
     for j in range(3, draws.shape[1]):
         iv = percentile_interval(sample, np.eye(draws.shape[1])[j], level=0.9)
-        want = _per_column_quantiles(draws[:, [j]], interval_qs([0.9]))[:, 0]
+        want = _per_column_quantiles(draws[:, [j]], [0.5 - 0.9 / 2.0, 0.5, 0.5 + 0.9 / 2.0])[:, 0]
         np.testing.assert_array_equal([iv.lower, iv.median, iv.upper], want)
         assert (iv.used_draws, iv.dropped_draws) == (np.isfinite(draws[:, j]).sum(),
                                                      (~np.isfinite(draws[:, j])).sum())

@@ -590,7 +590,9 @@ def test_project_warns_of_dropped_draws(scheme, dropped, code, capsys, tmp_path)
     assert [str(w.message) for w in caught if DROPPED in str(w.message)] == [
         f"scenario 'low': {dropped} of 80 {DROPPED}", f"scenario 'high': {dropped} of 80 {DROPPED}"]
     if code:
-        assert "error: no finite projection draws for 'low' in 2021" in capsys.readouterr().err
+        assert ("error: scenario 'low': B=0 usable draws too small for level 0.65; "
+                "need at least 20") in capsys.readouterr().err
+        assert not (tmp_path / "project" / "projection.csv").exists()
 
 
 def test_project_below_min_draws_fails_before_writing(capsys, tmp_path):
@@ -613,6 +615,19 @@ def test_project_reads_out_a_repeated_level_once(tmp_path):
     rows = (tmp_path / "project" / "projection.csv").read_text().splitlines()
     golden = (ROOT / "sample/golden/project/projection.csv").read_text().splitlines()
     assert rows == [row for row in golden if row.split(",")[2] in ("level", "0.9")]
+
+
+@pytest.mark.parametrize("command, table, header", [
+    ("bootstrap", "bootstrap_coefficients.csv", "label,level,lower,median,upper,used_draws"),
+    ("project", "projection.csv", "scenario,year,level,median,lower,upper"),
+])
+def test_no_levels_write_header_only_tables(command, table, header, tmp_path):
+    config = _sample_config()
+    config[command]["levels"] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # project's dropped draws
+        assert _run_config(config, command, tmp_path) == 0
+    assert (tmp_path / command / table).read_text() == header + "\n"
 
 
 def test_minimal_config_manifest_holds_resolved_defaults(tmp_path):

@@ -267,25 +267,20 @@ def test_libyaml_reads_and_writes_like_the_safe_classes(tmp_path):
         assert safe == path.read_text()
 
 
-def test_write_projections_matches_per_year_quantiles(tmp_path):
-    # the oracle: np.quantile of each year's finite draws alone, the median
-    # once and each level's bounds; ragged NaN columns and tied values
+def test_write_projections_formats_given_bounds(tmp_path):
+    # the writer computes nothing: each scenario's (levels, lower/median/upper,
+    # years) bounds become one row per year and level, median first, in order
     rng = np.random.default_rng(4)
-    values = np.round(rng.standard_normal((50, 6)), 1)
-    for j, missing in enumerate((0, 1, 17, 30, 49, 25)):
-        values[rng.permutation(50)[:missing], j] = np.nan
-    proj = Projection(label="low", years=tuple(range(2040, 2046)), values=values)
-    levels = [0.9, 0.5]
-    reports.write_projections(tmp_path / "p.csv", [proj], levels)
-    want = []
-    for j, year in enumerate(proj.years):
-        draws = values[np.isfinite(values[:, j]), j]
-        med = float(np.quantile(draws, 0.5))
-        for level in levels:
-            lo, hi = np.quantile(draws, [0.5 - level / 2.0, 0.5 + level / 2.0])
-            want.append(",".join(["low", str(year), fmt(level), fmt(med), fmt(lo), fmt(hi)]))
-    assert (tmp_path / "p.csv").read_text().splitlines()[1:] == want
-    values = values.copy()
-    values[:, 3] = np.nan
-    with pytest.raises(ValueError, match="no finite projection draws for 'low' in 2043"):
-        reports.write_projections(tmp_path / "q.csv", [proj, replace(proj, values=values)], levels)
+    levels, years = [0.9, 0.5], (2040, 2041, 2042)
+    projections = [Projection(label, years, np.zeros((2, len(years)))) for label in ("low", "high")]
+    bounds = [rng.standard_normal((len(levels), 3, len(years))) for _ in projections]
+    bounds[1][1, :, 2] = np.nan  # an unresolved interval is written as NA
+    reports.write_projections(tmp_path / "p.csv", projections, levels, bounds)
+    want = [",".join([proj.label, str(year), fmt(level), *map(fmt, scenario[i, [1, 0, 2], t])])
+            for proj, scenario in zip(projections, bounds) for t, year in enumerate(years)
+            for i, level in enumerate(levels)]
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert lines == ["scenario,year,level,median,lower,upper", *want]
+    assert lines[-1] == "high,2042,0.5,NA,NA,NA"
+    reports.write_projections(tmp_path / "q.csv", projections, [], [np.empty((0, 3, 3))] * 2)
+    assert (tmp_path / "q.csv").read_text() == "scenario,year,level,median,lower,upper\n"
