@@ -32,7 +32,11 @@ on its own:
   schemes, as the median of (t(B=1+k) - t(B=1)) / k over BOOTSTRAP_PAIRS
   alternating timings of block_bootstrap, and B=1000 extrapolated as the
   median t(B=1) + 999 replicates (keys bootstrap_replicate_s and
-  bootstrap_b1000_s for region, bootstrap_<scheme>_... for the others);
+  bootstrap_b1000_s for region, bootstrap_<scheme>_... for the others).
+  k starts at ``--replicates`` and doubles, up to MAX_EXTRA_REPLICATES,
+  until one B=1+k call takes twice one B=1 call, so that the k replicates
+  take longer than the set-up and their difference stands clear of the
+  timer's noise (key bootstrap_extra_replicates, the k used);
 - the corr all-pairs group (ResidualPanel.from_fit, correlation_table),
   and corr_groups: the same over the CLI's default groups
   (``cli._groups(None, ...)``: both temporal groups and the seven spatial
@@ -132,6 +136,7 @@ TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
 LOAD_RUNS = 5  # generate_panel, load_csv, build_design, fit_cr1, assign_clusters timings
 CLUSTER_SCHEMES = ("region", "country", "year", "country_year", "region_year")
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
+MAX_EXTRA_REPLICATES = 999  # k at most: B=1+k is then the B=1000 of the target
 CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
 READOUT_B, READOUT_RUNS = 1000, 5  # the read-outs' sample size, and their timings per size
 PROJECT_YEARS = 20  # future years of the project read-out's scenario
@@ -255,18 +260,22 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
         out[f"{key}_peak_mb"] = _peak_mb(
             lambda: cp.cv_scan(ds, base, candidates, scheme, K=4, seed=0))
     for scheme in (cp.REGION, cp.YEAR, cp.COUNTRY_YEAR) if "bootstrap" in stages else ():
+        def boot(B):
+            return _timed(lambda: cp.block_bootstrap(ds, spec, scheme, B, seed=0))[0]
+
+        one, k = boot(1), min(extra_replicates, MAX_EXTRA_REPLICATES)
+        while k < MAX_EXTRA_REPLICATES and boot(1 + k) < 2 * one:
+            k = min(2 * k, MAX_EXTRA_REPLICATES)
         ones, replicates = [], []
         for _ in range(BOOTSTRAP_PAIRS):
-            one, _ = _timed(lambda: cp.block_bootstrap(ds, spec, scheme, 1, seed=0))
-            more, _ = _timed(lambda: cp.block_bootstrap(ds, spec, scheme, 1 + extra_replicates,
-                                                        seed=0))
+            one, more = boot(1), boot(1 + k)
             ones.append(one)
-            replicates.append((more - one) / extra_replicates)
+            replicates.append((more - one) / k)
         key = "bootstrap" if scheme == cp.REGION else f"bootstrap_{scheme.label}"
+        out[f"{key}_extra_replicates"] = k
         out[f"{key}_replicate_s"] = statistics.median(replicates)
         out[f"{key}_b1000_s"] = statistics.median(ones) + 999 * out[f"{key}_replicate_s"]
-        out[f"{key}_peak_mb"] = _peak_mb(
-            lambda: cp.block_bootstrap(ds, spec, scheme, 1 + extra_replicates, seed=0))
+        out[f"{key}_peak_mb"] = _peak_mb(lambda: boot(1 + k))
     from clusterpanel import cli
 
     corr_stages = {"corr_all_pairs": [cp.GroupSpec("all", "spatial")],
@@ -471,7 +480,8 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON file the run is added to, e.g. BENCH_14.json")
     parser.add_argument("--replicates", type=int, default=100,
-                        help="extra bootstrap replicates timed for the per-replicate figure")
+                        help="extra bootstrap replicates timed for the per-replicate figure, "
+                             "doubled until they take longer than a B=1 call")
     parser.add_argument("--sizes", default=SIZES,
                         help=f"comma-separated RxT panel sizes to time (default {SIZES})")
     parser.add_argument("--stages", default=",".join(STAGES),
@@ -527,7 +537,8 @@ def main(argv=None):
                        "assign_clusters and coefficients_json figures are each the median of "
                        f"{LOAD_RUNS} calls, the cv_scan figures (six models, K=4) "
                        f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
-                       f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings, "
+                       f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings (k doubled "
+                       f"until B=1+k takes twice B=1, at most {MAX_EXTRA_REPLICATES}), "
                        f"load_cached_hit_s the median of {LOAD_RUNS} cache hits, the "
                        f"cold-start figures are medians of {COLD_RUNS} fresh interpreters "
                        "(cold_fit_rss_mb in MB), t_quantile_s is the slowest level's median of "

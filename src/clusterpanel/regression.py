@@ -1,16 +1,17 @@
 """OLS fitting, cluster-robust covariance, confidence intervals, response curves.
 
-The covariance estimator is the one-way clustered sandwich
-(X'X)^-1 [sum_g s_g s_g'] (X'X)^-1 with per-cluster scores s_g = X_g' r_g.
-CR1 rescales the middle factor by G/(G-1) * (n-1)/(n-p); CR0 leaves it
-uncorrected.  Interval quantiles use Student t with G-1 degrees of freedom.
+The covariance estimator is the one-way clustered sandwich: the Gram
+sum_g J_g J_g' of each cluster's influence J_g = (X'X)^-1 X_g' r_g
+(``cluster_influence``), which is linear in the rows, so a coarser
+partition's influence is the sum of its clusters'.  CR1 rescales it by
+G/(G-1) * (n-1)/(n-p), CR0 not; intervals use Student t on G-1 d.o.f.
 
-Both fixed effects are absorbed (``Absorbed``): the fit runs on the
-partialled intercept and term columns and recovers each region's and each
-year's effect afterwards.  The sandwich gets the year effects from the joint
-scores of the term and year columns and the region effects' variances
-exactly from the rows of the estimator's linear map, forming no dummy column
-and no (p, p) array.  Every count (p, the CR1 factor, R^2) includes the dummies.
+Both fixed effects are absorbed (``Absorbed``): the fit runs on the partialled
+intercept and term columns and recovers each region's and year's effect
+afterwards.  The influence on the year effects comes from the joint scores of
+the term and year columns, the region effects' variances exactly from the rows
+of the estimator's linear map: no dummy column and no (p, p) array is formed.
+Every count (p, the CR1 factor, R^2) includes the dummies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -508,84 +509,92 @@ def ols_fit(design: DesignMatrix) -> FitResult:
                      _absorbed=fe)
 
 
-def clustered_cov(
-    fit: FitResult,
-    design: DesignMatrix,
-    clusters: ClusterAssignment,
-    correction: str = "CR1",
-) -> CovarianceEstimate:
-    """Clustered sandwich covariance of the coefficient estimator.
+class Influence(NamedTuple):
+    """``cluster_influence``: ``J`` (G, k + T - 1, design order), each (region, cluster)
+    pair with rows and its a_rg, each region's column means and year shares m_r."""
 
-    With singleton clusters and CR0 this coincides with the HC0
-    heteroskedasticity-robust estimator.  G = 1 is degenerate (the score sums
-    to ~0 by orthogonality): a warning is emitted and, since the CR1 factor
-    is undefined there, no small-sample correction is applied.
+    J: np.ndarray
+    pair_region: np.ndarray
+    pair_cluster: np.ndarray
+    a: np.ndarray
+    m: np.ndarray
 
-    The sandwich runs on the fit's partialled columns X~ (``Absorbed``,
-    rebuilt only for a fit of another design).  Cluster g's influence on the
-    term coefficients is W_g = bread X~_g' r_g, and on the year effects
-    gamma = P_y - P_X beta it is H^-1 Ẽ_g' r_g - P_X W_g, where Ẽ_g' r_g is
-    the cluster's per-year residual sums less its regions' shares of them:
-    the joint sandwich of the term and year columns, without a year dummy.
-    A region dummy gets its variance alone: region r's row of the
-    estimator's linear map is 1_r'/n_r - m_r' [W; gamma's], with m_r the
-    region's column means and year shares, so its variance is sum_g (a_rg -
-    m_r' W_g)^2, with a_rg the sum of cluster g's residuals in region r over
-    n_r.  Only these variances are formed (``CovarianceEstimate``).  A region
-    variance whose square root is at most n eps max|residual| is roundoff of
-    a structural zero and set to 0.
-    """
-    check_correction(correction)
-    if clusters.n_rows != fit.n or design.n != fit.n:
+
+def cluster_influence(fit: FitResult, design: DesignMatrix, codes: np.ndarray, G: int) -> Influence:
+    """The influence of each cluster of the row ``codes``, in [0, G), on the fit's
+    coefficients, linear in the rows: a coarser partition's is the sum of its
+    clusters'.  On the fit's partialled columns X~ (``Absorbed``, rebuilt only
+    for another design), cluster g's influence on the term coefficients is
+    J_g = bread X~_g' r_g, and on the year effects gamma = P_y - P_X beta it is
+    H^-1 Ẽ_g' r_g - P_X J_g, with Ẽ_g' r_g its per-year residual sums less its
+    regions' shares of them.  Region r's row of the estimator's linear map is
+    1_r'/n_r - m_r' [J; gamma's], so g's influence on the region's effect is
+    a_rg - m_r' J_g, a_rg the sum of g's residuals in region r over n_r."""
+    if len(codes) != fit.n or design.n != fit.n:
         raise ValueError("fit, design and clusters disagree on the row count")
     fe = fit._absorbed
     if fe is None or fe.design is not design:
         fe = Absorbed(design)
-    X, e = fe.X, fit.residuals
-    n, k = X.shape
-    p = design.p
-    G = clusters.n_clusters
-    g = clusters.row_cluster
-    if G == 1:
-        warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
-    elif G < FEW_CLUSTERS_THRESHOLD:
-        warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
+    X, e, g, k = fe.X, fit.residuals, codes, fe.X.shape[1]
     try:
         U = np.linalg.cholesky(X.T @ X).T
     except np.linalg.LinAlgError:
         raise ValueError("X'X is singular") from None
     U_inv = np.linalg.solve(U, np.eye(k))  # LU of the triangle U is I U: back substitution
-    W = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ U_inv @ U_inv.T
+    J = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ U_inv @ U_inv.T
     L, T = fe.shares.shape
+    r, pair_g, a = np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     if L:
         code = design.fe_codes["region"]
         pairs, at = np.unique(code * G + g, return_inverse=True)
         r, pair_g = np.divmod(pairs, G)
         sums = np.bincount(at, e)
+        a = sums / np.bincount(code)[r]
     if T:
         Ee = np.bincount(g * T + design.fe_codes["year"], e, G * T).reshape(G, T)[:, fe.years]
         if L:
             Ee -= np.column_stack([np.bincount(pair_g, sums * s[r], G)
                                    for s in fe.shares[:, fe.years].T])
-        W = np.hstack([W, np.linalg.solve(fe.H, Ee.T).T - W @ fe.P[:, :k].T])
+        J = np.hstack([J, np.linalg.solve(fe.H, Ee.T).T - J @ fe.P[:, :k].T])
+    return Influence(J, r, pair_g, a, np.hstack([fe.means[:, :k], fe.shares[:, fe.years]]))
+
+
+def clustered_cov(fit: FitResult, design: DesignMatrix, clusters: ClusterAssignment,
+                  correction: str = "CR1") -> CovarianceEstimate:
+    """Clustered sandwich covariance of the coefficient estimator, the Gram of the
+    clusters' influence J (``cluster_influence``): J'J for the term and year
+    columns, and for a region dummy its variance alone, sum_g (a_rg - m_r' J_g)^2
+    (``CovarianceEstimate``).  A region variance whose square root is at most
+    n eps max|residual| is roundoff of a structural zero and set to 0.
+
+    With singleton clusters and CR0 this coincides with the HC0
+    heteroskedasticity-robust estimator.  G = 1 is degenerate (the score sums
+    to ~0 by orthogonality): a warning is emitted and, since the CR1 factor
+    is undefined there, no small-sample correction is applied.
+    """
+    check_correction(correction)
+    (n, k), p, e, G = design.X.shape, design.p, fit.residuals, clusters.n_clusters
+    if G == 1:
+        warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
+    elif G < FEW_CLUSTERS_THRESHOLD:
+        warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
+    J, r, pair_g, a, means = cluster_influence(fit, design, clusters.row_cluster, G)
 
     def corrected(m):
         return m * (G / (G - 1.0)) * ((n - 1.0) / (n - p)) if correction == "CR1" and G > 1 else m
 
-    cov = corrected(W.T @ W)
+    cov = corrected(J.T @ J)
     cov = 0.5 * (cov + cov.T)
     variances = np.diag(cov)
-    if L:
-        # sum_g (a_rg - c_rg)^2 with c_rg = m_r' W_g, as squares: over the
+    if len(means):
+        # sum_g (a_rg - c_rg)^2 with c_rg = m_r' J_g, as squares: over the
         # (region, cluster) pairs with rows directly, and over the other
-        # clusters, where a_rg = 0, as sum_g c_rg^2 (= ||R m_r||^2 for W = QR)
+        # clusters, where a_rg = 0, as sum_g c_rg^2 (= ||R m_r||^2 for J = QR)
         # less the pairs' share; c is gathered _PAIR_BLOCK pairs at a time
-        means = np.hstack([fe.means[:, :k], fe.shares[:, fe.years]])
-        a = sums / np.bincount(code)[r]
         c = np.concatenate([np.einsum("ij,ij->i", means[r[b:b + _PAIR_BLOCK]],
-                                      W[pair_g[b:b + _PAIR_BLOCK]])
+                                      J[pair_g[b:b + _PAIR_BLOCK]])
                             for b in range(0, len(r), _PAIR_BLOCK)])
-        unpaired = np.square(means @ np.linalg.qr(W, mode="r").T).sum(axis=1)
+        unpaired = np.square(means @ np.linalg.qr(J, mode="r").T).sum(axis=1)
         unpaired -= np.bincount(r, c * c, len(means))
         var = corrected(np.bincount(r, np.square(a - c), len(means)) + np.maximum(unpaired, 0.0))
         var[np.sqrt(var) <= n * np.finfo(float).eps * np.abs(e).max()] = 0.0

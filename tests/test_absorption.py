@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,10 +50,15 @@ from clusterpanel.panel import (
 )
 from clusterpanel.simstudy import DgpConfig, generate_panel
 from clusterpanel.regression import (
+    _PAIR_BLOCK,
+    FEW_CLUSTERS_THRESHOLD,
     Absorbed,
     ClusterMoments,
+    CovarianceEstimate,
     FitResult,
     _t_quantile,
+    check_correction,
+    cluster_influence,
     clustered_cov,
     confidence_intervals,
     ols_fit,
@@ -130,13 +136,21 @@ def _dense_fit(X, y):
     return beta, y - X @ beta
 
 
-def _dense_sandwich(X, e, clusters):
+def _dense_sandwich(X, e, clusters, correction="CR1"):
     n, p = X.shape
     G = clusters.n_clusters
     bread = np.linalg.inv(X.T @ X)
     scores = np.zeros((G, p))
     np.add.at(scores, clusters.row_cluster, X * e[:, None])
-    return bread @ scores.T @ scores @ bread * (G / (G - 1.0)) * ((n - 1.0) / (n - p))
+    factor = (G / (G - 1.0)) * ((n - 1.0) / (n - p)) if correction == "CR1" else 1.0
+    return bread @ scores.T @ scores @ bread * factor
+
+
+def _summed(J, codes, G):
+    """The rows of ``J`` summed by ``codes``: the influence of the coarser partition."""
+    out = np.zeros((G, J.shape[1]))
+    np.add.at(out, codes, J)
+    return out
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -164,6 +178,109 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
         _close(cov.cov, V[np.ix_(joint, joint)])
         half = _t_quantile(0.95, clusters.n_clusters) * np.sqrt(np.diag(V))
         _close(confidence_intervals(fit, cov), np.column_stack([beta - half, beta + half]))
+        # the influence: its Gram is the CR0 sandwich, and each region's
+        # variance sum_g (a_rg - m_r' J_g)^2 is rebuilt from its region pieces
+        G = clusters.n_clusters
+        J, pair_region, pair_cluster, a, m = cluster_influence(fit, design,
+                                                               clusters.row_cluster, G)
+        V0 = _dense_sandwich(X, e, clusters, "CR0")
+        _close(J.T @ J, V0[np.ix_(joint, joint)], rtol=1e-12)
+        A = np.zeros((len(m), G))
+        A[pair_region, pair_cluster] = a
+        _close(np.square(A - m @ J.T).sum(axis=1)[1:], np.diag(V0)[slots["region"]], rtol=1e-12)
+    # additivity: the influence at (region, year) codes, one per row, summed
+    # by region or by country is the influence at those codes
+    fine = cluster_influence(fit, design, np.arange(design.n), design.n).J
+    region = design.fe_codes["region"]
+    L = len(design.fe_levels["region"])
+    _close(_summed(fine, region, L), cluster_influence(fit, design, region, L).J, rtol=1e-13)
+    country = assign_clusters(design, COUNTRY)
+    _close(_summed(fine, country.row_cluster, country.n_clusters),
+           cluster_influence(fit, design, country.row_cluster, country.n_clusters).J,
+           rtol=1e-13)
+
+
+def _parent_clustered_cov(fit, design, clusters, correction="CR1"):
+    """``clustered_cov`` with the cluster influence formed inline, the body it
+    had before ``cluster_influence`` was split out, kept verbatim as the oracle."""
+    check_correction(correction)
+    if clusters.n_rows != fit.n or design.n != fit.n:
+        raise ValueError("fit, design and clusters disagree on the row count")
+    fe = fit._absorbed
+    if fe is None or fe.design is not design:
+        fe = Absorbed(design)
+    X, e = fe.X, fit.residuals
+    n, k = X.shape
+    p = design.p
+    G = clusters.n_clusters
+    g = clusters.row_cluster
+    if G == 1:
+        warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
+    elif G < FEW_CLUSTERS_THRESHOLD:
+        warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
+    try:
+        U = np.linalg.cholesky(X.T @ X).T
+    except np.linalg.LinAlgError:
+        raise ValueError("X'X is singular") from None
+    U_inv = np.linalg.solve(U, np.eye(k))  # LU of the triangle U is I U: back substitution
+    W = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ U_inv @ U_inv.T
+    L, T = fe.shares.shape
+    if L:
+        code = design.fe_codes["region"]
+        pairs, at = np.unique(code * G + g, return_inverse=True)
+        r, pair_g = np.divmod(pairs, G)
+        sums = np.bincount(at, e)
+    if T:
+        Ee = np.bincount(g * T + design.fe_codes["year"], e, G * T).reshape(G, T)[:, fe.years]
+        if L:
+            Ee -= np.column_stack([np.bincount(pair_g, sums * s[r], G)
+                                   for s in fe.shares[:, fe.years].T])
+        W = np.hstack([W, np.linalg.solve(fe.H, Ee.T).T - W @ fe.P[:, :k].T])
+
+    def corrected(m):
+        return m * (G / (G - 1.0)) * ((n - 1.0) / (n - p)) if correction == "CR1" and G > 1 else m
+
+    cov = corrected(W.T @ W)
+    cov = 0.5 * (cov + cov.T)
+    variances = np.diag(cov)
+    if L:
+        # sum_g (a_rg - c_rg)^2 with c_rg = m_r' W_g, as squares: over the
+        # (region, cluster) pairs with rows directly, and over the other
+        # clusters, where a_rg = 0, as sum_g c_rg^2 (= ||R m_r||^2 for W = QR)
+        # less the pairs' share; c is gathered _PAIR_BLOCK pairs at a time
+        means = np.hstack([fe.means[:, :k], fe.shares[:, fe.years]])
+        a = sums / np.bincount(code)[r]
+        c = np.concatenate([np.einsum("ij,ij->i", means[r[b:b + _PAIR_BLOCK]],
+                                      W[pair_g[b:b + _PAIR_BLOCK]])
+                            for b in range(0, len(r), _PAIR_BLOCK)])
+        unpaired = np.square(means @ np.linalg.qr(W, mode="r").T).sum(axis=1)
+        unpaired -= np.bincount(r, c * c, len(means))
+        var = corrected(np.bincount(r, np.square(a - c), len(means)) + np.maximum(unpaired, 0.0))
+        var[np.sqrt(var) <= n * np.finfo(float).eps * np.abs(e).max()] = 0.0
+        variances = np.concatenate([variances[:k], var[1:], variances[k:]])  # design order
+    return CovarianceEstimate(cov, variances, clusters.scheme, correction, G)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("correction", ["CR1", "CR0"])
+@pytest.mark.parametrize("case", ["sample", "gappy"])
+def test_sandwich_is_bit_identical_to_the_inline_influence_body(case, correction):
+    """The Gram of ``cluster_influence`` gives the variances and covariance of
+    the sandwich that formed the influence inline, bit for bit, under every
+    built-in scheme and a custom one."""
+    if case == "sample":
+        ds, spec, custom = *_sample_case()[1:], "year_str"
+    else:
+        ds, spec, custom = _panel(True), _spec(True), "blk"
+    design = build_design(ds, spec)
+    fit = ols_fit(design)
+    for scheme in (REGION, REGION_YEAR, COUNTRY, COUNTRY_YEAR, YEAR,
+                   ClusterScheme("custom", custom)):
+        clusters = assign_clusters(design, scheme)
+        got = clustered_cov(fit, design, clusters, correction)
+        want = _parent_clustered_cov(fit, design, clusters, correction)
+        assert np.array_equal(got.variances, want.variances), scheme.label
+        assert np.array_equal(got.cov, want.cov), scheme.label
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

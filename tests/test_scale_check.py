@@ -25,9 +25,6 @@ STAGE_KEYS = {
     "bootstrap_readout": "bootstrap_readout_s",
     "project_readout": "project_readout_s",
 }
-# extrapolated from a difference of two timings, which can fall below zero
-# when a few replicates cost less than the timer's noise
-DIFFERENCES = ("_replicate_s", "_b1000_s")
 
 
 def test_every_per_size_stage_runs_on_this_tree(tmp_path):
@@ -41,4 +38,4 @@ def test_every_per_size_stage_runs_on_this_tree(tmp_path):
     for key, value in run.items():
         if key.endswith("_s"):
             assert math.isfinite(value), key
-            assert key.endswith(DIFFERENCES) or value > 0, key
+            assert value > 0, key
