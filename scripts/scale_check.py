@@ -21,8 +21,7 @@ on its own:
   LOAD_RUNS; key assign_clusters_<scheme>_s);
 - coefficients_json: ``reports.write_coefficients`` of that fit under the
   region and country_year schemes, as ``fit`` writes coefficients.json
-  (median of LOAD_RUNS; a tree without the writer runs the
-  ``coefficient_table`` and ``write_json`` that ``fit`` ran before it);
+  (median of LOAD_RUNS);
 - one cv model at K=4 (cv_loss, region folds);
 - a forward cv scan at K=4 from the fixed-effect-only base, with the
   candidates d.x*xbar at lags 0..2 and x (undifferenced) at lags 0..1: six
@@ -49,8 +48,8 @@ on its own:
   that sample with a scenario of PROJECT_YEARS future years for every
   region, the median of READOUT_RUNS calls, and project_readout_peak_mb;
   project_intervals_s: the read-out of that projection as ``cli.cmd_project``
-  makes it, its PROJECT_LEVELS intervals and projection.csv, the median of
-  READOUT_RUNS calls.
+  makes it, its PROJECT_LEVELS intervals from ``bootstrap.read_intervals``
+  and projection.csv, the median of READOUT_RUNS calls.
 
 After the sizes, trending_agreement is the largest relative deviation,
 per column scaled by its largest draw, of TRENDING_REPLICATES region-scheme
@@ -238,12 +237,14 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
         out[f"assign_clusters_{label}_s"], _ = _median_timed(
             lambda: cp.assign_clusters(design, scheme))
     if "coefficients_json" in stages:
+        from clusterpanel import reports
+
         covs = {s.label: cp.clustered_cov(fit, design, cp.assign_clusters(design, s))
                 for s in (cp.REGION, cp.COUNTRY_YEAR)}
-        write = _coefficients_writer()
         with tempfile.TemporaryDirectory() as tmp:
             def coefficients_json():
-                write(Path(tmp) / "coefficients.json", fit, covs, 0.95, len(design.dropped_rows))
+                reports.write_coefficients(Path(tmp) / "coefficients.json", fit, covs, 0.95,
+                                           len(design.dropped_rows))
 
             out["coefficients_json_s"], _ = _median_timed(coefficients_json)
             out["coefficients_json_peak_mb"] = _peak_mb(coefficients_json)
@@ -297,22 +298,6 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
     return out
 
 
-def _coefficients_writer():
-    """``reports.write_coefficients``, or on a tree without it the table and
-    ``write_json`` with which ``cli.cmd_fit`` wrote coefficients.json."""
-    from clusterpanel import reports
-
-    if hasattr(reports, "write_coefficients"):
-        return reports.write_coefficients
-
-    def write(path, fit, covs, level, dropped_rows):
-        table = reports.coefficient_table(fit, covs, level)
-        table["dropped_rows"] = dropped_rows
-        reports.write_json(path, table)
-
-    return write
-
-
 def bootstrap_readout(cp, ds, sample):
     """Median seconds of ``cli.cmd_bootstrap`` on a precomputed sample: its
     ``block_bootstrap`` and ``_load_dataset`` are swapped for the sample's."""
@@ -332,22 +317,6 @@ def bootstrap_readout(cp, ds, sample):
         vars(cli).update(kept)
 
 
-def _projection_writer():
-    """The intervals and projection.csv of ``cli.cmd_project``: the bounds of
-    ``bootstrap.read_intervals`` written by ``reports.write_projections``, or
-    on a tree without ``read_intervals`` the writer that computed them."""
-    from clusterpanel import bootstrap, reports
-
-    if not hasattr(bootstrap, "read_intervals"):
-        return reports.write_projections
-
-    def write(path, projections, levels):
-        bounds = [bootstrap.read_intervals(proj.values, levels, True)[0] for proj in projections]
-        reports.write_projections(path, projections, levels, bounds)
-
-    return write
-
-
 def project_readout(cp, ds, spec, sample):
     """Median seconds of ``build_scenario_path`` plus ``project_scenarios`` on
     a precomputed sample, with a scenario of PROJECT_YEARS years after the
@@ -356,6 +325,8 @@ def project_readout(cp, ds, spec, sample):
     more call in MB, and the median seconds of the projection's interval
     read-out with its CSV."""
     import numpy as np
+
+    from clusterpanel import bootstrap, reports
 
     (R, T), steps = ds.present.shape, np.arange(-3, PROJECT_YEARS)
     x = ds.predictors["x"][:, -1:] + 0.01 * steps
@@ -370,11 +341,15 @@ def project_readout(cp, ds, spec, sample):
         return cp.project_scenarios(sample, path)
 
     seconds = statistics.median(_timed(readout)[0] for _ in range(READOUT_RUNS))
-    peak, projections, write = _peak_mb(readout), [readout()], _projection_writer()
+    peak, projections = _peak_mb(readout), [readout()]
+
+    def write(path):
+        bounds = [bootstrap.read_intervals(p.values, PROJECT_LEVELS, True)[0] for p in projections]
+        reports.write_projections(path, projections, PROJECT_LEVELS, bounds)
+
     with tempfile.TemporaryDirectory() as tmp:
-        intervals = statistics.median(
-            _timed(lambda: write(Path(tmp) / "projection.csv", projections, PROJECT_LEVELS))[0]
-            for _ in range(READOUT_RUNS))
+        intervals = statistics.median(_timed(lambda: write(Path(tmp) / "projection.csv"))[0]
+                                      for _ in range(READOUT_RUNS))
     return seconds, peak, intervals
 
 

@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .bootstrap import (block_bootstrap, build_scenario_path, first_discernible_year,
+from .bootstrap import (block_bootstrap, build_scenario_path, check_seed, first_discernible_year,
                         project_scenarios, read_intervals)
 from .modelselect import cv_scan, ic_scan
 from .panel import (ClusterScheme, CsvSchema, ModelSpec, TermSpec, assign_clusters, build_design,
                     load_cached)
-from .regression import (check_level, check_seed, clustered_cov, confidence_intervals, ols_fit,
+from .regression import (check_level, clustered_cov, confidence_intervals, ols_fit,
                          term_response_curve)
 from .residcorr import (DEFAULT_MIN_OVERLAP, SPATIAL_KEYS, TEMPORAL_KEYS, GroupSpec,
                         ResidualPanel, correlation_table)

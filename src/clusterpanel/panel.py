@@ -295,6 +295,8 @@ class ClusterScheme:
             raise ValueError(f"cluster scheme {self.kind!r} needs {needs}: '{self.kind}:<arg>'")
         if not needs and self.arg is not None:
             raise ValueError(f"cluster scheme {self.kind!r} takes no argument, got {self.label!r}")
+        if needs and ("/" in self.arg or "\0" in self.arg):  # the label names output files
+            raise ValueError(f"cluster scheme {self.label!r}: an argument may not hold '/' or NUL")
 
     @property
     def label(self) -> str:
@@ -394,29 +396,26 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Partition of design rows under a scheme; keys sorted canonically.
-    Each row's code is in [0, G), ``sizes`` is their bincount, none is 0."""
+    """Partition of design rows under a scheme: row i is in cluster ``row_cluster[i]``,
+    a code in [0, n_clusters) (``assign_clusters`` numbers clusters in the sorted
+    order of their keys).  ``sizes`` is worked out as the codes' bincount; none is 0."""
 
     scheme: ClusterScheme
-    keys: tuple
     row_cluster: np.ndarray
-    sizes: np.ndarray
+    n_clusters: int
+    sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        G, codes = len(self.keys), self.row_cluster
+        G, codes = self.n_clusters, self.row_cluster
         if codes.ndim != 1 or ((codes < 0) | (codes >= G)).any():
             raise ValueError(f"row_cluster must be a 1-D array of codes in [0, {G})")
-        if not np.array_equal(self.sizes, np.bincount(codes, minlength=G)):
-            raise ValueError("sizes must be the row counts of row_cluster's codes")
-        empty = np.flatnonzero(self.sizes == 0)
+        sizes = np.bincount(codes, minlength=G)
+        empty = np.flatnonzero(sizes == 0)
         if empty.size:
-            raise ValueError(f"cluster {self.keys[empty[0]]!r} has no rows")
-        self.row_cluster.setflags(write=False)
-        self.sizes.setflags(write=False)
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.keys)
+            raise ValueError(f"cluster {empty[0]} of {G} has no rows")
+        codes.setflags(write=False)
+        sizes.setflags(write=False)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def n_rows(self) -> int:
@@ -775,22 +774,18 @@ def build_design(
 def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssignment:
     """Partition design rows into clusters under a scheme.
 
-    Deterministic: cluster keys are sorted and indexed canonically.  Each
-    key part is coded by ``_cell_codes``; a (country or region, year) key is
-    coded as one integer from its parts' codes, which sorts as the pairs do.
+    Deterministic: clusters are numbered in the sorted order of their keys.
+    Each key part is coded by ``_cell_codes``; a (country or region, year) key
+    is coded as one integer from its parts' codes, which sorts as the pairs do.
     """
     if design.n == 0:
         raise ValueError("design is empty")
     first, _, second = scheme.kind.partition("_")
     keys, code = _cell_codes(design.dataset, design.cells, first, scheme.arg)
-    if second:
+    if second:  # the keys become the pairs' integer codes
         years, year_code = _cell_codes(design.dataset, design.cells, "year")
-        pairs, code = np.unique(code * len(years) + year_code, return_inverse=True)
-        i, t = np.divmod(pairs, len(years))
-        keys = tuple(zip(np.array(keys, dtype=object)[i].tolist(), np.array(years)[t].tolist()))
-    row_cluster = np.array(code, dtype=np.intp)
-    sizes = np.bincount(row_cluster, minlength=len(keys))
-    return ClusterAssignment(scheme=scheme, keys=keys, row_cluster=row_cluster, sizes=sizes)
+        keys, code = np.unique(code * len(years) + year_code, return_inverse=True)
+    return ClusterAssignment(scheme, np.array(code, dtype=np.intp), len(keys))
 
 
 # ---------------------------------------------------------------------------

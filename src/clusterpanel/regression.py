@@ -20,7 +20,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -745,73 +745,3 @@ def term_response_curve(
         )
     return ResponseCurve(term=lbl, moderator=term.moderator, moderator_value=moderator_value,
                          level=level, points=tuple(points))
-
-
-# SeedSequence's hash constants, (init, mult) of each chain and the mix
-# (numpy/random/bit_generator.pyx; NEP 19 keeps SeedSequence and PCG64 fixed)
-_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
-_SEED_ROWS = 4096  # streams seeded per array pass: bounds its arrays and Python ints
-
-
-def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    """h_0 = init, h_(k+1) = h_k mult: the uint32 column of ``calls`` hash calls."""
-    return np.array([init] + [mult] * calls, dtype=np.uint32).cumprod(dtype=np.uint32)[:, None]
-
-
-def _hashmix(v: np.ndarray, h: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-    """Hash calls along axis 0, call k xoring h[k] and multiplying by h[k + 1],
-    then mixed ``into`` pool words when given; uint32 arrays wrap as C does."""
-    v = (v ^ h[:-1]) * h[1:]
-    v ^= v >> _XSHIFT
-    if into is not None:
-        v = _MIX_L * into - _MIX_R * v
-        v ^= v >> _XSHIFT
-    return v
-
-
-def check_seed(seed) -> list[int]:
-    """The 32-bit words of ``seed``, a non-negative integer or a tuple of them,
-    each integer's low first; any other seed fails by name, before any set-up."""
-    words = []
-    for part in seed if isinstance(seed, tuple) else (seed,):
-        if isinstance(part, bool) or not isinstance(part, (int, np.integer)) or part < 0:
-            raise ValueError(f"seed must be a non-negative integer or a tuple of them: {seed!r}")
-        words += [int(part) >> s & _MASK32 for s in range(0, max(int(part).bit_length(), 1), 32)]
-    return words
-
-
-def _replicate_streams(seed, reps: range | None = None) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to the state of ``default_rng(seed)`` if
-    ``reps`` is None, else of ``default_rng((seed, rep))`` for each rep: the
-    same object each time, so take a stream's draws before the next.  The
-    SeedSequence pool mixing and ``generate_state(4, np.uint64)`` of many
-    entropy rows (``check_seed``'s words) run as uint32 array operations;
-    PCG64 seeds as ``pcg_setseq_128_srandom_r`` does, in Python ints.  A bad
-    seed (``check_seed``) or a rep past 2**32 - 1 fails by name."""
-    entropy = np.array([check_seed(seed)], dtype=np.uint32)
-    if reps is not None:
-        if len(reps) and not 0 <= min(reps[0], reps[-1]) <= max(reps[0], reps[-1]) <= _MASK32:
-            raise ValueError(f"replicates {reps} reach outside [0, 2**32)")
-        entropy = np.column_stack([entropy.repeat(len(reps), axis=0),
-                                   np.arange(reps.start, reps.stop, reps.step, dtype=np.uint32)])
-    gen, w = np.random.Generator(np.random.PCG64(0)), entropy.shape[1]
-    a = _hash_chain(*_HASH_A, 16 + 4 * max(0, w - 4))
-    for first in range(0, len(entropy), _SEED_ROWS):
-        rows = entropy[first:first + _SEED_ROWS]
-        pool = np.zeros((4, len(rows)), dtype=np.uint32)  # pool word by row
-        pool[: min(w, 4)] = rows[:, :4].T
-        pool = _hashmix(pool, a[:5])
-        for src in range(4):  # every pool word into each other one
-            dst = [d for d in range(4) if d != src]
-            pool[dst] = _hashmix(pool[src], a[4 + 3 * src:8 + 3 * src], into=pool[dst])
-        for src in range(4, w):  # each entropy word past the pool into all four
-            pool = _hashmix(rows[:, src], a[4 * src:4 * src + 5], into=pool)
-        out = _hashmix(np.vstack([pool, pool]), _hash_chain(*_HASH_B, 8)).astype(np.uint64)
-        for high, low, seq_high, seq_low in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
-            inc = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
-            state = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128
-            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                       "state": {"state": state, "inc": inc}}
-            yield gen

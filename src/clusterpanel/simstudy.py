@@ -30,7 +30,8 @@ from .panel import (
     assign_clusters,
     build_design,
 )
-from .regression import _replicate_streams, _t_quantile, check_correction, check_level, check_seed
+from .bootstrap import _replicate_streams, check_seed
+from .regression import _t_quantile, check_correction, check_level
 
 _SHARING_LEVELS = ("region", "year", "country_year")
 

@@ -1105,7 +1105,9 @@ def test_a_singular_year_block_in_a_stack_solves_from_the_rows(row_refits):
     moments = ClusterMoments(design, clusters.row_cluster)
     assert not moments.rows_only
     W = np.ones((3, clusters.n_clusters))
-    W[1, [k for k, key in enumerate(clusters.keys) if key[1] == 2005 and key[0] != "CX"]] = 0
+    ri, ti = design.cells
+    mask = (ds.first_year + ti == 2005) & (np.array(ds.countries)[ri] != "CX")
+    W[1, np.unique(clusters.row_cluster[mask])] = 0
     cols = range(design.X.shape[1])
     theta, deficient, effects = moments.weighted(W).solve(cols)
     assert len(row_refits) == 1 and deficient.tolist() == [False, True, False]

@@ -141,7 +141,7 @@ def test_a_bad_seed_fails_before_the_design_is_built(rng, monkeypatch):
     with pytest.raises(ValueError) as exc:
         block_bootstrap(ds, SLOPE_SPEC, REGION, 10, seed=-1)
     with pytest.raises(ValueError) as streams:
-        next(regression._replicate_streams(-1, range(10)))
+        next(bootstrap._replicate_streams(-1, range(10)))
     assert str(exc.value) == str(streams.value)
     assert str(exc.value) == "seed must be a non-negative integer or a tuple of them: -1"
 

@@ -516,6 +516,17 @@ def test_fit_rejects_an_argument_to_a_kind_without_one(capsys, tmp_path):
     assert "cluster scheme 'region' takes no argument, got 'region:x'" in capsys.readouterr().err
     assert not list((tmp_path / "fit").glob("*"))
 
+
+def test_fit_rejects_a_scheme_label_that_cannot_name_a_file(capsys, tmp_path):
+    # response_curves_custom_a/b.csv would fail only after coefficients.json is written
+    config = _sample_config()
+    config["data"]["custom_columns"] = {"a/b": "year_str"}
+    config["fit"]["schemes"] = ["custom:a/b"]
+    assert _run_config(config, "fit", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "cluster scheme 'custom:a/b': an argument may not hold '/' or NUL" in err
+    assert not list((tmp_path / "fit").glob("**/*"))
+
 DROP = object()  # a change that removes the key
 
 

@@ -38,12 +38,8 @@ from conftest import grid_dataset, keep_grid, obs, panel_from, row_keys
 
 
 def make_clusters(sizes):
-    sizes = np.asarray(sizes, dtype=np.int64)
-    keys = tuple(f"b{i:03d}" for i in range(len(sizes)))
-    row_cluster = np.repeat(np.arange(len(sizes)), sizes)
-    return ClusterAssignment(
-        scheme=ClusterScheme("custom", "g"), keys=keys, row_cluster=row_cluster, sizes=sizes
-    )
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    return ClusterAssignment(ClusterScheme("custom", "g"), codes, len(sizes))
 
 
 # ---------------------------------------------------------------------------

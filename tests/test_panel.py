@@ -625,6 +625,14 @@ def test_custom_scheme_needs_a_column(make):
         make()
 
 
+@pytest.mark.parametrize("arg", ["a/b", "/", "a\0b"], ids=["slash", "only_slash", "nul"])
+def test_scheme_argument_that_cannot_name_a_file_is_rejected(arg):
+    message = f"cluster scheme {'custom:' + arg!r}: an argument may not hold '/' or NUL"
+    for make in (lambda: ClusterScheme.parse(f"custom:{arg}"), lambda: ClusterScheme("custom", arg)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+
 @pytest.mark.parametrize("text", ["continent", "Region", "country-year", ":g", ""])
 def test_unknown_scheme_kind_lists_the_kinds(text):
     with pytest.raises(ValueError, match="unknown cluster scheme") as info:
@@ -632,20 +640,18 @@ def test_unknown_scheme_kind_lists_the_kinds(text):
     assert str(info.value).endswith(f"use one of {(*ARGLESS_KINDS, 'custom')}")
 
 @pytest.mark.parametrize(
-    "codes, sizes, message",
+    "codes, message",
     [
-        ([0, 0, 2, 2], [2, 0, 2], "cluster 'b' has no rows"),
-        ([0, 0, 1, 2], [2, 2, 0], "sizes must be the row counts of row_cluster's codes"),
-        ([0, 1, 3, 2], [1, 1, 1], "row_cluster must be a 1-D array of codes in [0, 3)"),
-        ([0, -1, 1, 2], [1, 1, 1], "row_cluster must be a 1-D array of codes in [0, 3)"),
-        ([[0, 1], [2, 2]], [1, 1, 2], "row_cluster must be a 1-D array of codes in [0, 3)"),
+        ([0, 0, 2, 2], "cluster 1 of 3 has no rows"),
+        ([0, 1, 3, 2], "row_cluster must be a 1-D array of codes in [0, 3)"),
+        ([0, -1, 1, 2], "row_cluster must be a 1-D array of codes in [0, 3)"),
+        ([[0, 1], [2, 2]], "row_cluster must be a 1-D array of codes in [0, 3)"),
     ],
-    ids=["empty_cluster", "mismatched_sizes", "code_above", "code_below", "two_dimensional"],
+    ids=["empty_cluster", "code_above", "code_below", "two_dimensional"],
 )
-def test_cluster_assignment_checks_its_codes(codes, sizes, message):
+def test_cluster_assignment_checks_its_codes(codes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        ClusterAssignment(scheme=ClusterScheme("custom", "g"), keys=("a", "b", "c"),
-                          row_cluster=np.array(codes), sizes=np.array(sizes))
+        ClusterAssignment(ClusterScheme("custom", "g"), np.array(codes), 3)
 
 
 def test_partition_property_all_schemes():
@@ -698,9 +704,7 @@ def test_assign_clusters_matches_dict_oracle(effects):
     for scheme in schemes:
         got = assign_clusters(design, scheme)
         keys, row_cluster, sizes = _dict_clusters(design, scheme)
-        assert got.keys == keys
-        assert [type(k) for k in np.ravel(np.array(got.keys, dtype=object))] == [
-            type(k) for k in np.ravel(np.array(keys, dtype=object))]
+        assert got.n_clusters == len(keys)
         assert got.row_cluster.dtype == np.intp
         np.testing.assert_array_equal(got.row_cluster, row_cluster)
         np.testing.assert_array_equal(got.sizes, sizes)

@@ -14,7 +14,8 @@ from clusterpanel.panel import (
     assign_clusters,
     build_design,
 )
-from clusterpanel import regression
+from clusterpanel import bootstrap
+from clusterpanel.bootstrap import _replicate_streams
 from clusterpanel.regression import (
     _PIVOT_MIN,
     _RANK_MARGIN,
@@ -22,7 +23,6 @@ from clusterpanel.regression import (
     FitResult,
     RankDeficientError,
     _gram_accepted,
-    _replicate_streams,
     _t_quantile,
     clustered_cov,
     confidence_intervals,
@@ -579,7 +579,7 @@ def test_replicate_streams_draw_like_default_rng_of_a_bare_seed(seed):
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
 def test_seeding_passes_do_not_change_a_stream(rows, monkeypatch):
-    monkeypatch.setattr(regression, "_SEED_ROWS", rows)
+    monkeypatch.setattr(bootstrap, "_SEED_ROWS", rows)
     seed, reps = (2**100 + 7, 12), range(5, 15)
     _assert_streams_draw_like(_replicate_streams(seed, reps), [(seed, rep) for rep in reps])
 

@@ -8,8 +8,8 @@ import pytest
 import clusterpanel.simstudy as simstudy
 from clusterpanel.panel import (COUNTRY, COUNTRY_YEAR, REGION, REGION_YEAR, YEAR, ClusterScheme,
                                 PanelDataset, assign_clusters, build_design)
-from clusterpanel.regression import (_replicate_streams, _t_quantile, clustered_cov,
-                                     confidence_intervals, ols_fit)
+from clusterpanel.bootstrap import _replicate_streams
+from clusterpanel.regression import _t_quantile, clustered_cov, confidence_intervals, ols_fit
 from clusterpanel.simstudy import (
     SLOPE_SPEC,
     DgpConfig,
