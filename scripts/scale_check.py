@@ -303,7 +303,7 @@ def bootstrap_readout(cp, ds, sample):
     ``block_bootstrap`` and ``_load_dataset`` are swapped for the sample's."""
     from clusterpanel import cli
 
-    config = {"bootstrap": {"scheme": "year", "b": READOUT_B, "levels": [0.9]},
+    config = {"seed": 0, "bootstrap": {"scheme": "year", "b": READOUT_B, "levels": [0.9]},
               "model": {"terms": [], "fixed_effects": [], "intercept": True,
                         "moderator_alignment": "contemporaneous", "max_lag_ceiling": 10}}
     swapped = {"block_bootstrap": lambda *args, **kwargs: sample, "_load_dataset": lambda c: ds}
@@ -311,7 +311,7 @@ def bootstrap_readout(cp, ds, sample):
     vars(cli).update(swapped)
     try:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-            return statistics.median(_timed(lambda: cli.cmd_bootstrap(config, Path(tmp), 0))[0]
+            return statistics.median(_timed(lambda: cli.cmd_bootstrap(config, Path(tmp)))[0]
                                      for _ in range(READOUT_RUNS))
     finally:
         vars(cli).update(kept)

@@ -1,9 +1,9 @@
 """Command-line surface: reproducible batch runs over all modules.
 
 Subcommands: fit, corr, cv, ic, bootstrap, project, simulate.  Every run
-reads a YAML config, accepts --seed / --threads / --out overrides, writes
-its outputs plus a manifest echoing the resolved configuration into the
-output directory, and is bit-reproducible from that manifest.
+reads a YAML config, accepts --seed / --out overrides, writes its outputs
+plus a manifest, the command and the resolved configuration, into the output
+directory, and is bit-reproducible from that manifest.
 
 ``SCHEMA`` holds every config key with its type and default; a key with a
 home in the library takes its name and default from there.
@@ -52,7 +52,7 @@ def _list(coerce):
     def parse(value):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"expected a list, got {value!r}")
-        return [coerce(v) for v in value]
+        return list(dict.fromkeys(coerce(v) for v in value))  # each value once
     return parse
 
 
@@ -96,7 +96,7 @@ TERM = _fields(TermSpec)
 DGP = _fields(DgpConfig)
 _GROUP = _fields(GroupSpec)
 SCHEMA = {
-    "seed": (int, 0), "threads": (int, 1), "out": (str, None),  # out: out/<command>
+    "seed": (int, 0), "out": (str, None),  # out: out/<command>
     "data": ({
         "path": (str, REQUIRED),
         **_fields(CsvSchema, "delimiter"),
@@ -218,7 +218,7 @@ def resolve(config: dict, command: str) -> dict:
     """The configuration ``command`` runs on: the run settings and the
     sections it reads, resolved.  Every other present section is checked."""
     parse(SCHEMA, config, fill=False)
-    reads = ("seed", "threads", "out", *READS[command])
+    reads = ("seed", "out", *READS[command])
     return parse({k: SCHEMA[k] for k in reads}, {k: v for k, v in config.items() if k in reads})
 
 
@@ -242,9 +242,13 @@ def _model(config: dict) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(config: dict, out: Path, seed: int) -> None:
+def cmd_fit(config: dict, out: Path) -> None:
     dataset, spec, fit_cfg = _load_dataset(config), _model(config), config["fit"]
-    schemes = [ClusterScheme.parse(s) for s in fit_cfg["schemes"]]
+    schemes, files = [ClusterScheme.parse(s) for s in fit_cfg["schemes"]], {}
+    for label in (s.label for s in schemes):  # each scheme's response-curve file
+        name = f"response_curves_{label.replace(':', '_')}.csv"
+        if files.setdefault(name, label) != label:
+            raise ValueError(f"fit schemes {files[name]!r} and {label!r} both write {name}")
     design = build_design(dataset, spec)
     fit = ols_fit(design)
     covs = {s.label: clustered_cov(fit, design, assign_clusters(design, s),
@@ -253,11 +257,10 @@ def cmd_fit(config: dict, out: Path, seed: int) -> None:
                                len(design.dropped_rows))
     if spec.terms and fit_cfg["response_curves"]:
         medians = [dataset.predictor_median(t.moderator) if t.moderator else 0.0 for t in spec.terms]
-        for label, cov in covs.items():
-            curves = [term_response_curve(fit, cov, t, moderator_value=m, level=fit_cfg["level"])
-                      for t, m in zip(spec.terms, medians)]
-            path = out / f"response_curves_{label.replace(':', '_')}.csv"
-            reports.write_response_curves(path, curves)
+        for name, label in files.items():
+            curves = [term_response_curve(fit, covs[label], t, moderator_value=m,
+                                          level=fit_cfg["level"]) for t, m in zip(spec.terms, medians)]
+            reports.write_response_curves(out / name, curves)
     print(f"fit: n={fit.n} p={fit.p} R^2={fit.r_squared:.4f} schemes={[s.label for s in schemes]}")
 
 
@@ -276,7 +279,7 @@ def _groups(groups: list | None, dataset) -> list[GroupSpec]:
     return groups
 
 
-def cmd_corr(config: dict, out: Path, seed: int) -> None:
+def cmd_corr(config: dict, out: Path) -> None:
     dataset = _load_dataset(config)
     design = build_design(dataset, _model(config))
     fit = ols_fit(design)
@@ -296,8 +299,8 @@ def _scan_setup(section: dict, spec: ModelSpec) -> tuple[str, ModelSpec, list[Te
     return direction, base, [TermSpec(**t) for t in section["candidates"]]
 
 
-def cmd_cv(config: dict, out: Path, seed: int) -> None:
-    dataset, cv_cfg = _load_dataset(config), config["cv"]
+def cmd_cv(config: dict, out: Path) -> None:
+    dataset, cv_cfg, seed = _load_dataset(config), config["cv"], config["seed"]
     schemes = [ClusterScheme.parse(s) for s in cv_cfg["schemes"]]
     direction, base, candidates = _scan_setup(cv_cfg, _model(config))
     rows = []
@@ -316,7 +319,7 @@ def cmd_cv(config: dict, out: Path, seed: int) -> None:
     print(f"cv: {direction} scan, {len(rows)} entries over {[s.label for s in schemes]}")
 
 
-def cmd_ic(config: dict, out: Path, seed: int) -> None:
+def cmd_ic(config: dict, out: Path) -> None:
     dataset, ic_cfg = _load_dataset(config), config["ic"]
     block = ClusterScheme.parse(ic_cfg["block_scheme"])
     direction, base, candidates = _scan_setup(ic_cfg, _model(config))
@@ -331,11 +334,12 @@ def cmd_ic(config: dict, out: Path, seed: int) -> None:
     print(f"ic: {direction} scan, {len(scan.entries)} entries, blocks={block.label}")
 
 
-def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
+def cmd_bootstrap(config: dict, out: Path) -> None:
     boot_cfg = config["bootstrap"]
     scheme = ClusterScheme.parse(boot_cfg["scheme"])
-    sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"], seed)
-    levels, fit = list(dict.fromkeys(boot_cfg["levels"])), sample.base_fit
+    sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"],
+                             config["seed"])
+    levels, fit = boot_cfg["levels"], sample.base_fit
     # a dummy or the intercept whose level (or reference level) too few
     # resamples hold is reported unresolved rather than failing the run
     terms = [lab.kind != "intercept" for lab in fit.column_labels] + [False] * len(fit.fe_names)
@@ -344,17 +348,17 @@ def cmd_bootstrap(config: dict, out: Path, seed: int) -> None:
                                   bounds, used)
     sd = {name: float(s) for name, s in zip(sample.column_names, sample.sd())}
     reports.write_json(out / "bootstrap_summary.json",
-                       {"scheme": scheme.label, "b": boot_cfg["b"], "seed": seed,
+                       {"scheme": scheme.label, "b": boot_cfg["b"], "seed": config["seed"],
                         "failed_refits": sample.failed_refits, "sd": sd})
     print(f"bootstrap: B={boot_cfg['b']} scheme={scheme.label} failed={sample.failed_refits}")
 
 
-def cmd_project(config: dict, out: Path, seed: int) -> None:
+def cmd_project(config: dict, out: Path) -> None:
     dataset, spec, proj_cfg = _load_dataset(config), _model(config), config["project"]
     sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
-                             seed)
+                             config["seed"])
     scenario_schema = replace(_schema(config["data"]), outcome=None)
-    levels, projections, bounds, unseen = list(dict.fromkeys(proj_cfg["levels"])), [], [], {}
+    levels, projections, bounds, unseen = proj_cfg["levels"], [], [], {}
     for sc in proj_cfg["scenarios"]:
         path = build_scenario_path(load_cached(sc["path"], scenario_schema), spec, sample.design,
                                    sc["label"], start_year=proj_cfg["start_year"],
@@ -379,10 +383,10 @@ def cmd_project(config: dict, out: Path, seed: int) -> None:
     print(f"project: {len(projections)} scenarios, B={proj_cfg['b']}, alpha={alpha}")
 
 
-def cmd_simulate(config: dict, out: Path, seed: int) -> None:
+def cmd_simulate(config: dict, out: Path) -> None:
     sim_cfg = config["simulate"]
     dgp = DgpConfig(**{key: sim_cfg[key] for key in DGP})
-    run = {"reps": sim_cfg["reps"], "seed": seed, "correction": sim_cfg["correction"]}
+    run = {"reps": sim_cfg["reps"], "seed": config["seed"], "correction": sim_cfg["correction"]}
     if sim_cfg["study"] == "coverage":
         schemes = [ClusterScheme.parse(s) for s in sim_cfg["schemes"]]
         report = coverage_study(dgp, schemes, level=sim_cfg["level"], **run)
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", required=True, help="YAML config or a previous run's manifest")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: config seed or 0)")
-        p.add_argument("--threads", type=int, default=None, help="written to the manifest; caps nothing")
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored; changes no output")
         p.add_argument("--out", default=None, help="output directory (default: config out or ./out/<command>)")
     return parser
 
@@ -415,22 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw, manifest_command, manifest_seed, manifest_threads = reports.load_config(args.config)
+        raw, manifest_command = reports.load_config(args.config)
         if manifest_command is not None and manifest_command != args.command:
             raise ValueError(f"manifest was written by {manifest_command!r}, not {args.command!r}")
         config = resolve(raw, args.command)
-        # a flag overrides a manifest's header, which overrides the config
-        for key, *given in (("seed", args.seed, manifest_seed),
-                            ("threads", args.threads, manifest_threads)):
-            config[key] = next((v for v in given if v is not None), config[key])
-        if config["threads"] < 1:
-            raise ValueError(f"threads must be at least 1, got {config['threads']}")
+        config["seed"] = config["seed"] if args.seed is None else args.seed
         check_seed(config["seed"])
         config["out"] = config["out"] or f"out/{args.command}"
         out = Path(args.out or config["out"])
         out.mkdir(parents=True, exist_ok=True)
-        HANDLERS[args.command](config, out, config["seed"])
-        reports.write_manifest(out, args.command, config["seed"], config["threads"], config)
+        HANDLERS[args.command](config, out)
+        reports.write_manifest(out, args.command, config)
     except Exception as exc:  # surface config/module errors with exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -190,27 +190,25 @@ def write_bias_report(path, report: BiasReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(out_dir, command: str, seed: int, threads: int, config: dict) -> Path:
-    """Write the run's command, seed, threads and ``config``, the resolved
-    configuration it ran on; rerunning from this file reproduces the outputs."""
+def write_manifest(out_dir, command: str, config: dict) -> Path:
+    """Write the run's command and ``config``, the resolved configuration it
+    ran on; rerunning from this file reproduces the outputs."""
     path = Path(out_dir) / "manifest.yaml"
-    payload = {"command": command, "seed": seed, "threads": threads, "config": config}
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.dump(payload, fh, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+        yaml.dump({"command": command, "config": config}, fh, Dumper=_DUMPER, sort_keys=True,
+                  default_flow_style=False)
     return path
 
 
-def load_config(path) -> tuple[dict, str | None, int | None, int | None]:
-    """Load a config file; manifests are accepted and unwrapped.
-
-    Returns (config, manifest_command, manifest_seed, manifest_threads); the
-    manifest fields are None for plain configs.
-    """
+def load_config(path) -> tuple[dict, str | None]:
+    """Load a config file or a manifest: (config, the manifest's command or
+    None).  An older manifest's header is ignored, as is a top-level
+    ``threads`` key, which older configs and manifests hold."""
     with open(path, encoding="utf-8") as fh:
-        payload = yaml.load(fh, Loader=_LOADER)
+        payload, command = yaml.load(fh, Loader=_LOADER), None
+    if isinstance(payload, dict) and "config" in payload and "command" in payload:
+        payload, command = payload["config"], str(payload["command"])
     if not isinstance(payload, dict):
         raise ValueError(f"config {path} is not a mapping")
-    if "config" in payload and "command" in payload:
-        return (payload["config"], str(payload["command"]), payload.get("seed"),
-                payload.get("threads"))
-    return payload, None, None, None
+    payload.pop("threads", None)
+    return payload, command

@@ -106,7 +106,7 @@ def test_seed_override_changes_resampling(tmp_path):
     assert run("bootstrap", "--config", SAMPLE_CONFIG, "--out", str(b), "--seed", "99") == 0
     assert (a / "bootstrap_coefficients.csv").read_bytes() != (b / "bootstrap_coefficients.csv").read_bytes()
     manifest = yaml.safe_load((b / "manifest.yaml").read_text())
-    assert manifest["seed"] == 99
+    assert manifest["config"]["seed"] == 99
 
 
 def test_parser_is_built_once_and_each_call_resolves_its_own_seed(tmp_path, capsys):
@@ -115,8 +115,8 @@ def test_parser_is_built_once_and_each_call_resolves_its_own_seed(tmp_path, caps
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("simulate", "--config", SAMPLE_CONFIG, "--out", str(a), "--seed", "5") == 0
     assert run("simulate", "--config", SAMPLE_CONFIG, "--out", str(b)) == 0
-    assert yaml.safe_load((a / "manifest.yaml").read_text())["seed"] == 5
-    assert yaml.safe_load((b / "manifest.yaml").read_text())["seed"] == 11  # the config's
+    assert yaml.safe_load((a / "manifest.yaml").read_text())["config"]["seed"] == 5
+    assert yaml.safe_load((b / "manifest.yaml").read_text())["config"]["seed"] == 11  # the config's
     assert cli.build_parser() is cli.build_parser()
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--seed", "5")
@@ -196,16 +196,12 @@ def test_bootstrap_term_column_below_min_draws_fails(tmp_path, monkeypatch, caps
 
 
 def test_threads_flag_does_not_change_outputs(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    assert run("simulate", "--config", SAMPLE_CONFIG, "--out", str(a)) == 0
-    assert run("simulate", "--config", SAMPLE_CONFIG, "--out", str(b), "--threads", "4") == 0
-    assert (a / "coverage.csv").read_bytes() == (b / "coverage.csv").read_bytes()
-
-
-def test_invalid_threads_rejected(capsys):
-    assert run("fit", "--config", SAMPLE_CONFIG, "--threads", "0") == 1
-    assert "threads" in capsys.readouterr().err
+    # --threads is accepted and ignored: any value leaves every output byte,
+    # the manifest's included, as the golden run wrote it
+    for threads in ("4", "0"):
+        out = tmp_path / threads
+        assert run("simulate", "--config", SAMPLE_CONFIG, "--out", str(out), "--threads", threads) == 0
+        _compare_dirs(out, ROOT / "sample" / "golden" / "simulate")
 
 
 @pytest.mark.parametrize("command", ["fit", "bootstrap", "simulate"])
@@ -517,6 +513,47 @@ def test_fit_rejects_an_argument_to_a_kind_without_one(capsys, tmp_path):
     assert not list((tmp_path / "fit").glob("*"))
 
 
+def test_fit_rejects_two_schemes_that_write_one_file(capsys, tmp_path):
+    # custom:a_b and custom:a:b both name response_curves_custom_a_b.csv
+    config = _sample_config()
+    config["data"]["custom_columns"] = {"a_b": "year_str", "a:b": "groups"}
+    config["fit"]["schemes"] = ["custom:a_b", "custom:a:b"]
+    assert _run_config(config, "fit", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert ("fit schemes 'custom:a_b' and 'custom:a:b' both write "
+            "response_curves_custom_a_b.csv") in err
+    assert not list((tmp_path / "fit").glob("**/*"))
+
+
+# (command, section, key, values listing one value twice); the run matches
+# the run over each value once, byte for byte, manifest included
+REPEATS = [
+    ("fit", "fit", "schemes", ["region", "country_year", "region"]),
+    ("fit", "model", "fixed_effects", ["region", "year", "region"]),
+    ("cv", "cv", "schemes", ["region", "region"]),
+    ("ic", "ic", "criteria", ["AIC", "AIC"]),
+    ("ic", "ic", "adjusted", [False, True, True]),
+    ("bootstrap", "bootstrap", "levels", [0.9, 0.5, 0.9]),
+    ("project", "project", "levels", [0.65, 0.9, 0.65]),
+]
+
+
+@pytest.mark.parametrize("command, section, key, values", REPEATS,
+                         ids=[f"{s}.{k}" for _, s, k, _ in REPEATS])
+def test_a_listed_value_runs_once(command, section, key, values, tmp_path):
+    once, twice = _sample_config(), _sample_config()
+    once[section][key] = list(dict.fromkeys(values))
+    twice[section][key] = values
+    (tmp_path / "once").mkdir(), (tmp_path / "twice").mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # project's dropped draws
+        assert _run_config(once, command, tmp_path / "once") == 0
+        assert _run_config(twice, command, tmp_path / "twice") == 0
+    _compare_dirs(tmp_path / "twice" / command, tmp_path / "once" / command)
+    manifest = yaml.safe_load((tmp_path / "twice" / command / "manifest.yaml").read_text())
+    assert manifest["config"][section][key] == list(dict.fromkeys(values))
+
+
 def test_fit_rejects_a_scheme_label_that_cannot_name_a_file(capsys, tmp_path):
     # response_curves_custom_a/b.csv would fail only after coefficients.json is written
     config = _sample_config()
@@ -651,10 +688,9 @@ def test_minimal_config_manifest_holds_resolved_defaults(tmp_path):
     assert _run_config(config, "fit", tmp_path) == 0
     first, second = tmp_path / "fit", tmp_path / "rerun"
     manifest = yaml.safe_load((first / "manifest.yaml").read_text())
-    assert manifest["command"] == "fit" and (manifest["seed"], manifest["threads"]) == (0, 1)
+    assert list(manifest) == ["command", "config"] and manifest["command"] == "fit"
     assert manifest["config"] == {
         "seed": 0,
-        "threads": 1,
         "out": "out/fit",
         "data": {
             "path": "sample/panel.csv",
@@ -680,13 +716,19 @@ def test_minimal_config_manifest_holds_resolved_defaults(tmp_path):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_as_given_manifest_reruns_like_resolved(command, tmp_path):
-    # manifests used to echo the config as given; they rerun to the goldens,
-    # whose manifests hold the resolved configuration
-    old = tmp_path / "manifest.yaml"
-    old.write_text(yaml.safe_dump(
-        {"command": command, "seed": 11, "threads": 1, "config": _sample_config()}))
-    assert run(command, "--config", str(old), "--out", str(tmp_path / command)) == 0
-    _compare_dirs(tmp_path / command, ROOT / "sample" / "golden" / command)
+    # manifests used to echo the config as given under a seed and threads
+    # header, and later the resolved config holding threads; both rerun to
+    # the goldens, whose manifests are the command and the resolved config
+    golden = ROOT / "sample" / "golden" / command
+    resolved = yaml.safe_load((golden / "manifest.yaml").read_text())["config"]
+    old = {"as_given": {"command": command, "seed": 11, "threads": 1, "config": _sample_config()},
+           "resolved": {"command": command, "seed": 11, "threads": 1,
+                        "config": {**resolved, "threads": 1}}}
+    for name, manifest in old.items():
+        (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(manifest))
+        assert run(command, "--config", str(tmp_path / f"{name}.yaml"),
+                   "--out", str(tmp_path / name)) == 0
+        _compare_dirs(tmp_path / name, golden)
 
 
 def _schema_keys(table: dict) -> set:

@@ -225,15 +225,20 @@ def test_write_coefficients_zero_se_yields_null_t(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     config = {"data": {"path": "panel.csv"}, "seed": 4}
-    path = write_manifest(tmp_path, "fit", seed=4, threads=2, config=config)
-    loaded, command, seed, threads = load_config(path)
-    assert (command, seed, threads) == ("fit", 4, 2)
-    assert loaded == config
+    path = write_manifest(tmp_path, "fit", config)
+    assert yaml.safe_load(path.read_text()) == {"command": "fit", "config": config}
+    assert load_config(path) == (config, "fit")
     # plain configs pass through untouched
     plain = tmp_path / "plain.yaml"
     plain.write_text(yaml.safe_dump(config))
-    loaded2, command2, _, _ = load_config(plain)
-    assert command2 is None and loaded2 == config
+    assert load_config(plain) == (config, None)
+    # older files: a header is ignored and a top-level threads key dropped
+    old = tmp_path / "old.yaml"
+    old.write_text(yaml.safe_dump({"command": "fit", "seed": 4, "threads": 2,
+                                   "config": {**config, "threads": 2}}))
+    assert load_config(old) == (config, "fit")
+    plain.write_text(yaml.safe_dump({**config, "threads": 2}))
+    assert load_config(plain) == (config, None)
 
 
 def test_load_config_rejects_non_mapping(tmp_path):
@@ -258,10 +263,10 @@ def test_libyaml_reads_and_writes_like_the_safe_classes(tmp_path):
         assert yaml.load(text, Loader=reports._LOADER) == yaml.safe_load(text)
     for path in manifests:
         payload = yaml.safe_load(path.read_text())
+        assert list(payload) == ["command", "config"] and "threads" not in payload["config"]
         out = tmp_path / path.parent.name
         out.mkdir()
-        written = write_manifest(out, payload["command"], payload["seed"], payload["threads"],
-                                 payload["config"])
+        written = write_manifest(out, payload["command"], payload["config"])
         assert written.read_bytes() == path.read_bytes()
         safe = yaml.dump(payload, Dumper=yaml.SafeDumper, sort_keys=True, default_flow_style=False)
         assert safe == path.read_text()
