@@ -225,7 +225,7 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
 
     def fit_cr1(scheme):
         fit = cp.ols_fit(design)
-        cp.clustered_cov(fit, design, cp.assign_clusters(design, scheme))
+        cp.clustered_cov(fit, cp.assign_clusters(design, scheme))
         return fit
 
     for scheme in (cp.REGION, cp.COUNTRY_YEAR):
@@ -239,12 +239,11 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
     if "coefficients_json" in stages:
         from clusterpanel import reports
 
-        covs = {s.label: cp.clustered_cov(fit, design, cp.assign_clusters(design, s))
+        covs = {s.label: cp.clustered_cov(fit, cp.assign_clusters(design, s))
                 for s in (cp.REGION, cp.COUNTRY_YEAR)}
         with tempfile.TemporaryDirectory() as tmp:
             def coefficients_json():
-                reports.write_coefficients(Path(tmp) / "coefficients.json", fit, covs, 0.95,
-                                           len(design.dropped_rows))
+                reports.write_coefficients(Path(tmp) / "coefficients.json", fit, covs, 0.95)
 
             out["coefficients_json_s"], _ = _median_timed(coefficients_json)
             out["coefficients_json_peak_mb"] = _peak_mb(coefficients_json)
@@ -284,7 +283,7 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
     for stage, groups in corr_stages.items():
         if stage in stages:
             def corr():
-                return cp.correlation_table(cp.ResidualPanel.from_fit(fit, design), groups)
+                return cp.correlation_table(cp.ResidualPanel.from_fit(fit), groups)
 
             out[f"{stage}_s"], _ = _timed(corr)
             out[f"{stage}_peak_mb"] = _peak_mb(corr)

@@ -109,20 +109,22 @@ class BootstrapSample:
     levels absent from the resample, and the intercept plus the dummies of
     any effect whose reference level was absent (forcing re-referencing).
     ``failed_refits`` counts rank-deficient resamples (excluded from draws).
-    ``design``, when known, is the refitted design, a scenario path template.
+    ``design`` is ``base_fit.design``: it names the columns and is a scenario path template.
     """
 
     draws: np.ndarray
-    column_names: tuple[str, ...]
     scheme: ClusterScheme
     B: int
     seed: int
     failed_refits: int
     base_fit: FitResult
-    design: DesignMatrix | None = None
 
     def __post_init__(self):
         self.draws.setflags(write=False)
+
+    @property
+    def design(self) -> DesignMatrix:
+        return self.base_fit.design
 
     def sd(self) -> np.ndarray:
         """Column-wise standard deviation over finite draws, as ``nanstd``
@@ -179,8 +181,8 @@ def block_bootstrap(
             f"block bootstrap aborted: {failed}/{B} replicates were rank deficient "
             f"under scheme {scheme.label} (G={G})"
         )
-    return BootstrapSample(draws=draws[~deficient], column_names=design.column_names, scheme=scheme,
-                           B=B, seed=seed, failed_refits=failed, base_fit=base_fit, design=design)
+    return BootstrapSample(draws=draws[~deficient], scheme=scheme, B=B, seed=seed,
+                           failed_refits=failed, base_fit=base_fit)
 
 
 @dataclass(frozen=True)
@@ -368,8 +370,8 @@ def project_scenarios(sample: BootstrapSample, path: ScenarioPath) -> Projection
     """The path's read-out of every coefficient draw: year t is ``M[t] @ draw``
     over the columns the path reads.  A draw with a NaN in one of them is NaN
     in every year, and a warning counts those."""
-    if path.column_names != sample.column_names:
-        ours, theirs = set(sample.column_names), set(path.column_names)
+    if path.column_names != sample.design.column_names:
+        ours, theirs = set(sample.design.column_names), set(path.column_names)
         raise ValueError("scenario columns do not match the bootstrap sample; "
                          f"missing {sorted(ours - theirs)}, extra {sorted(theirs - ours)}")
     draws = sample.draws[:, path.read]

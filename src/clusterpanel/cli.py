@@ -249,12 +249,10 @@ def cmd_fit(config: dict, out: Path) -> None:
         name = f"response_curves_{label.replace(':', '_')}.csv"
         if files.setdefault(name, label) != label:
             raise ValueError(f"fit schemes {files[name]!r} and {label!r} both write {name}")
-    design = build_design(dataset, spec)
-    fit = ols_fit(design)
-    covs = {s.label: clustered_cov(fit, design, assign_clusters(design, s),
-                                   correction=fit_cfg["correction"]) for s in schemes}
-    reports.write_coefficients(out / "coefficients.json", fit, covs, fit_cfg["level"],
-                               len(design.dropped_rows))
+    fit = ols_fit(build_design(dataset, spec))
+    covs = {s.label: clustered_cov(fit, assign_clusters(fit.design, s), fit_cfg["correction"])
+            for s in schemes}
+    reports.write_coefficients(out / "coefficients.json", fit, covs, fit_cfg["level"])
     if spec.terms and fit_cfg["response_curves"]:
         medians = [dataset.predictor_median(t.moderator) if t.moderator else 0.0 for t in spec.terms]
         for name, label in files.items():
@@ -281,9 +279,8 @@ def _groups(groups: list | None, dataset) -> list[GroupSpec]:
 
 def cmd_corr(config: dict, out: Path) -> None:
     dataset = _load_dataset(config)
-    design = build_design(dataset, _model(config))
-    fit = ols_fit(design)
-    panel = ResidualPanel.from_fit(fit, design)
+    fit = ols_fit(build_design(dataset, _model(config)))
+    panel = ResidualPanel.from_fit(fit)
     summaries = correlation_table(panel, _groups(config["corr"]["groups"], dataset),
                                   min_overlap=config["corr"]["min_overlap"])
     reports.write_correlation_table(out / "correlations.csv", summaries)
@@ -339,14 +336,14 @@ def cmd_bootstrap(config: dict, out: Path) -> None:
     scheme = ClusterScheme.parse(boot_cfg["scheme"])
     sample = block_bootstrap(_load_dataset(config), _model(config), scheme, boot_cfg["b"],
                              config["seed"])
-    levels, fit = boot_cfg["levels"], sample.base_fit
+    levels, design = boot_cfg["levels"], sample.design
     # a dummy or the intercept whose level (or reference level) too few
     # resamples hold is reported unresolved rather than failing the run
-    terms = [lab.kind != "intercept" for lab in fit.column_labels] + [False] * len(fit.fe_names)
-    bounds, used = read_intervals(sample.draws, levels, np.array(terms, dtype=bool))
-    reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", sample.column_names, levels,
+    terms = np.array([lab.kind != "intercept" for lab in design.column_labels], dtype=bool)
+    bounds, used = read_intervals(sample.draws, levels, np.pad(terms, (0, design.p - len(terms))))
+    reports.write_bootstrap_table(out / "bootstrap_coefficients.csv", design.column_names, levels,
                                   bounds, used)
-    sd = {name: float(s) for name, s in zip(sample.column_names, sample.sd())}
+    sd = {name: float(s) for name, s in zip(design.column_names, sample.sd())}
     reports.write_json(out / "bootstrap_summary.json",
                        {"scheme": scheme.label, "b": boot_cfg["b"], "seed": config["seed"],
                         "failed_refits": sample.failed_refits, "sd": sd})
@@ -355,6 +352,9 @@ def cmd_bootstrap(config: dict, out: Path) -> None:
 
 def cmd_project(config: dict, out: Path) -> None:
     dataset, spec, proj_cfg = _load_dataset(config), _model(config), config["project"]
+    for i, sc in enumerate(proj_cfg["scenarios"]):  # a label names its rows and pairs
+        if sc["label"] in [s["label"] for s in proj_cfg["scenarios"][:i]]:
+            raise ValueError(f"project scenario label {sc['label']!r} is listed twice")
     sample = block_bootstrap(dataset, spec, ClusterScheme.parse(proj_cfg["scheme"]), proj_cfg["b"],
                              config["seed"])
     scenario_schema = replace(_schema(config["data"]), outcome=None)

@@ -56,7 +56,6 @@ def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> FoldPlan:
 @dataclass(frozen=True)
 class CvResult:
     loss: float
-    n_validation: int
     unseen_levels: int
     rank_deficient: bool
 
@@ -103,8 +102,8 @@ def _cv_results(
             for effect, values in effects.items():
                 err -= np.nan_to_num(values[k])[codes[effect]]
             sse[m, k] = err @ err
-    return [CvResult(loss=sum(map(float, e)) / design.n, n_validation=design.n, unseen_levels=unseen,
-                     rank_deficient=flag) for e, flag in zip(sse, collinear.any(1).tolist())]
+    return [CvResult(loss=sum(map(float, e)) / design.n, unseen_levels=unseen, rank_deficient=flag)
+            for e, flag in zip(sse, collinear.any(1).tolist())]
 
 
 def cv_loss(
@@ -166,18 +165,22 @@ def model_sequence(
     """The model sequence shared by the CV and IC scans.
 
     Forward: ``base`` plus each candidate at lag depths 0..max_lag, against
-    ``base``.  Backward: each term of ``base`` truncated stepwise toward
-    removal, then the trivial model (no terms), against ``base`` itself;
-    it takes no candidates.
+    ``base``; two candidates of one displayed name are rejected.  Backward:
+    each term of ``base`` truncated stepwise toward removal, then the trivial
+    model (no terms), against ``base`` itself; it takes no candidates.
     """
     kept = tuple(t.max_lag for t in base.terms)
     if direction == "forward":
         if not candidates:
             raise ValueError("forward scan needs candidates")
+        names = [term_display(c) for c in candidates]
+        for j, name in enumerate(names):  # a name labels its candidate's scan entries
+            if name in names[:j]:
+                raise ValueError(f"candidate {name!r} is listed twice")
         union = replace(base, terms=base.terms + tuple(candidates))
         absent = (None,) * len(candidates)
         variants = [
-            (term_display(c), depth, kept + absent[:j] + (depth,) + absent[j + 1 :])
+            (names[j], depth, kept + absent[:j] + (depth,) + absent[j + 1 :])
             for j, c in enumerate(candidates)
             for depth in range(c.max_lag + 1)
         ]
@@ -267,22 +270,14 @@ def cv_scan(
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def loglik_iid(residuals: np.ndarray, sigma2: float | None = None) -> float:
+def loglik_iid(residuals: np.ndarray) -> float:
     """Maximized iid Gaussian log-likelihood -(n/2)(log 2pi + log sigma^2 + 1)
-    with sigma^2 the mean squared residual.
-
-    A supplied sigma2 is checked for consistency with the residuals.
-    """
+    with sigma^2 the mean squared residual."""
     r = np.asarray(residuals, dtype=float)
     n = r.size
     if n < 1:
         raise ValueError("need at least one residual")
     s2 = float(r @ r) / n
-    if sigma2 is not None:
-        if sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {sigma2}")
-        if abs(sigma2 - s2) > 1e-8 * max(abs(s2), 1e-300):
-            raise ValueError(f"sigma2={sigma2} inconsistent with mean squared residual {s2}")
     if s2 <= 0.0:
         raise ValueError("zero residual variance; log-likelihood undefined")
     return -0.5 * n * (_LOG_2PI + math.log(s2) + 1.0)
@@ -389,21 +384,18 @@ def _golden_max(f, lo: float, hi: float, xtol: float):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def fit_rho(
-    residuals: np.ndarray, clusters: ClusterAssignment, sigma2: float | None = None
-) -> RhoFit:
+def fit_rho(residuals: np.ndarray, clusters: ClusterAssignment) -> RhoFit:
     """Maximize the equicorrelated block log-likelihood over rho alone.
 
-    sigma2 defaults to the mean squared residual (its least squares value).
+    sigma2 is held at the mean squared residual (its least squares value).
     The search runs by golden section over the open admissible interval
     (-sigma2/(n_max - 1), sigma2), shrunk by 1e-9 at both ends, to an
     absolute tolerance of 1e-8 * sigma2; proximity to an endpoint is warned.
     """
     r = np.asarray(residuals, dtype=float)
-    if sigma2 is None:
-        sigma2 = float(r @ r) / r.size
+    sigma2 = float(r @ r) / r.size
     if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        raise ValueError("zero residual variance; rho undefined")
     n_max = int(clusters.sizes.max())
     if n_max == 1:
         warnings.warn("all blocks have size one; rho is unidentified")
@@ -473,7 +465,7 @@ def _log_likelihood(fit: FitResult, blocks: ClusterAssignment | None):
     s2 = float(r @ r) / fit.n
     if blocks is None:
         return loglik_iid(r), None, s2
-    rf = fit_rho(r, blocks, s2)
+    rf = fit_rho(r, blocks)
     ll = loglik_iid(r) if rf.rho_hat is None or rf.rho_hat == 0.0 else rf.loglik
     return ll, rf.rho_hat, s2
 

@@ -344,8 +344,8 @@ class DesignMatrix:
     label each.  Both fixed effects are absorbed, not encoded: ``fe_codes``
     gives each row's level of every effect, an index into ``fe_levels``
     (reference level first).  Each other level still counts as a column after
-    those of ``X``, region before year: ``p`` counts it, ``column_names``
-    names it ``effect=level`` and ``fe_slots`` gives its position.
+    those of ``X``, in ``fe_levels`` order (region before year): ``p`` counts it,
+    ``column_names`` names it ``effect=level`` and ``fe_slots`` gives its position.
     Rows requiring unavailable lagged or differenced values are dropped and
     their (region, year) keys recorded in ``dropped_rows``.
     """
@@ -355,7 +355,6 @@ class DesignMatrix:
     cells: tuple[np.ndarray, np.ndarray]
     dataset: PanelDataset = field(repr=False)
     column_labels: tuple[ColumnLabel, ...]
-    fixed_effects: tuple[str, ...]
     fe_levels: Mapping[str, tuple]
     dropped_rows: tuple[tuple[str, int], ...]
     fe_codes: Mapping[str, np.ndarray] = field(default_factory=dict)
@@ -375,16 +374,16 @@ class DesignMatrix:
     @property
     def column_names(self) -> tuple[str, ...]:
         return (*(lab.name for lab in self.column_labels),
-                *(f"{effect}={level}" for effect in self.fixed_effects
-                  for level in self.fe_levels[effect][1:]))
+                *(f"{effect}={level}" for effect, levels in self.fe_levels.items()
+                  for level in levels[1:]))
 
     @property
     def fe_slots(self) -> dict[str, range]:
         """Per fixed effect, the positions in ``column_names`` of its absorbed
         dummies, in level order (codes 1, 2, ...)."""
         slots, start = {}, self.X.shape[1]
-        for effect in self.fixed_effects:
-            slots[effect] = range(start, start + len(self.fe_levels[effect]) - 1)
+        for effect, levels in self.fe_levels.items():
+            slots[effect] = range(start, start + len(levels) - 1)
             start = slots[effect].stop
         return slots
 
@@ -767,8 +766,8 @@ def build_design(
     fe_levels, fe_codes = fixed_effect_levels(dataset, (ri, ti), spec.fixed_effects)
     dropped = zip(np.array(dataset.regions)[di].tolist(), (dt + dataset.first_year).tolist())
     return DesignMatrix(X=X, y=dataset.outcome[ri, ti], cells=(ri, ti), dataset=dataset,
-                        column_labels=tuple(labels), fixed_effects=spec.fixed_effects,
-                        fe_levels=fe_levels, dropped_rows=tuple(dropped), fe_codes=fe_codes)
+                        column_labels=tuple(labels), fe_levels=fe_levels,
+                        dropped_rows=tuple(dropped), fe_codes=fe_codes)
 
 
 def assign_clusters(design: DesignMatrix, scheme: ClusterScheme) -> ClusterAssignment:

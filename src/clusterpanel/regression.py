@@ -51,24 +51,25 @@ class RankDeficientError(ValueError):
 
 @dataclass(frozen=True)
 class FitResult:
+    """Coefficients in design order, residuals and R^2 of a fit, and ``absorbed``,
+    the partialled design it was solved on.  Its ``design`` alone holds the row
+    count, the column layout and the names: ``n`` and ``p`` are the design's."""
+
     beta: np.ndarray
     residuals: np.ndarray
-    fitted: np.ndarray
     r_squared: float
-    n: int
-    p: int
-    column_labels: tuple  # of the columns of the design's X, which come first
-    fe_names: tuple[str, ...] = ()  # of the absorbed dummies, which follow them
-    # the fit's partialled design, which the sandwich of the same design reuses
-    _absorbed: "Absorbed | None" = field(default=None, repr=False, compare=False)
+    absorbed: Absorbed = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.beta, self.residuals, self.fitted):
+        for a in (self.beta, self.residuals):
             a.setflags(write=False)
 
     @property
-    def column_names(self) -> tuple[str, ...]:
-        return (*(lab.name for lab in self.column_labels), *self.fe_names)
+    def design(self) -> DesignMatrix:
+        return self.absorbed.design
+
+    n = property(lambda self: self.design.n)
+    p = property(lambda self: self.design.p)
 
 
 @dataclass(frozen=True)
@@ -493,7 +494,6 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     for effect, values in fe.effects(range(k), theta).items():
         beta[list(design.fe_slots[effect])] = values[1:]
     residuals = y - X @ theta
-    fitted = design.y - residuals
     ssr = float(residuals @ residuals)
     # R^2 is centred when the design has an intercept or any dummy (p > k)
     centered = p > k or any(lab.kind == "intercept" for lab in design.column_labels)
@@ -504,9 +504,7 @@ def ols_fit(design: DesignMatrix) -> FitResult:
         r2 = 0.0
     else:
         r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
-    return FitResult(beta=beta, residuals=residuals, fitted=fitted, r_squared=r2, n=n, p=p,
-                     column_labels=design.column_labels, fe_names=design.column_names[k:],
-                     _absorbed=fe)
+    return FitResult(beta=beta, residuals=residuals, r_squared=r2, absorbed=fe)
 
 
 class Influence(NamedTuple):
@@ -520,21 +518,19 @@ class Influence(NamedTuple):
     m: np.ndarray
 
 
-def cluster_influence(fit: FitResult, design: DesignMatrix, codes: np.ndarray, G: int) -> Influence:
+def cluster_influence(fit: FitResult, codes: np.ndarray, G: int) -> Influence:
     """The influence of each cluster of the row ``codes``, in [0, G), on the fit's
     coefficients, linear in the rows: a coarser partition's is the sum of its
-    clusters'.  On the fit's partialled columns X~ (``Absorbed``, rebuilt only
-    for another design), cluster g's influence on the term coefficients is
-    J_g = bread X~_g' r_g, and on the year effects gamma = P_y - P_X beta it is
-    H^-1 Ẽ_g' r_g - P_X J_g, with Ẽ_g' r_g its per-year residual sums less its
-    regions' shares of them.  Region r's row of the estimator's linear map is
-    1_r'/n_r - m_r' [J; gamma's], so g's influence on the region's effect is
-    a_rg - m_r' J_g, a_rg the sum of g's residuals in region r over n_r."""
-    if len(codes) != fit.n or design.n != fit.n:
-        raise ValueError("fit, design and clusters disagree on the row count")
-    fe = fit._absorbed
-    if fe is None or fe.design is not design:
-        fe = Absorbed(design)
+    clusters'.  On the fit's partialled columns X~ (``fit.absorbed``), cluster g's
+    influence on the term coefficients is J_g = bread X~_g' r_g, and on the year
+    effects gamma = P_y - P_X beta it is H^-1 Ẽ_g' r_g - P_X J_g, with Ẽ_g' r_g
+    its per-year residual sums less its regions' shares of them.  Region r's row
+    of the estimator's linear map is 1_r'/n_r - m_r' [J; gamma's], so g's
+    influence on the region's effect is a_rg - m_r' J_g, a_rg the sum of g's
+    residuals in region r over n_r."""
+    if len(codes) != fit.n:
+        raise ValueError("fit and clusters disagree on the row count")
+    fe, design = fit.absorbed, fit.design
     X, e, g, k = fe.X, fit.residuals, codes, fe.X.shape[1]
     try:
         U = np.linalg.cholesky(X.T @ X).T
@@ -559,7 +555,7 @@ def cluster_influence(fit: FitResult, design: DesignMatrix, codes: np.ndarray, G
     return Influence(J, r, pair_g, a, np.hstack([fe.means[:, :k], fe.shares[:, fe.years]]))
 
 
-def clustered_cov(fit: FitResult, design: DesignMatrix, clusters: ClusterAssignment,
+def clustered_cov(fit: FitResult, clusters: ClusterAssignment,
                   correction: str = "CR1") -> CovarianceEstimate:
     """Clustered sandwich covariance of the coefficient estimator, the Gram of the
     clusters' influence J (``cluster_influence``): J'J for the term and year
@@ -573,12 +569,12 @@ def clustered_cov(fit: FitResult, design: DesignMatrix, clusters: ClusterAssignm
     is undefined there, no small-sample correction is applied.
     """
     check_correction(correction)
-    (n, k), p, e, G = design.X.shape, design.p, fit.residuals, clusters.n_clusters
+    (n, k), p, e, G = fit.design.X.shape, fit.p, fit.residuals, clusters.n_clusters
     if G == 1:
         warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
     elif G < FEW_CLUSTERS_THRESHOLD:
         warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
-    J, r, pair_g, a, means = cluster_influence(fit, design, clusters.row_cluster, G)
+    J, r, pair_g, a, means = cluster_influence(fit, clusters.row_cluster, G)
 
     def corrected(m):
         return m * (G / (G - 1.0)) * ((n - 1.0) / (n - p)) if correction == "CR1" and G > 1 else m
@@ -679,7 +675,7 @@ def confidence_intervals(
     Quantile: Student t with G-1 degrees of freedom.
     """
     q = _t_quantile(level, cov.G)
-    bad = [fit.column_names[j] for j in np.flatnonzero(cov.variances <= 0)]
+    bad = [fit.design.column_names[j] for j in np.flatnonzero(cov.variances <= 0)]
     if bad:
         raise ValueError(f"nonpositive variance for columns {bad} under the "
                          f"{cov.scheme.label} scheme")
@@ -719,7 +715,7 @@ def term_response_curve(
     the variance comes from c' Cov c with the matching contrast vector.
     """
     lbl = term_label(term)
-    base_cols, inter_cols = ({lab.lag: j for j, lab in enumerate(fit.column_labels)
+    base_cols, inter_cols = ({lab.lag: j for j, lab in enumerate(fit.design.column_labels)
                               if lab.kind == kind and lab.term == lbl
                               and lab.moderator == term.moderator}
                              for kind in ("base", "interaction"))

@@ -80,11 +80,11 @@ def _nested(depth: int, items: Sequence[str], brackets: str = "{}") -> str:
 
 
 def write_coefficients(path, fit: FitResult, covs: Mapping[str, CovarianceEstimate],
-                       level: float, dropped_rows: int) -> None:
+                       level: float) -> None:
     """coefficients.json: n, p, R^2, the level, per scheme its correction and
     clusters, per column its estimate and per scheme its SE, t (null unless SE
-    > 0) and interval, and the dropped rows, in the bytes ``write_json`` gives
-    them; each column of numbers is formatted once and fills one template."""
+    > 0) and interval, and the design's dropped rows, in the bytes ``write_json``
+    gives them; each column of numbers is formatted once and fills one template."""
     keys = [encode_basestring_ascii(label) for label in covs]
     slots = [key.replace("%", "%%") + ": " for key in keys]
     template = _nested(2, ['"label": %s', '"estimate": %s', *(
@@ -95,7 +95,7 @@ def write_coefficients(path, fit: FitResult, covs: Mapping[str, CovarianceEstima
         numbers = [fit.beta, *se, *(np.where(s > 0, fit.beta / s, math.nan) for s in se)]
     for cov in covs.values():
         numbers += [*confidence_intervals(fit, cov, level).T]
-    columns = [map(encode_basestring_ascii, fit.column_names)] + [
+    columns = [map(encode_basestring_ascii, fit.design.column_names)] + [
         [repr(v) if math.isfinite(v) else "null" for v in c.tolist()] for c in numbers]
     schemes = [f"{key}: " + _nested(2, [f'"correction": {_scalar(cov.correction)}',
                                         f'"clusters": {_scalar(cov.G)}'])
@@ -105,7 +105,7 @@ def write_coefficients(path, fit: FitResult, covs: Mapping[str, CovarianceEstima
                            '"schemes": ' + _nested(1, schemes),
                            '"coefficients": ' + _nested(1, [template % row
                                                             for row in zip(*columns)], "[]"),
-                           f'"dropped_rows": {_scalar(dropped_rows)}'])
+                           f'"dropped_rows": {_scalar(len(fit.design.dropped_rows))}'])
     Path(path).write_text(document + "\n", encoding="utf-8")
 
 

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .panel import DesignMatrix, PanelDataset, haversine_km
+from .panel import PanelDataset, haversine_km
 from .regression import FitResult
 
 DEFAULT_MIN_OVERLAP = 10
@@ -81,11 +81,11 @@ class ResidualPanel:
         self.groups = tuple(g for g, keep in zip(dataset.groups, rows) if keep)
 
     @classmethod
-    def from_fit(cls, fit: FitResult, design: DesignMatrix) -> "ResidualPanel":
-        """The fit's residuals at their cells of the grid of the design's dataset."""
-        grid = np.full(design.dataset.present.shape, math.nan)
-        grid[design.cells] = fit.residuals
-        return cls(design.dataset, grid)
+    def from_fit(cls, fit: FitResult) -> "ResidualPanel":
+        """The fit's residuals at their cells of the grid of its design's dataset."""
+        grid = np.full(fit.design.dataset.present.shape, math.nan)
+        grid[fit.design.cells] = fit.residuals
+        return cls(fit.design.dataset, grid)
 
 
 def _walk(values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:

@@ -12,6 +12,7 @@ from clusterpanel.panel import (
     DesignMatrix,
     PanelDataset,
 )
+from clusterpanel.regression import Absorbed, FitResult
 
 
 def obs(region, country, year, outcome, predictors=None, centroid=None, groups=(), custom=None):
@@ -89,10 +90,17 @@ def design_from_arrays(X, y, cluster_keys=None, labels=None):
         cells=(np.arange(n), np.zeros(n, dtype=np.intp)),
         dataset=dataset,
         column_labels=tuple(labels),
-        fixed_effects=(),
         fe_levels={},
         dropped_rows=(),
     )
+
+
+def fit_on(design, beta=None, residuals=None, r_squared=0.0):
+    """A fit on ``design`` with the given coefficients and residuals (zeros
+    by default), solved on ``Absorbed(design)`` as ``ols_fit`` would be."""
+    beta = np.zeros(design.p) if beta is None else np.asarray(beta, dtype=float)
+    residuals = np.zeros(design.n) if residuals is None else np.asarray(residuals, dtype=float)
+    return FitResult(beta=beta, residuals=residuals, r_squared=r_squared, absorbed=Absorbed(design))
 
 
 def row_keys(design):

@@ -64,7 +64,7 @@ from clusterpanel.regression import (
     ols_fit,
 )
 
-from conftest import dense_dummies, dense_X, keep_grid, obs, panel_from, row_keys
+from conftest import dense_dummies, dense_X, fit_on, keep_grid, obs, panel_from, row_keys
 from test_modelselect import _oracle_sequence
 
 RTOL = 1e-10
@@ -166,12 +166,11 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
     fit = ols_fit(design)
     _close(fit.beta, beta)
     _close(fit.residuals, e)
-    _close(fit.fitted, design.y - e)
     assert fit.p == X.shape[1]
     for scheme in SCHEMES:
         clusters = assign_clusters(design, scheme)
         V = _dense_sandwich(X, e, clusters)
-        cov = clustered_cov(fit, design, clusters)
+        cov = clustered_cov(fit, clusters)
         np.testing.assert_allclose(cov.standard_errors, np.sqrt(np.diag(V)), rtol=RTOL)
         # the joint block of the term and year columns is formed in full
         joint = [*range(design.X.shape[1]), *slots["year"]]
@@ -181,8 +180,7 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
         # the influence: its Gram is the CR0 sandwich, and each region's
         # variance sum_g (a_rg - m_r' J_g)^2 is rebuilt from its region pieces
         G = clusters.n_clusters
-        J, pair_region, pair_cluster, a, m = cluster_influence(fit, design,
-                                                               clusters.row_cluster, G)
+        J, pair_region, pair_cluster, a, m = cluster_influence(fit, clusters.row_cluster, G)
         V0 = _dense_sandwich(X, e, clusters, "CR0")
         _close(J.T @ J, V0[np.ix_(joint, joint)], rtol=1e-12)
         A = np.zeros((len(m), G))
@@ -190,25 +188,24 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
         _close(np.square(A - m @ J.T).sum(axis=1)[1:], np.diag(V0)[slots["region"]], rtol=1e-12)
     # additivity: the influence at (region, year) codes, one per row, summed
     # by region or by country is the influence at those codes
-    fine = cluster_influence(fit, design, np.arange(design.n), design.n).J
+    fine = cluster_influence(fit, np.arange(design.n), design.n).J
     region = design.fe_codes["region"]
     L = len(design.fe_levels["region"])
-    _close(_summed(fine, region, L), cluster_influence(fit, design, region, L).J, rtol=1e-13)
+    _close(_summed(fine, region, L), cluster_influence(fit, region, L).J, rtol=1e-13)
     country = assign_clusters(design, COUNTRY)
     _close(_summed(fine, country.row_cluster, country.n_clusters),
-           cluster_influence(fit, design, country.row_cluster, country.n_clusters).J,
+           cluster_influence(fit, country.row_cluster, country.n_clusters).J,
            rtol=1e-13)
 
 
-def _parent_clustered_cov(fit, design, clusters, correction="CR1"):
+def _parent_clustered_cov(fit, clusters, correction="CR1"):
     """``clustered_cov`` with the cluster influence formed inline, the body it
-    had before ``cluster_influence`` was split out, kept verbatim as the oracle."""
+    had before ``cluster_influence`` was split out, kept verbatim as the oracle
+    but for reading the design and its partialled columns from the fit."""
     check_correction(correction)
-    if clusters.n_rows != fit.n or design.n != fit.n:
-        raise ValueError("fit, design and clusters disagree on the row count")
-    fe = fit._absorbed
-    if fe is None or fe.design is not design:
-        fe = Absorbed(design)
+    if clusters.n_rows != fit.n:
+        raise ValueError("fit and clusters disagree on the row count")
+    fe, design = fit.absorbed, fit.design
     X, e = fe.X, fit.residuals
     n, k = X.shape
     p = design.p
@@ -277,8 +274,8 @@ def test_sandwich_is_bit_identical_to_the_inline_influence_body(case, correction
     for scheme in (REGION, REGION_YEAR, COUNTRY, COUNTRY_YEAR, YEAR,
                    ClusterScheme("custom", custom)):
         clusters = assign_clusters(design, scheme)
-        got = clustered_cov(fit, design, clusters, correction)
-        want = _parent_clustered_cov(fit, design, clusters, correction)
+        got = clustered_cov(fit, clusters, correction)
+        want = _parent_clustered_cov(fit, clusters, correction)
         assert np.array_equal(got.variances, want.variances), scheme.label
         assert np.array_equal(got.cov, want.cov), scheme.label
 
@@ -297,7 +294,7 @@ def test_sandwich_memory_is_linear_in_regions():
         clusters = assign_clusters(design, scheme)
         tracemalloc.start()
         try:
-            cov = clustered_cov(fit, design, clusters)
+            cov = clustered_cov(fit, clusters)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,9 +315,9 @@ def test_blocked_pair_gathers_give_bit_identical_variances(gappy, scheme, block,
     design = build_design(_panel(gappy), _spec(True))
     fit, clusters = ols_fit(design), assign_clusters(design, scheme)
     monkeypatch.setattr(regression, "_PAIR_BLOCK", design.n)  # at least the pairs: one gather
-    whole = clustered_cov(fit, design, clusters)
+    whole = clustered_cov(fit, clusters)
     monkeypatch.setattr(regression, "_PAIR_BLOCK", block)
-    blocked = clustered_cov(fit, design, clusters)
+    blocked = clustered_cov(fit, clusters)
     assert np.array_equal(blocked.variances, whole.variances)
     assert np.array_equal(blocked.cov, whole.cov)
 
@@ -339,7 +336,7 @@ def test_country_year_sandwich_peaks_below_one_pair_gather():
     gather = pairs * (design.X.shape[1] + len(design.fe_levels["year"]) - 1) * 8
     tracemalloc.start()
     try:
-        clustered_cov(fit, design, clusters)
+        clustered_cov(fit, clusters)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,10 +403,10 @@ def test_fit_command_partials_the_design_once(row_refits):
     design = build_design(ds, spec)
     fit = ols_fit(design)
     for label in config["fit"]["schemes"]:
-        clustered_cov(fit, design, assign_clusters(design, ClusterScheme.parse(label)))
+        clustered_cov(fit, assign_clusters(design, ClusterScheme.parse(label)))
+    # the influence at any codes reads the fit's partialled design too
+    cluster_influence(fit, design.fe_codes["region"], len(design.fe_levels["region"]))
     assert len(row_refits) == 1
-    clustered_cov(fit, build_design(ds, spec), assign_clusters(design, REGION))
-    assert len(row_refits) == 2  # a fit of another design is partialled afresh
 
 
 def test_rank_deficiency_names_a_term_column():
@@ -440,9 +437,9 @@ def _dense_cv(design, scheme, K, seed):
     for k in range(K):
         va, tr = row_folds == k, row_folds != k
         D_tr, _, levels, _, _ = dense_dummies(list(regions[tr]), list(years[tr]),
-                                              design.fixed_effects)
+                                              tuple(design.fe_levels))
         D_va, _, _, fold_unseen, _ = dense_dummies(list(regions[va]), list(years[va]),
-                                                   design.fixed_effects, levels=levels)
+                                                   tuple(design.fe_levels), levels=levels)
         X_tr = np.hstack([core[tr], D_tr])
         beta, _, rank, _ = np.linalg.lstsq(X_tr, design.y[tr], rcond=None)
         deficient |= rank < X_tr.shape[1]
@@ -518,8 +515,7 @@ def test_ic_scan_matches_dense_fits(case):
         design = build_design(ds, spec, keep_rows=rows)
         X = dense_X(design)
         beta, e = _dense_fit(X, design.y)
-        fit = FitResult(beta=beta, residuals=e, fitted=design.y - e, r_squared=0.0,
-                        n=design.n, p=X.shape[1], column_labels=design.column_labels)
+        fit = fit_on(design, beta, e)
         clusters = assign_clusters(design, COUNTRY_YEAR)
         return {(crit, adj): information_criterion(fit, clusters, crit, adjusted=adj)
                 for adj in (False, True) for crit in ("AIC", "BIC")}
@@ -560,7 +556,7 @@ def _dense_replicate(b, seed, design, clusters):
     X = dense_X(design)
     regions, years = (np.array(v) for v in _row_levels(design))
     D, names, _, _, re_referenced = dense_dummies(
-        list(regions[rows]), list(years[rows]), design.fixed_effects,
+        list(regions[rows]), list(years[rows]), tuple(design.fe_levels),
         levels=design.fe_levels, restrict_to_present=True,
     )
     Xb = np.hstack([X[rows][:, core], D])
@@ -596,7 +592,7 @@ def test_bootstrap_draws_match_row_concatenating_replicates(scheme):
     if scheme == REGION:
         assert sample.failed_refits > 0  # draws without R00 and R01
     if scheme == YEAR:
-        intercept = sample.column_names.index("intercept")
+        intercept = sample.design.column_names.index("intercept")
         assert np.isnan(sample.draws[:, intercept]).any()  # reference year absent
 
 
@@ -612,8 +608,8 @@ def test_balanced_bootstrap_draws_match_row_concatenating_replicates(scheme):
     dense = [_dense_replicate(b, seed, design, clusters) for b in range(B)]
     _close(sample.draws, np.array([v for v in dense if v is not None]))
     if scheme == YEAR:  # a replicate without the reference year: intercept and years NaN
-        lost = np.isnan(sample.draws[:, sample.column_names.index("intercept")])
-        years = [j for j, name in enumerate(sample.column_names) if name.startswith("year=")]
+        lost = np.isnan(sample.draws[:, sample.design.column_names.index("intercept")])
+        years = [j for j, name in enumerate(sample.design.column_names) if name.startswith("year=")]
         assert lost.any() and np.isnan(sample.draws[np.ix_(lost, years)]).all()
 
 
@@ -626,7 +622,7 @@ def _dense_projection(sample, future, spec, template, weights=None):
     core_spec = ModelSpec(terms=spec.terms, intercept=spec.intercept)
     core = build_design(future, core_spec, require_outcome=False)
     regions, years = _row_levels(core)
-    D, *_ = dense_dummies(regions, years, template.fixed_effects, levels=template.fe_levels)
+    D, *_ = dense_dummies(regions, years, tuple(template.fe_levels), levels=template.fe_levels)
     X = np.hstack([core.X, D])
     draws = sample.draws.copy()
     untouched = np.all(X == 0.0, axis=0)
@@ -690,7 +686,7 @@ def test_weighted_projection_matches_dense_product(gappy):
     weights = {r: 1.0 + i for i, r in enumerate(future.regions)} | {"R03": 0.0}
     path = build_scenario_path(future, spec, template, "s", aggregation="weighted",
                                weights=weights)
-    lost = np.isnan(sample.draws[:, sample.column_names.index("region=R03")])
+    lost = np.isnan(sample.draws[:, sample.design.column_names.index("region=R03")])
     assert lost.any() and not lost.all()
     got = project_scenarios(sample, path).values
     _close(got, _dense_projection(sample, future, spec, template, weights))
@@ -713,7 +709,7 @@ def test_scenario_map_is_the_dense_mean_row(weighted):
     core = build_design(future, ModelSpec(terms=spec.terms, intercept=spec.intercept),
                         require_outcome=False)
     regions, years = _row_levels(core)
-    D, names, _, unseen, _ = dense_dummies(regions, years, template.fixed_effects,
+    D, names, _, unseen, _ = dense_dummies(regions, years, tuple(template.fe_levels),
                                            levels=template.fe_levels)
     X, years = np.hstack([core.X, D]), np.array(years)
     w = np.array([1.0 if weights is None else weights[r] for r in regions])
@@ -739,7 +735,7 @@ def test_projection_drop_rule_matches_dense_product():
     template = build_design(ds, spec)
     future = _scenario(ds, x=lambda i, year: float(i))  # d.x = 0 in every row
     path = build_scenario_path(future, spec, template, "s")
-    names = sample.column_names
+    names = sample.design.column_names
     zero, region, year = (names.index(c) for c in ("d.x.l0", "region=R01", "year=2004"))
     assert zero in path.read and not path.M[:, zero].any()
     assert not np.isin([region, year], path.read).any()
@@ -815,8 +811,7 @@ def test_sample_cv_and_ic_goldens_match_dense():
         design = build_design(ds, model, keep_rows=rows)
         X = dense_X(design)
         beta, e = _dense_fit(X, design.y)
-        fit = FitResult(beta=beta, residuals=e, fitted=design.y - e, r_squared=0.0,
-                        n=design.n, p=X.shape[1], column_labels=design.column_labels)
+        fit = fit_on(design, beta, e)
         blocks = assign_clusters(design, ClusterScheme.parse(config["ic"]["block_scheme"]))
         for adj in config["ic"]["adjusted"]:
             for crit in config["ic"]["criteria"]:

@@ -121,11 +121,11 @@ def test_criterion_2_sandwich_oracle():
             d = design_from_arrays(X, y, cluster_keys=groups)
             fit = ols_fit(d)
             clusters = assign_clusters(d, scheme)
-            cr0 = clustered_cov(fit, d, clusters, correction="CR0")
+            cr0 = clustered_cov(fit, clusters, correction="CR0")
             oracle = _dense_sandwich(X, fit.residuals, [str(g) for g in groups])
             scale = max(np.abs(oracle).max(), 1e-300)
             assert np.abs(cr0.cov - oracle).max() <= 1e-9 * scale
-            cr1 = clustered_cov(fit, d, clusters, correction="CR1")
+            cr1 = clustered_cov(fit, clusters, correction="CR1")
             Gn = clusters.n_clusters
             factor = Gn / (Gn - 1.0) * (n - 1.0) / (n - p)
             assert np.abs(cr1.cov - cr0.cov * factor).max() <= 1e-12 * scale
@@ -136,7 +136,7 @@ def test_criterion_2_sandwich_oracle():
         y = rng.standard_normal(n)
         d = design_from_arrays(X, y, cluster_keys=range(n))
         fit = ols_fit(d)
-        cov = clustered_cov(fit, d, assign_clusters(d, scheme), correction="CR0")
+        cov = clustered_cov(fit, assign_clusters(d, scheme), correction="CR0")
         bread = np.linalg.inv(X.T @ X)
         hc0 = bread @ (X * fit.residuals[:, None] ** 2).T @ X @ bread
         assert np.abs(cov.cov - hc0).max() <= 1e-12 * np.abs(hc0).max()
@@ -194,7 +194,7 @@ def test_criterion_5_planted_correlation():
         ds = generate_panel(cfg, 0)
         design = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(design)
-        panel = cp.ResidualPanel.from_fit(fit, design)
+        panel = cp.ResidualPanel.from_fit(fit)
         same = cp.pair_correlations(panel, cp.GroupSpec("same", same_country=True))
         diff = cp.pair_correlations(panel, cp.GroupSpec("different", different_country=True))
         assert abs(float(np.mean(same.rho)) - 0.65) <= 0.05
@@ -285,7 +285,7 @@ def test_criterion_7_bootstrap_calibration():
         sample = cp.block_bootstrap(ds, SLOPE_SPEC, COUNTRY_YEAR, B=1000, seed=5)
         design = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(design)
-        cov = clustered_cov(fit, design, assign_clusters(design, COUNTRY_YEAR), correction="CR1")
+        cov = clustered_cov(fit, assign_clusters(design, COUNTRY_YEAR), correction="CR1")
         ratio = sample.sd() / cov.standard_errors
         assert np.all(np.abs(ratio - 1.0) <= 0.15), ratio
 

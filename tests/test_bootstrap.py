@@ -24,6 +24,7 @@ from clusterpanel.panel import (
     COUNTRY_YEAR,
     REGION,
     YEAR,
+    ColumnLabel,
     ModelSpec,
     TermSpec,
     assign_clusters,
@@ -33,7 +34,7 @@ from clusterpanel import bootstrap, regression
 from clusterpanel.regression import clustered_cov, ols_fit, term_response_curve
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import obs, panel_from
+from conftest import design_from_arrays, fit_on, obs, panel_from
 
 
 def _xy_dataset(rng, R=6, T=8, slope=1.0, noise=1.0, countries=3):
@@ -168,7 +169,7 @@ def test_fixed_effect_rebuild_keeps_term_columns_aligned(rng):
     ds = _xy_dataset(rng, R=6, T=10, slope=1.5, noise=0.3)
     spec = ModelSpec(terms=(TermSpec("x", differenced=False),), fixed_effects=("year",))
     sample = block_bootstrap(ds, spec, REGION, B=40, seed=11)
-    slope_col = sample.column_names.index("x.l0")
+    slope_col = sample.design.column_names.index("x.l0")
     slope_draws = sample.draws[:, slope_col]
     # year folds exist in every resample (each region carries all years),
     # so no draw entries are missing anywhere
@@ -180,10 +181,10 @@ def test_region_dummies_go_missing_when_region_not_drawn(rng):
     ds = _xy_dataset(rng, R=4, T=8)
     spec = ModelSpec(terms=(TermSpec("x", differenced=False),), fixed_effects=("region",))
     sample = block_bootstrap(ds, spec, REGION, B=50, seed=2)
-    dummy_cols = [j for j, n in enumerate(sample.column_names) if n.startswith("region=")]
+    dummy_cols = [j for j, n in enumerate(sample.design.column_names) if n.startswith("region=")]
     assert np.isnan(sample.draws[:, dummy_cols]).any()
     # the term column stays observed in every replicate
-    assert np.isfinite(sample.draws[:, sample.column_names.index("x.l0")]).all()
+    assert np.isfinite(sample.draws[:, sample.design.column_names.index("x.l0")]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +192,19 @@ def test_region_dummies_go_missing_when_region_not_drawn(rng):
 # ---------------------------------------------------------------------------
 
 
-def _sample_from(draws, names=None):
+def _sample_from(draws, design=None):
+    """The draws as a sample over the columns of ``design`` (default: one
+    base column per column of draws), its base fit a zero fit on it."""
     draws = np.asarray(draws, dtype=float)
-    names = tuple(names or (f"c{j}" for j in range(draws.shape[1])))
-    return BootstrapSample(
-        draws=draws, column_names=names, scheme=REGION, B=draws.shape[0],
-        seed=0, failed_refits=0, base_fit=None,
-    )
+    if design is None:
+        design = design_from_arrays(np.zeros((1, draws.shape[1])), np.zeros(1))
+    return BootstrapSample(draws=draws, scheme=REGION, B=draws.shape[0], seed=0,
+                           failed_refits=0, base_fit=fit_on(design))
+
+
+# a one-row design over the columns intercept and x.l0
+INTERCEPT_X = design_from_arrays(np.zeros((1, 2)), np.zeros(1), labels=(
+    ColumnLabel(kind="intercept"), ColumnLabel(kind="base", term="x", lag=0)))
 
 
 def test_identical_draws_zero_width():
@@ -378,7 +385,7 @@ def _future(ds, years, xpath):
 def test_zero_draws_project_to_zero(rng):
     ds = _xy_dataset(rng)
     design = build_design(ds, SLOPE_SPEC)
-    sample = _sample_from(np.zeros((25, 2)), names=design.column_names)
+    sample = _sample_from(np.zeros((25, 2)), design)
     path = build_scenario_path(_future(ds, range(2030, 2033), lambda y: 1.0), SLOPE_SPEC, design, "z")
     proj = project_scenarios(sample, path)
     np.testing.assert_array_equal(proj.values, 0.0)
@@ -391,7 +398,7 @@ def test_single_region_reads_out_coefficient(rng):
     spec = ModelSpec(terms=(TermSpec("x", differenced=False),), intercept=False)
     design = build_design(ds, spec)
     draws = rng.standard_normal((30, 1))
-    sample = _sample_from(draws, names=design.column_names)
+    sample = _sample_from(draws, design)
     future = panel_from(
         [obs("A", "A", 2030, math.nan, {"x": 1.0})], predictor_names=("x",)
     )
@@ -416,7 +423,7 @@ def test_scenario_path_follows_the_spec_moderator_alignment(rng):
     spec = ModelSpec(terms=(term,), fixed_effects=("region",), moderator_alignment="lag_aligned")
     sample = block_bootstrap(ds, spec, REGION, 20, seed=3)
     path = build_scenario_path(future, spec, sample.design, "lagged", start_year=2010)
-    assert path.column_names == sample.column_names
+    assert path.column_names == sample.design.column_names
     col = path.column_names.index("d.x.l1:w")
 
     def dx(year):
@@ -441,14 +448,14 @@ def test_scenario_difference_is_algebraic(rng):
     path_b = build_scenario_path(_future(ds, years, lambda y: 0.5 + 2.0 * (y >= 2033)), SLOPE_SPEC, design, "b")
     pa = project_scenarios(sample, path_a)
     pb = project_scenarios(sample, path_b)
-    slope = sample.draws[:, sample.column_names.index("x.l0")]
+    slope = sample.draws[:, sample.design.column_names.index("x.l0")]
     for j, year in enumerate(pa.years):
         expected = 2.0 * slope if year >= 2033 else np.zeros_like(slope)
         np.testing.assert_allclose(pb.values[:, j] - pa.values[:, j], expected, atol=1e-12)
 
 
 def test_column_mismatch_names_offenders(rng):
-    sample = _sample_from(rng.standard_normal((25, 2)), names=("intercept", "x.l0"))
+    sample = _sample_from(rng.standard_normal((25, 2)), INTERCEPT_X)
     path = ScenarioPath(label="bad", years=(2030, 2031, 2032, 2033), M=np.ones((4, 2)),
                         read=np.arange(2), column_names=("intercept", "z.l0"), unseen_levels=0)
     with pytest.raises(ValueError, match="z.l0"):
@@ -459,7 +466,7 @@ def test_weighted_aggregation(rng):
     ds = _xy_dataset(rng, R=2, T=6, countries=2)
     design = build_design(ds, SLOPE_SPEC)
     draws = np.column_stack([np.zeros(25), np.ones(25)])
-    sample = _sample_from(draws, names=design.column_names)
+    sample = _sample_from(draws, design)
     observations = [
         obs("R0", "C0", 2030, math.nan, {"x": 1.0}),
         obs("R1", "C1", 2030, math.nan, {"x": 3.0}),
@@ -493,7 +500,9 @@ def test_projection_forms_no_rows_by_draws_array():
     R, T, B = 1000, 20, 1000
     gen = np.random.default_rng(0)
     names = ("intercept", "x.l0") + tuple(f"region=R{i:04d}" for i in range(1, R))
-    sample = _sample_from(gen.standard_normal((B, len(names))), names=names)
+    design = replace(INTERCEPT_X, fe_levels={"region": tuple(f"R{i:04d}" for i in range(R))})
+    assert design.column_names == names
+    sample = _sample_from(gen.standard_normal((B, len(names))), design)
     # row (region r, year t) is X[r * T + t] and the dummy of region r > 0,
     # column r + 1; each year's map is the mean of its R rows
     X = np.column_stack([np.ones(R * T), gen.standard_normal(R * T)])
@@ -595,7 +604,7 @@ def test_bootstrap_sd_close_to_clustered_se():
     sample = block_bootstrap(ds, SLOPE_SPEC, COUNTRY_YEAR, B=400, seed=4)
     design = build_design(ds, SLOPE_SPEC)
     fit = ols_fit(design)
-    cov = clustered_cov(fit, design, assign_clusters(design, COUNTRY_YEAR), correction="CR1")
+    cov = clustered_cov(fit, assign_clusters(design, COUNTRY_YEAR), correction="CR1")
     ratio = sample.sd() / cov.standard_errors
     assert np.all(np.abs(ratio - 1.0) < 0.2)
 
@@ -610,10 +619,10 @@ def test_response_curve_variance_matches_bootstrap():
     spec = ModelSpec(terms=(term,))
     design = build_design(ds, spec)
     fit = ols_fit(design)
-    cov = clustered_cov(fit, design, assign_clusters(design, COUNTRY_YEAR), correction="CR0")
+    cov = clustered_cov(fit, assign_clusters(design, COUNTRY_YEAR), correction="CR0")
     curve = term_response_curve(fit, cov, term)
     sample = block_bootstrap(ds, spec, COUNTRY_YEAR, B=600, seed=17)
-    names = sample.column_names
+    names = sample.design.column_names
     for pt in curve.points:
         contrast = np.zeros(len(names))
         for lag in range(pt.lag + 1):
@@ -652,7 +661,7 @@ def test_percentile_interval_coverage_of_truth():
         ds = generate_panel(cfg, (600, seed))
         sample = block_bootstrap(ds, SLOPE_SPEC, REGION, B=150, seed=seed)
         contrast = np.zeros(2)
-        contrast[sample.column_names.index("x.l0")] = 1.0
+        contrast[sample.design.column_names.index("x.l0")] = 1.0
         iv = percentile_interval(sample, contrast, level=0.9)
         hits += iv.lower <= cfg.beta_true <= iv.upper
     assert abs(hits / runs - 0.9) <= 0.08

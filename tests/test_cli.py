@@ -126,8 +126,8 @@ def test_parser_is_built_once_and_each_call_resolves_its_own_seed(tmp_path, caps
 
 def _kinds(sample):
     """Each column's kind: its label's for a column of ``X``, else "dummy"."""
-    kinds = [lab.kind for lab in sample.base_fit.column_labels]
-    return kinds + ["dummy"] * (len(sample.column_names) - len(kinds))
+    kinds = [lab.kind for lab in sample.design.column_labels]
+    return kinds + ["dummy"] * (len(sample.design.column_names) - len(kinds))
 
 
 def _crafted_draws(monkeypatch, edit):
@@ -168,7 +168,7 @@ def test_bootstrap_table_matches_the_per_column_read_out(tmp_path, monkeypatch):
     (sample,) = made
     kinds = _kinds(sample)
     want, sd = [], {}
-    for j, name in enumerate(sample.column_names):
+    for j, name in enumerate(sample.design.column_names):
         finite = sample.draws[np.isfinite(sample.draws[:, j]), j]
         for level in (0.9, 0.5):
             bounds = np.quantile(finite, [0.5 - level / 2, 0.5, 0.5 + level / 2]) \
@@ -523,6 +523,25 @@ def test_fit_rejects_two_schemes_that_write_one_file(capsys, tmp_path):
     assert ("fit schemes 'custom:a_b' and 'custom:a:b' both write "
             "response_curves_custom_a_b.csv") in err
     assert not list((tmp_path / "fit").glob("**/*"))
+
+
+def test_project_rejects_two_scenarios_with_one_label(capsys, tmp_path):
+    # the second would overwrite the first's unseen levels and pair with it
+    config = _sample_config()
+    config["project"]["scenarios"][1]["label"] = "low"
+    assert _run_config(config, "project", tmp_path) == 1
+    assert "project scenario label 'low' is listed twice" in capsys.readouterr().err
+    assert not list((tmp_path / "project").glob("**/*"))
+
+
+@pytest.mark.parametrize("command", ["cv", "ic"])
+def test_a_scan_rejects_a_candidate_listed_twice(command, capsys, tmp_path):
+    # a table list is not de-duplicated: each entry would be scanned twice
+    config = _sample_config()
+    config[command]["candidates"] *= 2
+    assert _run_config(config, command, tmp_path) == 1
+    assert "candidate 'd.x' is listed twice" in capsys.readouterr().err
+    assert not list((tmp_path / command).glob("**/*"))
 
 
 # (command, section, key, values listing one value twice); the run matches

@@ -25,16 +25,16 @@ from clusterpanel.panel import (
     YEAR,
     ClusterAssignment,
     ClusterScheme,
-    ColumnLabel,
     ModelSpec,
     TermSpec,
     assign_clusters,
     build_design,
 )
-from clusterpanel.regression import FitResult, RankDeficientError, ols_fit
+from clusterpanel.regression import RankDeficientError, ols_fit
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import grid_dataset, keep_grid, obs, panel_from, row_keys
+from conftest import (cell, design_from_arrays, fit_on, grid_dataset, keep_grid, obs, panel_from,
+                      row_keys)
 
 
 def make_clusters(sizes):
@@ -119,7 +119,7 @@ def test_cv_unseen_levels_counted(rng):
     res = cv_loss(ds, spec, REGION, K=3, seed=0)
     # region folds hold out whole regions, so every validation row's region
     # dummy level is unseen in training
-    assert res.unseen_levels == res.n_validation
+    assert res.unseen_levels == build_design(ds, spec).n
     assert res.loss > 0
 
 
@@ -136,9 +136,13 @@ def test_cv_rank_deficient_training_named_fold(rng):
 
 def test_cv_keep_rows_restricts(rng):
     ds = _xy_dataset(rng, R=4, T=10)
-    keep = keep_grid(ds, [(f"R{i}", 2000 + t) for i in range(4) for t in range(5)])
+    cells = [(f"R{i}", 2000 + t) for i in range(4) for t in range(5)]
+    keep = keep_grid(ds, cells)
     res = cv_loss(ds, SLOPE_SPEC, YEAR, K=2, seed=0, keep_rows=keep)
-    assert res.n_validation == 20
+    # the same CV as on a panel of the 20 kept cells alone
+    kept = panel_from([obs(r, ds.country_of(r), y, cell(ds, "outcome", r, y),
+                           {"x": cell(ds, "x", r, y)}) for r, y in cells], predictor_names=("x",))
+    assert res.loss == pytest.approx(cv_loss(kept, SLOPE_SPEC, YEAR, K=2, seed=0).loss, rel=1e-12)
     with pytest.raises(ValueError, match=r"keep_rows must be a \(4, 10\) boolean grid"):
         cv_loss(ds, SLOPE_SPEC, YEAR, K=2, seed=0, keep_rows=keep.T)
 
@@ -371,7 +375,7 @@ def test_lag_ceiling_of_the_spec_reaches_cv_and_ic():
         ModelSpec(terms=(deep,))
     spec = ModelSpec(terms=(deep,), max_lag_ceiling=12)
     res = cv_loss(ds, spec, REGION, 3, seed=0)
-    assert math.isfinite(res.loss) and res.n_validation == build_design(ds, spec).n == 12 * 4
+    assert math.isfinite(res.loss) and build_design(ds, spec).n == 12 * 4
     # a candidate is held to the base model's ceiling
     base = ModelSpec(max_lag_ceiling=12)
     assert len(cv_scan(ds, base, [deep], REGION, 3, seed=0).entries) == 12
@@ -407,13 +411,20 @@ def test_model_sequence_named_errors():
         model_sequence(ModelSpec(terms=(X1,)), [M0], "backward")
 
 
+def test_model_sequence_rejects_a_candidate_listed_twice():
+    # both would label their scan entries alike, whatever their lags
+    for candidates in ([X1, X1], [X1, M0, TermSpec("x", differenced=False)]):
+        with pytest.raises(ValueError, match="candidate 'x' is listed twice"):
+            model_sequence(ModelSpec(), candidates, "forward")
+
+
 # ---------------------------------------------------------------------------
 # Log-likelihoods
 # ---------------------------------------------------------------------------
 
 
 def test_loglik_iid_single_residual():
-    assert loglik_iid(np.array([1.0]), 1.0) == pytest.approx(-1.4189385332046727, rel=1e-12)
+    assert loglik_iid(np.array([1.0])) == pytest.approx(-1.4189385332046727, rel=1e-12)
 
 
 def test_loglik_iid_scaling_identity(rng):
@@ -427,14 +438,6 @@ def test_loglik_iid_matches_dense_normal(rng):
     s2 = float(r @ r) / 25
     dense = stats.multivariate_normal(mean=np.zeros(25), cov=s2 * np.eye(25)).logpdf(r)
     assert loglik_iid(r) == pytest.approx(dense, rel=1e-10)
-
-
-def test_loglik_iid_sigma2_validation(rng):
-    r = rng.standard_normal(10)
-    with pytest.raises(ValueError, match="positive"):
-        loglik_iid(r, sigma2=-1.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        loglik_iid(r, sigma2=float(r @ r) / 10 * 1.5)
 
 
 def dense_equicorr_loglik(r, sizes, sigma2, rho):
@@ -531,9 +534,14 @@ def test_fit_rho_planted(rng):
 def test_fit_rho_perfectly_correlated_pair_hits_boundary():
     clusters = make_clusters([2])
     with pytest.warns(UserWarning, match="boundary"):
-        rf = fit_rho(np.array([1.0, 1.0]), clusters, sigma2=1.0)
+        rf = fit_rho(np.array([1.0, 1.0]), clusters)
     assert rf.at_boundary
     assert rf.rho_hat == pytest.approx(1.0, abs=1e-4)
+
+
+def test_fit_rho_rejects_zero_residuals():
+    with pytest.raises(ValueError, match="zero residual variance; rho undefined"):
+        fit_rho(np.zeros(4), make_clusters([2, 2]))
 
 
 def test_fit_rho_unidentified_on_singletons(rng):
@@ -564,9 +572,8 @@ def test_fit_rho_never_below_zero_likelihood(rng):
 
 def _fit_with(residuals, p):
     n = len(residuals)
-    labels = tuple(ColumnLabel(kind="base", term=f"c{j}", lag=0) for j in range(p))
-    return FitResult(beta=np.zeros(p), residuals=np.asarray(residuals, float),
-                     fitted=np.zeros(n), r_squared=0.5, n=n, p=p, column_labels=labels)
+    return fit_on(design_from_arrays(np.zeros((n, p)), np.zeros(n)), residuals=residuals,
+                  r_squared=0.5)
 
 
 def test_ic_identical_residuals_differ_by_gamma_delta_k(rng):

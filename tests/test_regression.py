@@ -20,7 +20,6 @@ from clusterpanel.regression import (
     _PIVOT_MIN,
     _RANK_MARGIN,
     CovarianceEstimate,
-    FitResult,
     RankDeficientError,
     _gram_accepted,
     _t_quantile,
@@ -31,7 +30,7 @@ from clusterpanel.regression import (
 )
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import design_from_arrays, grid_dataset
+from conftest import design_from_arrays, fit_on, grid_dataset
 
 
 def custom_scheme():
@@ -226,7 +225,7 @@ def test_singleton_clusters_reproduce_hc0(rng):
     y = rng.standard_normal(40)
     d = design_from_arrays(X, y, cluster_keys=range(40))
     fit = ols_fit(d)
-    cov = clustered_cov(fit, d, assign_clusters(d, custom_scheme()), correction="CR0")
+    cov = clustered_cov(fit, assign_clusters(d, custom_scheme()), correction="CR0")
     bread = np.linalg.inv(X.T @ X)
     hc0 = bread @ (X * fit.residuals[:, None] ** 2).T @ X @ bread
     np.testing.assert_allclose(cov.cov, hc0, atol=1e-12 * np.abs(hc0).max())
@@ -236,10 +235,9 @@ def test_singleton_clusters_reproduce_hc0(rng):
 def test_singular_gram_is_named(rng):
     X = np.column_stack([np.ones(30), rng.standard_normal(30), np.zeros(30)])
     d = design_from_arrays(X, rng.standard_normal(30), cluster_keys=range(30))
-    fit = FitResult(beta=np.zeros(3), residuals=d.y.copy(), fitted=np.zeros(30), r_squared=0.0,
-                    n=30, p=3, column_labels=d.column_labels)
+    fit = fit_on(d, residuals=d.y)
     with pytest.raises(ValueError, match="X'X is singular"):
-        clustered_cov(fit, d, assign_clusters(d, custom_scheme()))
+        clustered_cov(fit, assign_clusters(d, custom_scheme()))
 
 
 def test_single_cluster_degenerates_to_zero(rng):
@@ -248,7 +246,7 @@ def test_single_cluster_degenerates_to_zero(rng):
     d = design_from_arrays(X, y, cluster_keys=[0] * 25)
     fit = ols_fit(d)
     with pytest.warns(UserWarning, match="G=1 degenerate"):
-        cov = clustered_cov(fit, d, assign_clusters(d, custom_scheme()), correction="CR0")
+        cov = clustered_cov(fit, assign_clusters(d, custom_scheme()), correction="CR0")
     assert np.abs(cov.cov).max() < 1e-12
 
 
@@ -259,7 +257,7 @@ def test_matches_dense_block_diagonal_oracle(rng):
     d = design_from_arrays(X, y, cluster_keys=groups)
     fit = ols_fit(d)
     with pytest.warns(UserWarning, match="unreliable"):
-        cov = clustered_cov(fit, d, assign_clusters(d, custom_scheme()), correction="CR0")
+        cov = clustered_cov(fit, assign_clusters(d, custom_scheme()), correction="CR0")
     oracle = dense_sandwich(X, fit.residuals, [str(g) for g in groups])
     np.testing.assert_allclose(cov.cov, oracle, rtol=1e-9)
 
@@ -275,7 +273,7 @@ def test_sandwich_oracle_property_random_partitions(rng):
         d = design_from_arrays(X, y, cluster_keys=groups)
         fit = ols_fit(d)
         with pytest.warns(UserWarning):
-            cov = clustered_cov(fit, d, assign_clusters(d, custom_scheme()), correction="CR0")
+            cov = clustered_cov(fit, assign_clusters(d, custom_scheme()), correction="CR0")
         oracle = dense_sandwich(X, fit.residuals, [str(g) for g in groups])
         np.testing.assert_allclose(cov.cov, oracle, rtol=1e-9, atol=1e-14)
 
@@ -288,8 +286,8 @@ def test_cr1_is_exact_multiple_of_cr0(rng):
     fit = ols_fit(d)
     clusters = assign_clusters(d, custom_scheme())
     with pytest.warns(UserWarning):
-        cr0 = clustered_cov(fit, d, clusters, correction="CR0")
-        cr1 = clustered_cov(fit, d, clusters, correction="CR1")
+        cr0 = clustered_cov(fit, clusters, correction="CR0")
+        cr1 = clustered_cov(fit, clusters, correction="CR1")
     G, n, p = 6, 60, 3
     factor = G / (G - 1) * (n - 1) / (n - p)
     np.testing.assert_allclose(cr1.cov, cr0.cov * factor, rtol=1e-14)
@@ -305,8 +303,8 @@ def test_scale_equivariance(rng):
     f1, f2 = ols_fit(d1), ols_fit(d2)
     np.testing.assert_allclose(f2.beta, c * f1.beta, rtol=1e-12)
     with pytest.warns(UserWarning):
-        cov1 = clustered_cov(f1, d1, assign_clusters(d1, custom_scheme()))
-        cov2 = clustered_cov(f2, d2, assign_clusters(d2, custom_scheme()))
+        cov1 = clustered_cov(f1, assign_clusters(d1, custom_scheme()))
+        cov2 = clustered_cov(f2, assign_clusters(d2, custom_scheme()))
     np.testing.assert_allclose(cov2.cov, c**2 * cov1.cov, rtol=1e-12)
     t1 = f1.beta / cov1.standard_errors
     t2 = f2.beta / cov2.standard_errors
@@ -324,10 +322,7 @@ def _unit_cov(G, p=2):
 
 
 def _zero_fit(p=2):
-    labels = tuple(ColumnLabel(kind="base", term=f"c{j}", lag=0) for j in range(p))
-    z = np.zeros(p)
-    return FitResult(beta=z.copy(), residuals=np.zeros(10), fitted=np.zeros(10),
-                     r_squared=0.0, n=10, p=p, column_labels=labels)
+    return fit_on(design_from_arrays(np.zeros((10, p)), np.zeros(10)))
 
 
 def test_interval_half_width_normal_limit():
@@ -445,10 +440,8 @@ def test_interval_level_validation():
 
 
 def _curve_fit(beta, labels):
-    p = len(beta)
-    return FitResult(beta=np.asarray(beta, float), residuals=np.zeros(10),
-                     fitted=np.zeros(10), r_squared=0.5, n=10, p=p,
-                     column_labels=tuple(labels))
+    return fit_on(design_from_arrays(np.zeros((10, len(beta))), np.zeros(10), labels=labels),
+                  beta, r_squared=0.5)
 
 
 def test_cumulative_effects_plain_term():
@@ -508,7 +501,7 @@ def test_iid_singleton_coverage_calibration():
         d = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(d)
         clusters = assign_clusters(d, REGION_YEAR)
-        cov = clustered_cov(fit, d, clusters, correction="CR1")
+        cov = clustered_cov(fit, clusters, correction="CR1")
         lo, hi = confidence_intervals(fit, cov, 0.95)[1]
         hits += lo <= cfg.beta_true <= hi
     assert hits / reps == pytest.approx(0.95, abs=0.035)
@@ -518,7 +511,7 @@ def test_residuals_plus_fitted_reconstruct_outcome(rng):
     X = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
     y = rng.standard_normal(60)
     fit = ols_fit(design_from_arrays(X, y))
-    np.testing.assert_allclose(fit.residuals + fit.fitted, y, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(fit.residuals + X @ fit.beta, y, rtol=0, atol=1e-14)
 
 
 def test_block_aware_scheme_widens_uncertainty_on_planted_benchmark():
@@ -534,8 +527,8 @@ def test_block_aware_scheme_widens_uncertainty_on_planted_benchmark():
         ds = generate_panel(cfg, (410, seed))
         d = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(d)
-        se_cy = clustered_cov(fit, d, assign_clusters(d, COUNTRY_YEAR)).standard_errors[1]
-        se_r = clustered_cov(fit, d, assign_clusters(d, REGION)).standard_errors[1]
+        se_cy = clustered_cov(fit, assign_clusters(d, COUNTRY_YEAR)).standard_errors[1]
+        se_r = clustered_cov(fit, assign_clusters(d, REGION)).standard_errors[1]
         wider += se_cy > se_r
     assert wider >= 9
 

@@ -21,7 +21,6 @@ from clusterpanel.panel import (
 )
 from clusterpanel.regression import (
     CovarianceEstimate,
-    FitResult,
     clustered_cov,
     confidence_intervals,
     ols_fit,
@@ -35,7 +34,7 @@ from clusterpanel.reports import (
     write_manifest,
 )
 
-from conftest import obs, panel_from
+from conftest import design_from_arrays, fit_on, obs, panel_from
 
 
 def test_fmt_edge_cases():
@@ -94,7 +93,7 @@ def coefficient_table(fit, covs, level):
     per_scheme_ci = {label: confidence_intervals(fit, cov, level) for label, cov in covs.items()}
     per_scheme_se = {label: cov.standard_errors.tolist() for label, cov in covs.items()}
     coefficients = []
-    for j, name in enumerate(fit.column_names):
+    for j, name in enumerate(fit.design.column_names):
         est = float(fit.beta[j])
         entry = {"label": name, "estimate": est, "se": {}, "t": {}, "ci": {}}
         for label in covs:
@@ -113,6 +112,7 @@ def coefficient_table(fit, covs, level):
             label: {"correction": cov.correction, "clusters": cov.G} for label, cov in covs.items()
         },
         "coefficients": coefficients,
+        "dropped_rows": len(fit.design.dropped_rows),
     }
 
 
@@ -134,15 +134,14 @@ def fitted():
     schemes = (REGION, COUNTRY_YEAR, ClusterScheme("custom", ODD_COLUMN))
     with warnings.catch_warnings():  # few clusters
         warnings.simplefilter("ignore")
-        return fit, {s.label: clustered_cov(fit, design, assign_clusters(design, s))
+        return fit, {s.label: clustered_cov(fit, assign_clusters(design, s))
                      for s in schemes}
 
 
-def _written(tmp_path, fit, covs, level=0.95, dropped_rows=3):
+def _written(tmp_path, fit, covs, level=0.95):
     """The bytes of write_coefficients and of write_json on the oracle's table."""
-    write_coefficients(tmp_path / "got.json", fit, covs, level, dropped_rows)
-    write_json(tmp_path / "want.json", {**coefficient_table(fit, covs, level),
-                                        "dropped_rows": dropped_rows})
+    write_coefficients(tmp_path / "got.json", fit, covs, level)
+    write_json(tmp_path / "want.json", coefficient_table(fit, covs, level))
     return (tmp_path / "got.json").read_bytes(), (tmp_path / "want.json").read_bytes()
 
 
@@ -159,8 +158,7 @@ def test_write_coefficients_writes_the_oracles_bytes(tmp_path, fitted):
                          ids=["one scheme", "odd label", "no scheme"])
 def test_write_coefficients_over_fewer_schemes(tmp_path, fitted, labels):
     fit, covs = fitted
-    got, want = _written(tmp_path, fit, {label: covs[label] for label in labels},
-                         level=0.9, dropped_rows=0)
+    got, want = _written(tmp_path, fit, {label: covs[label] for label in labels}, level=0.9)
     assert got == want
     if not labels:
         entry = json.loads(got)["coefficients"][0]
@@ -187,8 +185,8 @@ def test_write_coefficients_writes_an_absent_level_as_null(tmp_path, fitted):
 def test_write_coefficients_takes_each_schemes_standard_errors_once(tmp_path, monkeypatch):
     p = 30
     labels = tuple(ColumnLabel(kind="base", term="x", lag=j) for j in range(p))
-    fit = FitResult(beta=np.arange(1.0, p + 1), residuals=np.zeros(40), fitted=np.zeros(40),
-                    r_squared=0.0, n=40, p=p, column_labels=labels)
+    fit = fit_on(design_from_arrays(np.zeros((40, p)), np.zeros(40), labels=labels),
+                 np.arange(1.0, p + 1))
     covs = {label: CovarianceEstimate(cov=np.diag(np.full(p, 4.0)), variances=np.full(p, 4.0),
                                       scheme=REGION, correction="CR1", G=12) for label in ("a", "b")}
     calls = []
@@ -199,7 +197,7 @@ def test_write_coefficients_takes_each_schemes_standard_errors_once(tmp_path, mo
         return original.fget(self)
 
     monkeypatch.setattr(CovarianceEstimate, "standard_errors", property(counted))
-    write_coefficients(tmp_path / "c.json", fit, covs, 0.95, 0)
+    write_coefficients(tmp_path / "c.json", fit, covs, 0.95)
     assert len(calls) == len(covs)
     table = json.loads((tmp_path / "c.json").read_text())
     assert all(row["se"] == {"a": 2.0, "b": 2.0} for row in table["coefficients"])
@@ -207,19 +205,18 @@ def test_write_coefficients_takes_each_schemes_standard_errors_once(tmp_path, mo
 
 def test_write_coefficients_zero_se_yields_null_t(tmp_path):
     labels = (ColumnLabel(kind="intercept"),)
-    fit = FitResult(beta=np.array([2.0]), residuals=np.zeros(5), fitted=np.zeros(5),
-                    r_squared=0.0, n=5, p=1, column_labels=labels)
+    fit = fit_on(design_from_arrays(np.zeros((5, 1)), np.zeros(5), labels=labels), [2.0])
     cov = CovarianceEstimate(cov=np.array([[1.0]]), variances=np.array([1.0]), scheme=REGION,
                              correction="CR0", G=5)
     zero = CovarianceEstimate(cov=np.array([[0.0]]), variances=np.array([0.0]), scheme=REGION,
                               correction="CR0", G=5)
-    write_coefficients(tmp_path / "c.json", fit, {"a": cov}, 0.9, 0)
+    write_coefficients(tmp_path / "c.json", fit, {"a": cov}, 0.9)
     assert json.loads((tmp_path / "c.json").read_text())["coefficients"][0]["t"]["a"] == (
         pytest.approx(2.0))
     # zero-variance covariance: the interval computation rejects it upstream,
     # so the writer only ever writes t for positive diagonals, and writes nothing
     with pytest.raises(ValueError, match="nonpositive"):
-        write_coefficients(tmp_path / "z.json", fit, {"a": zero}, 0.9, 0)
+        write_coefficients(tmp_path / "z.json", fit, {"a": zero}, 0.9)
     assert not (tmp_path / "z.json").exists()
 
 

@@ -183,7 +183,7 @@ def test_matches_looped_oracle_on_sample_config():
     dataset = cli._load_dataset(config)
     design = build_design(dataset, cli._model(config))
     fit = ols_fit(design)
-    panel = ResidualPanel.from_fit(fit, design)
+    panel = ResidualPanel.from_fit(fit)
     groups = cli._groups(config["corr"]["groups"], dataset)
     groups += cli._groups(None, dataset) + KEY_GROUPS
     values, meta = _oracle_inputs(fit, design, dataset)
@@ -220,7 +220,7 @@ def test_matches_looped_oracle_on_gappy_panel(min_overlap):
     dataset = _gappy_dataset()
     design = build_design(dataset, ModelSpec(terms=(TermSpec("x", differenced=False),)))
     fit = ols_fit(design)
-    panel = ResidualPanel.from_fit(fit, design)
+    panel = ResidualPanel.from_fit(fit)
     assert "R17" in dataset.regions and "R17" not in panel.regions
     assert 2011 not in panel.years and len(panel.years) == 19
     groups = cli._groups(None, dataset) + KEY_GROUPS
@@ -246,7 +246,7 @@ def test_block_size_changes_no_pair(block, monkeypatch):
     # move in the last bits: by up to 3.2e-15 at block sizes 1, 7 and 64
     ds = generate_panel(DgpConfig(n_regions=320, n_years=16, countries=16), 11)
     design = build_design(ds, SLOPE_SPEC)
-    full = ResidualPanel.from_fit(ols_fit(design), design)
+    full = ResidualPanel.from_fit(ols_fit(design))
     gen = np.random.default_rng(12)
     values = full.values.copy()
     values[gen.random(values.shape) < 0.3] = math.nan
@@ -591,7 +591,7 @@ def _residual_panel(cfg, seed):
     ds = generate_panel(cfg, seed)
     design = build_design(ds, SLOPE_SPEC)
     fit = ols_fit(design)
-    return ResidualPanel.from_fit(fit, design)
+    return ResidualPanel.from_fit(fit)
 
 
 def test_null_calibration_on_iid_residuals():

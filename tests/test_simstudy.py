@@ -341,7 +341,7 @@ def test_degenerate_noise_collapses_intervals_onto_truth():
         design = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(design)
         slope = design.column_names.index("x.l0")
-        cov = clustered_cov(fit, design, assign_clusters(design, REGION_YEAR), correction="CR0")
+        cov = clustered_cov(fit, assign_clusters(design, REGION_YEAR), correction="CR0")
         lo, hi = confidence_intervals(fit, cov, 0.95)[slope]
         assert abs(fit.beta[slope] - cfg.beta_true) < 1e-9
         assert hi - lo < 1e-9
@@ -430,7 +430,7 @@ def _oracle_rep(config, seed, rep, schemes, level, correction):
         out = []
         for scheme in schemes:
             try:
-                cov = clustered_cov(fit, design, assign_clusters(design, scheme), correction)
+                cov = clustered_cov(fit, assign_clusters(design, scheme), correction)
                 lo, hi = confidence_intervals(fit, cov, level=level)[slope]
             except ValueError:
                 out.append(None)
