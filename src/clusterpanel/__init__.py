@@ -32,10 +32,13 @@ from .regression import (
     CovarianceEstimate,
     FitResult,
     RankDeficientError,
+    Readout,
     ResponseCurve,
     clustered_cov,
     confidence_intervals,
+    linear_readout,
     ols_fit,
+    readout,
     term_response_curve,
 )
 from .residcorr import (
@@ -68,7 +71,6 @@ from .bootstrap import (
     block_bootstrap,
     build_scenario_path,
     first_discernible_year,
-    percentile_interval,
     project_scenarios,
 )
 from .simstudy import (

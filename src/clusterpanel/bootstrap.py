@@ -185,16 +185,6 @@ def block_bootstrap(
                            failed_refits=failed, base_fit=base_fit)
 
 
-@dataclass(frozen=True)
-class PercentileInterval:
-    lower: float
-    median: float
-    upper: float
-    level: float
-    used_draws: int
-    dropped_draws: int
-
-
 @functools.lru_cache(maxsize=None)
 def min_draws(level: float) -> int:
     """Fewest finite draws that resolve a two-sided ``level`` interval:
@@ -235,26 +225,6 @@ def read_intervals(values: np.ndarray, levels, need) -> tuple[np.ndarray, np.nda
                          f"need at least {min_draws(levels[i])}")
     bounds = quantiles.reshape(len(levels), 3, values.shape[1])
     return np.where(short[:, None], math.nan, bounds), used
-
-
-def percentile_interval(
-    sample: BootstrapSample, contrast: np.ndarray, level: float
-) -> PercentileInterval:
-    """Empirical two-sided percentile interval and median of c'beta* over draws.
-
-    Quantiles use linear interpolation between order statistics.  Requires
-    at least ``min_draws(level)`` finite draws so the requested tails are
-    resolvable; draws where the contrast touches a NaN column are dropped
-    and counted.
-    """
-    contrast = np.asarray(contrast, dtype=float)
-    if contrast.shape != (sample.draws.shape[1],):
-        raise ValueError(
-            f"contrast length {contrast.shape} does not match {sample.draws.shape[1]} columns"
-        )
-    values = sample.draws[:, contrast != 0] @ contrast[contrast != 0]
-    bounds, (used,) = read_intervals(values[:, None], [level], True)
-    return PercentileInterval(*bounds[0, :, 0].tolist(), level, int(used), len(values) - int(used))
 
 
 @dataclass(frozen=True)

@@ -165,16 +165,19 @@ def model_sequence(
     """The model sequence shared by the CV and IC scans.
 
     Forward: ``base`` plus each candidate at lag depths 0..max_lag, against
-    ``base``; two candidates of one displayed name are rejected.  Backward:
-    each term of ``base`` truncated stepwise toward removal, then the trivial
-    model (no terms), against ``base`` itself; it takes no candidates.
+    ``base``; a candidate is rejected when another candidate or a term of
+    ``base`` has its displayed name, as the union would hold one term twice.
+    Backward: each term of ``base`` truncated stepwise toward removal, then the
+    trivial model (no terms), against ``base`` itself; it takes no candidates.
     """
     kept = tuple(t.max_lag for t in base.terms)
     if direction == "forward":
         if not candidates:
             raise ValueError("forward scan needs candidates")
-        names = [term_display(c) for c in candidates]
+        names, terms = [term_display(c) for c in candidates], set(map(term_display, base.terms))
         for j, name in enumerate(names):  # a name labels its candidate's scan entries
+            if name in terms:
+                raise ValueError(f"candidate {name!r} is already a term of the model")
             if name in names[:j]:
                 raise ValueError(f"candidate {name!r} is listed twice")
         union = replace(base, terms=base.terms + tuple(candidates))

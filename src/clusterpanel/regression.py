@@ -4,7 +4,13 @@ The covariance estimator is the one-way clustered sandwich: the Gram
 sum_g J_g J_g' of each cluster's influence J_g = (X'X)^-1 X_g' r_g
 (``cluster_influence``), which is linear in the rows, so a coarser
 partition's influence is the sum of its clusters'.  CR1 rescales it by
-G/(G-1) * (n-1)/(n-p), CR0 not; intervals use Student t on G-1 d.o.f.
+G/(G-1) * (n-1)/(n-p), CR0 not.
+
+Every SE and interval is a ``Readout`` of (estimate, variance, G): ``readout``
+alone holds the rule, estimate -+ the Student t quantile on G-1 d.o.f. times
+the SE.  Coefficients are read with their own variances
+(``confidence_intervals``), contrasts of them, a response curve's cumulative
+sums among them, through the (m, p) contrast matrix of ``linear_readout``.
 
 Both fixed effects are absorbed (``Absorbed``): the fit runs on the partialled
 intercept and term columns and recovers each region's and year's effect
@@ -86,10 +92,6 @@ class CovarianceEstimate:
     def __post_init__(self):
         self.cov.setflags(write=False)
         self.variances.setflags(write=False)
-
-    @property
-    def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.clip(self.variances, 0.0, None))
 
 
 def _year_gram(C, N_r, N_t):
@@ -667,38 +669,67 @@ def _t_quantile(level: float, G: int) -> float:
     return t
 
 
+class Readout(NamedTuple):
+    """Per entry of a read-out: its estimate, standard error and two-sided interval."""
+
+    estimate: np.ndarray
+    se: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def readout(estimate: np.ndarray, variance: np.ndarray, G: int, level: float) -> Readout:
+    """The one interval rule: SE = sqrt(variance), 0 where rounding left the
+    variance negative, and estimate -+ t SE, t the two-sided ``level`` quantile
+    of Student t on G - 1 degrees of freedom (``_t_quantile``)."""
+    se = np.sqrt(np.maximum(variance, 0.0))
+    half = _t_quantile(level, G) * se
+    return Readout(estimate, se, estimate - half, estimate + half)
+
+
 def confidence_intervals(
     fit: FitResult, cov: CovarianceEstimate, level: float = 0.95
-) -> np.ndarray:
-    """Per-coefficient (lower, upper) at the given two-sided level.
-
-    Quantile: Student t with G-1 degrees of freedom.
-    """
-    q = _t_quantile(level, cov.G)
+) -> Readout:
+    """Every coefficient's ``readout`` at the two-sided ``level``, in design order;
+    a variance that is not positive is an error."""
+    out = readout(fit.beta, cov.variances, cov.G, level)
     bad = [fit.design.column_names[j] for j in np.flatnonzero(cov.variances <= 0)]
     if bad:
         raise ValueError(f"nonpositive variance for columns {bad} under the "
                          f"{cov.scheme.label} scheme")
-    half = q * np.sqrt(cov.variances)
-    return np.column_stack([fit.beta - half, fit.beta + half])
+    return out
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    lag: int
-    effect: float
-    se: float
-    lower: float
-    upper: float
+def linear_readout(fit: FitResult, cov: CovarianceEstimate, A: np.ndarray,
+                   level: float = 0.95) -> Readout:
+    """The ``readout`` of the contrasts a @ beta, one per row a of the (m, p) ``A``
+    in design order.  A row's estimate is its own dot product and its variance
+    a' V a over its own nonzero columns, V their block of ``cov.cov``; that holds
+    no region block, so a row that reads a region column is an error."""
+    A, design = np.atleast_2d(np.asarray(A, dtype=float)), fit.design
+    if A.shape[1] != fit.p:
+        raise ValueError(f"contrasts have {A.shape[1]} columns; the design has {fit.p}")
+    region = np.isin(np.arange(fit.p), design.fe_slots.get("region", ()))
+    bad = [design.column_names[j] for j in np.flatnonzero(region & (A != 0).any(axis=0))]
+    if bad:
+        raise ValueError(f"contrasts read region columns {bad}; cov.cov has no region block")
+    at, var = np.cumsum(~region) - 1, np.empty(len(A))  # cov.cov's column of each other column
+    for i, a in enumerate(A):
+        nz = np.flatnonzero(a)
+        var[i] = a[nz] @ cov.cov[np.ix_(at[nz], at[nz])] @ a[nz]
+    return readout(np.array([a @ fit.beta for a in A]), var, cov.G, level)
 
 
 @dataclass(frozen=True)
 class ResponseCurve:
+    """A term's cumulative effect at lags 0..horizon: entry l of each array of
+    ``points`` is lag l's."""
+
     term: str
     moderator: str | None
     moderator_value: float
     level: float
-    points: tuple[CurvePoint, ...]
+    points: Readout
 
 
 def term_response_curve(
@@ -711,8 +742,8 @@ def term_response_curve(
 ) -> ResponseCurve:
     """Cumulative per-lag effect of a term with a clustered CI band.
 
-    effect(l) = sum_{j<=l} (beta_base_j + moderator_value * beta_inter_j);
-    the variance comes from c' Cov c with the matching contrast vector.
+    effect(l) = sum_{j<=l} (beta_base_j + moderator_value * beta_inter_j), the
+    ``linear_readout`` of a lower-triangular cumulative contrast matrix.
     """
     lbl = term_label(term)
     base_cols, inter_cols = ({lab.lag: j for j, lab in enumerate(fit.design.column_labels)
@@ -725,19 +756,10 @@ def term_response_curve(
     horizon = max_present if horizon is None else horizon
     if not 0 <= horizon <= max_present:
         raise ValueError(f"horizon {horizon} outside the fitted lags 0..{max_present}")
-    q = _t_quantile(level, cov.G)
-    points = []
-    contrast = np.zeros(fit.p)
-    for lag in range(horizon + 1):
-        contrast[base_cols[lag]] = 1.0
-        if inter_cols:
-            contrast[inter_cols[lag]] = moderator_value
-        effect = float(contrast @ fit.beta)
-        nz = np.flatnonzero(contrast)
-        var = float(contrast[nz] @ cov.cov[np.ix_(nz, nz)] @ contrast[nz])
-        se = math.sqrt(max(var, 0.0))
-        points.append(
-            CurvePoint(lag=lag, effect=effect, se=se, lower=effect - q * se, upper=effect + q * se)
-        )
+    lags, steps = range(horizon + 1), np.tri(horizon + 1)
+    A = np.zeros((horizon + 1, fit.p))
+    A[:, [base_cols[lag] for lag in lags]] = steps
+    if inter_cols:
+        A[:, [inter_cols[lag] for lag in lags]] = moderator_value * steps
     return ResponseCurve(term=lbl, moderator=term.moderator, moderator_value=moderator_value,
-                         level=level, points=tuple(points))
+                         level=level, points=linear_readout(fit, cov, A, level))

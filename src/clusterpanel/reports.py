@@ -82,19 +82,18 @@ def _nested(depth: int, items: Sequence[str], brackets: str = "{}") -> str:
 def write_coefficients(path, fit: FitResult, covs: Mapping[str, CovarianceEstimate],
                        level: float) -> None:
     """coefficients.json: n, p, R^2, the level, per scheme its correction and
-    clusters, per column its estimate and per scheme its SE, t (null unless SE
-    > 0) and interval, and the design's dropped rows, in the bytes ``write_json``
-    gives them; each column of numbers is formatted once and fills one template."""
+    clusters, per column its estimate and per scheme its ``confidence_intervals``
+    SE, t and interval (null for a NaN variance), and the design's dropped rows,
+    in the bytes ``write_json`` gives them; each column of numbers is formatted
+    once and fills one template."""
     keys = [encode_basestring_ascii(label) for label in covs]
     slots = [key.replace("%", "%%") + ": " for key in keys]
     template = _nested(2, ['"label": %s', '"estimate": %s', *(
         f'"{name}": ' + _nested(3, [slot + value for slot in slots])
         for name, value in (("se", "%s"), ("t", "%s"), ("ci", _nested(4, ["%s", "%s"], "[]"))))])
-    se = [cov.standard_errors for cov in covs.values()]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        numbers = [fit.beta, *se, *(np.where(s > 0, fit.beta / s, math.nan) for s in se)]
-    for cov in covs.values():
-        numbers += [*confidence_intervals(fit, cov, level).T]
+    reads = [confidence_intervals(fit, cov, level) for cov in covs.values()]
+    numbers = [fit.beta, *(r.se for r in reads), *(r.estimate / r.se for r in reads)]
+    numbers += [bound for r in reads for bound in (r.lower, r.upper)]
     columns = [map(encode_basestring_ascii, fit.design.column_names)] + [
         [repr(v) if math.isfinite(v) else "null" for v in c.tolist()] for c in numbers]
     schemes = [f"{key}: " + _nested(2, [f'"correction": {_scalar(cov.correction)}',
@@ -110,11 +109,9 @@ def write_coefficients(path, fit: FitResult, covs: Mapping[str, CovarianceEstima
 
 
 def write_response_curves(path, curves: Sequence[ResponseCurve]) -> None:
-    rows = []
-    for curve in curves:
-        for pt in curve.points:
-            rows.append([curve.term, pt.lag, pt.effect, pt.lower, pt.upper])
-    write_csv(path, ["term", "lag", "effect", "lower", "upper"], rows)
+    write_csv(path, ["term", "lag", "effect", "lower", "upper"],
+              [[curve.term, lag, *row] for curve in curves for lag, row in
+               enumerate(zip(curve.points.estimate, curve.points.lower, curve.points.upper))])
 
 
 # ---------------------------------------------------------------------------

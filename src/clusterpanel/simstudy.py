@@ -31,7 +31,7 @@ from .panel import (
     build_design,
 )
 from .bootstrap import _replicate_streams, check_seed
-from .regression import _t_quantile, check_correction, check_level
+from .regression import check_correction, check_level, readout
 
 _SHARING_LEVELS = ("region", "year", "country_year")
 
@@ -270,8 +270,7 @@ def coverage_study(config: DgpConfig, schemes: list[ClusterScheme], reps: int,
     rows = []
     for scheme, clusters, var in zip(schemes, assignments, variances):
         usable = (var > 0.0).all(axis=1)  # False for NaN: rank-deficient replications
-        half = _t_quantile(level, clusters.n_clusters) * np.sqrt(var[usable, 1])
-        lo, hi = slope[usable] - half, slope[usable] + half
+        _, _, lo, hi = readout(slope[usable], var[usable, 1], clusters.n_clusters, level)
         hits = (lo <= config.beta_true) & (config.beta_true <= hi)
         coverage, width = (float(np.mean(hits)), float(np.mean(hi - lo))) if hits.size else (
             math.nan, math.nan)

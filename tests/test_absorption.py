@@ -14,6 +14,7 @@ replaced (``Absorbed`` under row weights).  Agreement is to 1e-10 relative.
 import csv
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -47,6 +48,7 @@ from clusterpanel.panel import (
     assign_clusters,
     build_design,
     load_csv,
+    term_label,
 )
 from clusterpanel.simstudy import DgpConfig, generate_panel
 from clusterpanel.regression import (
@@ -61,7 +63,9 @@ from clusterpanel.regression import (
     cluster_influence,
     clustered_cov,
     confidence_intervals,
+    linear_readout,
     ols_fit,
+    term_response_curve,
 )
 
 from conftest import dense_dummies, dense_X, fit_on, keep_grid, obs, panel_from, row_keys
@@ -87,8 +91,8 @@ def _panel(gappy, seed=5):
     """14 regions in 4 countries over 12 years.  ``z`` varies over time only
     in R00 and R01, so a region resample missing both has ``z`` constant
     within every region, collinear with the region effect; ``c`` is constant
-    within every region.  The gappy panel adds late entry, interior gaps and
-    NaN outcomes."""
+    within every region, and ``zc`` is a copy of ``z``.  The gappy panel adds
+    late entry, interior gaps and NaN outcomes."""
     gen = np.random.default_rng(seed)
     records = []
     for i in range(14):
@@ -103,9 +107,9 @@ def _panel(gappy, seed=5):
             if gappy and (i * 12 + t) % 19 == 0:
                 y = math.nan
             records.append(obs(f"R{i:02d}", f"C{i % 4}", 2000 + t, y,
-                               {"x": x, "m": m, "z": z, "c": z_level},
+                               {"x": x, "m": m, "z": z, "c": z_level, "zc": z},
                                custom={"blk": f"b{(i + t) % 5}"}))
-    return panel_from(records, predictor_names=("x", "m", "z", "c"))
+    return panel_from(records, predictor_names=("x", "m", "z", "c", "zc"))
 
 
 def _spec(intercept, fixed_effects=("region", "year")):
@@ -171,12 +175,13 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
         clusters = assign_clusters(design, scheme)
         V = _dense_sandwich(X, e, clusters)
         cov = clustered_cov(fit, clusters)
-        np.testing.assert_allclose(cov.standard_errors, np.sqrt(np.diag(V)), rtol=RTOL)
+        ci = confidence_intervals(fit, cov)
+        np.testing.assert_allclose(ci.se, np.sqrt(np.diag(V)), rtol=RTOL)
         # the joint block of the term and year columns is formed in full
         joint = [*range(design.X.shape[1]), *slots["year"]]
         _close(cov.cov, V[np.ix_(joint, joint)])
         half = _t_quantile(0.95, clusters.n_clusters) * np.sqrt(np.diag(V))
-        _close(confidence_intervals(fit, cov), np.column_stack([beta - half, beta + half]))
+        _close(np.column_stack([ci.lower, ci.upper]), np.column_stack([beta - half, beta + half]))
         # the influence: its Gram is the CR0 sandwich, and each region's
         # variance sum_g (a_rg - m_r' J_g)^2 is rebuilt from its region pieces
         G = clusters.n_clusters
@@ -300,8 +305,8 @@ def test_sandwich_memory_is_linear_in_regions():
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"{scheme.label}: peak {peak / 2**20:.1f} MiB"
         V = _dense_sandwich(X, fit.residuals, clusters)
-        np.testing.assert_allclose(cov.standard_errors[region], np.sqrt(np.diag(V)[region]),
-                                   rtol=RTOL)
+        np.testing.assert_allclose(confidence_intervals(fit, cov).se[region],
+                                   np.sqrt(np.diag(V)[region]), rtol=RTOL)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -451,9 +456,9 @@ def _dense_cv(design, scheme, K, seed):
 
 
 # (gappy panel, base, candidates, direction); the collinear cases' entries
-# with the second candidate are rank deficient: it duplicates the base term,
-# or is constant within regions, collinear with the region effect, where the
-# minimum-norm solution counts the region effects in its norm
+# with the second candidate are rank deficient: it copies the base term under
+# another name, or is constant within regions, collinear with the region
+# effect, where the minimum-norm solution counts the region effects in its norm
 COLLINEAR = ("forward_duplicate_region_only", "forward_region_collinear")
 CV_CASES = {
     "forward_two_way": (False, ModelSpec(fixed_effects=("region", "year")), [X_MOD, Z0],
@@ -461,9 +466,9 @@ CV_CASES = {
     "backward_two_way_gappy": (True, _spec(True), [], "backward"),
     "backward_no_intercept_gappy": (True, _spec(False), [], "backward"),
     "forward_duplicate_region_only": (True, ModelSpec(terms=(Z0,), fixed_effects=("region",)),
-                                      [X_MOD, Z0], "forward"),
-    "forward_region_collinear": (True, _spec(True), [X_MOD, TermSpec("c", differenced=False)],
-                                 "forward"),
+                                      [X_MOD, TermSpec("zc", differenced=False)], "forward"),
+    "forward_region_collinear": (True, replace(_spec(True), terms=(Z0,)),
+                                 [X_MOD, TermSpec("c", differenced=False)], "forward"),
 }
 
 
@@ -785,6 +790,93 @@ def test_sample_fit_golden_matches_dense():
         half = _t_quantile(table["level"], clusters.n_clusters) * se
         _close([c["ci"][label] for c in table["coefficients"]],
                np.column_stack([beta - half, beta + half]))
+
+
+SAMPLE_SCHEMES = [REGION, COUNTRY, YEAR, COUNTRY_YEAR]
+
+
+def _sample_fit():
+    """The sample's fit and its high - low scenario contrast rows (years, A)."""
+    config, ds, spec = _sample_case()
+    fit = ols_fit(build_design(ds, spec))
+    schema = replace(CsvSchema.canonical(("x", "xbar"), with_centroids=True, with_groups=True,
+                                         custom_names=("year_str",)), outcome=None)
+    high, low = (build_scenario_path(load_csv(SAMPLE / f"scenario_{label}.csv", schema), spec,
+                                     fit.design, label) for label in ("high", "low"))
+    assert high.years == low.years
+    return fit, ds, spec, high.years, high.M - low.M
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_linear_readout_of_the_scenario_contrast_matches_dense():
+    fit, _, _, years, A = _sample_fit()
+    region = list(fit.design.fe_slots["region"])
+    others = np.setdiff1d(np.arange(fit.p), region)
+    assert not A[:, region].any()  # the intercept and both effects cancel between the paths
+    zero = [year for year, a in zip(years, A) if not a.any()]
+    assert zero == [2021, 2022]  # both paths read the same lagged values until they diverge
+    for scheme in SAMPLE_SCHEMES:
+        cov = clustered_cov(fit, assign_clusters(fit.design, scheme))
+        got = linear_readout(fit, cov, A, 0.9)
+        a = A[:, others]
+        np.testing.assert_allclose(got.se ** 2, np.diag(a @ cov.cov @ a.T), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.estimate, A @ fit.beta, rtol=1e-12, atol=0)
+        half = _t_quantile(0.9, cov.G) * got.se
+        np.testing.assert_array_equal(np.column_stack([got.lower, got.upper]),
+                                      np.column_stack([got.estimate - half, got.estimate + half]))
+        zeros = np.isin(years, zero)
+        assert (got.estimate[zeros] == 0).all() and (got.se[zeros] == 0).all()
+        assert (got.se[~zeros] > 0).all()
+        reads_region = A.copy()
+        reads_region[3, region[2]] = 0.5
+        name = re.escape(repr(fit.design.column_names[region[2]]))
+        with pytest.raises(ValueError, match=rf"contrasts read region columns \[{name}\]"):
+            linear_readout(fit, cov, reads_region)
+        with pytest.raises(ValueError, match=f"contrasts have 3 columns; the design has {fit.p}"):
+            linear_readout(fit, cov, A[:, :3])
+
+
+def _loop_response_curve(fit, cov, term, moderator_value, horizon, level):
+    """``term_response_curve``'s per-lag loop as it was first written, one
+    contrast vector grown lag by lag: (lag, effect, se, lower, upper) rows."""
+    lbl = term_label(term)
+    base_cols, inter_cols = ({lab.lag: j for j, lab in enumerate(fit.design.column_labels)
+                              if lab.kind == kind and lab.term == lbl
+                              and lab.moderator == term.moderator}
+                             for kind in ("base", "interaction"))
+    horizon = max(base_cols) if horizon is None else horizon
+    q = _t_quantile(level, cov.G)
+    points = []
+    contrast = np.zeros(fit.p)
+    for lag in range(horizon + 1):
+        contrast[base_cols[lag]] = 1.0
+        if inter_cols:
+            contrast[inter_cols[lag]] = moderator_value
+        effect = float(contrast @ fit.beta)
+        nz = np.flatnonzero(contrast)
+        var = float(contrast[nz] @ cov.cov[np.ix_(nz, nz)] @ contrast[nz])
+        se = math.sqrt(max(var, 0.0))
+        points.append((lag, effect, se, effect - q * se, effect + q * se))
+    return points
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_response_curve_is_the_per_lag_loop_bit_for_bit():
+    fit, ds, spec, _, _ = _sample_fit()
+    (term,) = spec.terms
+    plain = TermSpec("x", differenced=True, max_lag=2)
+    plain_fit = ols_fit(build_design(ds, replace(spec, terms=(plain,))))
+    for scheme in SAMPLE_SCHEMES:
+        for m, horizon, level in ((ds.predictor_median("xbar"), None, 0.95), (0.0, 1, 0.9),
+                                  (-1.7, 2, 0.5), (3.25, 0, 0.99)):
+            cov = clustered_cov(fit, assign_clusters(fit.design, scheme))
+            curve = term_response_curve(fit, cov, term, m, horizon, level)
+            want = np.array(_loop_response_curve(fit, cov, term, m, horizon, level))
+            np.testing.assert_array_equal(np.column_stack(curve.points), want[:, 1:])
+        cov = clustered_cov(plain_fit, assign_clusters(plain_fit.design, scheme))
+        np.testing.assert_array_equal(
+            np.column_stack(term_response_curve(plain_fit, cov, plain).points),
+            np.array(_loop_response_curve(plain_fit, cov, plain, 0.0, None, 0.95))[:, 1:])
 
 
 def test_sample_cv_and_ic_goldens_match_dense():

@@ -286,7 +286,7 @@ def test_criterion_7_bootstrap_calibration():
         design = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(design)
         cov = clustered_cov(fit, assign_clusters(design, COUNTRY_YEAR), correction="CR1")
-        ratio = sample.sd() / cov.standard_errors
+        ratio = sample.sd() / cp.confidence_intervals(fit, cov).se
         assert np.all(np.abs(ratio - 1.0) <= 0.15), ratio
 
         small = DgpConfig(

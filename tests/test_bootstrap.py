@@ -14,7 +14,6 @@ from clusterpanel.bootstrap import (
     column_quantiles,
     first_discernible_year,
     min_draws,
-    percentile_interval,
     project_scenarios,
     Projection,
     read_intervals,
@@ -31,7 +30,8 @@ from clusterpanel.panel import (
     build_design,
 )
 from clusterpanel import bootstrap, regression
-from clusterpanel.regression import clustered_cov, ols_fit, term_response_curve
+from clusterpanel.regression import (clustered_cov, confidence_intervals, ols_fit,
+                                     term_response_curve)
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
 from conftest import design_from_arrays, fit_on, obs, panel_from
@@ -207,16 +207,26 @@ INTERCEPT_X = design_from_arrays(np.zeros((1, 2)), np.zeros(1), labels=(
     ColumnLabel(kind="intercept"), ColumnLabel(kind="base", term="x", lag=0)))
 
 
+def _contrast_interval(sample, contrast, level):
+    """The percentile interval of the draws' contrast c'beta* as ``read_intervals``
+    reads it, over the draws finite in the columns c touches: ((lower, median,
+    upper), used draws, dropped draws)."""
+    c = np.asarray(contrast, dtype=float)
+    values = sample.draws[:, c != 0] @ c[c != 0]
+    bounds, (used,) = read_intervals(values[:, None], [level], True)
+    return tuple(bounds[0, :, 0].tolist()), int(used), len(values) - int(used)
+
+
 def test_identical_draws_zero_width():
     sample = _sample_from(np.full((30, 2), 1.25))
-    iv = percentile_interval(sample, np.array([1.0, 0.0]), level=0.9)
-    assert iv.lower == iv.median == iv.upper == 1.25
+    (lower, median, upper), _, _ = _contrast_interval(sample, [1.0, 0.0], level=0.9)
+    assert lower == median == upper == 1.25
 
 
 def test_quantiles_match_sort_oracle(rng):
     draws = rng.standard_normal((1000, 1))
     sample = _sample_from(draws)
-    iv = percentile_interval(sample, np.array([1.0]), level=0.9)
+    (lower, median, upper), _, _ = _contrast_interval(sample, [1.0], level=0.9)
 
     def order_stat(values, q):
         # linear interpolation between order statistics at h = (n-1) q
@@ -225,35 +235,33 @@ def test_quantiles_match_sort_oracle(rng):
         lo = math.floor(h)
         return v[lo] + (h - lo) * (v[min(lo + 1, len(v) - 1)] - v[lo])
 
-    assert iv.lower == pytest.approx(order_stat(draws[:, 0], 0.05), rel=1e-12)
-    assert iv.median == pytest.approx(order_stat(draws[:, 0], 0.5), rel=1e-12)
-    assert iv.upper == pytest.approx(order_stat(draws[:, 0], 0.95), rel=1e-12)
+    assert lower == pytest.approx(order_stat(draws[:, 0], 0.05), rel=1e-12)
+    assert median == pytest.approx(order_stat(draws[:, 0], 0.5), rel=1e-12)
+    assert upper == pytest.approx(order_stat(draws[:, 0], 0.95), rel=1e-12)
 
 
 def test_too_few_draws_rejected(rng):
     sample = _sample_from(rng.standard_normal((30, 1)))
     with pytest.raises(ValueError, match="too small"):
-        percentile_interval(sample, np.array([1.0]), level=0.99)  # needs 200
+        _contrast_interval(sample, [1.0], level=0.99)  # needs 200
 
 
 def test_min_draws_at_level_0_9(rng):
     # max(20, ceil(2 / (1 - 0.9))) is 20; binary rounding of 1 - 0.9 gave 21
     assert min_draws(0.9) == 20 and min_draws(0.95) == 40 and min_draws(0.99) == 200
-    iv = percentile_interval(_sample_from(rng.standard_normal((20, 1))), np.array([1.0]), level=0.9)
-    assert iv.used_draws == 20
+    _, used, _ = _contrast_interval(_sample_from(rng.standard_normal((20, 1))), [1.0], level=0.9)
+    assert used == 20
     with pytest.raises(ValueError, match="B=19 usable draws too small for level 0.9; need at least 20"):
-        percentile_interval(_sample_from(rng.standard_normal((19, 1))), np.array([1.0]), level=0.9)
+        _contrast_interval(_sample_from(rng.standard_normal((19, 1))), [1.0], level=0.9)
 
 
 def test_nan_draws_dropped_and_counted(rng):
     draws = rng.standard_normal((40, 2))
     draws[:5, 0] = np.nan
     sample = _sample_from(draws)
-    iv = percentile_interval(sample, np.array([1.0, 0.0]), level=0.8)
-    assert iv.dropped_draws == 5 and iv.used_draws == 35
+    assert _contrast_interval(sample, [1.0, 0.0], level=0.8)[1:] == (35, 5)
     # a contrast not touching the NaN column keeps every draw
-    iv2 = percentile_interval(sample, np.array([0.0, 1.0]), level=0.8)
-    assert iv2.dropped_draws == 0 and iv2.used_draws == 40
+    assert _contrast_interval(sample, [0.0, 1.0], level=0.8)[1:] == (40, 0)
 
 
 def _ragged_draws(rng, B=60):
@@ -351,19 +359,13 @@ def test_percentile_interval_is_bit_identical_to_per_column_quantile(rng):
     draws = _ragged_draws(rng)
     sample = _sample_from(draws)
     for j in range(3, draws.shape[1]):
-        iv = percentile_interval(sample, np.eye(draws.shape[1])[j], level=0.9)
+        bounds, used, dropped = _contrast_interval(sample, np.eye(draws.shape[1])[j], level=0.9)
         want = _per_column_quantiles(draws[:, [j]], [0.5 - 0.9 / 2.0, 0.5, 0.5 + 0.9 / 2.0])[:, 0]
-        np.testing.assert_array_equal([iv.lower, iv.median, iv.upper], want)
-        assert (iv.used_draws, iv.dropped_draws) == (np.isfinite(draws[:, j]).sum(),
-                                                     (~np.isfinite(draws[:, j])).sum())
+        np.testing.assert_array_equal(bounds, want)
+        assert (used, dropped) == (np.isfinite(draws[:, j]).sum(),
+                                   (~np.isfinite(draws[:, j])).sum())
     with pytest.raises(ValueError, match="B=19 usable draws too small for level 0.9; need at "):
-        percentile_interval(sample, np.eye(draws.shape[1])[2], level=0.9)
-
-
-def test_contrast_shape_checked(rng):
-    sample = _sample_from(rng.standard_normal((25, 2)))
-    with pytest.raises(ValueError, match="contrast"):
-        percentile_interval(sample, np.array([1.0]), level=0.8)
+        _contrast_interval(sample, np.eye(draws.shape[1])[2], level=0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +607,7 @@ def test_bootstrap_sd_close_to_clustered_se():
     design = build_design(ds, SLOPE_SPEC)
     fit = ols_fit(design)
     cov = clustered_cov(fit, assign_clusters(design, COUNTRY_YEAR), correction="CR1")
-    ratio = sample.sd() / cov.standard_errors
+    ratio = sample.sd() / confidence_intervals(fit, cov).se
     assert np.all(np.abs(ratio - 1.0) < 0.2)
 
 
@@ -623,13 +625,13 @@ def test_response_curve_variance_matches_bootstrap():
     curve = term_response_curve(fit, cov, term)
     sample = block_bootstrap(ds, spec, COUNTRY_YEAR, B=600, seed=17)
     names = sample.design.column_names
-    for pt in curve.points:
+    for lag, se in enumerate(curve.points.se):
         contrast = np.zeros(len(names))
-        for lag in range(pt.lag + 1):
-            contrast[names.index(f"x.l{lag}")] = 1.0
+        for j in range(lag + 1):
+            contrast[names.index(f"x.l{j}")] = 1.0
         values = sample.draws @ contrast
         boot_var = float(np.var(values, ddof=1))
-        assert boot_var == pytest.approx(pt.se**2, rel=0.2)
+        assert boot_var == pytest.approx(se**2, rel=0.2)
 
 
 def test_scheme_sensitivity_on_planted_benchmark():
@@ -662,6 +664,6 @@ def test_percentile_interval_coverage_of_truth():
         sample = block_bootstrap(ds, SLOPE_SPEC, REGION, B=150, seed=seed)
         contrast = np.zeros(2)
         contrast[sample.design.column_names.index("x.l0")] = 1.0
-        iv = percentile_interval(sample, contrast, level=0.9)
-        hits += iv.lower <= cfg.beta_true <= iv.upper
+        (lower, _, upper), _, _ = _contrast_interval(sample, contrast, level=0.9)
+        hits += lower <= cfg.beta_true <= upper
     assert abs(hits / runs - 0.9) <= 0.08

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -90,13 +91,14 @@ def test_fold_integrity():
 
 
 def _xy_dataset(rng, R=6, T=8, slope=0.0, noise=1.0):
+    """``x`` and the outcome, and ``xc``, a copy of ``x``."""
     observations = []
     for i in range(R):
         for t in range(T):
             x = float(rng.standard_normal())
             y = slope * x + noise * float(rng.standard_normal())
-            observations.append(obs(f"R{i}", f"C{i % 3}", 2000 + t, y, {"x": x}))
-    return panel_from(observations, predictor_names=("x",))
+            observations.append(obs(f"R{i}", f"C{i % 3}", 2000 + t, y, {"x": x, "xc": x}))
+    return panel_from(observations, predictor_names=("x", "xc"))
 
 
 def test_cv_constant_outcome_zero_loss():
@@ -155,7 +157,7 @@ def test_cv_keep_rows_restricts(rng):
 def test_forward_scan_duplicate_candidate_collinear(rng):
     ds = _xy_dataset(rng, slope=1.0)
     base = ModelSpec(terms=(TermSpec("x", differenced=False),))
-    scan = cv_scan(ds, base, [TermSpec("x", differenced=False)], REGION, K=3, seed=2)
+    scan = cv_scan(ds, base, [TermSpec("xc", differenced=False)], REGION, K=3, seed=2)
     entry = scan.entries[0]
     assert entry.collinear
     assert abs(entry.delta_loss) < 1e-10
@@ -224,6 +226,7 @@ X_MOD = TermSpec("x", differenced=True, moderator="m", max_lag=2)
 X1 = TermSpec("x", differenced=False, max_lag=1)
 M0 = TermSpec("m", differenced=False)
 M1 = TermSpec("m", differenced=False, max_lag=1)
+MC0 = TermSpec("mc", differenced=False)
 
 # (gappy panel, moderator alignment, base, candidates, direction)
 SCAN_CASES = {
@@ -235,9 +238,9 @@ SCAN_CASES = {
         False, "contemporaneous", ModelSpec(terms=(X_MOD, M1), fixed_effects=("region", "year")),
         [], "backward",
     ),
-    # non-empty base; the second candidate duplicates the base term
+    # non-empty base; the second candidate copies the base term under another name
     "gappy_lag_aligned_forward": (
-        True, "lag_aligned", ModelSpec(terms=(M0,), fixed_effects=("region",)), [X_MOD, M0],
+        True, "lag_aligned", ModelSpec(terms=(M0,), fixed_effects=("region",)), [X_MOD, MC0],
         "forward",
     ),
     "gappy_lag_aligned_backward": (
@@ -248,8 +251,8 @@ SCAN_CASES = {
 
 
 def _scan_panel(gappy):
-    """12 regions in 3 countries over 12 years; the gappy panel adds late
-    entry, a two-year gap in three regions and NaN outcomes."""
+    """12 regions in 3 countries over 12 years, ``mc`` a copy of ``m``; the gappy
+    panel adds late entry, a two-year gap in three regions and NaN outcomes."""
     gen = np.random.default_rng(77)
     observations = []
     for i in range(12):
@@ -261,8 +264,9 @@ def _scan_panel(gappy):
             y = 0.8 * x + 0.3 * x * m + float(gen.standard_normal())
             if gappy and (i * 12 + t) % 17 == 0:
                 y = math.nan
-            observations.append(obs(f"R{i:02d}", f"C{i % 3}", 2000 + t, y, {"x": x, "m": m}))
-    return panel_from(observations, predictor_names=("x", "m"))
+            observations.append(obs(f"R{i:02d}", f"C{i % 3}", 2000 + t, y,
+                                    {"x": x, "m": m, "mc": m}))
+    return panel_from(observations, predictor_names=("x", "m", "mc"))
 
 
 def _oracle_sequence(base, candidates, direction):
@@ -416,6 +420,36 @@ def test_model_sequence_rejects_a_candidate_listed_twice():
     for candidates in ([X1, X1], [X1, M0, TermSpec("x", differenced=False)]):
         with pytest.raises(ValueError, match="candidate 'x' is listed twice"):
             model_sequence(ModelSpec(), candidates, "forward")
+    with pytest.raises(ValueError, match="candidate 'x' is listed twice"):
+        model_sequence(ModelSpec(terms=(M0,)), [X1, X1], "forward")
+
+
+def test_model_sequence_rejects_a_candidate_that_repeats_a_base_term():
+    # the union would hold the term twice, whatever the lags: collinear
+    for base, candidates in ((ModelSpec(terms=(X1,)), [TermSpec("x", differenced=False)]),
+                             (ModelSpec(terms=(M0, X_MOD)), [X1, replace(X_MOD, max_lag=0)])):
+        message = f"candidate {term_display(candidates[-1])!r} is already a term of the model"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_sequence(base, candidates, "forward")
+    # another display name for the same variable is a new term
+    assert model_sequence(ModelSpec(terms=(X1,)), [replace(X1, differenced=True)],
+                          "forward").variants[0][0] == "d.x"
+
+
+REPEAT_CASE = (DgpConfig(n_regions=12, n_years=10), ModelSpec(
+    terms=(TermSpec("x", differenced=False),), fixed_effects=("region", "year")))
+
+
+def test_cv_scan_rejects_a_candidate_that_repeats_a_base_term():
+    config, base = REPEAT_CASE
+    with pytest.raises(ValueError, match="candidate 'x' is already a term of the model"):
+        cv_scan(generate_panel(config, 0), base, list(base.terms), REGION, 3, seed=0)
+
+
+def test_ic_scan_rejects_a_candidate_that_repeats_a_base_term():
+    config, base = REPEAT_CASE
+    with pytest.raises(ValueError, match="candidate 'x' is already a term of the model"):
+        ic_scan(generate_panel(config, 0), base, list(base.terms), COUNTRY_YEAR)
 
 
 # ---------------------------------------------------------------------------

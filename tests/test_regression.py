@@ -26,6 +26,7 @@ from clusterpanel.regression import (
     clustered_cov,
     confidence_intervals,
     ols_fit,
+    readout,
     term_response_curve,
 )
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
@@ -306,8 +307,8 @@ def test_scale_equivariance(rng):
         cov1 = clustered_cov(f1, assign_clusters(d1, custom_scheme()))
         cov2 = clustered_cov(f2, assign_clusters(d2, custom_scheme()))
     np.testing.assert_allclose(cov2.cov, c**2 * cov1.cov, rtol=1e-12)
-    t1 = f1.beta / cov1.standard_errors
-    t2 = f2.beta / cov2.standard_errors
+    t1 = f1.beta / confidence_intervals(f1, cov1).se
+    t2 = f2.beta / confidence_intervals(f2, cov2).se
     np.testing.assert_allclose(t2, t1, rtol=1e-12)
 
 
@@ -327,14 +328,14 @@ def _zero_fit(p=2):
 
 def test_interval_half_width_normal_limit():
     ci = confidence_intervals(_zero_fit(), _unit_cov(G=10**7), level=0.95)
-    np.testing.assert_allclose(ci[:, 1], 1.959964, atol=1e-4)
+    np.testing.assert_allclose(ci.upper, 1.959964, atol=1e-4)
 
 
 def test_interval_half_width_small_g():
     ci = confidence_intervals(_zero_fit(), _unit_cov(G=5), level=0.95)
     q = stats.t.ppf(0.975, 4)
     assert q == pytest.approx(2.7764451051977987, rel=1e-12)
-    np.testing.assert_allclose(ci[:, 1], q, rtol=1e-12)
+    np.testing.assert_allclose(ci.upper, q, rtol=1e-12)
 
 
 # Student-t quantiles at the binary double 0.5 + level/2 that _t_quantile
@@ -422,6 +423,23 @@ def test_t_quantile_at_the_ends_of_the_level_range():
     assert _t_quantile(5e-324, 30) == 0.0
 
 
+def test_readout_is_estimate_plus_minus_t_times_se():
+    estimate, variance = np.array([1.0, -2.0, 0.5, 3.0]), np.array([4.0, 0.0, -1e-20, np.nan])
+    got = readout(estimate, variance, 5, 0.9)
+    q = stats.t.ppf(0.95, 4)
+    np.testing.assert_array_equal(got.estimate, estimate)
+    np.testing.assert_array_equal(got.se, [2.0, 0.0, 0.0, np.nan])  # a negative rounding is 0
+    np.testing.assert_allclose(got.lower, [1.0 - 2 * q, -2.0, 0.5, np.nan], rtol=1e-15)
+    np.testing.assert_allclose(got.upper, [1.0 + 2 * q, -2.0, 0.5, np.nan], rtol=1e-15)
+    with pytest.raises(ValueError, match="at least 2 clusters"):
+        readout(estimate, variance, 1, 0.9)
+    # confidence_intervals is the read-out of the coefficients and their variances
+    cov = _unit_cov(G=5)
+    want = readout(_zero_fit().beta, cov.variances, 5, 0.95)
+    for a, b in zip(confidence_intervals(_zero_fit(), cov), want, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_interval_rejects_nonpositive_variance():
     cov = CovarianceEstimate(cov=np.diag([1.0, -1e-6]), variances=np.array([1.0, -1e-6]),
                              scheme=REGION, correction="CR0", G=5)
@@ -451,9 +469,9 @@ def test_cumulative_effects_plain_term():
     cov = CovarianceEstimate(cov=np.eye(2) * 0.01, variances=np.full(2, 0.01), scheme=REGION,
                              correction="CR1", G=30)
     curve = term_response_curve(fit, cov, TermSpec("v", differenced=True, max_lag=1))
-    assert [pt.effect for pt in curve.points] == pytest.approx([0.1, 0.0])
+    assert curve.points.estimate.tolist() == pytest.approx([0.1, 0.0])
     # variance of the lag-1 cumulative sum is c' I c * 0.01 with c = (1, 1)
-    assert curve.points[1].se == pytest.approx(np.sqrt(0.02))
+    assert curve.points.se[1] == pytest.approx(np.sqrt(0.02))
 
 
 def test_zero_moderator_value_nulls_interactions():
@@ -468,7 +486,7 @@ def test_zero_moderator_value_nulls_interactions():
                              G=30)
     term = TermSpec("v", differenced=True, moderator="m", max_lag=1)
     curve = term_response_curve(fit, cov, term, moderator_value=0.0)
-    assert [pt.effect for pt in curve.points] == pytest.approx([0.5, 0.75])
+    assert curve.points.estimate.tolist() == pytest.approx([0.5, 0.75])
 
 
 def test_missing_term_errors():
@@ -502,8 +520,8 @@ def test_iid_singleton_coverage_calibration():
         fit = ols_fit(d)
         clusters = assign_clusters(d, REGION_YEAR)
         cov = clustered_cov(fit, clusters, correction="CR1")
-        lo, hi = confidence_intervals(fit, cov, 0.95)[1]
-        hits += lo <= cfg.beta_true <= hi
+        ci = confidence_intervals(fit, cov, 0.95)
+        hits += ci.lower[1] <= cfg.beta_true <= ci.upper[1]
     assert hits / reps == pytest.approx(0.95, abs=0.035)
 
 
@@ -527,8 +545,8 @@ def test_block_aware_scheme_widens_uncertainty_on_planted_benchmark():
         ds = generate_panel(cfg, (410, seed))
         d = build_design(ds, SLOPE_SPEC)
         fit = ols_fit(d)
-        se_cy = clustered_cov(fit, assign_clusters(d, COUNTRY_YEAR)).standard_errors[1]
-        se_r = clustered_cov(fit, assign_clusters(d, REGION)).standard_errors[1]
+        se_cy, se_r = (confidence_intervals(fit, clustered_cov(fit, assign_clusters(d, s))).se[1]
+                       for s in (COUNTRY_YEAR, REGION))
         wider += se_cy > se_r
     assert wider >= 9
 

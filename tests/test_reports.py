@@ -91,7 +91,8 @@ def coefficient_table(fit, covs, level):
     """Oracle of ``write_coefficients``: the coefficient table as a dict,
     which ``write_json`` must encode to the writer's bytes."""
     per_scheme_ci = {label: confidence_intervals(fit, cov, level) for label, cov in covs.items()}
-    per_scheme_se = {label: cov.standard_errors.tolist() for label, cov in covs.items()}
+    per_scheme_se = {label: np.sqrt(np.clip(cov.variances, 0.0, None)).tolist()
+                     for label, cov in covs.items()}
     coefficients = []
     for j, name in enumerate(fit.design.column_names):
         est = float(fit.beta[j])
@@ -100,7 +101,8 @@ def coefficient_table(fit, covs, level):
             se = per_scheme_se[label][j]
             entry["se"][label] = se
             entry["t"][label] = est / se if se > 0 else None
-            lo, hi = per_scheme_ci[label][j]
+            ci = per_scheme_ci[label]
+            lo, hi = ci.lower[j], ci.upper[j]
             entry["ci"][label] = [float(lo), float(hi)]
         coefficients.append(entry)
     return {
@@ -183,6 +185,7 @@ def test_write_coefficients_writes_an_absent_level_as_null(tmp_path, fitted):
 
 
 def test_write_coefficients_takes_each_schemes_standard_errors_once(tmp_path, monkeypatch):
+    # SE, t and both bounds of a scheme come from one confidence_intervals call
     p = 30
     labels = tuple(ColumnLabel(kind="base", term="x", lag=j) for j in range(p))
     fit = fit_on(design_from_arrays(np.zeros((40, p)), np.zeros(40), labels=labels),
@@ -190,15 +193,15 @@ def test_write_coefficients_takes_each_schemes_standard_errors_once(tmp_path, mo
     covs = {label: CovarianceEstimate(cov=np.diag(np.full(p, 4.0)), variances=np.full(p, 4.0),
                                       scheme=REGION, correction="CR1", G=12) for label in ("a", "b")}
     calls = []
-    original = CovarianceEstimate.standard_errors
+    original = reports.confidence_intervals
 
-    def counted(self):
-        calls.append(self)
-        return original.fget(self)
+    def counted(fit, cov, level):
+        calls.append(cov)
+        return original(fit, cov, level)
 
-    monkeypatch.setattr(CovarianceEstimate, "standard_errors", property(counted))
+    monkeypatch.setattr(reports, "confidence_intervals", counted)
     write_coefficients(tmp_path / "c.json", fit, covs, 0.95)
-    assert len(calls) == len(covs)
+    assert len(calls) == len(covs) and all(a is b for a, b in zip(calls, covs.values()))
     table = json.loads((tmp_path / "c.json").read_text())
     assert all(row["se"] == {"a": 2.0, "b": 2.0} for row in table["coefficients"])
 

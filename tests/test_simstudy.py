@@ -342,7 +342,8 @@ def test_degenerate_noise_collapses_intervals_onto_truth():
         fit = ols_fit(design)
         slope = design.column_names.index("x.l0")
         cov = clustered_cov(fit, assign_clusters(design, REGION_YEAR), correction="CR0")
-        lo, hi = confidence_intervals(fit, cov, 0.95)[slope]
+        ci = confidence_intervals(fit, cov, 0.95)
+        lo, hi = ci.lower[slope], ci.upper[slope]
         assert abs(fit.beta[slope] - cfg.beta_true) < 1e-9
         assert hi - lo < 1e-9
         hits += lo - 1e-9 <= cfg.beta_true <= hi + 1e-9
@@ -431,7 +432,8 @@ def _oracle_rep(config, seed, rep, schemes, level, correction):
         for scheme in schemes:
             try:
                 cov = clustered_cov(fit, assign_clusters(design, scheme), correction)
-                lo, hi = confidence_intervals(fit, cov, level=level)[slope]
+                ci = confidence_intervals(fit, cov, level=level)
+                lo, hi = ci.lower[slope], ci.upper[slope]
             except ValueError:
                 out.append(None)
                 continue
