@@ -21,7 +21,7 @@ import numpy as np
 
 from .panel import (ClusterAssignment, ClusterScheme, DesignMatrix, ModelSpec, PanelDataset,
                     TermSpec, assign_clusters, build_design, term_label)
-from .regression import ClusterMoments, FitResult, RankDeficientError, ols_fit
+from .regression import Absorbed, ClusterMoments, FitResult, RankDeficientError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -457,15 +457,14 @@ def information_criterion(
     """
     if adjusted and clusters is None:
         raise ValueError("adjusted criteria need a cluster assignment for the blocks")
-    likelihood = _log_likelihood(fit, clusters if adjusted else None)
-    return _criterion(fit, criterion, adjusted, likelihood, count_variance_params)
+    likelihood = _log_likelihood(fit.residuals, clusters if adjusted else None)
+    return _criterion(fit.residuals, fit.p, criterion, adjusted, likelihood, count_variance_params)
 
 
-def _log_likelihood(fit: FitResult, blocks: ClusterAssignment | None):
-    """(log L, rho_hat, sigma^2) of ``fit``: iid without ``blocks``, else
-    equicorrelated with rho fitted on them, iid where rho_hat is None or 0."""
-    r = fit.residuals
-    s2 = float(r @ r) / fit.n
+def _log_likelihood(r: np.ndarray, blocks: ClusterAssignment | None):
+    """(log L, rho_hat, sigma^2) of the residuals ``r``: iid without ``blocks``,
+    else equicorrelated with rho fitted on them, iid where rho_hat is None or 0."""
+    s2 = float(r @ r) / len(r)
     if blocks is None:
         return loglik_iid(r), None, s2
     rf = fit_rho(r, blocks)
@@ -473,14 +472,15 @@ def _log_likelihood(fit: FitResult, blocks: ClusterAssignment | None):
     return ll, rf.rho_hat, s2
 
 
-def _criterion(fit: FitResult, criterion: str, adjusted: bool, likelihood,
+def _criterion(r: np.ndarray, p: int, criterion: str, adjusted: bool, likelihood,
                count_variance_params: bool) -> ICResult:
-    """``information_criterion`` from the fit's ``_log_likelihood``."""
+    """``information_criterion`` of a fit of ``p`` coefficients from its residuals'
+    ``_log_likelihood``."""
     if criterion not in ("AIC", "BIC"):
         raise ValueError(f"unknown criterion {criterion!r}; use 'AIC' or 'BIC'")
     ll, rho_hat, s2 = likelihood
-    gamma = 2.0 if criterion == "AIC" else math.log(fit.n)
-    k = fit.p + (1 + adjusted if count_variance_params else 0)
+    gamma = 2.0 if criterion == "AIC" else math.log(len(r))
+    k = p + (1 + adjusted if count_variance_params else 0)
     return ICResult(criterion=criterion, adjusted=adjusted, value=gamma * k - 2.0 * ll, k=k,
                     log_lik=ll, rho_hat=rho_hat, sigma2=s2)
 
@@ -519,32 +519,35 @@ def ic_scan(
     the same models the CV scan scores, on a union design that follows
     ``base``'s moderator alignment and lag ceiling.
 
-    All models are fitted on the rows usable under the union model, with
+    The union design is absorbed once and each model solves its columns on
+    it (``Absorbed.solve``), on the rows usable under the union model, with
     the blocks assigned once; rank-deficient fits are flagged collinear with
     NaN values.  Deltas are against the reference model.
     """
     seq = model_sequence(base, candidates, direction)
     design = build_design(dataset, seq.union)
     clusters = assign_clusters(design, block_scheme)
+    fe, k = Absorbed(design), design.X.shape[1]
 
-    def fit(depths):
-        return ols_fit(design.select(_columns(seq.union, depths)))
-
-    def scores(fit):  # one likelihood, and so one rho fit, per flag
-        likelihoods = {adj: _log_likelihood(fit, clusters if adj else None)
-                       for adj in adjusted_flags}
-        return {
-            (crit, adj): _criterion(fit, crit, adj, likelihoods[adj], count_variance_params)
-            for adj in adjusted_flags
-            for crit in criteria
-        }
+    def scores(depths):  # one likelihood, and so one rho fit, per flag
+        cols = _columns(seq.union, depths)
+        p = len(cols) + design.p - k
+        if design.n <= p:
+            raise ValueError(f"need more rows than columns to fit (n={design.n}, p={p})")
+        theta, dependent, _ = fe.solve(cols)
+        if dependent.size:
+            raise RankDeficientError([design.column_names[j] for j in dependent])
+        r = fe.y - np.take(fe.X, cols, axis=1) @ theta  # C order: the matvec rounds by layout
+        likelihoods = {adj: _log_likelihood(r, clusters if adj else None) for adj in adjusted_flags}
+        return {(crit, adj): _criterion(r, p, crit, adj, likelihoods[adj], count_variance_params)
+                for adj in adjusted_flags for crit in criteria}
 
     # a rank-deficient reference model fails the scan, naming its columns
-    ref = scores(fit(seq.reference))
+    ref = scores(seq.reference)
     entries = []
     for name, depth, depths in seq.variants:
         try:
-            res = scores(fit(depths))
+            res = scores(depths)
         except RankDeficientError:
             res = None
         for adj in adjusted_flags:

@@ -387,11 +387,6 @@ class DesignMatrix:
             start = slots[effect].stop
         return slots
 
-    def select(self, cols: Sequence[int]) -> "DesignMatrix":
-        """The design on the columns ``cols`` of ``X``; both effects stay absorbed."""
-        return replace(self, X=np.take(self.X, cols, axis=1),  # C-ordered: QR rounds by layout
-                       column_labels=tuple(self.column_labels[j] for j in cols))
-
 
 @dataclass(frozen=True)
 class ClusterAssignment:

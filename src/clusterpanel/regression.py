@@ -12,12 +12,15 @@ the SE.  Coefficients are read with their own variances
 (``confidence_intervals``), contrasts of them, a response curve's cumulative
 sums among them, through the (m, p) contrast matrix of ``linear_readout``.
 
-Both fixed effects are absorbed (``Absorbed``): the fit runs on the partialled
-intercept and term columns and recovers each region's and year's effect
-afterwards.  The influence on the year effects comes from the joint scores of
-the term and year columns, the region effects' variances exactly from the rows
-of the estimator's linear map: no dummy column and no (p, p) array is formed.
-Every count (p, the CR1 factor, R^2) includes the dummies.
+Both fixed effects are absorbed (``Absorbed``), and ``Absorbed.solve`` is the
+one least-squares solve, a pivoted QR of the partialled intercept and term
+columns under one rank rule, each region's and year's effect recovered
+afterwards: the fit, every IC model, and every CV fold and bootstrap replicate
+that the moments' Gram (``ClusterMoments``) does not accept.  The influence on
+the year effects comes from the joint scores of the term and year columns, the
+region effects' variances exactly from the rows of the estimator's linear map:
+no dummy column and no (p, p) array is formed.  Every count (p, the CR1 factor,
+R^2) includes the dummies.
 """
 
 from __future__ import annotations
@@ -213,24 +216,42 @@ class Absorbed(_Effects):
         self.X, self.y = Z[:, :-1], Z[:, -1]
 
     def solve(self, cols: Sequence[int]):
-        """Minimum-norm least squares on the ``X`` columns ``cols``:
-        (coefficients, whether the fit is rank deficient, ``effects``).
+        """Least squares on the ``X`` columns ``cols``: (coefficients, the
+        dependent columns as design positions, ``effects``).
 
-        The norm is that of the dummy-coded coefficients, the effects
-        included: a rank-deficient fit moves the coefficients and the
-        effects within the null space of the full dummy design to minimize
-        |beta|^2 + |alpha|^2 + |gamma|^2."""
-        cols, k = list(cols), len(cols)
-        X = np.take(self.X, cols, axis=1)
-        beta, _, rank, _ = np.linalg.lstsq(X, self.y, rcond=None)
-        if rank == k and not self.null.size:
-            return beta, False, self.effects(cols, beta)
+        [X y] is factored once, unpivoted, as Q T, and the pivoting runs on
+        the small triangle T (``_pivoted_triangle``).  The one rank rule: a
+        pivot at most the first times max(n, p) eps is dependent, n the rows
+        and p the model's columns, dummies included.  The dependent columns
+        are those pivoted out, or the year dummies when the year effect is
+        collinear with the region effect, never a region dummy.  A full-rank
+        fit solves the triangle; any other moves the basic solution within
+        the null space of the full dummy design to the least |beta|^2 +
+        |alpha|^2 + |gamma|^2, the effects' norms included."""
+        cols, k, design = list(cols), len(cols), self.design
+        n, p = len(self.X), k + design.p - self.X.shape[1]
+        T = np.linalg.qr(np.column_stack([np.take(self.X, cols, axis=1), self.y]), mode="r")[:k]
+        T = np.pad(T, ((0, k - len(T)), (0, 0)))  # a view of fewer than k + 1 rows
+        R, piv = _pivoted_triangle(T)
+        diag = np.abs(np.diag(R))
+        rank = int(np.sum(diag > diag[:1].sum() * max(n, p) * np.finfo(float).eps))
+        beta = np.zeros(k)
+        beta[piv[:rank]] = np.linalg.solve(R[:rank, :rank], R[:rank, k])
+        dependent = np.asarray(cols, dtype=int)[piv[rank:]]
+        if self.null.size:
+            # pivot a square root of the year block, its null space exactly zero
+            lam, V = np.linalg.eigh(self.H)  # ascending: the null space comes first
+            lam[: self.null.shape[1]] = 0.0
+            years = _pivoted_triangle(np.column_stack([np.sqrt(lam)[:, None] * V.T, lam * 0.0]))[1]
+            dependent = design.fe_slots["year"].start - 1 + self.years[years[-self.null.shape[1]:]]
+        if not dependent.size:
+            return beta, dependent, self.effects(cols, beta)
         # the null directions of the full design in the coordinates (beta,
         # gamma): (v, -P v) for v in the null space of the partialled
         # columns, (0, u) for u in that of the year block; and in (beta,
         # alpha of the regions with weight, gamma), with alpha's rows
         # -means v - shares gamma
-        v = np.linalg.svd(X, full_matrices=False)[2][rank:].T
+        v = np.linalg.svd(T[:, :k])[2][rank:].T
         Pc, seen = self.P[:, cols], np.flatnonzero(~np.isnan(self.means[:, -1]))
         S, M = self.shares[np.ix_(seen, self.years)], self.means[seen]
         B = np.block([[v, np.zeros((k, self.null.shape[1]))], [-Pc @ v, self.null]])
@@ -238,16 +259,18 @@ class Absorbed(_Effects):
         gamma = self.P[:, -1] - Pc @ beta
         sol = np.concatenate([beta, M[:, -1] - M[:, cols] @ beta - S @ gamma, gamma])
         sol -= N @ np.linalg.lstsq(N, sol, rcond=None)[0]
-        return sol[:k], True, self.effects(cols, sol[:k], sol[k + len(seen):])
+        return sol[:k], dependent, self.effects(cols, sol[:k], sol[k + len(seen):])
 
 
 # A fit comes from the Gram only when Cholesky of the equilibrated Gram less
 # tau I succeeds, which certifies its smallest eigenvalue above tau: tau is
 # _PIVOT_MIN (the normal equations then lose little precision) or, if larger,
-# least squares' rank threshold, (k eps max(n, k))^2, times _RANK_MARGIN times
-# the spread of the squared column norms.  Every pivot of a Cholesky of the
-# Gram is at least its smallest eigenvalue, so a pivoted Cholesky would keep
-# every pivot above both bounds too.  The year block must pass the same test.
+# (k eps max(n, k))^2 times _RANK_MARGIN times the spread of the squared column
+# norms.  The rows' rank rule (``Absorbed.solve``) calls a pivot dependent at
+# most the first, the largest norm, times max(n, p) eps; every pivot is at least
+# the smallest singular value, whose square is at least the smallest eigenvalue
+# times the smallest squared norm, so tau stays above that rule's bound, (max(n,
+# p) eps)^2 times the spread, when 100 k n >= p.  The year block must pass too.
 # Other fits use the rows, as do all when G (k + 1 + T) > _MOMENT_RATIO n,
 # where the moments would outgrow the rows.  _BLOCK_FLOATS bounds a block's
 # temporaries.
@@ -424,7 +447,8 @@ class _Views(_Effects):
         for i in np.flatnonzero(~solved):
             if i not in self.rows:
                 self.rows[i] = Absorbed(design, self.W[i][self.moments.row_cluster])
-            theta[i], deficient[i], fixed = self.rows[i].solve(cols)
+            theta[i], dependent, fixed = self.rows[i].solve(cols)
+            deficient[i] = dependent.size > 0
             for effect, values in fixed.items():
                 effects[effect][i] = values
         return theta, deficient, effects
@@ -461,41 +485,18 @@ def _pivoted_triangle(T: np.ndarray):
 
 
 def ols_fit(design: DesignMatrix) -> FitResult:
-    """Least squares via pivoted QR; reports offending columns on rank deficiency.
-
-    The rows are factored once, unpivoted, as [X y] = Q T, and the pivoting
-    runs on the small triangle T (``_pivoted_triangle``).  The QR runs on the
-    columns with both effects partialled out (``Absorbed``), and the effects
-    are recovered from the coefficients.  A rank deficiency names columns of
-    ``X``, or year dummies when the year effect is collinear with the region
-    effect, never a region dummy.
-    """
+    """Least squares on the term columns with both effects partialled out
+    (``Absorbed.solve``), the effects recovered from the coefficients; a rank
+    deficiency raises, naming ``solve``'s dependent columns."""
     fe = Absorbed(design)
-    X, y = fe.X, fe.y
-    n, p = X.shape[0], design.p
+    n, p, k = len(fe.X), design.p, fe.X.shape[1]
     if n <= p:
         raise ValueError(f"need more rows than columns to fit (n={n}, p={p})")
-    k = X.shape[1]
-    if fe.null.shape[1]:
-        # pivot a square root of the year block, its null space exactly zero
-        lam, V = np.linalg.eigh(fe.H)  # ascending: the null space comes first
-        lam[: fe.null.shape[1]] = 0.0
-        piv = _pivoted_triangle(np.column_stack([np.sqrt(lam)[:, None] * V.T, lam * 0.0]))[1]
-        names = design.column_names[design.fe_slots["year"].start:]
-        raise RankDeficientError([names[j] for j in piv[len(lam) - fe.null.shape[1]:]])
-    R, piv = _pivoted_triangle(np.linalg.qr(np.column_stack([X, y]), mode="r")[:k])
-    diag = np.abs(np.diag(R))
-    tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size and diag[0] > 0 else 0.0
-    rank = int(np.sum(diag > tol))
-    if rank < k:
-        raise RankDeficientError([design.column_labels[j].name for j in piv[rank:]])
-    theta = np.empty(k)
-    theta[piv] = np.linalg.solve(R[:, :k], R[:, k])
-    beta = np.empty(p)
-    beta[:k] = theta
-    for effect, values in fe.effects(range(k), theta).items():
-        beta[list(design.fe_slots[effect])] = values[1:]
-    residuals = y - X @ theta
+    theta, dependent, effects = fe.solve(range(k))
+    if dependent.size:
+        raise RankDeficientError([design.column_names[j] for j in dependent])
+    beta = np.concatenate([theta, *(values[1:] for values in effects.values())])
+    residuals = fe.y - fe.X @ theta
     ssr = float(residuals @ residuals)
     # R^2 is centred when the design has an intercept or any dummy (p > k)
     centered = p > k or any(lab.kind == "intercept" for lab in design.column_labels)
@@ -615,9 +616,9 @@ def _abs_t_density_at_zero(nu: int) -> float:
 def _t_quantile(level: float, G: int) -> float:
     """The t with P(|T| <= t) = level, T Student t on G - 1 degrees of freedom.
 
-    Solved at the double p = 0.5 + level/2 for whichever of P(|T| <= t) = 2p - 1
-    and P(|T| > t) = 2(1 - p) is at most one half; both targets are exact, so
-    the smaller probability keeps its relative accuracy.  With f the density
+    Solved for whichever of P(|T| <= t) = level and P(|T| > t) = 1 - level is
+    at most one half; both targets are exact (1 - level by Sterbenz), so the
+    smaller probability keeps its relative accuracy.  With f the density
     of |T| and a = nu/2, P(|T| <= t) = t f(t) 2F1(a + 1/2, 1; 3/2; t^2/(nu + t^2))
     and P(|T| > t) = (1/t + t/nu) f(t) 2F1(1/2, 1; a + 1; -nu/t^2) (the
     incomplete beta, DLMF 8.17.8, with a Pfaff transformation): a power series
@@ -628,16 +629,13 @@ def _t_quantile(level: float, G: int) -> float:
     check_level(level)
     if G < 2:
         raise ValueError("confidence intervals need at least 2 clusters")
-    nu, p = G - 1, 0.5 + level / 2.0
-    upper = p > 0.75
-    target = 2.0 * (1.0 - p) if upper else 2.0 * p - 1.0
-    if target == 0.0:  # level within half an ulp of 0 or 1
-        return math.inf if upper else 0.0
+    nu, upper = G - 1, level > 0.5
+    target = 1.0 - level if upper else level
     if nu == 1:
         q = math.tan(math.pi / 2.0 * target)
         return 1.0 / q if upper else q
     if nu == 2:
-        return (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        return level / math.sqrt((1.0 + level) * (1.0 - level) / 2.0)
     a, f0 = nu / 2.0, _abs_t_density_at_zero(nu)
     # P(|T| <= t) <= f0 t, so the lower start is left of the root, where the
     # Newton steps on a concave function rise monotonically

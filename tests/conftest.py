@@ -53,6 +53,17 @@ def panel_from(records, predictor_names=None):
     )
 
 
+def near_copy_panel(ds, scale):
+    """The balanced ``ds`` with a second predictor z = x + scale max|x| noise,
+    the noise standard normal from seed 1: z is nearly collinear with x at
+    small scales."""
+    x = ds.predictors["x"]
+    z = x + scale * np.abs(x).max() * np.random.default_rng(1).standard_normal(x.shape)
+    ri, ti = np.nonzero(ds.present)
+    return PanelDataset(np.array(ds.regions)[ri], np.array(ds.countries)[ri], ds.first_year + ti,
+                        ds.outcome[ri, ti], {"x": x[ri, ti], "z": z[ri, ti]})
+
+
 def grid_dataset(values, outcome=None, countries=None, centroids=None, predictor="v"):
     """Rectangular dataset from {region: {year: value}}; outcome defaults to 0."""
     observations = []

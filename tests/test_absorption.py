@@ -58,6 +58,7 @@ from clusterpanel.regression import (
     ClusterMoments,
     CovarianceEstimate,
     FitResult,
+    RankDeficientError,
     _t_quantile,
     check_correction,
     cluster_influence,
@@ -68,7 +69,8 @@ from clusterpanel.regression import (
     term_response_curve,
 )
 
-from conftest import dense_dummies, dense_X, fit_on, keep_grid, obs, panel_from, row_keys
+from conftest import (dense_dummies, dense_X, fit_on, keep_grid, near_copy_panel, obs,
+                      panel_from, row_keys)
 from test_modelselect import _oracle_sequence
 
 RTOL = 1e-10
@@ -393,8 +395,8 @@ def test_collinear_year_effect_is_named_and_solved_at_minimum_norm():
     X = dense_X(design)
     want, _, rank, _ = np.linalg.lstsq(X, design.y, rcond=None)
     assert rank == X.shape[1] - 1
-    beta, deficient, effects = Absorbed(design).solve(range(design.X.shape[1]))
-    assert deficient
+    beta, dependent, effects = Absorbed(design).solve(range(design.X.shape[1]))
+    assert [design.column_names[j] for j in dependent] == ["year=2015"]
     got = np.empty(design.p)
     got[: len(beta)] = beta
     for effect, values in effects.items():
@@ -422,6 +424,75 @@ def test_rank_deficiency_names_a_term_column():
     design = build_design(ds, _spec(True), keep_rows=keep)
     with pytest.raises(Exception, match="offending columns: z.l0"):
         ols_fit(design)
+
+
+# ---------------------------------------------------------------------------
+# one rank rule: the fit, the row path and the moments
+# ---------------------------------------------------------------------------
+
+
+def _xz_spec(effects):
+    """Intercept + x + z, both undifferenced, under the fixed ``effects``."""
+    return ModelSpec(terms=(TermSpec("x", differenced=False), TermSpec("z", differenced=False)),
+                     fixed_effects=effects)
+
+
+def test_fit_row_path_and_moments_share_one_rank_rule():
+    # z = x + s max|x| noise for 200 scales s around the rank threshold: the
+    # fit raises exactly when the row path and a one-view stack of the
+    # moments find dependent columns, and the fit and the row path name the
+    # same ones
+    base = generate_panel(DgpConfig(n_regions=20, n_years=10), 0)
+    verdicts = []
+    for scale in np.logspace(-16, -9, 200):
+        ds = near_copy_panel(base, scale)
+        for effects in ((), ("region",), ("region", "year")):
+            design = build_design(ds, _xz_spec(effects))
+            cols = range(design.X.shape[1])
+            try:
+                ols_fit(design)
+                named = []
+            except RankDeficientError as exc:
+                named = list(exc.columns)
+            dependent = Absorbed(design).solve(cols)[1]
+            assert [design.column_names[j] for j in dependent] == named, (scale, effects)
+            one = ClusterMoments(design, np.zeros(design.n, dtype=int)).weighted(np.ones((1, 1)))
+            assert one.solve(cols)[1].tolist() == [bool(named)], (scale, effects)
+            verdicts.append(bool(named))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scheme", (REGION, COUNTRY_YEAR, REGION_YEAR), ids=lambda s: s.label)
+def test_bootstrap_refits_a_near_collinear_design_that_the_fit_accepts(scheme):
+    # x and z nearly cancel, and the fit keeps both: so does every replicate
+    ds = near_copy_panel(generate_panel(DgpConfig(n_regions=20, n_years=10, countries=4), 0),
+                         5.74e-15)
+    spec = _xz_spec(("region",))
+    fit = ols_fit(build_design(ds, spec))
+    assert np.abs(fit.beta[1:3]).min() > 1e12
+    sample = block_bootstrap(ds, spec, scheme, 40, 0)
+    assert sample.failed_refits == 0 and len(sample.draws) == 40
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_a_view_the_gram_accepts_is_full_rank_by_the_row_rule():
+    # bootstrap views of z = x + s noise from below the rank threshold to
+    # well conditioned: a view solved from the Gram (not refitted from its
+    # rows) is one the row path's pivoted QR keeps whole
+    base = generate_panel(DgpConfig(n_regions=20, n_years=10, countries=4), 0)
+    solved = {"gram": 0, "rows": 0}
+    for scale in np.logspace(-16, -1, 31):
+        design = build_design(near_copy_panel(base, scale), _xz_spec(("region", "year")))
+        clusters = assign_clusters(design, COUNTRY_YEAR)
+        W = _replicate_weights(clusters.n_clusters, 8, 0)
+        views, cols = ClusterMoments(design, clusters.row_cluster).weighted(W), range(3)
+        views.solve(cols)  # intercept, x and z
+        for i, w in enumerate(W):
+            solved["rows" if i in views.rows else "gram"] += 1
+            if i not in views.rows:
+                assert not Absorbed(design, w[clusters.row_cluster]).solve(cols)[1].size, scale
+    assert solved["gram"] and solved["rows"]
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +1071,8 @@ def test_cluster_moments_solve_like_the_row_path(scheme, effects, row_refits):
         for effect, present in rows.present.items():
             assert (views.present[effect][i] == present).all()
         got, want = (solved[0][i], solved[1][i], solved[2]), rows.solve(cols)
-        assert got[1] == want[1]
-        if want[1]:
+        assert got[1] == (want[1].size > 0)
+        if want[1].size:
             deficient += 1
             continue
         betas.append((got[0], want[0]))
@@ -1030,8 +1101,8 @@ def _row_replicate(b, seed, design, clusters):
     G = clusters.n_clusters
     (w,) = _replicate_weights(G, b + 1, seed)[b:]
     refit = Absorbed(design, w[clusters.row_cluster])
-    theta, deficient, effects = refit.solve(range(design.X.shape[1]))
-    if deficient:
+    theta, dependent, effects = refit.solve(range(design.X.shape[1]))
+    if dependent.size:
         return None
     vec = np.full(design.p, math.nan)
     vec[: len(theta)] = theta
@@ -1218,8 +1289,8 @@ def _row_cv(design, scheme, K, seed, models):
         unseen += sum(int((~fold.present[e][codes[va]]).sum())
                       for e, codes in design.fe_codes.items())
         for m, model in enumerate(models):
-            beta, flag, effects = fold.solve(model)
-            deficient[m] |= flag
+            beta, dependent, effects = fold.solve(model)
+            deficient[m] |= dependent.size > 0
             err = design.y[va] - design.X[va][:, model] @ beta
             for effect, values in effects.items():
                 err -= np.nan_to_num(values)[design.fe_codes[effect][va]]

@@ -19,6 +19,8 @@ from clusterpanel.cli import COMMANDS, main
 from clusterpanel.panel import PanelDataset, save_csv
 from clusterpanel.simstudy import DgpConfig, generate_panel
 
+from conftest import near_copy_panel
+
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = "sample/config.yaml"
 
@@ -350,6 +352,30 @@ def test_bootstrap_reports_unresolved_year_dummies_as_na(tmp_path):
         if r["label"].startswith("d.x"):
             assert math.isfinite(float(r["lower"])) and math.isfinite(float(r["upper"]))
             assert int(r["used_draws"]) >= 20
+
+
+def test_fit_and_bootstrap_both_run_on_a_near_collinear_design(tmp_path, capsys):
+    # z = x + 5.74e-15 max|x| noise: the fit keeps both columns under the
+    # pivoted-QR rank rule, and the bootstrap refits every replicate under it
+    ds = generate_panel(DgpConfig(n_regions=20, n_years=10, countries=4), 0)
+    save_csv(near_copy_panel(ds, 5.74e-15), tmp_path / "panel.csv")
+    config = {
+        "seed": 0,
+        "data": {"path": str(tmp_path / "panel.csv"),
+                 "columns": {"region": "region", "country": "country", "year": "year",
+                             "outcome": "outcome"},
+                 "predictors": {"x": "x", "z": "z"}},
+        "model": {"fixed_effects": ["region"],
+                  "terms": [{"variable": "x", "differenced": False},
+                            {"variable": "z", "differenced": False}]},
+        "fit": {"schemes": ["region"]},
+        "bootstrap": {"scheme": "region", "b": 40, "levels": [0.9]},
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    for command in ("fit", "bootstrap"):
+        code = run(command, "--config", str(cfg_path), "--out", str(tmp_path / command))
+        assert code == 0, capsys.readouterr().err
 
 
 def _sample_config() -> dict:

@@ -338,48 +338,54 @@ def test_interval_half_width_small_g():
     np.testing.assert_allclose(ci.upper, q, rtol=1e-12)
 
 
-# Student-t quantiles at the binary double 0.5 + level/2 that _t_quantile
-# solves at (not at the decimal 0.975 / 0.95), keyed by df = G - 1. Computed
-# with mpmath at 60 digits by root-finding on the regularized incomplete beta
-# P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2. Every CI bound in the fit and
-# simulate goldens scales with these values; rel=1e-15 is a few ulp. The
-# levels 0.01 and 0.9999 need the smaller of P(|T| <= t) and P(|T| > t)
-# computed directly: through 1 minus the larger one, the rounding of that
-# difference alone moves t by about 1e-14 and 7e-14 relative.
+# Student-t quantiles at the double level itself (mpmath.mpf of a double is
+# exact), keyed by df = G - 1. Computed with mpmath at 60 digits by
+# root-finding on the regularized incomplete beta, P(|T| > t) =
+# I_{df/(df+t^2)}(df/2, 1/2), against 1 - level above one half and
+# P(|T| <= t) = I_{t^2/(df+t^2)}(1/2, df/2) against level otherwise. Every CI
+# bound in the fit and simulate goldens scales with these values; rel=1e-15 is
+# a few ulp. The levels 0.01, 0.999 and 0.9999 need the smaller of P(|T| <= t)
+# and P(|T| > t) solved for directly, against a target that is exact: solved
+# at the rounded 0.5 + level/2 instead, t moves by up to 1.1e-13 relative at
+# 0.999 and G = 2.
 T_QUANTILES = {
     (1, 0.95): "12.7062047361746933141",
-    (1, 0.90): "6.313751514675037397925",
+    (1, 0.90): "6.313751514675044524243",
     (2, 0.95): "4.30265272974946178942",
-    (2, 0.90): "2.919985580353724170313",
+    (2, 0.90): "2.919985580353726066123",
     (9, 0.95): "2.262157162798204999203",
-    (9, 0.90): "1.83311293265623660953",
+    (9, 0.90): "1.833112932656237308474",
     (29, 0.95): "2.045229642132703874521",
-    (29, 0.90): "1.69912702653349728446",
+    (29, 0.90): "1.699127026533497867174",
     (74, 0.95): "1.99254349518093230523",
-    (74, 0.90): "1.665706892734023181643",
+    (74, 0.90): "1.665706892734023736782",
     (999, 0.95): "1.962341461133449597549",
-    (999, 0.90): "1.646380345427535215176",
-    (3, 0.01): "0.01360405469103669045826",
+    (999, 0.90): "1.64638034542753575464",
+    (1, 0.999): "636.6192487687190507777",
+    (2, 0.999): "31.59905457644360667886",
+    (29, 0.999): "3.6594050194663325228",
+    (999, 0.999): "3.300292440398735225268",
+    (3, 0.01): "0.01360405469103667865766",
     (3, 0.5): "0.7648923284043452806575",
     (3, 0.99): "5.840909309733355411261",
     (3, 0.9999): "28.00013001095000607318",
-    (4, 0.01): "0.01333382719232065421691",
+    (4, 0.01): "0.0133338271923206426508",
     (4, 0.5): "0.7406970841126826329844",
     (4, 0.99): "4.604094871349992045905",
     (4, 0.9999): "15.54410058154611331216",
-    (49, 0.01): "0.01259758491035190562105",
+    (49, 0.01): "0.0125975849103518946938",
     (49, 0.5): "0.6795296452626507603085",
     (49, 0.99): "2.679951973631551700149",
     (49, 0.9999): "4.235725936988711984188",
-    (2499, 0.01): "0.0125347236162625407084",
+    (2499, 0.01): "0.01253472361626252983569",
     (2499, 0.5): "0.6745879361640972908075",
     (2499, 0.99): "2.577798125022686333406",
     (2499, 0.9999): "3.896881567383580756523",
-    (36999, 0.01): "0.0125335542095527058766",
+    (36999, 0.01): "0.0125335542095526950049",
     (36999, 0.5): "0.6744963811070410102514",
     (36999, 0.99): "2.575962193259197965822",
     (36999, 0.9999): "3.891016137261021493038",
-    (99999, 0.01): "0.01253350084701777345544",
+    (99999, 0.01): "0.01253350084701776258379",
     (99999, 0.5): "0.6744922035778261027639",
     (99999, 0.99): "2.575878470400052342952",
     (99999, 0.9999): "3.890748846955445135876",
@@ -417,10 +423,14 @@ def test_t_quantile_falls_with_clusters():
 
 
 def test_t_quantile_at_the_ends_of_the_level_range():
-    # 0.5 + level/2 rounds to 1 at the largest level below 1, and to 0.5 at
-    # subnormal levels
-    assert _t_quantile(np.nextafter(1.0, 0.0), 30) == np.inf
-    assert _t_quantile(5e-324, 30) == 0.0
+    # 1 - level is exact: the largest level below 1 has the finite t whose
+    # two-sided tail is 2^-53 (60 digits by mpmath, as T_QUANTILES), and the
+    # smallest subnormal level gives the double nearest level / f(0), f the
+    # density of |T| (f(0) = 0.79 at 29 d.o.f.)
+    top = _t_quantile(np.nextafter(1.0, 0.0), 30)
+    assert top == pytest.approx(17.08981489072218412873, rel=1e-15, abs=0)
+    assert 2.0 * stats.t.sf(top, 29) == pytest.approx(2.0 ** -53, rel=1e-12)
+    assert _t_quantile(5e-324, 30) == 5e-324
 
 
 def test_readout_is_estimate_plus_minus_t_times_se():
