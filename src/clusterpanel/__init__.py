@@ -19,6 +19,7 @@ from .panel import (
     DesignMatrix,
     ModelSpec,
     PanelDataset,
+    RankDeficientError,
     TermSpec,
     assign_clusters,
     build_design,
@@ -31,7 +32,6 @@ from .panel import (
 from .regression import (
     CovarianceEstimate,
     FitResult,
-    RankDeficientError,
     Readout,
     ResponseCurve,
     clustered_cov,

@@ -27,8 +27,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .panel import (ClusterScheme, DesignMatrix, ModelSpec, PanelDataset, assign_clusters,
-                    build_design)
-from .regression import ClusterMoments, FitResult, check_level, ols_fit
+                    build_design, check_level)
+from .regression import ClusterMoments, FitResult, ols_fit
 
 
 # SeedSequence's hash constants, (init, mult) of each chain and the mix

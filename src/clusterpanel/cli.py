@@ -25,9 +25,8 @@ from .bootstrap import (block_bootstrap, build_scenario_path, check_seed, first_
                         project_scenarios, read_intervals)
 from .modelselect import cv_scan, ic_scan
 from .panel import (ClusterScheme, CsvSchema, ModelSpec, TermSpec, assign_clusters, build_design,
-                    load_cached)
-from .regression import (check_level, clustered_cov, confidence_intervals, ols_fit,
-                         term_response_curve)
+                    check_level, load_cached)
+from .regression import clustered_cov, confidence_intervals, ols_fit, term_response_curve
 from .residcorr import (DEFAULT_MIN_OVERLAP, SPATIAL_KEYS, TEMPORAL_KEYS, GroupSpec,
                         ResidualPanel, correlation_table)
 from .simstudy import DgpConfig, bias_study, coverage_study

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .panel import (ClusterAssignment, ClusterScheme, DesignMatrix, ModelSpec, PanelDataset,
-                    TermSpec, assign_clusters, build_design, term_label)
-from .regression import Absorbed, ClusterMoments, FitResult, RankDeficientError
+                    RankDeficientError, TermSpec, assign_clusters, build_design, term_label)
+from .regression import Absorbed, ClusterMoments, FitResult
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,7 +47,8 @@ def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> FoldPlan:
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
     if K > G:
-        raise ValueError(f"K={K} exceeds the number of clusters G={G}")
+        raise ValueError(f"K={K} exceeds the number of clusters G={G} "
+                         f"under the {clusters.scheme.label} scheme")
     fold = np.empty(G, dtype=np.intp)
     fold[np.random.default_rng(seed).permutation(G)] = np.arange(G) % K
     return FoldPlan(K=K, fold=fold, seed=seed)
@@ -519,25 +520,18 @@ def ic_scan(
     the same models the CV scan scores, on a union design that follows
     ``base``'s moderator alignment and lag ceiling.
 
-    The union design is absorbed once and each model solves its columns on
-    it (``Absorbed.solve``), on the rows usable under the union model, with
-    the blocks assigned once; rank-deficient fits are flagged collinear with
-    NaN values.  Deltas are against the reference model.
+    The union design is absorbed once and each model fits its columns on it
+    (``Absorbed.fit``, as ``ols_fit``), on the rows usable under the union
+    model, with the blocks assigned once; rank-deficient fits are flagged
+    collinear with NaN values.  Deltas are against the reference model.
     """
     seq = model_sequence(base, candidates, direction)
     design = build_design(dataset, seq.union)
     clusters = assign_clusters(design, block_scheme)
-    fe, k = Absorbed(design), design.X.shape[1]
+    fe = Absorbed(design)
 
     def scores(depths):  # one likelihood, and so one rho fit, per flag
-        cols = _columns(seq.union, depths)
-        p = len(cols) + design.p - k
-        if design.n <= p:
-            raise ValueError(f"need more rows than columns to fit (n={design.n}, p={p})")
-        theta, dependent, _ = fe.solve(cols)
-        if dependent.size:
-            raise RankDeficientError([design.column_names[j] for j in dependent])
-        r = fe.y - np.take(fe.X, cols, axis=1) @ theta  # C order: the matvec rounds by layout
+        _, _, r, p, _ = fe.fit(_columns(seq.union, depths))
         likelihoods = {adj: _log_likelihood(r, clusters if adj else None) for adj in adjusted_flags}
         return {(crit, adj): _criterion(r, p, crit, adj, likelihoods[adj], count_variance_params)
                 for adj in adjusted_flags for crit in criteria}

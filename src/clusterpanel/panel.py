@@ -308,6 +308,16 @@ class ClusterScheme:
         return cls(kind, arg if colon else None)
 
 
+def check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
+def check_correction(correction: str) -> None:
+    if correction not in ("CR0", "CR1"):
+        raise ValueError(f"unknown correction {correction!r}; use 'CR0' or 'CR1'")
+
+
 REGION = ClusterScheme("region")
 REGION_YEAR = ClusterScheme("region_year")
 COUNTRY = ClusterScheme("country")
@@ -386,6 +396,14 @@ class DesignMatrix:
             slots[effect] = range(start, start + len(levels) - 1)
             start = slots[effect].stop
         return slots
+
+
+class RankDeficientError(ValueError):
+    """A design is numerically rank deficient: ``columns`` names its dependent columns."""
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        super().__init__("rank-deficient design; offending columns: " + ", ".join(self.columns))
 
 
 @dataclass(frozen=True)

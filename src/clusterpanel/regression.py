@@ -1,10 +1,10 @@
 """OLS fitting, cluster-robust covariance, confidence intervals, response curves.
 
 The covariance estimator is the one-way clustered sandwich: the Gram
-sum_g J_g J_g' of each cluster's influence J_g = (X'X)^-1 X_g' r_g
-(``cluster_influence``), which is linear in the rows, so a coarser
-partition's influence is the sum of its clusters'.  CR1 rescales it by
-G/(G-1) * (n-1)/(n-p), CR0 not.
+sum_g J_g J_g' of each cluster's influence J_g = R^-1 R^-T X_g' r_g, R the
+triangle of the fit's own QR (R'R = X'X, never formed), linear in the rows,
+so a coarser partition's influence is the sum of its clusters'
+(``cluster_influence``).  CR1 rescales it by G/(G-1) * (n-1)/(n-p), CR0 not.
 
 Every SE and interval is a ``Readout`` of (estimate, variance, G): ``readout``
 alone holds the rule, estimate -+ the Student t quantile on G-1 d.o.f. times
@@ -15,12 +15,12 @@ sums among them, through the (m, p) contrast matrix of ``linear_readout``.
 Both fixed effects are absorbed (``Absorbed``), and ``Absorbed.solve`` is the
 one least-squares solve, a pivoted QR of the partialled intercept and term
 columns under one rank rule, each region's and year's effect recovered
-afterwards: the fit, every IC model, and every CV fold and bootstrap replicate
-that the moments' Gram (``ClusterMoments``) does not accept.  The influence on
-the year effects comes from the joint scores of the term and year columns, the
-region effects' variances exactly from the rows of the estimator's linear map:
-no dummy column and no (p, p) array is formed.  Every count (p, the CR1 factor,
-R^2) includes the dummies.
+afterwards: the fit and every IC model (``Absorbed.fit``), and every CV fold
+and bootstrap replicate that the moments' Gram (``ClusterMoments``) does not
+accept.  The influence on the year effects comes from the joint scores of the
+term and year columns, the region effects' variances exactly from the rows of
+the estimator's linear map: no dummy column and no (p, p) array is formed.
+Every count (p, the CR1 factor, R^2) includes the dummies.
 """
 
 from __future__ import annotations
@@ -33,50 +33,30 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .panel import ClusterAssignment, ClusterScheme, DesignMatrix, TermSpec, term_label
+from .panel import (ClusterAssignment, ClusterScheme, DesignMatrix, RankDeficientError, TermSpec,
+                    check_correction, check_level, term_label)
 
 FEW_CLUSTERS_THRESHOLD = 40
 
 
-def check_level(level: float) -> None:
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-
-
-def check_correction(correction: str) -> None:
-    if correction not in ("CR0", "CR1"):
-        raise ValueError(f"unknown correction {correction!r}; use 'CR0' or 'CR1'")
-
-
-class RankDeficientError(ValueError):
-    """Design matrix is numerically rank deficient."""
-
-    def __init__(self, columns):
-        self.columns = tuple(columns)
-        super().__init__(
-            "rank-deficient design; offending columns: " + ", ".join(self.columns)
-        )
-
-
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients in design order, residuals and R^2 of a fit, and ``absorbed``,
-    the partialled design it was solved on.  Its ``design`` alone holds the row
-    count, the column layout and the names: ``n`` and ``p`` are the design's."""
+    """Coefficients in design order, residuals and R^2 of a fit, ``absorbed``, the
+    partialled design X~ it was solved on, and ``triangle``, the solve's R with
+    R'R = X~'X~, the sandwich's bread.  Its ``design`` alone holds the row count,
+    the column layout and the names: ``n`` and ``p`` are the design's."""
 
     beta: np.ndarray
     residuals: np.ndarray
     r_squared: float
     absorbed: Absorbed = field(repr=False)
+    triangle: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.beta, self.residuals):
+        for a in (self.beta, self.residuals, self.triangle):
             a.setflags(write=False)
 
-    @property
-    def design(self) -> DesignMatrix:
-        return self.absorbed.design
-
+    design = property(lambda self: self.absorbed.design)
     n = property(lambda self: self.design.n)
     p = property(lambda self: self.design.p)
 
@@ -95,6 +75,13 @@ class CovarianceEstimate:
     def __post_init__(self):
         self.cov.setflags(write=False)
         self.variances.setflags(write=False)
+
+    def read(self, estimate, variance, level: float) -> Readout:
+        """The ``readout`` on this scheme's G; below 2 it is an error naming the scheme."""
+        if self.G < 2:
+            raise ValueError(f"confidence intervals need at least 2 clusters; the "
+                             f"{self.scheme.label} scheme has G={self.G}")
+        return readout(estimate, variance, self.G, level)
 
 
 def _year_gram(C, N_r, N_t):
@@ -215,6 +202,19 @@ class Absorbed(_Effects):
             Z *= np.sqrt(w)[:, None]
         self.X, self.y = Z[:, :-1], Z[:, -1]
 
+    def fit(self, cols):
+        """``solve`` of a full-rank model: (coefficients, ``effects``, residuals, the
+        parameter count p with the dummies, the triangle R of the solve's unpivoted
+        QR).  n <= p raises, and so does a rank deficiency, naming the columns."""
+        n, p = len(self.X), len(cols) + self.design.p - self.X.shape[1]
+        if n <= p:
+            raise ValueError(f"need more rows than columns to fit (n={n}, p={p})")
+        theta, dependent, effects, T = self._solve(cols)
+        if dependent.size:
+            raise RankDeficientError(self.design.column_names[j] for j in dependent)
+        r = self.y - np.take(self.X, cols, axis=1) @ theta  # C order: the matvec rounds by layout
+        return theta, effects, r, p, T[:, :-1]
+
     def solve(self, cols: Sequence[int]):
         """Least squares on the ``X`` columns ``cols``: (coefficients, the
         dependent columns as design positions, ``effects``).
@@ -228,6 +228,10 @@ class Absorbed(_Effects):
         fit solves the triangle; any other moves the basic solution within
         the null space of the full dummy design to the least |beta|^2 +
         |alpha|^2 + |gamma|^2, the effects' norms included."""
+        return self._solve(cols)[:3]
+
+    def _solve(self, cols):
+        """``solve``, and the triangle T of [X_cols y] that it factored."""
         cols, k, design = list(cols), len(cols), self.design
         n, p = len(self.X), k + design.p - self.X.shape[1]
         T = np.linalg.qr(np.column_stack([np.take(self.X, cols, axis=1), self.y]), mode="r")[:k]
@@ -245,7 +249,7 @@ class Absorbed(_Effects):
             years = _pivoted_triangle(np.column_stack([np.sqrt(lam)[:, None] * V.T, lam * 0.0]))[1]
             dependent = design.fe_slots["year"].start - 1 + self.years[years[-self.null.shape[1]:]]
         if not dependent.size:
-            return beta, dependent, self.effects(cols, beta)
+            return beta, dependent, self.effects(cols, beta), T
         # the null directions of the full design in the coordinates (beta,
         # gamma): (v, -P v) for v in the null space of the partialled
         # columns, (0, u) for u in that of the year block; and in (beta,
@@ -259,7 +263,7 @@ class Absorbed(_Effects):
         gamma = self.P[:, -1] - Pc @ beta
         sol = np.concatenate([beta, M[:, -1] - M[:, cols] @ beta - S @ gamma, gamma])
         sol -= N @ np.linalg.lstsq(N, sol, rcond=None)[0]
-        return sol[:k], dependent, self.effects(cols, sol[:k], sol[k + len(seen):])
+        return sol[:k], dependent, self.effects(cols, sol[:k], sol[k + len(seen):]), T
 
 
 # A fit comes from the Gram only when Cholesky of the equilibrated Gram less
@@ -486,20 +490,14 @@ def _pivoted_triangle(T: np.ndarray):
 
 def ols_fit(design: DesignMatrix) -> FitResult:
     """Least squares on the term columns with both effects partialled out
-    (``Absorbed.solve``), the effects recovered from the coefficients; a rank
-    deficiency raises, naming ``solve``'s dependent columns."""
+    (``Absorbed.fit``, as every IC model), the effects recovered from the
+    coefficients; the fit keeps the solve's triangle, the sandwich's bread."""
     fe = Absorbed(design)
-    n, p, k = len(fe.X), design.p, fe.X.shape[1]
-    if n <= p:
-        raise ValueError(f"need more rows than columns to fit (n={n}, p={p})")
-    theta, dependent, effects = fe.solve(range(k))
-    if dependent.size:
-        raise RankDeficientError([design.column_names[j] for j in dependent])
+    theta, effects, residuals, p, R = fe.fit(range(design.X.shape[1]))
     beta = np.concatenate([theta, *(values[1:] for values in effects.values())])
-    residuals = fe.y - fe.X @ theta
     ssr = float(residuals @ residuals)
     # R^2 is centred when the design has an intercept or any dummy (p > k)
-    centered = p > k or any(lab.kind == "intercept" for lab in design.column_labels)
+    centered = p > len(theta) or any(lab.kind == "intercept" for lab in design.column_labels)
     dev = design.y - design.y.mean() if centered else design.y
     sst = float(dev @ dev)
     if sst == 0.0:
@@ -507,40 +505,27 @@ def ols_fit(design: DesignMatrix) -> FitResult:
         r2 = 0.0
     else:
         r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
-    return FitResult(beta=beta, residuals=residuals, r_squared=r2, absorbed=fe)
+    return FitResult(beta=beta, residuals=residuals, r_squared=r2, absorbed=fe, triangle=R)
 
 
-class Influence(NamedTuple):
-    """``cluster_influence``: ``J`` (G, k + T - 1, design order), each (region, cluster)
-    pair with rows and its a_rg, each region's column means and year shares m_r."""
-
-    J: np.ndarray
-    pair_region: np.ndarray
-    pair_cluster: np.ndarray
-    a: np.ndarray
-    m: np.ndarray
-
-
-def cluster_influence(fit: FitResult, codes: np.ndarray, G: int) -> Influence:
+def cluster_influence(fit: FitResult, codes: np.ndarray, G: int):
     """The influence of each cluster of the row ``codes``, in [0, G), on the fit's
     coefficients, linear in the rows: a coarser partition's is the sum of its
     clusters'.  On the fit's partialled columns X~ (``fit.absorbed``), cluster g's
-    influence on the term coefficients is J_g = bread X~_g' r_g, and on the year
-    effects gamma = P_y - P_X beta it is H^-1 Ẽ_g' r_g - P_X J_g, with Ẽ_g' r_g
+    influence on the term coefficients is J_g = R^-1 R^-T X~_g' r_g, R the fit's
+    triangle: no second factorization, and no X~'X~ to square cond(X~).  On the
+    year effects gamma = P_y - P_X beta it is H^-1 Ẽ_g' r_g - P_X J_g, with Ẽ_g' r_g
     its per-year residual sums less its regions' shares of them.  Region r's row
     of the estimator's linear map is 1_r'/n_r - m_r' [J; gamma's], so g's
     influence on the region's effect is a_rg - m_r' J_g, a_rg the sum of g's
-    residuals in region r over n_r."""
+    residuals in region r over n_r.  Returns J (G, k + T - 1, design order), each
+    (region, cluster) pair with rows, its a_rg, and every region's m_r."""
     if len(codes) != fit.n:
         raise ValueError("fit and clusters disagree on the row count")
     fe, design = fit.absorbed, fit.design
     X, e, g, k = fe.X, fit.residuals, codes, fe.X.shape[1]
-    try:
-        U = np.linalg.cholesky(X.T @ X).T
-    except np.linalg.LinAlgError:
-        raise ValueError("X'X is singular") from None
-    U_inv = np.linalg.solve(U, np.eye(k))  # LU of the triangle U is I U: back substitution
-    J = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ U_inv @ U_inv.T
+    R_inv = np.linalg.solve(fit.triangle, np.eye(k))  # LU of a triangle is I R: back substitution
+    J = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ R_inv @ R_inv.T
     L, T = fe.shares.shape
     r, pair_g, a = np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     if L:
@@ -555,7 +540,7 @@ def cluster_influence(fit: FitResult, codes: np.ndarray, G: int) -> Influence:
             Ee -= np.column_stack([np.bincount(pair_g, sums * s[r], G)
                                    for s in fe.shares[:, fe.years].T])
         J = np.hstack([J, np.linalg.solve(fe.H, Ee.T).T - J @ fe.P[:, :k].T])
-    return Influence(J, r, pair_g, a, np.hstack([fe.means[:, :k], fe.shares[:, fe.years]]))
+    return J, r, pair_g, a, np.hstack([fe.means[:, :k], fe.shares[:, fe.years]])
 
 
 def clustered_cov(fit: FitResult, clusters: ClusterAssignment,
@@ -690,7 +675,7 @@ def confidence_intervals(
 ) -> Readout:
     """Every coefficient's ``readout`` at the two-sided ``level``, in design order;
     a variance that is not positive is an error."""
-    out = readout(fit.beta, cov.variances, cov.G, level)
+    out = cov.read(fit.beta, cov.variances, level)
     bad = [fit.design.column_names[j] for j in np.flatnonzero(cov.variances <= 0)]
     if bad:
         raise ValueError(f"nonpositive variance for columns {bad} under the "
@@ -715,7 +700,7 @@ def linear_readout(fit: FitResult, cov: CovarianceEstimate, A: np.ndarray,
     for i, a in enumerate(A):
         nz = np.flatnonzero(a)
         var[i] = a[nz] @ cov.cov[np.ix_(at[nz], at[nz])] @ a[nz]
-    return readout(np.array([a @ fit.beta for a in A]), var, cov.G, level)
+    return cov.read(np.array([a @ fit.beta for a in A]), var, level)
 
 
 @dataclass(frozen=True)

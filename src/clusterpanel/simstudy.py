@@ -29,9 +29,11 @@ from .panel import (
     TermSpec,
     assign_clusters,
     build_design,
+    check_correction,
+    check_level,
 )
 from .bootstrap import _replicate_streams, check_seed
-from .regression import check_correction, check_level, readout
+from .regression import readout
 
 _SHARING_LEVELS = ("region", "year", "country_year")
 

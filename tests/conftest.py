@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from clusterpanel.panel import (
     ColumnLabel,
@@ -108,10 +109,13 @@ def design_from_arrays(X, y, cluster_keys=None, labels=None):
 
 def fit_on(design, beta=None, residuals=None, r_squared=0.0):
     """A fit on ``design`` with the given coefficients and residuals (zeros
-    by default), solved on ``Absorbed(design)`` as ``ols_fit`` would be."""
+    by default), solved on ``Absorbed(design)`` as ``ols_fit`` would be, its
+    triangle that of the unpivoted QR of the partialled columns."""
     beta = np.zeros(design.p) if beta is None else np.asarray(beta, dtype=float)
     residuals = np.zeros(design.n) if residuals is None else np.asarray(residuals, dtype=float)
-    return FitResult(beta=beta, residuals=residuals, r_squared=r_squared, absorbed=Absorbed(design))
+    fe = Absorbed(design)
+    return FitResult(beta=beta, residuals=residuals, r_squared=r_squared, absorbed=fe,
+                     triangle=np.linalg.qr(fe.X, mode="r"))
 
 
 def row_keys(design):
@@ -182,6 +186,25 @@ def dense_X(design):
         levels = np.arange(1, len(slots) + 1)
         X[:, list(slots)] = design.fe_codes[effect][:, None] == levels
     return X
+
+
+def dense_bread(X):
+    """(X'X)^-1 as R^-1 R^-T, R the triangle of the QR of ``X``: X'X, whose
+    condition number is cond(X)^2, is never formed."""
+    R_inv = sla.solve_triangular(np.linalg.qr(X, mode="r"), np.eye(X.shape[1]))
+    return R_inv @ R_inv.T
+
+
+def clustered_sandwich(X, e, clusters, correction="CR1"):
+    """The clustered sandwich of the dense design ``X`` and residuals ``e``
+    under ``clusters``, its bread ``dense_bread``."""
+    n, p = X.shape
+    G = clusters.n_clusters
+    bread = dense_bread(X)
+    scores = np.zeros((G, p))
+    np.add.at(scores, clusters.row_cluster, X * e[:, None])
+    factor = (G / (G - 1.0)) * ((n - 1.0) / (n - p)) if correction == "CR1" else 1.0
+    return bread @ scores.T @ scores @ bread * factor
 
 
 def _rowwise_float(cell, row_no, column):

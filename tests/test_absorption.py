@@ -69,8 +69,8 @@ from clusterpanel.regression import (
     term_response_curve,
 )
 
-from conftest import (dense_dummies, dense_X, fit_on, keep_grid, near_copy_panel, obs,
-                      panel_from, row_keys)
+from conftest import (clustered_sandwich, dense_dummies, dense_X, fit_on, keep_grid,
+                      near_copy_panel, obs, panel_from, row_keys)
 from test_modelselect import _oracle_sequence
 
 RTOL = 1e-10
@@ -142,16 +142,6 @@ def _dense_fit(X, y):
     return beta, y - X @ beta
 
 
-def _dense_sandwich(X, e, clusters, correction="CR1"):
-    n, p = X.shape
-    G = clusters.n_clusters
-    bread = np.linalg.inv(X.T @ X)
-    scores = np.zeros((G, p))
-    np.add.at(scores, clusters.row_cluster, X * e[:, None])
-    factor = (G / (G - 1.0)) * ((n - 1.0) / (n - p)) if correction == "CR1" else 1.0
-    return bread @ scores.T @ scores @ bread * factor
-
-
 def _summed(J, codes, G):
     """The rows of ``J`` summed by ``codes``: the influence of the coarser partition."""
     out = np.zeros((G, J.shape[1]))
@@ -175,7 +165,7 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
     assert fit.p == X.shape[1]
     for scheme in SCHEMES:
         clusters = assign_clusters(design, scheme)
-        V = _dense_sandwich(X, e, clusters)
+        V = clustered_sandwich(X, e, clusters)
         cov = clustered_cov(fit, clusters)
         ci = confidence_intervals(fit, cov)
         np.testing.assert_allclose(ci.se, np.sqrt(np.diag(V)), rtol=RTOL)
@@ -188,27 +178,28 @@ def test_fit_sandwich_and_intervals_match_dense(gappy, intercept):
         # variance sum_g (a_rg - m_r' J_g)^2 is rebuilt from its region pieces
         G = clusters.n_clusters
         J, pair_region, pair_cluster, a, m = cluster_influence(fit, clusters.row_cluster, G)
-        V0 = _dense_sandwich(X, e, clusters, "CR0")
+        V0 = clustered_sandwich(X, e, clusters, "CR0")
         _close(J.T @ J, V0[np.ix_(joint, joint)], rtol=1e-12)
         A = np.zeros((len(m), G))
         A[pair_region, pair_cluster] = a
         _close(np.square(A - m @ J.T).sum(axis=1)[1:], np.diag(V0)[slots["region"]], rtol=1e-12)
     # additivity: the influence at (region, year) codes, one per row, summed
     # by region or by country is the influence at those codes
-    fine = cluster_influence(fit, np.arange(design.n), design.n).J
+    fine = cluster_influence(fit, np.arange(design.n), design.n)[0]
     region = design.fe_codes["region"]
     L = len(design.fe_levels["region"])
-    _close(_summed(fine, region, L), cluster_influence(fit, region, L).J, rtol=1e-13)
+    _close(_summed(fine, region, L), cluster_influence(fit, region, L)[0], rtol=1e-13)
     country = assign_clusters(design, COUNTRY)
     _close(_summed(fine, country.row_cluster, country.n_clusters),
-           cluster_influence(fit, country.row_cluster, country.n_clusters).J,
+           cluster_influence(fit, country.row_cluster, country.n_clusters)[0],
            rtol=1e-13)
 
 
 def _parent_clustered_cov(fit, clusters, correction="CR1"):
     """``clustered_cov`` with the cluster influence formed inline, the body it
     had before ``cluster_influence`` was split out, kept verbatim as the oracle
-    but for reading the design and its partialled columns from the fit."""
+    but for reading the design, its partialled columns and the bread's
+    triangle from the fit."""
     check_correction(correction)
     if clusters.n_rows != fit.n:
         raise ValueError("fit and clusters disagree on the row count")
@@ -222,11 +213,7 @@ def _parent_clustered_cov(fit, clusters, correction="CR1"):
         warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
     elif G < FEW_CLUSTERS_THRESHOLD:
         warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
-    try:
-        U = np.linalg.cholesky(X.T @ X).T
-    except np.linalg.LinAlgError:
-        raise ValueError("X'X is singular") from None
-    U_inv = np.linalg.solve(U, np.eye(k))  # LU of the triangle U is I U: back substitution
+    U_inv = np.linalg.solve(fit.triangle, np.eye(k))  # LU of a triangle is I R: back substitution
     W = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ U_inv @ U_inv.T
     L, T = fe.shares.shape
     if L:
@@ -306,7 +293,7 @@ def test_sandwich_memory_is_linear_in_regions():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"{scheme.label}: peak {peak / 2**20:.1f} MiB"
-        V = _dense_sandwich(X, fit.residuals, clusters)
+        V = clustered_sandwich(X, fit.residuals, clusters)
         np.testing.assert_allclose(confidence_intervals(fit, cov).se[region],
                                    np.sqrt(np.diag(V)[region]), rtol=RTOL)
 
@@ -856,7 +843,7 @@ def test_sample_fit_golden_matches_dense():
     _close([c["estimate"] for c in table["coefficients"]], beta)
     for label in config["fit"]["schemes"]:
         clusters = assign_clusters(design, ClusterScheme.parse(label))
-        se = np.sqrt(np.diag(_dense_sandwich(X, e, clusters)))
+        se = np.sqrt(np.diag(clustered_sandwich(X, e, clusters)))
         np.testing.assert_allclose([c["se"][label] for c in table["coefficients"]], se, rtol=RTOL)
         half = _t_quantile(table["level"], clusters.n_clusters) * se
         _close([c["ci"][label] for c in table["coefficients"]],

@@ -30,7 +30,7 @@ from clusterpanel.panel import (
 from clusterpanel.regression import clustered_cov, ols_fit
 from clusterpanel.simstudy import SLOPE_SPEC, DgpConfig, generate_panel
 
-from conftest import design_from_arrays, keep_grid, obs, panel_from, row_keys
+from conftest import dense_bread, design_from_arrays, keep_grid, obs, panel_from, row_keys
 from test_modelselect import make_clusters
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,7 +103,7 @@ def _dense_sandwich(X, r, groups):
         m = np.asarray(groups) == g
         rg = r[m]
         sigma[np.ix_(m, m)] = np.outer(rg, rg)
-    bread = np.linalg.inv(X.T @ X)
+    bread = dense_bread(X)
     return bread @ X.T @ sigma @ X @ bread
 
 
@@ -137,7 +137,7 @@ def test_criterion_2_sandwich_oracle():
         d = design_from_arrays(X, y, cluster_keys=range(n))
         fit = ols_fit(d)
         cov = clustered_cov(fit, assign_clusters(d, scheme), correction="CR0")
-        bread = np.linalg.inv(X.T @ X)
+        bread = dense_bread(X)
         hc0 = bread @ (X * fit.residuals[:, None] ** 2).T @ X @ bread
         assert np.abs(cov.cov - hc0).max() <= 1e-12 * np.abs(hc0).max()
 

@@ -16,10 +16,12 @@ import yaml
 from clusterpanel import cli, reports
 from clusterpanel.bootstrap import min_draws
 from clusterpanel.cli import COMMANDS, main
-from clusterpanel.panel import PanelDataset, save_csv
+from clusterpanel.panel import (ClusterScheme, ModelSpec, PanelDataset, TermSpec, assign_clusters,
+                                build_design, save_csv)
+from clusterpanel.regression import Absorbed
 from clusterpanel.simstudy import DgpConfig, generate_panel
 
-from conftest import near_copy_panel
+from conftest import clustered_sandwich, dense_X, near_copy_panel
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CONFIG = "sample/config.yaml"
@@ -354,12 +356,11 @@ def test_bootstrap_reports_unresolved_year_dummies_as_na(tmp_path):
             assert int(r["used_draws"]) >= 20
 
 
-def test_fit_and_bootstrap_both_run_on_a_near_collinear_design(tmp_path, capsys):
-    # z = x + 5.74e-15 max|x| noise: the fit keeps both columns under the
-    # pivoted-QR rank rule, and the bootstrap refits every replicate under it
-    ds = generate_panel(DgpConfig(n_regions=20, n_years=10, countries=4), 0)
-    save_csv(near_copy_panel(ds, 5.74e-15), tmp_path / "panel.csv")
-    config = {
+def _xz_config(ds, tmp_path, schemes) -> dict:
+    """``ds`` saved under ``tmp_path`` and a config fitting its x and z,
+    undifferenced, with the region effect, under the fit ``schemes``."""
+    save_csv(ds, tmp_path / "panel.csv")
+    return {
         "seed": 0,
         "data": {"path": str(tmp_path / "panel.csv"),
                  "columns": {"region": "region", "country": "country", "year": "year",
@@ -368,14 +369,57 @@ def test_fit_and_bootstrap_both_run_on_a_near_collinear_design(tmp_path, capsys)
         "model": {"fixed_effects": ["region"],
                   "terms": [{"variable": "x", "differenced": False},
                             {"variable": "z", "differenced": False}]},
-        "fit": {"schemes": ["region"]},
+        "fit": {"schemes": schemes},
         "bootstrap": {"scheme": "region", "b": 40, "levels": [0.9]},
     }
-    cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(yaml.safe_dump(config))
+
+
+def test_fit_and_bootstrap_both_run_on_a_near_collinear_design(tmp_path, capsys):
+    # z = x + 5.74e-15 max|x| noise: the fit keeps both columns under the
+    # pivoted-QR rank rule, and the bootstrap refits every replicate under it
+    ds = generate_panel(DgpConfig(n_regions=20, n_years=10, countries=4), 0)
+    config = _xz_config(near_copy_panel(ds, 5.74e-15), tmp_path, ["region"])
     for command in ("fit", "bootstrap"):
-        code = run(command, "--config", str(cfg_path), "--out", str(tmp_path / command))
-        assert code == 0, capsys.readouterr().err
+        assert _run_config(config, command, tmp_path) == 0, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scale", [1e-7, 1e-9, 1e-11, 1e-13, 5.74e-15])
+def test_near_collinear_fit_writes_the_ses_of_a_dense_triangle_bread(scale, tmp_path, capsys):
+    # z = x + scale max|x| noise, so cond(X~) grows as 1/scale: every term SE
+    # written is within 10 cond(X~) eps of the dense design's sandwich, whose
+    # residuals are y less its projection on the columns and whose bread comes
+    # from the columns' QR triangle, never from X'X
+    ds = near_copy_panel(generate_panel(DgpConfig(n_regions=20, n_years=10, countries=4), 0),
+                         scale)
+    config = _xz_config(ds, tmp_path, ["region", "country"])
+    assert _run_config(config, "fit", tmp_path) == 0, capsys.readouterr().err
+    table = json.loads((tmp_path / "fit" / "coefficients.json").read_text())
+    spec = ModelSpec((TermSpec("x", differenced=False), TermSpec("z", differenced=False)),
+                     ("region",))
+    design = build_design(ds, spec)
+    X, k = dense_X(design), design.X.shape[1]
+    Q = np.linalg.qr(X)[0]
+    e = design.y - Q @ (Q.T @ design.y)
+    rtol = 10 * np.linalg.cond(Absorbed(design).X) * np.finfo(float).eps
+    for label in config["fit"]["schemes"]:
+        V = clustered_sandwich(X, e, assign_clusters(design, ClusterScheme.parse(label)))
+        got = [c["se"][label] for c in table["coefficients"][:k]]
+        np.testing.assert_allclose(got, np.sqrt(np.diag(V)[:k]), rtol=rtol, err_msg=label)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_too_few_clusters_name_their_scheme(tmp_path, capsys):
+    # one country: the country scheme has G=1, and fit and cv say so by name
+    ds = near_copy_panel(generate_panel(DgpConfig(n_regions=20, n_years=10, countries=1), 0), 1.0)
+    config = _xz_config(ds, tmp_path, ["region", "country"])
+    config["cv"] = {"schemes": ["region", "country"], "k": 2, "direction": "forward",
+                    "candidates": [{"variable": "x", "differenced": False}]}
+    for command, message in (("fit", "the country scheme has G=1"),
+                             ("cv", "G=1 under the country scheme")):
+        capsys.readouterr()
+        assert _run_config(config, command, tmp_path) == 1
+        assert message in capsys.readouterr().err, command
 
 
 def _sample_config() -> dict:
