@@ -159,7 +159,8 @@ def block_bootstrap(
     clusters = assign_clusters(design, scheme)
     G = clusters.n_clusters
     if G < 2:
-        raise ValueError(f"block bootstrap needs at least 2 clusters, got G={G}")
+        raise ValueError(f"block bootstrap needs at least 2 clusters; the {scheme.label} "
+                         f"scheme has G={G}")
     moments, cols = ClusterMoments(design, clusters.row_cluster), range(design.X.shape[1])
     intercept = [0] if spec.intercept else []
     draws, deficient = np.full((B, design.p), math.nan), np.zeros(B, dtype=bool)
@@ -367,7 +368,9 @@ def first_discernible_year(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if outcomes_a.years != outcomes_b.years:
-        raise ValueError("projections cover different years")
+        spans = [f"{p.label!r} {p.years[0]}..{p.years[-1]} ({len(p.years)} years)"
+                 for p in (outcomes_a, outcomes_b)]
+        raise ValueError(f"projections cover different years: {' and '.join(spans)}")
     if outcomes_a.values.shape != outcomes_b.values.shape:
         raise ValueError("projections carry different draw counts")
     (lo, hi), counts = column_quantiles(outcomes_a.values - outcomes_b.values,

@@ -370,12 +370,12 @@ def cmd_project(config: dict, out: Path) -> None:
             bounds.append(read_intervals(proj.values, levels, True)[0])
         except ValueError as exc:
             raise ValueError(f"scenario {proj.label!r}: {exc}") from None
-    reports.write_projections(out / "projection.csv", projections, levels, bounds)
     alpha = proj_cfg["alpha"]
     verdicts = [
         {"a": a.label, "b": b.label, "first_discernible_year": first_discernible_year(a, b, alpha)}
         for i, a in enumerate(projections) for b in projections[i + 1:]
     ]
+    reports.write_projections(out / "projection.csv", projections, levels, bounds)
     reports.write_json(out / "discernibility.json",
                        {"alpha": alpha, "pairs": verdicts, "unseen_levels": unseen,
                         "failed_refits": sample.failed_refits})

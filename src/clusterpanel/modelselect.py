@@ -1,7 +1,8 @@
 """Cluster-respecting cross-validation and correlation-adjusted information criteria.
 
 Folds keep whole clusters together.  The CV and IC scans score the models
-of one ``model_sequence``, each a column subset of one union design.  The
+of one ``model_sequence``, each a column subset of one union design; the CV
+scan's fold loop is ``cv_loss``, which takes any design and columns.  The
 adjusted AIC/BIC replace the iid Gaussian log-likelihood with an
 equicorrelated block covariance (variance sigma^2 on the diagonal, covariance
 rho within a block, blocks independent) whose log-determinant and quadratic
@@ -61,24 +62,26 @@ class CvResult:
     rank_deficient: bool
 
 
-def _cv_results(
+def cv_loss(
     design: DesignMatrix,
     scheme: ClusterScheme,
     K: int,
     seed: int,
     models: Sequence[Sequence[int]],
-    allow_rank_deficient: bool,
 ) -> list[CvResult]:
-    """Cluster-respecting K-fold CV of every model, each a list of columns
-    of ``design.X`` fitted with the fixed effects, on shared folds.
+    """Mean squared validation loss under cluster-respecting K-fold CV of
+    every model, each a list of columns of ``design.X`` fitted with the fixed
+    effects, on one set of folds.
 
     One ``weighted`` call on the design's ``ClusterMoments`` gives every
     training fold as 0/1 cluster weights, and each model solves its columns
     on all K folds in one call, as on a design built for it alone up to
     rounding.  The fixed effects take the training split's levels: a
     validation row whose level is unseen in training, or is the training
-    reference, gets no effect, as rebuilt all-zero dummies would give.
-    Validation errors come from the rows.
+    reference, gets no effect, as rebuilt all-zero dummies would give, and is
+    counted in ``unseen_levels``.  A rank-deficient training fold is solved at
+    minimum norm and flags its model ``rank_deficient``.  Validation errors
+    come from the rows.
     """
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
@@ -90,8 +93,6 @@ def _cv_results(
         [plan.fold != k for k in range(K)])
     fits = [folds.solve(model) for model in models]  # each over all K folds
     collinear = np.array([fit[1] for fit in fits]).reshape(-1, K)
-    if collinear.any() and not allow_rank_deficient:
-        raise ValueError(f"rank-deficient training design in fold {collinear.any(0).argmax()}")
     sse, unseen = np.zeros((len(models), K)), 0
     for k in range(K):
         va = row_folds == k
@@ -105,32 +106,6 @@ def _cv_results(
             sse[m, k] = err @ err
     return [CvResult(loss=sum(map(float, e)) / design.n, unseen_levels=unseen, rank_deficient=flag)
             for e, flag in zip(sse, collinear.any(1).tolist())]
-
-
-def cv_loss(
-    dataset: PanelDataset,
-    spec: ModelSpec,
-    scheme: ClusterScheme,
-    K: int,
-    seed: int,
-    *,
-    keep_rows: np.ndarray | None = None,
-    allow_rank_deficient: bool = False,
-) -> CvResult:
-    """Mean squared validation loss under cluster-respecting K-fold CV.
-
-    Fixed effects are refitted on each training split; validation rows with
-    a level unseen in training predict through the reference level and are
-    counted in ``unseen_levels``.  Rank-deficient training designs raise
-    (naming the fold) unless ``allow_rank_deficient``, in which case the
-    minimum-norm solution is used and the result is flagged.  ``keep_rows``
-    is ``build_design``'s: a boolean grid shaped like ``dataset.present``.
-    The design follows ``spec``, its moderator alignment and lag ceiling too.
-    """
-    design = build_design(dataset, spec, keep_rows=keep_rows)
-    (result,) = _cv_results(design, scheme, K, seed, [range(design.X.shape[1])],
-                            allow_rank_deficient)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +226,14 @@ def cv_scan(
     The union design follows ``base``'s moderator alignment and lag ceiling,
     which bound the candidates too.  All models are evaluated on the rows
     usable under the union model, so deltas are not confounded by lag
-    trimming, and on shared folds.  Rank-deficient training designs use the
-    minimum-norm solution and flag the entry collinear.
+    trimming, and on shared folds (``cv_loss``).  A rank-deficient training
+    fold flags the entry collinear.
     """
     seq = model_sequence(base, candidates, direction)
     design = build_design(dataset, seq.union)
     models = [seq.reference] + [depths for _, _, depths in seq.variants]
-    ref, *results = _cv_results(
-        design, scheme, K, seed,
-        [_columns(seq.union, depths) for depths in models], allow_rank_deficient=True,
-    )
+    ref, *results = cv_loss(design, scheme, K, seed,
+                            [_columns(seq.union, depths) for depths in models])
     entries = tuple(ScanEntry(term=name, lag_depth=depth, loss=cv.loss,
                               delta_loss=cv.loss - ref.loss, collinear=cv.rank_deficient)
                     for (name, depth, _), cv in zip(seq.variants, results))

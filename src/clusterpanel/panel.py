@@ -522,7 +522,8 @@ def _blocks(reader, width: int):
 
 
 def load_csv(path, schema: CsvSchema) -> PanelDataset:
-    """Load a panel from a delimited UTF-8 file with a header row.
+    """Load a panel from a delimited UTF-8 file with a header row, with or
+    without a byte-order mark.
 
     The file is read once with ``csv.reader``, so a quoted cell may hold the
     delimiter, and blank lines are skipped.  Rows are transposed into columns
@@ -536,7 +537,7 @@ def load_csv(path, schema: CsvSchema) -> PanelDataset:
                                           schema.lon) if c is not None}
     strings, tags = {c: [] for c in (schema.region, schema.country, *schema.custom.values())}, []
     parsed = {}  # tag set of each distinct row of group cells; tags are constant per region
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # past a spreadsheet's BOM
         reader = csv.reader(fh, delimiter=schema.delimiter)
         header = next(reader, [])
         missing = [c for c in schema.columns() if c not in header]

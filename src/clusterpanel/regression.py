@@ -559,9 +559,11 @@ def clustered_cov(fit: FitResult, clusters: ClusterAssignment,
     check_correction(correction)
     (n, k), p, e, G = fit.design.X.shape, fit.p, fit.residuals, clusters.n_clusters
     if G == 1:
-        warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
+        warnings.warn(f"G=1 degenerate clustering under the {clusters.scheme.label} scheme: "
+                      "covariance collapses to ~0")
     elif G < FEW_CLUSTERS_THRESHOLD:
-        warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
+        warnings.warn(f"only G={G} clusters under the {clusters.scheme.label} scheme; "
+                      "uncertainty estimates may be unreliable")
     J, r, pair_g, a, means = cluster_influence(fit, clusters.row_cluster, G)
 
     def corrected(m):

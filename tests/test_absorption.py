@@ -28,7 +28,6 @@ from scipy import linalg as sla
 from clusterpanel.bootstrap import block_bootstrap, build_scenario_path, project_scenarios
 from clusterpanel import modelselect, regression
 from clusterpanel.modelselect import (
-    _cv_results,
     cv_loss,
     cv_scan,
     ic_scan,
@@ -559,8 +558,9 @@ def test_cv_loss_counts_unseen_levels_like_dense():
     ds = _panel(True)
     spec = _spec(True)
     for scheme in (REGION, YEAR, COUNTRY):
-        res = cv_loss(ds, spec, scheme, K=3, seed=1)
-        loss, _, unseen = _dense_cv(build_design(ds, spec), scheme, 3, 1)
+        design = build_design(ds, spec)
+        (res,) = cv_loss(design, scheme, K=3, seed=1, models=[range(design.X.shape[1])])
+        loss, _, unseen = _dense_cv(design, scheme, 3, 1)
         assert res.loss == pytest.approx(loss, rel=RTOL)
         assert res.unseen_levels == unseen > 0
 
@@ -1264,7 +1264,7 @@ def test_a_singular_year_block_in_a_stack_solves_from_the_rows(row_refits):
 
 def _row_cv(design, scheme, K, seed, models):
     """(loss, rank deficient, unseen levels) per model on the row path: each
-    fold refitted by ``Absorbed`` under 0/1 row weights, as ``_cv_results``
+    fold refitted by ``Absorbed`` under 0/1 row weights, as ``cv_loss``
     did before the moments."""
     clusters = assign_clusters(design, scheme)
     plan = make_folds(clusters, K, seed)
@@ -1302,7 +1302,7 @@ def test_cv_entries_match_row_path(case):
         clusters = assign_clusters(design, scheme)
         assert ClusterMoments(design, clusters.row_cluster).rows_only == (
             scheme == REGION_YEAR and "year" in design.fe_codes)
-        got = _cv_results(design, scheme, K, 3, models, allow_rank_deficient=True)
+        got = cv_loss(design, scheme, K, 3, models)
         for res, (loss, deficient, unseen) in zip(got, _row_cv(design, scheme, K, 3, models),
                                                    strict=True):
             assert res.loss == pytest.approx(loss, rel=RTOL)

@@ -129,7 +129,7 @@ def test_each_replicate_draws_exactly_g_blocks():
 def test_bootstrap_needs_two_clusters():
     observations = [obs("A", "A", 2000 + t, float(t), {"x": float(t)}) for t in range(5)]
     ds = panel_from(observations, predictor_names=("x",))
-    with pytest.raises(ValueError, match="at least 2 clusters"):
+    with pytest.raises(ValueError, match="at least 2 clusters; the region scheme has G=1"):
         block_bootstrap(ds, SLOPE_SPEC, REGION, B=4, seed=0)
 
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import math
@@ -93,6 +94,18 @@ def test_golden_outputs(command, tmp_path):
     out = tmp_path / command
     assert run(command, "--config", SAMPLE_CONFIG, "--out", str(out)) == 0
     _compare_dirs(out, ROOT / "sample" / "golden" / command)
+
+
+def test_fit_reads_a_panel_with_a_byte_order_mark(tmp_path):
+    config = _sample_config()
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + (ROOT / config["data"]["path"]).read_bytes())
+    config["data"]["path"] = str(bom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # few clusters
+        assert _run_config(config, "fit", tmp_path) == 0
+    golden = ROOT / "sample/golden/fit/coefficients.json"
+    assert (tmp_path / "fit" / "coefficients.json").read_bytes() == golden.read_bytes()
 
 
 def test_manifest_round_trip(tmp_path):
@@ -601,6 +614,22 @@ def test_project_rejects_two_scenarios_with_one_label(capsys, tmp_path):
     config["project"]["scenarios"][1]["label"] = "low"
     assert _run_config(config, "project", tmp_path) == 1
     assert "project scenario label 'low' is listed twice" in capsys.readouterr().err
+    assert not list((tmp_path / "project").glob("**/*"))
+
+
+def test_project_of_scenarios_over_different_years_writes_nothing(capsys, tmp_path):
+    # every pair's verdict is read before the first table is written
+    rows = (ROOT / "sample/scenario_high.csv").read_text().splitlines(keepends=True)
+    short = tmp_path / "high.csv"
+    short.write_text("".join(row for row in rows if row.split(",")[2] != "2030"))
+    config = _sample_config()
+    config["project"]["scenarios"][1]["path"] = str(short)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # dropped draws
+        assert _run_config(config, "project", tmp_path) == 1
+    # the differenced term at lags 0..2 trims the files' first three years
+    assert ("projections cover different years: 'low' 2021..2030 (10 years) and "
+            "'high' 2021..2029 (9 years)") in capsys.readouterr().err
     assert not list((tmp_path / "project").glob("**/*"))
 
 

@@ -38,6 +38,12 @@ from conftest import (cell, design_from_arrays, fit_on, grid_dataset, keep_grid,
                       row_keys)
 
 
+def _cv(design, scheme, K, seed):
+    """``cv_loss`` of the one model of every core column of ``design``."""
+    (res,) = cv_loss(design, scheme, K, seed, [range(design.X.shape[1])])
+    return res
+
+
 def make_clusters(sizes):
     codes = np.repeat(np.arange(len(sizes)), sizes)
     return ClusterAssignment(ClusterScheme("custom", "g"), codes, len(sizes))
@@ -104,49 +110,52 @@ def _xy_dataset(rng, R=6, T=8, slope=0.0, noise=1.0):
 def test_cv_constant_outcome_zero_loss():
     ds = grid_dataset({f"R{i}": {2000 + t: 1.0 for t in range(6)} for i in range(4)},
                       outcome={f"R{i}": {2000 + t: 2.0 for t in range(6)} for i in range(4)})
-    res = cv_loss(ds, ModelSpec(), REGION, K=2, seed=0)
+    res = _cv(build_design(ds, ModelSpec()), REGION, K=2, seed=0)
     assert res.loss == pytest.approx(0.0, abs=1e-24)
 
 
 def test_cv_exact_relationship_zero_loss(rng):
     ds = _xy_dataset(rng, slope=3.0, noise=0.0)
     for scheme in (REGION, YEAR, COUNTRY):
-        res = cv_loss(ds, SLOPE_SPEC, scheme, K=3, seed=1)
+        res = _cv(build_design(ds, SLOPE_SPEC), scheme, K=3, seed=1)
         assert res.loss == pytest.approx(0.0, abs=1e-20)
 
 
 def test_cv_unseen_levels_counted(rng):
     ds = _xy_dataset(rng)
     spec = ModelSpec(terms=(TermSpec("x", differenced=False),), fixed_effects=("region",))
-    res = cv_loss(ds, spec, REGION, K=3, seed=0)
+    design = build_design(ds, spec)
+    res = _cv(design, REGION, K=3, seed=0)
     # region folds hold out whole regions, so every validation row's region
     # dummy level is unseen in training
-    assert res.unseen_levels == build_design(ds, spec).n
+    assert res.unseen_levels == design.n
     assert res.loss > 0
 
 
-def test_cv_rank_deficient_training_named_fold(rng):
+def test_cv_rank_deficient_training_fold_is_flagged(rng):
     ds = _xy_dataset(rng)
     dup = ModelSpec(
         terms=(TermSpec("x", differenced=False), TermSpec("x", differenced=False)),
     )
-    with pytest.raises(ValueError, match="fold 0"):
-        cv_loss(ds, dup, REGION, K=3, seed=0)
-    res = cv_loss(ds, dup, REGION, K=3, seed=0, allow_rank_deficient=True)
-    assert res.rank_deficient
+    design = build_design(ds, dup)
+    # the minimum-norm solution splits the slope over the copies: same fit
+    both, one = cv_loss(design, REGION, K=3, seed=0, models=[[0, 1, 2], [0, 1]])
+    assert (both.rank_deficient, one.rank_deficient) == (True, False)
+    assert both.loss == pytest.approx(one.loss, rel=1e-12)
 
 
 def test_cv_keep_rows_restricts(rng):
     ds = _xy_dataset(rng, R=4, T=10)
     cells = [(f"R{i}", 2000 + t) for i in range(4) for t in range(5)]
     keep = keep_grid(ds, cells)
-    res = cv_loss(ds, SLOPE_SPEC, YEAR, K=2, seed=0, keep_rows=keep)
+    res = _cv(build_design(ds, SLOPE_SPEC, keep_rows=keep), YEAR, K=2, seed=0)
     # the same CV as on a panel of the 20 kept cells alone
     kept = panel_from([obs(r, ds.country_of(r), y, cell(ds, "outcome", r, y),
                            {"x": cell(ds, "x", r, y)}) for r, y in cells], predictor_names=("x",))
-    assert res.loss == pytest.approx(cv_loss(kept, SLOPE_SPEC, YEAR, K=2, seed=0).loss, rel=1e-12)
+    assert res.loss == pytest.approx(_cv(build_design(kept, SLOPE_SPEC), YEAR, K=2, seed=0).loss,
+                                     rel=1e-12)
     with pytest.raises(ValueError, match=r"keep_rows must be a \(4, 10\) boolean grid"):
-        cv_loss(ds, SLOPE_SPEC, YEAR, K=2, seed=0, keep_rows=keep.T)
+        build_design(ds, SLOPE_SPEC, keep_rows=keep.T)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +320,7 @@ def test_cv_scan_matches_per_model_builds(case):
         scan = cv_scan(ds, base, candidates, scheme, K, seed=7, direction=direction)
 
         def cv(spec):
-            return cv_loss(ds, spec, scheme, K, seed=7, keep_rows=rows, allow_rank_deficient=True)
+            return _cv(build_design(ds, spec, keep_rows=rows), scheme, K, seed=7)
 
         # the scan solves each model on a sub-block of the union's fold
         # Grams, which rounds as a product of their own width would not
@@ -378,8 +387,8 @@ def test_lag_ceiling_of_the_spec_reaches_cv_and_ic():
     with pytest.raises(ValueError, match=r"max_lag 11 outside 0\.\.10 for 'x'"):
         ModelSpec(terms=(deep,))
     spec = ModelSpec(terms=(deep,), max_lag_ceiling=12)
-    res = cv_loss(ds, spec, REGION, 3, seed=0)
-    assert math.isfinite(res.loss) and build_design(ds, spec).n == 12 * 4
+    design = build_design(ds, spec)
+    assert math.isfinite(_cv(design, REGION, 3, seed=0).loss) and design.n == 12 * 4
     # a candidate is held to the base model's ceiling
     base = ModelSpec(max_lag_ceiling=12)
     assert len(cv_scan(ds, base, [deep], REGION, 3, seed=0).entries) == 12

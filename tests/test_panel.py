@@ -1,3 +1,4 @@
+import codecs
 import csv
 import importlib.util
 import math
@@ -954,6 +955,14 @@ def test_columnar_design_matches_rows_on_scenario_rows():
     spec = replace(SAMPLE_SPEC, fixed_effects=())
     d = _assert_matches_oracle(records, ds, spec, require_outcome=False)
     assert np.isnan(d.y).all() and d.n == 30 * 10
+
+
+@pytest.mark.parametrize("name", ["panel.csv", "scenario_low.csv"])
+def test_load_csv_reads_past_a_byte_order_mark(name, tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + (SAMPLE_DIR / name).read_bytes())
+    assert_same_dataset(load_csv(path, SAMPLE_SCHEMA), load_csv(SAMPLE_DIR / name, SAMPLE_SCHEMA))
 
 
 def test_sample_data_regenerates_byte_for_byte(tmp_path):

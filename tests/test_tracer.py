@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 from clusterpanel.cli import main
 
@@ -50,3 +51,17 @@ def test_traced_fit_and_bootstrap_count_their_work(tracer_module, monkeypatch, t
     summary = tracer.summary()
     assert summary["regression.ols_fit.gflop"] > 0
     assert summary["bootstrap.replicates"] == 80
+
+
+def test_traced_cv_runs_the_fold_loop_once_per_scheme(tracer_module, monkeypatch, tmp_path):
+    monkeypatch.chdir(ROOT)
+    config = yaml.safe_load(Path("sample/config.yaml").read_text(encoding="utf-8"))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # few clusters
+            assert main(["cv", "--config", "sample/config.yaml", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary().get("modelselect.cv_loss.calls", 0) == len(config["cv"]["schemes"])
