@@ -209,6 +209,15 @@ def _cv_model(cp, ds, spec):
     return cp.cv_loss(design, cp.REGION, K=4, seed=0, models=[range(design.X.shape[1])])
 
 
+def _cv_scan(cp, ds, base, candidates, scheme):
+    """cv_scan of one scheme at K=4; a tree whose cv_scan takes one scheme,
+    not a list of them, returns the scan itself."""
+    if "schemes" not in inspect.signature(cp.cv_scan).parameters:
+        return cp.cv_scan(ds, base, candidates, scheme, K=4, seed=0)
+    (scan,) = cp.cv_scan(ds, base, candidates, [scheme], K=4, seed=0)
+    return scan
+
+
 def measure(cp, regions, years, extra_replicates, stages=STAGES):
     spec = cp.ModelSpec(terms=(cp.TermSpec("x", differenced=True, moderator="xbar", max_lag=2),),
                         fixed_effects=("region", "year"))
@@ -266,10 +275,9 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
     for scheme in (cp.REGION, cp.COUNTRY_YEAR) if "cv_scan" in stages else ():
         key = "cv_scan" if scheme == cp.REGION else f"cv_scan_{scheme.label}"
         out[f"{key}_s"] = statistics.median(
-            _timed(lambda: cp.cv_scan(ds, base, candidates, scheme, K=4, seed=0))[0]
+            _timed(lambda: _cv_scan(cp, ds, base, candidates, scheme))[0]
             for _ in range(CV_SCAN_RUNS))
-        out[f"{key}_peak_mb"] = _peak_mb(
-            lambda: cp.cv_scan(ds, base, candidates, scheme, K=4, seed=0))
+        out[f"{key}_peak_mb"] = _peak_mb(lambda: _cv_scan(cp, ds, base, candidates, scheme))
     for scheme in (cp.REGION, cp.YEAR, cp.COUNTRY_YEAR) if "bootstrap" in stages else ():
         def boot(B):
             return _timed(lambda: cp.block_bootstrap(ds, spec, scheme, B, seed=0))[0]

@@ -51,7 +51,6 @@ from .residcorr import (
 )
 from .modelselect import (
     EquicorrParams,
-    FoldPlan,
     ICResult,
     RhoFit,
     cv_loss,

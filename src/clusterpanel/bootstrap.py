@@ -21,7 +21,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -182,8 +181,9 @@ def block_bootstrap(
             f"block bootstrap aborted: {failed}/{B} replicates were rank deficient "
             f"under scheme {scheme.label} (G={G})"
         )
-    return BootstrapSample(draws=draws[~deficient], scheme=scheme, B=B, seed=seed,
-                           failed_refits=failed, base_fit=base_fit)
+    # a boolean index copies all B draws, even when it keeps every one
+    return BootstrapSample(draws=draws[~deficient] if failed else draws, scheme=scheme, B=B,
+                           seed=seed, failed_refits=failed, base_fit=base_fit)
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,6 +192,8 @@ def min_draws(level: float) -> int:
     max(20, ceil(2/(1-level))), with ``level`` taken as the decimal it prints
     as, so that level 0.9 needs 20 draws, not the 21 that the binary
     rounding of 1 - 0.9 would give."""
+    from fractions import Fraction  # here, so that importing the package skips decimal too
+
     check_level(level)
     return max(20, math.ceil(2 / (1 - Fraction(repr(float(level))))))
 

@@ -165,13 +165,16 @@ SCHEMA = {
     }, REQUIRED),
 }
 READS = {command: ("data", "model", command) for command in COMMANDS} | {"simulate": ("simulate",)}
+# lists that select what a command computes: empty, the run would write header-only tables
+NONEMPTY = {"cv.schemes", "ic.criteria", "ic.adjusted", "corr.groups", "project.scenarios",
+            "simulate.schemes"}
 
 
 def parse(table: dict, raw, section: str = TOP, fill: bool = True) -> dict:
     """One config section through its table.  Unknown keys and keys of
-    another variant are errors.  With ``fill``, required keys must be given
-    and every key is returned, defaulted and coerced; without, the given
-    keys are only checked."""
+    another variant are errors.  With ``fill``, required keys must be given,
+    a ``NONEMPTY`` list may not be empty, and every key is returned,
+    defaulted and coerced; without, the given keys are only checked."""
     if not isinstance(raw, dict):
         raise ValueError(f"section {section!r} must be a mapping, got {raw!r}")
     table, foreign = dict(table), {}
@@ -210,6 +213,8 @@ def parse(table: dict, raw, section: str = TOP, fill: bool = True) -> dict:
                 resolved[key] = kind(value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad {key!r} in section {section!r}: {exc}") from None
+        if fill and name in NONEMPTY and resolved[key] == []:
+            raise ValueError(f"key {key!r} in section {section!r} may not be an empty list")
     return resolved
 
 
@@ -301,8 +306,8 @@ def cmd_cv(config: dict, out: Path) -> None:
     direction, base, candidates = _scan_setup(cv_cfg, _model(config))
     rows = []
     summary = {"direction": direction, "k": cv_cfg["k"], "seed": seed, "schemes": {}}
-    for scheme in schemes:
-        scan = cv_scan(dataset, base, candidates, scheme, cv_cfg["k"], seed, direction=direction)
+    scans = cv_scan(dataset, base, candidates, schemes, cv_cfg["k"], seed, direction=direction)
+    for scheme, scan in zip(schemes, scans):
         summary["schemes"][scheme.label] = {
             "reference_loss": scan.reference_loss,
             "rows_used": scan.rows_used,

@@ -32,18 +32,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    K: int
-    fold: np.ndarray  # (G,): the fold of each cluster code, in [0, K)
-    seed: int
-
-
-def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> FoldPlan:
-    """Shuffle cluster codes with a seeded RNG and deal them round-robin.
-
-    Fold sizes (in clusters) differ by at most one.
-    """
+def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> np.ndarray:
+    """The (G,) fold of each cluster code, in [0, K): the codes shuffled with a
+    seeded RNG and dealt round-robin, so fold sizes differ by at most one."""
     G = clusters.n_clusters
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
@@ -52,7 +43,7 @@ def make_folds(clusters: ClusterAssignment, K: int, seed: int) -> FoldPlan:
                          f"under the {clusters.scheme.label} scheme")
     fold = np.empty(G, dtype=np.intp)
     fold[np.random.default_rng(seed).permutation(G)] = np.arange(G) % K
-    return FoldPlan(K=K, fold=fold, seed=seed)
+    return fold
 
 
 @dataclass(frozen=True)
@@ -84,13 +75,13 @@ def cv_loss(
     come from the rows.
     """
     clusters = assign_clusters(design, scheme)
-    plan = make_folds(clusters, K, seed)
-    row_folds = plan.fold[clusters.row_cluster]
+    fold = make_folds(clusters, K, seed)
+    row_folds = fold[clusters.row_cluster]
     counts = np.bincount(row_folds, minlength=K)
     if not counts.all():
         raise ValueError(f"empty validation fold {int(np.argmin(counts))}")
     folds = ClusterMoments(design, clusters.row_cluster).weighted(
-        [plan.fold != k for k in range(K)])
+        [fold != k for k in range(K)])
     fits = [folds.solve(model) for model in models]  # each over all K folds
     collinear = np.array([fit[1] for fit in fits]).reshape(-1, K)
     sse, unseen = np.zeros((len(models), K)), 0
@@ -215,29 +206,34 @@ def cv_scan(
     dataset: PanelDataset,
     base: ModelSpec,
     candidates: Sequence[TermSpec],
-    scheme: ClusterScheme,
+    schemes: Sequence[ClusterScheme],
     K: int,
     seed: int,
     *,
     direction: str = "forward",
-) -> ScanResult:
-    """Delta CV loss over ``model_sequence(base, candidates, direction)``.
+) -> list[ScanResult]:
+    """Delta CV loss over ``model_sequence(base, candidates, direction)``,
+    one scan per scheme of ``schemes``, in their order.
 
     The union design follows ``base``'s moderator alignment and lag ceiling,
-    which bound the candidates too.  All models are evaluated on the rows
-    usable under the union model, so deltas are not confounded by lag
-    trimming, and on shared folds (``cv_loss``).  A rank-deficient training
-    fold flags the entry collinear.
+    which bound the candidates too; it is built once and every scheme scores
+    it.  All models are evaluated on the rows usable under the union model,
+    so deltas are not confounded by lag trimming, and on the scheme's shared
+    folds (``cv_loss``).  A rank-deficient training fold flags the entry
+    collinear.
     """
     seq = model_sequence(base, candidates, direction)
     design = build_design(dataset, seq.union)
     models = [seq.reference] + [depths for _, _, depths in seq.variants]
-    ref, *results = cv_loss(design, scheme, K, seed,
-                            [_columns(seq.union, depths) for depths in models])
-    entries = tuple(ScanEntry(term=name, lag_depth=depth, loss=cv.loss,
-                              delta_loss=cv.loss - ref.loss, collinear=cv.rank_deficient)
-                    for (name, depth, _), cv in zip(seq.variants, results))
-    return ScanResult(reference_loss=ref.loss, entries=entries, rows_used=design.n)
+    columns = [_columns(seq.union, depths) for depths in models]
+    scans = []
+    for scheme in schemes:
+        ref, *results = cv_loss(design, scheme, K, seed, columns)
+        entries = tuple(ScanEntry(term=name, lag_depth=depth, loss=cv.loss,
+                                  delta_loss=cv.loss - ref.loss, collinear=cv.rank_deficient)
+                        for (name, depth, _), cv in zip(seq.variants, results))
+        scans.append(ScanResult(reference_loss=ref.loss, entries=entries, rows_used=design.n))
+    return scans
 
 
 # ---------------------------------------------------------------------------

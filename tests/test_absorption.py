@@ -493,8 +493,7 @@ def _dense_cv(design, scheme, K, seed):
     core = design.X
     regions, years = (np.array(v) for v in _row_levels(design))
     clusters = assign_clusters(design, scheme)
-    plan = make_folds(clusters, K, seed)
-    row_folds = plan.fold[clusters.row_cluster]
+    row_folds = make_folds(clusters, K, seed)[clusters.row_cluster]
     sse, n_val, unseen, deficient = 0.0, 0, 0, False
     for k in range(K):
         va, tr = row_folds == k, row_folds != k
@@ -536,7 +535,7 @@ def test_cv_scan_matches_dense_cv(case):
     union, reference, variants = _oracle_sequence(base, candidates, direction)
     rows = _rows_of(build_design(ds, union))
     for scheme, K in ((REGION, 4), (YEAR, 3), (COUNTRY_YEAR, 4)):
-        scan = cv_scan(ds, base, candidates, scheme, K, seed=3, direction=direction)
+        (scan,) = cv_scan(ds, base, candidates, [scheme], K, seed=3, direction=direction)
 
         def dense(spec):
             return _dense_cv(build_design(ds, spec, keep_rows=rows), scheme, K, 3)
@@ -1267,8 +1266,7 @@ def _row_cv(design, scheme, K, seed, models):
     fold refitted by ``Absorbed`` under 0/1 row weights, as ``cv_loss``
     did before the moments."""
     clusters = assign_clusters(design, scheme)
-    plan = make_folds(clusters, K, seed)
-    row_folds = plan.fold[clusters.row_cluster]
+    row_folds = make_folds(clusters, K, seed)[clusters.row_cluster]
     sse, deficient, unseen = np.zeros(len(models)), [False] * len(models), 0
     for k in range(K):
         va = row_folds == k
@@ -1325,7 +1323,7 @@ def test_cv_scan_builds_one_set_of_fold_views(monkeypatch):
 
     monkeypatch.setattr(modelselect, "ClusterMoments", Counted)
     base = ModelSpec(fixed_effects=("region", "year"))
-    scan = cv_scan(_panel(True), base, (X_MOD, Z0), COUNTRY, 3, seed=3)
+    (scan,) = cv_scan(_panel(True), base, (X_MOD, Z0), [COUNTRY], 3, seed=3)
     assert len(scan.entries) == 3
     assert len(made) == len(calls) == 1
     assert len(calls[0]) == 3  # one training fold per row of weights
@@ -1335,6 +1333,6 @@ def test_cv_scan_refits_each_fold_from_the_rows_once(row_refits):
     # the collinear candidate sends every deficient model of a fold to the
     # row path; the fold's row partialling is built once and shared
     gappy, base, candidates, direction = CV_CASES["forward_region_collinear"]
-    scan = cv_scan(_panel(gappy), base, candidates, COUNTRY, 3, seed=3, direction=direction)
+    (scan,) = cv_scan(_panel(gappy), base, candidates, [COUNTRY], 3, seed=3, direction=direction)
     assert any(entry.collinear for entry in scan.entries)
     assert len(row_refits) == 3

@@ -225,14 +225,11 @@ def test_criterion_6_model_selection_direction():
         for run in range(runs):
             ds = generate_panel(cfg, (2000, run))
             keep = keep_grid(ds, row_keys(build_design(ds, spurious)))
-            for scheme, key, want_trivial in (
-                (REGION, "cv_region_nontrivial", False),
-                (COUNTRY, "cv_country_trivial", True),
-                (YEAR, "cv_year_trivial", True),
-            ):
-                # one scan: the trivial reference and the spurious model at
-                # full depth, on the spurious model's rows and shared folds
-                scan = cp.cv_scan(ds, trivial, spurious.terms, scheme, K=5, seed=run)
+            # one scan per scheme: the trivial reference and the spurious model
+            # at full depth, on the spurious model's rows and shared folds
+            scans = cp.cv_scan(ds, trivial, spurious.terms, [REGION, COUNTRY, YEAR], K=5, seed=run)
+            keys = ("cv_region_nontrivial", "cv_country_trivial", "cv_year_trivial")
+            for scan, key, want_trivial in zip(scans, keys, (False, True, True), strict=True):
                 loss_triv = scan.reference_loss
                 loss_mod = next(e.loss for e in scan.entries if e.lag_depth == 5)
                 prefers_trivial = loss_triv <= loss_mod

@@ -796,6 +796,23 @@ def test_no_levels_write_header_only_tables(command, table, header, tmp_path):
     assert (tmp_path / command / table).read_text() == header + "\n"
 
 
+@pytest.mark.parametrize("command, key", [
+    ("cv", "schemes"), ("ic", "criteria"), ("ic", "adjusted"), ("corr", "groups"),
+    ("project", "scenarios"), ("simulate", "schemes"),
+], ids=["cv_schemes", "ic_criteria", "ic_adjusted", "corr_groups", "project_scenarios",
+        "simulate_schemes"])
+def test_an_empty_selection_fails_by_name_before_any_data_is_read(command, key, capsys, tmp_path):
+    # with no scheme, criterion, group or scenario a run would write only
+    # headers; the missing data file shows that the check comes first
+    config = _sample_config()
+    config["data"]["path"] = str(tmp_path / "missing.csv")
+    config[command][key] = []
+    assert _run_config(config, command, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"error: key {key!r} in section {command!r} may not be an empty list" in err
+    assert not (tmp_path / command).exists()
+
+
 def test_minimal_config_manifest_holds_resolved_defaults(tmp_path):
     config = {
         "data": {"path": "sample/panel.csv", "predictors": {"x": "x"},
@@ -887,4 +904,14 @@ def test_cli_never_imports_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script, *COMMANDS], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_fractions():
+    # fractions pulls in decimal, both part of every command's start-up, and
+    # only bootstrap.min_draws needs them
+    script = "import sys, clusterpanel.cli; assert 'fractions' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

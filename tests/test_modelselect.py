@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from clusterpanel import modelselect
 from clusterpanel.modelselect import (
     EquicorrParams,
     cv_loss,
@@ -55,24 +56,24 @@ def make_clusters(sizes):
 
 
 def test_folds_one_cluster_each():
-    plan = make_folds(make_clusters([3, 3, 3, 3]), K=4, seed=0)
-    assert sorted(np.bincount(plan.fold).tolist()) == [1, 1, 1, 1]
+    fold = make_folds(make_clusters([3, 3, 3, 3]), K=4, seed=0)
+    assert sorted(np.bincount(fold).tolist()) == [1, 1, 1, 1]
 
 
 def test_folds_pigeonhole():
-    plan = make_folds(make_clusters([2] * 10), K=3, seed=1)
-    assert sorted(np.bincount(plan.fold).tolist()) == [3, 3, 4]
+    fold = make_folds(make_clusters([2] * 10), K=3, seed=1)
+    assert sorted(np.bincount(fold).tolist()) == [3, 3, 4]
 
 
 def test_folds_deterministic_and_seed_sensitive():
     clusters = make_clusters([1] * 50)
     a = make_folds(clusters, K=5, seed=7)
     b = make_folds(clusters, K=5, seed=7)
-    assert a.fold.tolist() == b.fold.tolist()
+    assert a.tolist() == b.tolist()
     # the seed's permutation of the cluster codes, dealt round-robin
     order = np.random.default_rng(7).permutation(50)
-    assert a.fold[order].tolist() == [i % 5 for i in range(50)]
-    distinct = {tuple(make_folds(clusters, K=5, seed=s).fold.tolist()) for s in range(100)}
+    assert a[order].tolist() == [i % 5 for i in range(50)]
+    distinct = {tuple(make_folds(clusters, K=5, seed=s).tolist()) for s in range(100)}
     assert len(distinct) > 95
 
 
@@ -86,9 +87,9 @@ def test_folds_validation():
 
 def test_fold_integrity():
     clusters = make_clusters([1] * 23)
-    plan = make_folds(clusters, K=4, seed=3)
-    assert plan.fold.shape == (clusters.n_clusters,)
-    assert set(plan.fold.tolist()) == {0, 1, 2, 3}
+    fold = make_folds(clusters, K=4, seed=3)
+    assert fold.shape == (clusters.n_clusters,)
+    assert set(fold.tolist()) == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_cv_keep_rows_restricts(rng):
 def test_forward_scan_duplicate_candidate_collinear(rng):
     ds = _xy_dataset(rng, slope=1.0)
     base = ModelSpec(terms=(TermSpec("x", differenced=False),))
-    scan = cv_scan(ds, base, [TermSpec("xc", differenced=False)], REGION, K=3, seed=2)
+    (scan,) = cv_scan(ds, base, [TermSpec("xc", differenced=False)], [REGION], K=3, seed=2)
     entry = scan.entries[0]
     assert entry.collinear
     assert abs(entry.delta_loss) < 1e-10
@@ -177,22 +178,25 @@ def test_forward_scan_pure_noise_candidate_nonnegative_in_expectation():
     for seed in range(50):
         gen = np.random.default_rng((900, seed))
         ds = _xy_dataset(gen, R=8, T=10, slope=0.0, noise=1.0)
-        scan = cv_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], YEAR, K=5, seed=seed)
+        (scan,) = cv_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], [YEAR], K=5,
+                          seed=seed)
         deltas.append(scan.entries[0].delta_loss)
     assert float(np.mean(deltas)) > 0.0
 
 
 def test_forward_scan_predictive_candidate_reduces_loss(rng):
     ds = _xy_dataset(rng, R=10, T=12, slope=2.0, noise=0.5)
-    for scheme in (REGION, YEAR, COUNTRY):
-        scan = cv_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], scheme, K=3, seed=3)
+    scans = cv_scan(ds, ModelSpec(), [TermSpec("x", differenced=False)], [REGION, YEAR, COUNTRY],
+                    K=3, seed=3)
+    assert len(scans) == 3
+    for scan in scans:
         assert scan.entries[0].delta_loss < 0
 
 
 def test_forward_scan_covers_lag_depths(rng):
     ds = _xy_dataset(rng, R=6, T=12)
-    scan = cv_scan(
-        ds, ModelSpec(), [TermSpec("x", differenced=False, max_lag=2)], REGION, K=3, seed=0
+    (scan,) = cv_scan(
+        ds, ModelSpec(), [TermSpec("x", differenced=False, max_lag=2)], [REGION], K=3, seed=0
     )
     assert [e.lag_depth for e in scan.entries] == [0, 1, 2]
     # all entries share the common row set of the deepest model
@@ -202,7 +206,7 @@ def test_forward_scan_covers_lag_depths(rng):
 def test_backward_scan_shape_and_trivial_entry(rng):
     ds = _xy_dataset(rng, R=8, T=12, slope=1.5, noise=0.5)
     full = ModelSpec(terms=(TermSpec("x", differenced=False, max_lag=2),))
-    scan = cv_scan(ds, full, [], YEAR, K=4, seed=1, direction="backward")
+    (scan,) = cv_scan(ds, full, [], [YEAR], K=4, seed=1, direction="backward")
     depths = [e.lag_depth for e in scan.entries]
     assert depths == [1, 0, None, None]
     assert scan.entries[-1].term == "(trivial)"
@@ -221,7 +225,7 @@ def test_backward_scan_zero_coefficient_term_negligible(rng):
             observations.append(obs(f"R{i}", "C0", 2000 + t, y, {"x": x, "z": z}))
     ds = panel_from(observations, predictor_names=("x", "z"))
     full = ModelSpec(terms=(TermSpec("x", differenced=False), TermSpec("z", differenced=False)))
-    scan = cv_scan(ds, full, [], REGION, K=4, seed=5, direction="backward")
+    (scan,) = cv_scan(ds, full, [], [REGION], K=4, seed=5, direction="backward")
     removed_z = [e for e in scan.entries if e.term == "z" and e.lag_depth is None][0]
     removed_x = [e for e in scan.entries if e.term == "x" and e.lag_depth is None][0]
     assert abs(removed_z.delta_loss) < 0.1 * removed_x.delta_loss
@@ -317,7 +321,7 @@ def _scan_case(case):
 def test_cv_scan_matches_per_model_builds(case):
     ds, base, candidates, direction, reference, variants, rows = _scan_case(case)
     for scheme, K in ((COUNTRY, 3), (YEAR, 4)):
-        scan = cv_scan(ds, base, candidates, scheme, K, seed=7, direction=direction)
+        (scan,) = cv_scan(ds, base, candidates, [scheme], K, seed=7, direction=direction)
 
         def cv(spec):
             return _cv(build_design(ds, spec, keep_rows=rows), scheme, K, seed=7)
@@ -333,6 +337,19 @@ def test_cv_scan_matches_per_model_builds(case):
             assert entry.collinear == res.rank_deficient
             assert entry.loss == pytest.approx(res.loss, rel=1e-12)
             assert entry.delta_loss == pytest.approx(res.loss - ref.loss, abs=1e-12 * ref.loss)
+
+
+def test_cv_scan_of_several_schemes_is_a_scan_of_each_on_one_design(monkeypatch):
+    ds, base, candidates, direction, *_ = _scan_case("gappy_lag_aligned_forward")
+    built = []
+    monkeypatch.setattr(modelselect, "build_design",
+                        lambda *args: built.append(args) or build_design(*args))
+    schemes = [YEAR, COUNTRY, REGION]
+    scans = cv_scan(ds, base, candidates, schemes, 3, seed=7, direction=direction)
+    assert len(built) == 1
+    assert scans == [cv_scan(ds, base, candidates, [scheme], 3, seed=7, direction=direction)[0]
+                     for scheme in schemes]
+    assert len({scan.reference_loss for scan in scans}) == 3
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
@@ -374,7 +391,7 @@ def test_ic_scan_matches_per_model_builds(case):
 
 def test_duplicate_candidate_collinear_in_both_scans():
     ds, base, candidates, direction, *_ = _scan_case("gappy_lag_aligned_forward")
-    cv = cv_scan(ds, base, candidates, COUNTRY, 3, seed=7, direction=direction)
+    (cv,) = cv_scan(ds, base, candidates, [COUNTRY], 3, seed=7, direction=direction)
     ic = ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction)
     assert [e.collinear for e in cv.entries] == [False, False, False, True]
     assert [e.collinear for e in ic.entries] == [False] * 12 + [True] * 4
@@ -391,10 +408,10 @@ def test_lag_ceiling_of_the_spec_reaches_cv_and_ic():
     assert math.isfinite(_cv(design, REGION, 3, seed=0).loss) and design.n == 12 * 4
     # a candidate is held to the base model's ceiling
     base = ModelSpec(max_lag_ceiling=12)
-    assert len(cv_scan(ds, base, [deep], REGION, 3, seed=0).entries) == 12
+    assert len(cv_scan(ds, base, [deep], [REGION], 3, seed=0)[0].entries) == 12
     assert len(ic_scan(ds, base, [deep], COUNTRY_YEAR, criteria=("AIC",)).entries) == 24
     with pytest.raises(ValueError, match=r"max_lag 11 outside 0\.\.10 for 'x'"):
-        cv_scan(ds, ModelSpec(), [deep], REGION, 3, seed=0)
+        cv_scan(ds, ModelSpec(), [deep], [REGION], 3, seed=0)
 
 
 def test_model_sequence_depths():
@@ -452,7 +469,7 @@ REPEAT_CASE = (DgpConfig(n_regions=12, n_years=10), ModelSpec(
 def test_cv_scan_rejects_a_candidate_that_repeats_a_base_term():
     config, base = REPEAT_CASE
     with pytest.raises(ValueError, match="candidate 'x' is already a term of the model"):
-        cv_scan(generate_panel(config, 0), base, list(base.terms), REGION, 3, seed=0)
+        cv_scan(generate_panel(config, 0), base, list(base.terms), [REGION], 3, seed=0)
 
 
 def test_ic_scan_rejects_a_candidate_that_repeats_a_base_term():
@@ -711,8 +728,7 @@ def test_backward_scan_spurious_benchmark_prefers_trivial():
     minimal = 0
     for seed in range(10):
         ds = generate_panel(bench, (2000, seed))
-        for scheme in (COUNTRY, YEAR):
-            scan = cv_scan(ds, full, [], scheme, K=5, seed=seed, direction="backward")
+        for scan in cv_scan(ds, full, [], [COUNTRY, YEAR], K=5, seed=seed, direction="backward"):
             trivial_loss = [e.loss for e in scan.entries if e.term == "(trivial)"][0]
             below_full += trivial_loss < scan.reference_loss
             minimal += trivial_loss <= min(e.loss for e in scan.entries)

@@ -64,4 +64,6 @@ def test_traced_cv_runs_the_fold_loop_once_per_scheme(tracer_module, monkeypatch
             assert main(["cv", "--config", "sample/config.yaml", "--out", str(tmp_path)]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.summary().get("modelselect.cv_loss.calls", 0) == len(config["cv"]["schemes"])
+    summary = tracer.summary()
+    assert summary.get("modelselect.cv_loss.calls", 0) == len(config["cv"]["schemes"])
+    assert summary["panel.build_design.calls"] == 1  # one union design serves every scheme
