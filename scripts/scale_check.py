@@ -27,6 +27,8 @@ on its own:
   candidates d.x*xbar at lags 0..2 and x (undifferenced) at lags 0..1: six
   models counting the reference, on one set of folds (cv_scan, the median
   of CV_SCAN_RUNS; keys cv_scan_s for region folds, cv_scan_country_year_s);
+- a forward ic scan of the same models (ic_scan, AIC and BIC, plain and
+  adjusted on country_year blocks; the median of CV_SCAN_RUNS; key ic_scan_s);
 - one bootstrap replicate under each of the region, year and country_year
   schemes, as the median of (t(B=1+k) - t(B=1)) / k over BOOTSTRAP_PAIRS
   alternating timings of block_bootstrap, and B=1000 extrapolated as the
@@ -126,8 +128,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = "300x30,1000x40"
 STAGES = ("generate_panel", "load_csv", "build_design", "fit_cr1", "assign_clusters",
-          "coefficients_json", "cv_model", "cv_scan", "bootstrap", "corr_all_pairs", "corr_groups",
-          "bootstrap_readout", "project_readout",  # per size
+          "coefficients_json", "cv_model", "cv_scan", "ic_scan", "bootstrap", "corr_all_pairs",
+          "corr_groups", "bootstrap_readout", "project_readout",  # per size
           "cold_start", "t_quantile", "coverage_study", "trending_agreement")  # once per run
 # aim-1 targets at 1000x40, in seconds
 TARGETS = {"fit_cr1_s": 1.0, "cv_model_s": 1.0, "bootstrap_b1000_s": 60.0,
@@ -137,7 +139,7 @@ LOAD_RUNS = 5  # generate_panel, load_csv, build_design, fit_cr1, assign_cluster
 CLUSTER_SCHEMES = ("region", "country", "year", "country_year", "region_year")
 BOOTSTRAP_PAIRS = 5  # alternating B=1 and B=1+k timings per size
 MAX_EXTRA_REPLICATES = 999  # k at most: B=1+k is then the B=1000 of the target
-CV_SCAN_RUNS = 3  # cv_scan timings per size and scheme, of which the median is kept
+CV_SCAN_RUNS = 3  # cv_scan and ic_scan timings per size and scheme; the median is kept
 READOUT_B, READOUT_RUNS = 1000, 5  # the read-outs' sample size, and their timings per size
 PROJECT_YEARS = 20  # future years of the project read-out's scenario
 PROJECT_LEVELS = [0.65, 0.9]  # the intervals it reads out, project's default levels
@@ -278,6 +280,12 @@ def measure(cp, regions, years, extra_replicates, stages=STAGES):
             _timed(lambda: _cv_scan(cp, ds, base, candidates, scheme))[0]
             for _ in range(CV_SCAN_RUNS))
         out[f"{key}_peak_mb"] = _peak_mb(lambda: _cv_scan(cp, ds, base, candidates, scheme))
+    if "ic_scan" in stages:
+        def ic_scan():
+            return cp.ic_scan(ds, base, candidates, cp.COUNTRY_YEAR)
+
+        out["ic_scan_s"] = statistics.median(_timed(ic_scan)[0] for _ in range(CV_SCAN_RUNS))
+        out["ic_scan_peak_mb"] = _peak_mb(ic_scan)
     for scheme in (cp.REGION, cp.YEAR, cp.COUNTRY_YEAR) if "bootstrap" in stages else ():
         def boot(B):
             return _timed(lambda: cp.block_bootstrap(ds, spec, scheme, B, seed=0))[0]
@@ -529,6 +537,7 @@ def main(argv=None):
                        "0..2; generate_panel_s, load_csv_s, build_design_s, the fit_cr1, "
                        "assign_clusters and coefficients_json figures are each the median of "
                        f"{LOAD_RUNS} calls, the cv_scan figures (six models, K=4) "
+                       f"and ic_scan_s (the same models, country_year blocks) "
                        f"the median of {CV_SCAN_RUNS} scans, the bootstrap figures come from the "
                        f"medians of {BOOTSTRAP_PAIRS} alternating B=1 and B=1+k timings (k doubled "
                        f"until B=1+k takes twice B=1, at most {MAX_EXTRA_REPLICATES}), "

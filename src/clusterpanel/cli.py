@@ -135,7 +135,6 @@ SCHEMA = {
         "direction": (str, _default(ic_scan, "direction")),
         "criteria": (_list(str), _default(ic_scan, "criteria")),
         "adjusted": (_list(_bool), _default(ic_scan, "adjusted_flags")),
-        "count_variance_params": (_bool, _default(ic_scan, "count_variance_params")),
         "candidates": ([TERM], []),
     }, {}),
     "bootstrap": ({
@@ -325,8 +324,7 @@ def cmd_ic(config: dict, out: Path) -> None:
     block = ClusterScheme.parse(ic_cfg["block_scheme"])
     direction, base, candidates = _scan_setup(ic_cfg, _model(config))
     scan = ic_scan(dataset, base, candidates, block, direction=direction,
-                   criteria=tuple(ic_cfg["criteria"]), adjusted_flags=tuple(ic_cfg["adjusted"]),
-                   count_variance_params=ic_cfg["count_variance_params"])
+                   criteria=tuple(ic_cfg["criteria"]), adjusted_flags=tuple(ic_cfg["adjusted"]))
     reports.write_ic_scan(out / "ic_scan.csv", scan, block.label)
     reference = {f"{crit}_adj{int(adj)}": v for (crit, adj), v in scan.reference.items()}
     reports.write_json(out / "ic_summary.json",

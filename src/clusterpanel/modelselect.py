@@ -64,15 +64,16 @@ def cv_loss(
     every model, each a list of columns of ``design.X`` fitted with the fixed
     effects, on one set of folds.
 
-    One ``weighted`` call on the design's ``ClusterMoments`` gives every
-    training fold as 0/1 cluster weights, and each model solves its columns
-    on all K folds in one call, as on a design built for it alone up to
-    rounding.  The fixed effects take the training split's levels: a
-    validation row whose level is unseen in training, or is the training
-    reference, gets no effect, as rebuilt all-zero dummies would give, and is
-    counted in ``unseen_levels``.  A rank-deficient training fold is solved at
-    minimum norm and flags its model ``rank_deficient``.  Validation errors
-    come from the rows.
+    The design's ``ClusterMoments`` are keyed by fold, K Grams whatever the
+    cluster count, and one ``weighted`` call weighs them 0/1 into every
+    training split; each model solves its columns on all K splits in one
+    call, as on a design built for it alone up to rounding.  The fixed effects
+    take the training split's levels: a validation row whose level is unseen
+    in training, or is the training reference, gets no effect, as rebuilt
+    all-zero dummies would give, and is counted in ``unseen_levels``.  A
+    rank-deficient training split is solved at minimum norm and flags its
+    model ``rank_deficient``.  Validation errors come from the rows, X beta
+    with beta 0 outside the model.
     """
     clusters = assign_clusters(design, scheme)
     fold = make_folds(clusters, K, seed)
@@ -80,8 +81,7 @@ def cv_loss(
     counts = np.bincount(row_folds, minlength=K)
     if not counts.all():
         raise ValueError(f"empty validation fold {int(np.argmin(counts))}")
-    folds = ClusterMoments(design, clusters.row_cluster).weighted(
-        [fold != k for k in range(K)])
+    folds = ClusterMoments(design, row_folds).weighted([np.arange(K) != k for k in range(K)])
     fits = [folds.solve(model) for model in models]  # each over all K folds
     collinear = np.array([fit[1] for fit in fits]).reshape(-1, K)
     sse, unseen = np.zeros((len(models), K)), 0
@@ -89,9 +89,8 @@ def cv_loss(
         va = row_folds == k
         X_va, codes = design.X[va], {e: c[va] for e, c in design.fe_codes.items()}
         unseen += sum(int((~folds.present[e][k][c]).sum()) for e, c in codes.items())
-        for m, (model, (beta, _, effects)) in enumerate(zip(models, fits)):
-            # np.take copies in C order; the matvec rounds by layout
-            err = design.y[va] - np.take(X_va, model, axis=1) @ beta[k]
+        for m, (beta, _, effects) in enumerate(fits):
+            err = design.y[va] - X_va @ beta[k]
             for effect, values in effects.items():
                 err -= np.nan_to_num(values[k])[codes[effect]]
             sse[m, k] = err @ err
@@ -416,19 +415,17 @@ def information_criterion(
     clusters: ClusterAssignment | None = None,
     criterion: str = "AIC",
     adjusted: bool = False,
-    count_variance_params: bool = True,
 ) -> ICResult:
     """AIC/BIC value gamma(n) * k - 2 * log L, optionally correlation-adjusted.
 
     Non-adjusted uses the iid log-likelihood; adjusted estimates rho on the
     given blocks and evaluates the equicorrelated likelihood.  k counts the
-    regression coefficients plus, by default, sigma^2 (and rho when
-    adjusted); ``count_variance_params=False`` counts coefficients only.
+    regression coefficients plus sigma^2 (and rho when adjusted).
     """
     if adjusted and clusters is None:
         raise ValueError("adjusted criteria need a cluster assignment for the blocks")
     likelihood = _log_likelihood(fit.residuals, clusters if adjusted else None)
-    return _criterion(fit.residuals, fit.p, criterion, adjusted, likelihood, count_variance_params)
+    return _criterion(fit.residuals, fit.p, criterion, adjusted, likelihood)
 
 
 def _log_likelihood(r: np.ndarray, blocks: ClusterAssignment | None):
@@ -442,15 +439,14 @@ def _log_likelihood(r: np.ndarray, blocks: ClusterAssignment | None):
     return ll, rf.rho_hat, s2
 
 
-def _criterion(r: np.ndarray, p: int, criterion: str, adjusted: bool, likelihood,
-               count_variance_params: bool) -> ICResult:
+def _criterion(r: np.ndarray, p: int, criterion: str, adjusted: bool, likelihood) -> ICResult:
     """``information_criterion`` of a fit of ``p`` coefficients from its residuals'
     ``_log_likelihood``."""
     if criterion not in ("AIC", "BIC"):
         raise ValueError(f"unknown criterion {criterion!r}; use 'AIC' or 'BIC'")
     ll, rho_hat, s2 = likelihood
     gamma = 2.0 if criterion == "AIC" else math.log(len(r))
-    k = p + (1 + adjusted if count_variance_params else 0)
+    k = p + 1 + adjusted
     return ICResult(criterion=criterion, adjusted=adjusted, value=gamma * k - 2.0 * ll, k=k,
                     log_lik=ll, rho_hat=rho_hat, sigma2=s2)
 
@@ -483,16 +479,15 @@ def ic_scan(
     direction: str = "forward",
     criteria: Sequence[str] = ("AIC", "BIC"),
     adjusted_flags: Sequence[bool] = (False, True),
-    count_variance_params: bool = True,
 ) -> ICScanResult:
     """Information criteria over ``model_sequence(base, candidates, direction)``,
     the same models the CV scan scores, on a union design that follows
     ``base``'s moderator alignment and lag ceiling.
 
-    The union design is absorbed once and each model fits its columns on it
-    (``Absorbed.fit``, as ``ols_fit``), on the rows usable under the union
-    model, with the blocks assigned once; rank-deficient fits are flagged
-    collinear with NaN values.  Deltas are against the reference model.
+    The union design is absorbed and factored once, and each model fits its
+    columns from that triangle (``Absorbed.fit``, as ``ols_fit``), on the rows
+    usable under the union model, with the blocks assigned once; rank-deficient
+    fits are flagged collinear with NaN values.  Deltas are against the reference.
     """
     seq = model_sequence(base, candidates, direction)
     design = build_design(dataset, seq.union)
@@ -500,9 +495,9 @@ def ic_scan(
     fe = Absorbed(design)
 
     def scores(depths):  # one likelihood, and so one rho fit, per flag
-        _, _, r, p, _ = fe.fit(_columns(seq.union, depths))
+        _, _, r, p = fe.fit(_columns(seq.union, depths))
         likelihoods = {adj: _log_likelihood(r, clusters if adj else None) for adj in adjusted_flags}
-        return {(crit, adj): _criterion(r, p, crit, adj, likelihoods[adj], count_variance_params)
+        return {(crit, adj): _criterion(r, p, crit, adj, likelihoods[adj])
                 for adj in adjusted_flags for crit in criteria}
 
     # a rank-deficient reference model fails the scan, naming its columns

@@ -2,7 +2,7 @@
 
 The covariance estimator is the one-way clustered sandwich: the Gram
 sum_g J_g J_g' of each cluster's influence J_g = R^-1 R^-T X_g' r_g, R the
-triangle of the fit's own QR (R'R = X'X, never formed), linear in the rows,
+triangle of the fit's partialled columns (R'R = X'X, never formed), linear in the rows,
 so a coarser partition's influence is the sum of its clusters'
 (``cluster_influence``).  CR1 rescales it by G/(G-1) * (n-1)/(n-p), CR0 not.
 
@@ -12,15 +12,17 @@ the SE.  Coefficients are read with their own variances
 (``confidence_intervals``), contrasts of them, a response curve's cumulative
 sums among them, through the (m, p) contrast matrix of ``linear_readout``.
 
-Both fixed effects are absorbed (``Absorbed``), and ``Absorbed.solve`` is the
-one least-squares solve, a pivoted QR of the partialled intercept and term
-columns under one rank rule, each region's and year's effect recovered
-afterwards: the fit and every IC model (``Absorbed.fit``), and every CV fold
-and bootstrap replicate that the moments' Gram (``ClusterMoments``) does not
-accept.  The influence on the year effects comes from the joint scores of the
-term and year columns, the region effects' variances exactly from the rows of
-the estimator's linear map: no dummy column and no (p, p) array is formed.
-Every count (p, the CR1 factor, R^2) includes the dummies.
+Both fixed effects are absorbed (``Absorbed``), which factors the partialled
+[X y] once, and ``Absorbed.solve`` is the one least-squares solve: a model is
+a column subset of that triangle, pivoted under one rank rule, its
+coefficients in the design's coordinates (0 outside it), each region's and
+year's effect recovered afterwards.  It serves the fit and every IC model
+(``Absorbed.fit``), and every CV fold and bootstrap replicate that the
+moments' Gram (``ClusterMoments``) does not accept.  The influence on the
+year effects comes from the joint scores of the term and year columns, the
+region effects' variances exactly from the rows of the estimator's linear
+map: no dummy column and no (p, p) array is formed.  Every count (p, the CR1
+factor, R^2) includes the dummies.
 """
 
 from __future__ import annotations
@@ -41,19 +43,18 @@ FEW_CLUSTERS_THRESHOLD = 40
 
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients in design order, residuals and R^2 of a fit, ``absorbed``, the
-    partialled design X~ it was solved on, and ``triangle``, the solve's R with
-    R'R = X~'X~, the sandwich's bread.  Its ``design`` alone holds the row count,
-    the column layout and the names: ``n`` and ``p`` are the design's."""
+    """Coefficients in design order, residuals and R^2 of a fit, and ``absorbed``,
+    the partialled design X~ it was solved on, whose triangle is the sandwich's
+    bread.  Its ``design`` alone holds the row count, the column layout and the
+    names: ``n`` and ``p`` are the design's."""
 
     beta: np.ndarray
     residuals: np.ndarray
     r_squared: float
     absorbed: Absorbed = field(repr=False)
-    triangle: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.beta, self.residuals, self.triangle):
+        for a in (self.beta, self.residuals):
             a.setflags(write=False)
 
     design = property(lambda self: self.absorbed.design)
@@ -162,6 +163,7 @@ class Absorbed(_Effects):
     dummy-coded coefficients, with and without an intercept, and
     ``effects`` the dummies'.  Columns are partialled one by one, so column
     subsets agree up to rounding.  Levels without weight drop out (``_Effects``).
+    Every model ``solve``s from ``triangle``, the R of [X y]'s unpivoted QR.
     """
 
     def __init__(self, design: DesignMatrix, weights: np.ndarray | None = None):
@@ -201,40 +203,38 @@ class Absorbed(_Effects):
         if weights is not None:
             Z *= np.sqrt(w)[:, None]
         self.X, self.y = Z[:, :-1], Z[:, -1]
+        self.triangle = np.linalg.qr(Z, mode="r")
 
     def fit(self, cols):
         """``solve`` of a full-rank model: (coefficients, ``effects``, residuals, the
-        parameter count p with the dummies, the triangle R of the solve's unpivoted
-        QR).  n <= p raises, and so does a rank deficiency, naming the columns."""
+        parameter count p with the dummies).  n <= p raises, and so does a rank
+        deficiency, naming the columns."""
         n, p = len(self.X), len(cols) + self.design.p - self.X.shape[1]
         if n <= p:
             raise ValueError(f"need more rows than columns to fit (n={n}, p={p})")
-        theta, dependent, effects, T = self._solve(cols)
+        theta, dependent, effects = self.solve(cols)
         if dependent.size:
             raise RankDeficientError(self.design.column_names[j] for j in dependent)
-        r = self.y - np.take(self.X, cols, axis=1) @ theta  # C order: the matvec rounds by layout
-        return theta, effects, r, p, T[:, :-1]
+        return theta, effects, self.y - self.X @ theta, p
 
     def solve(self, cols: Sequence[int]):
-        """Least squares on the ``X`` columns ``cols``: (coefficients, the
-        dependent columns as design positions, ``effects``).
+        """Least squares on the ``X`` columns ``cols``: (coefficients over every
+        column of ``X``, 0 outside ``cols``, the dependent columns as design
+        positions, ``effects``).
 
-        [X y] is factored once, unpivoted, as Q T, and the pivoting runs on
-        the small triangle T (``_pivoted_triangle``).  The one rank rule: a
-        pivot at most the first times max(n, p) eps is dependent, n the rows
-        and p the model's columns, dummies included.  The dependent columns
-        are those pivoted out, or the year dummies when the year effect is
-        collinear with the region effect, never a region dummy.  A full-rank
-        fit solves the triangle; any other moves the basic solution within
-        the null space of the full dummy design to the least |beta|^2 +
-        |alpha|^2 + |gamma|^2, the effects' norms included."""
-        return self._solve(cols)[:3]
-
-    def _solve(self, cols):
-        """``solve``, and the triangle T of [X_cols y] that it factored."""
+        The model's triangle T is that of the QR of ``triangle``'s columns
+        ``cols`` and y, a (k+1) x (|cols|+1) problem that in exact arithmetic
+        gives [X_cols y]'s, and the pivoting runs on T (``_pivoted_triangle``).
+        The one rank rule: a pivot at most the first times max(n, p) eps is
+        dependent, n the rows and p the model's columns, dummies included.
+        The dependent columns are those pivoted out, or the year dummies when
+        the year effect is collinear with the region effect, never a region
+        dummy.  A full-rank fit solves the triangle; any other moves the basic
+        solution within the null space of the full dummy design to the least
+        |beta|^2 + |alpha|^2 + |gamma|^2, the effects' norms included."""
         cols, k, design = list(cols), len(cols), self.design
         n, p = len(self.X), k + design.p - self.X.shape[1]
-        T = np.linalg.qr(np.column_stack([np.take(self.X, cols, axis=1), self.y]), mode="r")[:k]
+        T = np.linalg.qr(self.triangle[:, cols + [-1]], mode="r")[:k]
         T = np.pad(T, ((0, k - len(T)), (0, 0)))  # a view of fewer than k + 1 rows
         R, piv = _pivoted_triangle(T)
         diag = np.abs(np.diag(R))
@@ -248,8 +248,10 @@ class Absorbed(_Effects):
             lam[: self.null.shape[1]] = 0.0
             years = _pivoted_triangle(np.column_stack([np.sqrt(lam)[:, None] * V.T, lam * 0.0]))[1]
             dependent = design.fe_slots["year"].start - 1 + self.years[years[-self.null.shape[1]:]]
+        theta = np.zeros(self.X.shape[1])
         if not dependent.size:
-            return beta, dependent, self.effects(cols, beta), T
+            theta[cols] = beta
+            return theta, dependent, self.effects(cols, beta)
         # the null directions of the full design in the coordinates (beta,
         # gamma): (v, -P v) for v in the null space of the partialled
         # columns, (0, u) for u in that of the year block; and in (beta,
@@ -263,7 +265,8 @@ class Absorbed(_Effects):
         gamma = self.P[:, -1] - Pc @ beta
         sol = np.concatenate([beta, M[:, -1] - M[:, cols] @ beta - S @ gamma, gamma])
         sol -= N @ np.linalg.lstsq(N, sol, rcond=None)[0]
-        return sol[:k], dependent, self.effects(cols, sol[:k], sol[k + len(seen):]), T
+        theta[cols] = sol[:k]
+        return theta, dependent, self.effects(cols, sol[:k], sol[k + len(seen):])
 
 
 # A fit comes from the Gram only when Cholesky of the equilibrated Gram less
@@ -284,10 +287,12 @@ _PAIR_BLOCK = 256  # (region, cluster) pairs per block of the sandwich's gathers
 
 class ClusterMoments:
     """What a weighted, absorbed least-squares fit of ``design`` depends on
-    when each row weighs its cluster's weight (Roodman, Nielsen, MacKinnon &
-    Webb 2019; MacKinnon 2023), for Z = [X y]: per cluster g the Gram A_g,
-    per (region, cluster) pair the sums s_rc and counts n_rc, per (cluster,
-    year) the sums y_gt and counts, and each (region, year) cell's cluster.
+    when each row weighs its group's weight, the groups ``row_cluster``'s
+    codes: a bootstrap replicate's clusters, or the K folds of CV, whose
+    training splits weigh the folds 0/1 (Roodman, Nielsen, MacKinnon & Webb
+    2019; MacKinnon 2023).  For Z = [X y]: per group g the Gram A_g,
+    per (region, group) pair the sums s_rc and counts n_rc, per (group,
+    year) the sums y_gt and counts, and each (region, year) cell's group.
     Under weights w, with S_r = sum_c w_c s_rc and N_r = sum_c w_c n_rc,
     the region-partialled Gram is sum_g w_g A_g - sum_{r != ref} S_r
     S_r'/N_r, with Z centred at the regions' full-sample means so that the
@@ -436,7 +441,7 @@ class _Views(_Effects):
         """``Absorbed.solve`` of every view, stacked over the views.  A view whose
         Gram is not well inside full rank solves from its rows, built once."""
         cols, B, design = list(cols), len(self.W), self.moments.design
-        theta, deficient = np.zeros((B, len(cols))), np.zeros(B, dtype=bool)
+        beta, deficient = np.zeros((B, len(cols))), np.zeros(B, dtype=bool)
         solved = self.ok & bool(cols)
         if solved.any():
             gram = self.gram[solved]
@@ -445,9 +450,11 @@ class _Views(_Effects):
                                         np.maximum(self.n[solved][fine], len(cols)))
             solved[solved], root = fine, root[fine]
             rhs = gram[fine][:, cols, -1] / root
-            theta[solved] = np.linalg.solve(A[fine], rhs[..., None])[..., 0] / root
-        effects = self.effects(cols, theta) if solved.any() else {
+            beta[solved] = np.linalg.solve(A[fine], rhs[..., None])[..., 0] / root
+        effects = self.effects(cols, beta) if solved.any() else {
             e: np.zeros((B, len(design.fe_levels[e]))) for e in self.present}
+        theta = np.zeros((B, design.X.shape[1]))
+        theta[:, cols] = beta
         for i in np.flatnonzero(~solved):
             if i not in self.rows:
                 self.rows[i] = Absorbed(design, self.W[i][self.moments.row_cluster])
@@ -491,9 +498,9 @@ def _pivoted_triangle(T: np.ndarray):
 def ols_fit(design: DesignMatrix) -> FitResult:
     """Least squares on the term columns with both effects partialled out
     (``Absorbed.fit``, as every IC model), the effects recovered from the
-    coefficients; the fit keeps the solve's triangle, the sandwich's bread."""
+    coefficients."""
     fe = Absorbed(design)
-    theta, effects, residuals, p, R = fe.fit(range(design.X.shape[1]))
+    theta, effects, residuals, p = fe.fit(range(design.X.shape[1]))
     beta = np.concatenate([theta, *(values[1:] for values in effects.values())])
     ssr = float(residuals @ residuals)
     # R^2 is centred when the design has an intercept or any dummy (p > k)
@@ -505,15 +512,15 @@ def ols_fit(design: DesignMatrix) -> FitResult:
         r2 = 0.0
     else:
         r2 = min(1.0, max(0.0, 1.0 - ssr / sst))
-    return FitResult(beta=beta, residuals=residuals, r_squared=r2, absorbed=fe, triangle=R)
+    return FitResult(beta=beta, residuals=residuals, r_squared=r2, absorbed=fe)
 
 
 def cluster_influence(fit: FitResult, codes: np.ndarray, G: int):
     """The influence of each cluster of the row ``codes``, in [0, G), on the fit's
     coefficients, linear in the rows: a coarser partition's is the sum of its
     clusters'.  On the fit's partialled columns X~ (``fit.absorbed``), cluster g's
-    influence on the term coefficients is J_g = R^-1 R^-T X~_g' r_g, R the fit's
-    triangle: no second factorization, and no X~'X~ to square cond(X~).  On the
+    influence on the term coefficients is J_g = R^-1 R^-T X~_g' r_g, R X~'s block of
+    ``fit.absorbed.triangle``: no second factorization, and no X~'X~ to square cond(X~).  On the
     year effects gamma = P_y - P_X beta it is H^-1 Ẽ_g' r_g - P_X J_g, with Ẽ_g' r_g
     its per-year residual sums less its regions' shares of them.  Region r's row
     of the estimator's linear map is 1_r'/n_r - m_r' [J; gamma's], so g's
@@ -524,7 +531,7 @@ def cluster_influence(fit: FitResult, codes: np.ndarray, G: int):
         raise ValueError("fit and clusters disagree on the row count")
     fe, design = fit.absorbed, fit.design
     X, e, g, k = fe.X, fit.residuals, codes, fe.X.shape[1]
-    R_inv = np.linalg.solve(fit.triangle, np.eye(k))  # LU of a triangle is I R: back substitution
+    R_inv = np.linalg.solve(fe.triangle[:k, :k], np.eye(k))  # LU of a triangle: back substitution
     J = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ R_inv @ R_inv.T
     L, T = fe.shares.shape
     r, pair_g, a = np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)

@@ -109,13 +109,11 @@ def design_from_arrays(X, y, cluster_keys=None, labels=None):
 
 def fit_on(design, beta=None, residuals=None, r_squared=0.0):
     """A fit on ``design`` with the given coefficients and residuals (zeros
-    by default), solved on ``Absorbed(design)`` as ``ols_fit`` would be, its
-    triangle that of the unpivoted QR of the partialled columns."""
+    by default), solved on ``Absorbed(design)`` as ``ols_fit`` would be."""
     beta = np.zeros(design.p) if beta is None else np.asarray(beta, dtype=float)
     residuals = np.zeros(design.n) if residuals is None else np.asarray(residuals, dtype=float)
-    fe = Absorbed(design)
-    return FitResult(beta=beta, residuals=residuals, r_squared=r_squared, absorbed=fe,
-                     triangle=np.linalg.qr(fe.X, mode="r"))
+    return FitResult(beta=beta, residuals=residuals, r_squared=r_squared,
+                     absorbed=Absorbed(design))
 
 
 def row_keys(design):

@@ -198,7 +198,7 @@ def _parent_clustered_cov(fit, clusters, correction="CR1"):
     """``clustered_cov`` with the cluster influence formed inline, the body it
     had before ``cluster_influence`` was split out, kept verbatim as the oracle
     but for reading the design, its partialled columns and the bread's
-    triangle from the fit."""
+    triangle from the fit's ``absorbed``."""
     check_correction(correction)
     if clusters.n_rows != fit.n:
         raise ValueError("fit and clusters disagree on the row count")
@@ -212,7 +212,7 @@ def _parent_clustered_cov(fit, clusters, correction="CR1"):
         warnings.warn("G=1 degenerate clustering: covariance collapses to ~0")
     elif G < FEW_CLUSTERS_THRESHOLD:
         warnings.warn(f"only G={G} clusters; uncertainty estimates may be unreliable")
-    U_inv = np.linalg.solve(fit.triangle, np.eye(k))  # LU of a triangle is I R: back substitution
+    U_inv = np.linalg.solve(fe.triangle[:k, :k], np.eye(k))  # LU of a triangle: back substitution
     W = np.array([np.bincount(g, x * e, G) for x in X.T]).reshape(k, G).T @ U_inv @ U_inv.T
     L, T = fe.shares.shape
     if L:
@@ -1276,7 +1276,7 @@ def _row_cv(design, scheme, K, seed, models):
         for m, model in enumerate(models):
             beta, dependent, effects = fold.solve(model)
             deficient[m] |= dependent.size > 0
-            err = design.y[va] - design.X[va][:, model] @ beta
+            err = design.y[va] - design.X[va][:, model] @ beta[model]
             for effect, values in effects.items():
                 err -= np.nan_to_num(values)[design.fe_codes[effect][va]]
             sse[m] += err @ err
@@ -1293,9 +1293,8 @@ def test_cv_entries_match_row_path(case):
     # the reference, every variant, and each model as a column subset of the union
     models = [terms[:j] for j in range(len(terms) + 1)] + [terms[1:]]
     flags = []
-    # region_year clusters hold one row each: with the year dummies the
-    # moments would outgrow the rows, every fold is refitted from them, and
-    # each model solves its columns of the union's partialled rows
+    # region_year clusters hold one row each: with the year dummies moments
+    # per cluster would outgrow the rows, while cv_loss's per fold do not
     for scheme, K in ((REGION, 4), (COUNTRY, 3), (YEAR, 3), (COUNTRY_YEAR, 4), (REGION_YEAR, 4)):
         clusters = assign_clusters(design, scheme)
         assert ClusterMoments(design, clusters.row_cluster).rows_only == (
@@ -1327,6 +1326,23 @@ def test_cv_scan_builds_one_set_of_fold_views(monkeypatch):
     assert len(scan.entries) == 3
     assert len(made) == len(calls) == 1
     assert len(calls[0]) == 3  # one training fold per row of weights
+
+
+def test_cv_loss_keys_its_moments_by_fold(monkeypatch):
+    made = []
+
+    class Recorded(ClusterMoments):
+        def __init__(self, design, codes):
+            made.append(codes)
+            super().__init__(design, codes)
+
+    monkeypatch.setattr(modelselect, "ClusterMoments", Recorded)
+    design = build_design(_panel(True), ModelSpec(terms=(X_MOD,), fixed_effects=("region", "year")))
+    clusters = assign_clusters(design, REGION)
+    cv_loss(design, REGION, 3, 5, [range(design.X.shape[1])])
+    assert clusters.n_clusters > 3
+    (codes,) = made  # K Grams, not G
+    np.testing.assert_array_equal(codes, make_folds(clusters, 3, 5)[clusters.row_cluster])
 
 
 def test_cv_scan_refits_each_fold_from_the_rows_once(row_refits):

@@ -486,7 +486,6 @@ BOOL_KEYS = [
     ("fit", ("model", "terms", 0, "differenced"), "model.terms[0]"),
     ("fit", ("fit", "response_curves"), "fit"),
     ("ic", ("ic", "adjusted", 1), "ic"),
-    ("ic", ("ic", "count_variance_params"), "ic"),
     ("simulate", ("simulate", "with_centroids"), "simulate"),
 ]
 

@@ -28,6 +28,7 @@ from clusterpanel.panel import (
     ClusterAssignment,
     ClusterScheme,
     ModelSpec,
+    PanelDataset,
     TermSpec,
     assign_clusters,
     build_design,
@@ -240,8 +241,13 @@ X1 = TermSpec("x", differenced=False, max_lag=1)
 M0 = TermSpec("m", differenced=False)
 M1 = TermSpec("m", differenced=False, max_lag=1)
 MC0 = TermSpec("mc", differenced=False)
+# the wide cases: three predictors at lags 0..4, one of them moderated
+X_MOD4 = TermSpec("x", differenced=True, moderator="m", max_lag=4)
+V1 = TermSpec("v1", differenced=False, max_lag=4)
+V2 = TermSpec("v2", differenced=True, max_lag=4)
+TWO_WAY = ("region", "year")
 
-# (gappy panel, moderator alignment, base, candidates, direction)
+# (panel: gappy, not, or "wide", moderator alignment, base, candidates, direction)
 SCAN_CASES = {
     "two_way_fe_forward": (
         False, "contemporaneous", ModelSpec(fixed_effects=("region", "year")), [X_MOD, X1],
@@ -258,6 +264,14 @@ SCAN_CASES = {
     ),
     "gappy_lag_aligned_backward": (
         True, "lag_aligned", ModelSpec(terms=(X_MOD, M0), fixed_effects=("year",)), [],
+        "backward",
+    ),
+    "wide_forward": (
+        "wide", "contemporaneous", ModelSpec(terms=(V1,), fixed_effects=TWO_WAY), [X_MOD4, V2],
+        "forward",
+    ),
+    "wide_backward": (
+        "wide", "contemporaneous", ModelSpec(terms=(X_MOD4, V1, V2), fixed_effects=TWO_WAY), [],
         "backward",
     ),
 }
@@ -280,6 +294,21 @@ def _scan_panel(gappy):
             observations.append(obs(f"R{i:02d}", f"C{i % 3}", 2000 + t, y,
                                     {"x": x, "m": m, "mc": m}))
     return panel_from(observations, predictor_names=("x", "m", "mc"))
+
+
+def _wide_panel():
+    """``generate_panel``'s 60 regions in 6 countries over 20 years, with two
+    more predictors, v1 and v2 (seeded random walks plus noise), and a
+    region-constant moderator m."""
+    ds = generate_panel(DgpConfig(n_regions=60, n_years=20, countries=6), 5)
+    (R, T), gen = ds.outcome.shape, np.random.default_rng(11)
+    grids = {"x": ds.predictors["x"], "m": np.repeat(gen.uniform(0.5, 2.0, (R, 1)), T, axis=1)}
+    for name in ("v1", "v2"):
+        walk = np.cumsum(0.1 * gen.standard_normal((R, T)), axis=1)
+        grids[name] = walk + gen.standard_normal((R, T))
+    return PanelDataset(np.repeat(ds.regions, T), np.repeat(ds.countries, T),
+                        np.tile(ds.first_year + np.arange(T), R), ds.outcome.ravel(),
+                        {name: grid.ravel() for name, grid in grids.items()})
 
 
 def _oracle_sequence(base, candidates, direction):
@@ -310,8 +339,9 @@ def _oracle_sequence(base, candidates, direction):
 
 
 def _scan_case(case):
-    gappy, alignment, base, candidates, direction = SCAN_CASES[case]
-    ds, base = _scan_panel(gappy), replace(base, moderator_alignment=alignment)
+    panel, alignment, base, candidates, direction = SCAN_CASES[case]
+    ds = _wide_panel() if panel == "wide" else _scan_panel(panel)
+    base = replace(base, moderator_alignment=alignment)
     union, reference, variants = _oracle_sequence(base, candidates, direction)
     rows = keep_grid(ds, row_keys(build_design(ds, union)))
     return ds, base, candidates, direction, reference, variants, rows
@@ -368,25 +398,43 @@ def test_ic_scan_matches_per_model_builds(case):
         return {(crit, adj): information_criterion(fit, clusters, criterion=crit, adjusted=adj)
                 for crit, adj in flags}
 
+    # the scan solves each model from the union's triangle and takes its
+    # residuals over the union's columns, which round as a build of the
+    # model's own columns would not; rho_hat moves with them within the
+    # golden search's tolerance, 1e-8 sigma^2, and a few steps more
     ref = scores(reference)
     assert scan.rows_used == rows.sum()
-    assert scan.reference == {key: ic.value for key, ic in ref.items()}
-    expected = []
-    for name, depth, spec in variants:
+    assert scan.reference == pytest.approx({key: ic.value for key, ic in ref.items()}, rel=1e-12)
+    assert [(e.term, e.lag_depth, e.criterion, e.adjusted) for e in scan.entries] == [
+        (name, depth, crit, adj) for name, depth, _ in variants for crit, adj in flags]
+    entries = iter(scan.entries)
+    for _, _, spec in variants:
         res = scores(spec)
-        for crit, adj in flags:
+        for key in flags:
+            entry = next(entries)
+            assert entry.collinear == (res is None)
             if res is None:
-                expected.append((name, depth, crit, adj, None, None, None, True))
+                assert math.isnan(entry.value) and entry.rho_hat is None
+                continue
+            ic, scale = res[key], abs(ref[key].value)
+            assert entry.value == pytest.approx(ic.value, rel=1e-12)
+            assert entry.delta == pytest.approx(ic.value - ref[key].value, rel=1e-12,
+                                                abs=1e-12 * scale)
+            if ic.rho_hat is None:
+                assert entry.rho_hat is None
             else:
-                ic = res[(crit, adj)]
-                expected.append((name, depth, crit, adj, ic.value,
-                                 ic.value - ref[(crit, adj)].value, ic.rho_hat, False))
-    got = [
-        (e.term, e.lag_depth, e.criterion, e.adjusted, None if e.collinear else e.value,
-         None if e.collinear else e.delta, e.rho_hat, e.collinear)
-        for e in scan.entries
-    ]
-    assert got == expected
+                assert entry.rho_hat == pytest.approx(ic.rho_hat, rel=0, abs=1e-7 * ic.sigma2)
+
+
+def test_ic_scan_factors_the_union_rows_once(monkeypatch):
+    ds, base, candidates, direction, *_ = _scan_case("wide_forward")
+    design = build_design(ds, model_sequence(base, candidates, direction).union)
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs:
+                        shapes.append(np.shape(a)) or qr(a, *args, **kwargs))
+    ic_scan(ds, base, candidates, COUNTRY_YEAR, direction=direction)
+    # every model's own QR is of the union's (k + 1)-row triangle
+    assert [s for s in shapes if s[0] == design.n] == [(design.n, design.X.shape[1] + 1)]
 
 
 def test_duplicate_candidate_collinear_in_both_scans():
@@ -656,14 +704,11 @@ def test_ic_adjusted_with_unidentified_rho_costs_one_parameter(rng):
     assert adj.rho_hat is None and adj.k == plain.k + 1
 
 
-def test_ic_k_counting_flag(rng):
+def test_ic_k_counts_sigma2_and_rho(rng):
     r = rng.standard_normal(40)
     clusters = make_clusters([4] * 10)
-    plain = information_criterion(_fit_with(r, 2), clusters, count_variance_params=False)
-    assert plain.k == 2
-    adj = information_criterion(_fit_with(r, 2), clusters, adjusted=True,
-                                count_variance_params=False)
-    assert adj.k == 2
+    assert information_criterion(_fit_with(r, 2), clusters).k == 3
+    assert information_criterion(_fit_with(r, 2), clusters, adjusted=True).k == 4
 
 
 def test_ic_validation(rng):

@@ -19,6 +19,7 @@ STAGE_KEYS = {
     "coefficients_json": "coefficients_json_s",
     "cv_model": "cv_model_s",
     "cv_scan": "cv_scan_s",
+    "ic_scan": "ic_scan_s",
     "bootstrap": "bootstrap_b1000_s",
     "corr_all_pairs": "corr_all_pairs_s",
     "corr_groups": "corr_groups_s",
